@@ -43,7 +43,12 @@ from .fem import (
     restrict_to_batch,
 )
 from .graph import MetricGraph
-from .manufactured import L2ErrorEvaluator, ManufacturedSolution
+from .manufactured import (
+    L2ErrorEvaluator,
+    ManufacturedSolution,
+    mass_norms_sq,
+    stacked_squared_error,
+)
 from .timestep import SchemeKind, StepWorkspace, factor_nnz
 
 TIME_MATCH_TOL = 1e-9
@@ -62,6 +67,19 @@ class GridMismatch(EngineError):
     pass
 
 
+class InvalidSpec(EngineError):
+    pass
+
+
+# a schedule's seed is the 128-bit key of its Philox generator
+SEED_BITS = 128
+
+
+def _check_snapshot_stride(stride: int) -> None:
+    if stride < 1:
+        raise InvalidSpec(f"snapshot stride must be at least 1, got {stride}")
+
+
 @dataclass(frozen=True)
 class RbmConfig:
     """Window length h, inner step dt, horizon, scheme and seed for one run."""
@@ -72,6 +90,11 @@ class RbmConfig:
     scheme: SchemeKind
     seed: int
     snapshot_stride: int = 1
+
+    def __post_init__(self):
+        _check_snapshot_stride(self.snapshot_stride)
+        if not 0 <= self.seed < 2**SEED_BITS:
+            raise InvalidSpec(f"seed must lie in [0, 2**{SEED_BITS}), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -298,6 +321,7 @@ def run_full(
 ) -> RbmTrajectory:
     """Deterministic solve on the whole graph; boundary vertices are Dirichlet."""
     n_steps = _count_steps(t_final, dt, "t_final")
+    _check_snapshot_stride(snapshot_stride)
     _warn_on_convection_sums(graph, coeffs)
     dofmap = build_dofmap(graph, mesh, graph.boundary_vertices)
     ops = fem.assemble(graph, mesh, dofmap, coeffs)
@@ -527,16 +551,6 @@ class ErrorSummary:
     n_realizations: int
 
 
-class _ExactReference:
-    def __init__(self, trajectory: RbmTrajectory, solution: ManufacturedSolution):
-        self._evaluator = L2ErrorEvaluator(
-            trajectory.graph, trajectory.mesh, trajectory.dofmap, solution
-        )
-
-    def squared_error(self, state: np.ndarray, t: float) -> float:
-        return self._evaluator.squared_error(state, t)
-
-
 class _BaselineReference:
     def __init__(self, trajectory: RbmTrajectory, baseline: RbmTrajectory, times: np.ndarray):
         self._mass = fem.mass_matrix(trajectory.graph, trajectory.mesh, trajectory.dofmap)
@@ -547,10 +561,13 @@ class _BaselineReference:
         self._reference_states = baseline.states[idx]
         self._times = times
 
-    def squared_error(self, state: np.ndarray, t: float) -> float:
-        k = int(np.argmin(np.abs(self._times - t)))
-        d = state - self._reference_states[k]
-        return float(d @ (self._mass @ d))
+    def squared_error(self, state: np.ndarray, t):
+        """|u - baseline(t)|^2 in the mass norm, for one state or a (k, n) stack."""
+        return stacked_squared_error(self._squared_errors, state, t)
+
+    def _squared_errors(self, states: np.ndarray, times: np.ndarray) -> np.ndarray:
+        k = np.abs(self._times[None, :] - times[:, None]).argmin(axis=1)
+        return mass_norms_sq(self._mass, states - self._reference_states[k])
 
 
 class ErrorAccumulator:
@@ -577,10 +594,9 @@ class ErrorAccumulator:
         if self._state_sum is None:
             self._state_sum = np.zeros_like(traj.states)
         self._state_sum += traj.states
-        for k, t in enumerate(self.times):
-            err2 = self.reference.squared_error(traj.states[k], t)
-            self._sum_sq[k] += err2
-            self._sum_norm[k] += np.sqrt(err2)
+        err2 = self.reference.squared_error(traj.states, self.times)
+        self._sum_sq += err2
+        self._sum_norm += np.sqrt(err2)
         self._count += 1
 
     def summary(self) -> ErrorSummary:
@@ -590,10 +606,7 @@ class ErrorAccumulator:
         mean_sq = self._sum_sq / n
         error1 = float(mean_sq.max())
         mean_states = self._state_sum / n
-        error2 = max(
-            self.reference.squared_error(mean_states[k], t)
-            for k, t in enumerate(self.times)
-        )
+        error2 = self.reference.squared_error(mean_states, self.times).max()
         if n > 1:
             var = (self._sum_sq - self._sum_norm**2 / n) / (n - 1)
             variance = float(var.max())
@@ -626,7 +639,7 @@ def estimate_errors(
         if len(other.times) != len(times) or np.any(np.abs(other.times - times) > TIME_MATCH_TOL):
             raise GridMismatch("realizations do not share a common stored time grid")
     if solution is not None:
-        reference = _ExactReference(runs[0], solution)
+        reference = L2ErrorEvaluator(runs[0].graph, runs[0].mesh, runs[0].dofmap, solution)
     else:
         reference = _BaselineReference(runs[0], baseline, times)
     acc = ErrorAccumulator(times, reference)

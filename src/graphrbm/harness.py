@@ -4,8 +4,10 @@ For each h the study runs R independent randomized realizations plus one
 deterministic baseline, estimates the error metrics against the exact
 manufactured solution, and emits one CSV row per (scheme, h).  Error
 columns are bitwise reproducible from the experiment description and
-master seed; realization r uses seed master_seed XOR r so schedules are
-independent and reproducible.  Timing columns are wall-clock and
+master seed; realization r draws its schedule from the 128-bit Philox key
+(master_seed << 64) | r, so distinct (master_seed, r) pairs never share a
+schedule.  Each trajectory's errors come from one call to a single
+``L2ErrorEvaluator`` built per study.  Timing columns are wall-clock and
 hardware dependent.
 
 Memory is reported two ways: a deterministic proxy (max over windows of
@@ -23,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import BatchFamily, SubgraphPartition
-from .engine import ErrorAccumulator, RbmConfig, RbmRuntime, _ExactReference, run_full, run_rbm
+from .engine import ErrorAccumulator, InvalidSpec, RbmConfig, RbmRuntime, run_full, run_rbm
 from .errors import SolverError
 from .fem import Mesh
 from .graph import MetricGraph
-from .manufactured import ManufacturedSolution, derive_data
+from .manufactured import L2ErrorEvaluator, ManufacturedSolution, derive_data
 from .timestep import SchemeKind
 
 CSV_HEADER = (
@@ -44,12 +46,11 @@ CSV_HEADER = (
     "seed",
 )
 
+# the master seed fills the high half of each realization's 128-bit key
+MASTER_SEED_BITS = 64
+
 
 class DegenerateFit(SolverError):
-    pass
-
-
-class InvalidSpec(SolverError):
     pass
 
 
@@ -77,6 +78,10 @@ class ExperimentSpec:
             raise InvalidSpec("need at least one window length h")
         if not self.schemes:
             raise InvalidSpec("need at least one scheme")
+        if not 0 <= self.seed < 2**MASTER_SEED_BITS:
+            raise InvalidSpec(f"master seed must lie in [0, 2**{MASTER_SEED_BITS}), got {self.seed}")
+        if self.snapshot_stride < 1:
+            raise InvalidSpec(f"snapshot stride must be at least 1, got {self.snapshot_stride}")
         for h in self.h_list:
             ratio = h / self.dt
             if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
@@ -147,6 +152,11 @@ def memory_proxy(stats: dict) -> int:
     return int(stats.get("max_active_dofs", 0)) + int(stats.get("max_factor_nnz", 0))
 
 
+def realization_seed(master: int, r: int) -> int:
+    """Philox key of realization r: the master seed in the high 64 bits, r in the low."""
+    return (master << MASTER_SEED_BITS) | r
+
+
 def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """R randomized realizations plus one deterministic baseline per (scheme, h)."""
     spec.validate()
@@ -156,6 +166,7 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
     coeffs = derive_data(solution)
     mesh = Mesh(spec.nodes_per_edge)
     runtime = RbmRuntime(spec.graph, spec.partition, spec.family, mesh, coeffs)
+    evaluator = L2ErrorEvaluator(spec.graph, mesh, runtime.dofmap, solution)
     records = []
     for scheme in spec.schemes:
         baseline_bench = benchmark(
@@ -165,13 +176,9 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
             )
         )
         baseline = baseline_bench.result
-        baseline_ref = _ExactReference(baseline, solution)
-        baseline_error = max(
-            baseline_ref.squared_error(baseline.states[k], t)
-            for k, t in enumerate(baseline.times)
-        )
+        baseline_error = float(evaluator.squared_error(baseline.states, baseline.times).max())
         for h in spec.h_list:
-            seeds = [spec.seed ^ r for r in range(spec.realizations)]
+            seeds = [realization_seed(spec.seed, r) for r in range(spec.realizations)]
             acc = None
             walls = []
             rss = []
@@ -193,7 +200,7 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
                 )
                 traj = bench.result
                 if acc is None:
-                    acc = ErrorAccumulator(traj.times, _ExactReference(traj, solution))
+                    acc = ErrorAccumulator(traj.times, evaluator)
                 acc.add(traj)
                 walls.append(bench.wall_seconds)
                 if bench.peak_rss_mb is not None:

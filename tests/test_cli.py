@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from graphrbm import read_csv
 from graphrbm.cli import main
 
@@ -81,3 +84,72 @@ def test_theta_scheme_flag(capsys):
     )
     assert code == 0
     assert "theta:0.75" in capsys.readouterr().out
+
+
+SMALL_STUDY = ["study", "--nodes-per-edge", "10", "--scheme", "ie,cn", "--dt", "0.01",
+               "--h", "0.01,0.02", "--t-final", "0.2", "--realizations", "2"]
+
+# (scheme, h) -> (error1, error2, variance) of SMALL_STUDY with --seed 0, recorded
+# when realization r used the seed master ^ r and errors came from per-edge
+# quadrature; the 128-bit key (master << 64) | r keeps seed 0's schedules
+SEED0_COLUMNS = {
+    ("cn", 0.01): (0.28932351568019243, 0.1542086397894573, 0.036806114184843974),
+    ("cn", 0.02): (0.9268525711973958, 0.5089428031419505, 0.1481390696527798),
+    ("ie", 0.01): (0.288472241613943, 0.17373760367506688, 0.03659968261601004),
+    ("ie", 0.02): (0.9232965905376787, 0.5279125806512354, 0.1583718010723667),
+}
+
+
+def _study_columns(tmp_path, seed):
+    out = tmp_path / f"study-{seed}.csv"
+    assert main([*SMALL_STUDY, "--seed", str(seed), "--out", str(out)]) == 0
+    return {(r.scheme, r.h): (r.error1, r.error2, r.variance) for r in read_csv(out)}
+
+
+def test_study_seed_zero_columns_recorded(tmp_path, capsys):
+    got = _study_columns(tmp_path, 0)
+    assert got.keys() == SEED0_COLUMNS.keys()
+    for key, expected in SEED0_COLUMNS.items():
+        assert np.allclose(got[key], expected, rtol=1e-12, atol=0.0), key
+
+
+def test_study_master_seeds_draw_distinct_schedules(tmp_path, capsys):
+    # with seeds master ^ r, masters 0 and 1 drew the same two schedules
+    zero, one = _study_columns(tmp_path, 0), _study_columns(tmp_path, 1)
+    for key in zero:
+        assert zero[key] != one[key], key
+
+
+BAD_RUNS = {
+    "solve": ["solve", "--nodes-per-edge", "5", "--dt", "0.05", "--t-final", "0.2"],
+    "rbm": ["rbm", "--nodes-per-edge", "5", "--dt", "0.05", "--h", "0.05", "--t-final", "0.2"],
+    "study": ["study", "--nodes-per-edge", "5", "--dt", "0.05", "--h", "0.05",
+              "--t-final", "0.2", "--realizations", "1"],
+}
+
+
+def _assert_config_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(BAD_RUNS))
+def test_snapshot_stride_below_one_is_config_error(tmp_path, capsys, command, stride):
+    argv = [*BAD_RUNS[command], "--snapshot-stride", stride]
+    if command == "study":
+        argv += ["--out", str(tmp_path / "study.csv")]
+    _assert_config_error(argv, capsys)
+    assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, seed", [("rbm", "-1"), ("rbm", str(2**128)), ("study", "-1"), ("study", str(2**64))]
+)
+def test_seed_out_of_range_is_config_error(tmp_path, capsys, command, seed):
+    argv = [*BAD_RUNS[command], "--seed", seed]
+    if command == "study":
+        argv += ["--out", str(tmp_path / "study.csv")]
+    _assert_config_error(argv, capsys)

@@ -9,9 +9,10 @@ from graphrbm.engine import (
     RbmConfig,
     RbmRuntime,
     ScheduleMismatch,
-    _ExactReference,
     sample_schedule,
 )
+from graphrbm.harness import InvalidSpec
+from graphrbm.manufactured import L2ErrorEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +160,8 @@ def test_estimate_errors_single_realization(demo, partition, option2, problem, s
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=3)
     traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
     summary = g.estimate_errors([traj], solution=solution)
-    ref = _ExactReference(traj, solution)
-    sup = max(ref.squared_error(traj.states[k], t) for k, t in enumerate(traj.times))
+    ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
+    sup = max(ev.squared_error(traj.states[k], t) for k, t in enumerate(traj.times))
     assert np.isclose(summary.error1, sup, rtol=1e-12)
     assert summary.variance == 0.0
 
@@ -225,6 +226,25 @@ def test_snapshot_stride(demo, partition, option2, problem, coarse_mesh):
     assert np.allclose(traj.times, [0.0, 0.04, 0.08, 0.1])
     full = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.01, t_final=0.1, snapshot_stride=4)
     assert np.allclose(full.times, [0.0, 0.04, 0.08, 0.1])
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_snapshot_stride_below_one_rejected(demo, problem, coarse_mesh, stride):
+    with pytest.raises(InvalidSpec, match="snapshot stride"):
+        RbmConfig(h=0.01, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=6, snapshot_stride=stride)
+    with pytest.raises(InvalidSpec, match="snapshot stride"):
+        g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.01, t_final=0.1, snapshot_stride=stride)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_philox_key_rejected(seed):
+    with pytest.raises(InvalidSpec, match="seed"):
+        RbmConfig(h=0.01, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=seed)
+
+
+def test_largest_seed_draws_a_schedule(option2):
+    config = RbmConfig(h=0.01, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=2**128 - 1)
+    assert sample_schedule(10, option2.probs, config.seed).n_windows == 10
 
 
 def test_runtime_reuse_bitwise_identical(demo, partition, option2, problem, coarse_mesh):

@@ -26,6 +26,40 @@ def exact_profile_sq_integral(solution):
     return total
 
 
+def reference_squared_error(graph, mesh, dofmap, solution, state, t, order=5):
+    """Per-edge Gauss quadrature of |y(., t) - u|^2, one mesh element at a time.
+
+    The direct form of the quadratic form in L2ErrorEvaluator: the 5-point
+    rule per element is exact for the squared quartic mismatch.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    tau, wref = 0.5 * (1.0 + nodes), 0.5 * weights
+    v = solution.time_factor(t)
+    total = 0.0
+    for e in range(graph.n_edges):
+        dx = mesh.spacing(graph, e)
+        xq = dx * np.arange(mesh.nodes_per_edge + 1)[:, None] + dx * tau[None, :]
+        edofs = dofmap.edge_dofs(e)
+        interp = state[edofs[:-1]][:, None] * (1.0 - tau) + state[edofs[1:]][:, None] * tau
+        diff = solution.w(e, xq.ravel()).reshape(xq.shape) * v - interp
+        total += float(((diff * diff) * (wref * dx)).sum())
+    return total
+
+
+def assert_matches_reference(traj, solution, rtol=1e-12):
+    ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
+    got = ev.squared_error(traj.states, traj.times)
+    expected = np.array(
+        [
+            reference_squared_error(traj.graph, traj.mesh, traj.dofmap, solution, u, t)
+            for u, t in zip(traj.states, traj.times)
+        ]
+    )
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= rtol * expected)
+    return expected
+
+
 def test_coefficient_tables_shape():
     assert len(DEMO_QUARTIC) == 10 and len(DEMO_CUBIC) == 10
 
@@ -127,6 +161,57 @@ def test_l2_error_interpolant_fourth_order(demo, solution):
         errors.append(ev.squared_error(interp, 0.25))
     slope, _ = g.fit_slope([1.0 / (ne + 1) for ne in meshes], errors)
     assert abs(slope - 4.0) <= 0.3
+
+
+def test_l2_error_matches_reference_on_rbm_trajectory(demo, partition, option2, solution, problem):
+    config = g.RbmConfig(h=0.02, dt=0.01, t_final=0.3, scheme=g.IMPLICIT_EULER, seed=3)
+    traj = g.run_rbm(demo, partition, option2, g.Mesh(20), problem, config)
+    assert_matches_reference(traj, solution)
+
+
+def test_l2_error_matches_reference_on_tiny_errors(demo, solution, problem):
+    # a short Crank-Nicolson solve on a fine mesh: the errors fall to ~1e-14,
+    # where an unshifted quadratic form would lose its digits to cancellation
+    traj = g.run_full(demo, g.Mesh(100), problem, g.CRANK_NICOLSON, dt=1e-4, t_final=2e-3)
+    expected = assert_matches_reference(traj, solution)
+    assert 0.0 < expected[1:].min() < 1e-13
+    summary = g.estimate_errors([traj], solution=solution)
+    assert abs(summary.error1 - expected.max()) <= 1e-12 * expected.max()
+
+
+def test_l2_error_matches_reference_on_non_unit_lengths(rng):
+    # a star with unequal edge lengths and a random state stack
+    graph = g.build_graph([(0, 1, 0.5), (1, 2, 1.7), (1, 3, 2.3), (3, 4, 0.8)], {0, 2, 4})
+    solution = g.build_solution(graph, [3.0, -1.0, 0.5, 2.0], [-2.0, 1.0, 0.0, -1.0])
+    mesh = g.Mesh(7)
+    dm = fem.build_dofmap(graph, mesh, graph.boundary_vertices)
+    times = np.array([0.0, 0.1, 0.25, 0.6, 0.9])
+    states = rng.standard_normal((len(times), dm.n_dofs))
+    ev = L2ErrorEvaluator(graph, mesh, dm, solution)
+    got = ev.squared_error(states, times)
+    for k, t in enumerate(times):
+        expected = reference_squared_error(graph, mesh, dm, solution, states[k], t)
+        assert abs(got[k] - expected) <= 1e-12 * expected
+
+
+def test_l2_error_single_state_returns_float(demo, solution, rng):
+    mesh = g.Mesh(10)
+    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    ev = L2ErrorEvaluator(demo, mesh, dm, solution)
+    state = rng.standard_normal(dm.n_dofs)
+    got = ev.squared_error(state, 0.37)
+    assert type(got) is float
+    expected = reference_squared_error(demo, mesh, dm, solution, state, 0.37)
+    assert abs(got - expected) <= 1e-12 * expected
+    # the stacked form agrees with single calls, including across block edges;
+    # a stack sums in another order, so only to rounding
+    times = np.linspace(0.0, 1.0, 150)
+    states = rng.standard_normal((len(times), dm.n_dofs))
+    stacked = ev.squared_error(states, times)
+    singles = np.array([ev.squared_error(u, t) for u, t in zip(states, times)])
+    assert np.allclose(stacked, singles, rtol=1e-13, atol=0.0)
+    with pytest.raises(g.SolverError):
+        ev.squared_error(states, times[:-1])
 
 
 def test_l2_error_trajectory_wrapper(demo, solution, problem):
