@@ -14,7 +14,6 @@ from .decomposition import (
     demo_partition,
     load_batches,
     normalizers,
-    validate_partition,
     verify_unbiased,
     zeta_weights,
 )
@@ -35,15 +34,12 @@ from .fem import (
     DofMap,
     Mesh,
     SeparableSource,
-    apply_dirichlet,
     assemble,
-    build_dofmap,
     interpolate,
-    load_vector,
     mass_matrix,
     restrict_to_batch,
 )
-from .graph import Edge, MetricGraph, build_graph, demo_graph, incidence, load_graph
+from .graph import Edge, MetricGraph, build_graph, demo_graph, load_graph
 from .harness import (
     ExperimentRecord,
     ExperimentSpec,

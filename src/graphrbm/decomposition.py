@@ -129,10 +129,6 @@ class SubgraphPartition:
                     )
 
 
-def validate_partition(graph: MetricGraph, parts: Sequence[Iterable[int]]) -> SubgraphPartition:
-    return SubgraphPartition(graph, parts)
-
-
 @dataclass(frozen=True)
 class BatchView:
     """Vertex classification of the subgraph activated by one batch."""
@@ -279,16 +275,14 @@ class ZetaWeights:
     """Localization weights of one batch.
 
     ``edge_factor[e]`` is 1/pi of the owning part for active edges and 0
-    for inactive ones; ``masked_vertices`` are the interface vertices
-    where the weights vanish.  A vertex shared by two active parts takes,
-    for each adjacent edge, the factor of that edge's owning part; this
-    is the convention the flux bookkeeping of the windowed solver uses
-    and it is what per-edge factors encode naturally.
+    for inactive ones; the weights vanish at the batch's interface
+    vertices (``batch_view(...).interface``).  A vertex shared by two
+    active parts takes, for each adjacent edge, the factor of that edge's
+    owning part; this is the convention the flux bookkeeping of the
+    windowed solver uses and it is what per-edge factors encode naturally.
     """
 
-    batch_index: int
     edge_factor: np.ndarray
-    masked_vertices: frozenset[int]
 
     @property
     def active_edges(self) -> np.ndarray:
@@ -296,18 +290,14 @@ class ZetaWeights:
 
 
 def zeta_weights(partition: SubgraphPartition, family: BatchFamily, j: int) -> ZetaWeights:
-    """Per-edge scale factors and interface mask for batch j."""
-    view = batch_view(partition, family.batches, j)
+    """Per-edge scale factors of batch j."""
+    if j < 0 or j >= family.n_batches:
+        raise BadBatchIndex(f"batch index {j} out of range [0, {family.n_batches})")
     factor = np.zeros(partition.graph.n_edges)
     for i in family.batches[j]:
         for e in partition.parts[i]:
             factor[e] = 1.0 / family.normalizers[i]
-    return ZetaWeights(batch_index=j, edge_factor=factor, masked_vertices=view.interface)
-
-
-def unit_weights(graph: MetricGraph) -> ZetaWeights:
-    """Trivial weights: every edge active with factor one, nothing masked."""
-    return ZetaWeights(batch_index=-1, edge_factor=np.ones(graph.n_edges), masked_vertices=frozenset())
+    return ZetaWeights(edge_factor=factor)
 
 
 def verify_unbiased(
@@ -353,7 +343,7 @@ def demo_partition(graph: MetricGraph) -> SubgraphPartition:
     Parts: the left star {e1, e2, e3}, the two middle branch paths
     {e4, e5} and {e6, e7}, and the right star {e8, e9, e10}.
     """
-    return validate_partition(graph, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8, 9}])
+    return SubgraphPartition(graph, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8, 9}])
 
 
 def batch_option_one(n_parts: int = 4) -> BatchFamily:
@@ -394,7 +384,7 @@ def batches_from_dict(data: dict, graph: MetricGraph) -> tuple[SubgraphPartition
             parts.append({edge_id[str(e)] for e in part})
         except KeyError as exc:
             raise DecompositionError(f"part {i + 1} references unknown edge {exc}") from exc
-    partition = validate_partition(graph, parts)
+    partition = SubgraphPartition(graph, parts)
     batches = [{int(i) - 1 for i in b} for b in raw_batches]
     family = batch_family(batches, raw_probs, partition.n_parts)
     return partition, family

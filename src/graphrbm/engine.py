@@ -14,11 +14,21 @@ formed by scaling with the batch normalizers, so no re-quadrature
 happens inside the time loop; factorizations are cached per batch and
 reused across windows because the window matrix only depends on the
 batch, the scheme and dt.
+
+Every active system keeps its operators as the free-dof rows over the
+columns [free | constrained], the constrained columns being the interface
+dofs followed by the exterior dofs.  One step of every scheme is the
+IMEX-theta recurrence of ``timestep.imex_theta`` on that layout,
+
+    lhs_ff u1 = rhs [u_f; c0] - lhs_fc c1 + dt (theta F1 + (1 - theta) F0),
+
+with c(t) the window-frozen interface values followed by g_ext(t).  The
+exterior part of c0 is g_ext(t0), never the stored u: an exterior vertex
+outside the batches of the last windows still holds a stale value.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -36,9 +46,9 @@ from .decomposition import (
 from .errors import SolverError
 from .fem import (
     CoefficientSet,
+    DofMap,
     LoadEvaluator,
     Mesh,
-    build_dofmap,
     reduce_operators,
     restrict_to_batch,
 )
@@ -49,7 +59,7 @@ from .manufactured import (
     mass_norms_sq,
     stacked_squared_error,
 )
-from .timestep import SchemeKind, StepWorkspace, factor_nnz
+from .timestep import SchemeKind, StepWorkspace, factor_nnz, imex_theta
 
 TIME_MATCH_TOL = 1e-9
 CONVECTION_SUM_TOL = 1e-10
@@ -144,11 +154,6 @@ class RbmTrajectory:
             raise GridMismatch(f"time {t} not on the stored grid")
         return int(hits[0])
 
-    @property
-    def config_hash(self) -> str:
-        text = repr(sorted(self.config.items()))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
 
 def _count_steps(total: float, dt: float, what: str) -> int:
     n = round(total / dt)
@@ -157,131 +162,69 @@ def _count_steps(total: float, dt: float, what: str) -> int:
     return int(n)
 
 
-_DENSE_COLUMN_LIMIT = 64
-
-
-def _column_block(matrix, positions):
-    """Extract constrained columns; small blocks go dense for cheap matvecs."""
-    if len(positions) == 0:
-        return None
-    block = matrix[:, positions]
-    if len(positions) <= _DENSE_COLUMN_LIMIT:
-        return np.asarray(block.todense())
-    return block.tocsr()
-
-
 class _ActiveSystem:
-    """Reduced operator blocks and a free-restricted load for one active subgraph.
+    """Reduced operators and a free-restricted load for one active subgraph.
 
-    The constrained couplings are split by role: interface columns
-    multiply window-constant frozen values (lifted once per window),
-    exterior columns multiply the time-dependent boundary data (applied
-    per step).
+    ``mass``, ``stiffness`` and ``lower`` (C + P) are the free-dof rows
+    over the columns [free | constrained]; the constrained columns are
+    ``interface_dofs`` followed by ``exterior_dofs``, so the constrained
+    vector c(t) is the window-frozen interface values followed by
+    g_ext(t); its exterior part at a window's start is g_ext(t0), not the
+    stored state.
     """
 
     def __init__(self, reduced, load, key, n_active, interface_dofs, exterior_dofs):
         self.free = reduced.free
-        self.constrained = reduced.constrained
-        self.m_ff = reduced.mass
-        self.k_ff = reduced.stiffness
-        self.cp_ff = (reduced.convection + reduced.reaction).tocsr()
-        self.s_ff = (reduced.stiffness + self.cp_ff).tocsr()
+        self.mass = reduced.mass
+        self.stiffness = reduced.stiffness
+        self.lower = reduced.lower
         self.load = load
         self.key = key
         self.n_active = int(n_active)
         self.interface_dofs = np.asarray(interface_dofs, dtype=int)
         self.exterior_dofs = np.asarray(exterior_dofs, dtype=int)
-        iface_pos = np.searchsorted(self.constrained, self.interface_dofs)
-        ext_pos = np.searchsorted(self.constrained, self.exterior_dofs)
-        s_fc = (reduced.stiffness_c + reduced.convection_c + reduced.reaction_c).tocsr()
-        cp_fc = (reduced.convection_c + reduced.reaction_c).tocsr()
-        self.m_ext = _column_block(reduced.mass_c, ext_pos)
-        self.k_ext = _column_block(reduced.stiffness_c, ext_pos)
-        self.cp_ext = _column_block(cp_fc, ext_pos)
-        self.s_ext = _column_block(s_fc, ext_pos)
-        self.k_if = _column_block(reduced.stiffness_c, iface_pos)
-        self.cp_if = _column_block(cp_fc, iface_pos)
-        self.s_if = _column_block(s_fc, iface_pos)
 
-    def n_free(self) -> int:
-        return len(self.free)
+    def step_matrices(self, scheme: SchemeKind, dt: float):
+        """(lhs_ff, lhs_fc, rhs) of the IMEX-theta step: lhs split into free and constrained columns."""
+        lhs, rhs = imex_theta(scheme, self.mass, self.stiffness, self.lower, dt)
+        n_free = len(self.free)
+        return lhs[:, :n_free], lhs[:, n_free:], rhs
 
 
-def _advance(system, scheme, u, start_step, n_steps, dt, g_ext, frozen, workspace, record=None):
+def _advance(system, scheme, u, start_step, n_steps, dt, g_ext, workspace, record=None):
     """Advance n_steps on the active subgraph in place; returns the factor nnz.
 
-    ``g_ext(t)`` supplies the exterior boundary values, ``frozen`` the
-    window-constant interface values.  Only the free and exterior dofs
-    of the system are ever written (interface dofs already hold their
-    frozen values), which freezes everything outside the active
-    subgraph exactly.
+    ``g_ext(t)`` supplies the exterior boundary values; the interface
+    values are frozen at what ``u`` holds on entry.  Only the free and
+    exterior dofs of the system are ever written, which freezes everything
+    outside the active subgraph exactly.
     """
-    t0 = start_step * dt
-    u_f = u[system.free].copy()
-    g_prev = g_ext(t0)
-
-    def write_back(step_index: int, g_now) -> None:
-        u[system.free] = u_f
-        if system.m_ext is not None:
-            u[system.exterior_dofs] = g_now
-        if record is not None:
-            record(step_index)
-
-    if scheme.is_semi_implicit:
-        lu = workspace.factorization(
-            (system.key, scheme.label, dt), lambda: system.m_ff + dt * system.k_ff
-        )
-        base = np.zeros(system.n_free())
-        if system.k_if is not None:
-            base -= system.k_if @ frozen
-            base -= system.cp_if @ frozen
-        for i in range(n_steps):
-            t1 = (start_step + i + 1) * dt
-            g1 = g_ext(t1)
-            f_next = system.load(t1) + base
-            if system.k_ext is not None:
-                f_next -= system.k_ext @ g1
-                f_next -= system.cp_ext @ g_prev
-            rhs = system.m_ff @ u_f
-            rhs -= dt * (system.cp_ff @ u_f)
-            rhs += dt * f_next
-            if system.m_ext is not None:
-                rhs -= system.m_ext @ (g1 - g_prev)
-            u_f = lu.solve(rhs)
-            g_prev = g1
-            if record is not None or i == n_steps - 1:
-                write_back(start_step + i + 1, g1)
-        return factor_nnz(lu)
-
+    key = (system.key, scheme.label, dt)
+    lhs_ff, lhs_fc, rhs = workspace.matrices(key, lambda: system.step_matrices(scheme, dt))
+    lu = workspace.factorization(key, lambda: lhs_ff)
     theta = scheme.theta_value
-    lu = workspace.factorization(
-        (system.key, scheme.label, dt), lambda: system.m_ff + (dt * theta) * system.s_ff
-    )
-    base = np.zeros(system.n_free())
-    if system.s_if is not None:
-        base -= system.s_if @ frozen
-    f_prev = None
-    if theta != 1.0:
-        f_prev = system.load(t0) + base
-        if system.s_ext is not None:
-            f_prev -= system.s_ext @ g_prev
+    n_free = len(system.free)
+    n_fixed = n_free + len(system.interface_dofs)
+    t0 = start_step * dt
+    x = np.concatenate([u[system.free], u[system.interface_dofs], g_ext(t0)])  # [u_f | c]
+    f_prev = system.load(t0) if theta != 1.0 else None
     for i in range(n_steps):
         t1 = (start_step + i + 1) * dt
-        g1 = g_ext(t1)
-        f_next = system.load(t1) + base
-        if system.s_ext is not None:
-            f_next -= system.s_ext @ g1
-        rhs = system.m_ff @ u_f
-        rhs += (dt * theta) * f_next
-        if system.m_ext is not None:
-            rhs -= system.m_ext @ (g1 - g_prev)
-        if theta != 1.0:
-            rhs += (dt * (1.0 - theta)) * (f_prev - system.s_ff @ u_f)
+        b = rhs @ x
+        x[n_fixed:] = g_ext(t1)
+        b -= lhs_fc @ x[n_free:]
+        f_next = system.load(t1)
+        if f_prev is None:
+            b += dt * f_next
+        else:
+            b += dt * (theta * f_next + (1.0 - theta) * f_prev)
             f_prev = f_next
-        u_f = lu.solve(rhs)
-        g_prev = g1
+        x[:n_free] = lu.solve(b)
         if record is not None or i == n_steps - 1:
-            write_back(start_step + i + 1, g1)
+            u[system.free] = x[:n_free]
+            u[system.exterior_dofs] = x[n_fixed:]
+            if record is not None:
+                record(start_step + i + 1)
     return factor_nnz(lu)
 
 
@@ -323,7 +266,7 @@ def run_full(
     n_steps = _count_steps(t_final, dt, "t_final")
     _check_snapshot_stride(snapshot_stride)
     _warn_on_convection_sums(graph, coeffs)
-    dofmap = build_dofmap(graph, mesh, graph.boundary_vertices)
+    dofmap = DofMap(graph, mesh, graph.boundary_vertices)
     ops = fem.assemble(graph, mesh, dofmap, coeffs)
     reduced = reduce_operators(ops, dofmap.free_dofs, dofmap.dirichlet_dofs)
     load = LoadEvaluator(graph, mesh, dofmap, coeffs.f, restrict=dofmap.free_dofs)
@@ -351,8 +294,7 @@ def run_full(
             states.append(u.copy())
 
     workspace = StepWorkspace()
-    frozen = np.zeros(0)
-    nnz = _advance(system, scheme, u, 0, n_steps, dt, g_ext, frozen, workspace, record=record)
+    nnz = _advance(system, scheme, u, 0, n_steps, dt, g_ext, workspace, record=record)
     stats = {
         "n_dofs": dofmap.n_dofs,
         "max_active_dofs": dofmap.n_dofs,
@@ -393,7 +335,7 @@ class RbmRuntime:
         self.family = family
         self.mesh = mesh
         self.coeffs = coeffs
-        self.dofmap = build_dofmap(graph, mesh, graph.boundary_vertices)
+        self.dofmap = DofMap(graph, mesh, graph.boundary_vertices)
         self.boundary_of_t = _boundary_values(coeffs, graph.n_vertices)
         self.workspace = StepWorkspace()
         self.a1_report = check_assumption_A1(partition, family.batches)
@@ -500,10 +442,7 @@ def run_rbm(
         j = int(schedule.omegas[k])
         system = runtime.system(j)
         g_ext = runtime.exterior_values(j)
-        frozen = u[system.interface_dofs]
-        nnz = _advance(
-            system, config.scheme, u, k * n_sub, n_sub, config.dt, g_ext, frozen, workspace
-        )
+        nnz = _advance(system, config.scheme, u, k * n_sub, n_sub, config.dt, g_ext, workspace)
         max_active = max(max_active, system.n_active)
         max_nnz = max(max_nnz, nnz)
         if (k + 1) % stride == 0 or k == n_windows - 1:
@@ -533,7 +472,7 @@ def _part_indicator(partition: SubgraphPartition, i: int, graph: MetricGraph) ->
     factor = np.zeros(graph.n_edges)
     for e in partition.parts[i]:
         factor[e] = 1.0
-    return ZetaWeights(batch_index=-1, edge_factor=factor, masked_vertices=frozenset())
+    return ZetaWeights(edge_factor=factor)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ All element integrals use a fixed 3-point Gauss rule, exact through
 degree five, which covers the polynomial coefficients used in the
 verification problems exactly and is amply accurate for the sinusoidal
 ones.  Dirichlet data is handled by algebraic elimination: constrained
-rows and columns are removed and their coupling moves to the load.
+rows are removed and constrained columns move behind the free ones, where
+a solver multiplies them by the prescribed values.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class NonellipticCoefficient(FemError):
     pass
 
 
-class MissingBoundaryValue(FemError):
-    pass
-
-
 @dataclass(frozen=True)
 class Mesh:
     """Uniform per-edge mesh with a fixed number of interior nodes."""
@@ -56,9 +53,6 @@ class Mesh:
     def __post_init__(self):
         if self.nodes_per_edge < 1:
             raise FemError("nodes_per_edge must be at least 1")
-
-    def elements_per_edge(self) -> int:
-        return self.nodes_per_edge + 1
 
     def spacing(self, graph: MetricGraph, e: int) -> float:
         return graph.edges[e].length / (self.nodes_per_edge + 1)
@@ -98,11 +92,9 @@ class DofMap:
         """Node coordinates along edge e, endpoints included."""
         return np.linspace(0.0, self.graph.edges[e].length, self.mesh.nodes_per_edge + 2)
 
-    def vertex_dof(self, v: int) -> int:
-        return v
-
 
 def build_dofmap(graph: MetricGraph, mesh: Mesh, dirichlet_vertices: Iterable[int]) -> DofMap:
+    """The dof map of ``DofMap``; kept because the acceptance suite calls it."""
     return DofMap(graph, mesh, dirichlet_vertices)
 
 
@@ -183,6 +175,20 @@ def _edge_quadrature(dofmap: DofMap, e: int):
     return xq, wq, dx, pair
 
 
+def _block_pattern(pair: np.ndarray):
+    """Row and column ids of the 2x2 element blocks over an (n_el, 2) array of dof pairs."""
+    blocks = (len(pair), 2, 2)
+    return (
+        np.broadcast_to(pair[:, :, None], blocks).ravel(),
+        np.broadcast_to(pair[:, None, :], blocks).ravel(),
+    )
+
+
+def _element_mass(wq: np.ndarray) -> np.ndarray:
+    """The 2x2 P1 element mass matrix for the quadrature weights of one element."""
+    return np.einsum("q,qi,qj->ij", wq, _SHAPE, _SHAPE)
+
+
 def assemble(
     graph: MetricGraph,
     mesh: Mesh,
@@ -213,13 +219,13 @@ def assemble(
 
         grad = np.array([-1.0, 1.0]) / dx
         k_el = (aq * wq).sum(axis=1)[:, None, None] * np.outer(grad, grad)
-        m_one = np.einsum("q,qi,qj->ij", wq, _SHAPE, _SHAPE)
-        m_el = np.broadcast_to(m_one, (xq.shape[0], 2, 2))
+        m_el = np.broadcast_to(_element_mass(wq), (xq.shape[0], 2, 2))
         p_el = np.einsum("eq,qi,qj->eij", pq * wq, _SHAPE, _SHAPE)
         c_el = np.einsum("eq,qi,j->eij", bq * wq, _SHAPE, grad)
 
-        rows.append(np.broadcast_to(pair[:, :, None], (len(pair), 2, 2)).ravel())
-        cols.append(np.broadcast_to(pair[:, None, :], (len(pair), 2, 2)).ravel())
+        r, c = _block_pattern(pair)
+        rows.append(r)
+        cols.append(c)
         data_m.append((factor * m_el).ravel())
         data_k.append((factor * k_el).ravel())
         data_c.append((factor * c_el).ravel())
@@ -244,20 +250,17 @@ def assemble(
 
 
 def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
-    """Plain L2 mass matrix over all edges."""
-    return assemble(graph, mesh, dofmap, constant_coefficients()).mass
-
-
-def load_vector(
-    graph: MetricGraph,
-    mesh: Mesh,
-    dofmap: DofMap,
-    f,
-    t: float,
-    weights: ZetaWeights | None = None,
-) -> np.ndarray:
-    """One-shot load assembly, (f(., t), phi_i) over the active edges."""
-    return LoadEvaluator(graph, mesh, dofmap, f, weights=weights)(t)
+    """Plain L2 mass matrix over all edges; the same entries as ``assemble(...).mass``."""
+    rows, cols, data = [], [], []
+    for e in range(graph.n_edges):
+        _, wq, _, pair = _edge_quadrature(dofmap, e)
+        r, c = _block_pattern(pair)
+        rows.append(r)
+        cols.append(c)
+        data.append(np.broadcast_to(_element_mass(wq), (len(pair), 2, 2)).ravel())
+    shape = (dofmap.n_dofs, dofmap.n_dofs)
+    triplets = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.coo_matrix(triplets, shape=shape).tocsr()
 
 
 class LoadEvaluator:
@@ -339,87 +342,38 @@ def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction
 
 @dataclass(frozen=True)
 class ReducedOperators:
-    """Free-dof blocks plus free-to-constrained couplings after elimination."""
+    """The free-dof rows of mass, stiffness and lower-order part C + P.
+
+    Each matrix has one row per free dof and the columns
+    ``[free | constrained]``, so ``A[:, :n_free]`` is the free block and
+    ``A[:, n_free:]`` couples the free dofs to the constrained values.
+    """
 
     free: np.ndarray
     constrained: np.ndarray
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    convection: sp.csr_matrix
-    reaction: sp.csr_matrix
-    mass_c: sp.csr_matrix
-    stiffness_c: sp.csr_matrix
-    convection_c: sp.csr_matrix
-    reaction_c: sp.csr_matrix
-
-    def spatial(self) -> sp.csr_matrix:
-        return (self.stiffness + self.convection + self.reaction).tocsr()
-
-    def spatial_c(self) -> sp.csr_matrix:
-        return (self.stiffness_c + self.convection_c + self.reaction_c).tocsr()
-
-    def embed(self, u_free: np.ndarray, u_constrained: np.ndarray, n_dofs: int) -> np.ndarray:
-        """Reassemble a full-length vector from the split parts."""
-        u = np.zeros(n_dofs)
-        u[self.free] = u_free
-        u[self.constrained] = u_constrained
-        return u
+    lower: sp.csr_matrix
 
 
 def reduce_operators(
     ops: AssembledOperators, free: np.ndarray, constrained: np.ndarray
 ) -> ReducedOperators:
+    """Eliminate the constrained dofs: keep the free rows over the columns [free | constrained]."""
     free = np.asarray(free, dtype=int)
     constrained = np.asarray(constrained, dtype=int)
+    columns = np.concatenate([free, constrained])
 
-    def split(matrix):
-        m = matrix.tocsr()
-        return m[free][:, free].tocsr(), m[free][:, constrained].tocsr()
+    def rows(matrix):
+        return matrix.tocsr()[free][:, columns].tocsr()
 
-    m_ff, m_fc = split(ops.mass)
-    k_ff, k_fc = split(ops.stiffness)
-    c_ff, c_fc = split(ops.convection)
-    p_ff, p_fc = split(ops.reaction)
     return ReducedOperators(
         free=free,
         constrained=constrained,
-        mass=m_ff,
-        stiffness=k_ff,
-        convection=c_ff,
-        reaction=p_ff,
-        mass_c=m_fc,
-        stiffness_c=k_fc,
-        convection_c=c_fc,
-        reaction_c=p_fc,
+        mass=rows(ops.mass),
+        stiffness=rows(ops.stiffness),
+        lower=rows(ops.convection + ops.reaction),
     )
-
-
-def apply_dirichlet(
-    ops: AssembledOperators, dofmap: DofMap, values
-) -> tuple[ReducedOperators, np.ndarray]:
-    """Eliminate the Dirichlet dofs of the dofmap.
-
-    ``values`` holds one boundary value per constrained dof, either as an
-    array ordered like ``dofmap.dirichlet_dofs`` or as a mapping from
-    vertex id to value.  Returns the reduced operators and the lifting
-    vector -(K_c + C_c + P_c) @ values that moves the boundary data of
-    the steady spatial operator to the load.
-    """
-    constrained = dofmap.dirichlet_dofs
-    if isinstance(values, dict):
-        try:
-            vals = np.array([float(values[int(v)]) for v in constrained])
-        except KeyError as exc:
-            raise MissingBoundaryValue(f"no boundary value for vertex {exc}") from exc
-    else:
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (len(constrained),):
-            raise MissingBoundaryValue(
-                f"expected {len(constrained)} boundary values, got shape {vals.shape}"
-            )
-    reduced = reduce_operators(ops, dofmap.free_dofs, constrained)
-    lifting = -reduced.spatial_c() @ vals
-    return reduced, lifting
 
 
 @dataclass(frozen=True)
@@ -428,9 +382,9 @@ class BatchDofs:
 
     ``active`` contains all dofs taking part in the window solve (the
     interior blocks of active edges plus every vertex they touch);
-    ``constrained`` are the interface and exterior boundary vertex dofs;
-    ``free`` is the rest of ``active``.  Dofs outside ``active`` stay
-    frozen during the window.
+    ``constrained`` are the interface vertex dofs followed by the exterior
+    boundary vertex dofs; ``free`` is the rest of ``active``.  Dofs
+    outside ``active`` stay frozen during the window.
     """
 
     active: np.ndarray
@@ -447,8 +401,8 @@ def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
     active = np.unique(np.concatenate(parts))
     interface = np.fromiter(sorted(view.interface), dtype=int)
     exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
-    constrained = np.unique(np.concatenate([interface, exterior])).astype(int)
-    free = np.setdiff1d(active, constrained, assume_unique=False)
+    constrained = np.concatenate([interface, exterior]).astype(int)
+    free = np.setdiff1d(active, constrained)
     return BatchDofs(
         active=active,
         free=free,

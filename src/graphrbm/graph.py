@@ -171,10 +171,6 @@ def build_graph(
     )
 
 
-def incidence(graph: MetricGraph, e: int, v: int) -> int:
-    return graph.incidence(e, v)
-
-
 def demo_graph() -> MetricGraph:
     """Ten-vertex, ten-edge demonstration graph with unit edge lengths.
 

@@ -1,10 +1,10 @@
 """Study orchestration: Monte-Carlo sweeps over the window length h.
 
-For each h the study runs R independent randomized realizations plus one
-deterministic baseline, estimates the error metrics against the exact
-manufactured solution, and emits one CSV row per (scheme, h).  Error
-columns are bitwise reproducible from the experiment description and
-master seed; realization r draws its schedule from the 128-bit Philox key
+For each h the study runs R independent randomized realizations,
+estimates the error metrics against the exact manufactured solution, and
+emits one CSV row per (scheme, h).  Error columns are bitwise
+reproducible from the experiment description and master seed;
+realization r draws its schedule from the 128-bit Philox key
 (master_seed << 64) | r, so distinct (master_seed, r) pairs never share a
 schedule.  Each trajectory's errors come from one call to a single
 ``L2ErrorEvaluator`` built per study.  Timing columns are wall-clock and
@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import BatchFamily, SubgraphPartition
-from .engine import ErrorAccumulator, InvalidSpec, RbmConfig, RbmRuntime, run_full, run_rbm
+from .engine import (  # run_full is unused here, but perfbench/spans.py patches harness.run_full
+    ErrorAccumulator,
+    InvalidSpec,
+    RbmConfig,
+    RbmRuntime,
+    run_full,  # noqa: F401
+    run_rbm,
+)
 from .errors import SolverError
 from .fem import Mesh
 from .graph import MetricGraph
@@ -92,9 +99,9 @@ class ExperimentSpec:
 class ExperimentRecord:
     """One CSV row: the Monte-Carlo metrics of a (scheme, h) cell.
 
-    ``detail`` carries non-serialized extras (per-realization seeds, dof
-    counts, baseline timings) and is excluded from equality so records
-    round-trip losslessly through CSV.
+    ``detail`` carries non-serialized extras (per-realization seeds and
+    the dof count) and is excluded from equality so records round-trip
+    losslessly through CSV.
     """
 
     scheme: str
@@ -158,7 +165,7 @@ def realization_seed(master: int, r: int) -> int:
 
 
 def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
-    """R randomized realizations plus one deterministic baseline per (scheme, h)."""
+    """R randomized realizations per (scheme, h), one CSV record each."""
     spec.validate()
     solution = spec.solution
     if solution is None:
@@ -169,14 +176,6 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
     evaluator = L2ErrorEvaluator(spec.graph, mesh, runtime.dofmap, solution)
     records = []
     for scheme in spec.schemes:
-        baseline_bench = benchmark(
-            lambda scheme=scheme: run_full(
-                spec.graph, mesh, coeffs, scheme, spec.dt, spec.t_final,
-                snapshot_stride=spec.snapshot_stride,
-            )
-        )
-        baseline = baseline_bench.result
-        baseline_error = float(evaluator.squared_error(baseline.states, baseline.times).max())
         for h in spec.h_list:
             seeds = [realization_seed(spec.seed, r) for r in range(spec.realizations)]
             acc = None
@@ -220,13 +219,7 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
                     mem_proxy=proxy,
                     peak_rss_mb=max(rss) if rss else None,
                     seed=spec.seed,
-                    detail={
-                        "seeds": seeds,
-                        "baseline_wall_s": baseline_bench.wall_seconds,
-                        "baseline_error": baseline_error,
-                        "baseline_mem_proxy": memory_proxy(baseline.stats),
-                        "n_dofs": baseline.stats["n_dofs"],
-                    },
+                    detail={"seeds": seeds, "n_dofs": runtime.dofmap.n_dofs},
                 )
             )
     records.sort(key=lambda r: (r.scheme, r.h))

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .decomposition import BatchFamily, SubgraphPartition, zeta_weights
 from .errors import SolverError
-from .fem import CoefficientSet, DofMap, Mesh, SeparableSource, interpolate
+from .fem import CoefficientSet, DofMap, Mesh, SeparableSource, interpolate, mass_matrix
 from .graph import MetricGraph
 
 TWO_PI = 2.0 * np.pi
@@ -307,10 +306,10 @@ class L2ErrorEvaluator:
         |v w - u|^2 = v^2 c + 2 v b^T e + e^T M e,
 
     where c = |w - I w|^2, b_i = (w - I w, phi_i) and M is the P1 mass
-    matrix.  The three terms are built once with the 5-point rule per mesh
-    element, which integrates them exactly for a quartic w.  Every term is
-    of the size of the error itself, so nothing cancels when the error is
-    small; the unshifted v^2 |w|^2 - 2 v (w, phi)^T u + u^T M u loses
+    matrix (``fem.mass_matrix``).  c and b are built once with the 5-point
+    rule per mesh element, which integrates them exactly for a quartic w.
+    Every term is of the size of the error itself, so nothing cancels when
+    the error is small; the unshifted v^2 |w|^2 - 2 v (w, phi)^T u + u^T M u loses
     digits to cancellation once the error is far below |w|^2.
     """
 
@@ -319,7 +318,7 @@ class L2ErrorEvaluator:
         shape = np.stack([1.0 - tau, tau])  # (2, order): the two hat functions
         self._interpolant = interpolate(graph, mesh, dofmap, solution.w)
         c = 0.0
-        pairs, b_local, m_local = [], [], []
+        pairs, b_local = [], []
         for e in range(graph.n_edges):
             dx = mesh.spacing(graph, e)
             xq = dx * np.arange(mesh.nodes_per_edge + 1)[:, None] + dx * tau[None, :]
@@ -330,15 +329,10 @@ class L2ErrorEvaluator:
             c += float(((remainder * remainder) * wq).sum())
             pairs.append(pair)
             b_local.append((remainder * wq) @ shape.T)
-            m_local.append(np.broadcast_to((shape * wq) @ shape.T, (len(pair), 2, 2)))
         pair = np.concatenate(pairs)
         self._c = c
         self._b = np.bincount(pair.ravel(), np.concatenate(b_local).ravel(), minlength=dofmap.n_dofs)
-        rows = np.broadcast_to(pair[:, :, None], (len(pair), 2, 2)).ravel()
-        cols = np.broadcast_to(pair[:, None, :], (len(pair), 2, 2)).ravel()
-        self._mass = sp.coo_matrix(
-            (np.concatenate(m_local).ravel(), (rows, cols)), shape=(dofmap.n_dofs, dofmap.n_dofs)
-        ).tocsr()
+        self._mass = mass_matrix(graph, mesh, dofmap)
 
     def squared_error(self, state: np.ndarray, t):
         """|y(., t) - u|^2 for one state (float) or a (k, n) stack with k times (array)."""

@@ -1,14 +1,21 @@
-"""One-step integrators for M u' + S u = F(t) and the sparse direct solve.
+"""One-step integrators for M u' + (K + C + P) u = F(t) and the sparse direct solve.
 
-Schemes
--------
-theta family (implicit Euler theta=1, Crank-Nicolson theta=1/2):
-    (M + dt*theta*S) u1 = (M - dt*(1-theta)*S) u0 + dt*(theta*F1 + (1-theta)*F0)
-semi-implicit Euler (stiffness implicit, convection + reaction explicit):
-    (M + dt*K) u1 = (M - dt*(C+P)) u0 + dt*F1
+All four schemes are one IMEX-theta recurrence with an implicit operator A,
+an explicit operator E and a weight theta:
 
-Within a window of constant system matrix the factorization is cached in
-a StepWorkspace and reused across steps.
+    (M + dt*theta*A) u1 = (M - dt*(1-theta)*A - dt*E) u0 + dt*(theta*F1 + (1-theta)*F0)
+
+    scheme   theta   A          E
+    ie       1       K + C + P  0
+    cn       1/2     K + C + P  0
+    theta    theta   K + C + P  0
+    siem     1       K          C + P
+
+``imex_theta`` builds the two matrices lhs = M + dt*theta*A and
+rhs = M - dt*(1-theta)*A - dt*E; ``step`` and the windowed solver both
+step with them.  The step matrices only depend on the system, the scheme
+and dt, so a StepWorkspace caches them and the factorization of lhs under
+one key and reuses both across steps.
 """
 
 from __future__ import annotations
@@ -45,13 +52,9 @@ class SchemeKind:
             raise SolverError(f"scheme {self.name!r} takes no theta parameter")
 
     @property
-    def theta_value(self) -> float | None:
-        """Implicitness weight; None for the semi-implicit splitting."""
-        return {"ie": 1.0, "cn": 0.5, "theta": self.theta, "siem": None}[self.name]
-
-    @property
-    def is_semi_implicit(self) -> bool:
-        return self.name == "siem"
+    def theta_value(self) -> float:
+        """Weight of the implicit operator at the step's end time."""
+        return {"ie": 1.0, "cn": 0.5, "theta": self.theta, "siem": 1.0}[self.name]
 
     @property
     def label(self) -> str:
@@ -78,10 +81,19 @@ def theta_method(theta: float) -> SchemeKind:
 
 
 class StepWorkspace:
-    """Factorization cache keyed by the identity of the active system."""
+    """Step matrices and factorizations, cached per (active system, scheme, dt) key."""
 
     def __init__(self):
         self._cache: dict = {}
+        self._matrices: dict = {}
+
+    def matrices(self, key, build):
+        """Return the cached step matrices for ``key``, building them via ``build()``."""
+        matrices = self._matrices.get(key)
+        if matrices is None:
+            matrices = build()
+            self._matrices[key] = matrices
+        return matrices
 
     def factorization(self, key, build):
         """Return the cached factorization for ``key``, computing it via ``build()``."""
@@ -93,8 +105,10 @@ class StepWorkspace:
 
     def clear(self) -> None:
         self._cache.clear()
+        self._matrices.clear()
 
     def __len__(self) -> int:
+        """Number of cached factorizations."""
         return len(self._cache)
 
 
@@ -132,6 +146,28 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def imex_theta(scheme: SchemeKind, mass, stiffness, lower, dt: float):
+    """The matrices (lhs, rhs) of one step: lhs = M + dt*theta*A, rhs = M - dt*(1-theta)*A - dt*E.
+
+    ``lower`` is the lower-order part C + P (None for zero); the scheme
+    decides whether it joins the stiffness in A or forms E.  The operators
+    may be rectangular, as long as all three share one shape.
+    """
+    if scheme.name == "siem":
+        implicit, explicit = stiffness, lower
+    else:
+        implicit = stiffness if lower is None else stiffness + lower
+        explicit = None
+    theta = scheme.theta_value
+    lhs = mass + (dt * theta) * implicit
+    rhs = mass
+    if theta != 1.0:
+        rhs = rhs - (dt * (1.0 - theta)) * implicit
+    if explicit is not None:
+        rhs = rhs - dt * explicit
+    return sp.csr_matrix(lhs), sp.csr_matrix(rhs)
+
+
 def step(
     scheme: SchemeKind,
     mass: sp.spmatrix,
@@ -143,7 +179,7 @@ def step(
     workspace: StepWorkspace | None = None,
     key=None,
 ) -> np.ndarray:
-    """Advance one step of M u' + S u = F.
+    """Advance one step of M u' + S u = F with ``imex_theta``.
 
     ``spatial`` is the matrix S for the theta family, or the pair
     (stiffness, convection + reaction) for the semi-implicit scheme.
@@ -151,20 +187,17 @@ def step(
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")
-    ws = workspace if workspace is not None else StepWorkspace()
-    cache_key = key if key is not None else ("step", scheme.label, dt)
-    if scheme.is_semi_implicit:
+    if scheme.name == "siem":
         if not isinstance(spatial, tuple) or len(spatial) != 2:
             raise SolverError(
                 "semi-implicit stepping needs spatial=(stiffness, convection+reaction)"
             )
-        stiff, explicit = spatial
-        lu = ws.factorization(cache_key, lambda: mass + dt * stiff)
-        rhs = mass @ u - dt * (explicit @ u) + dt * f1
-        return lu.solve(rhs)
+        stiffness, lower = spatial
+    else:
+        stiffness, lower = spatial, None
+    ws = workspace if workspace is not None else StepWorkspace()
+    cache_key = key if key is not None else ("step", scheme.label, dt)
+    lhs, rhs = ws.matrices(cache_key, lambda: imex_theta(scheme, mass, stiffness, lower, dt))
+    lu = ws.factorization(cache_key, lambda: lhs)
     theta = scheme.theta_value
-    lu = ws.factorization(cache_key, lambda: mass + (dt * theta) * spatial)
-    rhs = mass @ u + dt * (theta * f1 + (1.0 - theta) * f0)
-    if theta != 1.0:
-        rhs -= (dt * (1.0 - theta)) * (spatial @ u)
-    return lu.solve(rhs)
+    return lu.solve(rhs @ u + dt * (theta * f1 + (1.0 - theta) * f0))

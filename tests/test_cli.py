@@ -99,18 +99,35 @@ SEED0_COLUMNS = {
     ("ie", 0.02): (0.9232965905376787, 0.5279125806512354, 0.1583718010723667),
 }
 
+# the same for SMALL_STUDY with --scheme siem,theta (theta 0.75) and --seed 0,
+# recorded while siem and the theta family still had separate step loops
+SIEM_THETA_COLUMNS = {
+    ("siem", 0.01): (0.29108996621429145, 0.16191736969818832, 0.03612596663648299),
+    ("siem", 0.02): (0.9276293807671694, 0.5212176169111353, 0.15057444876432236),
+    ("theta:0.75", 0.01): (0.2886004449792951, 0.1588058285460852, 0.03677756895116602),
+    ("theta:0.75", 0.02): (0.9241731498299225, 0.5166265809811044, 0.15158869796250052),
+}
 
-def _study_columns(tmp_path, seed):
+
+def _study_columns(tmp_path, seed, *extra):
     out = tmp_path / f"study-{seed}.csv"
-    assert main([*SMALL_STUDY, "--seed", str(seed), "--out", str(out)]) == 0
+    assert main([*SMALL_STUDY, *extra, "--seed", str(seed), "--out", str(out)]) == 0
     return {(r.scheme, r.h): (r.error1, r.error2, r.variance) for r in read_csv(out)}
 
 
-def test_study_seed_zero_columns_recorded(tmp_path, capsys):
-    got = _study_columns(tmp_path, 0)
-    assert got.keys() == SEED0_COLUMNS.keys()
-    for key, expected in SEED0_COLUMNS.items():
+def _assert_columns(got, recorded):
+    assert got.keys() == recorded.keys()
+    for key, expected in recorded.items():
         assert np.allclose(got[key], expected, rtol=1e-12, atol=0.0), key
+
+
+def test_study_seed_zero_columns_recorded(tmp_path, capsys):
+    _assert_columns(_study_columns(tmp_path, 0), SEED0_COLUMNS)
+
+
+def test_study_siem_theta_columns_recorded(tmp_path, capsys):
+    # several batches per study, so the exterior values each window starts from are pinned too
+    _assert_columns(_study_columns(tmp_path, 0, "--scheme", "siem,theta"), SIEM_THETA_COLUMNS)
 
 
 def test_study_master_seeds_draw_distinct_schedules(tmp_path, capsys):

@@ -12,7 +12,6 @@ from graphrbm.decomposition import (
     batch_view,
     batches_from_dict,
     sample_interior_points,
-    unit_weights,
 )
 
 
@@ -48,17 +47,17 @@ def test_partition_valid(demo, partition):
 
 def test_partition_overlap_rejected(demo):
     with pytest.raises(OverlappingParts):
-        g.validate_partition(demo, [{0, 1}, {1, 2}, {3, 4, 5, 6, 7, 8, 9}])
+        g.SubgraphPartition(demo, [{0, 1}, {1, 2}, {3, 4, 5, 6, 7, 8, 9}])
 
 
 def test_partition_uncovered_rejected(demo):
     with pytest.raises(UncoveredEdge):
-        g.validate_partition(demo, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8}])
+        g.SubgraphPartition(demo, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8}])
 
 
 def test_partition_empty_part_rejected(demo):
     with pytest.raises(DecompositionError):
-        g.validate_partition(demo, [set(), set(range(10))])
+        g.SubgraphPartition(demo, [set(), set(range(10))])
 
 
 def test_batch_views_option1_table(demo, partition, option1):
@@ -145,20 +144,20 @@ def test_zero_normalizer_rejected():
 def test_zeta_option1_batch5(demo, partition, option1):
     w = g.zeta_weights(partition, option1, 4)
     assert np.allclose(w.edge_factor, [3, 3, 3, 2, 2, 2, 2, 0, 0, 0], rtol=1e-12)
-    assert w.masked_vertices == V(demo, "v7")
+    assert batch_view(partition, option1.batches, 4).interface == V(demo, "v7")
 
 
 def test_zeta_option2_batch1(demo, partition, option2):
     w = g.zeta_weights(partition, option2, 0)
     assert np.allclose(w.edge_factor[:3], 2.5, rtol=1e-12)
     assert np.all(w.edge_factor[3:] == 0.0)
-    assert w.masked_vertices == V(demo, "v4")
+    assert batch_view(partition, option2.batches, 0).interface == V(demo, "v4")
 
 
 def test_zeta_single_batch(demo, partition, single_batch):
     w = g.zeta_weights(partition, single_batch, 0)
     assert np.allclose(w.edge_factor, 1.0, rtol=1e-15)
-    assert w.masked_vertices == frozenset()
+    assert batch_view(partition, single_batch.batches, 0).interface == frozenset()
 
 
 def test_zeta_edge_support(partition, option1):
@@ -184,12 +183,6 @@ def test_unbiased_single_batch_exact(demo, partition, single_batch):
     points = sample_interior_points(demo, 25, seed=3)
     psi = lambda e, x: np.full_like(x, 2.75)
     assert g.verify_unbiased(partition, single_batch, psi, points) == 0.0
-
-
-def test_unit_weights(demo):
-    w = unit_weights(demo)
-    assert np.all(w.edge_factor == 1.0)
-    assert len(w.active_edges) == demo.n_edges
 
 
 def test_batches_from_dict(demo):

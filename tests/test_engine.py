@@ -210,14 +210,11 @@ def test_full_solver_error_magnitude(demo, solution, problem):
     assert 0.0 < summary.error1 < 1e-2
 
 
-def test_trajectory_time_index_and_hash(demo, problem, coarse_mesh):
+def test_trajectory_time_index(demo, problem, coarse_mesh):
     traj = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.05, t_final=0.2)
     assert traj.time_index(0.1) == 2
     with pytest.raises(GridMismatch):
         traj.time_index(0.123)
-    assert len(traj.config_hash) == 16
-    other = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.05, t_final=0.25)
-    assert traj.config_hash != other.config_hash
 
 
 def test_snapshot_stride(demo, partition, option2, problem, coarse_mesh):

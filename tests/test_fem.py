@@ -6,7 +6,6 @@ from graphrbm import fem
 from graphrbm.decomposition import batch_view
 from graphrbm.fem import (
     FemError,
-    MissingBoundaryValue,
     NonellipticCoefficient,
     constant_coefficients,
 )
@@ -51,8 +50,21 @@ def dense_assembly(graph, mesh, dofmap, a, b, p):
     return M, K, C, P
 
 
+def steady_solve(ops, dm, boundary, load=None):
+    """Solve K_ff u_f = F_f - K_fc g on the reduced stiffness rows; returns the full vector."""
+    reduced = fem.reduce_operators(ops, dm.free_dofs, dm.dirichlet_dofs)
+    n_free = len(dm.free_dofs)
+    rhs = -(reduced.stiffness[:, n_free:] @ boundary)
+    if load is not None:
+        rhs += load[dm.free_dofs]
+    u = np.zeros(dm.n_dofs)
+    u[dm.free_dofs] = solve_linear(reduced.stiffness[:, :n_free].tocsc(), rhs)
+    u[dm.dirichlet_dofs] = boundary
+    return u
+
+
 def test_dofmap_counts_demo(demo):
-    dm = fem.build_dofmap(demo, g.Mesh(100), demo.boundary_vertices)
+    dm = fem.DofMap(demo, g.Mesh(100), demo.boundary_vertices)
     assert dm.n_dofs == 1010
     assert len(dm.dirichlet_dofs) == 4
     assert len(dm.free_dofs) == 1006
@@ -60,24 +72,24 @@ def test_dofmap_counts_demo(demo):
 
 def test_dofmap_single_edge():
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.build_dofmap(graph, g.Mesh(1), {0, 1})
+    dm = fem.DofMap(graph, g.Mesh(1), {0, 1})
     assert dm.n_dofs == 3
     assert len(dm.free_dofs) == 1
 
 
 def test_dofmap_no_dirichlet(demo):
-    dm = fem.build_dofmap(demo, g.Mesh(100), set())
+    dm = fem.DofMap(demo, g.Mesh(100), set())
     assert len(dm.free_dofs) == 1010
 
 
 def test_dofmap_unknown_vertex(demo):
     with pytest.raises(FemError):
-        fem.build_dofmap(demo, g.Mesh(2), {42})
+        fem.DofMap(demo, g.Mesh(2), {42})
 
 
 def test_edge_dofs_order():
     graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2})
-    dm = fem.build_dofmap(graph, g.Mesh(3), {0, 2})
+    dm = fem.DofMap(graph, g.Mesh(3), {0, 2})
     assert list(dm.edge_dofs(0)) == [0, 3, 4, 5, 1]
     assert list(dm.edge_dofs(1)) == [1, 6, 7, 8, 2]
     assert np.allclose(dm.edge_nodes(0), [0, 0.25, 0.5, 0.75, 1.0])
@@ -86,7 +98,7 @@ def test_edge_dofs_order():
 def test_single_edge_stiffness_hand_values():
     # one unit edge, one interior node: dx = 1/2, element stiffness 2*[[1,-1],[-1,1]]
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.build_dofmap(graph, g.Mesh(1), set())
+    dm = fem.DofMap(graph, g.Mesh(1), set())
     ops = fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0))
     path = dm.edge_dofs(0)  # tail, interior, head
     K = ops.stiffness.toarray()[np.ix_(path, path)]
@@ -96,7 +108,7 @@ def test_single_edge_stiffness_hand_values():
 def test_single_edge_mass_hand_values():
     # element mass dx/6 * [[2,1],[1,2]] with dx = 1/2
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.build_dofmap(graph, g.Mesh(1), set())
+    dm = fem.DofMap(graph, g.Mesh(1), set())
     ops = fem.assemble(graph, dm.mesh, dm, constant_coefficients())
     path = dm.edge_dofs(0)
     M = ops.mass.toarray()[np.ix_(path, path)]
@@ -106,19 +118,21 @@ def test_single_edge_mass_hand_values():
 
 def test_assembly_matches_dense_oracle(demo, problem):
     mesh = g.Mesh(10)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     ops = fem.assemble(demo, mesh, dm, problem)
     Md, Kd, Cd, Pd = dense_assembly(demo, mesh, dm, problem.a, problem.b, problem.p)
     for sparse_mat, dense_mat in ((ops.mass, Md), (ops.stiffness, Kd), (ops.convection, Cd), (ops.reaction, Pd)):
         scale = np.abs(dense_mat).max()
         assert np.abs(sparse_mat.toarray() - dense_mat).max() <= 1e-12 * scale
+    # the mass-only builder gives exactly the entries of the full assembly
+    assert np.array_equal(fem.mass_matrix(demo, mesh, dm).toarray(), ops.mass.toarray())
 
 
 def test_load_matches_dense_oracle(demo, solution):
     mesh = g.Mesh(7)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     f = lambda e, x, t: solution.w(e, x) * (1.0 + t)
-    F = fem.load_vector(demo, mesh, dm, f, t=0.3)
+    F = fem.LoadEvaluator(demo, mesh, dm, f)(0.3)
     expected = np.zeros(dm.n_dofs)
     for e in range(demo.n_edges):
         dofs = dm.edge_dofs(e)
@@ -137,7 +151,7 @@ def test_load_matches_dense_oracle(demo, solution):
 
 def test_mass_spd(demo, rng):
     mesh = g.Mesh(6)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     M = fem.mass_matrix(demo, mesh, dm)
     assert np.abs((M - M.T).toarray()).max() <= 1e-15
     assert np.all(M.diagonal() > 0)
@@ -148,7 +162,7 @@ def test_mass_spd(demo, rng):
 
 def test_stiffness_psd_and_kernel(demo, problem, rng):
     mesh = g.Mesh(6)
-    dm = fem.build_dofmap(demo, mesh, set())
+    dm = fem.DofMap(demo, mesh, set())
     K = fem.assemble(demo, mesh, dm, problem).stiffness
     for _ in range(10):
         x = rng.standard_normal(dm.n_dofs)
@@ -159,16 +173,14 @@ def test_stiffness_psd_and_kernel(demo, problem, rng):
 
 def test_weighted_assembly_equals_scaled_parts(demo, partition, option1, problem):
     mesh = g.Mesh(4)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     j = 4  # three active parts with factors 3, 2, 2
     weights = g.zeta_weights(partition, option1, j)
     ops = fem.assemble(demo, mesh, dm, problem, weights=weights)
     total = None
     for i in sorted(option1.batches[j]):
         indicator = g.ZetaWeights(
-            batch_index=-1,
             edge_factor=np.isin(np.arange(demo.n_edges), list(partition.parts[i])).astype(float),
-            masked_vertices=frozenset(),
         )
         part = fem.assemble(demo, mesh, dm, problem, weights=indicator)
         scaled = part.stiffness / option1.normalizers[i]
@@ -179,7 +191,7 @@ def test_weighted_assembly_equals_scaled_parts(demo, partition, option1, problem
 
 def test_weighted_assembly_inactive_rows_empty(demo, partition, option1, problem):
     mesh = g.Mesh(4)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     weights = g.zeta_weights(partition, option1, 0)  # only the left star active
     ops = fem.assemble(demo, mesh, dm, problem, weights=weights)
     spatial = ops.spatial()
@@ -190,7 +202,7 @@ def test_weighted_assembly_inactive_rows_empty(demo, partition, option1, problem
 
 def test_nonelliptic_rejected():
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.build_dofmap(graph, g.Mesh(4), {0, 1})
+    dm = fem.DofMap(graph, g.Mesh(4), {0, 1})
     coeffs = g.CoefficientSet(
         a=lambda e, x: x - 0.5,  # changes sign on the edge
         b=lambda e, x: np.zeros_like(x),
@@ -200,34 +212,29 @@ def test_nonelliptic_rejected():
         fem.assemble(graph, dm.mesh, dm, coeffs)
 
 
-def test_apply_dirichlet_zero_values(demo, problem):
+def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, option1, problem):
     mesh = g.Mesh(5)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     ops = fem.assemble(demo, mesh, dm, problem)
-    reduced, lifting = fem.apply_dirichlet(ops, dm, np.zeros(len(dm.dirichlet_dofs)))
-    assert np.all(lifting == 0.0)
-    sub = ops.stiffness.toarray()[np.ix_(dm.free_dofs, dm.free_dofs)]
-    assert np.abs(reduced.stiffness.toarray() - sub).max() == 0.0
-
-
-def test_apply_dirichlet_missing_value(demo, problem):
-    mesh = g.Mesh(5)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
-    ops = fem.assemble(demo, mesh, dm, problem)
-    with pytest.raises(MissingBoundaryValue):
-        fem.apply_dirichlet(ops, dm, np.zeros(3))
-    with pytest.raises(MissingBoundaryValue):
-        fem.apply_dirichlet(ops, dm, {0: 1.0})
+    bd = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
+    assert np.array_equal(bd.constrained, np.concatenate([bd.interface_dofs, bd.exterior_dofs]))
+    reduced = fem.reduce_operators(ops, bd.free, bd.constrained)
+    columns = np.concatenate([bd.free, bd.constrained])
+    lower = (ops.convection + ops.reaction).toarray()
+    for got, full in (
+        (reduced.mass, ops.mass.toarray()),
+        (reduced.stiffness, ops.stiffness.toarray()),
+        (reduced.lower, lower),
+    ):
+        assert np.array_equal(got.toarray(), full[np.ix_(bd.free, columns)])
 
 
 def test_steady_single_edge_linear_exact():
     # -u'' = 0, u(0)=0, u(1)=1: P1 reproduces the linear solution at the nodes
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.build_dofmap(graph, g.Mesh(9), {0, 1})
+    dm = fem.DofMap(graph, g.Mesh(9), {0, 1})
     ops = fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0))
-    reduced, lifting = fem.apply_dirichlet(ops, dm, np.array([0.0, 1.0]))
-    u_free = solve_linear(reduced.stiffness.tocsc(), lifting)
-    full = reduced.embed(u_free, np.array([0.0, 1.0]), dm.n_dofs)
+    full = steady_solve(ops, dm, np.array([0.0, 1.0]))
     assert np.abs(full[dm.edge_dofs(0)] - dm.edge_nodes(0)).max() <= 1e-12
 
 
@@ -236,11 +243,9 @@ def test_steady_graph_linear_exact(demo, rng):
     g_values = rng.standard_normal(4)
 
     def solve(ne):
-        dm = fem.build_dofmap(demo, g.Mesh(ne), demo.boundary_vertices)
+        dm = fem.DofMap(demo, g.Mesh(ne), demo.boundary_vertices)
         ops = fem.assemble(demo, dm.mesh, dm, constant_coefficients(a=2.0))
-        reduced, lifting = fem.apply_dirichlet(ops, dm, g_values)
-        u_free = solve_linear(reduced.stiffness.tocsc(), lifting)
-        return dm, reduced.embed(u_free, g_values, dm.n_dofs)
+        return dm, steady_solve(ops, dm, g_values)
 
     dm, u = solve(20)
     for e in range(demo.n_edges):
@@ -258,14 +263,14 @@ def test_steady_residual_second_order(demo, solution):
     meshes = [25, 50, 100]
     for ne in meshes:
         mesh = g.Mesh(ne)
-        dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+        dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
         ops = fem.assemble(demo, mesh, dm, g.derive_data(solution))
         w_interp = fem.interpolate(demo, mesh, dm, solution.w)
         rhs = lambda e, x, t: -(
             solution.a_dx(e, x) * solution.w_dx(e, x)
             + solution.a(e, x) * solution.w_dxx(e, x)
         )
-        load = fem.load_vector(demo, mesh, dm, rhs, 0.0)
+        load = fem.LoadEvaluator(demo, mesh, dm, rhs)(0.0)
         res = ops.stiffness @ w_interp - load
         residuals.append(np.abs(res[dm.free_dofs]).max())
     slope, _ = g.fit_slope([1.0 / (ne + 1) for ne in meshes], residuals)
@@ -278,21 +283,15 @@ def test_kirchhoff_flux_imbalance_first_order(demo, solution):
     meshes = [25, 50, 100]
     for ne in meshes:
         mesh = g.Mesh(ne)
-        dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
-        ops = fem.assemble(demo, mesh, dm, constant_coefficients(a=1.0))
-        stiff_only = fem.AssembledOperators(
-            ops.mass, fem.assemble(demo, mesh, dm, g.derive_data(solution)).stiffness,
-            ops.convection * 0.0, ops.reaction * 0.0,
-        )
+        dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+        ops = fem.assemble(demo, mesh, dm, g.derive_data(solution))
         rhs = lambda e, x, t: -(
             solution.a_dx(e, x) * solution.w_dx(e, x)
             + solution.a(e, x) * solution.w_dxx(e, x)
         )
-        load = fem.load_vector(demo, mesh, dm, rhs, 0.0)
+        load = fem.LoadEvaluator(demo, mesh, dm, rhs)(0.0)
         boundary = solution.vertex_values()[dm.dirichlet_dofs]
-        reduced, lifting = fem.apply_dirichlet(stiff_only, dm, boundary)
-        u_free = solve_linear(reduced.stiffness.tocsc(), load[dm.free_dofs] + lifting)
-        u = reduced.embed(u_free, boundary, dm.n_dofs)
+        u = steady_solve(ops, dm, boundary, load)
         worst.append(
             max(
                 abs(fem.kirchhoff_flux_imbalance(demo, mesh, dm, solution.a, u, v))
@@ -306,7 +305,7 @@ def test_kirchhoff_flux_imbalance_first_order(demo, solution):
 
 def test_restrict_to_batch_counts(demo, partition, option1):
     mesh = g.Mesh(100)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     b1 = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 0))
     assert len(b1.active) == 304
     assert {demo.vertex_name(v) for v in b1.constrained} == {"v1", "v2", "v4"}
@@ -317,7 +316,7 @@ def test_restrict_to_batch_counts(demo, partition, option1):
 
 def test_restrict_to_batch_full_is_identity(demo, partition, single_batch):
     mesh = g.Mesh(10)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     bd = fem.restrict_to_batch(dm, batch_view(partition, single_batch.batches, 0))
     assert np.array_equal(bd.active, np.arange(dm.n_dofs))
     assert np.array_equal(bd.constrained, dm.dirichlet_dofs)
@@ -327,7 +326,7 @@ def test_restrict_to_batch_full_is_identity(demo, partition, single_batch):
 
 def test_interpolate_nodal_values(demo):
     mesh = g.Mesh(4)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     u = fem.interpolate(demo, mesh, dm, lambda e, x: np.full_like(x, float(e)))
     for e in range(demo.n_edges):
         assert np.all(u[dm.edge_dofs(e)[1:-1]] == float(e))

@@ -37,9 +37,9 @@ def test_demo_graph_shape(demo):
 
 def test_incidence_signs():
     graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2})
-    assert g.incidence(graph, 0, 0) == -1
-    assert g.incidence(graph, 0, 1) == 1
-    assert g.incidence(graph, 0, 2) == 0
+    assert graph.incidence(0, 0) == -1
+    assert graph.incidence(0, 1) == 1
+    assert graph.incidence(0, 2) == 0
 
 
 def test_incidence_invariants(demo):

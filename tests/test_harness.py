@@ -140,7 +140,6 @@ def test_run_study_smoke(demo, partition, option2, solution):
         assert r.mem_proxy > 0
         assert r.detail["n_dofs"] == 10 * 5 + 10
         assert len(r.detail["seeds"]) == 2
-        assert r.detail["baseline_wall_s"] > 0.0
 
 
 def test_run_study_deterministic_error_columns(demo, partition, option2, solution):

@@ -134,7 +134,7 @@ def test_l2_error_zero_state_closed_form(demo, solution):
     # against the zero state at the time of peak amplitude, the squared error
     # is the closed-form integral of w^2
     mesh = g.Mesh(40)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     ev = L2ErrorEvaluator(demo, mesh, dm, solution)
     got = ev.squared_error(np.zeros(dm.n_dofs), 0.25)
     assert np.isclose(got, exact_profile_sq_integral(solution), rtol=1e-12)
@@ -142,7 +142,7 @@ def test_l2_error_zero_state_closed_form(demo, solution):
 
 def test_l2_error_zero_at_time_zero(demo, solution):
     mesh = g.Mesh(10)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     ev = L2ErrorEvaluator(demo, mesh, dm, solution)
     assert ev.squared_error(np.zeros(dm.n_dofs), 0.0) == 0.0
 
@@ -153,7 +153,7 @@ def test_l2_error_interpolant_fourth_order(demo, solution):
     meshes = [10, 20, 40, 80]
     for ne in meshes:
         mesh = g.Mesh(ne)
-        dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+        dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
         interp = fem.interpolate(
             demo, mesh, dm, lambda e, x: solution.w(e, x) * solution.time_factor(0.25)
         )
@@ -184,7 +184,7 @@ def test_l2_error_matches_reference_on_non_unit_lengths(rng):
     graph = g.build_graph([(0, 1, 0.5), (1, 2, 1.7), (1, 3, 2.3), (3, 4, 0.8)], {0, 2, 4})
     solution = g.build_solution(graph, [3.0, -1.0, 0.5, 2.0], [-2.0, 1.0, 0.0, -1.0])
     mesh = g.Mesh(7)
-    dm = fem.build_dofmap(graph, mesh, graph.boundary_vertices)
+    dm = fem.DofMap(graph, mesh, graph.boundary_vertices)
     times = np.array([0.0, 0.1, 0.25, 0.6, 0.9])
     states = rng.standard_normal((len(times), dm.n_dofs))
     ev = L2ErrorEvaluator(graph, mesh, dm, solution)
@@ -196,7 +196,7 @@ def test_l2_error_matches_reference_on_non_unit_lengths(rng):
 
 def test_l2_error_single_state_returns_float(demo, solution, rng):
     mesh = g.Mesh(10)
-    dm = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     ev = L2ErrorEvaluator(demo, mesh, dm, solution)
     state = rng.standard_normal(dm.n_dofs)
     got = ev.squared_error(state, 0.37)
