@@ -29,7 +29,6 @@ from .engine import (
 )
 from .errors import SolverError
 from .fem import (
-    AssembledOperators,
     CoefficientSet,
     DofMap,
     Mesh,

@@ -9,11 +9,13 @@ vertices following the Dirichlet data, and the pieces glue through the
 shared vertex dofs.  The deterministic baseline is the same inner
 stepper applied to the full graph for all of [0, T].
 
-Per-part operator matrices are assembled once and batch operators are
-formed by scaling with the batch normalizers, so no re-quadrature
-happens inside the time loop; factorizations are cached per batch and
-reused across windows because the window matrix only depends on the
-batch, the scheme and dt.
+Each edge is integrated once per runtime (``fem.assemble``), and every
+batch's operators and load are scaled sums of those element data: the
+active edges' K and C + P blocks and source loads times 1/pi of their
+part, the mass unscaled.  Nothing is integrated inside the time loop
+except a source that is not separable.  Systems and factorizations are
+cached per batch and reused across windows because the window matrix only
+depends on the batch, the scheme and dt.
 
 Every active system keeps its operators as the free-dof rows over the
 columns [free | constrained], the constrained columns being the interface
@@ -29,6 +31,7 @@ outside the batches of the last windows still holds a stale value.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +41,6 @@ from . import fem
 from .decomposition import (
     BatchFamily,
     SubgraphPartition,
-    ZetaWeights,
     batch_view,
     check_assumption_A1,
     zeta_weights,
@@ -155,10 +157,18 @@ class RbmTrajectory:
         return int(hits[0])
 
 
-def _count_steps(total: float, dt: float, what: str) -> int:
-    n = round(total / dt)
-    if n < 1 or abs(n * dt - total) > TIME_MATCH_TOL * max(1.0, abs(total)):
-        raise ScheduleMismatch(f"{what}: {total} is not a positive integer multiple of {dt}")
+def check_time_length(name: str, value: float) -> None:
+    """Reject a time length (dt, h, t_final) that is not a positive finite number."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidSpec(f"{name} must be a positive finite number, got {value}")
+
+
+def _count_steps(total: float, step: float, total_name: str, step_name: str) -> int:
+    check_time_length(total_name, total)
+    check_time_length(step_name, step)
+    n = round(total / step)
+    if n < 1 or abs(n * step - total) > TIME_MATCH_TOL * max(1.0, abs(total)):
+        raise ScheduleMismatch(f"{total_name}: {total} is not a positive integer multiple of {step}")
     return int(n)
 
 
@@ -235,8 +245,7 @@ def _boundary_values(coeffs: CoefficientSet, n_vertices: int):
     return coeffs.g
 
 
-def _warn_on_convection_sums(graph: MetricGraph, coeffs: CoefficientSet) -> None:
-    sums = fem.convection_vertex_sums(graph, coeffs.b)
+def _warn_on_convection_sums(sums: np.ndarray) -> None:
     worst = float(np.abs(sums).max(initial=0.0))
     if worst > CONVECTION_SUM_TOL:
         warnings.warn(
@@ -263,13 +272,13 @@ def run_full(
     snapshot_stride: int = 1,
 ) -> RbmTrajectory:
     """Deterministic solve on the whole graph; boundary vertices are Dirichlet."""
-    n_steps = _count_steps(t_final, dt, "t_final")
+    n_steps = _count_steps(t_final, dt, "t_final", "dt")
     _check_snapshot_stride(snapshot_stride)
-    _warn_on_convection_sums(graph, coeffs)
+    _warn_on_convection_sums(fem.convection_vertex_sums(graph, coeffs.b))
     dofmap = DofMap(graph, mesh, graph.boundary_vertices)
-    ops = fem.assemble(graph, mesh, dofmap, coeffs)
-    reduced = reduce_operators(ops, dofmap.free_dofs, dofmap.dirichlet_dofs)
-    load = LoadEvaluator(graph, mesh, dofmap, coeffs.f, restrict=dofmap.free_dofs)
+    elements = fem.assemble(graph, mesh, dofmap, coeffs)
+    reduced = reduce_operators(elements, dofmap.free_dofs, dofmap.dirichlet_dofs)
+    load = LoadEvaluator(elements, restrict=dofmap.free_dofs)
     system = _ActiveSystem(
         reduced,
         load,
@@ -315,11 +324,12 @@ def run_full(
 class RbmRuntime:
     """Shared immutable machinery for repeated randomized runs.
 
-    Holds the dof map, the per-part operator matrices, the per-batch
-    reduced systems and the factorization cache.  All of it depends only
-    on (graph, partition, family, mesh, coeffs), so independent
-    realizations and different window lengths can share one runtime;
-    reuse changes nothing but the setup cost.
+    Holds the dof map, the element data of every edge (integrated once,
+    in ``__init__``), the convection vertex sums, the per-batch reduced
+    systems and the factorization cache.  All of it depends only on
+    (graph, partition, family, mesh, coeffs), so independent realizations
+    and different window lengths can share one runtime; reuse changes
+    nothing but the setup cost.
     """
 
     def __init__(
@@ -339,12 +349,8 @@ class RbmRuntime:
         self.boundary_of_t = _boundary_values(coeffs, graph.n_vertices)
         self.workspace = StepWorkspace()
         self.a1_report = check_assumption_A1(partition, family.batches)
-        self._part_ops = [
-            fem.assemble(
-                graph, mesh, self.dofmap, coeffs, weights=_part_indicator(partition, i, graph)
-            )
-            for i in range(partition.n_parts)
-        ]
+        self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
+        self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, _ActiveSystem] = {}
         self._g_ext: dict[int, object] = {}
 
@@ -353,23 +359,9 @@ class RbmRuntime:
         if system is None:
             view = batch_view(self.partition, self.family.batches, j)
             bdofs = restrict_to_batch(self.dofmap, view)
-            parts = sorted(self.family.batches[j])
-            part_ops = self._part_ops
-            mass = sum(part_ops[i].mass for i in parts).tocsr()
-            scale = [1.0 / self.family.normalizers[i] for i in parts]
-            stiffness = sum(s * part_ops[i].stiffness for s, i in zip(scale, parts)).tocsr()
-            convection = sum(s * part_ops[i].convection for s, i in zip(scale, parts)).tocsr()
-            reaction = sum(s * part_ops[i].reaction for s, i in zip(scale, parts)).tocsr()
-            ops_j = fem.AssembledOperators(mass, stiffness, convection, reaction)
-            reduced = reduce_operators(ops_j, bdofs.free, bdofs.constrained)
-            load = LoadEvaluator(
-                self.graph,
-                self.mesh,
-                self.dofmap,
-                self.coeffs.f,
-                weights=zeta_weights(self.partition, self.family, j),
-                restrict=bdofs.free,
-            )
+            weights = zeta_weights(self.partition, self.family, j)
+            reduced = reduce_operators(self.elements, bdofs.free, bdofs.constrained, weights)
+            load = LoadEvaluator(self.elements, weights, restrict=bdofs.free)
             system = _ActiveSystem(
                 reduced,
                 load,
@@ -403,14 +395,15 @@ def run_rbm(
 ) -> RbmTrajectory:
     """One realization of the randomized freeze-and-evolve solve.
 
-    Passing a runtime built from the same problem reuses the assembled
-    operators and factorizations across realizations.
+    Passing a runtime built from the same problem reuses its element data,
+    convection vertex sums, batch systems and factorizations across
+    realizations.
     """
-    n_sub = _count_steps(config.h, config.dt, "window length h")
-    n_windows = _count_steps(config.t_final, config.h, "t_final")
-    _warn_on_convection_sums(graph, coeffs)
+    n_sub = _count_steps(config.h, config.dt, "window length h", "dt")
+    n_windows = _count_steps(config.t_final, config.h, "t_final", "window length h")
     if runtime is None:
         runtime = RbmRuntime(graph, partition, family, mesh, coeffs)
+    _warn_on_convection_sums(runtime.convection_sums)
     if not runtime.a1_report.holds:
         names = [graph.vertex_name(v) for v in runtime.a1_report.violations]
         warnings.warn(
@@ -466,13 +459,6 @@ def run_rbm(
         "snapshot_stride": stride,
     }
     return RbmTrajectory(graph, mesh, dofmap, times, states, schedule, run_config, stats)
-
-
-def _part_indicator(partition: SubgraphPartition, i: int, graph: MetricGraph) -> ZetaWeights:
-    factor = np.zeros(graph.n_edges)
-    for e in partition.parts[i]:
-        factor[e] = 1.0
-    return ZetaWeights(edge_factor=factor)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,15 @@ verification problems exactly and is amply accurate for the sinusoidal
 ones.  Dirichlet data is handled by algebraic elimination: constrained
 rows are removed and constrained columns move behind the free ones, where
 a solver multiplies them by the prescribed values.
+
+Each edge is integrated once per runtime or full solve: its one
+``assemble`` call evaluates the coefficients and every separable source
+term once per edge and keeps, per mesh element, the 2x2 blocks of M, K and
+C + P and the local load of each term.  The operators and loads of the
+whole graph or of one batch are then scaled sums of these element data
+over the active edges: one COO->CSR per operator and one bincount per load
+term, with every edge factor 1 for the whole graph and 1/pi of the owning
+part for a batch.  The mass is never scaled.
 """
 
 from __future__ import annotations
@@ -34,6 +43,11 @@ GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 # reference element coordinates and P1 shape values at the quadrature nodes
 _TAU = 0.5 * (1.0 + GAUSS3_NODES)
 _SHAPE = np.stack([1.0 - _TAU, _TAU], axis=1)  # (q, 2)
+# products of the two shape values at each node, flattened (q, 4): element mass and reaction
+_SHAPE_SHAPE = (_SHAPE[:, :, None] * _SHAPE[:, None, :]).reshape(len(_TAU), 4)
+# shape-function gradients are these signs over the element width
+_GRAD_SIGN = np.array([-1.0, 1.0])
+_GRAD_GRAD = np.outer(_GRAD_SIGN, _GRAD_SIGN)
 
 
 class FemError(SolverError):
@@ -83,10 +97,13 @@ class DofMap:
 
     def edge_dofs(self, e: int) -> np.ndarray:
         """Dof ids along edge e in coordinate order: tail, interior nodes, head."""
-        n = self.mesh.nodes_per_edge
-        start = self._interior_start[e]
         edge = self.graph.edges[e]
-        return np.concatenate(([edge.tail], np.arange(start, start + n), [edge.head]))
+        return np.concatenate(([edge.tail], self.interior_dofs([e])[0], [edge.head]))
+
+    def interior_dofs(self, edges) -> np.ndarray:
+        """The (len(edges), nodes_per_edge) interior dof ids of the given edges, in coordinate order."""
+        starts = self._interior_start[np.asarray(edges, dtype=int)]
+        return starts[:, None] + np.arange(self.mesh.nodes_per_edge)
 
     def edge_nodes(self, e: int) -> np.ndarray:
         """Node coordinates along edge e, endpoints included."""
@@ -134,196 +151,192 @@ class CoefficientSet:
     y0: EdgeFunction | None = None
 
 
-def constant_coefficients(a: float = 1.0, b: float = 0.0, p: float = 0.0) -> CoefficientSet:
-    return CoefficientSet(
-        a=lambda e, x: np.full_like(np.asarray(x, dtype=float), a),
-        b=lambda e, x: np.full_like(np.asarray(x, dtype=float), b),
-        p=lambda e, x: np.full_like(np.asarray(x, dtype=float), p),
-    )
+class Elements:
+    """Every mesh element of the graph, edge by edge, with its Gauss points.
+
+    Edge e owns the ``per_edge`` consecutive elements starting at
+    ``e * per_edge``, so element k lies on edge ``k // per_edge``.
+    ``pair[k]`` holds element k's two dof ids in coordinate order, ``xq[k]``
+    the edge coordinates of its Gauss points, ``wq[k]`` their weights and
+    ``mass[k]`` its 2x2 mass block; ``dx[e]`` is edge e's mesh width.  All
+    of it comes from the mesh alone, vectorised across edges.
+    """
+
+    def __init__(self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap):
+        n = mesh.nodes_per_edge
+        self.n_edges = graph.n_edges
+        self.n_dofs = dofmap.n_dofs
+        self.per_edge = n + 1
+        self.dx = np.array([edge.length for edge in graph.edges]) / (n + 1)
+        dofs = np.empty((graph.n_edges, n + 2), dtype=int)
+        dofs[:, 0] = [edge.tail for edge in graph.edges]
+        dofs[:, 1:-1] = dofmap.interior_dofs(np.arange(graph.n_edges))
+        dofs[:, -1] = [edge.head for edge in graph.edges]
+        self.pair = np.stack([dofs[:, :-1], dofs[:, 1:]], axis=-1).reshape(-1, 2)
+        left = self.dx[:, None] * np.arange(self.per_edge)
+        xq = left[:, :, None] + (self.dx[:, None] * _TAU)[:, None, :]
+        self.xq = xq.reshape(-1, len(_TAU))
+        self.wq = np.repeat((self.dx / 2.0)[:, None] * GAUSS3_WEIGHTS, self.per_edge, axis=0)
+        self.mass = (self.wq @ _SHAPE_SHAPE).reshape(-1, 2, 2)
+
+    def active(self, weights: ZetaWeights | None):
+        """The active edges, their element ids and each element's edge factor.
+
+        Without weights every edge is active with factor 1.
+        """
+        if weights is None:
+            edges = np.arange(self.n_edges)
+            factor = np.ones(self.n_edges)
+        else:
+            edges = weights.active_edges
+            factor = weights.edge_factor[edges]
+        ids = (edges[:, None] * self.per_edge + np.arange(self.per_edge)).ravel()
+        return edges, ids, np.repeat(factor, self.per_edge)
+
+    def sample(self, fn: EdgeFunction, edges) -> np.ndarray:
+        """``fn(e, x)`` at the Gauss points of the given edges' elements, one call per edge."""
+        xq = self.xq.reshape(self.n_edges, -1, len(_TAU))
+        values = [
+            np.asarray(fn(e, xq[e].ravel()), dtype=float).reshape(xq[e].shape) for e in edges
+        ]
+        return np.concatenate(values)
+
+    def loads(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The (n, 2) local loads of the elements ``ids`` for a source sampled at their Gauss points."""
+        return (values * self.wq[ids]) @ _SHAPE
 
 
 @dataclass(frozen=True)
-class AssembledOperators:
-    """Sparse operators on the full dof numbering.
+class ElementData:
+    """Every element's operator blocks and source loads, from one pass over the edges.
 
-    mass is the plain L2 mass matrix; stiffness, convection and reaction
-    carry the coefficients a, b, p.  With batch weights, each edge's
-    contribution is scaled by its factor and inactive edges contribute
-    nothing (their rows and columns stay empty).
+    ``stiffness`` and ``lower`` (C + P) are (n_el, 2, 2) blocks over the
+    elements of ``elements`` (whose ``mass`` holds M's).  A SeparableSource
+    leaves one (n_el, 2) local load per term in ``term_loads``, with its
+    time factor in ``time_fns``; any other source stays in ``source`` and
+    is integrated per call on the cached Gauss points.
     """
 
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    convection: sp.csr_matrix
-    reaction: sp.csr_matrix
-
-    def spatial(self) -> sp.csr_matrix:
-        """Full non-symmetric spatial operator K + C + P."""
-        return (self.stiffness + self.convection + self.reaction).tocsr()
+    elements: Elements
+    stiffness: np.ndarray
+    lower: np.ndarray
+    term_loads: tuple[np.ndarray, ...]
+    time_fns: tuple[Callable[[float], float], ...]
+    source: object | None
 
 
-def _edge_quadrature(dofmap: DofMap, e: int):
-    """Quadrature points, physical weights and element dof pairs for edge e."""
-    mesh = dofmap.mesh
-    dx = mesh.spacing(dofmap.graph, e)
-    n_el = mesh.nodes_per_edge + 1
-    left = dx * np.arange(n_el)
-    xq = left[:, None] + dx * _TAU[None, :]
-    wq = GAUSS3_WEIGHTS * (dx / 2.0)
-    edofs = dofmap.edge_dofs(e)
-    pair = np.stack([edofs[:-1], edofs[1:]], axis=1)  # (n_el, 2)
-    return xq, wq, dx, pair
+def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: CoefficientSet) -> ElementData:
+    """Integrate every edge once: the blocks of K and C + P and the loads of a separable source.
+
+    Calls a, b, p and each separable space term once per edge.  Raises
+    NonellipticCoefficient when the diffusion coefficient is not strictly
+    positive at some quadrature point.
+    """
+    elements = Elements(graph, mesh, dofmap)
+    edges = range(graph.n_edges)
+    aq = elements.sample(coeffs.a, edges)
+    bad = np.flatnonzero(~(aq > 0.0).all(axis=1))
+    if bad.size:
+        e = int(bad[0]) // elements.per_edge
+        raise NonellipticCoefficient(
+            f"diffusion coefficient not positive on edge {graph.edge_name(e)}"
+        )
+    bq = elements.sample(coeffs.b, edges)
+    pq = elements.sample(coeffs.p, edges)
+    wq = elements.wq
+    inv_dx = np.repeat(1.0 / elements.dx, elements.per_edge)
+    stiffness = ((aq * wq).sum(axis=1) * (inv_dx * inv_dx))[:, None, None] * _GRAD_GRAD
+    grad = inv_dx[:, None] * _GRAD_SIGN  # (n_el, 2) shape-function gradients
+    convection = ((bq * wq) @ _SHAPE)[:, :, None] * grad[:, None, :]
+    reaction = ((pq * wq) @ _SHAPE_SHAPE).reshape(-1, 2, 2)
+    separable = isinstance(coeffs.f, SeparableSource)
+    terms = coeffs.f.terms if separable else ()
+    every = np.arange(len(wq))
+    return ElementData(
+        elements=elements,
+        stiffness=stiffness,
+        lower=convection + reaction,
+        term_loads=tuple(elements.loads(elements.sample(space, edges), every) for space, _ in terms),
+        time_fns=tuple(time for _, time in terms),
+        source=None if separable else coeffs.f,
+    )
 
 
-def _block_pattern(pair: np.ndarray):
-    """Row and column ids of the 2x2 element blocks over an (n_el, 2) array of dof pairs."""
+def _block_scatter(pair: np.ndarray, n_dofs: int, free: np.ndarray, constrained: np.ndarray):
+    """Sum (n, 2, 2) element blocks over elements with dof pairs ``pair`` into CSR.
+
+    The result has the free rows over the columns [free | constrained];
+    entries in any other row or column are dropped.  The returned function
+    makes one COO->CSR per call, which adds up shared-dof entries.
+    """
+    position = np.full(n_dofs, -1)
+    position[free] = np.arange(len(free))
+    position[constrained] = len(free) + np.arange(len(constrained))
+    local = position[pair]
     blocks = (len(pair), 2, 2)
-    return (
-        np.broadcast_to(pair[:, :, None], blocks).ravel(),
-        np.broadcast_to(pair[:, None, :], blocks).ravel(),
-    )
+    rows = np.broadcast_to(local[:, :, None], blocks).ravel()
+    cols = np.broadcast_to(local[:, None, :], blocks).ravel()
+    keep = np.flatnonzero((rows >= 0) & (rows < len(free)) & (cols >= 0))
+    rows, cols = rows[keep], cols[keep]
+    shape = (len(free), len(free) + len(constrained))
 
+    def build(data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data.reshape(-1)[keep], (rows, cols)), shape=shape)
 
-def _element_mass(wq: np.ndarray) -> np.ndarray:
-    """The 2x2 P1 element mass matrix for the quadrature weights of one element."""
-    return np.einsum("q,qi,qj->ij", wq, _SHAPE, _SHAPE)
-
-
-def assemble(
-    graph: MetricGraph,
-    mesh: Mesh,
-    dofmap: DofMap,
-    coeffs: CoefficientSet,
-    weights: ZetaWeights | None = None,
-) -> AssembledOperators:
-    """Assemble mass/stiffness/convection/reaction over the (active) edges.
-
-    Raises NonellipticCoefficient when the diffusion coefficient is not
-    strictly positive at some quadrature point of an active edge.
-    """
-    rows, cols = [], []
-    data_m, data_k, data_c, data_p = [], [], [], []
-    for e in range(graph.n_edges):
-        factor = 1.0 if weights is None else float(weights.edge_factor[e])
-        if factor == 0.0:
-            continue
-        xq, wq, dx, pair = _edge_quadrature(dofmap, e)
-        flat = xq.ravel()
-        aq = np.asarray(coeffs.a(e, flat), dtype=float).reshape(xq.shape)
-        if np.any(aq <= 0.0):
-            raise NonellipticCoefficient(
-                f"diffusion coefficient not positive on edge {graph.edge_name(e)}"
-            )
-        bq = np.asarray(coeffs.b(e, flat), dtype=float).reshape(xq.shape)
-        pq = np.asarray(coeffs.p(e, flat), dtype=float).reshape(xq.shape)
-
-        grad = np.array([-1.0, 1.0]) / dx
-        k_el = (aq * wq).sum(axis=1)[:, None, None] * np.outer(grad, grad)
-        m_el = np.broadcast_to(_element_mass(wq), (xq.shape[0], 2, 2))
-        p_el = np.einsum("eq,qi,qj->eij", pq * wq, _SHAPE, _SHAPE)
-        c_el = np.einsum("eq,qi,j->eij", bq * wq, _SHAPE, grad)
-
-        r, c = _block_pattern(pair)
-        rows.append(r)
-        cols.append(c)
-        data_m.append((factor * m_el).ravel())
-        data_k.append((factor * k_el).ravel())
-        data_c.append((factor * c_el).ravel())
-        data_p.append((factor * p_el).ravel())
-
-    shape = (dofmap.n_dofs, dofmap.n_dofs)
-    if not rows:
-        empty = sp.csr_matrix(shape)
-        return AssembledOperators(empty, empty.copy(), empty.copy(), empty.copy())
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-
-    def build(chunks):
-        return sp.coo_matrix((np.concatenate(chunks), (r, c)), shape=shape).tocsr()
-
-    return AssembledOperators(
-        mass=build(data_m),
-        stiffness=build(data_k),
-        convection=build(data_c),
-        reaction=build(data_p),
-    )
+    return build
 
 
 def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
-    """Plain L2 mass matrix over all edges; the same entries as ``assemble(...).mass``."""
-    rows, cols, data = [], [], []
-    for e in range(graph.n_edges):
-        _, wq, _, pair = _edge_quadrature(dofmap, e)
-        r, c = _block_pattern(pair)
-        rows.append(r)
-        cols.append(c)
-        data.append(np.broadcast_to(_element_mass(wq), (len(pair), 2, 2)).ravel())
-    shape = (dofmap.n_dofs, dofmap.n_dofs)
-    triplets = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    return sp.coo_matrix(triplets, shape=shape).tocsr()
+    """Plain L2 mass matrix over all edges; the same entries as ``reduce_operators``' mass."""
+    elements = Elements(graph, mesh, dofmap)
+    every_dof = np.arange(dofmap.n_dofs)
+    return _block_scatter(elements.pair, dofmap.n_dofs, every_dof, every_dof[:0])(elements.mass)
 
 
 class LoadEvaluator:
-    """Caches quadrature geometry for repeated load assembly in time.
+    """The load vector F(t) of the active edges, scaled by their edge factors.
 
-    For a SeparableSource the per-term vectors are integrated once at
-    construction and each call is a scalar combination; generic callables
-    fall back to per-call quadrature.  ``restrict`` narrows the returned
-    vector to the given dof ids.
+    A SeparableSource's term vectors are built once, one bincount of the
+    cached element loads per term, and each call combines them with the
+    time factors; any other source is integrated per call on the cached
+    Gauss points of the active edges, again with one bincount.  Without
+    weights every edge counts with factor 1.  ``restrict`` narrows the
+    returned vector to the given dof ids.
     """
 
     def __init__(
         self,
-        graph: MetricGraph,
-        mesh: Mesh,
-        dofmap: DofMap,
-        f,
+        data: ElementData,
         weights: ZetaWeights | None = None,
         restrict: np.ndarray | None = None,
     ):
-        self.n_dofs = dofmap.n_dofs
+        elements = data.elements
+        self.n_dofs = elements.n_dofs
         self.restrict = restrict
-        self._term_vectors = None
-        self._time_fns = None
-        self._edges = []
-        if f is None:
-            return
-        for e in range(graph.n_edges):
-            factor = 1.0 if weights is None else float(weights.edge_factor[e])
-            if factor == 0.0:
-                continue
-            xq, wq, _, pair = _edge_quadrature(dofmap, e)
-            self._edges.append((e, factor, xq, wq, pair))
-        if isinstance(f, SeparableSource):
-            self._time_fns = [time for _, time in f.terms]
-            self._term_vectors = [
-                self._integrate(lambda e, x, space=space: space(e, x))
-                for space, _ in f.terms
-            ]
-        else:
-            self._f = f
+        self._elements = elements
+        self._source = data.source
+        self._time_fns = data.time_fns
+        self._edges, self._ids, self._factor = elements.active(weights)
+        # every left-node term, then every right-node term: one fixed summation order per dof
+        self._dofs = elements.pair[self._ids].T.ravel()
+        self._term_vectors = [self._sum(local[self._ids]) for local in data.term_loads]
 
-    def _integrate(self, fn) -> np.ndarray:
-        out = np.zeros(self.n_dofs)
-        for e, factor, xq, wq, pair in self._edges:
-            fq = np.asarray(fn(e, xq.ravel()), dtype=float).reshape(xq.shape)
-            local = np.einsum("eq,qi->ei", fq * wq, _SHAPE) * factor
-            np.add.at(out, pair[:, 0], local[:, 0])
-            np.add.at(out, pair[:, 1], local[:, 1])
-        if self.restrict is not None:
-            out = out[self.restrict]
-        return out
+    def _sum(self, local: np.ndarray) -> np.ndarray:
+        """Scatter the active elements' (n, 2) local loads, scaled by their edge factors."""
+        scaled = local * self._factor[:, None]
+        out = np.bincount(self._dofs, scaled.T.ravel(), minlength=self.n_dofs)
+        return out if self.restrict is None else out[self.restrict]
 
     def __call__(self, t: float) -> np.ndarray:
-        if self._term_vectors is not None:
-            out = np.zeros_like(self._term_vectors[0])
-            for vec, time in zip(self._term_vectors, self._time_fns):
-                out += float(time(t)) * vec
-            return out
-        if not self._edges:
-            size = self.n_dofs if self.restrict is None else len(self.restrict)
-            return np.zeros(size)
-        return self._integrate(lambda e, x: self._f(e, x, t))
+        if self._source is not None:
+            f = self._source
+            values = self._elements.sample(lambda e, x: f(e, x, t), self._edges)
+            return self._sum(self._elements.loads(values, self._ids))
+        size = self.n_dofs if self.restrict is None else len(self.restrict)
+        out = np.zeros(size)
+        for vec, time in zip(self._term_vectors, self._time_fns):
+            out += float(time(t)) * vec
+        return out
 
 
 def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction | None) -> np.ndarray:
@@ -357,22 +370,29 @@ class ReducedOperators:
 
 
 def reduce_operators(
-    ops: AssembledOperators, free: np.ndarray, constrained: np.ndarray
+    data: ElementData,
+    free: np.ndarray,
+    constrained: np.ndarray,
+    weights: ZetaWeights | None = None,
 ) -> ReducedOperators:
-    """Eliminate the constrained dofs: keep the free rows over the columns [free | constrained]."""
+    """Eliminate the constrained dofs: the free rows over the columns [free | constrained].
+
+    Each operator is one COO->CSR over the elements of the active edges
+    (every edge without weights): M unscaled, K and C + P scaled by their
+    edge's factor.
+    """
     free = np.asarray(free, dtype=int)
     constrained = np.asarray(constrained, dtype=int)
-    columns = np.concatenate([free, constrained])
-
-    def rows(matrix):
-        return matrix.tocsr()[free][:, columns].tocsr()
-
+    elements = data.elements
+    _, ids, factor = elements.active(weights)
+    build = _block_scatter(elements.pair[ids], elements.n_dofs, free, constrained)
+    scale = factor[:, None, None]
     return ReducedOperators(
         free=free,
         constrained=constrained,
-        mass=rows(ops.mass),
-        stiffness=rows(ops.stiffness),
-        lower=rows(ops.convection + ops.reaction),
+        mass=build(elements.mass[ids]),
+        stiffness=build(data.stiffness[ids] * scale),
+        lower=build(data.lower[ids] * scale),
     )
 
 
@@ -395,10 +415,9 @@ class BatchDofs:
 
 
 def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
-    parts = [np.fromiter(sorted(view.vertices), dtype=int)]
-    for e in sorted(view.active_edges):
-        parts.append(dofmap.edge_dofs(e)[1:-1])
-    active = np.unique(np.concatenate(parts))
+    vertices = np.fromiter(view.vertices, dtype=int)
+    interior = dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int)).ravel()
+    active = np.unique(np.concatenate([vertices, interior]))
     interface = np.fromiter(sorted(view.interface), dtype=int)
     exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
     constrained = np.concatenate([interface, exterior]).astype(int)

@@ -30,6 +30,7 @@ from .engine import (  # run_full is unused here, but perfbench/spans.py patches
     InvalidSpec,
     RbmConfig,
     RbmRuntime,
+    check_time_length,
     run_full,  # noqa: F401
     run_rbm,
 )
@@ -89,7 +90,10 @@ class ExperimentSpec:
             raise InvalidSpec(f"master seed must lie in [0, 2**{MASTER_SEED_BITS}), got {self.seed}")
         if self.snapshot_stride < 1:
             raise InvalidSpec(f"snapshot stride must be at least 1, got {self.snapshot_stride}")
+        check_time_length("dt", self.dt)
+        check_time_length("t_final", self.t_final)
         for h in self.h_list:
+            check_time_length("window length h", h)
             ratio = h / self.dt
             if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
                 raise InvalidSpec(f"h={h} is not a positive integer multiple of dt={self.dt}")

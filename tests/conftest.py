@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import graphrbm as g
 
@@ -43,3 +44,101 @@ def single_batch(partition):
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(key=20240809))
+
+
+def constant_coefficients(a: float = 1.0, b: float = 0.0, p: float = 0.0) -> g.CoefficientSet:
+    return g.CoefficientSet(
+        a=lambda e, x: np.full_like(np.asarray(x, dtype=float), a),
+        b=lambda e, x: np.full_like(np.asarray(x, dtype=float), b),
+        p=lambda e, x: np.full_like(np.asarray(x, dtype=float), p),
+    )
+
+
+# -- the per-edge assembly graphrbm used before element data were cached ------
+#
+# Kept as an oracle for the element-data path: every call integrates the
+# edges again, one edge at a time, and skips the edges of factor 0.
+
+GAUSS3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
+GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
+_TAU = 0.5 * (1.0 + GAUSS3_NODES)
+_SHAPE = np.stack([1.0 - _TAU, _TAU], axis=1)
+
+
+def _edge_quadrature(dofmap, e):
+    mesh = dofmap.mesh
+    dx = mesh.spacing(dofmap.graph, e)
+    n_el = mesh.nodes_per_edge + 1
+    xq = dx * np.arange(n_el)[:, None] + dx * _TAU[None, :]
+    wq = GAUSS3_WEIGHTS * (dx / 2.0)
+    edofs = dofmap.edge_dofs(e)
+    return xq, wq, dx, np.stack([edofs[:-1], edofs[1:]], axis=1)
+
+
+def reference_assemble(graph, mesh, dofmap, coeffs, factor=None):
+    """Full-numbering (mass, stiffness, convection, reaction) from the per-edge loop.
+
+    ``factor`` scales each edge's contribution (None: every edge at 1).
+    """
+    rows, cols = [], []
+    data = ([], [], [], [])
+    for e in range(graph.n_edges):
+        scale = 1.0 if factor is None else float(factor[e])
+        if scale == 0.0:
+            continue
+        xq, wq, dx, pair = _edge_quadrature(dofmap, e)
+        flat = xq.ravel()
+        aq = np.asarray(coeffs.a(e, flat), dtype=float).reshape(xq.shape)
+        bq = np.asarray(coeffs.b(e, flat), dtype=float).reshape(xq.shape)
+        pq = np.asarray(coeffs.p(e, flat), dtype=float).reshape(xq.shape)
+        grad = np.array([-1.0, 1.0]) / dx
+        blocks = (
+            np.broadcast_to(np.einsum("q,qi,qj->ij", wq, _SHAPE, _SHAPE), (len(pair), 2, 2)),
+            (aq * wq).sum(axis=1)[:, None, None] * np.outer(grad, grad),
+            np.einsum("eq,qi,j->eij", bq * wq, _SHAPE, grad),
+            np.einsum("eq,qi,qj->eij", pq * wq, _SHAPE, _SHAPE),
+        )
+        shape = (len(pair), 2, 2)
+        rows.append(np.broadcast_to(pair[:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(pair[:, None, :], shape).ravel())
+        for chunks, block in zip(data, blocks):
+            chunks.append((scale * block).ravel())
+    shape = (dofmap.n_dofs, dofmap.n_dofs)
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    return tuple(
+        sp.coo_matrix((np.concatenate(chunks), (r, c)), shape=shape).tocsr() for chunks in data
+    )
+
+
+def reference_load(graph, mesh, dofmap, f, t, factor=None):
+    """The full-numbering load vector of ``f(e, x, t)``, integrated edge by edge."""
+    out = np.zeros(dofmap.n_dofs)
+    for e in range(graph.n_edges):
+        scale = 1.0 if factor is None else float(factor[e])
+        if scale == 0.0:
+            continue
+        xq, wq, _, pair = _edge_quadrature(dofmap, e)
+        fq = np.asarray(f(e, xq.ravel(), t), dtype=float).reshape(xq.shape)
+        local = np.einsum("eq,qi->ei", fq * wq, _SHAPE) * scale
+        np.add.at(out, pair[:, 0], local[:, 0])
+        np.add.at(out, pair[:, 1], local[:, 1])
+    return out
+
+
+def reference_batch_system(graph, partition, family, mesh, dofmap, coeffs, j, free, constrained):
+    """Batch j's reduced (mass, stiffness, lower) as 1/pi-scaled sums of per-part assemblies."""
+    parts = sorted(family.batches[j])
+    per_part = []
+    for i in parts:
+        indicator = np.zeros(graph.n_edges)
+        indicator[list(partition.parts[i])] = 1.0
+        per_part.append(reference_assemble(graph, mesh, dofmap, coeffs, indicator))
+    scale = [1.0 / family.normalizers[i] for i in parts]
+    mass = sum(ops[0] for ops in per_part).tocsr()
+    stiffness = sum(s * ops[1] for s, ops in zip(scale, per_part)).tocsr()
+    convection = sum(s * ops[2] for s, ops in zip(scale, per_part)).tocsr()
+    reaction = sum(s * ops[3] for s, ops in zip(scale, per_part)).tocsr()
+    columns = np.concatenate([free, constrained])
+    return tuple(
+        m.tocsr()[free][:, columns].tocsr() for m in (mass, stiffness, convection + reaction)
+    )

@@ -170,3 +170,25 @@ def test_seed_out_of_range_is_config_error(tmp_path, capsys, command, seed):
     if command == "study":
         argv += ["--out", str(tmp_path / "study.csv")]
     _assert_config_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("solve", "--dt", "0"),
+        ("rbm", "--dt", "0"),
+        ("study", "--dt", "0"),
+        ("solve", "--dt", "nan"),
+        ("rbm", "--h", "nan"),
+        ("study", "--t-final", "nan"),
+        ("solve", "--t-final", "-0.2"),
+        ("rbm", "--h", "inf"),
+        ("study", "--h", "0"),
+    ],
+)
+def test_time_length_not_positive_finite_is_config_error(tmp_path, capsys, command, flag, value):
+    argv = [*BAD_RUNS[command], flag, value]
+    if command == "study":
+        argv += ["--out", str(tmp_path / "study.csv")]
+    _assert_config_error(argv, capsys)
+    assert not (tmp_path / "study.csv").exists()

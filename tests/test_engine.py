@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import constant_coefficients
 
 import graphrbm as g
 from graphrbm import fem
@@ -85,7 +88,7 @@ def test_exterior_boundary_values_exact(demo, partition, option2, problem, coars
 
 
 def test_zero_data_zero_trajectory(demo, partition, option2, coarse_mesh):
-    coeffs = fem.constant_coefficients(a=1.0, p=0.5)
+    coeffs = constant_coefficients(a=1.0, p=0.5)
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=4)
     traj = g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config)
     assert np.all(traj.states == 0.0)
@@ -101,7 +104,7 @@ def test_parabolic_decay(demo, coarse_mesh, rng):
         interior = np.interp(x, np.linspace(0, 1, 5), values[5 * e : 5 * e + 5])
         return interior * x * (1.0 - x)  # vanish at the vertices
 
-    coeffs = fem.constant_coefficients(a=1.0)
+    coeffs = constant_coefficients(a=1.0)
     coeffs.y0 = y0
     traj = g.run_full(demo, coarse_mesh, coeffs, g.IMPLICIT_EULER, dt=0.01, t_final=0.3)
     mass = fem.mass_matrix(demo, coarse_mesh, traj.dofmap)
@@ -260,3 +263,50 @@ def test_stats_track_active_sizes(demo, partition, option2, problem, coarse_mesh
     assert traj.stats["max_factor_nnz"] > 0
     seen = set(int(j) for j in traj.schedule.omegas)
     assert traj.stats["n_factorizations"] == len(seen)
+
+
+def test_single_batch_equals_full_with_callable_source(demo, partition, single_batch, problem, solution, coarse_mesh):
+    # a source that is not a SeparableSource is integrated once per step
+    coeffs = dataclasses.replace(problem, f=lambda e, x, t: solution.w(e, x) * (1.0 + np.cos(3.0 * t)))
+    full = g.run_full(demo, coarse_mesh, coeffs, g.CRANK_NICOLSON, dt=0.01, t_final=0.2)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.CRANK_NICOLSON, seed=4)
+    rbm = g.run_rbm(demo, partition, single_batch, coarse_mesh, coeffs, config)
+    for k, t in enumerate(rbm.times):
+        assert np.abs(rbm.states[k] - full.state_at(t)).max() <= 1e-12
+
+
+def test_runtime_computes_convection_sums_once(demo, partition, option2, problem, coarse_mesh, monkeypatch):
+    calls = []
+    original = fem.convection_vertex_sums
+
+    def counted(graph, b):
+        calls.append(graph)
+        return original(graph, b)
+
+    monkeypatch.setattr(fem, "convection_vertex_sums", counted)
+    coeffs = dataclasses.replace(problem, b=lambda e, x: np.full_like(np.asarray(x, dtype=float), 0.3))
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, coeffs)
+    assert len(calls) == 1
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.04, scheme=g.IMPLICIT_EULER, seed=3)
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning, match="nonzero vertex sums"):
+            g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config, runtime=runtime)
+    assert len(calls) == 1
+    # without a runtime, and in run_full, each run computes them itself
+    with pytest.warns(RuntimeWarning, match="nonzero vertex sums"):
+        g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config)
+    with pytest.warns(RuntimeWarning, match="nonzero vertex sums"):
+        g.run_full(demo, coarse_mesh, coeffs, g.IMPLICIT_EULER, dt=0.01, t_final=0.04)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("value", [0.0, -0.01, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["dt", "h", "t_final"])
+def test_time_lengths_must_be_positive_and_finite(demo, partition, option2, problem, coarse_mesh, field, value):
+    lengths = {"dt": 0.01, "h": 0.02, "t_final": 0.04, field: value}
+    config = RbmConfig(scheme=g.IMPLICIT_EULER, seed=1, **lengths)
+    with pytest.raises(InvalidSpec, match="positive finite"):
+        g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
+    if field != "h":
+        with pytest.raises(InvalidSpec, match="positive finite"):
+            g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, lengths["dt"], lengths["t_final"])

@@ -1,14 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import constant_coefficients
 
 import graphrbm as g
 from graphrbm import fem
 from graphrbm.decomposition import batch_view
-from graphrbm.fem import (
-    FemError,
-    NonellipticCoefficient,
-    constant_coefficients,
-)
+from graphrbm.engine import RbmRuntime
+from graphrbm.fem import FemError, NonellipticCoefficient
 from graphrbm.timestep import solve_linear
 
 GAUSS3 = (
@@ -50,9 +50,19 @@ def dense_assembly(graph, mesh, dofmap, a, b, p):
     return M, K, C, P
 
 
-def steady_solve(ops, dm, boundary, load=None):
+def full_operators(data, dm, weights=None):
+    """M, K and C + P on the full dof numbering: every dof free, none constrained."""
+    return fem.reduce_operators(data, np.arange(dm.n_dofs), np.array([], dtype=int), weights)
+
+
+def load_vector(graph, mesh, dm, coeffs, f, t):
+    """The full-numbering load of the source ``f`` at time t."""
+    return fem.LoadEvaluator(fem.assemble(graph, mesh, dm, dataclasses.replace(coeffs, f=f)))(t)
+
+
+def steady_solve(data, dm, boundary, load=None):
     """Solve K_ff u_f = F_f - K_fc g on the reduced stiffness rows; returns the full vector."""
-    reduced = fem.reduce_operators(ops, dm.free_dofs, dm.dirichlet_dofs)
+    reduced = fem.reduce_operators(data, dm.free_dofs, dm.dirichlet_dofs)
     n_free = len(dm.free_dofs)
     rhs = -(reduced.stiffness[:, n_free:] @ boundary)
     if load is not None:
@@ -99,7 +109,7 @@ def test_single_edge_stiffness_hand_values():
     # one unit edge, one interior node: dx = 1/2, element stiffness 2*[[1,-1],[-1,1]]
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
     dm = fem.DofMap(graph, g.Mesh(1), set())
-    ops = fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0))
+    ops = full_operators(fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0)), dm)
     path = dm.edge_dofs(0)  # tail, interior, head
     K = ops.stiffness.toarray()[np.ix_(path, path)]
     assert np.allclose(K, [[2, -2, 0], [-2, 4, -2], [0, -2, 2]], atol=1e-14)
@@ -109,7 +119,7 @@ def test_single_edge_mass_hand_values():
     # element mass dx/6 * [[2,1],[1,2]] with dx = 1/2
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
     dm = fem.DofMap(graph, g.Mesh(1), set())
-    ops = fem.assemble(graph, dm.mesh, dm, constant_coefficients())
+    ops = full_operators(fem.assemble(graph, dm.mesh, dm, constant_coefficients()), dm)
     path = dm.edge_dofs(0)
     M = ops.mass.toarray()[np.ix_(path, path)]
     expected = np.array([[2, 1, 0], [1, 4, 1], [0, 1, 2]]) / 12.0
@@ -119,20 +129,20 @@ def test_single_edge_mass_hand_values():
 def test_assembly_matches_dense_oracle(demo, problem):
     mesh = g.Mesh(10)
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
-    ops = fem.assemble(demo, mesh, dm, problem)
+    ops = full_operators(fem.assemble(demo, mesh, dm, problem), dm)
     Md, Kd, Cd, Pd = dense_assembly(demo, mesh, dm, problem.a, problem.b, problem.p)
-    for sparse_mat, dense_mat in ((ops.mass, Md), (ops.stiffness, Kd), (ops.convection, Cd), (ops.reaction, Pd)):
+    for sparse_mat, dense_mat in ((ops.mass, Md), (ops.stiffness, Kd), (ops.lower, Cd + Pd)):
         scale = np.abs(dense_mat).max()
         assert np.abs(sparse_mat.toarray() - dense_mat).max() <= 1e-12 * scale
     # the mass-only builder gives exactly the entries of the full assembly
     assert np.array_equal(fem.mass_matrix(demo, mesh, dm).toarray(), ops.mass.toarray())
 
 
-def test_load_matches_dense_oracle(demo, solution):
+def test_load_matches_dense_oracle(demo, solution, problem):
     mesh = g.Mesh(7)
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     f = lambda e, x, t: solution.w(e, x) * (1.0 + t)
-    F = fem.LoadEvaluator(demo, mesh, dm, f)(0.3)
+    F = load_vector(demo, mesh, dm, problem, f, 0.3)
     expected = np.zeros(dm.n_dofs)
     for e in range(demo.n_edges):
         dofs = dm.edge_dofs(e)
@@ -163,7 +173,7 @@ def test_mass_spd(demo, rng):
 def test_stiffness_psd_and_kernel(demo, problem, rng):
     mesh = g.Mesh(6)
     dm = fem.DofMap(demo, mesh, set())
-    K = fem.assemble(demo, mesh, dm, problem).stiffness
+    K = full_operators(fem.assemble(demo, mesh, dm, problem), dm).stiffness
     for _ in range(10):
         x = rng.standard_normal(dm.n_dofs)
         assert x @ (K @ x) >= -1e-12
@@ -174,57 +184,64 @@ def test_stiffness_psd_and_kernel(demo, problem, rng):
 def test_weighted_assembly_equals_scaled_parts(demo, partition, option1, problem):
     mesh = g.Mesh(4)
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    data = fem.assemble(demo, mesh, dm, problem)
     j = 4  # three active parts with factors 3, 2, 2
-    weights = g.zeta_weights(partition, option1, j)
-    ops = fem.assemble(demo, mesh, dm, problem, weights=weights)
-    total = None
+    ops = full_operators(data, dm, g.zeta_weights(partition, option1, j))
+    totals = {"mass": 0, "stiffness": 0, "lower": 0}
     for i in sorted(option1.batches[j]):
         indicator = g.ZetaWeights(
             edge_factor=np.isin(np.arange(demo.n_edges), list(partition.parts[i])).astype(float),
         )
-        part = fem.assemble(demo, mesh, dm, problem, weights=indicator)
-        scaled = part.stiffness / option1.normalizers[i]
-        total = scaled if total is None else total + scaled
-    diff = np.abs((ops.stiffness - total).toarray()).max()
-    assert diff <= 1e-13 * np.abs(total.toarray()).max()
+        part = full_operators(data, dm, indicator)
+        totals["mass"] = totals["mass"] + part.mass  # the mass is never scaled
+        for name in ("stiffness", "lower"):
+            totals[name] = totals[name] + getattr(part, name) / option1.normalizers[i]
+    for name, total in totals.items():
+        diff = np.abs((getattr(ops, name) - total).toarray()).max()
+        assert diff <= 1e-13 * np.abs(total.toarray()).max(), name
 
 
 def test_weighted_assembly_inactive_rows_empty(demo, partition, option1, problem):
     mesh = g.Mesh(4)
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     weights = g.zeta_weights(partition, option1, 0)  # only the left star active
-    ops = fem.assemble(demo, mesh, dm, problem, weights=weights)
-    spatial = ops.spatial()
-    for e in range(3, demo.n_edges):
-        for dof in dm.edge_dofs(e)[1:-1]:
-            assert spatial[dof].nnz == 0
+    ops = full_operators(fem.assemble(demo, mesh, dm, problem), dm, weights)
+    for matrix in (ops.mass, ops.stiffness, ops.lower):
+        for e in range(3, demo.n_edges):
+            for dof in dm.edge_dofs(e)[1:-1]:
+                assert matrix[dof].nnz == 0
 
 
 def test_nonelliptic_rejected():
-    graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.DofMap(graph, g.Mesh(4), {0, 1})
+    graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2}, edge_names=["left", "right"])
+    dm = fem.DofMap(graph, g.Mesh(4), {0, 2})
     coeffs = g.CoefficientSet(
-        a=lambda e, x: x - 0.5,  # changes sign on the edge
+        a=lambda e, x: x - 0.5 if e == 1 else np.ones_like(x),  # changes sign on the second edge
         b=lambda e, x: np.zeros_like(x),
         p=lambda e, x: np.zeros_like(x),
     )
-    with pytest.raises(NonellipticCoefficient):
+    with pytest.raises(NonellipticCoefficient, match="on edge right$"):
         fem.assemble(graph, dm.mesh, dm, coeffs)
+    # a runtime integrates every edge when it is built
+    partition = g.SubgraphPartition(graph, [{0}, {1}])
+    family = g.batch_family([{0}, {1}], [0.5, 0.5], 2)
+    with pytest.raises(NonellipticCoefficient, match="on edge right$"):
+        RbmRuntime(graph, partition, family, dm.mesh, coeffs)
 
 
 def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, option1, problem):
     mesh = g.Mesh(5)
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
-    ops = fem.assemble(demo, mesh, dm, problem)
+    data = fem.assemble(demo, mesh, dm, problem)
+    ops = full_operators(data, dm)
     bd = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
     assert np.array_equal(bd.constrained, np.concatenate([bd.interface_dofs, bd.exterior_dofs]))
-    reduced = fem.reduce_operators(ops, bd.free, bd.constrained)
+    reduced = fem.reduce_operators(data, bd.free, bd.constrained)
     columns = np.concatenate([bd.free, bd.constrained])
-    lower = (ops.convection + ops.reaction).toarray()
     for got, full in (
         (reduced.mass, ops.mass.toarray()),
         (reduced.stiffness, ops.stiffness.toarray()),
-        (reduced.lower, lower),
+        (reduced.lower, ops.lower.toarray()),
     ):
         assert np.array_equal(got.toarray(), full[np.ix_(bd.free, columns)])
 
@@ -233,8 +250,8 @@ def test_steady_single_edge_linear_exact():
     # -u'' = 0, u(0)=0, u(1)=1: P1 reproduces the linear solution at the nodes
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
     dm = fem.DofMap(graph, g.Mesh(9), {0, 1})
-    ops = fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0))
-    full = steady_solve(ops, dm, np.array([0.0, 1.0]))
+    data = fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0))
+    full = steady_solve(data, dm, np.array([0.0, 1.0]))
     assert np.abs(full[dm.edge_dofs(0)] - dm.edge_nodes(0)).max() <= 1e-12
 
 
@@ -244,8 +261,8 @@ def test_steady_graph_linear_exact(demo, rng):
 
     def solve(ne):
         dm = fem.DofMap(demo, g.Mesh(ne), demo.boundary_vertices)
-        ops = fem.assemble(demo, dm.mesh, dm, constant_coefficients(a=2.0))
-        return dm, steady_solve(ops, dm, g_values)
+        data = fem.assemble(demo, dm.mesh, dm, constant_coefficients(a=2.0))
+        return dm, steady_solve(data, dm, g_values)
 
     dm, u = solve(20)
     for e in range(demo.n_edges):
@@ -264,13 +281,14 @@ def test_steady_residual_second_order(demo, solution):
     for ne in meshes:
         mesh = g.Mesh(ne)
         dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
-        ops = fem.assemble(demo, mesh, dm, g.derive_data(solution))
+        coeffs = g.derive_data(solution)
+        ops = full_operators(fem.assemble(demo, mesh, dm, coeffs), dm)
         w_interp = fem.interpolate(demo, mesh, dm, solution.w)
         rhs = lambda e, x, t: -(
             solution.a_dx(e, x) * solution.w_dx(e, x)
             + solution.a(e, x) * solution.w_dxx(e, x)
         )
-        load = fem.LoadEvaluator(demo, mesh, dm, rhs)(0.0)
+        load = load_vector(demo, mesh, dm, coeffs, rhs, 0.0)
         res = ops.stiffness @ w_interp - load
         residuals.append(np.abs(res[dm.free_dofs]).max())
     slope, _ = g.fit_slope([1.0 / (ne + 1) for ne in meshes], residuals)
@@ -284,14 +302,15 @@ def test_kirchhoff_flux_imbalance_first_order(demo, solution):
     for ne in meshes:
         mesh = g.Mesh(ne)
         dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
-        ops = fem.assemble(demo, mesh, dm, g.derive_data(solution))
+        coeffs = g.derive_data(solution)
+        data = fem.assemble(demo, mesh, dm, coeffs)
         rhs = lambda e, x, t: -(
             solution.a_dx(e, x) * solution.w_dx(e, x)
             + solution.a(e, x) * solution.w_dxx(e, x)
         )
-        load = fem.LoadEvaluator(demo, mesh, dm, rhs)(0.0)
+        load = load_vector(demo, mesh, dm, coeffs, rhs, 0.0)
         boundary = solution.vertex_values()[dm.dirichlet_dofs]
-        u = steady_solve(ops, dm, boundary, load)
+        u = steady_solve(data, dm, boundary, load)
         worst.append(
             max(
                 abs(fem.kirchhoff_flux_imbalance(demo, mesh, dm, solution.a, u, v))

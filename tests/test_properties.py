@@ -5,14 +5,18 @@ of its edges and, for the multi-batch property, a random batch family.
 Meshes and horizons are coarse so the whole module runs in seconds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import reference_batch_system, reference_load
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import graphrbm as g
+from graphrbm import fem
 from graphrbm.decomposition import batch_view
-from graphrbm.engine import RbmConfig
+from graphrbm.engine import RbmConfig, RbmRuntime
 
 ALL_SCHEMES = (g.IMPLICIT_EULER, g.CRANK_NICOLSON, g.theta_method(0.75), g.SEMI_IMPLICIT)
 PROPERTY_SETTINGS = settings(
@@ -125,3 +129,51 @@ def test_windows_freeze_inactive_and_interface_dofs(data):
             boundary = coeffs.g(traj.times[k + 1])
             for v in view.exterior_boundary:
                 assert after[v] == boundary[v], (scheme.label, k, v)
+
+
+def sparsity(matrix):
+    """The stored positions of a matrix, row by row in column order."""
+    canonical = matrix.tocsr(copy=True)
+    canonical.sum_duplicates()
+    canonical.sort_indices()
+    return canonical.indptr.tolist(), canonical.indices.tolist()
+
+
+def assert_close(got, expected, what):
+    scale = np.abs(expected).max()
+    assert np.abs(got - expected).max() <= 1e-13 * scale, what
+
+
+@pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_batch_systems_equal_scaled_part_sums(data):
+    """Every batch system against the per-edge assembly of its parts, scaled by 1/pi."""
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    coeffs = problem_data(graph)
+    runtime = RbmRuntime(graph, partition, family, MESH, coeffs)
+    dofmap = runtime.dofmap
+    # the same source, hidden behind a plain callable: integrated per call
+    unseparated = fem.assemble(
+        graph, MESH, dofmap, dataclasses.replace(coeffs, f=lambda e, x, t: coeffs.f(e, x, t))
+    )
+    for j in range(family.n_batches):
+        system = runtime.system(j)
+        constrained = np.concatenate([system.interface_dofs, system.exterior_dofs])
+        expected = reference_batch_system(
+            graph, partition, family, MESH, dofmap, coeffs, j, system.free, constrained
+        )
+        for name, want in zip(("mass", "stiffness", "lower"), expected):
+            got = getattr(system, name)
+            assert got.shape == want.shape, (j, name)
+            # the factor nnz, and so the memory proxy, follows the pattern
+            assert sparsity(got) == sparsity(want), (j, name)
+            assert_close(got.toarray(), want.toarray(), (j, name))
+        weights = g.zeta_weights(partition, family, j)
+        unseparated_load = fem.LoadEvaluator(unseparated, weights, restrict=system.free)
+        for t in (0.0, 0.37):
+            want = reference_load(graph, MESH, dofmap, coeffs.f, t, weights.edge_factor)
+            assert_close(system.load(t), want[system.free], (j, t))
+            assert_close(unseparated_load(t), want[system.free], (j, t, "callable"))
