@@ -53,7 +53,6 @@ from .manufactured import (
     build_solution,
     demo_solution,
     derive_data,
-    l2_error,
     lambda_profile,
     manufactured_problem,
     solve_lower_coefficients,

@@ -6,8 +6,11 @@ state on inactive edges is frozen at its window-start values, the
 rescaled operators on the active subgraph advance over the window with
 interface vertices held at their frozen values and exterior boundary
 vertices following the Dirichlet data, and the pieces glue through the
-shared vertex dofs.  The deterministic baseline is the same inner
-stepper applied to the full graph for all of [0, T].
+shared vertex dofs.  The deterministic baseline ``run_full`` is the
+one-part, one-batch run: one part holds every edge and one batch holds
+that part, so pi = 1, nothing is rescaled, no vertex is frozen, and one
+window covers all of [0, T].  Both entry points share one runtime type
+and one loop.
 
 Each edge is integrated once per runtime (``fem.assemble``), and every
 batch's operators and load are scaled sums of those element data: the
@@ -41,6 +44,7 @@ from . import fem
 from .decomposition import (
     BatchFamily,
     SubgraphPartition,
+    batch_family,
     batch_view,
     check_assumption_A1,
     zeta_weights,
@@ -71,15 +75,15 @@ class EngineError(SolverError):
     pass
 
 
-class ScheduleMismatch(EngineError):
+class InvalidSpec(EngineError):
+    pass
+
+
+class ScheduleMismatch(InvalidSpec):
     pass
 
 
 class GridMismatch(EngineError):
-    pass
-
-
-class InvalidSpec(EngineError):
     pass
 
 
@@ -157,15 +161,11 @@ class RbmTrajectory:
         return int(hits[0])
 
 
-def check_time_length(name: str, value: float) -> None:
-    """Reject a time length (dt, h, t_final) that is not a positive finite number."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise InvalidSpec(f"{name} must be a positive finite number, got {value}")
-
-
 def _count_steps(total: float, step: float, total_name: str, step_name: str) -> int:
-    check_time_length(total_name, total)
-    check_time_length(step_name, step)
+    """How many steps of length ``step`` make ``total``; both must be positive finite numbers."""
+    for name, value in ((total_name, total), (step_name, step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidSpec(f"{name} must be a positive finite number, got {value}")
     n = round(total / step)
     if n < 1 or abs(n * step - total) > TIME_MATCH_TOL * max(1.0, abs(total)):
         raise ScheduleMismatch(f"{total_name}: {total} is not a positive integer multiple of {step}")
@@ -183,13 +183,12 @@ class _ActiveSystem:
     stored state.
     """
 
-    def __init__(self, reduced, load, key, n_active, interface_dofs, exterior_dofs):
+    def __init__(self, reduced, load, n_active, interface_dofs, exterior_dofs):
         self.free = reduced.free
         self.mass = reduced.mass
         self.stiffness = reduced.stiffness
         self.lower = reduced.lower
         self.load = load
-        self.key = key
         self.n_active = int(n_active)
         self.interface_dofs = np.asarray(interface_dofs, dtype=int)
         self.exterior_dofs = np.asarray(exterior_dofs, dtype=int)
@@ -201,43 +200,6 @@ class _ActiveSystem:
         return lhs[:, :n_free], lhs[:, n_free:], rhs
 
 
-def _advance(system, scheme, u, start_step, n_steps, dt, g_ext, workspace, record=None):
-    """Advance n_steps on the active subgraph in place; returns the factor nnz.
-
-    ``g_ext(t)`` supplies the exterior boundary values; the interface
-    values are frozen at what ``u`` holds on entry.  Only the free and
-    exterior dofs of the system are ever written, which freezes everything
-    outside the active subgraph exactly.
-    """
-    key = (system.key, scheme.label, dt)
-    lhs_ff, lhs_fc, rhs = workspace.matrices(key, lambda: system.step_matrices(scheme, dt))
-    lu = workspace.factorization(key, lambda: lhs_ff)
-    theta = scheme.theta_value
-    n_free = len(system.free)
-    n_fixed = n_free + len(system.interface_dofs)
-    t0 = start_step * dt
-    x = np.concatenate([u[system.free], u[system.interface_dofs], g_ext(t0)])  # [u_f | c]
-    f_prev = system.load(t0) if theta != 1.0 else None
-    for i in range(n_steps):
-        t1 = (start_step + i + 1) * dt
-        b = rhs @ x
-        x[n_fixed:] = g_ext(t1)
-        b -= lhs_fc @ x[n_free:]
-        f_next = system.load(t1)
-        if f_prev is None:
-            b += dt * f_next
-        else:
-            b += dt * (theta * f_next + (1.0 - theta) * f_prev)
-            f_prev = f_next
-        x[:n_free] = lu.solve(b)
-        if record is not None or i == n_steps - 1:
-            u[system.free] = x[:n_free]
-            u[system.exterior_dofs] = x[n_fixed:]
-            if record is not None:
-                record(start_step + i + 1)
-    return factor_nnz(lu)
-
-
 def _boundary_values(coeffs: CoefficientSet, n_vertices: int):
     if coeffs.g is None:
         zeros = np.zeros(n_vertices)
@@ -245,91 +207,16 @@ def _boundary_values(coeffs: CoefficientSet, n_vertices: int):
     return coeffs.g
 
 
-def _warn_on_convection_sums(sums: np.ndarray) -> None:
-    worst = float(np.abs(sums).max(initial=0.0))
-    if worst > CONVECTION_SUM_TOL:
-        warnings.warn(
-            f"convection coefficient has nonzero vertex sums (max {worst:.2e}); "
-            "energy estimates for the continuous problem do not apply",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def _initial_state(graph, mesh, dofmap, coeffs, g_of_t) -> np.ndarray:
-    u = fem.interpolate(graph, mesh, dofmap, coeffs.y0)
-    u[dofmap.dirichlet_dofs] = g_of_t(0.0)[dofmap.dirichlet_dofs]
-    return u
-
-
-def run_full(
-    graph: MetricGraph,
-    mesh: Mesh,
-    coeffs: CoefficientSet,
-    scheme: SchemeKind,
-    dt: float,
-    t_final: float,
-    snapshot_stride: int = 1,
-) -> RbmTrajectory:
-    """Deterministic solve on the whole graph; boundary vertices are Dirichlet."""
-    n_steps = _count_steps(t_final, dt, "t_final", "dt")
-    _check_snapshot_stride(snapshot_stride)
-    _warn_on_convection_sums(fem.convection_vertex_sums(graph, coeffs.b))
-    dofmap = DofMap(graph, mesh, graph.boundary_vertices)
-    elements = fem.assemble(graph, mesh, dofmap, coeffs)
-    reduced = reduce_operators(elements, dofmap.free_dofs, dofmap.dirichlet_dofs)
-    load = LoadEvaluator(elements, restrict=dofmap.free_dofs)
-    system = _ActiveSystem(
-        reduced,
-        load,
-        key="full",
-        n_active=dofmap.n_dofs,
-        interface_dofs=np.array([], dtype=int),
-        exterior_dofs=dofmap.dirichlet_dofs,
-    )
-    g_of_t = _boundary_values(coeffs, graph.n_vertices)
-    exterior_ids = system.exterior_dofs
-
-    def g_ext(t: float) -> np.ndarray:
-        return g_of_t(t)[exterior_ids]
-
-    u = _initial_state(graph, mesh, dofmap, coeffs, g_of_t)
-    times = [0.0]
-    states = [u.copy()]
-
-    def record(step_index: int) -> None:
-        if step_index % snapshot_stride == 0 or step_index == n_steps:
-            times.append(step_index * dt)
-            states.append(u.copy())
-
-    workspace = StepWorkspace()
-    nnz = _advance(system, scheme, u, 0, n_steps, dt, g_ext, workspace, record=record)
-    stats = {
-        "n_dofs": dofmap.n_dofs,
-        "max_active_dofs": dofmap.n_dofs,
-        "max_factor_nnz": nnz,
-        "n_factorizations": len(workspace),
-    }
-    config = {
-        "kind": "full",
-        "scheme": scheme.label,
-        "dt": dt,
-        "t_final": t_final,
-        "nodes_per_edge": mesh.nodes_per_edge,
-        "snapshot_stride": snapshot_stride,
-    }
-    return RbmTrajectory(graph, mesh, dofmap, times, states, None, config, stats)
-
-
 class RbmRuntime:
-    """Shared immutable machinery for repeated randomized runs.
+    """Shared immutable machinery for repeated runs of one problem.
 
     Holds the dof map, the element data of every edge (integrated once,
     in ``__init__``), the convection vertex sums, the per-batch reduced
     systems and the factorization cache.  All of it depends only on
     (graph, partition, family, mesh, coeffs), so independent realizations
     and different window lengths can share one runtime; reuse changes
-    nothing but the setup cost.
+    nothing but the setup cost.  ``run_full`` builds one over the
+    one-part partition and its one-batch family.
     """
 
     def __init__(
@@ -352,7 +239,6 @@ class RbmRuntime:
         self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, _ActiveSystem] = {}
-        self._g_ext: dict[int, object] = {}
 
     def system(self, j: int) -> _ActiveSystem:
         system = self._systems.get(j)
@@ -365,7 +251,6 @@ class RbmRuntime:
             system = _ActiveSystem(
                 reduced,
                 load,
-                key=("batch", j),
                 n_active=len(bdofs.active),
                 interface_dofs=bdofs.interface_dofs,
                 exterior_dofs=bdofs.exterior_dofs,
@@ -373,14 +258,126 @@ class RbmRuntime:
             self._systems[j] = system
         return system
 
-    def exterior_values(self, j: int):
-        g_ext = self._g_ext.get(j)
-        if g_ext is None:
-            ids = self.system(j).exterior_dofs
-            boundary = self.boundary_of_t
-            g_ext = lambda t: boundary(t)[ids]
-            self._g_ext[j] = g_ext
-        return g_ext
+
+def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots):
+    """Advance u in place from global step ``first`` to ``last`` on batch j's active subgraph.
+
+    The interface values are frozen at what ``u`` holds on entry and the
+    exterior ones follow the Dirichlet data.  Only the free and exterior
+    dofs of the system are ever written, which freezes everything outside
+    the active subgraph exactly.  After each step s with ``s % every == 0``
+    the pair (s dt, copy of u) joins ``snapshots``; u itself is written
+    only then and after step ``last``.  Returns the system's active dof
+    count and factor nnz.
+    """
+    system = runtime.system(j)
+    key = (j, scheme.label, dt)
+    workspace = runtime.workspace
+    lhs_ff, lhs_fc, rhs = workspace.matrices(key, lambda: system.step_matrices(scheme, dt))
+    lu = workspace.factorization(key, lambda: lhs_ff)
+    boundary = runtime.boundary_of_t
+    exterior = system.exterior_dofs
+    theta = scheme.theta_value
+    n_free = len(system.free)
+    n_fixed = n_free + len(system.interface_dofs)
+    t0 = first * dt
+    x = np.concatenate([u[system.free], u[system.interface_dofs], boundary(t0)[exterior]])  # [u_f | c]
+    f_prev = system.load(t0) if theta != 1.0 else None
+    for s in range(first + 1, last + 1):
+        t1 = s * dt
+        b = rhs @ x
+        x[n_fixed:] = boundary(t1)[exterior]
+        b -= lhs_fc @ x[n_free:]
+        f_next = system.load(t1)
+        if f_prev is None:
+            b += dt * f_next
+        else:
+            b += dt * (theta * f_next + (1.0 - theta) * f_prev)
+            f_prev = f_next
+        x[:n_free] = lu.solve(b)
+        snapshot = s % every == 0
+        if snapshot or s == last:
+            u[system.free] = x[:n_free]
+            u[exterior] = x[n_fixed:]
+            if snapshot:
+                snapshots.append((t1, u.copy()))
+    return system.n_active, factor_nnz(lu)
+
+
+def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTrajectory:
+    """Run window k on batch ``omegas[k]`` for n_sub steps from the initial state.
+
+    Stores the state after global step s when ``s % every == 0`` or s is
+    the last step.
+    """
+    graph = runtime.graph
+    worst = float(np.abs(runtime.convection_sums).max(initial=0.0))
+    if worst > CONVECTION_SUM_TOL:
+        warnings.warn(
+            f"convection coefficient has nonzero vertex sums (max {worst:.2e}); "
+            "energy estimates for the continuous problem do not apply",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if not runtime.a1_report.holds:
+        names = [graph.vertex_name(v) for v in runtime.a1_report.violations]
+        warnings.warn(
+            f"batch family leaves interior vertices uncovered: {names}; "
+            "the randomized dynamics are inconsistent at those vertices",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    dofmap = runtime.dofmap
+    u = fem.interpolate(graph, runtime.mesh, dofmap, runtime.coeffs.y0)
+    u[dofmap.dirichlet_dofs] = runtime.boundary_of_t(0.0)[dofmap.dirichlet_dofs]
+    snapshots = [(0.0, u.copy())]
+    max_active = max_nnz = 0
+    for k, j in enumerate(omegas):
+        first, last = k * n_sub, (k + 1) * n_sub
+        n_active, nnz = _advance(runtime, int(j), scheme, dt, u, first, last, every, snapshots)
+        max_active = max(max_active, n_active)
+        max_nnz = max(max_nnz, nnz)
+    n_steps = len(omegas) * n_sub
+    if n_steps % every:
+        snapshots.append((n_steps * dt, u.copy()))
+    times, states = zip(*snapshots)
+    stats = {
+        "n_dofs": dofmap.n_dofs,
+        "max_active_dofs": max_active,
+        "max_factor_nnz": max_nnz,
+        "n_factorizations": len(runtime.workspace),
+    }
+    return RbmTrajectory(graph, runtime.mesh, dofmap, times, states, schedule, config, stats)
+
+
+def run_full(
+    graph: MetricGraph,
+    mesh: Mesh,
+    coeffs: CoefficientSet,
+    scheme: SchemeKind,
+    dt: float,
+    t_final: float,
+    snapshot_stride: int = 1,
+) -> RbmTrajectory:
+    """Deterministic solve on the whole graph; boundary vertices are Dirichlet.
+
+    This is the randomized run of the one-part partition and its one-batch
+    family over one window of all the steps: pi = 1, so nothing is
+    rescaled, and no vertex is frozen.
+    """
+    n_steps = _count_steps(t_final, dt, "t_final", "dt")
+    _check_snapshot_stride(snapshot_stride)
+    whole = SubgraphPartition(graph, [range(graph.n_edges)])
+    runtime = RbmRuntime(graph, whole, batch_family([{0}], [1.0], 1), mesh, coeffs)
+    config = {
+        "kind": "full",
+        "scheme": scheme.label,
+        "dt": dt,
+        "t_final": t_final,
+        "nodes_per_edge": mesh.nodes_per_edge,
+        "snapshot_stride": snapshot_stride,
+    }
+    return _solve(runtime, [0], n_steps, scheme, dt, snapshot_stride, None, config)
 
 
 def run_rbm(
@@ -403,15 +400,6 @@ def run_rbm(
     n_windows = _count_steps(config.t_final, config.h, "t_final", "window length h")
     if runtime is None:
         runtime = RbmRuntime(graph, partition, family, mesh, coeffs)
-    _warn_on_convection_sums(runtime.convection_sums)
-    if not runtime.a1_report.holds:
-        names = [graph.vertex_name(v) for v in runtime.a1_report.violations]
-        warnings.warn(
-            f"batch family leaves interior vertices uncovered: {names}; "
-            "the randomized dynamics are inconsistent at those vertices",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     if schedule is None:
         schedule = sample_schedule(n_windows, family.probs, config.seed)
     if schedule.n_windows != n_windows:
@@ -420,34 +408,6 @@ def run_rbm(
         )
     if np.any(schedule.omegas < 0) or np.any(schedule.omegas >= family.n_batches):
         raise ScheduleMismatch("schedule contains batch indices out of range")
-
-    dofmap = runtime.dofmap
-    g_of_t = runtime.boundary_of_t
-    u = _initial_state(graph, mesh, dofmap, coeffs, g_of_t)
-    times = [0.0]
-    states = [u.copy()]
-    workspace = runtime.workspace
-    max_active = 0
-    max_nnz = 0
-    stride = config.snapshot_stride
-
-    for k in range(n_windows):
-        j = int(schedule.omegas[k])
-        system = runtime.system(j)
-        g_ext = runtime.exterior_values(j)
-        nnz = _advance(system, config.scheme, u, k * n_sub, n_sub, config.dt, g_ext, workspace)
-        max_active = max(max_active, system.n_active)
-        max_nnz = max(max_nnz, nnz)
-        if (k + 1) % stride == 0 or k == n_windows - 1:
-            times.append((k + 1) * n_sub * config.dt)
-            states.append(u.copy())
-
-    stats = {
-        "n_dofs": dofmap.n_dofs,
-        "max_active_dofs": max_active,
-        "max_factor_nnz": max_nnz,
-        "n_factorizations": len(workspace),
-    }
     run_config = {
         "kind": "rbm",
         "scheme": config.scheme.label,
@@ -456,9 +416,12 @@ def run_rbm(
         "t_final": config.t_final,
         "seed": config.seed,
         "nodes_per_edge": mesh.nodes_per_edge,
-        "snapshot_stride": stride,
+        "snapshot_stride": config.snapshot_stride,
     }
-    return RbmTrajectory(graph, mesh, dofmap, times, states, schedule, run_config, stats)
+    every = config.snapshot_stride * n_sub
+    return _solve(
+        runtime, schedule.omegas, n_sub, config.scheme, config.dt, every, schedule, run_config
+    )
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,14 @@ ones.  Dirichlet data is handled by algebraic elimination: constrained
 rows are removed and constrained columns move behind the free ones, where
 a solver multiplies them by the prescribed values.
 
-Each edge is integrated once per runtime or full solve: its one
-``assemble`` call evaluates the coefficients and every separable source
-term once per edge and keeps, per mesh element, the 2x2 blocks of M, K and
-C + P and the local load of each term.  The operators and loads of the
-whole graph or of one batch are then scaled sums of these element data
-over the active edges: one COO->CSR per operator and one bincount per load
-term, with every edge factor 1 for the whole graph and 1/pi of the owning
-part for a batch.  The mass is never scaled.
+Each edge is integrated once per runtime: its one ``assemble`` call
+evaluates the coefficients and every separable source term once per edge
+and keeps, per mesh element, the 2x2 blocks of M, K and C + P and the
+local load of each term.  The operators and loads of one batch are then
+scaled sums of these element data over its active edges: one COO->CSR per
+operator and one bincount per load term, each edge counting with 1/pi of
+its owning part.  The mass is never scaled.  The whole graph is the batch
+of the one-part, one-batch family, whose factors are all 1.
 """
 
 from __future__ import annotations
@@ -179,17 +179,10 @@ class Elements:
         self.wq = np.repeat((self.dx / 2.0)[:, None] * GAUSS3_WEIGHTS, self.per_edge, axis=0)
         self.mass = (self.wq @ _SHAPE_SHAPE).reshape(-1, 2, 2)
 
-    def active(self, weights: ZetaWeights | None):
-        """The active edges, their element ids and each element's edge factor.
-
-        Without weights every edge is active with factor 1.
-        """
-        if weights is None:
-            edges = np.arange(self.n_edges)
-            factor = np.ones(self.n_edges)
-        else:
-            edges = weights.active_edges
-            factor = weights.edge_factor[edges]
+    def active(self, weights: ZetaWeights):
+        """The active edges, their element ids and each element's edge factor."""
+        edges = weights.active_edges
+        factor = weights.edge_factor[edges]
         ids = (edges[:, None] * self.per_edge + np.arange(self.per_edge)).ravel()
         return edges, ids, np.repeat(factor, self.per_edge)
 
@@ -299,15 +292,14 @@ class LoadEvaluator:
     A SeparableSource's term vectors are built once, one bincount of the
     cached element loads per term, and each call combines them with the
     time factors; any other source is integrated per call on the cached
-    Gauss points of the active edges, again with one bincount.  Without
-    weights every edge counts with factor 1.  ``restrict`` narrows the
-    returned vector to the given dof ids.
+    Gauss points of the active edges, again with one bincount.
+    ``restrict`` narrows the returned vector to the given dof ids.
     """
 
     def __init__(
         self,
         data: ElementData,
-        weights: ZetaWeights | None = None,
+        weights: ZetaWeights,
         restrict: np.ndarray | None = None,
     ):
         elements = data.elements
@@ -373,13 +365,12 @@ def reduce_operators(
     data: ElementData,
     free: np.ndarray,
     constrained: np.ndarray,
-    weights: ZetaWeights | None = None,
+    weights: ZetaWeights,
 ) -> ReducedOperators:
     """Eliminate the constrained dofs: the free rows over the columns [free | constrained].
 
-    Each operator is one COO->CSR over the elements of the active edges
-    (every edge without weights): M unscaled, K and C + P scaled by their
-    edge's factor.
+    Each operator is one COO->CSR over the elements of the active edges:
+    M unscaled, K and C + P scaled by their edge's factor.
     """
     free = np.asarray(free, dtype=int)
     constrained = np.asarray(constrained, dtype=int)

@@ -30,7 +30,8 @@ from .engine import (  # run_full is unused here, but perfbench/spans.py patches
     InvalidSpec,
     RbmConfig,
     RbmRuntime,
-    check_time_length,
+    _check_snapshot_stride,
+    _count_steps,
     run_full,  # noqa: F401
     run_rbm,
 )
@@ -88,15 +89,11 @@ class ExperimentSpec:
             raise InvalidSpec("need at least one scheme")
         if not 0 <= self.seed < 2**MASTER_SEED_BITS:
             raise InvalidSpec(f"master seed must lie in [0, 2**{MASTER_SEED_BITS}), got {self.seed}")
-        if self.snapshot_stride < 1:
-            raise InvalidSpec(f"snapshot stride must be at least 1, got {self.snapshot_stride}")
-        check_time_length("dt", self.dt)
-        check_time_length("t_final", self.t_final)
+        _check_snapshot_stride(self.snapshot_stride)
+        # the step counts run_rbm takes, so a study fails before it builds anything
         for h in self.h_list:
-            check_time_length("window length h", h)
-            ratio = h / self.dt
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise InvalidSpec(f"h={h} is not a positive integer multiple of dt={self.dt}")
+            _count_steps(h, self.dt, "window length h", "dt")
+            _count_steps(self.t_final, h, "t_final", "window length h")
 
 
 @dataclass
@@ -127,7 +124,6 @@ class BenchmarkResult:
     wall_seconds: float
     peak_rss_mb: float | None
     result: object
-    nnz_stats: dict
 
 
 def _peak_rss_mb() -> float | None:
@@ -145,17 +141,11 @@ def _peak_rss_mb() -> float | None:
 
 
 def benchmark(fn) -> BenchmarkResult:
-    """Wall-clock a closure; picks up solver stats when the result carries them."""
+    """Wall-clock a closure and read the peak resident set after it."""
     t0 = time.perf_counter()
     result = fn()
     wall = time.perf_counter() - t0
-    stats = dict(getattr(result, "stats", {}) or {})
-    return BenchmarkResult(
-        wall_seconds=wall,
-        peak_rss_mb=_peak_rss_mb(),
-        result=result,
-        nnz_stats=stats,
-    )
+    return BenchmarkResult(wall_seconds=wall, peak_rss_mb=_peak_rss_mb(), result=result)
 
 
 def memory_proxy(stats: dict) -> int:

@@ -4,9 +4,10 @@ The spatial profile on each edge is w_e(x) = A x^4 + B x^3 + C x^2 +
 D x + E with prescribed leading coefficients (A, B); the lower ones
 (C, D, E) are solved from vertex continuity of w and vanishing signed
 flux of a * w' at every interior vertex.  That linear system is
-underdetermined, so the minimum-norm least-squares solution is taken,
-which is deterministic and satisfies the constraints to machine
-precision whenever they are consistent.
+underdetermined, so the minimum-norm least-squares solution is taken
+(LSMR on the sparse constraint rows), which is deterministic and
+satisfies the constraints to machine precision whenever they are
+consistent.
 
 With y(x, t) = w(x) sin(2 pi t), the compatible source, boundary and
 initial data follow by substitution into the equation, giving an exact
@@ -21,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .decomposition import BatchFamily, SubgraphPartition, zeta_weights
 from .errors import SolverError
@@ -65,56 +68,61 @@ def solve_lower_coefficients(
     """Solve for the per-edge (C, D, E) coefficients.
 
     Builds one continuity row per extra adjacent edge and one flux row
-    per interior vertex, then takes the minimum-norm least-squares
-    solution of the underdetermined system.  Returns an (n_edges, 3)
-    array; raises InconsistentConstraints when no quartic family with
-    the given leading coefficients can satisfy the vertex conditions.
+    per interior vertex as one sparse matrix, then takes the minimum-norm
+    least-squares solution of the underdetermined system with LSMR started
+    from zero.  Returns an (n_edges, 3) array; raises
+    InconsistentConstraints when no quartic family with the given leading
+    coefficients can satisfy the vertex conditions.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if alpha.shape != (graph.n_edges,) or beta.shape != (graph.n_edges,):
         raise SolverError("need one leading quartic and cubic coefficient per edge")
 
-    rows: list[np.ndarray] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
     rhs: list[float] = []
 
     def value_parts(e: int, s: float):
         # coefficients of (C, D, E) and the fixed (A, B) contribution of w(s)
-        return np.array([s * s, s, 1.0]), alpha[e] * s**4 + beta[e] * s**3
+        return (s * s, s, 1.0), alpha[e] * s**4 + beta[e] * s**3
 
     def slope_parts(e: int, s: float):
-        return np.array([2.0 * s, 1.0, 0.0]), 4.0 * alpha[e] * s**3 + 3.0 * beta[e] * s**2
+        return (2.0 * s, 1.0, 0.0), 4.0 * alpha[e] * s**3 + 3.0 * beta[e] * s**2
 
-    n_unknowns = 3 * graph.n_edges
+    def add(e: int, coeff, weight: float) -> None:
+        # entries of row len(rhs) on edge e's three unknowns; duplicates add up
+        rows.extend([len(rhs)] * 3)
+        cols.extend(range(3 * e, 3 * e + 3))
+        values.extend(weight * c for c in coeff)
+
     for v in sorted(graph.interior_vertices):
         adjacent = graph.adjacency(v)
         ref = adjacent[0]
-        s_ref = graph.endpoint_coordinate(ref, v)
-        ref_coeff, ref_const = value_parts(ref, s_ref)
+        ref_coeff, ref_const = value_parts(ref, graph.endpoint_coordinate(ref, v))
         for e in adjacent[1:]:
-            s = graph.endpoint_coordinate(e, v)
-            coeff, const = value_parts(e, s)
-            row = np.zeros(n_unknowns)
-            row[3 * e : 3 * e + 3] = coeff
-            row[3 * ref : 3 * ref + 3] -= ref_coeff
-            rows.append(row)
+            coeff, const = value_parts(e, graph.endpoint_coordinate(e, v))
+            add(e, coeff, 1.0)
+            add(ref, ref_coeff, -1.0)
             rhs.append(ref_const - const)
-        flux_row = np.zeros(n_unknowns)
         flux_const = 0.0
         for e in adjacent:
             s = graph.endpoint_coordinate(e, v)
             coeff, const = slope_parts(e, s)
             weight = graph.incidence(e, v) * float(a(e, np.array([s]))[0])
-            flux_row[3 * e : 3 * e + 3] += weight * coeff
+            add(e, coeff, weight)
             flux_const += weight * const
-        rows.append(flux_row)
         rhs.append(-flux_const)
 
-    if not rows:
+    if not rhs:
         return np.zeros((graph.n_edges, 3))
-    A = np.vstack(rows)
+    A = sp.csr_matrix((values, (rows, cols)), shape=(len(rhs), 3 * graph.n_edges))
     b = np.asarray(rhs)
-    solution, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    # from x0 = 0, LSMR tends to the minimum-norm solution and stops once its
+    # residual tests reach machine precision; rounding can keep it a few steps
+    # past the rank, beyond scipy's default cap of min(A.shape) iterations
+    solution = spla.lsmr(A, b, atol=0.0, btol=0.0, maxiter=4 * min(A.shape))[0]
     residual = np.abs(A @ solution - b).max()
     if residual > CONSTRAINT_TOL:
         raise InconsistentConstraints(
@@ -342,12 +350,6 @@ class L2ErrorEvaluator:
         v = np.sin(TWO_PI * times)
         e = v[:, None] * self._interpolant - states
         return v * v * self._c + 2.0 * v * (e @ self._b) + mass_norms_sq(self._mass, e)
-
-
-def l2_error(traj, solution: ManufacturedSolution, t: float) -> float:
-    """Squared L2 distance between a stored trajectory state and the exact solution."""
-    evaluator = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
-    return evaluator.squared_error(traj.state_at(t), t)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,11 @@ class SchemeKind:
         text = text.strip().lower()
         if text.startswith("theta"):
             _, _, value = text.partition(":")
-            return SchemeKind("theta", float(value) if value else 0.5)
+            try:
+                theta = float(value) if value else 0.5
+            except ValueError:
+                raise SolverError(f"theta must be a number, got {value!r}") from None
+            return SchemeKind("theta", theta)
         return SchemeKind(text)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphrbm import read_csv
+from graphrbm import harness, read_csv
 from graphrbm.cli import main
 
 
@@ -71,6 +71,31 @@ def test_missing_graph_file_is_config_error(capsys):
 
 def test_unknown_scheme_is_config_error():
     assert main(["solve", "--scheme", "rk4", "--nodes-per-edge", "5"]) == 2
+
+
+def test_theta_not_a_number_is_config_error(capsys):
+    argv = ["rbm", "--scheme", "theta:abc", "--nodes-per-edge", "5", "--dt", "0.05",
+            "--h", "0.1", "--t-final", "0.2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "theta must be a number" in err
+    assert "Traceback" not in err
+
+
+def test_study_rejects_misaligned_t_final_before_building(tmp_path, capsys, monkeypatch):
+    def no_runtime(*args, **kwargs):
+        raise AssertionError("the study built a runtime before validating its spec")
+
+    monkeypatch.setattr(harness, "RbmRuntime", no_runtime)
+    out = tmp_path / "study.csv"
+    code = main(
+        ["study", "--nodes-per-edge", "5", "--dt", "0.001", "--h", "0.003",
+         "--t-final", "0.01", "--realizations", "1", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: t_final: 0.01 is not a positive integer multiple of 0.003\n"
+    assert not out.exists()
 
 
 def test_bad_subcommand_exit_code():

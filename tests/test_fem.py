@@ -50,19 +50,25 @@ def dense_assembly(graph, mesh, dofmap, a, b, p):
     return M, K, C, P
 
 
-def full_operators(data, dm, weights=None):
+def unit_weights(graph):
+    """Every edge active with factor 1: the whole graph as one batch."""
+    return g.ZetaWeights(edge_factor=np.ones(graph.n_edges))
+
+
+def full_operators(data, dm, weights):
     """M, K and C + P on the full dof numbering: every dof free, none constrained."""
     return fem.reduce_operators(data, np.arange(dm.n_dofs), np.array([], dtype=int), weights)
 
 
 def load_vector(graph, mesh, dm, coeffs, f, t):
     """The full-numbering load of the source ``f`` at time t."""
-    return fem.LoadEvaluator(fem.assemble(graph, mesh, dm, dataclasses.replace(coeffs, f=f)))(t)
+    data = fem.assemble(graph, mesh, dm, dataclasses.replace(coeffs, f=f))
+    return fem.LoadEvaluator(data, unit_weights(graph))(t)
 
 
 def steady_solve(data, dm, boundary, load=None):
     """Solve K_ff u_f = F_f - K_fc g on the reduced stiffness rows; returns the full vector."""
-    reduced = fem.reduce_operators(data, dm.free_dofs, dm.dirichlet_dofs)
+    reduced = fem.reduce_operators(data, dm.free_dofs, dm.dirichlet_dofs, unit_weights(dm.graph))
     n_free = len(dm.free_dofs)
     rhs = -(reduced.stiffness[:, n_free:] @ boundary)
     if load is not None:
@@ -109,7 +115,9 @@ def test_single_edge_stiffness_hand_values():
     # one unit edge, one interior node: dx = 1/2, element stiffness 2*[[1,-1],[-1,1]]
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
     dm = fem.DofMap(graph, g.Mesh(1), set())
-    ops = full_operators(fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0)), dm)
+    ops = full_operators(
+        fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0)), dm, unit_weights(graph)
+    )
     path = dm.edge_dofs(0)  # tail, interior, head
     K = ops.stiffness.toarray()[np.ix_(path, path)]
     assert np.allclose(K, [[2, -2, 0], [-2, 4, -2], [0, -2, 2]], atol=1e-14)
@@ -119,7 +127,9 @@ def test_single_edge_mass_hand_values():
     # element mass dx/6 * [[2,1],[1,2]] with dx = 1/2
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
     dm = fem.DofMap(graph, g.Mesh(1), set())
-    ops = full_operators(fem.assemble(graph, dm.mesh, dm, constant_coefficients()), dm)
+    ops = full_operators(
+        fem.assemble(graph, dm.mesh, dm, constant_coefficients()), dm, unit_weights(graph)
+    )
     path = dm.edge_dofs(0)
     M = ops.mass.toarray()[np.ix_(path, path)]
     expected = np.array([[2, 1, 0], [1, 4, 1], [0, 1, 2]]) / 12.0
@@ -129,7 +139,7 @@ def test_single_edge_mass_hand_values():
 def test_assembly_matches_dense_oracle(demo, problem):
     mesh = g.Mesh(10)
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
-    ops = full_operators(fem.assemble(demo, mesh, dm, problem), dm)
+    ops = full_operators(fem.assemble(demo, mesh, dm, problem), dm, unit_weights(demo))
     Md, Kd, Cd, Pd = dense_assembly(demo, mesh, dm, problem.a, problem.b, problem.p)
     for sparse_mat, dense_mat in ((ops.mass, Md), (ops.stiffness, Kd), (ops.lower, Cd + Pd)):
         scale = np.abs(dense_mat).max()
@@ -173,7 +183,7 @@ def test_mass_spd(demo, rng):
 def test_stiffness_psd_and_kernel(demo, problem, rng):
     mesh = g.Mesh(6)
     dm = fem.DofMap(demo, mesh, set())
-    K = full_operators(fem.assemble(demo, mesh, dm, problem), dm).stiffness
+    K = full_operators(fem.assemble(demo, mesh, dm, problem), dm, unit_weights(demo)).stiffness
     for _ in range(10):
         x = rng.standard_normal(dm.n_dofs)
         assert x @ (K @ x) >= -1e-12
@@ -233,10 +243,10 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     mesh = g.Mesh(5)
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     data = fem.assemble(demo, mesh, dm, problem)
-    ops = full_operators(data, dm)
+    ops = full_operators(data, dm, unit_weights(demo))
     bd = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
     assert np.array_equal(bd.constrained, np.concatenate([bd.interface_dofs, bd.exterior_dofs]))
-    reduced = fem.reduce_operators(data, bd.free, bd.constrained)
+    reduced = fem.reduce_operators(data, bd.free, bd.constrained, unit_weights(demo))
     columns = np.concatenate([bd.free, bd.constrained])
     for got, full in (
         (reduced.mass, ops.mass.toarray()),
@@ -282,7 +292,7 @@ def test_steady_residual_second_order(demo, solution):
         mesh = g.Mesh(ne)
         dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
         coeffs = g.derive_data(solution)
-        ops = full_operators(fem.assemble(demo, mesh, dm, coeffs), dm)
+        ops = full_operators(fem.assemble(demo, mesh, dm, coeffs), dm, unit_weights(demo))
         w_interp = fem.interpolate(demo, mesh, dm, solution.w)
         rhs = lambda e, x, t: -(
             solution.a_dx(e, x) * solution.w_dx(e, x)

@@ -86,6 +86,57 @@ def test_two_edge_path_hand_solution():
     assert np.all(g.solve_lower_coefficients(path, ones, [0.0, 0.0], [0.0, 0.0]) == 0.0)
 
 
+def dense_lower_coefficients(graph, a, alpha, beta):
+    """The constraint rows as one dense matrix, solved with np.linalg.lstsq (oracle)."""
+    rows, rhs = [], []
+    for v in sorted(graph.interior_vertices):
+        adjacent = graph.adjacency(v)
+        ref = adjacent[0]
+        s_ref = graph.endpoint_coordinate(ref, v)
+        for e in adjacent[1:]:
+            s = graph.endpoint_coordinate(e, v)
+            row = np.zeros(3 * graph.n_edges)
+            row[3 * e : 3 * e + 3] += [s * s, s, 1.0]
+            row[3 * ref : 3 * ref + 3] -= [s_ref * s_ref, s_ref, 1.0]
+            rows.append(row)
+            rhs.append(alpha[ref] * s_ref**4 + beta[ref] * s_ref**3 - alpha[e] * s**4 - beta[e] * s**3)
+        row = np.zeros(3 * graph.n_edges)
+        const = 0.0
+        for e in adjacent:
+            s = graph.endpoint_coordinate(e, v)
+            weight = graph.incidence(e, v) * float(a(e, np.array([s]))[0])
+            row[3 * e : 3 * e + 3] += weight * np.array([2.0 * s, 1.0, 0.0])
+            const += weight * (4.0 * alpha[e] * s**3 + 3.0 * beta[e] * s**2)
+        rows.append(row)
+        rhs.append(-const)
+    lower = np.linalg.lstsq(np.vstack(rows), np.array(rhs), rcond=None)[0]
+    return lower.reshape(graph.n_edges, 3)
+
+
+def binary_tree(depth):
+    inner = 2**depth - 1
+    edges = [(v, 2 * v + c, 1.0) for v in range(inner) for c in (1, 2)]
+    return g.build_graph(edges, {0, *range(inner, 2 * inner + 1)})
+
+
+@pytest.mark.parametrize("name", ["demo", "tree", "two-cycle"])
+def test_lower_coefficients_match_dense_lstsq(name, rng):
+    if name == "demo":
+        graph, alpha, beta = g.demo_graph(), np.array(DEMO_QUARTIC), np.array(DEMO_CUBIC)
+    else:
+        if name == "tree":
+            graph = binary_tree(6)
+        else:
+            # v0 - v1 = v2 - v3, with the 2-cycle between v1 and v2
+            edges = [(0, 1, 0.7), (1, 2, 1.3), (1, 2, 0.45), (2, 3, 1.9)]
+            graph = g.build_graph(edges, {0, 3})
+        alpha, beta = rng.uniform(-5.0, 5.0, size=(2, graph.n_edges))
+    a = g.manufactured.diffusion_coefficient
+    got = g.solve_lower_coefficients(graph, a, alpha, beta)
+    expected = dense_lower_coefficients(graph, a, alpha, beta)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_time_factor_values(solution):
     x = np.linspace(0.0, 1.0, 11)
     for e in (0, 5):
@@ -214,11 +265,12 @@ def test_l2_error_single_state_returns_float(demo, solution, rng):
         ev.squared_error(states, times[:-1])
 
 
-def test_l2_error_trajectory_wrapper(demo, solution, problem):
+def test_l2_error_of_stored_trajectory_state(demo, solution, problem):
     traj = g.run_full(demo, g.Mesh(10), problem, g.IMPLICIT_EULER, dt=0.1, t_final=0.2)
-    assert g.l2_error(traj, solution, 0.0) == 0.0
+    ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
+    assert ev.squared_error(traj.state_at(0.0), 0.0) == 0.0
     with pytest.raises(g.SolverError):
-        g.l2_error(traj, solution, 0.123)
+        ev.squared_error(traj.state_at(0.123), 0.123)
 
 
 def test_lambda_single_batch_vanishes(demo, partition, single_batch, solution, problem):

@@ -97,6 +97,9 @@ def test_single_batch_equals_full_solve(data):
     graph = data.draw(graphs())
     partition = data.draw(partitions(graph))
     single = g.batch_family([list(range(partition.n_parts))], [1.0], partition.n_parts)
+    # the one-part, one-batch family is what run_full runs, so it matches bitwise
+    whole = g.SubgraphPartition(graph, [range(graph.n_edges)])
+    one_batch = g.batch_family([{0}], [1.0], 1)
     coeffs = problem_data(graph)
     for scheme in ALL_SCHEMES:
         full = g.run_full(graph, MESH, coeffs, scheme, dt=DT, t_final=0.2)
@@ -104,6 +107,10 @@ def test_single_batch_equals_full_solve(data):
         rbm = g.run_rbm(graph, partition, single, MESH, coeffs, config)
         for k, t in enumerate(rbm.times):
             assert np.abs(rbm.states[k] - full.state_at(t)).max() <= 1e-12, scheme.label
+        rbm = g.run_rbm(graph, whole, one_batch, MESH, coeffs, config)
+        for k, t in enumerate(rbm.times):
+            assert np.array_equal(rbm.states[k], full.state_at(t)), scheme.label
+        assert rbm.stats == full.stats, scheme.label
 
 
 @pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")

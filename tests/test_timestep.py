@@ -138,6 +138,8 @@ def test_scheme_labels_and_parse():
     assert SchemeKind.parse("siem") == SEMI_IMPLICIT
     with pytest.raises(SolverError):
         SchemeKind.parse("rk4")
+    with pytest.raises(SolverError, match="theta must be a number"):
+        SchemeKind.parse("theta:abc")
     with pytest.raises(SolverError):
         SchemeKind("theta", 1.5)
     with pytest.raises(SolverError):
