@@ -6,7 +6,7 @@ randomized realization), ``study`` (Monte-Carlo sweep over h, CSV out),
 --graph/--batches the built-in demonstration problem is used.
 
 Exit codes: 0 success, 2 configuration or input-file error, 3 numerical
-failure.
+failure (any ``errors.NumericalError``).
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import sys
 import numpy as np
 
 from . import decomposition, engine, fem, harness, manufactured, timestep
-from .errors import SolverError
+from .errors import NumericalError, SolverError
 from .graph import demo_graph, load_graph
-from .manufactured import InconsistentConstraints
-from .timestep import SchemeKind, SingularSystem
+from .timestep import SchemeKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,7 +88,7 @@ def _load_problem(args):
         partition, family = decomposition.load_batches(args.batches, graph)
     else:
         partition = decomposition.demo_partition(graph)
-        family = decomposition.batch_option_two(partition.n_parts)
+        family = decomposition.batch_option_two()
     if graph.n_edges != len(manufactured.DEMO_QUARTIC):
         raise harness.InvalidSpec(
             "the built-in manufactured problem needs the 10-edge demo graph; "
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SingularSystem, fem.NonellipticCoefficient, InconsistentConstraints) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (SolverError, OSError) as exc:

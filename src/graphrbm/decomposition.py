@@ -346,16 +346,16 @@ def demo_partition(graph: MetricGraph) -> SubgraphPartition:
     return SubgraphPartition(graph, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8, 9}])
 
 
-def batch_option_one(n_parts: int = 4) -> BatchFamily:
-    """Four singleton batches plus the two overlapping halves, uniform probabilities."""
+def batch_option_one() -> BatchFamily:
+    """Batches of ``demo_partition``: four singletons plus the two overlapping halves, uniform probabilities."""
     batches = [{0}, {1}, {2}, {3}, {0, 1, 2}, {1, 2, 3}]
-    return batch_family(batches, [1.0 / 6.0] * 6, n_parts)
+    return batch_family(batches, [1.0 / 6.0] * 6, 4)
 
 
-def batch_option_two(n_parts: int = 4) -> BatchFamily:
-    """Four singleton batches plus the full set of parts, uniform probabilities."""
+def batch_option_two() -> BatchFamily:
+    """Batches of ``demo_partition``: four singletons plus the full set of parts, uniform probabilities."""
     batches = [{0}, {1}, {2}, {3}, {0, 1, 2, 3}]
-    return batch_family(batches, [1.0 / 5.0] * 5, n_parts)
+    return batch_family(batches, [1.0 / 5.0] * 5, 4)
 
 
 def batches_from_dict(data: dict, graph: MetricGraph) -> tuple[SubgraphPartition, BatchFamily]:

@@ -247,7 +247,7 @@ class RbmRuntime:
             bdofs = restrict_to_batch(self.dofmap, view)
             weights = zeta_weights(self.partition, self.family, j)
             reduced = reduce_operators(self.elements, bdofs.free, bdofs.constrained, weights)
-            load = LoadEvaluator(self.elements, weights, restrict=bdofs.free)
+            load = LoadEvaluator(self.elements, weights, bdofs.free)
             system = _ActiveSystem(
                 reduced,
                 load,
@@ -394,12 +394,21 @@ def run_rbm(
 
     Passing a runtime built from the same problem reuses its element data,
     convection vertex sums, batch systems and factorizations across
-    realizations.
+    realizations.  The runtime must hold the very graph, partition, family
+    and coeffs objects passed here and an equal mesh; InvalidSpec otherwise.
     """
     n_sub = _count_steps(config.h, config.dt, "window length h", "dt")
     n_windows = _count_steps(config.t_final, config.h, "t_final", "window length h")
     if runtime is None:
         runtime = RbmRuntime(graph, partition, family, mesh, coeffs)
+    elif runtime.mesh != mesh or any(
+        held is not given
+        for held, given in zip(
+            (runtime.graph, runtime.partition, runtime.family, runtime.coeffs),
+            (graph, partition, family, coeffs),
+        )
+    ):
+        raise InvalidSpec("runtime was built for another graph, partition, family, mesh or coeffs")
     if schedule is None:
         schedule = sample_schedule(n_windows, family.probs, config.seed)
     if schedule.n_windows != n_windows:
@@ -515,7 +524,7 @@ def estimate_errors(
     With a manufactured solution the L2 norms are continuous edgewise
     quadrature against the exact solution; with a baseline trajectory
     they are exact mass-matrix norms of the dof difference.  All runs
-    must share the same stored time grid.
+    must share the same stored time grid (GridMismatch otherwise).
     """
     runs = list(runs)
     if not runs:
@@ -523,9 +532,6 @@ def estimate_errors(
     if solution is None and baseline is None:
         raise EngineError("need a manufactured solution or a baseline trajectory")
     times = runs[0].times
-    for other in runs[1:]:
-        if len(other.times) != len(times) or np.any(np.abs(other.times - times) > TIME_MATCH_TOL):
-            raise GridMismatch("realizations do not share a common stored time grid")
     if solution is not None:
         reference = L2ErrorEvaluator(runs[0].graph, runs[0].mesh, runs[0].dofmap, solution)
     else:

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .decomposition import BatchView, ZetaWeights
-from .errors import SolverError
+from .errors import NumericalError, SolverError
 from .graph import MetricGraph
 
 EdgeFunction = Callable[[int, np.ndarray], np.ndarray]
@@ -54,7 +54,7 @@ class FemError(SolverError):
     pass
 
 
-class NonellipticCoefficient(FemError):
+class NonellipticCoefficient(FemError, NumericalError):
     pass
 
 
@@ -287,24 +287,19 @@ def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix
 
 
 class LoadEvaluator:
-    """The load vector F(t) of the active edges, scaled by their edge factors.
+    """The load vector F(t) of the active edges at the dofs ``free``, scaled by their edge factors.
 
     A SeparableSource's term vectors are built once, one bincount of the
     cached element loads per term, and each call combines them with the
     time factors; any other source is integrated per call on the cached
-    Gauss points of the active edges, again with one bincount.
-    ``restrict`` narrows the returned vector to the given dof ids.
+    Gauss points of the active edges, again with one bincount.  The
+    returned vector holds the entries of the dof ids ``free``, in order.
     """
 
-    def __init__(
-        self,
-        data: ElementData,
-        weights: ZetaWeights,
-        restrict: np.ndarray | None = None,
-    ):
+    def __init__(self, data: ElementData, weights: ZetaWeights, free: np.ndarray):
         elements = data.elements
         self.n_dofs = elements.n_dofs
-        self.restrict = restrict
+        self._free = free
         self._elements = elements
         self._source = data.source
         self._time_fns = data.time_fns
@@ -316,16 +311,14 @@ class LoadEvaluator:
     def _sum(self, local: np.ndarray) -> np.ndarray:
         """Scatter the active elements' (n, 2) local loads, scaled by their edge factors."""
         scaled = local * self._factor[:, None]
-        out = np.bincount(self._dofs, scaled.T.ravel(), minlength=self.n_dofs)
-        return out if self.restrict is None else out[self.restrict]
+        return np.bincount(self._dofs, scaled.T.ravel(), minlength=self.n_dofs)[self._free]
 
     def __call__(self, t: float) -> np.ndarray:
         if self._source is not None:
             f = self._source
             values = self._elements.sample(lambda e, x: f(e, x, t), self._edges)
             return self._sum(self._elements.loads(values, self._ids))
-        size = self.n_dofs if self.restrict is None else len(self.restrict)
-        out = np.zeros(size)
+        out = np.zeros(len(self._free))
         for vec, time in zip(self._term_vectors, self._time_fns):
             out += float(time(t)) * vec
         return out
@@ -406,6 +399,13 @@ class BatchDofs:
 
 
 def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
+    """The dof split of batch ``view``: sorted active ids, constrained ids and the free rest.
+
+    One boolean mask over all dofs gives bitwise the same arrays without
+    the two sorts, but measured on the 1022-edge tree it left later
+    ``run_full`` solves paying page faults on fresh mappings for more
+    rounds, so their time varied from run to run; the sorts stay.
+    """
     vertices = np.fromiter(view.vertices, dtype=int)
     interior = dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int)).ravel()
     active = np.unique(np.concatenate([vertices, interior]))

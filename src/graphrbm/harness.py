@@ -65,7 +65,10 @@ class DegenerateFit(SolverError):
 
 @dataclass
 class ExperimentSpec:
-    """Everything one study needs; validated up front."""
+    """Everything one study needs; validated up front.
+
+    ``solution`` is the manufactured solution the errors are measured against.
+    """
 
     graph: MetricGraph
     partition: SubgraphPartition
@@ -76,11 +79,13 @@ class ExperimentSpec:
     h_list: list[float]
     realizations: int
     seed: int
+    solution: ManufacturedSolution
     nodes_per_edge: int = 100
     snapshot_stride: int = 1
-    solution: ManufacturedSolution | None = None
 
     def validate(self) -> None:
+        if self.solution is None:
+            raise InvalidSpec("spec needs a manufactured solution as the error reference")
         if self.realizations < 1:
             raise InvalidSpec("need at least one realization")
         if not self.h_list:
@@ -161,13 +166,10 @@ def realization_seed(master: int, r: int) -> int:
 def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """R randomized realizations per (scheme, h), one CSV record each."""
     spec.validate()
-    solution = spec.solution
-    if solution is None:
-        raise InvalidSpec("spec needs a manufactured solution as the error reference")
-    coeffs = derive_data(solution)
+    coeffs = derive_data(spec.solution)
     mesh = Mesh(spec.nodes_per_edge)
     runtime = RbmRuntime(spec.graph, spec.partition, spec.family, mesh, coeffs)
-    evaluator = L2ErrorEvaluator(spec.graph, mesh, runtime.dofmap, solution)
+    evaluator = L2ErrorEvaluator(spec.graph, mesh, runtime.dofmap, spec.solution)
     records = []
     for scheme in spec.schemes:
         for h in spec.h_list:

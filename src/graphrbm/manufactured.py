@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .decomposition import BatchFamily, SubgraphPartition, zeta_weights
-from .errors import SolverError
+from .errors import NumericalError, SolverError
 from .fem import CoefficientSet, DofMap, Mesh, SeparableSource, interpolate, mass_matrix
 from .graph import MetricGraph
 
@@ -38,7 +38,7 @@ DEMO_QUARTIC = (10.0, -3.0, 5.0, 4.0, 4.0, 10.0, -3.0, 5.0, -3.0, 4.0)
 DEMO_CUBIC = (-12.0, 1.0, -7.0, -6.0, -6.0, -12.0, 1.0, -7.0, 1.0, -6.0)
 
 
-class InconsistentConstraints(SolverError):
+class InconsistentConstraints(NumericalError):
     pass
 
 
@@ -161,19 +161,6 @@ class ManufacturedSolution:
     def time_factor_dt(t: float) -> float:
         return float(TWO_PI * np.cos(TWO_PI * t))
 
-    # full space-time evaluation
-    def value(self, e: int, x, t: float) -> np.ndarray:
-        return self.w(e, x) * self.time_factor(t)
-
-    def dx(self, e: int, x, t: float) -> np.ndarray:
-        return self.w_dx(e, x) * self.time_factor(t)
-
-    def dxx(self, e: int, x, t: float) -> np.ndarray:
-        return self.w_dxx(e, x) * self.time_factor(t)
-
-    def dt(self, e: int, x, t: float) -> np.ndarray:
-        return self.w(e, x) * self.time_factor_dt(t)
-
     def vertex_values(self) -> np.ndarray:
         """w at every vertex, read through the first adjacent edge."""
         out = np.zeros(self.graph.n_vertices)
@@ -271,10 +258,12 @@ def manufactured_problem(graph: MetricGraph) -> tuple[ManufacturedSolution, Coef
     return solution, derive_data(solution)
 
 
-def _gauss_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (1.0 + nodes), 0.5 * weights
-
+# the 5-point Gauss rule on the reference element [0, 1]: exact through degree 9
+_GAUSS5_NODES, _GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
+_TAU5 = 0.5 * (1.0 + _GAUSS5_NODES)
+_WEIGHTS5 = 0.5 * _GAUSS5_WEIGHTS
+# elements per edge of the quadrature behind ``lambda_profile``
+LAMBDA_ELEMENTS_PER_EDGE = 200
 
 ERROR_BLOCK = 64  # states per block of a stacked error evaluation; bounds its scratch memory
 
@@ -321,9 +310,9 @@ class L2ErrorEvaluator:
     digits to cancellation once the error is far below |w|^2.
     """
 
-    def __init__(self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap, solution: ManufacturedSolution, order: int = 5):
-        tau, wref = _gauss_rule(order)
-        shape = np.stack([1.0 - tau, tau])  # (2, order): the two hat functions
+    def __init__(self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap, solution: ManufacturedSolution):
+        tau, wref = _TAU5, _WEIGHTS5
+        shape = np.stack([1.0 - tau, tau])  # (2, 5): the two hat functions
         self._interpolant = interpolate(graph, mesh, dofmap, solution.w)
         c = 0.0
         pairs, b_local = [], []
@@ -367,8 +356,6 @@ def lambda_profile(
     partition: SubgraphPartition,
     family: BatchFamily,
     t_grid: np.ndarray,
-    elements_per_edge: int = 200,
-    order: int = 5,
 ) -> LambdaProfile:
     """Variance functional of the batch randomization along the exact solution.
 
@@ -377,11 +364,12 @@ def lambda_profile(
     factor (1 - zeta)^2 times fixed spatial integrals of the exact
     solution, because the weights are constant on each edge.  The
     expectation is the exact finite sum over batches weighted by their
-    probabilities; no sampling is involved.
+    probabilities; no sampling is involved.  The spatial integrals use the
+    5-point rule on LAMBDA_ELEMENTS_PER_EDGE elements per edge.
     """
     graph = solution.graph
     t_grid = np.asarray(t_grid, dtype=float)
-    tau, wref = _gauss_rule(order)
+    tau, wref = _TAU5, _WEIGHTS5
 
     # per-edge spatial integrals of the exact solution's building blocks
     flux_sq = np.zeros(graph.n_edges)     # (d/dx(a w'))^2
@@ -392,10 +380,10 @@ def lambda_profile(
     lw_sq = np.zeros(graph.n_edges)       # Lw^2
     for e in range(graph.n_edges):
         length = graph.edges[e].length
-        dx = length / elements_per_edge
-        left = dx * np.arange(elements_per_edge)
+        dx = length / LAMBDA_ELEMENTS_PER_EDGE
+        left = dx * np.arange(LAMBDA_ELEMENTS_PER_EDGE)
         xq = (left[:, None] + dx * tau[None, :]).ravel()
-        wq = np.tile(wref * dx, elements_per_edge)
+        wq = np.tile(wref * dx, LAMBDA_ELEMENTS_PER_EDGE)
         w = solution.w(e, xq)
         wx = solution.w_dx(e, xq)
         flux = solution.a_dx(e, xq) * wx + solution.a(e, xq) * solution.w_dxx(e, xq)

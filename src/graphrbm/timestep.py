@@ -26,12 +26,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverError
+from .errors import NumericalError, SolverError
 
 RESIDUAL_RTOL = 1e-10
 
 
-class SingularSystem(SolverError):
+class SingularSystem(NumericalError):
     pass
 
 
@@ -126,10 +126,7 @@ def _factorize(matrix: sp.spmatrix):
 
 def factor_nnz(lu) -> int:
     """Nonzeros of the triangular factors (memory proxy for the solve)."""
-    nnz = getattr(lu, "nnz", None)
-    if nnz is not None:
-        return int(nnz)
-    return int(lu.L.nnz + lu.U.nnz)
+    return int(lu.nnz)
 
 
 def solve_linear(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -181,13 +178,14 @@ def step(
     u: np.ndarray,
     dt: float,
     workspace: StepWorkspace | None = None,
-    key=None,
 ) -> np.ndarray:
     """Advance one step of M u' + S u = F with ``imex_theta``.
 
     ``spatial`` is the matrix S for the theta family, or the pair
     (stiffness, convection + reaction) for the semi-implicit scheme.
-    ``f0``/``f1`` are the loads at the step's start and end times.
+    ``f0``/``f1`` are the loads at the step's start and end times.  A
+    workspace caches the step matrices and factorization under the key
+    ("step", scheme label, dt), so one workspace serves one system.
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")
@@ -200,8 +198,8 @@ def step(
     else:
         stiffness, lower = spatial, None
     ws = workspace if workspace is not None else StepWorkspace()
-    cache_key = key if key is not None else ("step", scheme.label, dt)
-    lhs, rhs = ws.matrices(cache_key, lambda: imex_theta(scheme, mass, stiffness, lower, dt))
-    lu = ws.factorization(cache_key, lambda: lhs)
+    key = ("step", scheme.label, dt)
+    lhs, rhs = ws.matrices(key, lambda: imex_theta(scheme, mass, stiffness, lower, dt))
+    lu = ws.factorization(key, lambda: lhs)
     theta = scheme.theta_value
     return lu.solve(rhs @ u + dt * (theta * f1 + (1.0 - theta) * f0))

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from graphrbm import harness, read_csv
+from graphrbm import engine, harness, read_csv
 from graphrbm.cli import main
+from graphrbm.errors import NumericalError
+from graphrbm.fem import NonellipticCoefficient
+from graphrbm.manufactured import InconsistentConstraints
+from graphrbm.timestep import SingularSystem
 
 
 def test_check_demo_problem(capsys):
@@ -96,6 +100,18 @@ def test_study_rejects_misaligned_t_final_before_building(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err == "error: t_final: 0.01 is not a positive integer multiple of 0.003\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [SingularSystem, NonellipticCoefficient, InconsistentConstraints])
+def test_numerical_failure_is_exit_three(capsys, monkeypatch, error):
+    assert issubclass(error, NumericalError)
+
+    def fail(*args, **kwargs):
+        raise error("broken")
+
+    monkeypatch.setattr(engine, "run_full", fail)
+    assert main(["solve", "--nodes-per-edge", "5", "--dt", "0.05", "--t-final", "0.2"]) == 3
+    assert capsys.readouterr().err == "numerical failure: broken\n"
 
 
 def test_bad_subcommand_exit_code():

@@ -255,6 +255,23 @@ def test_runtime_reuse_bitwise_identical(demo, partition, option2, problem, coar
     assert np.array_equal(a.states, b.states)
 
 
+def test_runtime_of_another_problem_rejected(demo, partition, option1, option2, problem, coarse_mesh):
+    runtime = RbmRuntime(demo, partition, option1, coarse_mesh, problem)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.04, scheme=g.IMPLICIT_EULER, seed=2)
+    # an equal mesh object is accepted; the other four must be the same objects
+    g.run_rbm(demo, partition, option1, g.Mesh(coarse_mesh.nodes_per_edge), problem, config, runtime=runtime)
+    other_coeffs = dataclasses.replace(problem)
+    for args in (
+        (demo, partition, option2, coarse_mesh, problem),
+        (demo, g.demo_partition(demo), option1, coarse_mesh, problem),
+        (g.demo_graph(), partition, option1, coarse_mesh, problem),
+        (demo, partition, option1, g.Mesh(10), problem),
+        (demo, partition, option1, coarse_mesh, other_coeffs),
+    ):
+        with pytest.raises(InvalidSpec, match="runtime was built for another"):
+            g.run_rbm(*args, config, runtime=runtime)
+
+
 def test_stats_track_active_sizes(demo, partition, option2, problem, coarse_mesh):
     config = RbmConfig(h=0.01, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=13)
     traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)

@@ -63,7 +63,7 @@ def full_operators(data, dm, weights):
 def load_vector(graph, mesh, dm, coeffs, f, t):
     """The full-numbering load of the source ``f`` at time t."""
     data = fem.assemble(graph, mesh, dm, dataclasses.replace(coeffs, f=f))
-    return fem.LoadEvaluator(data, unit_weights(graph))(t)
+    return fem.LoadEvaluator(data, unit_weights(graph), np.arange(dm.n_dofs))(t)
 
 
 def steady_solve(data, dm, boundary, load=None):

@@ -175,6 +175,14 @@ def test_run_study_rejects_bad_h(demo, partition, option2, solution):
         run_study(tiny_spec(demo, partition, option2, solution, schemes=[]))
 
 
+def test_spec_without_solution_rejected_by_validate(demo, partition, option2):
+    spec = tiny_spec(demo, partition, option2, None)
+    with pytest.raises(InvalidSpec, match="manufactured solution"):
+        spec.validate()
+    with pytest.raises(InvalidSpec, match="manufactured solution"):
+        run_study(spec)
+
+
 def test_single_batch_proxies_match_full(demo, partition, single_batch, problem):
     # one batch containing every part solves the same system as the baseline
     mesh = g.Mesh(10)

@@ -138,20 +138,14 @@ def test_lower_coefficients_match_dense_lstsq(name, rng):
 
 
 def test_time_factor_values(solution):
-    x = np.linspace(0.0, 1.0, 11)
-    for e in (0, 5):
-        assert np.all(solution.value(e, x, 0.0) == 0.0)
-        assert np.allclose(solution.value(e, x, 0.25), solution.w(e, x), rtol=1e-12)
-    # slope at the left endpoint is the linear coefficient times the time factor
-    t = 0.13
+    # y = w sin(2 pi t) vanishes at t = 0 and equals w at t = 1/4
+    assert solution.time_factor(0.0) == 0.0
+    assert np.isclose(solution.time_factor(0.25), 1.0, rtol=1e-12)
+    assert np.isclose(solution.time_factor_dt(0.0), 2.0 * np.pi, rtol=1e-12)
+    # slope at the left endpoint is the linear coefficient
     for e in range(10):
         delta = solution.poly[e][3]
-        assert np.isclose(
-            float(solution.dx(e, np.array([0.0]), t)[0]),
-            delta * solution.time_factor(t),
-            rtol=1e-12,
-            atol=1e-14,
-        )
+        assert np.isclose(float(solution.w_dx(e, np.array([0.0]))[0]), delta, rtol=1e-12, atol=1e-14)
 
 
 def test_derived_data_compatibility(solution, problem):
@@ -168,14 +162,13 @@ def test_pde_residual_of_derived_source(solution, problem, rng):
         e = int(rng.integers(10))
         x = np.array([rng.random()])
         t = float(rng.random())
+        v, v_dt = solution.time_factor(t), solution.time_factor_dt(t)
+        w, w_dx = solution.w(e, x), solution.w_dx(e, x)
         residual = (
-            solution.dt(e, x, t)
-            - (
-                solution.a_dx(e, x) * solution.dx(e, x, t)
-                + solution.a(e, x) * solution.dxx(e, x, t)
-            )
-            + problem.b(e, x) * solution.dx(e, x, t)
-            + problem.p(e, x) * solution.value(e, x, t)
+            w * v_dt
+            - (solution.a_dx(e, x) * w_dx + solution.a(e, x) * solution.w_dxx(e, x)) * v
+            + problem.b(e, x) * w_dx * v
+            + problem.p(e, x) * w * v
             - problem.f(e, x, t)
         )
         assert abs(float(residual[0])) <= 1e-10

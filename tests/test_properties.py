@@ -179,8 +179,29 @@ def test_batch_systems_equal_scaled_part_sums(data):
             assert sparsity(got) == sparsity(want), (j, name)
             assert_close(got.toarray(), want.toarray(), (j, name))
         weights = g.zeta_weights(partition, family, j)
-        unseparated_load = fem.LoadEvaluator(unseparated, weights, restrict=system.free)
+        unseparated_load = fem.LoadEvaluator(unseparated, weights, system.free)
         for t in (0.0, 0.37):
             want = reference_load(graph, MESH, dofmap, coeffs.f, t, weights.edge_factor)
             assert_close(system.load(t), want[system.free], (j, t))
             assert_close(unseparated_load(t), want[system.free], (j, t, "callable"))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_batch_dofs_equal_sorted_set_definitions(data):
+    """Each batch's active and free dofs against their definitions as sorted sets."""
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    dofmap = fem.DofMap(graph, MESH, graph.boundary_vertices)
+    for j in range(family.n_batches):
+        view = batch_view(partition, family.batches, j)
+        bdofs = fem.restrict_to_batch(dofmap, view)
+        active = set(view.vertices)
+        for e in view.active_edges:
+            active |= set(dofmap.edge_dofs(e).tolist())
+        free = active - view.interface - view.exterior_boundary
+        for got, want in ((bdofs.active, active), (bdofs.free, free)):
+            assert got.dtype == np.intp, j
+            assert got.tolist() == sorted(want), j
+        assert bdofs.constrained.tolist() == sorted(view.interface) + sorted(view.exterior_boundary)
