@@ -63,7 +63,6 @@ from .timestep import (
     SEMI_IMPLICIT,
     SchemeKind,
     StepWorkspace,
-    solve_linear,
     step,
     theta_method,
 )

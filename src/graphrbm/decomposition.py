@@ -45,10 +45,6 @@ class UncoveredEdge(DecompositionError):
     pass
 
 
-class InteriorVertexMissingEdge(DecompositionError):
-    pass
-
-
 class BadBatchIndex(DecompositionError):
     pass
 
@@ -64,11 +60,9 @@ class BadProbabilityVector(DecompositionError):
 class SubgraphPartition:
     """Pairwise edge-disjoint cover of the graph's edges.
 
-    Derived per part i: the vertex set touched by its edges and the
-    subset of graph-interior vertices fully covered by the part (all
-    adjacent edges inside part i).  Fully covered interior vertices keep
-    all adjacent edges by construction of an edge-disjoint cover; the
-    audit in the constructor guards that derived-set invariant.
+    Derived per part i: the vertex set touched by its edges.  The
+    graph-interior vertices a part covers fully are the ``interior`` of
+    its singleton batch's ``batch_view``.
     """
 
     def __init__(self, graph: MetricGraph, parts: Sequence[Iterable[int]]):
@@ -106,27 +100,6 @@ class SubgraphPartition:
             frozenset(v for e in edges for v in (graph.edges[e].tail, graph.edges[e].head))
             for edges in part_sets
         )
-        interior = []
-        for i, edges in enumerate(part_sets):
-            covered = frozenset(
-                v
-                for v in self.part_vertices[i] & graph.interior_vertices
-                if set(graph.adjacency(v)) <= edges
-            )
-            interior.append(covered)
-        self.part_interior = tuple(interior)
-        self._audit()
-
-    def _audit(self) -> None:
-        # Interior vertices of a part must keep every adjacent edge.
-        for i, covered in enumerate(self.part_interior):
-            for v in covered:
-                missing = set(self.graph.adjacency(v)) - self.parts[i]
-                if missing:
-                    raise InteriorVertexMissingEdge(
-                        f"part {i + 1} interior vertex {self.graph.vertex_name(v)} "
-                        f"is missing adjacent edges {sorted(missing)}"
-                    )
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ at interior vertices is enforced weakly: the vertex test function spans
 all adjacent edges, so assembly accumulates every edge's contribution
 into the shared vertex row and the discrete flux balance follows.
 
-All element integrals use a fixed 3-point Gauss rule, exact through
-degree five, which covers the polynomial coefficients used in the
-verification problems exactly and is amply accurate for the sinusoidal
-ones.  Dirichlet data is handled by algebraic elimination: constrained
-rows are removed and constrained columns move behind the free ones, where
-a solver multiplies them by the prescribed values.
+Every mesh integral runs on an element table, ``Elements``, which holds
+the points, weights, dof pairs and P1 shape values of one Gauss rule.
+Assembly and the mass matrix use ``GAUSS3``, exact through degree five,
+which covers the polynomial coefficients used in the verification
+problems exactly and is amply accurate for the sinusoidal ones; the L2
+error form and the variance functional use ``GAUSS5``, exact through
+degree nine.  Dirichlet data is handled by algebraic elimination:
+constrained rows are removed and constrained columns move behind the free
+ones, where a solver multiplies them by the prescribed values.
 
 Each edge is integrated once per runtime: its one ``assemble`` call
 evaluates the coefficients and every separable source term once per edge
@@ -27,6 +30,7 @@ of the one-part, one-batch family, whose factors are all 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -38,13 +42,15 @@ from .graph import MetricGraph
 
 EdgeFunction = Callable[[int, np.ndarray], np.ndarray]
 
-GAUSS3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
-GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
-# reference element coordinates and P1 shape values at the quadrature nodes
-_TAU = 0.5 * (1.0 + GAUSS3_NODES)
-_SHAPE = np.stack([1.0 - _TAU, _TAU], axis=1)  # (q, 2)
-# products of the two shape values at each node, flattened (q, 4): element mass and reaction
-_SHAPE_SHAPE = (_SHAPE[:, :, None] * _SHAPE[:, None, :]).reshape(len(_TAU), 4)
+
+def _on_unit_interval(nodes, weights):
+    """A Gauss rule on [-1, 1] moved to the reference element [0, 1]: (nodes, weights)."""
+    return 0.5 * (1.0 + np.asarray(nodes)), 0.5 * np.asarray(weights)
+
+
+# (nodes, weights) on [0, 1]; GAUSS3 is exact through degree 5, GAUSS5 through degree 9
+GAUSS3 = _on_unit_interval([-np.sqrt(0.6), 0.0, np.sqrt(0.6)], np.array([5.0, 8.0, 5.0]) / 9.0)
+GAUSS5 = _on_unit_interval(*np.polynomial.legendre.leggauss(5))
 # shape-function gradients are these signs over the element width
 _GRAD_SIGN = np.array([-1.0, 1.0])
 _GRAD_GRAD = np.outer(_GRAD_SIGN, _GRAD_SIGN)
@@ -152,21 +158,28 @@ class CoefficientSet:
 
 
 class Elements:
-    """Every mesh element of the graph, edge by edge, with its Gauss points.
+    """Every mesh element of the graph, edge by edge, with the points of one Gauss rule.
 
-    Edge e owns the ``per_edge`` consecutive elements starting at
-    ``e * per_edge``, so element k lies on edge ``k // per_edge``.
-    ``pair[k]`` holds element k's two dof ids in coordinate order, ``xq[k]``
-    the edge coordinates of its Gauss points, ``wq[k]`` their weights and
-    ``mass[k]`` its 2x2 mass block; ``dx[e]`` is edge e's mesh width.  All
-    of it comes from the mesh alone, vectorised across edges.
+    ``rule`` is a (nodes, weights) pair on the reference element [0, 1],
+    ``GAUSS3`` or ``GAUSS5``.  Edge e owns the ``per_edge`` consecutive
+    elements starting at ``e * per_edge``, so element k lies on edge
+    ``k // per_edge``.  ``pair[k]`` holds element k's two dof ids in
+    coordinate order, ``xq[k]`` the edge coordinates of its Gauss points,
+    ``wq[k]`` their weights and ``mass[k]`` its 2x2 mass block; ``dx[e]`` is
+    edge e's mesh width.  ``shape`` holds the two P1 shape values at each
+    point (q, 2) and ``shape_shape`` their four products (q, 4).  All of it
+    comes from the mesh alone, vectorised across edges; ``sample`` is the
+    one place that evaluates an edge function on the points.
     """
 
-    def __init__(self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap):
+    def __init__(self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap, rule):
         n = mesh.nodes_per_edge
+        tau, weights = rule
         self.n_edges = graph.n_edges
         self.n_dofs = dofmap.n_dofs
         self.per_edge = n + 1
+        self.shape = np.stack([1.0 - tau, tau], axis=1)
+        self.shape_shape = (self.shape[:, :, None] * self.shape[:, None, :]).reshape(len(tau), 4)
         self.dx = np.array([edge.length for edge in graph.edges]) / (n + 1)
         dofs = np.empty((graph.n_edges, n + 2), dtype=int)
         dofs[:, 0] = [edge.tail for edge in graph.edges]
@@ -174,10 +187,14 @@ class Elements:
         dofs[:, -1] = [edge.head for edge in graph.edges]
         self.pair = np.stack([dofs[:, :-1], dofs[:, 1:]], axis=-1).reshape(-1, 2)
         left = self.dx[:, None] * np.arange(self.per_edge)
-        xq = left[:, :, None] + (self.dx[:, None] * _TAU)[:, None, :]
-        self.xq = xq.reshape(-1, len(_TAU))
-        self.wq = np.repeat((self.dx / 2.0)[:, None] * GAUSS3_WEIGHTS, self.per_edge, axis=0)
-        self.mass = (self.wq @ _SHAPE_SHAPE).reshape(-1, 2, 2)
+        xq = left[:, :, None] + (self.dx[:, None] * tau)[:, None, :]
+        self.xq = xq.reshape(-1, len(tau))
+        self.wq = np.repeat(self.dx[:, None] * weights, self.per_edge, axis=0)
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """The (n_el, 2, 2) element mass blocks; built on first read, as only assembly reads them."""
+        return (self.wq @ self.shape_shape).reshape(-1, 2, 2)
 
     def active(self, weights: ZetaWeights):
         """The active edges, their element ids and each element's edge factor."""
@@ -186,17 +203,22 @@ class Elements:
         ids = (edges[:, None] * self.per_edge + np.arange(self.per_edge)).ravel()
         return edges, ids, np.repeat(factor, self.per_edge)
 
-    def sample(self, fn: EdgeFunction, edges) -> np.ndarray:
-        """``fn(e, x)`` at the Gauss points of the given edges' elements, one call per edge."""
-        xq = self.xq.reshape(self.n_edges, -1, len(_TAU))
+    def sample(self, fn: EdgeFunction, edges=None) -> np.ndarray:
+        """``fn(e, x)`` at the Gauss points of the given edges' elements (default all), one call per edge."""
+        xq = self.xq.reshape(self.n_edges, self.per_edge, -1)
+        edges = range(self.n_edges) if edges is None else edges
         values = [
             np.asarray(fn(e, xq[e].ravel()), dtype=float).reshape(xq[e].shape) for e in edges
         ]
         return np.concatenate(values)
 
-    def loads(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """The (n, 2) local loads of the elements ``ids`` for a source sampled at their Gauss points."""
-        return (values * self.wq[ids]) @ _SHAPE
+    def loads(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
+        """The (n, 2) local loads of the elements ``ids`` (default all) for values at their Gauss points."""
+        return (values * self.wq[ids]) @ self.shape
+
+    def edge_sums(self, values: np.ndarray) -> np.ndarray:
+        """The integral of a function sampled at every Gauss point, per edge."""
+        return (values * self.wq).reshape(self.n_edges, -1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -225,31 +247,29 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
     NonellipticCoefficient when the diffusion coefficient is not strictly
     positive at some quadrature point.
     """
-    elements = Elements(graph, mesh, dofmap)
-    edges = range(graph.n_edges)
-    aq = elements.sample(coeffs.a, edges)
+    elements = Elements(graph, mesh, dofmap, GAUSS3)
+    aq = elements.sample(coeffs.a)
     bad = np.flatnonzero(~(aq > 0.0).all(axis=1))
     if bad.size:
         e = int(bad[0]) // elements.per_edge
         raise NonellipticCoefficient(
             f"diffusion coefficient not positive on edge {graph.edge_name(e)}"
         )
-    bq = elements.sample(coeffs.b, edges)
-    pq = elements.sample(coeffs.p, edges)
+    bq = elements.sample(coeffs.b)
+    pq = elements.sample(coeffs.p)
     wq = elements.wq
     inv_dx = np.repeat(1.0 / elements.dx, elements.per_edge)
     stiffness = ((aq * wq).sum(axis=1) * (inv_dx * inv_dx))[:, None, None] * _GRAD_GRAD
     grad = inv_dx[:, None] * _GRAD_SIGN  # (n_el, 2) shape-function gradients
-    convection = ((bq * wq) @ _SHAPE)[:, :, None] * grad[:, None, :]
-    reaction = ((pq * wq) @ _SHAPE_SHAPE).reshape(-1, 2, 2)
+    convection = elements.loads(bq)[:, :, None] * grad[:, None, :]
+    reaction = ((pq * wq) @ elements.shape_shape).reshape(-1, 2, 2)
     separable = isinstance(coeffs.f, SeparableSource)
     terms = coeffs.f.terms if separable else ()
-    every = np.arange(len(wq))
     return ElementData(
         elements=elements,
         stiffness=stiffness,
         lower=convection + reaction,
-        term_loads=tuple(elements.loads(elements.sample(space, edges), every) for space, _ in terms),
+        term_loads=tuple(elements.loads(elements.sample(space)) for space, _ in terms),
         time_fns=tuple(time for _, time in terms),
         source=None if separable else coeffs.f,
     )
@@ -281,7 +301,7 @@ def _block_scatter(pair: np.ndarray, n_dofs: int, free: np.ndarray, constrained:
 
 def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     """Plain L2 mass matrix over all edges; the same entries as ``reduce_operators``' mass."""
-    elements = Elements(graph, mesh, dofmap)
+    elements = Elements(graph, mesh, dofmap, GAUSS3)
     every_dof = np.arange(dofmap.n_dofs)
     return _block_scatter(elements.pair, dofmap.n_dofs, every_dof, every_dof[:0])(elements.mass)
 

@@ -27,7 +27,16 @@ import scipy.sparse.linalg as spla
 
 from .decomposition import BatchFamily, SubgraphPartition, zeta_weights
 from .errors import NumericalError, SolverError
-from .fem import CoefficientSet, DofMap, Mesh, SeparableSource, interpolate, mass_matrix
+from .fem import (
+    GAUSS5,
+    CoefficientSet,
+    DofMap,
+    Elements,
+    Mesh,
+    SeparableSource,
+    interpolate,
+    mass_matrix,
+)
 from .graph import MetricGraph
 
 TWO_PI = 2.0 * np.pi
@@ -258,10 +267,6 @@ def manufactured_problem(graph: MetricGraph) -> tuple[ManufacturedSolution, Coef
     return solution, derive_data(solution)
 
 
-# the 5-point Gauss rule on the reference element [0, 1]: exact through degree 9
-_GAUSS5_NODES, _GAUSS5_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_TAU5 = 0.5 * (1.0 + _GAUSS5_NODES)
-_WEIGHTS5 = 0.5 * _GAUSS5_WEIGHTS
 # elements per edge of the quadrature behind ``lambda_profile``
 LAMBDA_ELEMENTS_PER_EDGE = 200
 
@@ -303,32 +308,21 @@ class L2ErrorEvaluator:
         |v w - u|^2 = v^2 c + 2 v b^T e + e^T M e,
 
     where c = |w - I w|^2, b_i = (w - I w, phi_i) and M is the P1 mass
-    matrix (``fem.mass_matrix``).  c and b are built once with the 5-point
-    rule per mesh element, which integrates them exactly for a quartic w.
+    matrix (``fem.mass_matrix``).  c and b are built once on the
+    ``fem.GAUSS5`` element table of the mesh, which integrates them exactly
+    for a quartic w; c is summed per edge, then over the edges in order.
     Every term is of the size of the error itself, so nothing cancels when
     the error is small; the unshifted v^2 |w|^2 - 2 v (w, phi)^T u + u^T M u loses
     digits to cancellation once the error is far below |w|^2.
     """
 
     def __init__(self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap, solution: ManufacturedSolution):
-        tau, wref = _TAU5, _WEIGHTS5
-        shape = np.stack([1.0 - tau, tau])  # (2, 5): the two hat functions
+        elements = Elements(graph, mesh, dofmap, GAUSS5)
         self._interpolant = interpolate(graph, mesh, dofmap, solution.w)
-        c = 0.0
-        pairs, b_local = [], []
-        for e in range(graph.n_edges):
-            dx = mesh.spacing(graph, e)
-            xq = dx * np.arange(mesh.nodes_per_edge + 1)[:, None] + dx * tau[None, :]
-            edofs = dofmap.edge_dofs(e)
-            pair = np.stack([edofs[:-1], edofs[1:]], axis=1)
-            wq = wref * dx
-            remainder = solution.w(e, xq.ravel()).reshape(xq.shape) - self._interpolant[pair] @ shape
-            c += float(((remainder * remainder) * wq).sum())
-            pairs.append(pair)
-            b_local.append((remainder * wq) @ shape.T)
-        pair = np.concatenate(pairs)
-        self._c = c
-        self._b = np.bincount(pair.ravel(), np.concatenate(b_local).ravel(), minlength=dofmap.n_dofs)
+        pair = elements.pair
+        remainder = elements.sample(solution.w) - self._interpolant[pair] @ elements.shape.T
+        self._c = float(np.cumsum(elements.edge_sums(remainder * remainder))[-1])
+        self._b = np.bincount(pair.ravel(), elements.loads(remainder).ravel(), minlength=dofmap.n_dofs)
         self._mass = mass_matrix(graph, mesh, dofmap)
 
     def squared_error(self, state: np.ndarray, t):
@@ -365,37 +359,28 @@ def lambda_profile(
     solution, because the weights are constant on each edge.  The
     expectation is the exact finite sum over batches weighted by their
     probabilities; no sampling is involved.  The spatial integrals use the
-    5-point rule on LAMBDA_ELEMENTS_PER_EDGE elements per edge.
+    ``fem.GAUSS5`` element table of LAMBDA_ELEMENTS_PER_EDGE elements per
+    edge.
     """
     graph = solution.graph
     t_grid = np.asarray(t_grid, dtype=float)
-    tau, wref = _TAU5, _WEIGHTS5
+    mesh = Mesh(LAMBDA_ELEMENTS_PER_EDGE - 1)
+    elements = Elements(graph, mesh, DofMap(graph, mesh, ()), GAUSS5)
 
     # per-edge spatial integrals of the exact solution's building blocks
-    flux_sq = np.zeros(graph.n_edges)     # (d/dx(a w'))^2
-    conv_sq = np.zeros(graph.n_edges)     # (b w')^2
-    react_sq = np.zeros(graph.n_edges)    # (p w)^2
-    w_sq = np.zeros(graph.n_edges)        # w^2
-    w_lw = np.zeros(graph.n_edges)        # w * Lw
-    lw_sq = np.zeros(graph.n_edges)       # Lw^2
-    for e in range(graph.n_edges):
-        length = graph.edges[e].length
-        dx = length / LAMBDA_ELEMENTS_PER_EDGE
-        left = dx * np.arange(LAMBDA_ELEMENTS_PER_EDGE)
-        xq = (left[:, None] + dx * tau[None, :]).ravel()
-        wq = np.tile(wref * dx, LAMBDA_ELEMENTS_PER_EDGE)
-        w = solution.w(e, xq)
-        wx = solution.w_dx(e, xq)
-        flux = solution.a_dx(e, xq) * wx + solution.a(e, xq) * solution.w_dxx(e, xq)
-        conv = coeffs.b(e, xq) * wx
-        react = coeffs.p(e, xq) * w
-        lw = -flux + conv + react
-        flux_sq[e] = (flux**2) @ wq
-        conv_sq[e] = (conv**2) @ wq
-        react_sq[e] = (react**2) @ wq
-        w_sq[e] = (w**2) @ wq
-        w_lw[e] = (w * lw) @ wq
-        lw_sq[e] = (lw**2) @ wq
+    w = elements.sample(solution.w)
+    wx = elements.sample(solution.w_dx)
+    wxx = elements.sample(solution.w_dxx)
+    flux = elements.sample(solution.a_dx) * wx + elements.sample(solution.a) * wxx
+    conv = elements.sample(coeffs.b) * wx
+    react = elements.sample(coeffs.p) * w
+    lw = -flux + conv + react
+    flux_sq = elements.edge_sums(flux**2)     # (d/dx(a w'))^2
+    conv_sq = elements.edge_sums(conv**2)     # (b w')^2
+    react_sq = elements.edge_sums(react**2)   # (p w)^2
+    w_sq = elements.edge_sums(w**2)           # w^2
+    w_lw = elements.edge_sums(w * lw)         # w * Lw
+    lw_sq = elements.edge_sums(lw**2)         # Lw^2
 
     v = np.sin(TWO_PI * t_grid)
     v_dt = TWO_PI * np.cos(TWO_PI * t_grid)

@@ -15,7 +15,8 @@ an explicit operator E and a weight theta:
 rhs = M - dt*(1-theta)*A - dt*E; ``step`` and the windowed solver both
 step with them.  The step matrices only depend on the system, the scheme
 and dt, so a StepWorkspace caches them and the factorization of lhs under
-one key and reuses both across steps.
+one key and reuses both across steps.  Each new factorization is checked
+once, on first use: it must solve lhs x = lhs 1 to a small residual.
 """
 
 from __future__ import annotations
@@ -117,34 +118,30 @@ class StepWorkspace:
 
 
 def _factorize(matrix: sp.spmatrix):
+    """Factor ``matrix`` and check the factor once by solving A x = A 1.
+
+    Raises SingularSystem if the factorization fails, if x is not finite,
+    or if the residual exceeds RESIDUAL_RTOL * (1 + ||A 1||_inf); the last
+    two catch near-singular systems that factor without an explicit error.
+    """
+    A = sp.csc_matrix(matrix)
     try:
-        lu = spla.splu(sp.csc_matrix(matrix))
+        lu = spla.splu(A)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
+    b = A @ np.ones(A.shape[1])
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("factor check: solution contains non-finite entries")
+    residual = np.abs(A @ x - b).max(initial=0.0)
+    if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
+        raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
     return lu
 
 
 def factor_nnz(lu) -> int:
     """Nonzeros of the triangular factors (memory proxy for the solve)."""
     return int(lu.nnz)
-
-
-def solve_linear(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve with a residual guard.
-
-    Raises SingularSystem if factorization fails or the residual exceeds
-    RESIDUAL_RTOL * (1 + ||b||_inf); this also catches near-singular
-    systems that factor without an explicit error.
-    """
-    b = np.asarray(b, dtype=float)
-    lu = _factorize(A)
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("solution contains non-finite entries")
-    residual = np.abs(A @ x - b).max() if b.size else 0.0
-    if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
-        raise SingularSystem(f"residual {residual:.3e} too large, system near singular")
-    return x
 
 
 def imex_theta(scheme: SchemeKind, mass, stiffness, lower, dt: float):
@@ -184,8 +181,10 @@ def step(
     ``spatial`` is the matrix S for the theta family, or the pair
     (stiffness, convection + reaction) for the semi-implicit scheme.
     ``f0``/``f1`` are the loads at the step's start and end times.  A
-    workspace caches the step matrices and factorization under the key
-    ("step", scheme label, dt), so one workspace serves one system.
+    workspace caches the step matrices and factorization under the scheme
+    label, dt and the identities of ``mass`` and the spatial matrices; the
+    entry keeps those matrices alive, so an identity is never reused while
+    cached and one workspace serves any number of systems.
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")
@@ -198,8 +197,9 @@ def step(
     else:
         stiffness, lower = spatial, None
     ws = workspace if workspace is not None else StepWorkspace()
-    key = ("step", scheme.label, dt)
-    lhs, rhs = ws.matrices(key, lambda: imex_theta(scheme, mass, stiffness, lower, dt))
+    system = (mass, stiffness, lower)
+    key = ("step", scheme.label, dt, *map(id, system))
+    lhs, rhs, _ = ws.matrices(key, lambda: (*imex_theta(scheme, mass, stiffness, lower, dt), system))
     lu = ws.factorization(key, lambda: lhs)
     theta = scheme.theta_value
     return lu.solve(rhs @ u + dt * (theta * f1 + (1.0 - theta) * f0))

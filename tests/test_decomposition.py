@@ -39,8 +39,10 @@ def test_partition_valid(demo, partition):
         for q in partition.parts[i + 1 :]:
             assert not (p & q)
     # fully covered interior vertices per part: the two stars and the two paths
+    singletons = [{0}, {1}, {2}, {3}]
     names = [
-        {demo.vertex_name(v) for v in interior} for interior in partition.part_interior
+        {demo.vertex_name(v) for v in batch_view(partition, singletons, i).interior}
+        for i in range(4)
     ]
     assert names == [{"v3"}, {"v5"}, {"v6"}, {"v8"}]
 

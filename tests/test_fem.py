@@ -9,7 +9,7 @@ from graphrbm import fem
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import RbmRuntime
 from graphrbm.fem import FemError, NonellipticCoefficient
-from graphrbm.timestep import solve_linear
+from graphrbm.timestep import StepWorkspace
 
 GAUSS3 = (
     (-np.sqrt(0.6), 5.0 / 9.0),
@@ -74,7 +74,8 @@ def steady_solve(data, dm, boundary, load=None):
     if load is not None:
         rhs += load[dm.free_dofs]
     u = np.zeros(dm.n_dofs)
-    u[dm.free_dofs] = solve_linear(reduced.stiffness[:, :n_free].tocsc(), rhs)
+    lu = StepWorkspace().factorization("K", lambda: reduced.stiffness[:, :n_free])
+    u[dm.free_dofs] = lu.solve(rhs)
     u[dm.dirichlet_dofs] = boundary
     return u
 

@@ -12,11 +12,19 @@ import pytest
 from conftest import reference_batch_system, reference_load
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_manufactured import reference_squared_error
 
 import graphrbm as g
 from graphrbm import fem
-from graphrbm.decomposition import batch_view
+from graphrbm.decomposition import batch_view, sample_interior_points, verify_unbiased, zeta_weights
 from graphrbm.engine import RbmConfig, RbmRuntime
+from graphrbm.manufactured import (
+    LAMBDA_ELEMENTS_PER_EDGE,
+    TWO_PI,
+    InconsistentConstraints,
+    L2ErrorEvaluator,
+    lambda_profile,
+)
 
 ALL_SCHEMES = (g.IMPLICIT_EULER, g.CRANK_NICOLSON, g.theta_method(0.75), g.SEMI_IMPLICIT)
 PROPERTY_SETTINGS = settings(
@@ -30,6 +38,7 @@ MESH = g.Mesh(2)
 DT = 0.05
 
 lengths = st.floats(min_value=0.3, max_value=2.0, allow_nan=False, allow_infinity=False)
+leading = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_subnormal=False)
 
 
 @st.composite
@@ -205,3 +214,104 @@ def test_batch_dofs_equal_sorted_set_definitions(data):
             assert got.dtype == np.intp, j
             assert got.tolist() == sorted(want), j
         assert bdofs.constrained.tolist() == sorted(view.interface) + sorted(view.exterior_boundary)
+
+
+def manufactured_solution(data, graph):
+    """A manufactured solution with drawn leading coefficients; None if the vertex conditions admit none."""
+    per_edge = st.lists(leading, min_size=graph.n_edges, max_size=graph.n_edges)
+    try:
+        return g.build_solution(graph, data.draw(per_edge), data.draw(per_edge))
+    except InconsistentConstraints:
+        return None
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_manufactured_solution_meets_vertex_conditions(data):
+    graph = data.draw(graphs())
+    solution = manufactured_solution(data, graph)
+    if solution is not None:
+        assert solution.continuity_residual() <= 1e-10
+        assert solution.kirchhoff_residual() <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_batch_weights_unbiased(data):
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    coeffs = problem_data(graph)
+    points = sample_interior_points(graph, 50, seed=data.draw(st.integers(0, 2**32)))
+    for psi in (lambda e, x: np.ones_like(x), coeffs.a, coeffs.b, coeffs.p):
+        assert verify_unbiased(partition, family, psi, points) <= 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_l2_error_matches_elementwise_quadrature(data):
+    graph = data.draw(graphs())
+    solution = manufactured_solution(data, graph)
+    if solution is None:
+        return
+    dofmap = fem.DofMap(graph, MESH, graph.boundary_vertices)
+    evaluator = L2ErrorEvaluator(graph, MESH, dofmap, solution)
+    interpolant = fem.interpolate(graph, MESH, dofmap, solution.w)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    times = np.array([0.1, 0.37, 0.8])
+    # states near the exact solution, where the error form must not lose digits
+    states = np.sin(TWO_PI * times)[:, None] * interpolant + 1e-3 * rng.standard_normal(
+        (len(times), dofmap.n_dofs)
+    )
+    stacked = evaluator.squared_error(states, times)
+    for k, (u, t) in enumerate(zip(states, times)):
+        want = reference_squared_error(graph, MESH, dofmap, solution, u, t)
+        for got in (stacked[k], evaluator.squared_error(u, t)):
+            assert abs(got - want) <= 1e-12 * want, (k, got, want)
+
+
+def per_edge_lambda(solution, coeffs, partition, family, t_grid):
+    """The variance functional with one 5-point Gauss pass per edge: the oracle for lambda_profile."""
+    graph = solution.graph
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    tau, wref = 0.5 * (1.0 + nodes), 0.5 * weights
+    integrals = np.zeros((4, graph.n_edges))  # operator terms, w^2, w Lw, Lw^2
+    for e in range(graph.n_edges):
+        dx = graph.edges[e].length / LAMBDA_ELEMENTS_PER_EDGE
+        xq = (dx * np.arange(LAMBDA_ELEMENTS_PER_EDGE)[:, None] + dx * tau[None, :]).ravel()
+        wq = np.tile(wref * dx, LAMBDA_ELEMENTS_PER_EDGE)
+        w = solution.w(e, xq)
+        wx = solution.w_dx(e, xq)
+        flux = solution.a_dx(e, xq) * wx + solution.a(e, xq) * solution.w_dxx(e, xq)
+        conv = coeffs.b(e, xq) * wx
+        react = coeffs.p(e, xq) * w
+        lw = -flux + conv + react
+        integrals[:, e] = [
+            (flux**2 + conv**2 + react**2) @ wq,
+            (w**2) @ wq,
+            (w * lw) @ wq,
+            (lw**2) @ wq,
+        ]
+    v = np.sin(TWO_PI * t_grid)
+    v_dt = TWO_PI * np.cos(TWO_PI * t_grid)
+    values = np.zeros_like(t_grid)
+    for j in range(family.n_batches):
+        op, w_sq, w_lw, lw_sq = integrals @ (1.0 - zeta_weights(partition, family, j).edge_factor) ** 2
+        values += family.probs[j] * (v**2 * (op + lw_sq) + 2.0 * v * v_dt * w_lw + v_dt**2 * w_sq)
+    return values
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_lambda_profile_matches_per_edge_quadrature(data):
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    solution = manufactured_solution(data, graph)
+    if solution is None:
+        return
+    coeffs = g.derive_data(solution)
+    t_grid = np.linspace(0.0, 1.0, 41)
+    got = lambda_profile(solution, coeffs, partition, family, t_grid).values
+    want = per_edge_lambda(solution, coeffs, partition, family, t_grid)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

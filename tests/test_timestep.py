@@ -12,7 +12,6 @@ from graphrbm.timestep import (
     SingularSystem,
     StepWorkspace,
     factor_nnz,
-    solve_linear,
     step,
     theta_method,
 )
@@ -78,16 +77,21 @@ def test_theta_half_is_crank_nicolson(rng):
     assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
 
 
+def factor(A):
+    """A fresh workspace's factorization of A; the first use runs the factor check."""
+    return StepWorkspace().factorization("A", lambda: A)
+
+
 def test_solve_identity():
     b = np.arange(5.0)
-    assert np.array_equal(solve_linear(sp.identity(5, format="csc"), b), b)
+    assert np.array_equal(factor(sp.identity(5, format="csc")).solve(b), b)
 
 
 def test_solve_poisson_inverse_column():
     # tridiag(-1, 2, -1), rhs e_1: closed-form inverse column (n+1-i)/(n+1)
     n = 5
     A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsc()
-    x = solve_linear(A, np.eye(n)[:, 0])
+    x = factor(A).solve(np.eye(n)[:, 0])
     expected = np.array([(n - i) / (n + 1) for i in range(n)])
     assert np.allclose(x, expected, rtol=1e-13)
 
@@ -97,14 +101,31 @@ def test_solve_random_spd_residual(rng):
     raw = rng.standard_normal((n, n))
     A = sp.csc_matrix(raw @ raw.T + n * np.eye(n))
     b = rng.standard_normal(n)
-    x = solve_linear(A, b)
+    x = factor(A).solve(b)
     assert np.abs(A @ x - b).max() <= 1e-10 * (1 + np.abs(b).max())
 
 
 def test_solve_singular_raises():
-    A = sp.csc_matrix((3, 3))
     with pytest.raises(SingularSystem):
-        solve_linear(A, np.ones(3))
+        factor(sp.csc_matrix((3, 3)))
+
+
+def test_factor_check_rejects_wilkinson_growth():
+    # ones on the diagonal and in the last column, -1 below the diagonal: splu factors
+    # it, but the element growth 2^(n-1) leaves A x = A 1 with a residual near 92
+    n = 200
+    dense = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    dense[:, -1] = 1.0
+    with pytest.raises(SingularSystem, match="residual"):
+        factor(sp.csc_matrix(dense))
+
+
+def test_step_workspace_keys_on_the_system():
+    # IE, dt = 0.1, M = 1: S = 3 gives 1 / 1.3 also after a step on S = 1 in the same workspace
+    ws = StepWorkspace()
+    step(IMPLICIT_EULER, scalar(1.0), scalar(1.0), ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    u1 = step(IMPLICIT_EULER, scalar(1.0), scalar(3.0), ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    assert np.isclose(u1[0], 1.0 / 1.3, rtol=1e-15) and len(ws) == 2
 
 
 def test_workspace_caches_by_key():
@@ -161,13 +182,16 @@ def test_step_rejects_bad_dt():
 )
 def test_global_order_scalar_decay(scheme, expected_order):
     # integrate u' = -u to T = 1 and compare with exp(-1)
+    # the same matrix objects on every step, so each dt factors once
+    mass, spatial = scalar(1.0), scalar(1.0)
     errors = []
     dts = [1e-2, 1e-3, 1e-4]
     for dt in dts:
         u = np.ones(1)
         ws = StepWorkspace()
         for _ in range(round(1.0 / dt)):
-            u = step(scheme, scalar(1.0), scalar(1.0), ZERO1, ZERO1, u, dt, workspace=ws)
+            u = step(scheme, mass, spatial, ZERO1, ZERO1, u, dt, workspace=ws)
+        assert len(ws) == 1
         errors.append(abs(u[0] - np.exp(-1.0)))
     slope, _ = g.fit_slope(dts, errors)
     assert abs(slope - expected_order) <= 0.1
