@@ -299,7 +299,11 @@ def verify_unbiased(
 def sample_interior_points(
     graph: MetricGraph, n: int, seed: int = 0
 ) -> list[tuple[int, float]]:
-    """Draw n uniform points strictly inside random edges (reproducible)."""
+    """Draw n >= 1 uniform points strictly inside random edges, reproducible from a seed in [0, 2**128)."""
+    if n < 1:
+        raise DecompositionError(f"need at least one sample point, got {n}")
+    if not 0 <= seed < 2**128:
+        raise DecompositionError(f"seed must lie in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     out = []
     for _ in range(n):

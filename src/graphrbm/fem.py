@@ -13,7 +13,9 @@ Assembly and the mass matrix use ``GAUSS3``, exact through degree five,
 which covers the polynomial coefficients used in the verification
 problems exactly and is amply accurate for the sinusoidal ones; the L2
 error form and the variance functional use ``GAUSS5``, exact through
-degree nine.  Dirichlet data is handled by algebraic elimination:
+degree nine.  Every vertex condition (flux sums, continuity spreads,
+vertex values, the manufactured constraint rows) runs on the edge-end
+table ``Ends``.  Dirichlet data is handled by algebraic elimination:
 constrained rows are removed and constrained columns move behind the free
 ones, where a solver multiplies them by the prescribed values.
 
@@ -73,9 +75,6 @@ class Mesh:
     def __post_init__(self):
         if self.nodes_per_edge < 1:
             raise FemError("nodes_per_edge must be at least 1")
-
-    def spacing(self, graph: MetricGraph, e: int) -> float:
-        return graph.edges[e].length / (self.nodes_per_edge + 1)
 
 
 class DofMap:
@@ -157,6 +156,42 @@ class CoefficientSet:
     y0: EdgeFunction | None = None
 
 
+class Ends:
+    """Both ends of every edge: end 2e is edge e's tail, end 2e + 1 its head.
+
+    ``vertex[k]``, ``edge[k]``, ``coordinate[k]`` (0 at a tail, the edge
+    length at a head) and ``sign[k]`` (-1 at a tail, +1 at a head) describe
+    end k; ``interior[v]`` marks the graph's interior vertices and
+    ``first[v]`` is vertex v's lowest-numbered end.  A vertex's ends come in
+    edge order, its adjacency order, so every per-vertex sum adds its terms
+    in that order.  ``sample`` is the one place a vertex quantity evaluates
+    an edge function.
+    """
+
+    def __init__(self, graph: MetricGraph):
+        self.n_vertices = graph.n_vertices
+        self.n_edges = graph.n_edges
+        self.vertex = np.array([(edge.tail, edge.head) for edge in graph.edges]).ravel()
+        self.edge = np.repeat(np.arange(graph.n_edges), 2)
+        lengths = np.array([edge.length for edge in graph.edges])
+        self.coordinate = np.stack([np.zeros_like(lengths), lengths], axis=1).ravel()
+        self.sign = np.tile([-1.0, 1.0], graph.n_edges)
+        self.interior = np.zeros(graph.n_vertices, dtype=bool)
+        self.interior[list(graph.interior_vertices)] = True
+        # every vertex has an edge, so each one has a first end
+        self.first = np.unique(self.vertex, return_index=True)[1]
+
+    def sample(self, fn: EdgeFunction) -> np.ndarray:
+        """``fn(e, [0, length_e])`` for every edge, one call per edge: the value at each end."""
+        x = self.coordinate.reshape(self.n_edges, 2)
+        return np.concatenate([np.asarray(fn(e, x[e]), dtype=float) for e in range(self.n_edges)])
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """The signed sum of per-end values at every interior vertex; 0 at boundary vertices."""
+        inner = self.interior[self.vertex]
+        return np.bincount(self.vertex[inner], (values * self.sign)[inner], minlength=self.n_vertices)
+
+
 class Elements:
     """Every mesh element of the graph, edge by edge, with the points of one Gauss rule.
 
@@ -180,11 +215,11 @@ class Elements:
         self.per_edge = n + 1
         self.shape = np.stack([1.0 - tau, tau], axis=1)
         self.shape_shape = (self.shape[:, :, None] * self.shape[:, None, :]).reshape(len(tau), 4)
-        self.dx = np.array([edge.length for edge in graph.edges]) / (n + 1)
+        ends = Ends(graph)
+        self.dx = ends.coordinate[1::2] / (n + 1)
         dofs = np.empty((graph.n_edges, n + 2), dtype=int)
-        dofs[:, 0] = [edge.tail for edge in graph.edges]
+        dofs[:, [0, -1]] = ends.vertex.reshape(-1, 2)
         dofs[:, 1:-1] = dofmap.interior_dofs(np.arange(graph.n_edges))
-        dofs[:, -1] = [edge.head for edge in graph.edges]
         self.pair = np.stack([dofs[:, :-1], dofs[:, 1:]], axis=-1).reshape(-1, 2)
         left = self.dx[:, None] * np.arange(self.per_edge)
         xq = left[:, :, None] + (self.dx[:, None] * tau)[:, None, :]
@@ -443,19 +478,13 @@ def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
 
 
 def convection_vertex_sums(graph: MetricGraph, b: EdgeFunction) -> np.ndarray:
-    """Signed sums of the convection coefficient at interior vertices.
+    """Signed sums of the convection coefficient at interior vertices (0 at boundary vertices).
 
     The continuous problem needs these to vanish for its energy
     estimates; callers typically warn when they do not.
     """
-    out = np.zeros(graph.n_vertices)
-    for v in graph.interior_vertices:
-        total = 0.0
-        for e in graph.adjacency(v):
-            x = graph.endpoint_coordinate(e, v)
-            total += float(b(e, np.array([x]))[0]) * graph.incidence(e, v)
-        out[v] = total
-    return out
+    ends = Ends(graph)
+    return ends.sums(ends.sample(b))
 
 
 def kirchhoff_flux_imbalance(
@@ -464,17 +493,16 @@ def kirchhoff_flux_imbalance(
     dofmap: DofMap,
     a: EdgeFunction,
     state: np.ndarray,
-    v: int,
-) -> float:
-    """Signed flux sum at vertex v from one-sided P1 gradients of ``state``."""
-    total = 0.0
-    for e in graph.adjacency(v):
-        edofs = dofmap.edge_dofs(e)
-        dx = mesh.spacing(graph, e)
-        x = graph.endpoint_coordinate(e, v)
-        if graph.incidence(e, v) == -1:
-            grad = (state[edofs[1]] - state[edofs[0]]) / dx
-        else:
-            grad = (state[edofs[-1]] - state[edofs[-2]]) / dx
-        total += float(a(e, np.array([x]))[0]) * grad * graph.incidence(e, v)
-    return total
+) -> np.ndarray:
+    """Signed flux sums of ``a`` times the one-sided P1 gradients of ``state`` (0 at boundary vertices).
+
+    Each end's gradient is that of its edge's first (tail) or last (head) mesh element.
+    """
+    ends = Ends(graph)
+    inner = dofmap.interior_dofs(np.arange(graph.n_edges))
+    # each end's element as (left dof, right dof) in coordinate order
+    left = np.stack([ends.vertex[0::2], inner[:, -1]], axis=1).ravel()
+    right = np.stack([inner[:, 0], ends.vertex[1::2]], axis=1).ravel()
+    dx = ends.coordinate[1::2].repeat(2) / (mesh.nodes_per_edge + 1)
+    grad = (state[right] - state[left]) / dx
+    return ends.sums(ends.sample(a) * grad)

@@ -6,7 +6,7 @@ edges.  Interior vertices carry coupling (continuity + flux) conditions
 in the solvers, boundary vertices carry Dirichlet data.
 
 Edge orientation fixes the local coordinate (tail at x=0, head at
-x=length) and the sign of the incidence vector.  Flux sums over all
+x=length) and the sign of each end (``fem.Ends``).  Flux sums over all
 adjacent edges are orientation invariant, so any consistent orientation
 choice yields the same solver behaviour.
 """
@@ -14,6 +14,7 @@ choice yields the same solver behaviour.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -69,8 +70,10 @@ class MetricGraph:
         for k, e in enumerate(edges):
             if e.tail == e.head:
                 raise SelfLoop(f"edge {k} is a self-loop at vertex {e.tail}")
-            if not e.length > 0.0:
-                raise GraphError(f"edge {k} has nonpositive length {e.length}")
+            if not (e.length > 0.0 and math.isfinite(e.length)):
+                raise GraphError(
+                    f"edge {k} has length {e.length}; lengths must be positive and finite"
+                )
 
         n_vertices = 1 + max(max(e.tail, e.head) for e in edges)
         adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
@@ -121,27 +124,6 @@ class MetricGraph:
     def adjacency(self, v: int) -> tuple[int, ...]:
         """Edge ids adjacent to vertex v."""
         return self._adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
-
-    def incidence(self, e: int, v: int) -> int:
-        """-1 if v is the tail of edge e, +1 if v is its head, 0 otherwise."""
-        edge = self.edges[e]
-        if v == edge.tail:
-            return -1
-        if v == edge.head:
-            return 1
-        return 0
-
-    def endpoint_coordinate(self, e: int, v: int) -> float:
-        """Local coordinate of vertex v on edge e (0 at tail, length at head)."""
-        edge = self.edges[e]
-        if v == edge.tail:
-            return 0.0
-        if v == edge.head:
-            return edge.length
-        raise GraphError(f"vertex {v} is not an endpoint of edge {e}")
 
     def vertex_name(self, v: int) -> str:
         return self.vertex_names[v] if self.vertex_names is not None else str(v)

@@ -32,6 +32,7 @@ from .fem import (
     CoefficientSet,
     DofMap,
     Elements,
+    Ends,
     Mesh,
     SeparableSource,
     interpolate,
@@ -76,58 +77,50 @@ def solve_lower_coefficients(
 ) -> np.ndarray:
     """Solve for the per-edge (C, D, E) coefficients.
 
-    Builds one continuity row per extra adjacent edge and one flux row
-    per interior vertex as one sparse matrix, then takes the minimum-norm
-    least-squares solution of the underdetermined system with LSMR started
-    from zero.  Returns an (n_edges, 3) array; raises
-    InconsistentConstraints when no quartic family with the given leading
-    coefficients can satisfy the vertex conditions.
+    Builds the constraint rows on the ``fem.Ends`` table as one sparse
+    matrix: per interior vertex, in increasing order, one continuity row
+    per end after its first (w there minus w at the first end), then one
+    flux row.  Takes the minimum-norm least-squares solution of the
+    underdetermined system with LSMR started from zero.  Returns an
+    (n_edges, 3) array; raises InconsistentConstraints when no quartic
+    family with the given leading coefficients can satisfy the vertex
+    conditions.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if alpha.shape != (graph.n_edges,) or beta.shape != (graph.n_edges,):
         raise SolverError("need one leading quartic and cubic coefficient per edge")
 
-    rows: list[int] = []
-    cols: list[int] = []
-    values: list[float] = []
-    rhs: list[float] = []
-
-    def value_parts(e: int, s: float):
-        # coefficients of (C, D, E) and the fixed (A, B) contribution of w(s)
-        return (s * s, s, 1.0), alpha[e] * s**4 + beta[e] * s**3
-
-    def slope_parts(e: int, s: float):
-        return (2.0 * s, 1.0, 0.0), 4.0 * alpha[e] * s**3 + 3.0 * beta[e] * s**2
-
-    def add(e: int, coeff, weight: float) -> None:
-        # entries of row len(rhs) on edge e's three unknowns; duplicates add up
-        rows.extend([len(rhs)] * 3)
-        cols.extend(range(3 * e, 3 * e + 3))
-        values.extend(weight * c for c in coeff)
-
-    for v in sorted(graph.interior_vertices):
-        adjacent = graph.adjacency(v)
-        ref = adjacent[0]
-        ref_coeff, ref_const = value_parts(ref, graph.endpoint_coordinate(ref, v))
-        for e in adjacent[1:]:
-            coeff, const = value_parts(e, graph.endpoint_coordinate(e, v))
-            add(e, coeff, 1.0)
-            add(ref, ref_coeff, -1.0)
-            rhs.append(ref_const - const)
-        flux_const = 0.0
-        for e in adjacent:
-            s = graph.endpoint_coordinate(e, v)
-            coeff, const = slope_parts(e, s)
-            weight = graph.incidence(e, v) * float(a(e, np.array([s]))[0])
-            add(e, coeff, weight)
-            flux_const += weight * const
-        rhs.append(-flux_const)
-
-    if not rhs:
+    ends = Ends(graph)
+    inner = np.flatnonzero(ends.interior[ends.vertex])
+    if not inner.size:
         return np.zeros((graph.n_edges, 3))
-    A = sp.csr_matrix((values, (rows, cols)), shape=(len(rhs), 3 * graph.n_edges))
-    b = np.asarray(rhs)
+    # the interior ends by vertex, in edge order within each; a vertex with d
+    # ends owns d consecutive rows: the continuity row p - 1 of each end at a
+    # position p after its first, then its flux row
+    order = inner[np.argsort(ends.vertex[inner], kind="stable")]
+    vertex = ends.vertex[order]
+    flux_row = np.cumsum(np.bincount(vertex))[vertex] - 1
+    later = np.flatnonzero(order != ends.first[vertex])
+    own, ref = order[later], ends.first[vertex[later]]
+
+    s, e = ends.coordinate, ends.edge
+    # Python's float power: NumPy's SIMD power can differ from C pow in the last bit
+    s2, s3, s4 = (np.array([c**k for c in s.tolist()]) for k in (2, 3, 4))
+    # the (C, D, E) coefficients of w and w' at each end, and their fixed (A, B) parts
+    value = np.stack([s * s, s, np.ones_like(s)], axis=1)
+    slope = np.stack([2.0 * s, np.ones_like(s), np.zeros_like(s)], axis=1)
+    value_const = alpha[e] * s4 + beta[e] * s3
+    slope_const = 4.0 * alpha[e] * s3 + 3.0 * beta[e] * s2
+    weight = ends.sign * ends.sample(a)
+
+    rows = np.concatenate([later - 1, later - 1, flux_row]).repeat(3)
+    cols = 3 * e[np.concatenate([own, ref, order])][:, None] + np.arange(3)
+    values = np.concatenate([value[own], -value[ref], weight[order, None] * slope[order]])
+    A = sp.csr_matrix((values.ravel(), (rows, cols.ravel())), shape=(len(order), 3 * graph.n_edges))
+    b = np.empty(len(order))
+    b[later - 1] = value_const[ref] - value_const[own]
+    b[flux_row] = -np.bincount(vertex, (weight * slope_const)[order])[vertex]
     # from x0 = 0, LSMR tends to the minimum-norm solution and stops once its
     # residual tests reach machine precision; rounding can keep it a few steps
     # past the rank, beyond scipy's default cap of min(A.shape) iterations
@@ -150,6 +143,7 @@ class ManufacturedSolution:
         self.a_dx = a_dx
         self._dpoly = np.stack([np.polyder(c) for c in self.poly])
         self._ddpoly = np.stack([np.polyder(c, 2) for c in self.poly])
+        self._ends = Ends(graph)
 
     # spatial profile and derivatives
     def w(self, e: int, x) -> np.ndarray:
@@ -171,39 +165,24 @@ class ManufacturedSolution:
         return float(TWO_PI * np.cos(TWO_PI * t))
 
     def vertex_values(self) -> np.ndarray:
-        """w at every vertex, read through the first adjacent edge."""
-        out = np.zeros(self.graph.n_vertices)
-        for v in range(self.graph.n_vertices):
-            e = self.graph.adjacency(v)[0]
-            s = self.graph.endpoint_coordinate(e, v)
-            out[v] = float(self.w(e, s))
-        return out
+        """w at every vertex, read at the vertex's first end (its lowest-numbered edge)."""
+        return self._ends.sample(self.w)[self._ends.first]
 
     def continuity_residual(self) -> float:
-        """Largest spread of w across the edges meeting at an interior vertex."""
-        worst = 0.0
-        for v in self.graph.interior_vertices:
-            vals = [
-                float(self.w(e, self.graph.endpoint_coordinate(e, v)))
-                for e in self.graph.adjacency(v)
-            ]
-            worst = max(worst, max(vals) - min(vals))
-        return worst
+        """Largest spread (max - min) of w over the ends at an interior vertex."""
+        ends = self._ends
+        w = ends.sample(self.w)
+        high = np.full(ends.n_vertices, -np.inf)
+        low = np.full(ends.n_vertices, np.inf)
+        np.maximum.at(high, ends.vertex, w)
+        np.minimum.at(low, ends.vertex, w)
+        return float((high - low)[ends.interior].max(initial=0.0))
 
     def kirchhoff_residual(self) -> float:
-        """Largest signed flux sum of a * w' over interior vertices."""
-        worst = 0.0
-        for v in self.graph.interior_vertices:
-            total = 0.0
-            for e in self.graph.adjacency(v):
-                s = self.graph.endpoint_coordinate(e, v)
-                total += (
-                    float(self.a(e, np.array([s]))[0])
-                    * float(self.w_dx(e, s))
-                    * self.graph.incidence(e, v)
-                )
-            worst = max(worst, abs(total))
-        return worst
+        """Largest |signed sum of a * w'| over the ends at an interior vertex."""
+        ends = self._ends
+        flux = ends.sums(ends.sample(self.a) * ends.sample(self.w_dx))
+        return float(np.abs(flux).max(initial=0.0))
 
 
 def build_solution(

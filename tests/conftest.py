@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import graphrbm as g
 
@@ -67,7 +68,7 @@ _SHAPE = np.stack([1.0 - _TAU, _TAU], axis=1)
 
 def _edge_quadrature(dofmap, e):
     mesh = dofmap.mesh
-    dx = mesh.spacing(dofmap.graph, e)
+    dx = dofmap.graph.edges[e].length / (mesh.nodes_per_edge + 1)
     n_el = mesh.nodes_per_edge + 1
     xq = dx * np.arange(n_el)[:, None] + dx * _TAU[None, :]
     wq = GAUSS3_WEIGHTS * (dx / 2.0)
@@ -142,3 +143,107 @@ def reference_batch_system(graph, partition, family, mesh, dofmap, coeffs, j, fr
     return tuple(
         m.tocsr()[free][:, columns].tocsr() for m in (mass, stiffness, convection + reaction)
     )
+
+
+# -- the per-vertex loops graphrbm used before the edge-end table -------------
+#
+# Kept as oracles for ``fem.Ends``: each walks ``graph.adjacency(v)`` and
+# evaluates the edge functions at one endpoint per call, summing in
+# adjacency order.
+
+
+def endpoint(graph, e, v):
+    """(coordinate, sign) of vertex v on edge e: (0, -1) at its tail, (length, +1) at its head."""
+    edge = graph.edges[e]
+    return (0.0, -1) if v == edge.tail else (edge.length, 1)
+
+
+def reference_convection_vertex_sums(graph, b):
+    out = np.zeros(graph.n_vertices)
+    for v in graph.interior_vertices:
+        total = 0.0
+        for e in graph.adjacency(v):
+            x, sign = endpoint(graph, e, v)
+            total += float(b(e, np.array([x]))[0]) * sign
+        out[v] = total
+    return out
+
+
+def reference_flux_imbalance(graph, mesh, dofmap, a, state, v):
+    """Signed flux sum at vertex v from one-sided P1 gradients of ``state``."""
+    total = 0.0
+    for e in graph.adjacency(v):
+        edofs = dofmap.edge_dofs(e)
+        dx = graph.edges[e].length / (mesh.nodes_per_edge + 1)
+        x, sign = endpoint(graph, e, v)
+        if sign == -1:
+            grad = (state[edofs[1]] - state[edofs[0]]) / dx
+        else:
+            grad = (state[edofs[-1]] - state[edofs[-2]]) / dx
+        total += float(a(e, np.array([x]))[0]) * grad * sign
+    return total
+
+
+def reference_vertex_values(solution):
+    graph = solution.graph
+    out = np.zeros(graph.n_vertices)
+    for v in range(graph.n_vertices):
+        e = graph.adjacency(v)[0]
+        out[v] = float(solution.w(e, endpoint(graph, e, v)[0]))
+    return out
+
+
+def reference_continuity_residual(solution):
+    graph = solution.graph
+    worst = 0.0
+    for v in graph.interior_vertices:
+        vals = [float(solution.w(e, endpoint(graph, e, v)[0])) for e in graph.adjacency(v)]
+        worst = max(worst, max(vals) - min(vals))
+    return worst
+
+
+def reference_kirchhoff_residual(solution):
+    graph = solution.graph
+    worst = 0.0
+    for v in graph.interior_vertices:
+        total = 0.0
+        for e in graph.adjacency(v):
+            s, sign = endpoint(graph, e, v)
+            total += float(solution.a(e, np.array([s]))[0]) * float(solution.w_dx(e, s)) * sign
+        worst = max(worst, abs(total))
+    return worst
+
+
+def reference_lower_coefficients(graph, a, alpha, beta):
+    """The constraint rows built vertex by vertex, then the same LSMR solve (no residual check)."""
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    rows, cols, values, rhs = [], [], [], []
+
+    def add(e, coeff, weight):
+        rows.extend([len(rhs)] * 3)
+        cols.extend(range(3 * e, 3 * e + 3))
+        values.extend(weight * c for c in coeff)
+
+    for v in sorted(graph.interior_vertices):
+        adjacent = graph.adjacency(v)
+        ref = adjacent[0]
+        s_ref = endpoint(graph, ref, v)[0]
+        for e in adjacent[1:]:
+            s = endpoint(graph, e, v)[0]
+            add(e, (s * s, s, 1.0), 1.0)
+            add(ref, (s_ref * s_ref, s_ref, 1.0), -1.0)
+            ref_const = alpha[ref] * s_ref**4 + beta[ref] * s_ref**3
+            rhs.append(ref_const - (alpha[e] * s**4 + beta[e] * s**3))
+        const = 0.0
+        for e in adjacent:
+            s, sign = endpoint(graph, e, v)
+            weight = sign * float(a(e, np.array([s]))[0])
+            add(e, (2.0 * s, 1.0, 0.0), weight)
+            const += weight * (4.0 * alpha[e] * s**3 + 3.0 * beta[e] * s**2)
+        rhs.append(-const)
+    if not rhs:
+        return np.zeros((graph.n_edges, 3))
+    A = sp.csr_matrix((values, (rows, cols)), shape=(len(rhs), 3 * graph.n_edges))
+    solution = spla.lsmr(A, np.asarray(rhs), atol=0.0, btol=0.0, maxiter=4 * min(A.shape))[0]
+    return solution.reshape(graph.n_edges, 3)

@@ -233,3 +233,23 @@ def test_time_length_not_positive_finite_is_config_error(tmp_path, capsys, comma
         argv += ["--out", str(tmp_path / "study.csv")]
     _assert_config_error(argv, capsys)
     assert not (tmp_path / "study.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--points", "0"), ("--points", "-3"), ("--seed", "-1"), ("--seed", str(2**128))]
+)
+def test_check_sampling_input_is_config_error(capsys, flag, value):
+    _assert_config_error(["check", flag, value], capsys)
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_infinite_edge_length_is_config_error(tmp_path, capsys, demo, command):
+    edges = [
+        f'{{"tail": "{demo.vertex_name(e.tail)}", "head": "{demo.vertex_name(e.head)}", '
+        f'"length": {"1e400" if k == 4 else "1.0"}}}'
+        for k, e in enumerate(demo.edges)
+    ]
+    boundary = ", ".join(f'"{demo.vertex_name(v)}"' for v in sorted(demo.boundary_vertices))
+    path = tmp_path / "graph.json"
+    path.write_text(f'{{"edges": [{", ".join(edges)}], "boundary": [{boundary}]}}')
+    _assert_config_error([command, "--graph", str(path), "--nodes-per-edge", "3"], capsys)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import graphrbm as g
+from graphrbm import fem
 from graphrbm.graph import (
     BoundaryVertexUnknown,
     DisconnectedGraph,
@@ -37,22 +39,36 @@ def test_demo_graph_shape(demo):
 
 def test_incidence_signs():
     graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2})
-    assert graph.incidence(0, 0) == -1
-    assert graph.incidence(0, 1) == 1
-    assert graph.incidence(0, 2) == 0
+    ends = fem.Ends(graph)
+    # edge 0 runs from vertex 0 (its tail, sign -1) to vertex 1 (its head, sign +1)
+    assert ends.vertex[ends.edge == 0].tolist() == [0, 1]
+    assert ends.sign[ends.edge == 0].tolist() == [-1.0, 1.0]
+    assert 2 not in ends.vertex[ends.edge == 0]
+
+
+def assert_end_invariants(graph):
+    """Each edge has one tail end and one head end; each vertex one end per adjacent edge."""
+    ends = fem.Ends(graph)
+    assert np.bincount(ends.edge).tolist() == [2] * graph.n_edges
+    for e, edge in enumerate(graph.edges):
+        tail, head = np.flatnonzero(ends.edge == e)
+        assert (ends.vertex[tail], ends.vertex[head]) == (edge.tail, edge.head)
+        assert ends.sign[tail] * ends.sign[head] == -1.0
+    counts = np.bincount(ends.vertex, minlength=graph.n_vertices)
+    for v in range(graph.n_vertices):
+        assert counts[v] == len(graph.adjacency(v))
+        # a vertex's ends come in its adjacency order, the first one first
+        assert ends.edge[ends.vertex == v].tolist() == list(graph.adjacency(v))
+        assert ends.first[v] == np.flatnonzero(ends.vertex == v)[0]
 
 
 def test_incidence_invariants(demo):
-    for e in range(demo.n_edges):
-        edge = demo.edges[e]
-        assert demo.incidence(e, edge.tail) * demo.incidence(e, edge.head) == -1
-        assert sum(abs(demo.incidence(e, v)) for v in range(demo.n_vertices)) == 2
+    assert_end_invariants(demo)
 
 
 def test_degree_matches_incidence(demo):
-    for v in range(demo.n_vertices):
-        nnz = sum(1 for e in range(demo.n_edges) if demo.incidence(e, v) != 0)
-        assert demo.degree(v) == nnz
+    counts = np.bincount(fem.Ends(demo).vertex)
+    assert counts.tolist() == [1, 1, 3, 3, 2, 2, 3, 3, 1, 1]
 
 
 def test_random_graphs_incidence_invariants(rng):
@@ -63,13 +79,7 @@ def test_random_graphs_incidence_invariants(rng):
         for _ in range(int(rng.integers(0, 3))):
             a, b = rng.choice(n, size=2, replace=False)
             edges.append((int(a), int(b), float(rng.uniform(0.5, 2.0))))
-        graph = g.build_graph(edges, {0})
-        for e in range(graph.n_edges):
-            edge = graph.edges[e]
-            assert graph.incidence(e, edge.tail) * graph.incidence(e, edge.head) == -1
-        for v in range(graph.n_vertices):
-            nnz = sum(1 for e in range(graph.n_edges) if graph.incidence(e, v) != 0)
-            assert graph.degree(v) == nnz
+        assert_end_invariants(g.build_graph(edges, {0}))
 
 
 def test_disconnected_rejected():
@@ -102,12 +112,19 @@ def test_nonpositive_length_rejected():
         g.build_graph([(0, 1, 0.0)], {0, 1})
 
 
+@pytest.mark.parametrize("length", [float("inf"), float("nan"), -1.0])
+def test_nonfinite_length_rejected(length):
+    with pytest.raises(GraphError, match="positive and finite"):
+        g.build_graph([(0, 1, 1.0), (1, 2, length)], {0, 2})
+
+
 def test_endpoint_coordinate():
     graph = g.build_graph([(0, 1, 2.5)], {0, 1})
-    assert graph.endpoint_coordinate(0, 0) == 0.0
-    assert graph.endpoint_coordinate(0, 1) == 2.5
-    with pytest.raises(GraphError):
-        graph.endpoint_coordinate(0, 2)
+    ends = fem.Ends(graph)
+    # the tail sits at coordinate 0 and the head at the edge length
+    assert ends.vertex.tolist() == [0, 1]
+    assert ends.coordinate.tolist() == [0.0, 2.5]
+    assert ends.sample(lambda e, x: 10.0 * e + x).tolist() == [0.0, 2.5]
 
 
 def test_graph_from_dict_name_order():

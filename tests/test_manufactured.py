@@ -37,7 +37,7 @@ def reference_squared_error(graph, mesh, dofmap, solution, state, t, order=5):
     v = solution.time_factor(t)
     total = 0.0
     for e in range(graph.n_edges):
-        dx = mesh.spacing(graph, e)
+        dx = graph.edges[e].length / (mesh.nodes_per_edge + 1)
         xq = dx * np.arange(mesh.nodes_per_edge + 1)[:, None] + dx * tau[None, :]
         edofs = dofmap.edge_dofs(e)
         interp = state[edofs[:-1]][:, None] * (1.0 - tau) + state[edofs[1:]][:, None] * tau
@@ -87,14 +87,23 @@ def test_two_edge_path_hand_solution():
 
 
 def dense_lower_coefficients(graph, a, alpha, beta):
-    """The constraint rows as one dense matrix, solved with np.linalg.lstsq (oracle)."""
+    """The constraint rows as one dense matrix, solved with np.linalg.lstsq (oracle).
+
+    Reads each edge's endpoint at v inline, (coordinate 0, sign -1) at its
+    tail and (its length, sign +1) at its head, not from ``fem.Ends``.
+    """
+
+    def at(e, v):
+        edge = graph.edges[e]
+        return (0.0, -1.0) if v == edge.tail else (edge.length, 1.0)
+
     rows, rhs = [], []
     for v in sorted(graph.interior_vertices):
         adjacent = graph.adjacency(v)
         ref = adjacent[0]
-        s_ref = graph.endpoint_coordinate(ref, v)
+        s_ref = at(ref, v)[0]
         for e in adjacent[1:]:
-            s = graph.endpoint_coordinate(e, v)
+            s = at(e, v)[0]
             row = np.zeros(3 * graph.n_edges)
             row[3 * e : 3 * e + 3] += [s * s, s, 1.0]
             row[3 * ref : 3 * ref + 3] -= [s_ref * s_ref, s_ref, 1.0]
@@ -103,8 +112,8 @@ def dense_lower_coefficients(graph, a, alpha, beta):
         row = np.zeros(3 * graph.n_edges)
         const = 0.0
         for e in adjacent:
-            s = graph.endpoint_coordinate(e, v)
-            weight = graph.incidence(e, v) * float(a(e, np.array([s]))[0])
+            s, sign = at(e, v)
+            weight = sign * float(a(e, np.array([s]))[0])
             row[3 * e : 3 * e + 3] += weight * np.array([2.0 * s, 1.0, 0.0])
             const += weight * (4.0 * alpha[e] * s**3 + 3.0 * beta[e] * s**2)
         rows.append(row)

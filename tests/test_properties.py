@@ -9,21 +9,38 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import reference_batch_system, reference_load
+from conftest import (
+    reference_batch_system,
+    reference_continuity_residual,
+    reference_convection_vertex_sums,
+    reference_flux_imbalance,
+    reference_kirchhoff_residual,
+    reference_load,
+    reference_lower_coefficients,
+    reference_vertex_values,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_manufactured import reference_squared_error
 
 import graphrbm as g
 from graphrbm import fem
-from graphrbm.decomposition import batch_view, sample_interior_points, verify_unbiased, zeta_weights
+from graphrbm.decomposition import (
+    batch_view,
+    check_assumption_A1,
+    sample_interior_points,
+    verify_unbiased,
+    zeta_weights,
+)
 from graphrbm.engine import RbmConfig, RbmRuntime
 from graphrbm.manufactured import (
     LAMBDA_ELEMENTS_PER_EDGE,
     TWO_PI,
     InconsistentConstraints,
     L2ErrorEvaluator,
+    ManufacturedSolution,
     lambda_profile,
+    mass_norms_sq,
 )
 
 ALL_SCHEMES = (g.IMPLICIT_EULER, g.CRANK_NICOLSON, g.theta_method(0.75), g.SEMI_IMPLICIT)
@@ -315,3 +332,97 @@ def test_lambda_profile_matches_per_edge_quadrature(data):
     got = lambda_profile(solution, coeffs, partition, family, t_grid).values
     want = per_edge_lambda(solution, coeffs, partition, family, t_grid)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def assert_bitwise(got, want, what):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_vertex_quantities_equal_per_vertex_loops(data):
+    """Every quantity read off ``fem.Ends`` against the per-vertex loop it replaced, bitwise."""
+    graph = data.draw(graphs())
+    c = data.draw(st.floats(min_value=0.5, max_value=2.0))
+    # smooth coefficients with different values at the two ends of every edge
+    a = lambda e, x: 1.0 + 0.25 * np.cos(c * np.asarray(x) + e)
+    b = lambda e, x: 0.4 * np.sin(c * np.asarray(x) - e)
+    sums = fem.convection_vertex_sums(graph, b)
+    assert_bitwise(sums, reference_convection_vertex_sums(graph, b), "convection")
+
+    dofmap = fem.DofMap(graph, MESH, graph.boundary_vertices)
+    state = np.random.default_rng(data.draw(st.integers(0, 2**32))).standard_normal(dofmap.n_dofs)
+    imbalance = fem.kirchhoff_flux_imbalance(graph, MESH, dofmap, a, state)
+    for v in range(graph.n_vertices):
+        interior = v in graph.interior_vertices
+        want = reference_flux_imbalance(graph, MESH, dofmap, a, state, v) if interior else 0.0
+        assert_bitwise(imbalance[v], want, ("flux", v))
+
+    # quartics that meet no vertex condition, so both residuals are far from zero
+    n = graph.n_edges
+    poly = np.array(data.draw(st.lists(leading, min_size=5 * n, max_size=5 * n))).reshape(n, 5)
+    solution = ManufacturedSolution(graph, poly, a, lambda e, x: np.zeros_like(x))
+    assert_bitwise(solution.vertex_values(), reference_vertex_values(solution), "values")
+    assert_bitwise(solution.continuity_residual(), reference_continuity_residual(solution), "spread")
+    assert_bitwise(solution.kirchhoff_residual(), reference_kirchhoff_residual(solution), "kirchhoff")
+
+    alpha, beta = poly[:, 0], poly[:, 1]
+    try:
+        lower = g.solve_lower_coefficients(graph, a, alpha, beta)
+    except InconsistentConstraints:
+        return
+    assert_bitwise(lower, reference_lower_coefficients(graph, a, alpha, beta), "lower")
+
+
+@pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_assumption_a1_matches_brute_force(data):
+    """Each interior vertex is covered by the first batch whose active edges hold all its edges."""
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    witnesses, violations = {}, []
+    for v in sorted(graph.interior_vertices):
+        touching = {e for e, edge in enumerate(graph.edges) if v in (edge.tail, edge.head)}
+        covering = [
+            j
+            for j, batch in enumerate(family.batches)
+            if touching <= set().union(*(partition.parts[i] for i in batch))
+        ]
+        if covering:
+            witnesses[v] = covering[0]
+        else:
+            violations.append(v)
+    report = check_assumption_A1(partition, family.batches)
+    assert report.holds == (not violations)
+    assert report.witnesses == witnesses
+    assert report.violations == tuple(violations)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_full_solve_energy_does_not_increase_without_data(data):
+    """u^T M u of the implicit full solves never grows for a > 0, b = 0, p >= 0 and zero f, g."""
+    graph = data.draw(graphs())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    length = np.array([edge.length for edge in graph.edges])
+    # random vertex values, zero at the Dirichlet vertices, plus a random sine pair per edge
+    r = rng.standard_normal(graph.n_vertices)
+    r[list(graph.boundary_vertices)] = 0.0
+    sines = rng.standard_normal((graph.n_edges, 2))
+
+    def y0(e, x):
+        s = np.asarray(x, dtype=float) / length[e]
+        tail, head = r[graph.edges[e].tail], r[graph.edges[e].head]
+        return tail + (head - tail) * s + sines[e] @ np.sin(np.pi * np.outer([1.0, 2.0], s))
+
+    base = problem_data(graph)
+    zero = lambda e, x: np.zeros_like(np.asarray(x, dtype=float))
+    coeffs = g.CoefficientSet(a=base.a, b=zero, p=base.p, y0=y0)
+    for scheme in (g.IMPLICIT_EULER, g.CRANK_NICOLSON):
+        traj = g.run_full(graph, MESH, coeffs, scheme, dt=DT, t_final=0.5)
+        energy = mass_norms_sq(fem.mass_matrix(graph, MESH, traj.dofmap), traj.states)
+        assert energy[0] > 0.0
+        assert np.all(np.diff(energy) <= 1e-12 * energy[0]), scheme.label
