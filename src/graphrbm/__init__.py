@@ -5,7 +5,6 @@ from .decomposition import (
     BatchFamily,
     BatchView,
     SubgraphPartition,
-    ZetaWeights,
     batch_family,
     batch_option_one,
     batch_option_two,

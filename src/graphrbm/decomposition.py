@@ -243,34 +243,21 @@ def batch_family(
     return BatchFamily(batches=batch_sets, probs=probs / probs.sum(), normalizers=pi)
 
 
-@dataclass(frozen=True)
-class ZetaWeights:
-    """Localization weights of one batch.
+def zeta_weights(partition: SubgraphPartition, family: BatchFamily, j: int) -> np.ndarray:
+    """Per-edge scale factors of batch j: 1/pi of the owning part on active edges, 0 elsewhere.
 
-    ``edge_factor[e]`` is 1/pi of the owning part for active edges and 0
-    for inactive ones; the weights vanish at the batch's interface
-    vertices (``batch_view(...).interface``).  A vertex shared by two
-    active parts takes, for each adjacent edge, the factor of that edge's
-    owning part; this is the convention the flux bookkeeping of the
-    windowed solver uses and it is what per-edge factors encode naturally.
+    The weights vanish at the batch's interface vertices
+    (``batch_view(...).interface``).  A vertex shared by two active parts
+    takes, for each adjacent edge, the factor of that edge's owning part;
+    this is the convention the flux bookkeeping of the windowed solver uses
+    and it is what per-edge factors encode naturally.
     """
-
-    edge_factor: np.ndarray
-
-    @property
-    def active_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.edge_factor != 0.0)
-
-
-def zeta_weights(partition: SubgraphPartition, family: BatchFamily, j: int) -> ZetaWeights:
-    """Per-edge scale factors of batch j."""
     if j < 0 or j >= family.n_batches:
         raise BadBatchIndex(f"batch index {j} out of range [0, {family.n_batches})")
-    factor = np.zeros(partition.graph.n_edges)
-    for i in family.batches[j]:
-        for e in partition.parts[i]:
-            factor[e] = 1.0 / family.normalizers[i]
-    return ZetaWeights(edge_factor=factor)
+    parts = list(family.batches[j])
+    part_factor = np.zeros(family.n_parts)
+    part_factor[parts] = 1.0 / family.normalizers[parts]
+    return part_factor[partition.part_of_edge]
 
 
 def verify_unbiased(
@@ -284,14 +271,14 @@ def verify_unbiased(
     The identity holds exactly for every point in the open part of every
     edge, so the return value should be at machine precision.
     """
-    weights = [zeta_weights(partition, family, j) for j in range(family.n_batches)]
+    factors = [zeta_weights(partition, family, j) for j in range(family.n_batches)]
     worst = 0.0
     for e, x in points:
         xa = np.asarray([float(x)])
         value = float(psi(int(e), xa)[0])
         estimate = 0.0
-        for j, w in enumerate(weights):
-            estimate += family.probs[j] * w.edge_factor[e] * value
+        for j, factor in enumerate(factors):
+            estimate += family.probs[j] * factor[e] * value
         worst = max(worst, abs(estimate - value))
     return worst
 

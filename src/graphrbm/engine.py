@@ -20,10 +20,11 @@ except a source that is not separable.  Systems and factorizations are
 cached per batch and reused across windows because the window matrix only
 depends on the batch, the scheme and dt.
 
-Every active system keeps its operators as the free-dof rows over the
-columns [free | constrained], the constrained columns being the interface
-dofs followed by the exterior dofs.  One step of every scheme is the
-IMEX-theta recurrence of ``timestep.imex_theta`` on that layout,
+Every active system keeps its operators as element blocks, which it
+combines and then scatters into the free-dof rows over the columns
+[free | constrained], the constrained columns being the interface dofs
+followed by the exterior dofs.  One step of every scheme is the IMEX-theta
+recurrence of ``timestep.imex_theta`` on that layout,
 
     lhs_ff u1 = rhs [u_f; c0] - lhs_fc c1 + dt (theta F1 + (1 - theta) F0),
 
@@ -175,19 +176,17 @@ def _count_steps(total: float, step: float, total_name: str, step_name: str) -> 
 class _ActiveSystem:
     """Reduced operators and a free-restricted load for one active subgraph.
 
-    ``mass``, ``stiffness`` and ``lower`` (C + P) are the free-dof rows
-    over the columns [free | constrained]; the constrained columns are
-    ``interface_dofs`` followed by ``exterior_dofs``, so the constrained
-    vector c(t) is the window-frozen interface values followed by
-    g_ext(t); its exterior part at a window's start is g_ext(t0), not the
-    stored state.
+    ``operators`` (``fem.ReducedOperators``) holds the element blocks of M,
+    K and C + P and their scatter into the free-dof rows over the columns
+    [free | constrained]; the constrained columns are ``interface_dofs``
+    followed by ``exterior_dofs``, so the constrained vector c(t) is the
+    window-frozen interface values followed by g_ext(t); its exterior part
+    at a window's start is g_ext(t0), not the stored state.
     """
 
-    def __init__(self, reduced, load, n_active, interface_dofs, exterior_dofs):
-        self.free = reduced.free
-        self.mass = reduced.mass
-        self.stiffness = reduced.stiffness
-        self.lower = reduced.lower
+    def __init__(self, operators, load, n_active, interface_dofs, exterior_dofs):
+        self.operators = operators
+        self.free = operators.free
         self.load = load
         self.n_active = int(n_active)
         self.interface_dofs = np.asarray(interface_dofs, dtype=int)
@@ -195,9 +194,10 @@ class _ActiveSystem:
 
     def step_matrices(self, scheme: SchemeKind, dt: float):
         """(lhs_ff, lhs_fc, rhs) of the IMEX-theta step: lhs split into free and constrained columns."""
-        lhs, rhs = imex_theta(scheme, self.mass, self.stiffness, self.lower, dt)
+        lhs, rhs = imex_theta(scheme, *self.operators.blocks(), dt)
+        lhs = self.operators.scatter(lhs)
         n_free = len(self.free)
-        return lhs[:, :n_free], lhs[:, n_free:], rhs
+        return lhs[:, :n_free], lhs[:, n_free:], self.operators.scatter(rhs)
 
 
 def _boundary_values(coeffs: CoefficientSet, n_vertices: int):
@@ -245,11 +245,11 @@ class RbmRuntime:
         if system is None:
             view = batch_view(self.partition, self.family.batches, j)
             bdofs = restrict_to_batch(self.dofmap, view)
-            weights = zeta_weights(self.partition, self.family, j)
-            reduced = reduce_operators(self.elements, bdofs.free, bdofs.constrained, weights)
-            load = LoadEvaluator(self.elements, weights, bdofs.free)
+            factor = zeta_weights(self.partition, self.family, j)
+            operators = reduce_operators(self.elements, bdofs.free, bdofs.constrained, factor)
+            load = LoadEvaluator(self.elements, factor, bdofs.free)
             system = _ActiveSystem(
-                reduced,
+                operators,
                 load,
                 n_active=len(bdofs.active),
                 interface_dofs=bdofs.interface_dofs,

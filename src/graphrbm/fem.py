@@ -23,10 +23,11 @@ Each edge is integrated once per runtime: its one ``assemble`` call
 evaluates the coefficients and every separable source term once per edge
 and keeps, per mesh element, the 2x2 blocks of M, K and C + P and the
 local load of each term.  The operators and loads of one batch are then
-scaled sums of these element data over its active edges: one COO->CSR per
-operator and one bincount per load term, each edge counting with 1/pi of
-its owning part.  The mass is never scaled.  The whole graph is the batch
-of the one-part, one-batch family, whose factors are all 1.
+scaled sums of these element data over its active edges, each edge
+counting with 1/pi of its owning part: its operators stay element blocks,
+which a solver combines before one COO->CSR per step matrix, and its load
+is one bincount per load term.  The mass is never scaled.  The whole graph
+is the batch of the one-part, one-batch family, whose factors are all 1.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .decomposition import BatchView, ZetaWeights
+from .decomposition import BatchView
 from .errors import NumericalError, SolverError
 from .graph import MetricGraph
 
@@ -231,12 +232,11 @@ class Elements:
         """The (n_el, 2, 2) element mass blocks; built on first read, as only assembly reads them."""
         return (self.wq @ self.shape_shape).reshape(-1, 2, 2)
 
-    def active(self, weights: ZetaWeights):
-        """The active edges, their element ids and each element's edge factor."""
-        edges = weights.active_edges
-        factor = weights.edge_factor[edges]
+    def active(self, edge_factor: np.ndarray):
+        """The active edges (nonzero ``edge_factor``), their element ids and each element's edge factor."""
+        edges = np.flatnonzero(edge_factor)
         ids = (edges[:, None] * self.per_edge + np.arange(self.per_edge)).ravel()
-        return edges, ids, np.repeat(factor, self.per_edge)
+        return edges, ids, np.repeat(edge_factor[edges], self.per_edge)
 
     def sample(self, fn: EdgeFunction, edges=None) -> np.ndarray:
         """``fn(e, x)`` at the Gauss points of the given edges' elements (default all), one call per edge."""
@@ -311,11 +311,12 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
 
 
 def _block_scatter(pair: np.ndarray, n_dofs: int, free: np.ndarray, constrained: np.ndarray):
-    """Sum (n, 2, 2) element blocks over elements with dof pairs ``pair`` into CSR.
+    """A function that sums an (n, 2, 2) stack of element blocks into CSR.
 
-    The result has the free rows over the columns [free | constrained];
-    entries in any other row or column are dropped.  The returned function
-    makes one COO->CSR per call, which adds up shared-dof entries.
+    Element k of the stack has the dof pair ``pair[k]``.  The result has the
+    free rows over the columns [free | constrained]; entries in any other
+    row or column are dropped.  Each call makes one COO->CSR, which sums
+    the shared-dof entries.
     """
     position = np.full(n_dofs, -1)
     position[free] = np.arange(len(free))
@@ -335,7 +336,7 @@ def _block_scatter(pair: np.ndarray, n_dofs: int, free: np.ndarray, constrained:
 
 
 def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
-    """Plain L2 mass matrix over all edges; the same entries as ``reduce_operators``' mass."""
+    """Plain L2 mass matrix over all edges: one scatter of the element mass blocks."""
     elements = Elements(graph, mesh, dofmap, GAUSS3)
     every_dof = np.arange(dofmap.n_dofs)
     return _block_scatter(elements.pair, dofmap.n_dofs, every_dof, every_dof[:0])(elements.mass)
@@ -351,14 +352,14 @@ class LoadEvaluator:
     returned vector holds the entries of the dof ids ``free``, in order.
     """
 
-    def __init__(self, data: ElementData, weights: ZetaWeights, free: np.ndarray):
+    def __init__(self, data: ElementData, edge_factor: np.ndarray, free: np.ndarray):
         elements = data.elements
         self.n_dofs = elements.n_dofs
         self._free = free
         self._elements = elements
         self._source = data.source
         self._time_fns = data.time_fns
-        self._edges, self._ids, self._factor = elements.active(weights)
+        self._edges, self._ids, self._factor = elements.active(edge_factor)
         # every left-node term, then every right-node term: one fixed summation order per dof
         self._dofs = elements.pair[self._ids].T.ravel()
         self._term_vectors = [self._sum(local[self._ids]) for local in data.term_loads]
@@ -395,44 +396,45 @@ def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction
 
 @dataclass(frozen=True)
 class ReducedOperators:
-    """The free-dof rows of mass, stiffness and lower-order part C + P.
+    """One batch's mass, stiffness and lower-order part C + P, kept as element data.
 
-    Each matrix has one row per free dof and the columns
-    ``[free | constrained]``, so ``A[:, :n_free]`` is the free block and
-    ``A[:, n_free:]`` couples the free dofs to the constrained values.
+    ``ids`` are the active elements and ``factor`` their edge factors.
+    ``scatter`` sums an (n, 2, 2) stack over them, such as a combination
+    of ``blocks()``, into one CSR matrix with one row per free dof and the
+    columns ``[free | constrained]``, so ``A[:, :n_free]`` is the free
+    block and ``A[:, n_free:]`` couples the free dofs to the constrained values.
     """
 
     free: np.ndarray
-    constrained: np.ndarray
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    lower: sp.csr_matrix
+    data: ElementData
+    ids: np.ndarray
+    factor: np.ndarray
+    scatter: Callable[[np.ndarray], sp.csr_matrix]
+
+    def blocks(self):
+        """The element blocks (M, K, C + P), formed per call: M unscaled, K and C + P times the factor."""
+        scale = self.factor[:, None, None]
+        data, ids = self.data, self.ids
+        return data.elements.mass[ids], data.stiffness[ids] * scale, data.lower[ids] * scale
 
 
 def reduce_operators(
     data: ElementData,
     free: np.ndarray,
     constrained: np.ndarray,
-    weights: ZetaWeights,
+    edge_factor: np.ndarray,
 ) -> ReducedOperators:
-    """Eliminate the constrained dofs: the free rows over the columns [free | constrained].
+    """Eliminate the constrained dofs: the active elements and their scatter into [free | constrained].
 
-    Each operator is one COO->CSR over the elements of the active edges:
-    M unscaled, K and C + P scaled by their edge's factor.
+    ``edge_factor`` is the batch's per-edge factor (``zeta_weights``); the
+    edges where it is nonzero are active.
     """
     free = np.asarray(free, dtype=int)
     constrained = np.asarray(constrained, dtype=int)
     elements = data.elements
-    _, ids, factor = elements.active(weights)
-    build = _block_scatter(elements.pair[ids], elements.n_dofs, free, constrained)
-    scale = factor[:, None, None]
-    return ReducedOperators(
-        free=free,
-        constrained=constrained,
-        mass=build(elements.mass[ids]),
-        stiffness=build(data.stiffness[ids] * scale),
-        lower=build(data.lower[ids] * scale),
-    )
+    _, ids, factor = elements.active(edge_factor)
+    scatter = _block_scatter(elements.pair[ids], elements.n_dofs, free, constrained)
+    return ReducedOperators(free, data, ids, factor, scatter)
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,7 @@ def lambda_profile(
     v_dt = TWO_PI * np.cos(TWO_PI * t_grid)
     values = np.zeros_like(t_grid)
     for j in range(family.n_batches):
-        kappa_sq = (1.0 - zeta_weights(partition, family, j).edge_factor) ** 2
+        kappa_sq = (1.0 - zeta_weights(partition, family, j)) ** 2
         op_part = kappa_sq @ (flux_sq + conv_sq + react_sq)
         src_w = kappa_sq @ w_sq
         src_cross = kappa_sq @ w_lw

@@ -11,12 +11,13 @@ an explicit operator E and a weight theta:
     theta    theta   K + C + P  0
     siem     1       K          C + P
 
-``imex_theta`` builds the two matrices lhs = M + dt*theta*A and
-rhs = M - dt*(1-theta)*A - dt*E; ``step`` and the windowed solver both
-step with them.  The step matrices only depend on the system, the scheme
-and dt, so a StepWorkspace caches them and the factorization of lhs under
-one key and reuses both across steps.  Each new factorization is checked
-once, on first use: it must solve lhs x = lhs 1 to a small residual.
+``imex_theta`` forms lhs = M + dt*theta*A and rhs = M - dt*(1-theta)*A -
+dt*E, of sparse matrices for ``step`` and of element blocks, scattered
+after, for the windowed solver.  The step matrices only depend on the
+system, the scheme and dt, so a StepWorkspace caches them and the
+factorization of lhs under one key and reuses both across steps.  Each new
+factorization is checked once, on first use: it must solve lhs x = lhs 1
+to a small residual.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class StepWorkspace:
             self._cache[key] = lu
         return lu
 
-    def clear(self) -> None:
-        self._cache.clear()
-        self._matrices.clear()
-
     def __len__(self) -> int:
         """Number of cached factorizations."""
         return len(self._cache)
@@ -145,11 +142,12 @@ def factor_nnz(lu) -> int:
 
 
 def imex_theta(scheme: SchemeKind, mass, stiffness, lower, dt: float):
-    """The matrices (lhs, rhs) of one step: lhs = M + dt*theta*A, rhs = M - dt*(1-theta)*A - dt*E.
+    """The operators (lhs, rhs) of one step: lhs = M + dt*theta*A, rhs = M - dt*(1-theta)*A - dt*E.
 
     ``lower`` is the lower-order part C + P (None for zero); the scheme
     decides whether it joins the stiffness in A or forms E.  The operators
-    may be rectangular, as long as all three share one shape.
+    are sparse matrices or element-block stacks, of one shape, which may
+    be rectangular; lhs and rhs are of the same kind.
     """
     if scheme.name == "siem":
         implicit, explicit = stiffness, lower
@@ -163,7 +161,7 @@ def imex_theta(scheme: SchemeKind, mass, stiffness, lower, dt: float):
         rhs = rhs - (dt * (1.0 - theta)) * implicit
     if explicit is not None:
         rhs = rhs - dt * explicit
-    return sp.csr_matrix(lhs), sp.csr_matrix(rhs)
+    return lhs, rhs
 
 
 def step(

@@ -145,27 +145,27 @@ def test_zero_normalizer_rejected():
 
 def test_zeta_option1_batch5(demo, partition, option1):
     w = g.zeta_weights(partition, option1, 4)
-    assert np.allclose(w.edge_factor, [3, 3, 3, 2, 2, 2, 2, 0, 0, 0], rtol=1e-12)
+    assert np.allclose(w, [3, 3, 3, 2, 2, 2, 2, 0, 0, 0], rtol=1e-12)
     assert batch_view(partition, option1.batches, 4).interface == V(demo, "v7")
 
 
 def test_zeta_option2_batch1(demo, partition, option2):
     w = g.zeta_weights(partition, option2, 0)
-    assert np.allclose(w.edge_factor[:3], 2.5, rtol=1e-12)
-    assert np.all(w.edge_factor[3:] == 0.0)
+    assert np.allclose(w[:3], 2.5, rtol=1e-12)
+    assert np.all(w[3:] == 0.0)
     assert batch_view(partition, option2.batches, 0).interface == V(demo, "v4")
 
 
 def test_zeta_single_batch(demo, partition, single_batch):
     w = g.zeta_weights(partition, single_batch, 0)
-    assert np.allclose(w.edge_factor, 1.0, rtol=1e-15)
+    assert np.allclose(w, 1.0, rtol=1e-15)
     assert batch_view(partition, single_batch.batches, 0).interface == frozenset()
 
 
 def test_zeta_edge_support(partition, option1):
     w = g.zeta_weights(partition, option1, 0)
-    assert set(w.active_edges) == {0, 1, 2}
-    assert np.all(w.edge_factor[3:] == 0.0)
+    assert set(np.flatnonzero(w)) == {0, 1, 2}
+    assert np.all(w[3:] == 0.0)
 
 
 @pytest.mark.parametrize("family_name", ["option1", "option2"])

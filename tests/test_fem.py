@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,12 +53,19 @@ def dense_assembly(graph, mesh, dofmap, a, b, p):
 
 def unit_weights(graph):
     """Every edge active with factor 1: the whole graph as one batch."""
-    return g.ZetaWeights(edge_factor=np.ones(graph.n_edges))
+    return np.ones(graph.n_edges)
+
+
+def scattered(reduced):
+    """The reduced M, K and C + P as CSR matrices: each element-block stack scattered once."""
+    mass, stiffness, lower = map(reduced.scatter, reduced.blocks())
+    return SimpleNamespace(mass=mass, stiffness=stiffness, lower=lower)
 
 
 def full_operators(data, dm, weights):
     """M, K and C + P on the full dof numbering: every dof free, none constrained."""
-    return fem.reduce_operators(data, np.arange(dm.n_dofs), np.array([], dtype=int), weights)
+    empty = np.array([], dtype=int)
+    return scattered(fem.reduce_operators(data, np.arange(dm.n_dofs), empty, weights))
 
 
 def load_vector(graph, mesh, dm, coeffs, f, t):
@@ -69,12 +77,13 @@ def load_vector(graph, mesh, dm, coeffs, f, t):
 def steady_solve(data, dm, boundary, load=None):
     """Solve K_ff u_f = F_f - K_fc g on the reduced stiffness rows; returns the full vector."""
     reduced = fem.reduce_operators(data, dm.free_dofs, dm.dirichlet_dofs, unit_weights(dm.graph))
+    stiffness = scattered(reduced).stiffness
     n_free = len(dm.free_dofs)
-    rhs = -(reduced.stiffness[:, n_free:] @ boundary)
+    rhs = -(stiffness[:, n_free:] @ boundary)
     if load is not None:
         rhs += load[dm.free_dofs]
     u = np.zeros(dm.n_dofs)
-    lu = StepWorkspace().factorization("K", lambda: reduced.stiffness[:, :n_free])
+    lu = StepWorkspace().factorization("K", lambda: stiffness[:, :n_free])
     u[dm.free_dofs] = lu.solve(rhs)
     u[dm.dirichlet_dofs] = boundary
     return u
@@ -200,9 +209,7 @@ def test_weighted_assembly_equals_scaled_parts(demo, partition, option1, problem
     ops = full_operators(data, dm, g.zeta_weights(partition, option1, j))
     totals = {"mass": 0, "stiffness": 0, "lower": 0}
     for i in sorted(option1.batches[j]):
-        indicator = g.ZetaWeights(
-            edge_factor=np.isin(np.arange(demo.n_edges), list(partition.parts[i])).astype(float),
-        )
+        indicator = np.isin(np.arange(demo.n_edges), list(partition.parts[i])).astype(float)
         part = full_operators(data, dm, indicator)
         totals["mass"] = totals["mass"] + part.mass  # the mass is never scaled
         for name in ("stiffness", "lower"):
@@ -247,7 +254,7 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     ops = full_operators(data, dm, unit_weights(demo))
     bd = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
     assert np.array_equal(bd.constrained, np.concatenate([bd.interface_dofs, bd.exterior_dofs]))
-    reduced = fem.reduce_operators(data, bd.free, bd.constrained, unit_weights(demo))
+    reduced = scattered(fem.reduce_operators(data, bd.free, bd.constrained, unit_weights(demo)))
     columns = np.concatenate([bd.free, bd.constrained])
     for got, full in (
         (reduced.mass, ops.mass.toarray()),

@@ -297,7 +297,7 @@ def test_lambda_at_time_zero_source_term_only(demo, partition, option2, solution
     v_dt0 = 2.0 * np.pi
     expected = 0.0
     for j in range(option2.n_batches):
-        kappa_sq = (1.0 - g.zeta_weights(partition, option2, j).edge_factor) ** 2
+        kappa_sq = (1.0 - g.zeta_weights(partition, option2, j)) ** 2
         per_edge = []
         for e in range(demo.n_edges):
             sq = np.polymul(solution.poly[e], solution.poly[e])

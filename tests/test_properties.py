@@ -42,6 +42,7 @@ from graphrbm.manufactured import (
     lambda_profile,
     mass_norms_sq,
 )
+from graphrbm.timestep import imex_theta
 
 ALL_SCHEMES = (g.IMPLICIT_EULER, g.CRANK_NICOLSON, g.theta_method(0.75), g.SEMI_IMPLICIT)
 PROPERTY_SETTINGS = settings(
@@ -172,16 +173,20 @@ def sparsity(matrix):
     return canonical.indptr.tolist(), canonical.indices.tolist()
 
 
-def assert_close(got, expected, what):
-    scale = np.abs(expected).max()
-    assert np.abs(got - expected).max() <= 1e-13 * scale, what
+def assert_close(got, expected, what, rtol=1e-13):
+    scale = np.abs(expected).max(initial=0.0)  # lhs_fc has no columns without constrained dofs
+    assert np.abs(got - expected).max(initial=0.0) <= rtol * scale, what
 
 
 @pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_batch_systems_equal_scaled_part_sums(data):
-    """Every batch system against the per-edge assembly of its parts, scaled by 1/pi."""
+    """Every batch system against the per-edge assembly of its parts, scaled by 1/pi.
+
+    Each step matrix must match ``imex_theta`` on those sparse reference
+    operators to 1e-14 relative, with the same stored positions.
+    """
     graph = data.draw(graphs())
     partition = data.draw(partitions(graph))
     family = data.draw(families(partition.n_parts))
@@ -198,16 +203,26 @@ def test_batch_systems_equal_scaled_part_sums(data):
         expected = reference_batch_system(
             graph, partition, family, MESH, dofmap, coeffs, j, system.free, constrained
         )
-        for name, want in zip(("mass", "stiffness", "lower"), expected):
-            got = getattr(system, name)
+        scattered = map(system.operators.scatter, system.operators.blocks())
+        for name, got, want in zip(("mass", "stiffness", "lower"), scattered, expected):
             assert got.shape == want.shape, (j, name)
-            # the factor nnz, and so the memory proxy, follows the pattern
             assert sparsity(got) == sparsity(want), (j, name)
             assert_close(got.toarray(), want.toarray(), (j, name))
-        weights = g.zeta_weights(partition, family, j)
-        unseparated_load = fem.LoadEvaluator(unseparated, weights, system.free)
+        n_free = len(system.free)
+        for scheme in ALL_SCHEMES:
+            for dt in (DT, 0.3):
+                lhs, rhs = imex_theta(scheme, *expected, dt)
+                wanted = (lhs[:, :n_free], lhs[:, n_free:], rhs)
+                for k, (got, want) in enumerate(zip(system.step_matrices(scheme, dt), wanted)):
+                    what = (j, scheme.label, dt, k)
+                    assert got.shape == want.shape, what
+                    # the factor nnz, and so the memory proxy, follows the pattern
+                    assert sparsity(got) == sparsity(want), what
+                    assert_close(got.toarray(), want.toarray(), what, rtol=1e-14)
+        factor = g.zeta_weights(partition, family, j)
+        unseparated_load = fem.LoadEvaluator(unseparated, factor, system.free)
         for t in (0.0, 0.37):
-            want = reference_load(graph, MESH, dofmap, coeffs.f, t, weights.edge_factor)
+            want = reference_load(graph, MESH, dofmap, coeffs.f, t, factor)
             assert_close(system.load(t), want[system.free], (j, t))
             assert_close(unseparated_load(t), want[system.free], (j, t, "callable"))
 
@@ -313,7 +328,7 @@ def per_edge_lambda(solution, coeffs, partition, family, t_grid):
     v_dt = TWO_PI * np.cos(TWO_PI * t_grid)
     values = np.zeros_like(t_grid)
     for j in range(family.n_batches):
-        op, w_sq, w_lw, lw_sq = integrals @ (1.0 - zeta_weights(partition, family, j).edge_factor) ** 2
+        op, w_sq, w_lw, lw_sq = integrals @ (1.0 - zeta_weights(partition, family, j)) ** 2
         values += family.probs[j] * (v**2 * (op + lw_sq) + 2.0 * v * v_dt * w_lw + v_dt**2 * w_sq)
     return values
 
