@@ -20,17 +20,28 @@ except a source that is not separable.  Systems and factorizations are
 cached per batch and reused across windows because the window matrix only
 depends on the batch, the scheme and dt.
 
-Every active system keeps its operators as element blocks, which it
-combines and then scatters into the free-dof rows over the columns
-[free | constrained], the constrained columns being the interface dofs
-followed by the exterior dofs.  One step of every scheme is the IMEX-theta
-recurrence of ``timestep.imex_theta`` on that layout,
+Every active system keeps its operators as element blocks.  Per (batch,
+scheme, dt) it combines them with ``timestep.imex_theta`` and sums them,
+in one bincount into a sparsity fixed per batch, into lhs_ff (free rows
+and columns) and one fused matrix W over the columns
 
-    lhs_ff u1 = rhs [u_f; c0] - lhs_fc c1 + dt (theta F1 + (1 - theta) F0),
+    [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms],
 
-with c(t) the window-frozen interface values followed by g_ext(t).  The
-exterior part of c0 is g_ext(t0), never the stored u: an exterior vertex
-outside the batches of the last windows still holds a stale value.
+holding rhs_ff, rhs_fi - lhs_fi, rhs_fD, -lhs_fD and the separable load
+term vectors V.  One step of every scheme is then
+
+    lhs_ff u1 = W z (+ dt (theta F1 + (1 - theta) F0) for a callable source),
+    z = [u_f | u_if | g_D(t0) | g_D(t1) | dt (theta tau(t1) + (1 - theta) tau(t0))],
+
+one matvec and one solve: u_if are the window-frozen interface values and
+the rest of z is one row of a drive table that ``_solve`` fills once per
+run, calling g and each time factor tau once per step time.  The
+Dirichlet columns are numbered over all of the graph's Dirichlet dofs, so
+one drive row serves every batch; an exterior dof takes g(t1) from it
+after the step, never the stored u, since an exterior vertex outside the
+batches of the last windows still holds a stale value.  A run whose
+stored states are not finite, or exceed BLOWUP_FACTOR times the scale of
+its data, raises NumericalBlowup (``_check_growth``).
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from .decomposition import (
     check_assumption_A1,
     zeta_weights,
 )
-from .errors import SolverError
+from .errors import NumericalError, SolverError
 from .fem import (
     CoefficientSet,
     DofMap,
@@ -70,6 +81,8 @@ from .timestep import SchemeKind, StepWorkspace, factor_nnz, imex_theta
 
 TIME_MATCH_TOL = 1e-9
 CONVECTION_SUM_TOL = 1e-10
+# stored states may reach this multiple of the data scale (``_check_growth``)
+BLOWUP_FACTOR = 1e6
 
 
 class EngineError(SolverError):
@@ -85,6 +98,10 @@ class ScheduleMismatch(InvalidSpec):
 
 
 class GridMismatch(EngineError):
+    pass
+
+
+class NumericalBlowup(EngineError, NumericalError):
     pass
 
 
@@ -177,34 +194,27 @@ class _ActiveSystem:
     """Reduced operators and a free-restricted load for one active subgraph.
 
     ``operators`` (``fem.ReducedOperators``) holds the element blocks of M,
-    K and C + P and their scatter into the free-dof rows over the columns
-    [free | constrained]; the constrained columns are ``interface_dofs``
-    followed by ``exterior_dofs``, so the constrained vector c(t) is the
-    window-frozen interface values followed by g_ext(t); its exterior part
-    at a window's start is g_ext(t0), not the stored state.
+    K and C + P and the layout of the fused step matrix W, whose constrained
+    columns are ``interface_dofs`` and then the graph's Dirichlet dofs at
+    the step's start and end; ``exterior_columns`` places each of
+    ``exterior_dofs`` among those Dirichlet dofs.  ``load_peaks`` holds
+    max |V_k| of each load term vector, for the blow-up guard.
     """
 
-    def __init__(self, operators, load, n_active, interface_dofs, exterior_dofs):
+    def __init__(self, operators, load, n_active, interface_dofs, exterior_dofs, exterior_columns):
         self.operators = operators
         self.free = operators.free
         self.load = load
         self.n_active = int(n_active)
         self.interface_dofs = np.asarray(interface_dofs, dtype=int)
         self.exterior_dofs = np.asarray(exterior_dofs, dtype=int)
+        self.exterior_columns = np.asarray(exterior_columns, dtype=int)
+        self.load_peaks = np.array([np.abs(v).max(initial=0.0) for v in load.term_vectors])
 
-    def step_matrices(self, scheme: SchemeKind, dt: float):
-        """(lhs_ff, lhs_fc, rhs) of the IMEX-theta step: lhs split into free and constrained columns."""
+    def fused_matrices(self, scheme: SchemeKind, dt: float):
+        """(W, lhs_ff) of the IMEX-theta step of ``scheme``: see ``fem.ReducedOperators``."""
         lhs, rhs = imex_theta(scheme, *self.operators.blocks(), dt)
-        lhs = self.operators.scatter(lhs)
-        n_free = len(self.free)
-        return lhs[:, :n_free], lhs[:, n_free:], self.operators.scatter(rhs)
-
-
-def _boundary_values(coeffs: CoefficientSet, n_vertices: int):
-    if coeffs.g is None:
-        zeros = np.zeros(n_vertices)
-        return lambda t: zeros
-    return coeffs.g
+        return self.operators.fuse(lhs, rhs, self.load.term_vectors)
 
 
 class RbmRuntime:
@@ -233,7 +243,6 @@ class RbmRuntime:
         self.mesh = mesh
         self.coeffs = coeffs
         self.dofmap = DofMap(graph, mesh, graph.boundary_vertices)
-        self.boundary_of_t = _boundary_values(coeffs, graph.n_vertices)
         self.workspace = StepWorkspace()
         self.a1_report = check_assumption_A1(partition, family.batches)
         self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
@@ -246,7 +255,10 @@ class RbmRuntime:
             view = batch_view(self.partition, self.family.batches, j)
             bdofs = restrict_to_batch(self.dofmap, view)
             factor = zeta_weights(self.partition, self.family, j)
-            operators = reduce_operators(self.elements, bdofs.free, bdofs.constrained, factor)
+            dirichlet = self.dofmap.dirichlet_dofs
+            operators = reduce_operators(
+                self.elements, bdofs.free, bdofs.interface_dofs, dirichlet, factor
+            )
             load = LoadEvaluator(self.elements, factor, bdofs.free)
             system = _ActiveSystem(
                 operators,
@@ -254,61 +266,153 @@ class RbmRuntime:
                 n_active=len(bdofs.active),
                 interface_dofs=bdofs.interface_dofs,
                 exterior_dofs=bdofs.exterior_dofs,
+                exterior_columns=np.searchsorted(dirichlet, bdofs.exterior_dofs),
             )
             self._systems[j] = system
         return system
 
 
-def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots):
+def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
     """Advance u in place from global step ``first`` to ``last`` on batch j's active subgraph.
 
-    The interface values are frozen at what ``u`` holds on entry and the
-    exterior ones follow the Dirichlet data.  Only the free and exterior
-    dofs of the system are ever written, which freezes everything outside
-    the active subgraph exactly.  After each step s with ``s % every == 0``
-    the pair (s dt, copy of u) joins ``snapshots``; u itself is written
-    only then and after step ``last``.  Returns the system's active dof
-    count and factor nnz.
+    Each step s solves lhs_ff x = W z (+ dt F for a callable source) with
+    z = [u_f | u_if | drive[s - 1]]: the interface values stay at what ``u``
+    holds on entry, and the drive row brings g at both ends of the step
+    and the load weights.  Only the free and exterior dofs of the system
+    are ever written, which freezes everything outside the active subgraph
+    exactly; an exterior value is g(s dt), read off the drive row.  After
+    each step s with ``s % every == 0`` the pair (s dt, copy of u) joins
+    ``snapshots``; u itself is written only then and after step ``last``.
+    Returns the system's active dof count, its factor nnz and, for a
+    callable source, the sum over the steps of max |dt F| (0 otherwise).
     """
     system = runtime.system(j)
     key = (j, scheme.label, dt)
     workspace = runtime.workspace
-    lhs_ff, lhs_fc, rhs = workspace.matrices(key, lambda: system.step_matrices(scheme, dt))
+    w, lhs_ff = workspace.matrices(key, lambda: system.fused_matrices(scheme, dt))
     lu = workspace.factorization(key, lambda: lhs_ff)
-    boundary = runtime.boundary_of_t
-    exterior = system.exterior_dofs
-    theta = scheme.theta_value
     n_free = len(system.free)
     n_fixed = n_free + len(system.interface_dofs)
-    t0 = first * dt
-    x = np.concatenate([u[system.free], u[system.interface_dofs], boundary(t0)[exterior]])  # [u_f | c]
-    f_prev = system.load(t0) if theta != 1.0 else None
+    exterior = system.exterior_dofs
+    exterior_t1 = len(runtime.dofmap.dirichlet_dofs) + system.exterior_columns
+    theta = scheme.theta_value
+    callable_source = runtime.elements.source is not None
+    f_prev = system.load(first * dt) if callable_source and theta != 1.0 else None
+    forced = 0.0
+    z = np.empty(w.shape[1])
+    z[n_free:n_fixed] = u[system.interface_dofs]
+    x = u[system.free]
     for s in range(first + 1, last + 1):
-        t1 = s * dt
-        b = rhs @ x
-        x[n_fixed:] = boundary(t1)[exterior]
-        b -= lhs_fc @ x[n_free:]
-        f_next = system.load(t1)
-        if f_prev is None:
-            b += dt * f_next
-        else:
-            b += dt * (theta * f_next + (1.0 - theta) * f_prev)
-            f_prev = f_next
-        x[:n_free] = lu.solve(b)
+        z[:n_free] = x
+        z[n_fixed:] = drive[s - 1]
+        b = w @ z
+        if callable_source:
+            f_next = system.load(s * dt)
+            if f_prev is None:
+                load = dt * f_next
+            else:
+                load = dt * (theta * f_next + (1.0 - theta) * f_prev)
+                f_prev = f_next
+            b += load
+            forced += np.abs(load).max(initial=0.0)
+        x = lu.solve(b)
         snapshot = s % every == 0
         if snapshot or s == last:
-            u[system.free] = x[:n_free]
-            u[exterior] = x[n_fixed:]
+            u[system.free] = x
+            u[exterior] = drive[s - 1, exterior_t1]
             if snapshot:
-                snapshots.append((t1, u.copy()))
-    return system.n_active, factor_nnz(lu)
+                snapshots.append((s * dt, u.copy()))
+    return system.n_active, factor_nnz(lu), forced
+
+
+def _tabulate(fn, times, name: str, shape: tuple) -> np.ndarray:
+    """``fn(t)`` at every time, stacked; InvalidSpec names ``name`` and t unless each is finite of ``shape``."""
+    try:
+        table = np.array([fn(t) for t in times], dtype=float)
+    except (TypeError, ValueError):
+        table = None
+    if table is None or table.shape != (len(times), *shape):
+        for t in times:  # call again to name the first bad value
+            try:
+                value = np.asarray(fn(t), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InvalidSpec(f"{name} at t={t:g} is not numeric: {exc}") from exc
+            if value.shape != shape:
+                raise InvalidSpec(f"{name} at t={t:g} has shape {value.shape}, expected {shape}")
+        raise InvalidSpec(f"{name} does not give values of shape {shape}")
+    finite = np.isfinite(table.reshape(len(times), -1)).all(axis=1)
+    if not finite.all():
+        raise InvalidSpec(f"{name} at t={times[int(np.argmin(finite))]:g} is not finite")
+    return table
+
+
+def _drive_table(runtime, theta: float, dt: float, n_steps: int) -> np.ndarray:
+    """The data of every step, one row per step, with g and each time factor called once per step time.
+
+    Row s - 1 is [g(t_{s-1}) | g(t_s) at the Dirichlet dofs | dt (theta tau(t_s) +
+    (1 - theta) tau(t_{s-1}))], tau the time factors of a separable source.
+    g must give a finite array of n_vertices entries and each time factor
+    a finite number, else InvalidSpec.
+    """
+    coeffs = runtime.coeffs
+    dirichlet = runtime.dofmap.dirichlet_dofs
+    times = [s * dt for s in range(n_steps + 1)]
+    if coeffs.g is None:
+        boundary = np.zeros((n_steps + 1, len(dirichlet)))
+    else:
+        boundary = _tabulate(coeffs.g, times, "g", (runtime.graph.n_vertices,))[:, dirichlet]
+    factors = [
+        _tabulate(fn, times, f"time factor {k} of the source", ())
+        for k, fn in enumerate(runtime.elements.time_fns)
+    ]
+    factors = np.column_stack(factors) if factors else np.empty((n_steps + 1, 0))
+    loads = dt * (theta * factors[1:] + (1.0 - theta) * factors[:-1])
+    return np.hstack([boundary[:-1], boundary[1:], loads])
+
+
+def _check_growth(runtime, traj, drive, used, forced) -> None:
+    """Raise NumericalBlowup if a stored state is not finite or exceeds BLOWUP_FACTOR times the data scale.
+
+    scale = max |u(0)| + max |g(t_s)| + (sum_s max |dt F_s|) / (min_e dx_e / 2):
+    the initial state, the tabulated Dirichlet data, and the load the run
+    applied over a lower bound of every lumped mass entry, the integral of
+    a hat function.  A separable load is bounded term by term by the
+    tabulated weights times max |V_k| over the batches ``used``; a callable
+    one comes as ``forced``, measured in the step loop.
+    """
+    states = traj.states
+    n_boundary = 2 * len(runtime.dofmap.dirichlet_dofs)
+    peaks = np.zeros(drive.shape[1] - n_boundary)
+    for j in used:
+        peaks = np.maximum(peaks, runtime._systems[int(j)].load_peaks)
+    forced += float(np.abs(drive[:, n_boundary:]).sum(axis=0) @ peaks)
+    scale = (
+        np.abs(states[0]).max(initial=0.0)
+        + np.abs(drive[:, :n_boundary]).max(initial=0.0)
+        + forced / (0.5 * runtime.elements.elements.dx.min())
+    )
+    limit = BLOWUP_FACTOR * scale
+    hi, lo = float(states.max()), float(states.min())
+    if math.isfinite(hi) and math.isfinite(lo) and max(hi, -lo) <= limit:
+        return
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        t = traj.times[int(np.argmin(finite))]
+        raise NumericalBlowup(f"the stored state at t={t:g} has non-finite entries")
+    peak = np.abs(states).max(axis=1)
+    t = traj.times[int(np.argmax(peak > limit))]
+    raise NumericalBlowup(
+        f"max |u| = {peak.max():.3e} exceeds {BLOWUP_FACTOR:g} times the data scale "
+        f"{scale:.3e}, first at t={t:g}"
+    )
 
 
 def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTrajectory:
     """Run window k on batch ``omegas[k]`` for n_sub steps from the initial state.
 
-    Stores the state after global step s when ``s % every == 0`` or s is
-    the last step.
+    Tabulates the data of every step once (``_drive_table``), stores the
+    state after global step s when ``s % every == 0`` or s is the last
+    step, and checks the stored states with ``_check_growth``.
     """
     graph = runtime.graph
     worst = float(np.abs(runtime.convection_sums).max(initial=0.0))
@@ -328,16 +432,21 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTr
             stacklevel=3,
         )
     dofmap = runtime.dofmap
+    n_steps = len(omegas) * n_sub
+    drive = _drive_table(runtime, scheme.theta_value, dt, n_steps)
     u = fem.interpolate(graph, runtime.mesh, dofmap, runtime.coeffs.y0)
-    u[dofmap.dirichlet_dofs] = runtime.boundary_of_t(0.0)[dofmap.dirichlet_dofs]
+    u[dofmap.dirichlet_dofs] = drive[0, : len(dofmap.dirichlet_dofs)]
     snapshots = [(0.0, u.copy())]
     max_active = max_nnz = 0
+    forced = 0.0
     for k, j in enumerate(omegas):
         first, last = k * n_sub, (k + 1) * n_sub
-        n_active, nnz = _advance(runtime, int(j), scheme, dt, u, first, last, every, snapshots)
+        n_active, nnz, window_forced = _advance(
+            runtime, int(j), scheme, dt, u, first, last, every, snapshots, drive
+        )
         max_active = max(max_active, n_active)
         max_nnz = max(max_nnz, nnz)
-    n_steps = len(omegas) * n_sub
+        forced += window_forced
     if n_steps % every:
         snapshots.append((n_steps * dt, u.copy()))
     times, states = zip(*snapshots)
@@ -347,7 +456,9 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTr
         "max_factor_nnz": max_nnz,
         "n_factorizations": len(runtime.workspace),
     }
-    return RbmTrajectory(graph, runtime.mesh, dofmap, times, states, schedule, config, stats)
+    traj = RbmTrajectory(graph, runtime.mesh, dofmap, times, states, schedule, config, stats)
+    _check_growth(runtime, traj, drive, np.unique(omegas), forced)
+    return traj
 
 
 def run_full(

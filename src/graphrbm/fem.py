@@ -25,9 +25,11 @@ and keeps, per mesh element, the 2x2 blocks of M, K and C + P and the
 local load of each term.  The operators and loads of one batch are then
 scaled sums of these element data over its active edges, each edge
 counting with 1/pi of its owning part: its operators stay element blocks,
-which a solver combines before one COO->CSR per step matrix, and its load
-is one bincount per load term.  The mass is never scaled.  The whole graph
-is the batch of the one-part, one-batch family, whose factors are all 1.
+which a solver combines and then sums with one bincount into step
+matrices of a sparsity fixed once per batch (``ReducedOperators``), and
+its load is one bincount per load term.  The mass is never scaled.  The
+whole graph is the batch of the one-part, one-batch family, whose factors
+are all 1.
 """
 
 from __future__ import annotations
@@ -310,36 +312,14 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
     )
 
 
-def _block_scatter(pair: np.ndarray, n_dofs: int, free: np.ndarray, constrained: np.ndarray):
-    """A function that sums an (n, 2, 2) stack of element blocks into CSR.
-
-    Element k of the stack has the dof pair ``pair[k]``.  The result has the
-    free rows over the columns [free | constrained]; entries in any other
-    row or column are dropped.  Each call makes one COO->CSR, which sums
-    the shared-dof entries.
-    """
-    position = np.full(n_dofs, -1)
-    position[free] = np.arange(len(free))
-    position[constrained] = len(free) + np.arange(len(constrained))
-    local = position[pair]
-    blocks = (len(pair), 2, 2)
-    rows = np.broadcast_to(local[:, :, None], blocks).ravel()
-    cols = np.broadcast_to(local[:, None, :], blocks).ravel()
-    keep = np.flatnonzero((rows >= 0) & (rows < len(free)) & (cols >= 0))
-    rows, cols = rows[keep], cols[keep]
-    shape = (len(free), len(free) + len(constrained))
-
-    def build(data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data.reshape(-1)[keep], (rows, cols)), shape=shape)
-
-    return build
-
-
 def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
-    """Plain L2 mass matrix over all edges: one scatter of the element mass blocks."""
+    """Plain L2 mass matrix over all edges: one COO->CSR of the element mass blocks."""
     elements = Elements(graph, mesh, dofmap, GAUSS3)
-    every_dof = np.arange(dofmap.n_dofs)
-    return _block_scatter(elements.pair, dofmap.n_dofs, every_dof, every_dof[:0])(elements.mass)
+    pair = elements.pair
+    rows = np.repeat(pair, 2, axis=1).ravel()  # block entry (k, r, c) sits in row pair[k, r]
+    cols = np.tile(pair, 2).ravel()  # and column pair[k, c]
+    shape = (dofmap.n_dofs, dofmap.n_dofs)
+    return sp.csr_matrix((elements.mass.reshape(-1), (rows, cols)), shape=shape)
 
 
 class LoadEvaluator:
@@ -349,7 +329,8 @@ class LoadEvaluator:
     cached element loads per term, and each call combines them with the
     time factors; any other source is integrated per call on the cached
     Gauss points of the active edges, again with one bincount.  The
-    returned vector holds the entries of the dof ids ``free``, in order.
+    returned vector holds the entries of the dof ids ``free``, in order;
+    so does each of the ``term_vectors`` (empty for any other source).
     """
 
     def __init__(self, data: ElementData, edge_factor: np.ndarray, free: np.ndarray):
@@ -362,7 +343,7 @@ class LoadEvaluator:
         self._edges, self._ids, self._factor = elements.active(edge_factor)
         # every left-node term, then every right-node term: one fixed summation order per dof
         self._dofs = elements.pair[self._ids].T.ravel()
-        self._term_vectors = [self._sum(local[self._ids]) for local in data.term_loads]
+        self.term_vectors = [self._sum(local[self._ids]) for local in data.term_loads]
 
     def _sum(self, local: np.ndarray) -> np.ndarray:
         """Scatter the active elements' (n, 2) local loads, scaled by their edge factors."""
@@ -375,7 +356,7 @@ class LoadEvaluator:
             values = self._elements.sample(lambda e, x: f(e, x, t), self._edges)
             return self._sum(self._elements.loads(values, self._ids))
         out = np.zeros(len(self._free))
-        for vec, time in zip(self._term_vectors, self._time_fns):
+        for vec, time in zip(self.term_vectors, self._time_fns):
             out += float(time(t)) * vec
         return out
 
@@ -399,17 +380,30 @@ class ReducedOperators:
     """One batch's mass, stiffness and lower-order part C + P, kept as element data.
 
     ``ids`` are the active elements and ``factor`` their edge factors.
-    ``scatter`` sums an (n, 2, 2) stack over them, such as a combination
-    of ``blocks()``, into one CSR matrix with one row per free dof and the
-    columns ``[free | constrained]``, so ``A[:, :n_free]`` is the free
-    block and ``A[:, n_free:]`` couples the free dofs to the constrained values.
+    ``fuse`` sums the combined blocks (lhs, rhs) of one step over them into
+    the two matrices of the step: ``lhs_ff``, the free rows over the free
+    columns, and W, the free rows over the columns
+
+        [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms]
+
+    with the entries rhs_ff, rhs_fi - lhs_fi, rhs_fD, -lhs_fD and the load
+    term vectors.  The Dirichlet blocks are numbered by the ``dirichlet``
+    dofs passed to ``reduce_operators``, so a row of Dirichlet data fits
+    every batch, and W's rows end with their load columns.  The sparsity of
+    both is fixed per batch: ``slots`` sends each rhs entry and then each
+    lhs entry of the block stack to its place in the data of [W | lhs_ff]
+    (the last place, past both, drops it), and the index arrays are shared
+    by every step matrix of the batch.
     """
 
     free: np.ndarray
     data: ElementData
     ids: np.ndarray
     factor: np.ndarray
-    scatter: Callable[[np.ndarray], sp.csr_matrix]
+    n_columns: int
+    slots: np.ndarray
+    w_pattern: tuple[np.ndarray, np.ndarray]
+    ff_pattern: tuple[np.ndarray, np.ndarray]
 
     def blocks(self):
         """The element blocks (M, K, C + P), formed per call: M unscaled, K and C + P times the factor."""
@@ -417,24 +411,117 @@ class ReducedOperators:
         data, ids = self.data, self.ids
         return data.elements.mass[ids], data.stiffness[ids] * scale, data.lower[ids] * scale
 
+    def fuse(self, lhs: np.ndarray, rhs: np.ndarray, loads) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(W, lhs_ff) from (n, 2, 2) stacks over the active elements: one bincount, no sort.
+
+        ``loads`` are the free-dof vectors of W's load columns, one per term.
+        """
+        w_indptr, w_indices = self.w_pattern
+        ff_indptr, ff_indices = self.ff_pattern
+        n_w, n_free = len(w_indices), len(self.free)
+        # lhs enters W negated; lhs_ff takes it back with one exact negation
+        weights = np.empty(len(self.slots))
+        weights[: rhs.size] = rhs.reshape(-1)
+        np.negative(lhs.reshape(-1), out=weights[rhs.size :])
+        values = np.bincount(self.slots, weights, minlength=n_w + len(ff_indices) + 1)
+        w_data = values[:n_w]
+        for k, vector in enumerate(loads):
+            w_data[w_indptr[1:] - len(loads) + k] = vector
+        w = sp.csr_matrix((w_data, w_indices, w_indptr), shape=(n_free, self.n_columns))
+        ff_data = -values[n_w:-1]
+        return w, sp.csr_matrix((ff_data, ff_indices, ff_indptr), shape=(n_free, n_free))
+
+
+def _fused_pattern(pair: np.ndarray, n_dofs: int, free, interface, dirichlet, n_terms: int):
+    """Sparsity of W and lhs_ff for elements with the dof pairs ``pair``, and each block entry's slot.
+
+    Entries in rows that are not free are dropped; a free dof's neighbours
+    must be free, interface or Dirichlet dofs.  An off-diagonal position is
+    hit by one element end only (every element has an interior dof), so
+    W's distinct element positions are listed up front and one sort of
+    them lays out its rows; the load columns end each row, and since free
+    columns sort first, a row of lhs_ff is the head of W's.
+    Returns (n_columns, slots, W's (indptr, indices), lhs_ff's).
+    """
+    n_free, n_if, n_dir = len(free), len(interface), len(dirichlet)
+    first_dirichlet = n_free + n_if
+    n_columns = first_dirichlet + 2 * n_dir + n_terms
+    column = np.full(n_dofs, n_columns)  # each dof's column in [free | interface | Dirichlet at t0]
+    column[free] = np.arange(n_free)
+    column[interface] = n_free + np.arange(n_if)
+    column[dirichlet] = first_dirichlet + np.arange(n_dir)
+    end = column[pair]  # (n, 2): the row of each element end, if it is below n_free
+    own = end < n_free
+    r, c = end[own], end[:, ::-1][own]  # an owned end's row and off-diagonal column
+    t1 = np.flatnonzero(c >= first_dirichlet)
+    # W's element positions in this order: the diagonal, one off-diagonal per owned end,
+    # and -lhs of each end whose off-diagonal is a Dirichlet column at t0, at t1
+    diagonal = np.arange(n_free)
+    rows = np.concatenate([diagonal, r, r[t1]])
+    cols = np.concatenate([diagonal, c, c[t1] + n_dir])
+    # the (row, column) keys come in long increasing runs, which a stable sort merges fast;
+    # each row's load columns follow its element positions
+    order = np.argsort(rows * n_columns + cols, kind="stable")
+    per_row = np.bincount(rows, minlength=n_free)
+    place = np.empty(len(rows), dtype=np.intp)
+    place[order] = np.arange(len(rows)) + np.repeat(diagonal * n_terms, per_row)
+    w_indptr = np.concatenate(([0], np.cumsum(per_row + n_terms)))
+    n_w = int(w_indptr[-1])
+    # scipy keeps indices that fit in int32 as given, so every step matrix shares these arrays
+    index = np.int32 if max(n_w, n_columns) < 2**31 else np.intp
+    w_indices = np.empty(n_w, dtype=index)
+    w_indices[place] = cols
+    for k in range(n_terms):
+        w_indices[w_indptr[1:] - n_terms + k] = n_columns - n_terms + k
+    ff_indices = w_indices[w_indices < n_free]
+    ff_indptr = np.concatenate(([0], np.cumsum(1 + np.bincount(r[c < n_free], minlength=n_free))))
+    # a free-column position of row i sits w_indptr[i] - ff_indptr[i] places earlier in lhs_ff,
+    # whose data follows W's; the place past both drops an entry
+    to_ff = n_w - (w_indptr[:-1] - ff_indptr[:-1])
+    drop = n_w + len(ff_indices)
+    off = place[n_free : n_free + len(r)]
+    lhs_off = np.where(c < n_free, off + to_ff[r], off)  # -lhs shares rhs's interface positions
+    lhs_off[t1] = place[n_free + len(r) :]
+    # block entry (k, i, j) of an (n, 2, 2) stack: row end[k, i]'s diagonal when i == j, else
+    # end (k, i)'s off-diagonal; ends in constrained rows drop all of theirs
+    slots = np.empty((2, len(end), 4), dtype=np.intp)  # rhs, then lhs
+    for half, diagonal_slot, off_slot in ((0, place[:n_free], off), (1, place[:n_free] + to_ff, lhs_off)):
+        by_row = np.full(n_columns + 1, drop)
+        by_row[:n_free] = diagonal_slot
+        diagonal_of = by_row[end]
+        slots[half, :, 0], slots[half, :, 3] = diagonal_of[:, 0], diagonal_of[:, 1]
+        slots[half, :, 1:3] = drop
+        slots[half, :, 1:3][own] = off_slot
+    w_pattern = (w_indptr.astype(index), w_indices)
+    ff_pattern = (ff_indptr.astype(index), ff_indices)
+    return n_columns, slots.reshape(-1), w_pattern, ff_pattern
+
 
 def reduce_operators(
     data: ElementData,
     free: np.ndarray,
-    constrained: np.ndarray,
+    interface: np.ndarray,
+    dirichlet: np.ndarray,
     edge_factor: np.ndarray,
 ) -> ReducedOperators:
-    """Eliminate the constrained dofs: the active elements and their scatter into [free | constrained].
+    """Eliminate the interface and Dirichlet dofs: the active elements and the layout of W and lhs_ff.
 
     ``edge_factor`` is the batch's per-edge factor (``zeta_weights``); the
-    edges where it is nonzero are active.
+    edges where it is nonzero are active.  W has one load column per
+    separable source term of ``data``.
     """
     free = np.asarray(free, dtype=int)
-    constrained = np.asarray(constrained, dtype=int)
     elements = data.elements
     _, ids, factor = elements.active(edge_factor)
-    scatter = _block_scatter(elements.pair[ids], elements.n_dofs, free, constrained)
-    return ReducedOperators(free, data, ids, factor, scatter)
+    layout = _fused_pattern(
+        elements.pair[ids],
+        elements.n_dofs,
+        free,
+        np.asarray(interface, dtype=int),
+        np.asarray(dirichlet, dtype=int),
+        len(data.term_loads),
+    )
+    return ReducedOperators(free, data, ids, factor, *layout)
 
 
 @dataclass(frozen=True)

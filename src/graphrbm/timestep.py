@@ -12,12 +12,13 @@ an explicit operator E and a weight theta:
     siem     1       K          C + P
 
 ``imex_theta`` forms lhs = M + dt*theta*A and rhs = M - dt*(1-theta)*A -
-dt*E, of sparse matrices for ``step`` and of element blocks, scattered
-after, for the windowed solver.  The step matrices only depend on the
-system, the scheme and dt, so a StepWorkspace caches them and the
-factorization of lhs under one key and reuses both across steps.  Each new
-factorization is checked once, on first use: it must solve lhs x = lhs 1
-to a small residual.
+dt*E, of sparse matrices for ``step`` and of element blocks for the
+windowed solver.  The step matrices only depend on the system, the scheme
+and dt, so a StepWorkspace caches them and the factorization of lhs under
+one key and reuses both across steps: (lhs, rhs) for ``step``, and for the
+windowed solver the fused matrix W and lhs_ff of ``fem.ReducedOperators``.
+Each new factorization is checked once, on first use: it must solve
+lhs x = lhs 1 to a small residual.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import graphrbm as g
+from graphrbm import fem
+from graphrbm.timestep import imex_theta
 
 
 @pytest.fixture(scope="session")
@@ -143,6 +145,75 @@ def reference_batch_system(graph, partition, family, mesh, dofmap, coeffs, j, fr
     return tuple(
         m.tocsr()[free][:, columns].tocsr() for m in (mass, stiffness, convection + reaction)
     )
+
+
+# -- the [free | constrained] scatter and the two-matvec step loop graphrbm used
+#    before the fused step matrix W -------------------------------------------
+#
+# Kept as oracles for ``fem.ReducedOperators.fuse`` and ``engine._advance``:
+# each step multiplies by rhs and by lhs_fc separately and calls the load
+# and g at its own times.
+
+
+def scatter_blocks(reduced, constrained, blocks):
+    """An (n, 2, 2) stack over ``reduced``'s active elements as CSR: free rows over [free | constrained]."""
+    free = reduced.free
+    position = np.full(reduced.data.elements.n_dofs, -1)
+    position[free] = np.arange(len(free))
+    position[constrained] = len(free) + np.arange(len(constrained))
+    local = position[reduced.data.elements.pair[reduced.ids]]
+    rows = np.repeat(local, 2, axis=1).ravel()
+    cols = np.tile(local, 2).ravel()
+    keep = (rows >= 0) & (rows < len(free)) & (cols >= 0)
+    shape = (len(free), len(free) + len(constrained))
+    return sp.csr_matrix((blocks.reshape(-1)[keep], (rows[keep], cols[keep])), shape=shape)
+
+
+def reference_states(runtime, omegas, n_sub, scheme, dt, every):
+    """Stored (times, states) of window k on batch ``omegas[k]``, stepped with two matvecs.
+
+    lhs_ff u1 = rhs [u_f; c0] - lhs_fc c1 + dt (theta F1 + (1 - theta) F0),
+    with c the frozen interface values and g at the exterior dofs, and the
+    loads from ``LoadEvaluator.__call__``.
+    """
+    coeffs, dofmap = runtime.coeffs, runtime.dofmap
+    zeros = np.zeros(runtime.graph.n_vertices)
+    boundary = coeffs.g if coeffs.g is not None else (lambda t: zeros)
+    u = fem.interpolate(runtime.graph, runtime.mesh, dofmap, coeffs.y0)
+    u[dofmap.dirichlet_dofs] = boundary(0.0)[dofmap.dirichlet_dofs]
+    snapshots = [(0.0, u.copy())]
+    theta = scheme.theta_value
+    for k, j in enumerate(omegas):
+        system = runtime.system(int(j))
+        exterior = system.exterior_dofs
+        constrained = np.concatenate([system.interface_dofs, exterior])
+        operators = [scatter_blocks(system.operators, constrained, b) for b in system.operators.blocks()]
+        lhs, rhs = imex_theta(scheme, *operators, dt)
+        n_free = len(system.free)
+        n_fixed = n_free + len(system.interface_dofs)
+        lhs_fc = lhs[:, n_free:]
+        lu = spla.splu(sp.csc_matrix(lhs[:, :n_free]))
+        first, last = k * n_sub, (k + 1) * n_sub
+        x = np.concatenate([u[system.free], u[system.interface_dofs], boundary(first * dt)[exterior]])
+        f_prev = system.load(first * dt)
+        for s in range(first + 1, last + 1):
+            b = rhs @ x
+            x[n_fixed:] = boundary(s * dt)[exterior]
+            b -= lhs_fc @ x[n_free:]
+            f_next = system.load(s * dt)
+            b += dt * (theta * f_next + (1.0 - theta) * f_prev)
+            f_prev = f_next
+            x[:n_free] = lu.solve(b)
+            if s % every == 0 or s == last:
+                u[system.free] = x[:n_free]
+                u[exterior] = x[n_fixed:]
+                if s % every == 0:
+                    snapshots.append((s * dt, u.copy()))
+    n_steps = len(omegas) * n_sub
+    if n_steps % every:
+        snapshots.append((n_steps * dt, u.copy()))
+    times, states = zip(*snapshots)
+    return np.array(times), np.array(states)
 
 
 # -- the per-vertex loops graphrbm used before the edge-end table -------------

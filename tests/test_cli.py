@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from graphrbm import engine, harness, read_csv
+import graphrbm as g
+from graphrbm import cli, engine, harness, read_csv
 from graphrbm.cli import main
 from graphrbm.errors import NumericalError
 from graphrbm.fem import NonellipticCoefficient
@@ -112,6 +113,21 @@ def test_numerical_failure_is_exit_three(capsys, monkeypatch, error):
     monkeypatch.setattr(engine, "run_full", fail)
     assert main(["solve", "--nodes-per-edge", "5", "--dt", "0.05", "--t-final", "0.2"]) == 3
     assert capsys.readouterr().err == "numerical failure: broken\n"
+
+
+def test_blowup_is_exit_three(capsys, monkeypatch):
+    graph = g.demo_graph()
+    solution = g.demo_solution(graph)
+    reactive = g.derive_data(solution, p=lambda e, x: np.full_like(np.asarray(x, dtype=float), 400.0))
+    problem = (graph, g.demo_partition(graph), g.batch_option_two(), solution, reactive)
+    monkeypatch.setattr(cli, "_load_problem", lambda args: problem)
+    for command in ("solve", "rbm"):
+        argv = [command, "--scheme", "siem", "--nodes-per-edge", "20", "--dt", "0.01", "--t-final", "1"]
+        if command == "rbm":
+            argv += ["--h", "0.01", "--seed", "0"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: max |u| = "), err
 
 
 def test_bad_subcommand_exit_code():

@@ -9,6 +9,7 @@ from graphrbm import fem
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import (
     GridMismatch,
+    NumericalBlowup,
     RbmConfig,
     RbmRuntime,
     ScheduleMismatch,
@@ -327,3 +328,62 @@ def test_time_lengths_must_be_positive_and_finite(demo, partition, option2, prob
     if field != "h":
         with pytest.raises(InvalidSpec, match="positive finite"):
             g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, lengths["dt"], lengths["t_final"])
+
+
+def reactive(solution):
+    """The manufactured data with p = 400: siem's explicit reaction blows up at dt = 0.01."""
+    return g.derive_data(solution, p=lambda e, x: np.full_like(np.asarray(x, dtype=float), 400.0))
+
+
+def test_blowup_raises_in_run_full(demo, solution, coarse_mesh):
+    with pytest.raises(NumericalBlowup, match="exceeds 1e\\+06 times the data scale"):
+        g.run_full(demo, coarse_mesh, reactive(solution), g.SEMI_IMPLICIT, dt=0.01, t_final=1.0)
+
+
+def test_blowup_raises_in_run_rbm(demo, partition, option2, solution, coarse_mesh):
+    config = RbmConfig(h=0.01, dt=0.01, t_final=1.0, scheme=g.SEMI_IMPLICIT, seed=0)
+    with pytest.raises(NumericalBlowup, match="exceeds 1e\\+06 times the data scale"):
+        g.run_rbm(demo, partition, option2, coarse_mesh, reactive(solution), config)
+    # the implicit scheme is stable on the same data
+    config = dataclasses.replace(config, scheme=g.IMPLICIT_EULER)
+    g.run_rbm(demo, partition, option2, coarse_mesh, reactive(solution), config)
+
+
+def test_nonfinite_state_raises(demo, partition, option2, problem, coarse_mesh):
+    coeffs = dataclasses.replace(problem, y0=lambda e, x: np.full_like(np.asarray(x, dtype=float), np.nan))
+    with pytest.raises(NumericalBlowup, match="t=0 has non-finite entries"):
+        g.run_full(demo, coarse_mesh, coeffs, g.IMPLICIT_EULER, dt=0.01, t_final=0.04)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.04, scheme=g.IMPLICIT_EULER, seed=1)
+    with pytest.raises(NumericalBlowup, match="non-finite entries"):
+        g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config)
+
+
+def invalid_data(problem, n_vertices):
+    """Problem data that break the tabulated g or time factors, with the message each must raise."""
+    good_g = problem.g
+    space, time = problem.f.terms[0]
+    nan_at = 0.03
+
+    def nan_g(t):
+        return good_g(t) * (np.nan if abs(t - nan_at) < 1e-12 else 1.0)
+
+    def nan_factor(t):
+        return np.nan if abs(t - nan_at) < 1e-12 else time(t)
+
+    return [
+        (dataclasses.replace(problem, g=lambda t: good_g(t)[:-1]),
+         f"g at t=0 has shape \\({n_vertices - 1},\\), expected \\({n_vertices},\\)"),
+        (dataclasses.replace(problem, g=nan_g), "g at t=0.03 is not finite"),
+        (dataclasses.replace(problem, f=g.SeparableSource(terms=((space, nan_factor), *problem.f.terms[1:]))),
+         "time factor 0 of the source at t=0.03 is not finite"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_invalid_tabulated_data_rejected(demo, partition, option2, problem, coarse_mesh, case):
+    coeffs, message = invalid_data(problem, demo.n_vertices)[case]
+    with pytest.raises(InvalidSpec, match=message):
+        g.run_full(demo, coarse_mesh, coeffs, g.CRANK_NICOLSON, dt=0.01, t_final=0.04)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.04, scheme=g.CRANK_NICOLSON, seed=1)
+    with pytest.raises(InvalidSpec, match=message):
+        g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config)

@@ -3,14 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import constant_coefficients
+from conftest import constant_coefficients, scatter_blocks
 
 import graphrbm as g
 from graphrbm import fem
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import RbmRuntime
 from graphrbm.fem import FemError, NonellipticCoefficient
-from graphrbm.timestep import StepWorkspace
+from graphrbm.timestep import SEMI_IMPLICIT, StepWorkspace, imex_theta
 
 GAUSS3 = (
     (-np.sqrt(0.6), 5.0 / 9.0),
@@ -56,16 +56,16 @@ def unit_weights(graph):
     return np.ones(graph.n_edges)
 
 
-def scattered(reduced):
-    """The reduced M, K and C + P as CSR matrices: each element-block stack scattered once."""
-    mass, stiffness, lower = map(reduced.scatter, reduced.blocks())
+def scattered(reduced, constrained):
+    """The reduced M, K and C + P as CSR matrices over [free | constrained]: each block stack scattered once."""
+    mass, stiffness, lower = (scatter_blocks(reduced, constrained, b) for b in reduced.blocks())
     return SimpleNamespace(mass=mass, stiffness=stiffness, lower=lower)
 
 
 def full_operators(data, dm, weights):
     """M, K and C + P on the full dof numbering: every dof free, none constrained."""
     empty = np.array([], dtype=int)
-    return scattered(fem.reduce_operators(data, np.arange(dm.n_dofs), empty, weights))
+    return scattered(fem.reduce_operators(data, np.arange(dm.n_dofs), empty, empty, weights), empty)
 
 
 def load_vector(graph, mesh, dm, coeffs, f, t):
@@ -76,8 +76,9 @@ def load_vector(graph, mesh, dm, coeffs, f, t):
 
 def steady_solve(data, dm, boundary, load=None):
     """Solve K_ff u_f = F_f - K_fc g on the reduced stiffness rows; returns the full vector."""
-    reduced = fem.reduce_operators(data, dm.free_dofs, dm.dirichlet_dofs, unit_weights(dm.graph))
-    stiffness = scattered(reduced).stiffness
+    empty = np.array([], dtype=int)
+    reduced = fem.reduce_operators(data, dm.free_dofs, empty, dm.dirichlet_dofs, unit_weights(dm.graph))
+    stiffness = scattered(reduced, dm.dirichlet_dofs).stiffness
     n_free = len(dm.free_dofs)
     rhs = -(stiffness[:, n_free:] @ boundary)
     if load is not None:
@@ -254,14 +255,38 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     ops = full_operators(data, dm, unit_weights(demo))
     bd = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
     assert np.array_equal(bd.constrained, np.concatenate([bd.interface_dofs, bd.exterior_dofs]))
-    reduced = scattered(fem.reduce_operators(data, bd.free, bd.constrained, unit_weights(demo)))
+    reduced = fem.reduce_operators(
+        data, bd.free, bd.interface_dofs, dm.dirichlet_dofs, unit_weights(demo)
+    )
     columns = np.concatenate([bd.free, bd.constrained])
+    blocks = scattered(reduced, bd.constrained)
     for got, full in (
-        (reduced.mass, ops.mass.toarray()),
-        (reduced.stiffness, ops.stiffness.toarray()),
-        (reduced.lower, ops.lower.toarray()),
+        (blocks.mass, ops.mass.toarray()),
+        (blocks.stiffness, ops.stiffness.toarray()),
+        (blocks.lower, ops.lower.toarray()),
     ):
         assert np.array_equal(got.toarray(), full[np.ix_(bd.free, columns)])
+    # the fused layout: [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms]
+    dt = 0.1
+    lhs = (ops.mass + dt * ops.stiffness).toarray()
+    rhs = (ops.mass - dt * ops.lower).toarray()
+    loads = [np.full(len(bd.free), 1.0 + k) for k in range(len(data.term_loads))]
+    w, lhs_ff = reduced.fuse(*imex_theta(SEMI_IMPLICIT, *reduced.blocks(), dt), loads)
+    free, interface, dirichlet = bd.free, bd.interface_dofs, dm.dirichlet_dofs
+    exterior = np.isin(dirichlet, bd.exterior_dofs)
+    want = np.hstack(
+        [
+            rhs[np.ix_(free, free)],
+            rhs[np.ix_(free, interface)] - lhs[np.ix_(free, interface)],
+            np.where(exterior, rhs[np.ix_(free, dirichlet)], 0.0),
+            np.where(exterior, -lhs[np.ix_(free, dirichlet)], 0.0),
+            np.column_stack(loads),
+        ]
+    )
+    assert w.shape == want.shape
+    assert np.abs(w.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    want_ff = lhs[np.ix_(free, free)]
+    assert np.abs(lhs_ff.toarray() - want_ff).max() <= 1e-14 * np.abs(want_ff).max()
 
 
 def test_steady_single_edge_linear_exact():

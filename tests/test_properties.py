@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from conftest import (
     reference_batch_system,
+    reference_states,
+    scatter_blocks,
     reference_continuity_residual,
     reference_convection_vertex_sums,
     reference_flux_imbalance,
@@ -165,6 +167,45 @@ def test_windows_freeze_inactive_and_interface_dofs(data):
                 assert after[v] == boundary[v], (scheme.label, k, v)
 
 
+@pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_fused_steps_match_two_matvec_recurrence(data):
+    """Stored states of run_rbm and run_full against the two-matvec step loop, to 1e-12 of max |oracle|.
+
+    Draws a separable or callable source, zero or nonzero g, and the
+    snapshot stride; five windows of two steps leave a tail at stride 3.
+    """
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    coeffs = problem_data(graph)
+    if data.draw(st.booleans(), label="callable source"):
+        separable = coeffs.f
+        coeffs = dataclasses.replace(coeffs, f=lambda e, x, t: separable(e, x, t))
+    if data.draw(st.booleans(), label="g is None"):
+        coeffs = dataclasses.replace(coeffs, g=None)
+    stride = data.draw(st.sampled_from([1, 3]), label="stride")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    runtime = RbmRuntime(graph, partition, family, MESH, coeffs)
+    whole = g.SubgraphPartition(graph, [range(graph.n_edges)])
+    one_batch = g.batch_family([{0}], [1.0], 1)
+    full_runtime = RbmRuntime(graph, whole, one_batch, MESH, coeffs)
+    for scheme in ALL_SCHEMES:
+        config = RbmConfig(h=2 * DT, dt=DT, t_final=0.5, scheme=scheme, seed=seed, snapshot_stride=stride)
+        rbm = g.run_rbm(graph, partition, family, MESH, coeffs, config, runtime=runtime)
+        full = g.run_full(graph, MESH, coeffs, scheme, dt=DT, t_final=0.5, snapshot_stride=stride)
+        for traj, oracle in (
+            (rbm, reference_states(runtime, rbm.schedule.omegas, 2, scheme, DT, 2 * stride)),
+            (full, reference_states(full_runtime, [0], 10, scheme, DT, stride)),
+        ):
+            times, states = oracle
+            what = (scheme.label, traj.config["kind"])
+            assert np.array_equal(traj.times, times), what
+            scale = np.abs(states).max()
+            assert np.abs(traj.states - states).max() <= 1e-12 * scale, what
+
+
 def sparsity(matrix):
     """The stored positions of a matrix, row by row in column order."""
     canonical = matrix.tocsr(copy=True)
@@ -174,7 +215,7 @@ def sparsity(matrix):
 
 
 def assert_close(got, expected, what, rtol=1e-13):
-    scale = np.abs(expected).max(initial=0.0)  # lhs_fc has no columns without constrained dofs
+    scale = np.abs(expected).max(initial=0.0)
     assert np.abs(got - expected).max(initial=0.0) <= rtol * scale, what
 
 
@@ -184,8 +225,10 @@ def assert_close(got, expected, what, rtol=1e-13):
 def test_batch_systems_equal_scaled_part_sums(data):
     """Every batch system against the per-edge assembly of its parts, scaled by 1/pi.
 
-    Each step matrix must match ``imex_theta`` on those sparse reference
-    operators to 1e-14 relative, with the same stored positions.
+    The fused step matrices W and lhs_ff must match ``imex_theta`` on those
+    sparse reference operators to 1e-14 relative, W's load columns the
+    reference load of each source term, and lhs_ff must keep the stored
+    positions of the reference.
     """
     graph = data.draw(graphs())
     partition = data.draw(partitions(graph))
@@ -203,23 +246,43 @@ def test_batch_systems_equal_scaled_part_sums(data):
         expected = reference_batch_system(
             graph, partition, family, MESH, dofmap, coeffs, j, system.free, constrained
         )
-        scattered = map(system.operators.scatter, system.operators.blocks())
+        blocks = system.operators.blocks()
+        scattered = (scatter_blocks(system.operators, constrained, b) for b in blocks)
         for name, got, want in zip(("mass", "stiffness", "lower"), scattered, expected):
             assert got.shape == want.shape, (j, name)
             assert sparsity(got) == sparsity(want), (j, name)
             assert_close(got.toarray(), want.toarray(), (j, name))
-        n_free = len(system.free)
+        factor = g.zeta_weights(partition, family, j)
+        free, interface = system.free, system.interface_dofs
+        n_free, n_fixed = len(free), len(free) + len(interface)
+        n_dirichlet = len(dofmap.dirichlet_dofs)
+        # each constrained column of the reference goes to its interface or Dirichlet column of W
+        exterior = n_fixed + np.searchsorted(dofmap.dirichlet_dofs, system.exterior_dofs)
+        vectors = [
+            reference_load(graph, MESH, dofmap, lambda e, x, t, s=space: s(e, x), 0.0, factor)[free]
+            for space, _ in coeffs.f.terms
+        ]
         for scheme in ALL_SCHEMES:
             for dt in (DT, 0.3):
-                lhs, rhs = imex_theta(scheme, *expected, dt)
-                wanted = (lhs[:, :n_free], lhs[:, n_free:], rhs)
-                for k, (got, want) in enumerate(zip(system.step_matrices(scheme, dt), wanted)):
-                    what = (j, scheme.label, dt, k)
-                    assert got.shape == want.shape, what
-                    # the factor nnz, and so the memory proxy, follows the pattern
-                    assert sparsity(got) == sparsity(want), what
-                    assert_close(got.toarray(), want.toarray(), what, rtol=1e-14)
-        factor = g.zeta_weights(partition, family, j)
+                sparse_lhs, rhs = imex_theta(scheme, *expected, dt)
+                lhs, rhs = sparse_lhs.toarray(), rhs.toarray()
+                want = np.zeros((n_free, n_fixed + 2 * n_dirichlet))
+                want[:, :n_fixed] = rhs[:, :n_fixed]
+                want[:, n_free:n_fixed] -= lhs[:, n_free:n_fixed]
+                want[:, exterior] = rhs[:, n_fixed:]
+                want[:, exterior + n_dirichlet] = -lhs[:, n_fixed:]
+                w, lhs_ff = system.fused_matrices(scheme, dt)
+                what = (j, scheme.label, dt)
+                assert w.shape == (n_free, want.shape[1] + len(vectors)), what
+                w = w.toarray()
+                assert_close(w[:, : want.shape[1]], want, what, rtol=1e-14)
+                for k, vector in enumerate(vectors):
+                    assert_close(w[:, want.shape[1] + k], vector, (what, "load", k))
+                want_ff = sparse_lhs[:, :n_free]
+                assert lhs_ff.shape == want_ff.shape, what
+                # the factor nnz, and so the memory proxy, follows the pattern
+                assert sparsity(lhs_ff) == sparsity(want_ff), what
+                assert_close(lhs_ff.toarray(), want_ff.toarray(), what, rtol=1e-14)
         unseparated_load = fem.LoadEvaluator(unseparated, factor, system.free)
         for t in (0.0, 0.37):
             want = reference_load(graph, MESH, dofmap, coeffs.f, t, factor)
