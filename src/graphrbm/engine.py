@@ -22,8 +22,8 @@ depends on the batch, the scheme and dt.
 
 Every active system keeps its operators as element blocks.  Per (batch,
 scheme, dt) it combines them with ``timestep.imex_theta`` and sums them,
-in one bincount into a sparsity fixed per batch, into lhs_ff (free rows
-and columns) and one fused matrix W over the columns
+one COO->CSR each, into lhs_ff (free rows and columns) and one fused
+matrix W over the columns
 
     [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms],
 
@@ -41,7 +41,8 @@ one drive row serves every batch; an exterior dof takes g(t1) from it
 after the step, never the stored u, since an exterior vertex outside the
 batches of the last windows still holds a stale value.  A run whose
 stored states are not finite, or exceed BLOWUP_FACTOR times the scale of
-its data, raises NumericalBlowup (``_check_growth``).
+its data and the growth its operators allow, raises NumericalBlowup
+(``_check_growth``).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from .timestep import SchemeKind, StepWorkspace, factor_nnz, imex_theta
 
 TIME_MATCH_TOL = 1e-9
 CONVECTION_SUM_TOL = 1e-10
-# stored states may reach this multiple of the data scale (``_check_growth``)
+# stored states may reach this multiple of the data scale times G (``_check_growth``)
 BLOWUP_FACTOR = 1e6
 
 
@@ -194,11 +195,10 @@ class _ActiveSystem:
     """Reduced operators and a free-restricted load for one active subgraph.
 
     ``operators`` (``fem.ReducedOperators``) holds the element blocks of M,
-    K and C + P and the layout of the fused step matrix W, whose constrained
+    K and C + P and their places in the fused step matrix W, whose constrained
     columns are ``interface_dofs`` and then the graph's Dirichlet dofs at
     the step's start and end; ``exterior_columns`` places each of
-    ``exterior_dofs`` among those Dirichlet dofs.  ``load_peaks`` holds
-    max |V_k| of each load term vector, for the blow-up guard.
+    ``exterior_dofs`` among those Dirichlet dofs.
     """
 
     def __init__(self, operators, load, n_active, interface_dofs, exterior_dofs, exterior_columns):
@@ -209,7 +209,6 @@ class _ActiveSystem:
         self.interface_dofs = np.asarray(interface_dofs, dtype=int)
         self.exterior_dofs = np.asarray(exterior_dofs, dtype=int)
         self.exterior_columns = np.asarray(exterior_columns, dtype=int)
-        self.load_peaks = np.array([np.abs(v).max(initial=0.0) for v in load.term_vectors])
 
     def fused_matrices(self, scheme: SchemeKind, dt: float):
         """(W, lhs_ff) of the IMEX-theta step of ``scheme``: see ``fem.ReducedOperators``."""
@@ -370,40 +369,54 @@ def _drive_table(runtime, theta: float, dt: float, n_steps: int) -> np.ndarray:
     return np.hstack([boundary[:-1], boundary[1:], loads])
 
 
-def _check_growth(runtime, traj, drive, used, forced) -> None:
-    """Raise NumericalBlowup if a stored state is not finite or exceeds BLOWUP_FACTOR times the data scale.
+def _check_growth(runtime, traj, drive, omegas, n_sub, theta, dt, forced) -> None:
+    """Raise NumericalBlowup if a stored state is not finite or max |u| exceeds the run's limit.
 
-    scale = max |u(0)| + max |g(t_s)| + (sum_s max |dt F_s|) / (min_e dx_e / 2):
-    the initial state, the tabulated Dirichlet data, and the load the run
-    applied over a lower bound of every lumped mass entry, the integral of
-    a hat function.  A separable load is bounded term by term by the
-    tabulated weights times max |V_k| over the batches ``used``; a callable
-    one comes as ``forced``, measured in the step loop.
+    limit = BLOWUP_FACTOR * G * (max |u(0)| + max |g(t_s)| + L / (min_e dx_e / 2)),
+    with L the load the run applied, summed over the steps as max |dt F|,
+    over a lower bound of every lumped mass entry (the integral of a hat
+    function).  A separable load is bounded term by term by the tabulated
+    weights times max |V_k| over the batches run; a callable one comes as
+    ``forced``, measured in the step loop.  G is the growth the steps allow
+    a fastest mode: the product over the windows of rho^n_sub, where
+    rho = max(e^x, (1 + (1 - theta) x) / (1 - theta x)) and x = dt times
+    the batch's ``growth_rate``; a window with theta x >= 1 lifts the limit.
+    G = 1 when every batch's operators are dissipative.  The limit is only
+    formed when max |u| exceeds BLOWUP_FACTOR * (max |u(0)| + max |g(t_s)|).
     """
     states = traj.states
-    n_boundary = 2 * len(runtime.dofmap.dirichlet_dofs)
-    peaks = np.zeros(drive.shape[1] - n_boundary)
-    for j in used:
-        peaks = np.maximum(peaks, runtime._systems[int(j)].load_peaks)
-    forced += float(np.abs(drive[:, n_boundary:]).sum(axis=0) @ peaks)
-    scale = (
-        np.abs(states[0]).max(initial=0.0)
-        + np.abs(drive[:, :n_boundary]).max(initial=0.0)
-        + forced / (0.5 * runtime.elements.elements.dx.min())
-    )
-    limit = BLOWUP_FACTOR * scale
     hi, lo = float(states.max()), float(states.min())
-    if math.isfinite(hi) and math.isfinite(lo) and max(hi, -lo) <= limit:
-        return
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        finite = np.isfinite(states).all(axis=1)
         t = traj.times[int(np.argmin(finite))]
         raise NumericalBlowup(f"the stored state at t={t:g} has non-finite entries")
-    peak = np.abs(states).max(axis=1)
-    t = traj.times[int(np.argmax(peak > limit))]
+    peak = max(hi, -lo)
+    n_boundary = 2 * len(runtime.dofmap.dirichlet_dofs)
+    scale = np.abs(states[0]).max(initial=0.0) + np.abs(drive[:, :n_boundary]).max(initial=0.0)
+    if peak <= BLOWUP_FACTOR * scale:
+        return
+    used, windows = np.unique(omegas, return_counts=True)
+    systems = [runtime.system(int(j)) for j in used]
+    term_peaks = np.zeros(drive.shape[1] - n_boundary)
+    log_growth = 0.0
+    for system, count in zip(systems, windows):
+        peaks = [np.abs(v).max(initial=0.0) for v in system.load.term_vectors]
+        term_peaks = np.maximum(term_peaks, peaks)
+        x = dt * system.operators.growth_rate
+        if theta * x >= 1.0:
+            return
+        log_rho = max(x, math.log((1.0 + (1.0 - theta) * x) / (1.0 - theta * x)))
+        log_growth += count * n_sub * log_rho
+    forced += float(np.abs(drive[:, n_boundary:]).sum(axis=0) @ term_peaks)
+    scale += forced / (0.5 * runtime.elements.elements.dx.min())
+    growth = math.exp(min(log_growth, 700.0))  # math.exp overflows past about 709
+    limit = BLOWUP_FACTOR * scale * growth
+    if peak <= limit:
+        return
+    t = traj.times[int(np.argmax(np.abs(states).max(axis=1) > limit))]
     raise NumericalBlowup(
-        f"max |u| = {peak.max():.3e} exceeds {BLOWUP_FACTOR:g} times the data scale "
-        f"{scale:.3e}, first at t={t:g}"
+        f"max |u| = {peak:.3e} exceeds {BLOWUP_FACTOR:g} times the data scale {scale:.3e} "
+        f"times the growth allowance {growth:.3e}, first at t={t:g}"
     )
 
 
@@ -457,7 +470,7 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTr
         "n_factorizations": len(runtime.workspace),
     }
     traj = RbmTrajectory(graph, runtime.mesh, dofmap, times, states, schedule, config, stats)
-    _check_growth(runtime, traj, drive, np.unique(omegas), forced)
+    _check_growth(runtime, traj, drive, omegas, n_sub, scheme.theta_value, dt, forced)
     return traj
 
 

@@ -25,11 +25,10 @@ and keeps, per mesh element, the 2x2 blocks of M, K and C + P and the
 local load of each term.  The operators and loads of one batch are then
 scaled sums of these element data over its active edges, each edge
 counting with 1/pi of its owning part: its operators stay element blocks,
-which a solver combines and then sums with one bincount into step
-matrices of a sparsity fixed once per batch (``ReducedOperators``), and
-its load is one bincount per load term.  The mass is never scaled.  The
-whole graph is the batch of the one-part, one-batch family, whose factors
-are all 1.
+which a solver combines and then sums into step matrices with one COO->CSR
+each (``ReducedOperators``), and its load is one bincount per load term.
+The mass is never scaled.  The whole graph is the batch of the one-part,
+one-batch family, whose factors are all 1.
 """
 
 from __future__ import annotations
@@ -381,19 +380,18 @@ class ReducedOperators:
 
     ``ids`` are the active elements and ``factor`` their edge factors.
     ``fuse`` sums the combined blocks (lhs, rhs) of one step over them into
-    the two matrices of the step: ``lhs_ff``, the free rows over the free
-    columns, and W, the free rows over the columns
+    the two matrices of the step, one COO->CSR each: ``lhs_ff``, the free
+    rows over the free columns, and W, the free rows over the columns
 
         [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms]
 
     with the entries rhs_ff, rhs_fi - lhs_fi, rhs_fD, -lhs_fD and the load
     term vectors.  The Dirichlet blocks are numbered by the ``dirichlet``
     dofs passed to ``reduce_operators``, so a row of Dirichlet data fits
-    every batch, and W's rows end with their load columns.  The sparsity of
-    both is fixed per batch: ``slots`` sends each rhs entry and then each
-    lhs entry of the block stack to its place in the data of [W | lhs_ff]
-    (the last place, past both, drops it), and the index arrays are shared
-    by every step matrix of the batch.
+    every batch.  ``keep`` lists the flat block entries in free rows, the
+    ``n_ff`` in free columns first; ``rows`` and ``cols`` place them in
+    [free | interface | Dirichlet at t0], and ``t1_cols`` are the columns
+    of -lhs for the entries past ``n_ff``.
     """
 
     free: np.ndarray
@@ -401,9 +399,11 @@ class ReducedOperators:
     ids: np.ndarray
     factor: np.ndarray
     n_columns: int
-    slots: np.ndarray
-    w_pattern: tuple[np.ndarray, np.ndarray]
-    ff_pattern: tuple[np.ndarray, np.ndarray]
+    keep: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    n_ff: int
+    t1_cols: np.ndarray
 
     def blocks(self):
         """The element blocks (M, K, C + P), formed per call: M unscaled, K and C + P times the factor."""
@@ -412,89 +412,35 @@ class ReducedOperators:
         return data.elements.mass[ids], data.stiffness[ids] * scale, data.lower[ids] * scale
 
     def fuse(self, lhs: np.ndarray, rhs: np.ndarray, loads) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(W, lhs_ff) from (n, 2, 2) stacks over the active elements: one bincount, no sort.
+        """(W, lhs_ff) from (n, 2, 2) stacks over the active elements.
 
         ``loads`` are the free-dof vectors of W's load columns, one per term.
         """
-        w_indptr, w_indices = self.w_pattern
-        ff_indptr, ff_indices = self.ff_pattern
-        n_w, n_free = len(w_indices), len(self.free)
-        # lhs enters W negated; lhs_ff takes it back with one exact negation
-        weights = np.empty(len(self.slots))
-        weights[: rhs.size] = rhs.reshape(-1)
-        np.negative(lhs.reshape(-1), out=weights[rhs.size :])
-        values = np.bincount(self.slots, weights, minlength=n_w + len(ff_indices) + 1)
-        w_data = values[:n_w]
-        for k, vector in enumerate(loads):
-            w_data[w_indptr[1:] - len(loads) + k] = vector
-        w = sp.csr_matrix((w_data, w_indices, w_indptr), shape=(n_free, self.n_columns))
-        ff_data = -values[n_w:-1]
-        return w, sp.csr_matrix((ff_data, ff_indices, ff_indptr), shape=(n_free, n_free))
+        n_free, n_ff = len(self.free), self.n_ff
+        lhs = lhs.reshape(-1)[self.keep]
+        load_rows = np.tile(np.arange(n_free), len(loads))
+        load_cols = np.repeat(np.arange(self.n_columns - len(loads), self.n_columns), n_free)
+        data = np.concatenate([rhs.reshape(-1)[self.keep], -lhs[n_ff:], *loads])
+        rows = np.concatenate([self.rows, self.rows[n_ff:], load_rows])
+        cols = np.concatenate([self.cols, self.t1_cols, load_cols])
+        w = sp.csr_matrix((data, (rows, cols)), shape=(n_free, self.n_columns))
+        at = (self.rows[:n_ff], self.cols[:n_ff])
+        return w, sp.csr_matrix((lhs[:n_ff], at), shape=(n_free, n_free))
 
+    @cached_property
+    def growth_rate(self) -> float:
+        """A bound on how fast M u' = -(K + C + P) u can grow u's M-norm on the active edges.
 
-def _fused_pattern(pair: np.ndarray, n_dofs: int, free, interface, dirichlet, n_terms: int):
-    """Sparsity of W and lhs_ff for elements with the dof pairs ``pair``, and each block entry's slot.
-
-    Entries in rows that are not free are dropped; a free dof's neighbours
-    must be free, interface or Dirichlet dofs.  An off-diagonal position is
-    hit by one element end only (every element has an interior dof), so
-    W's distinct element positions are listed up front and one sort of
-    them lays out its rows; the load columns end each row, and since free
-    columns sort first, a row of lhs_ff is the head of W's.
-    Returns (n_columns, slots, W's (indptr, indices), lhs_ff's).
-    """
-    n_free, n_if, n_dir = len(free), len(interface), len(dirichlet)
-    first_dirichlet = n_free + n_if
-    n_columns = first_dirichlet + 2 * n_dir + n_terms
-    column = np.full(n_dofs, n_columns)  # each dof's column in [free | interface | Dirichlet at t0]
-    column[free] = np.arange(n_free)
-    column[interface] = n_free + np.arange(n_if)
-    column[dirichlet] = first_dirichlet + np.arange(n_dir)
-    end = column[pair]  # (n, 2): the row of each element end, if it is below n_free
-    own = end < n_free
-    r, c = end[own], end[:, ::-1][own]  # an owned end's row and off-diagonal column
-    t1 = np.flatnonzero(c >= first_dirichlet)
-    # W's element positions in this order: the diagonal, one off-diagonal per owned end,
-    # and -lhs of each end whose off-diagonal is a Dirichlet column at t0, at t1
-    diagonal = np.arange(n_free)
-    rows = np.concatenate([diagonal, r, r[t1]])
-    cols = np.concatenate([diagonal, c, c[t1] + n_dir])
-    # the (row, column) keys come in long increasing runs, which a stable sort merges fast;
-    # each row's load columns follow its element positions
-    order = np.argsort(rows * n_columns + cols, kind="stable")
-    per_row = np.bincount(rows, minlength=n_free)
-    place = np.empty(len(rows), dtype=np.intp)
-    place[order] = np.arange(len(rows)) + np.repeat(diagonal * n_terms, per_row)
-    w_indptr = np.concatenate(([0], np.cumsum(per_row + n_terms)))
-    n_w = int(w_indptr[-1])
-    # scipy keeps indices that fit in int32 as given, so every step matrix shares these arrays
-    index = np.int32 if max(n_w, n_columns) < 2**31 else np.intp
-    w_indices = np.empty(n_w, dtype=index)
-    w_indices[place] = cols
-    for k in range(n_terms):
-        w_indices[w_indptr[1:] - n_terms + k] = n_columns - n_terms + k
-    ff_indices = w_indices[w_indices < n_free]
-    ff_indptr = np.concatenate(([0], np.cumsum(1 + np.bincount(r[c < n_free], minlength=n_free))))
-    # a free-column position of row i sits w_indptr[i] - ff_indptr[i] places earlier in lhs_ff,
-    # whose data follows W's; the place past both drops an entry
-    to_ff = n_w - (w_indptr[:-1] - ff_indptr[:-1])
-    drop = n_w + len(ff_indices)
-    off = place[n_free : n_free + len(r)]
-    lhs_off = np.where(c < n_free, off + to_ff[r], off)  # -lhs shares rhs's interface positions
-    lhs_off[t1] = place[n_free + len(r) :]
-    # block entry (k, i, j) of an (n, 2, 2) stack: row end[k, i]'s diagonal when i == j, else
-    # end (k, i)'s off-diagonal; ends in constrained rows drop all of theirs
-    slots = np.empty((2, len(end), 4), dtype=np.intp)  # rhs, then lhs
-    for half, diagonal_slot, off_slot in ((0, place[:n_free], off), (1, place[:n_free] + to_ff, lhs_off)):
-        by_row = np.full(n_columns + 1, drop)
-        by_row[:n_free] = diagonal_slot
-        diagonal_of = by_row[end]
-        slots[half, :, 0], slots[half, :, 3] = diagonal_of[:, 0], diagonal_of[:, 1]
-        slots[half, :, 1:3] = drop
-        slots[half, :, 1:3][own] = off_slot
-    w_pattern = (w_indptr.astype(index), w_indices)
-    ff_pattern = (ff_indptr.astype(index), ff_indices)
-    return n_columns, slots.reshape(-1), w_pattern, ff_pattern
+        max(0, the largest eigenvalue of sym(-(K_e + L_e)) against M_e over
+        the active elements): summing the element forms gives
+        d/dt |u|_M^2 <= 2 rate |u|_M^2, also with constrained dofs held at 0.
+        """
+        mass, stiffness, lower = self.blocks()
+        s = stiffness + lower
+        s = -0.5 * (s + s.transpose(0, 2, 1))
+        c = np.linalg.inv(np.linalg.cholesky(mass))  # M_e = C^-1 C^-T
+        rates = np.linalg.eigvalsh(c @ s @ c.transpose(0, 2, 1))[:, -1]
+        return max(0.0, float(rates.max(initial=0.0)))
 
 
 def reduce_operators(
@@ -504,24 +450,38 @@ def reduce_operators(
     dirichlet: np.ndarray,
     edge_factor: np.ndarray,
 ) -> ReducedOperators:
-    """Eliminate the interface and Dirichlet dofs: the active elements and the layout of W and lhs_ff.
+    """Eliminate the interface and Dirichlet dofs: the active elements and their places in W and lhs_ff.
 
     ``edge_factor`` is the batch's per-edge factor (``zeta_weights``); the
     edges where it is nonzero are active.  W has one load column per
-    separable source term of ``data``.
+    separable source term of ``data``.  Entries in rows that are not free,
+    or in columns of no listed dof, are dropped.
     """
     free = np.asarray(free, dtype=int)
+    interface = np.asarray(interface, dtype=int)
+    dirichlet = np.asarray(dirichlet, dtype=int)
     elements = data.elements
     _, ids, factor = elements.active(edge_factor)
-    layout = _fused_pattern(
-        elements.pair[ids],
-        elements.n_dofs,
-        free,
-        np.asarray(interface, dtype=int),
-        np.asarray(dirichlet, dtype=int),
-        len(data.term_loads),
+    n_free, n_dirichlet = len(free), len(dirichlet)
+    first_dirichlet = n_free + len(interface)
+    position = np.full(elements.n_dofs, -1)
+    position[free] = np.arange(n_free)
+    position[interface] = n_free + np.arange(len(interface))
+    position[dirichlet] = first_dirichlet + np.arange(n_dirichlet)
+    local = position[elements.pair[ids]]
+    blocks = (len(ids), 2, 2)
+    rows = np.broadcast_to(local[:, :, None], blocks).ravel()
+    cols = np.broadcast_to(local[:, None, :], blocks).ravel()
+    kept = (rows >= 0) & (rows < n_free)
+    keep = np.concatenate(
+        [np.flatnonzero(kept & (cols >= 0) & (cols < n_free)), np.flatnonzero(kept & (cols >= n_free))]
     )
-    return ReducedOperators(free, data, ids, factor, *layout)
+    rows, cols = rows[keep], cols[keep]
+    n_ff = int(np.count_nonzero(cols < n_free))
+    constrained = cols[n_ff:]
+    t1_cols = np.where(constrained >= first_dirichlet, constrained + n_dirichlet, constrained)
+    n_columns = first_dirichlet + 2 * n_dirichlet + len(data.term_loads)
+    return ReducedOperators(free, data, ids, factor, n_columns, keep, rows, cols, n_ff, t1_cols)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import graphrbm as g
 from graphrbm import fem
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import (
+    BLOWUP_FACTOR,
     GridMismatch,
     NumericalBlowup,
     RbmConfig,
@@ -347,6 +348,20 @@ def test_blowup_raises_in_run_rbm(demo, partition, option2, solution, coarse_mes
     # the implicit scheme is stable on the same data
     config = dataclasses.replace(config, scheme=g.IMPLICIT_EULER)
     g.run_rbm(demo, partition, option2, coarse_mesh, reactive(solution), config)
+
+
+def test_growing_solution_is_not_a_blowup(demo, partition, option2, coarse_mesh):
+    """p = -40 makes the true solution grow about e^40 over [0, 1]; stable runs of it must return."""
+    coeffs = dataclasses.replace(
+        constant_coefficients(p=-40.0), y0=lambda e, x: np.ones_like(np.asarray(x, dtype=float))
+    )
+    for scheme in (g.IMPLICIT_EULER, g.CRANK_NICOLSON, g.SEMI_IMPLICIT):
+        traj = g.run_full(demo, coarse_mesh, coeffs, scheme, dt=0.01, t_final=1.0)
+        # past the limit of a run that may not grow
+        assert np.abs(traj.states[-1]).max() > BLOWUP_FACTOR * np.abs(traj.states[0]).max()
+        config = RbmConfig(h=0.02, dt=0.01, t_final=1.0, scheme=scheme, seed=0)
+        traj = g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config)
+        assert np.isfinite(traj.states).all()
 
 
 def test_nonfinite_state_raises(demo, partition, option2, problem, coarse_mesh):
