@@ -16,9 +16,9 @@ Each edge is integrated once per runtime (``fem.assemble``), and every
 batch's operators and load are scaled sums of those element data: the
 active edges' K and C + P blocks and source loads times 1/pi of their
 part, the mass unscaled.  Nothing is integrated inside the time loop
-except a source that is not separable.  Systems and factorizations are
-cached per batch and reused across windows because the window matrix only
-depends on the batch, the scheme and dt.
+except a source that is not separable.  Systems are cached per batch and
+steps per (batch, scheme, dt), all a window's matrices depend on; a cached
+step is the factor of lhs_ff and W below, and lhs_ff is not kept.
 
 Every active system keeps its operators as element blocks.  Per (batch,
 scheme, dt) it combines them with ``timestep.imex_theta`` and sums them,
@@ -211,7 +211,7 @@ class _ActiveSystem:
         self.exterior_columns = np.asarray(exterior_columns, dtype=int)
 
     def fused_matrices(self, scheme: SchemeKind, dt: float):
-        """(W, lhs_ff) of the IMEX-theta step of ``scheme``: see ``fem.ReducedOperators``."""
+        """(lhs_ff, W) of the IMEX-theta step of ``scheme``: see ``fem.ReducedOperators``."""
         lhs, rhs = imex_theta(scheme, *self.operators.blocks(), dt)
         return self.operators.fuse(lhs, rhs, self.load.term_vectors)
 
@@ -221,7 +221,7 @@ class RbmRuntime:
 
     Holds the dof map, the element data of every edge (integrated once,
     in ``__init__``), the convection vertex sums, the per-batch reduced
-    systems and the factorization cache.  All of it depends only on
+    systems and the cached steps (factor and W).  All of it depends only on
     (graph, partition, family, mesh, coeffs), so independent realizations
     and different window lengths can share one runtime; reuse changes
     nothing but the setup cost.  ``run_full`` builds one over the
@@ -287,9 +287,8 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
     """
     system = runtime.system(j)
     key = (j, scheme.label, dt)
-    workspace = runtime.workspace
-    w, lhs_ff = workspace.matrices(key, lambda: system.fused_matrices(scheme, dt))
-    lu = workspace.factorization(key, lambda: lhs_ff)
+    step = runtime.workspace.factorization(key, lambda: system.fused_matrices(scheme, dt))
+    w = step.rhs
     n_free = len(system.free)
     n_fixed = n_free + len(system.interface_dofs)
     exterior = system.exterior_dofs
@@ -314,14 +313,14 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
                 f_prev = f_next
             b += load
             forced += np.abs(load).max(initial=0.0)
-        x = lu.solve(b)
+        x = step.solve(b)
         snapshot = s % every == 0
         if snapshot or s == last:
             u[system.free] = x
             u[exterior] = drive[s - 1, exterior_t1]
             if snapshot:
                 snapshots.append((s * dt, u.copy()))
-    return system.n_active, factor_nnz(lu), forced
+    return system.n_active, factor_nnz(step), forced
 
 
 def _tabulate(fn, times, name: str, shape: tuple) -> np.ndarray:
@@ -423,9 +422,9 @@ def _check_growth(runtime, traj, drive, omegas, n_sub, theta, dt, forced) -> Non
 def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTrajectory:
     """Run window k on batch ``omegas[k]`` for n_sub steps from the initial state.
 
-    Tabulates the data of every step once (``_drive_table``), stores the
-    state after global step s when ``s % every == 0`` or s is the last
-    step, and checks the stored states with ``_check_growth``.
+    Tabulates the data of every step once (``_drive_table``), rejects a
+    non-finite y0, stores the state after global step s when ``s % every
+    == 0`` or s is the last, and checks the stored states (``_check_growth``).
     """
     graph = runtime.graph
     worst = float(np.abs(runtime.convection_sums).max(initial=0.0))
@@ -448,6 +447,9 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTr
     n_steps = len(omegas) * n_sub
     drive = _drive_table(runtime, scheme.theta_value, dt, n_steps)
     u = fem.interpolate(graph, runtime.mesh, dofmap, runtime.coeffs.y0)
+    if not np.isfinite(u).all():
+        bad = next(e for e in range(graph.n_edges) if not np.isfinite(u[dofmap.edge_dofs(e)]).all())
+        raise InvalidSpec(f"the initial state y0 is not finite on edge {bad}")
     u[dofmap.dirichlet_dofs] = drive[0, : len(dofmap.dirichlet_dofs)]
     snapshots = [(0.0, u.copy())]
     max_active = max_nnz = 0

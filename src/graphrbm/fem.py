@@ -412,7 +412,7 @@ class ReducedOperators:
         return data.elements.mass[ids], data.stiffness[ids] * scale, data.lower[ids] * scale
 
     def fuse(self, lhs: np.ndarray, rhs: np.ndarray, loads) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(W, lhs_ff) from (n, 2, 2) stacks over the active elements.
+        """(lhs_ff, W) from (n, 2, 2) stacks over the active elements.
 
         ``loads`` are the free-dof vectors of W's load columns, one per term.
         """
@@ -425,7 +425,7 @@ class ReducedOperators:
         cols = np.concatenate([self.cols, self.t1_cols, load_cols])
         w = sp.csr_matrix((data, (rows, cols)), shape=(n_free, self.n_columns))
         at = (self.rows[:n_ff], self.cols[:n_ff])
-        return w, sp.csr_matrix((lhs[:n_ff], at), shape=(n_free, n_free))
+        return sp.csr_matrix((lhs[:n_ff], at), shape=(n_free, n_free)), w
 
     @cached_property
     def growth_rate(self) -> float:

@@ -14,15 +14,14 @@ an explicit operator E and a weight theta:
 ``imex_theta`` forms lhs = M + dt*theta*A and rhs = M - dt*(1-theta)*A -
 dt*E, of sparse matrices for ``step`` and of element blocks for the
 windowed solver.  The step matrices only depend on the system, the scheme
-and dt, so a StepWorkspace caches them and the factorization of lhs under
-one key and reuses both across steps: (lhs, rhs) for ``step``, and for the
-windowed solver the fused matrix W and lhs_ff of ``fem.ReducedOperators``.
-Each new factorization is checked once, on first use: it must solve
-lhs x = lhs 1 to a small residual.
+and dt, so a StepWorkspace keeps one ``FactoredStep`` per key: the factor
+of lhs, checked once to solve lhs x = lhs 1 to a small residual, and rhs
+(W of ``fem.ReducedOperators`` for the windowed solver); lhs is not kept.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,42 +86,42 @@ def theta_method(theta: float) -> SchemeKind:
     return SchemeKind("theta", float(theta))
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredStep:
+    """A cached step: ``solve`` by lhs's factor, its ``nnz``, ``rhs`` and the ``operands`` its key names by id."""
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    nnz: int
+    rhs: object
+    operands: tuple
+
+
 class StepWorkspace:
-    """Step matrices and factorizations, cached per (active system, scheme, dt) key."""
+    """One FactoredStep per (active system, scheme, dt) key; entries are never evicted."""
 
     def __init__(self):
         self._cache: dict = {}
-        self._matrices: dict = {}
 
-    def matrices(self, key, build):
-        """Return the cached step matrices for ``key``, building them via ``build()``."""
-        matrices = self._matrices.get(key)
-        if matrices is None:
-            matrices = build()
-            self._matrices[key] = matrices
-        return matrices
-
-    def factorization(self, key, build):
-        """Return the cached factorization for ``key``, computing it via ``build()``."""
-        lu = self._cache.get(key)
-        if lu is None:
-            lu = _factorize(build())
-            self._cache[key] = lu
-        return lu
+    def factorization(self, key, build) -> FactoredStep:
+        """The entry for ``key``; a miss builds it as ``_factor_step(*build())``."""
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache[key] = _factor_step(*build())
+        return entry
 
     def __len__(self) -> int:
-        """Number of cached factorizations."""
+        """Number of cached entries."""
         return len(self._cache)
 
 
-def _factorize(matrix: sp.spmatrix):
-    """Factor ``matrix`` and check the factor once by solving A x = A 1.
+def _factor_step(lhs: sp.spmatrix, rhs, *operands) -> FactoredStep:
+    """Factor A = lhs, check the factor once by solving A x = A 1, and keep it with rhs and operands.
 
     Raises SingularSystem if the factorization fails, if x is not finite,
     or if the residual exceeds RESIDUAL_RTOL * (1 + ||A 1||_inf); the last
     two catch near-singular systems that factor without an explicit error.
     """
-    A = sp.csc_matrix(matrix)
+    A = sp.csc_matrix(lhs)
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
@@ -134,12 +133,12 @@ def _factorize(matrix: sp.spmatrix):
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
         raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
-    return lu
+    return FactoredStep(lu.solve, lu.nnz, rhs, operands)
 
 
-def factor_nnz(lu) -> int:
+def factor_nnz(entry) -> int:
     """Nonzeros of the triangular factors (memory proxy for the solve)."""
-    return int(lu.nnz)
+    return int(entry.nnz)
 
 
 def imex_theta(scheme: SchemeKind, mass, stiffness, lower, dt: float):
@@ -180,10 +179,10 @@ def step(
     ``spatial`` is the matrix S for the theta family, or the pair
     (stiffness, convection + reaction) for the semi-implicit scheme.
     ``f0``/``f1`` are the loads at the step's start and end times.  A
-    workspace caches the step matrices and factorization under the scheme
-    label, dt and the identities of ``mass`` and the spatial matrices; the
-    entry keeps those matrices alive, so an identity is never reused while
-    cached and one workspace serves any number of systems.
+    workspace caches the factor of lhs and rhs under the scheme label, dt
+    and the identities of ``mass`` and the spatial matrices; the entry keeps
+    those matrices alive, so an identity is never reused while cached and
+    one workspace serves any number of systems.
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")
@@ -198,7 +197,6 @@ def step(
     ws = workspace if workspace is not None else StepWorkspace()
     system = (mass, stiffness, lower)
     key = ("step", scheme.label, dt, *map(id, system))
-    lhs, rhs, _ = ws.matrices(key, lambda: (*imex_theta(scheme, mass, stiffness, lower, dt), system))
-    lu = ws.factorization(key, lambda: lhs)
+    entry = ws.factorization(key, lambda: (*imex_theta(scheme, mass, stiffness, lower, dt), *system))
     theta = scheme.theta_value
-    return lu.solve(rhs @ u + dt * (theta * f1 + (1.0 - theta) * f0))
+    return entry.solve(entry.rhs @ u + dt * (theta * f1 + (1.0 - theta) * f0))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -128,6 +129,22 @@ def test_blowup_is_exit_three(capsys, monkeypatch):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: max |u| = "), err
+
+
+def test_nonfinite_initial_state_is_exit_two(capsys, monkeypatch):
+    graph = g.demo_graph()
+    solution = g.demo_solution(graph)
+    nan_y0 = dataclasses.replace(
+        g.derive_data(solution), y0=lambda e, x: np.full_like(np.asarray(x, dtype=float), np.nan)
+    )
+    problem = (graph, g.demo_partition(graph), g.batch_option_two(), solution, nan_y0)
+    monkeypatch.setattr(cli, "_load_problem", lambda args: problem)
+    for command in ("solve", "rbm"):
+        argv = [command, "--nodes-per-edge", "20", "--dt", "0.01", "--t-final", "0.04"]
+        if command == "rbm":
+            argv += ["--h", "0.02", "--seed", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the initial state y0 is not finite on edge 0\n"
 
 
 def test_bad_subcommand_exit_code():

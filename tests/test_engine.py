@@ -1,11 +1,13 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from conftest import constant_coefficients
 
 import graphrbm as g
-from graphrbm import fem
+from graphrbm import engine, fem
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import (
     BLOWUP_FACTOR,
@@ -364,13 +366,49 @@ def test_growing_solution_is_not_a_blowup(demo, partition, option2, coarse_mesh)
         assert np.isfinite(traj.states).all()
 
 
-def test_nonfinite_state_raises(demo, partition, option2, problem, coarse_mesh):
-    coeffs = dataclasses.replace(problem, y0=lambda e, x: np.full_like(np.asarray(x, dtype=float), np.nan))
-    with pytest.raises(NumericalBlowup, match="t=0 has non-finite entries"):
+def test_nonfinite_state_raises(demo, partition, option2, solution, coarse_mesh):
+    # siem steps p = 400 explicitly: each step multiplies the fast mode by about -3 until it
+    # overflows; p > 0 makes the operators dissipative, so the growth allowance stays 1
+    reactive = g.derive_data(solution, p=lambda e, x: np.full_like(np.asarray(x, dtype=float), 400.0))
+    with pytest.raises(NumericalBlowup, match="t=6.52 has non-finite entries"):
+        g.run_full(demo, coarse_mesh, reactive, g.SEMI_IMPLICIT, dt=0.01, t_final=8.0)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=8.0, scheme=g.SEMI_IMPLICIT, seed=1)
+    with pytest.raises(NumericalBlowup, match="non-finite entries"):
+        g.run_rbm(demo, partition, option2, coarse_mesh, reactive, config)
+
+
+def test_nonfinite_initial_state_is_invalid_spec(demo, partition, option2, problem, coarse_mesh):
+    def nan_on_edge_3(e, x):
+        return np.full_like(np.asarray(x, dtype=float), np.nan if e == 3 else 0.0)
+
+    coeffs = dataclasses.replace(problem, y0=nan_on_edge_3)
+    with pytest.raises(InvalidSpec, match="initial state y0 is not finite on edge 3"):
         g.run_full(demo, coarse_mesh, coeffs, g.IMPLICIT_EULER, dt=0.01, t_final=0.04)
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.04, scheme=g.IMPLICIT_EULER, seed=1)
-    with pytest.raises(NumericalBlowup, match="non-finite entries"):
+    with pytest.raises(InvalidSpec, match="initial state y0 is not finite on edge 3"):
         g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config)
+
+
+def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, coarse_mesh, monkeypatch):
+    fused = engine._ActiveSystem.fused_matrices
+    built = []
+
+    def recording(system, scheme, dt):
+        lhs_ff, w = fused(system, scheme, dt)
+        built.append((weakref.ref(lhs_ff), w))
+        return lhs_ff, w
+
+    monkeypatch.setattr(engine._ActiveSystem, "fused_matrices", recording)
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=4)
+    traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, runtime=runtime)
+    gc.collect()
+    used = np.unique(traj.schedule.omegas)
+    assert len(built) == len(used) == len(runtime.workspace)
+    assert all(ref() is None for ref, _ in built)
+    # a lookup of a cached key is a hit, so it never calls build
+    entries = [runtime.workspace.factorization((int(j), "ie", 0.01), None) for j in used]
+    assert sorted(id(entry.rhs) for entry in entries) == sorted(id(w) for _, w in built)
 
 
 def invalid_data(problem, n_vertices):

@@ -84,7 +84,7 @@ def steady_solve(data, dm, boundary, load=None):
     if load is not None:
         rhs += load[dm.free_dofs]
     u = np.zeros(dm.n_dofs)
-    lu = StepWorkspace().factorization("K", lambda: stiffness[:, :n_free])
+    lu = StepWorkspace().factorization("K", lambda: (stiffness[:, :n_free], None))
     u[dm.free_dofs] = lu.solve(rhs)
     u[dm.dirichlet_dofs] = boundary
     return u
@@ -271,7 +271,7 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     lhs = (ops.mass + dt * ops.stiffness).toarray()
     rhs = (ops.mass - dt * ops.lower).toarray()
     loads = [np.full(len(bd.free), 1.0 + k) for k in range(len(data.term_loads))]
-    w, lhs_ff = reduced.fuse(*imex_theta(SEMI_IMPLICIT, *reduced.blocks(), dt), loads)
+    lhs_ff, w = reduced.fuse(*imex_theta(SEMI_IMPLICIT, *reduced.blocks(), dt), loads)
     free, interface, dirichlet = bd.free, bd.interface_dofs, dm.dirichlet_dofs
     exterior = np.isin(dirichlet, bd.exterior_dofs)
     want = np.hstack(

@@ -34,7 +34,7 @@ from graphrbm.decomposition import (
     verify_unbiased,
     zeta_weights,
 )
-from graphrbm.engine import RbmConfig, RbmRuntime
+from graphrbm.engine import BLOWUP_FACTOR, RbmConfig, RbmRuntime
 from graphrbm.manufactured import (
     LAMBDA_ELEMENTS_PER_EDGE,
     TWO_PI,
@@ -225,7 +225,7 @@ def assert_close(got, expected, what, rtol=1e-13):
 def test_batch_systems_equal_scaled_part_sums(data):
     """Every batch system against the per-edge assembly of its parts, scaled by 1/pi.
 
-    The fused step matrices W and lhs_ff must match ``imex_theta`` on those
+    The fused step matrices lhs_ff and W must match ``imex_theta`` on those
     sparse reference operators to 1e-14 relative, W's load columns the
     reference load of each source term, and lhs_ff must keep the stored
     positions of the reference.
@@ -271,7 +271,7 @@ def test_batch_systems_equal_scaled_part_sums(data):
                 want[:, n_free:n_fixed] -= lhs[:, n_free:n_fixed]
                 want[:, exterior] = rhs[:, n_fixed:]
                 want[:, exterior + n_dirichlet] = -lhs[:, n_fixed:]
-                w, lhs_ff = system.fused_matrices(scheme, dt)
+                lhs_ff, w = system.fused_matrices(scheme, dt)
                 what = (j, scheme.label, dt)
                 assert w.shape == (n_free, want.shape[1] + len(vectors)), what
                 w = w.toarray()
@@ -504,3 +504,30 @@ def test_full_solve_energy_does_not_increase_without_data(data):
         energy = mass_norms_sq(fem.mass_matrix(graph, MESH, traj.dofmap), traj.states)
         assert energy[0] > 0.0
         assert np.all(np.diff(energy) <= 1e-12 * energy[0]), scheme.label
+
+
+@pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_growing_solutions_raise_no_false_alarm(data):
+    """Implicit Euler runs with p <= -60 and convection grow past BLOWUP_FACTOR times their data, and return.
+
+    p = -60 outgrows the diffusion of the shortest graphs drawn by far; a
+    raise of NumericalBlowup here is a false alarm.
+    """
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    rate = data.draw(st.floats(min_value=60.0, max_value=70.0), label="-p")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    reaction = lambda e, x: np.full_like(np.asarray(x, dtype=float), -rate)
+    coeffs = dataclasses.replace(problem_data(graph), p=reaction)
+    dt, t_final = 0.005, 0.75
+    config = RbmConfig(h=2 * dt, dt=dt, t_final=t_final, scheme=g.IMPLICIT_EULER, seed=seed)
+    for traj in (
+        g.run_full(graph, MESH, coeffs, g.IMPLICIT_EULER, dt=dt, t_final=t_final),
+        g.run_rbm(graph, partition, family, MESH, coeffs, config),
+    ):
+        # past the limit of a run that may not grow, so the guard weighs the growth allowance
+        scale = np.abs(traj.states[0]).max() + max(np.abs(coeffs.g(t)).max() for t in traj.times)
+        assert np.abs(traj.states).max() > BLOWUP_FACTOR * scale, traj.config["kind"]

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -78,8 +81,8 @@ def test_theta_half_is_crank_nicolson(rng):
 
 
 def factor(A):
-    """A fresh workspace's factorization of A; the first use runs the factor check."""
-    return StepWorkspace().factorization("A", lambda: A)
+    """A fresh workspace's entry for lhs A; the first use runs the factor check."""
+    return StepWorkspace().factorization("A", lambda: (A, None))
 
 
 def test_solve_identity():
@@ -131,22 +134,52 @@ def test_step_workspace_keys_on_the_system():
 def test_workspace_caches_by_key():
     ws = StepWorkspace()
     builds = []
+    rhs = sp.identity(4, format="csr")
 
     def build():
         builds.append(1)
-        return sp.identity(4, format="csc")
+        return sp.identity(4, format="csc"), rhs
 
-    lu1 = ws.factorization("k", build)
-    lu2 = ws.factorization("k", build)
-    assert lu1 is lu2 and len(builds) == 1
+    entry1 = ws.factorization("k", build)
+    entry2 = ws.factorization("k", build)
+    assert entry1 is entry2 and len(builds) == 1 and entry1.rhs is rhs
     ws.factorization("other", build)
     assert len(builds) == 2 and len(ws) == 2
 
 
+def test_cached_entry_does_not_keep_lhs():
+    ws = StepWorkspace()
+    lhs_refs = []
+
+    def build():
+        lhs = 2.0 * sp.identity(4, format="csc")
+        lhs_refs.append(weakref.ref(lhs))
+        return lhs, None
+
+    entry = ws.factorization("k", build)
+    gc.collect()
+    assert lhs_refs[0]() is None
+    assert np.array_equal(entry.solve(np.full(4, 2.0)), np.ones(4))
+
+
+def test_step_after_first_system_is_deleted():
+    # the entry of S = 1 keeps its operands, so the new S = 3 cannot take over a freed id
+    # CN, dt = 0.1, M = 1: u1 = (1 - 0.05 S) / (1 + 0.05 S); its rhs is a new matrix, not M
+    ws = StepWorkspace()
+    mass, spatial = scalar(1.0), scalar(1.0)
+    step(CRANK_NICOLSON, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    refs = [weakref.ref(mass), weakref.ref(spatial)]
+    del mass, spatial
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    u1 = step(CRANK_NICOLSON, scalar(1.0), scalar(3.0), ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    assert np.isclose(u1[0], 0.85 / 1.15, rtol=1e-15) and len(ws) == 2
+
+
 def test_factor_nnz_positive():
     ws = StepWorkspace()
-    lu = ws.factorization("x", lambda: sp.identity(7, format="csc"))
-    assert factor_nnz(lu) >= 7
+    entry = ws.factorization("x", lambda: (sp.identity(7, format="csc"), None))
+    assert factor_nnz(entry) >= 7
 
 
 def test_scheme_labels_and_parse():
