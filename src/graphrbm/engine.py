@@ -34,8 +34,9 @@ term vectors V.  One step of every scheme is then
     z = [u_f | u_if | g_D(t0) | g_D(t1) | dt (theta tau(t1) + (1 - theta) tau(t0))],
 
 one matvec and one solve: u_if are the window-frozen interface values and
-the rest of z is one row of a drive table that ``_solve`` fills once per
-run, calling g and each time factor tau once per step time.  The
+the rest of z is one row of a drive table that the runtime fills once per
+(theta, dt, step count), calling g and each time factor tau once per step
+time, and shares, read-only, with every run of that key.  The
 Dirichlet columns are numbered over all of the graph's Dirichlet dofs, so
 one drive row serves every batch; an exterior dof takes g(t1) from it
 after the step, never the stored u, since an exterior vertex outside the
@@ -221,7 +222,8 @@ class RbmRuntime:
 
     Holds the dof map, the element data of every edge (integrated once,
     in ``__init__``), the convection vertex sums, the per-batch reduced
-    systems and the cached steps (factor and W).  All of it depends only on
+    systems, the cached steps (factor and W) and the read-only drive tables
+    per (theta, dt, n_steps).  All of it depends only on
     (graph, partition, family, mesh, coeffs), so independent realizations
     and different window lengths can share one runtime; reuse changes
     nothing but the setup cost.  ``run_full`` builds one over the
@@ -247,6 +249,17 @@ class RbmRuntime:
         self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, _ActiveSystem] = {}
+        self._drives: dict[tuple[float, float, int], np.ndarray] = {}
+
+    def drive(self, theta: float, dt: float, n_steps: int) -> np.ndarray:
+        """The read-only ``_drive_table`` of (theta, dt, n_steps), built on first use; a failed one is not kept."""
+        key = (theta, dt, n_steps)
+        table = self._drives.get(key)
+        if table is None:
+            table = _drive_table(self, theta, dt, n_steps)
+            table.flags.writeable = False
+            self._drives[key] = table
+        return table
 
     def system(self, j: int) -> _ActiveSystem:
         system = self._systems.get(j)
@@ -422,7 +435,7 @@ def _check_growth(runtime, traj, drive, omegas, n_sub, theta, dt, forced) -> Non
 def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTrajectory:
     """Run window k on batch ``omegas[k]`` for n_sub steps from the initial state.
 
-    Tabulates the data of every step once (``_drive_table``), rejects a
+    Reads the data of every step off the runtime's drive table, rejects a
     non-finite y0, stores the state after global step s when ``s % every
     == 0`` or s is the last, and checks the stored states (``_check_growth``).
     """
@@ -445,7 +458,7 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTr
         )
     dofmap = runtime.dofmap
     n_steps = len(omegas) * n_sub
-    drive = _drive_table(runtime, scheme.theta_value, dt, n_steps)
+    drive = runtime.drive(scheme.theta_value, dt, n_steps)
     u = fem.interpolate(graph, runtime.mesh, dofmap, runtime.coeffs.y0)
     if not np.isfinite(u).all():
         bad = next(e for e in range(graph.n_edges) if not np.isfinite(u[dofmap.edge_dofs(e)]).all())

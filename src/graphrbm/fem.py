@@ -19,14 +19,18 @@ table ``Ends``.  Dirichlet data is handled by algebraic elimination:
 constrained rows are removed and constrained columns move behind the free
 ones, where a solver multiplies them by the prescribed values.
 
-Each edge is integrated once per runtime: its one ``assemble`` call
-evaluates the coefficients and every separable source term once per edge
-and keeps, per mesh element, the 2x2 blocks of M, K and C + P and the
-local load of each term.  The operators and loads of one batch are then
-scaled sums of these element data over its active edges, each edge
-counting with 1/pi of its owning part: its operators stay element blocks,
-which a solver combines and then sums into step matrices with one COO->CSR
-each (``ReducedOperators``), and its load is one bincount per load term.
+Every evaluation of an edge function goes through ``on_edges``, which
+samples it on a whole table of coordinates, one row per edge: in one call
+when the function has a table form ``on_edges(edges, x)``, else in one
+call ``fn(e, x[i])`` per edge.  Each edge is integrated once per runtime:
+its one ``assemble`` call samples the coefficients and every separable
+source term once per table and keeps, per mesh element, the 2x2 blocks of
+M, K and C + P and the local load of each term.  The operators and loads
+of one batch are then scaled sums of these element data over its active
+edges, each edge counting with 1/pi of its owning part: its operators stay
+element blocks, which a solver combines and then sums into step matrices
+with one COO->CSR each (``ReducedOperators``), and its load is one
+bincount per load term.
 The mass is never scaled.  The whole graph is the batch of the one-part,
 one-batch family, whose factors are all 1.
 """
@@ -66,6 +70,34 @@ class FemError(SolverError):
 
 class NonellipticCoefficient(FemError, NumericalError):
     pass
+
+
+def _values(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``; FemError naming ``what`` otherwise."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FemError(f"{what} is not numeric: {exc}") from exc
+    if out.shape != shape:
+        raise FemError(f"{what} has shape {out.shape}, expected {shape}")
+    return out
+
+
+def on_edges(fn: EdgeFunction, edges, x: np.ndarray) -> np.ndarray:
+    """``fn`` on the (len(edges), m) coordinate table ``x``, row i on edge ``edges[i]``.
+
+    Calls ``fn.on_edges(edges, x)`` once when ``fn`` has that table form,
+    else ``fn(e, x[i])`` once per edge.  Raises FemError, naming the edge or
+    the table form, when a value is not numeric or not of its row's shape.
+    """
+    edges = np.asarray(edges, dtype=int)
+    table = getattr(fn, "on_edges", None)
+    if table is not None:
+        return _values(table(edges, x), x.shape, f"the table form of {fn!r}")
+    out = np.empty(x.shape)
+    for i, e in enumerate(edges.tolist()):
+        out[i] = _values(fn(e, x[i]), x[i].shape, f"the edge function's value on edge {e}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,9 +216,9 @@ class Ends:
         self.first = np.unique(self.vertex, return_index=True)[1]
 
     def sample(self, fn: EdgeFunction) -> np.ndarray:
-        """``fn(e, [0, length_e])`` for every edge, one call per edge: the value at each end."""
+        """``fn`` at every end: ``on_edges`` on the (n_edges, 2) table of rows [0, length_e]."""
         x = self.coordinate.reshape(self.n_edges, 2)
-        return np.concatenate([np.asarray(fn(e, x[e]), dtype=float) for e in range(self.n_edges)])
+        return on_edges(fn, np.arange(self.n_edges), x).ravel()
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """The signed sum of per-end values at every interior vertex; 0 at boundary vertices."""
@@ -240,13 +272,16 @@ class Elements:
         return edges, ids, np.repeat(edge_factor[edges], self.per_edge)
 
     def sample(self, fn: EdgeFunction, edges=None) -> np.ndarray:
-        """``fn(e, x)`` at the Gauss points of the given edges' elements (default all), one call per edge."""
-        xq = self.xq.reshape(self.n_edges, self.per_edge, -1)
-        edges = range(self.n_edges) if edges is None else edges
-        values = [
-            np.asarray(fn(e, xq[e].ravel()), dtype=float).reshape(xq[e].shape) for e in edges
-        ]
-        return np.concatenate(values)
+        """``fn`` at the Gauss points of the given edges' elements (default all), one row per element.
+
+        One ``on_edges`` call on the table whose row i holds every Gauss point of edge ``edges[i]``.
+        """
+        x = self.xq.reshape(self.n_edges, -1)
+        if edges is None:
+            edges = np.arange(self.n_edges)
+        else:
+            x = x[edges]
+        return on_edges(fn, edges, x).reshape(-1, self.xq.shape[1])
 
     def loads(self, values: np.ndarray, ids=slice(None)) -> np.ndarray:
         """The (n, 2) local loads of the elements ``ids`` (default all) for values at their Gauss points."""
@@ -279,8 +314,10 @@ class ElementData:
 def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: CoefficientSet) -> ElementData:
     """Integrate every edge once: the blocks of K and C + P and the loads of a separable source.
 
-    Calls a, b, p and each separable space term once per edge.  Raises
-    NonellipticCoefficient when the diffusion coefficient is not strictly
+    Samples a, b, p and each separable space term once, on the table of every
+    Gauss point (``Elements.sample``): one call per function with a table
+    form, one per edge otherwise.  Raises FemError when a value has the
+    wrong shape and NonellipticCoefficient when the diffusion coefficient is not strictly
     positive at some quadrature point.
     """
     elements = Elements(graph, mesh, dofmap, GAUSS3)
@@ -363,14 +400,23 @@ class LoadEvaluator:
 def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction | None) -> np.ndarray:
     """Nodal interpolant of a per-edge function (None interpolates zero).
 
-    Vertex dofs are written once per adjacent edge; for functions that
-    are continuous across vertices all writes agree.
+    Samples ``fn`` once with ``on_edges`` on the table whose row e holds edge
+    e's nodes (``DofMap.edge_nodes``).  A vertex takes the value of its
+    highest-numbered end (``Ends``), the one an edge-by-edge pass would
+    write last; for functions that are continuous across vertices all
+    adjacent edges agree.
     """
     u = np.zeros(dofmap.n_dofs)
     if fn is None:
         return u
-    for e in range(graph.n_edges):
-        u[dofmap.edge_dofs(e)] = np.asarray(fn(e, dofmap.edge_nodes(e)), dtype=float)
+    n = mesh.nodes_per_edge
+    ends = Ends(graph)
+    # bitwise the rows of DofMap.edge_nodes; contiguous, so fn sees the arrays it always saw
+    nodes = np.ascontiguousarray(np.linspace(0.0, ends.coordinate[1::2], n + 2, axis=1))
+    values = on_edges(fn, np.arange(graph.n_edges), nodes)
+    u[dofmap.interior_dofs(np.arange(graph.n_edges))] = values[:, 1:-1]
+    last = len(ends.vertex) - 1 - np.unique(ends.vertex[::-1], return_index=True)[1]
+    u[: graph.n_vertices] = values[:, [0, -1]].ravel()[last]
     return u
 
 

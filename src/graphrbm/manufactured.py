@@ -15,6 +15,11 @@ reference for convergence studies.  The same closed forms feed the
 variance functional of the randomized solver, which measures the
 mean-square mismatch between the true and the batch-rescaled operators
 along the exact solution.
+
+The profile and its derivatives (``EdgePolynomial``), the stock
+coefficients (``SameOnEveryEdge``) and the source's spatial term
+(``SpatialOperator``) are edge functions with a table form, so
+``fem.on_edges`` samples each of them on a whole table in one call.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .fem import (
     SeparableSource,
     interpolate,
     mass_matrix,
+    on_edges,
 )
 from .graph import MetricGraph
 
@@ -52,21 +58,62 @@ class InconsistentConstraints(NumericalError):
     pass
 
 
-def diffusion_coefficient(e: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+class SameOnEveryEdge:
+    """An edge function ``fn(e, x) = profile(x)`` that ignores e, with its table form.
+
+    ``on_edges(edges, x)`` is ``profile`` on the whole table at once: an
+    elementwise profile gives every row bitwise what the per-edge call gives.
+    """
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def __repr__(self) -> str:
+        return f"SameOnEveryEdge({self.profile.__name__})"
+
+    def __call__(self, e: int, x) -> np.ndarray:
+        return self.profile(np.asarray(x, dtype=float))
+
+    def on_edges(self, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.profile(np.asarray(x, dtype=float))
+
+
+@SameOnEveryEdge
+def diffusion_coefficient(x: np.ndarray) -> np.ndarray:
     return x * (x - 1.0) + 0.5
 
 
-def diffusion_coefficient_dx(e: int, x: np.ndarray) -> np.ndarray:
-    return 2.0 * np.asarray(x, dtype=float) - 1.0
+@SameOnEveryEdge
+def diffusion_coefficient_dx(x: np.ndarray) -> np.ndarray:
+    return 2.0 * x - 1.0
 
 
-def convection_coefficient(e: int, x: np.ndarray) -> np.ndarray:
-    return np.sin(np.pi * np.asarray(x, dtype=float)) / 2.0
+@SameOnEveryEdge
+def convection_coefficient(x: np.ndarray) -> np.ndarray:
+    return np.sin(np.pi * x) / 2.0
 
 
-def reaction_coefficient(e: int, x: np.ndarray) -> np.ndarray:
-    return np.sin(np.pi * np.asarray(x, dtype=float))
+@SameOnEveryEdge
+def reaction_coefficient(x: np.ndarray) -> np.ndarray:
+    return np.sin(np.pi * x)
+
+
+class EdgePolynomial:
+    """One polynomial per edge: row e of ``coeffs`` (highest degree first) on edge e."""
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+
+    def __call__(self, e: int, x) -> np.ndarray:
+        return np.polyval(self.coeffs[e], np.asarray(x, dtype=float))
+
+    def on_edges(self, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Horner over every row at once, started from zeros as ``np.polyval`` is: bitwise its per-edge values."""
+        coeffs = self.coeffs[edges]
+        y = np.zeros_like(x, dtype=float)
+        for k in range(coeffs.shape[1]):
+            y = y * x + coeffs[:, k, None]
+        return y
 
 
 def solve_lower_coefficients(
@@ -141,19 +188,11 @@ class ManufacturedSolution:
         self.poly = np.asarray(poly, dtype=float)  # (n_edges, 5), highest degree first
         self.a = a
         self.a_dx = a_dx
-        self._dpoly = np.stack([np.polyder(c) for c in self.poly])
-        self._ddpoly = np.stack([np.polyder(c, 2) for c in self.poly])
+        # spatial profile and derivatives: edge functions with a table form
+        self.w = EdgePolynomial(self.poly)
+        self.w_dx = EdgePolynomial(np.stack([np.polyder(c) for c in self.poly]))
+        self.w_dxx = EdgePolynomial(np.stack([np.polyder(c, 2) for c in self.poly]))
         self._ends = Ends(graph)
-
-    # spatial profile and derivatives
-    def w(self, e: int, x) -> np.ndarray:
-        return np.polyval(self.poly[e], np.asarray(x, dtype=float))
-
-    def w_dx(self, e: int, x) -> np.ndarray:
-        return np.polyval(self._dpoly[e], np.asarray(x, dtype=float))
-
-    def w_dxx(self, e: int, x) -> np.ndarray:
-        return np.polyval(self._ddpoly[e], np.asarray(x, dtype=float))
 
     # temporal factor
     @staticmethod
@@ -206,6 +245,37 @@ def demo_solution(graph: MetricGraph) -> ManufacturedSolution:
     return build_solution(graph, DEMO_QUARTIC, DEMO_CUBIC)
 
 
+class SpatialOperator:
+    """-(a w')' + b w' + p w, the solution's spatial term of the source, as an edge function.
+
+    Its table form samples each part with ``fem.on_edges``, so a part
+    without a table form (a user's plain b, say) is called per edge, and
+    only that part.
+    """
+
+    def __init__(self, solution: ManufacturedSolution, b, p):
+        self.solution = solution
+        self.b = b
+        self.p = p
+
+    def _combine(self, value) -> np.ndarray:
+        """The operator from ``value(fn)``, the samples of each part."""
+        solution = self.solution
+        wx = value(solution.w_dx)
+        return (
+            -(value(solution.a_dx) * wx + value(solution.a) * value(solution.w_dxx))
+            + value(self.b) * wx
+            + value(self.p) * value(solution.w)
+        )
+
+    def __call__(self, e: int, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self._combine(lambda fn: fn(e, x))
+
+    def on_edges(self, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._combine(lambda fn: on_edges(fn, edges, x))
+
+
 def derive_data(solution: ManufacturedSolution, b=None, p=None) -> CoefficientSet:
     """Source, boundary and initial data that make the solution exact.
 
@@ -215,21 +285,10 @@ def derive_data(solution: ManufacturedSolution, b=None, p=None) -> CoefficientSe
     """
     b = b if b is not None else convection_coefficient
     p = p if p is not None else reaction_coefficient
-    a, a_dx = solution.a, solution.a_dx
-
-    def spatial_operator(e: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        wx = solution.w_dx(e, x)
-        return (
-            -(a_dx(e, x) * wx + a(e, x) * solution.w_dxx(e, x))
-            + b(e, x) * wx
-            + p(e, x) * solution.w(e, x)
-        )
-
     source = SeparableSource(
         terms=(
             (solution.w, solution.time_factor_dt),
-            (spatial_operator, solution.time_factor),
+            (SpatialOperator(solution, b, p), solution.time_factor),
         )
     )
     vertex_w = solution.vertex_values()
@@ -237,7 +296,7 @@ def derive_data(solution: ManufacturedSolution, b=None, p=None) -> CoefficientSe
     def boundary(t: float) -> np.ndarray:
         return vertex_w * solution.time_factor(t)
 
-    return CoefficientSet(a=a, b=b, p=p, f=source, g=boundary, y0=None)
+    return CoefficientSet(a=solution.a, b=b, p=p, f=source, g=boundary, y0=None)
 
 
 def manufactured_problem(graph: MetricGraph) -> tuple[ManufacturedSolution, CoefficientSet]:

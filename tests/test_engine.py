@@ -440,3 +440,52 @@ def test_invalid_tabulated_data_rejected(demo, partition, option2, problem, coar
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.04, scheme=g.CRANK_NICOLSON, seed=1)
     with pytest.raises(InvalidSpec, match=message):
         g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config)
+
+
+def test_drive_table_built_once_per_key_and_read_only(demo, partition, option2, problem, coarse_mesh, monkeypatch):
+    built = []
+    original = engine._drive_table
+    monkeypatch.setattr(engine, "_drive_table", lambda *args: built.append(args[1:]) or original(*args))
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
+    configs = [
+        RbmConfig(h=0.02, dt=dt, t_final=0.2, scheme=g.CRANK_NICOLSON, seed=seed)
+        for seed, dt in ((1, 0.01), (2, 0.01), (3, 0.005))
+    ]
+    runs = [g.run_rbm(demo, partition, option2, coarse_mesh, problem, c, runtime=runtime) for c in configs]
+    assert built == [(0.5, 0.01, 20), (0.5, 0.005, 40)]
+    table = runtime.drive(0.5, 0.01, 20)
+    assert table is runtime.drive(0.5, 0.01, 20) and len(built) == 2
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    # a shared table gives bitwise the states of a fresh runtime
+    fresh = g.run_rbm(demo, partition, option2, coarse_mesh, problem, configs[1])
+    assert fresh.states.tobytes() == runs[1].states.tobytes()
+
+
+def test_study_cells_share_one_drive_table_per_theta(demo, partition, option2, solution, monkeypatch):
+    built = []
+    original = engine._drive_table
+    monkeypatch.setattr(engine, "_drive_table", lambda *args: built.append(args[1:]) or original(*args))
+    spec = g.ExperimentSpec(
+        graph=demo, partition=partition, family=option2,
+        schemes=[g.IMPLICIT_EULER, g.CRANK_NICOLSON], dt=0.01, t_final=0.2,
+        h_list=[0.02, 0.04], realizations=2, seed=3, solution=solution, nodes_per_edge=10,
+    )
+    assert len(g.run_study(spec)) == 4
+    assert built == [(1.0, 0.01, 20), (0.5, 0.01, 20)]
+
+
+def test_failed_drive_table_is_not_kept(demo, partition, option2, problem, coarse_mesh):
+    calls = []
+
+    def first_call_nan(t):
+        calls.append(t)
+        return problem.g(t) * (np.nan if len(calls) == 1 else 1.0)
+
+    coeffs = dataclasses.replace(problem, g=first_call_nan)
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, coeffs)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.04, scheme=g.CRANK_NICOLSON, seed=1)
+    with pytest.raises(InvalidSpec, match="g at t=0 is not finite"):
+        g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config, runtime=runtime)
+    traj = g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config, runtime=runtime)
+    assert np.isfinite(traj.states).all()

@@ -394,3 +394,65 @@ def test_interpolate_nodal_values(demo):
 def test_convection_vertex_sums_vanish(demo, problem):
     sums = fem.convection_vertex_sums(demo, problem.b)
     assert np.abs(sums).max() <= 1e-15
+
+
+def test_interpolate_reads_edge_nodes_and_keeps_the_last_edge_at_a_vertex(demo):
+    """The node table rows are bitwise ``edge_nodes``; a shared vertex keeps the value an edge-by-edge pass wrote last."""
+    mesh = g.Mesh(5)
+    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    seen = {}
+
+    def jump(e, x):  # discontinuous at every vertex
+        seen[e] = x.copy()
+        return np.sin(3.0 * x) + 10.0 * e
+
+    u = fem.interpolate(demo, mesh, dm, jump)
+    want = np.zeros(dm.n_dofs)
+    for e in range(demo.n_edges):
+        assert seen[e].tobytes() == dm.edge_nodes(e).tobytes(), e
+        want[dm.edge_dofs(e)] = jump(e, dm.edge_nodes(e))
+    assert u.tobytes() == want.tobytes()
+
+
+def two_edge_path():
+    return g.build_graph([(0, 1, 1.0), (1, 2, 2.0)], {0, 2})
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (lambda e, x: 1.0, r"value on edge 0 has shape \(\), expected \(\d+,\)"),
+        (lambda e, x: np.ones(len(x) + 1) if e == 1 else np.ones_like(x), r"value on edge 1 has shape"),
+        (lambda e, x: np.full(len(x), "high"), r"value on edge 0 is not numeric"),
+    ],
+)
+def test_malformed_edge_values_are_fem_errors(value, message):
+    graph = two_edge_path()
+    dm = fem.DofMap(graph, g.Mesh(3), {0, 2})
+    ones = lambda e, x: np.ones_like(x)  # noqa: E731
+    for coeffs in (g.CoefficientSet(a=value, b=ones, p=ones), g.CoefficientSet(a=ones, b=value, p=ones)):
+        with pytest.raises(FemError, match=message):
+            fem.assemble(graph, dm.mesh, dm, coeffs)
+    with pytest.raises(FemError, match=message):
+        fem.convection_vertex_sums(graph, value)
+
+
+class WrongTable:
+    """An edge function whose table form drops the last column."""
+
+    def __call__(self, e, x):
+        return np.ones_like(x)
+
+    def on_edges(self, edges, x):
+        return np.ones_like(x)[:, :-1]
+
+
+def test_malformed_table_form_is_fem_error():
+    graph = two_edge_path()
+    dm = fem.DofMap(graph, g.Mesh(3), {0, 2})
+    ones = lambda e, x: np.ones_like(x)  # noqa: E731
+    coeffs = g.CoefficientSet(a=ones, b=ones, p=WrongTable())
+    with pytest.raises(FemError, match=r"table form of .* has shape \(2, 11\), expected \(2, 12\)"):
+        fem.assemble(graph, dm.mesh, dm, coeffs)
+    with pytest.raises(FemError, match=r"table form of .* has shape \(2, 1\), expected \(2, 2\)"):
+        fem.convection_vertex_sums(graph, WrongTable())

@@ -330,3 +330,26 @@ def test_parallel_edge_constraints_consistent():
     )
     assert solution.continuity_residual() <= 1e-10
     assert solution.kirchhoff_residual() <= 1e-10
+
+
+def test_tree_problem_samples_only_table_forms(monkeypatch, rng):
+    """Building and assembling the manufactured tree problem never calls an edge function per edge."""
+    def refuse(self, e, x):
+        raise AssertionError(f"per-edge call of {self!r} on edge {e}")
+
+    for cls in (g.manufactured.SameOnEveryEdge, g.manufactured.EdgePolynomial, g.manufactured.SpatialOperator):
+        monkeypatch.setattr(cls, "__call__", refuse)
+    tree = binary_tree(4)
+    alpha, beta = rng.uniform(-5.0, 5.0, size=(2, tree.n_edges))
+    solution = g.build_solution(tree, alpha, beta)
+    coeffs = g.derive_data(solution)
+    mesh = g.Mesh(3)
+    partition = g.SubgraphPartition(tree, [set(range(0, tree.n_edges, 2)), set(range(1, tree.n_edges, 2))])
+    family = g.batch_family([{0}, {1}, {0, 1}], [0.25, 0.25, 0.5], 2)
+    runtime = g.engine.RbmRuntime(tree, partition, family, mesh, coeffs)
+    assert np.abs(runtime.convection_sums).max() <= 1e-14
+    evaluator = L2ErrorEvaluator(tree, mesh, runtime.dofmap, solution)
+    assert evaluator.squared_error(fem.interpolate(tree, mesh, runtime.dofmap, solution.w), 0.25) > 0.0
+    assert lambda_profile(solution, coeffs, partition, family, np.linspace(0.0, 1.0, 5)).l1 > 0.0
+    with pytest.raises(AssertionError, match="per-edge call"):
+        solution.w(0, np.zeros(2))

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from test_manufactured import reference_squared_error
 
 import graphrbm as g
-from graphrbm import fem
+from graphrbm import fem, manufactured
 from graphrbm.decomposition import (
     batch_view,
     check_assumption_A1,
@@ -531,3 +531,86 @@ def test_growing_solutions_raise_no_false_alarm(data):
         # past the limit of a run that may not grow, so the guard weighs the growth allowance
         scale = np.abs(traj.states[0]).max() + max(np.abs(coeffs.g(t)).max() for t in traj.times)
         assert np.abs(traj.states).max() > BLOWUP_FACTOR * scale, traj.config["kind"]
+
+
+def plain(fn):
+    """``fn`` without its table form, so ``fem.on_edges`` calls it once per edge."""
+    return lambda e, x: fn(e, x)
+
+
+def random_solution(data, graph):
+    """Quartics with drawn coefficients and the stock diffusion; no vertex condition needed."""
+    n = graph.n_edges
+    poly = np.array(data.draw(st.lists(leading, min_size=5 * n, max_size=5 * n))).reshape(n, 5)
+    return ManufacturedSolution(
+        graph, poly, manufactured.diffusion_coefficient, manufactured.diffusion_coefficient_dx
+    )
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_manufactured_tables_equal_per_edge_calls(data):
+    """Every manufactured edge function's table form is bitwise its per-edge calls, on all edges or any subset."""
+    graph = data.draw(graphs())
+    solution = random_solution(data, graph)
+    c = data.draw(st.floats(min_value=0.5, max_value=2.0))
+    edge_b = lambda e, x: 0.4 * np.sin(c * np.asarray(x) - e)  # noqa: E731
+    functions = [
+        solution.w,
+        solution.w_dx,
+        solution.w_dxx,
+        manufactured.diffusion_coefficient,
+        manufactured.diffusion_coefficient_dx,
+        manufactured.convection_coefficient,
+        manufactured.reaction_coefficient,
+        g.derive_data(solution).f.terms[1][0],
+        g.derive_data(solution, b=edge_b).f.terms[1][0],  # a plain b inside the table form
+    ]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    subset = data.draw(st.lists(st.integers(0, graph.n_edges - 1), min_size=1, max_size=graph.n_edges))
+    for edges in (np.arange(graph.n_edges), np.array(subset)):
+        x = rng.uniform(0.0, 2.0, size=(len(edges), data.draw(st.integers(1, 7))))
+        for k, fn in enumerate(functions):
+            want = np.array([fn(int(e), x[i]) for i, e in enumerate(edges)])
+            assert np.array_equal(fn.on_edges(edges, x), want), k
+            assert np.array_equal(fem.on_edges(fn, edges, x), want), k
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_per_edge_path_gives_bitwise_the_table_results(data):
+    """assemble, interpolate, L2ErrorEvaluator and lambda_profile with every function wrapped in a plain lambda."""
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    solution = random_solution(data, graph)
+    coeffs = g.derive_data(solution)
+    per_edge = dataclasses.replace(
+        coeffs,
+        a=plain(coeffs.a),
+        b=plain(coeffs.b),
+        p=plain(coeffs.p),
+        f=g.SeparableSource(terms=tuple((plain(space), time) for space, time in coeffs.f.terms)),
+    )
+    plain_solution = ManufacturedSolution(graph, solution.poly, plain(solution.a), plain(solution.a_dx))
+    for name in ("w", "w_dx", "w_dxx"):
+        setattr(plain_solution, name, plain(getattr(solution, name)))
+    dofmap = fem.DofMap(graph, MESH, graph.boundary_vertices)
+    table, loop = (fem.assemble(graph, MESH, dofmap, c) for c in (coeffs, per_edge))
+    for got, want in zip((table.stiffness, table.lower, *table.term_loads),
+                         (loop.stiffness, loop.lower, *loop.term_loads)):
+        assert_bitwise(got, want, "assemble")
+    assert_bitwise(
+        fem.interpolate(graph, MESH, dofmap, solution.w),
+        fem.interpolate(graph, MESH, dofmap, plain(solution.w)),
+        "interpolate",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    states, times = rng.standard_normal((3, dofmap.n_dofs)), np.array([0.1, 0.37, 0.8])
+    errors = [L2ErrorEvaluator(graph, MESH, dofmap, s).squared_error(states, times)
+              for s in (solution, plain_solution)]
+    assert_bitwise(*errors, "L2 error")
+    t_grid = np.linspace(0.0, 1.0, 11)
+    profiles = [lambda_profile(s, c, partition, family, t_grid).values
+                for s, c in ((solution, coeffs), (plain_solution, per_edge))]
+    assert_bitwise(*profiles, "lambda profile")
