@@ -196,8 +196,8 @@ def normalizers(
         raise BadProbabilityVector(
             f"{len(probs)} probabilities for {len(batches)} batches"
         )
-    if np.any(probs <= 0.0):
-        raise BadProbabilityVector("probabilities must be strictly positive")
+    if not np.all((probs > 0.0) & np.isfinite(probs)):
+        raise BadProbabilityVector("probabilities must be strictly positive finite numbers")
     total = probs.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise BadProbabilityVector(f"probabilities sum to {total!r}, not 1")
@@ -331,12 +331,12 @@ def batches_from_dict(data: dict, graph: MetricGraph) -> tuple[SubgraphPartition
          "batches": [[1], [2], [3], [4], [1, 2, 3]],
          "probs": [0.2, 0.2, 0.2, 0.2, 0.2]}
     """
-    try:
-        raw_parts = data["parts"]
-        raw_batches = data["batches"]
-        raw_probs = data["probs"]
-    except KeyError as exc:
-        raise DecompositionError(f"batch file is missing key {exc}") from exc
+    if not isinstance(data, dict):
+        raise DecompositionError(f"batch file must hold a JSON object, not {type(data).__name__}")
+    for key in ("parts", "batches", "probs"):
+        if not isinstance(data.get(key), list):
+            raise DecompositionError(f"batch file needs a list under key {key!r}")
+    raw_parts, raw_batches, raw_probs = data["parts"], data["batches"], data["probs"]
 
     if graph.edge_names is not None:
         edge_id = {name: k for k, name in enumerate(graph.edge_names)}
@@ -344,20 +344,32 @@ def batches_from_dict(data: dict, graph: MetricGraph) -> tuple[SubgraphPartition
         edge_id = {str(k): k for k in range(graph.n_edges)}
     parts = []
     for i, part in enumerate(raw_parts):
+        if not isinstance(part, list):
+            raise DecompositionError(f"part {i + 1} must be a list of edge names, not {part!r}")
         try:
             parts.append({edge_id[str(e)] for e in part})
         except KeyError as exc:
             raise DecompositionError(f"part {i + 1} references unknown edge {exc}") from exc
     partition = SubgraphPartition(graph, parts)
-    batches = [{int(i) - 1 for i in b} for b in raw_batches]
+    for j, batch in enumerate(raw_batches):
+        # JSON integers only: bool is an int subclass, and int() would truncate 1.9 to part 1
+        if not isinstance(batch, list) or any(type(i) is not int for i in batch):
+            raise DecompositionError(
+                f"batch {j + 1} must be a list of integer part indices, not {batch!r}"
+            )
+    if any(type(p) not in (int, float) for p in raw_probs):
+        raise DecompositionError(f"probs must be a list of numbers, not {raw_probs!r}")
+    batches = [{i - 1 for i in b} for b in raw_batches]
     family = batch_family(batches, raw_probs, partition.n_parts)
     return partition, family
 
 
 def load_batches(path, graph: MetricGraph) -> tuple[SubgraphPartition, BatchFamily]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DecompositionError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise DecompositionError(f"{path}: not UTF-8 text: {exc}") from exc
     return batches_from_dict(data, graph)

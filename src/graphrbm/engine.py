@@ -12,23 +12,16 @@ that part, so pi = 1, nothing is rescaled, no vertex is frozen, and one
 window covers all of [0, T].  Both entry points share one runtime type
 and one loop.
 
-Each edge is integrated once per runtime (``fem.assemble``), and every
-batch's operators and load are scaled sums of those element data: the
-active edges' K and C + P blocks and source loads times 1/pi of their
-part, the mass unscaled.  Nothing is integrated inside the time loop
-except a source that is not separable.  Systems are cached per batch and
-steps per (batch, scheme, dt), all a window's matrices depend on; a cached
-step is the factor of lhs_ff and W below, and lhs_ff is not kept.
-
-Every active system keeps its operators as element blocks.  Per (batch,
-scheme, dt) it combines them with ``timestep.imex_theta`` and sums them,
-one COO->CSR each, into lhs_ff (free rows and columns) and one fused
-matrix W over the columns
-
-    [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms],
-
-holding rhs_ff, rhs_fi - lhs_fi, rhs_fD, -lhs_fD and the separable load
-term vectors V.  One step of every scheme is then
+Each edge is integrated once per runtime (``fem.assemble``).  A batch is
+one system, ``fem.ReducedOperators``: its dof split, its operators as the
+active edges' element blocks (K and C + P times 1/pi of their part, the
+mass unscaled), the term vectors V of a separable source, and the places
+of both in the step matrices lhs_ff and W.  Nothing is integrated inside
+the time loop except a source that is not separable, which the system's
+``load`` integrates per call.  Systems are cached per batch and steps per
+(batch, scheme, dt), all a window's matrices depend on; a cached step is
+the factor of lhs_ff and W, and lhs_ff is not kept.  One step of every
+scheme is
 
     lhs_ff u1 = W z (+ dt (theta F1 + (1 - theta) F0) for a callable source),
     z = [u_f | u_if | g_D(t0) | g_D(t1) | dt (theta tau(t1) + (1 - theta) tau(t0))],
@@ -64,14 +57,7 @@ from .decomposition import (
     zeta_weights,
 )
 from .errors import NumericalError, SolverError
-from .fem import (
-    CoefficientSet,
-    DofMap,
-    LoadEvaluator,
-    Mesh,
-    reduce_operators,
-    restrict_to_batch,
-)
+from .fem import CoefficientSet, DofMap, Mesh, reduce_operators, restrict_to_batch
 from .graph import MetricGraph
 from .manufactured import (
     L2ErrorEvaluator,
@@ -79,7 +65,7 @@ from .manufactured import (
     mass_norms_sq,
     stacked_squared_error,
 )
-from .timestep import SchemeKind, StepWorkspace, factor_nnz, imex_theta
+from .timestep import SchemeKind, StepWorkspace, factor_nnz
 
 TIME_MATCH_TOL = 1e-9
 CONVECTION_SUM_TOL = 1e-10
@@ -192,31 +178,6 @@ def _count_steps(total: float, step: float, total_name: str, step_name: str) -> 
     return int(n)
 
 
-class _ActiveSystem:
-    """Reduced operators and a free-restricted load for one active subgraph.
-
-    ``operators`` (``fem.ReducedOperators``) holds the element blocks of M,
-    K and C + P and their places in the fused step matrix W, whose constrained
-    columns are ``interface_dofs`` and then the graph's Dirichlet dofs at
-    the step's start and end; ``exterior_columns`` places each of
-    ``exterior_dofs`` among those Dirichlet dofs.
-    """
-
-    def __init__(self, operators, load, n_active, interface_dofs, exterior_dofs, exterior_columns):
-        self.operators = operators
-        self.free = operators.free
-        self.load = load
-        self.n_active = int(n_active)
-        self.interface_dofs = np.asarray(interface_dofs, dtype=int)
-        self.exterior_dofs = np.asarray(exterior_dofs, dtype=int)
-        self.exterior_columns = np.asarray(exterior_columns, dtype=int)
-
-    def fused_matrices(self, scheme: SchemeKind, dt: float):
-        """(lhs_ff, W) of the IMEX-theta step of ``scheme``: see ``fem.ReducedOperators``."""
-        lhs, rhs = imex_theta(scheme, *self.operators.blocks(), dt)
-        return self.operators.fuse(lhs, rhs, self.load.term_vectors)
-
-
 class RbmRuntime:
     """Shared immutable machinery for repeated runs of one problem.
 
@@ -248,7 +209,7 @@ class RbmRuntime:
         self.a1_report = check_assumption_A1(partition, family.batches)
         self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
-        self._systems: dict[int, _ActiveSystem] = {}
+        self._systems: dict[int, fem.ReducedOperators] = {}
         self._drives: dict[tuple[float, float, int], np.ndarray] = {}
 
     def drive(self, theta: float, dt: float, n_steps: int) -> np.ndarray:
@@ -261,25 +222,14 @@ class RbmRuntime:
             self._drives[key] = table
         return table
 
-    def system(self, j: int) -> _ActiveSystem:
+    def system(self, j: int) -> fem.ReducedOperators:
+        """Batch j's system (``fem.ReducedOperators``), built on first use."""
         system = self._systems.get(j)
         if system is None:
             view = batch_view(self.partition, self.family.batches, j)
-            bdofs = restrict_to_batch(self.dofmap, view)
+            batch = restrict_to_batch(self.dofmap, view)
             factor = zeta_weights(self.partition, self.family, j)
-            dirichlet = self.dofmap.dirichlet_dofs
-            operators = reduce_operators(
-                self.elements, bdofs.free, bdofs.interface_dofs, dirichlet, factor
-            )
-            load = LoadEvaluator(self.elements, factor, bdofs.free)
-            system = _ActiveSystem(
-                operators,
-                load,
-                n_active=len(bdofs.active),
-                interface_dofs=bdofs.interface_dofs,
-                exterior_dofs=bdofs.exterior_dofs,
-                exterior_columns=np.searchsorted(dirichlet, bdofs.exterior_dofs),
-            )
+            system = reduce_operators(self.elements, batch, self.dofmap.dirichlet_dofs, factor)
             self._systems[j] = system
         return system
 
@@ -300,37 +250,36 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
     """
     system = runtime.system(j)
     key = (j, scheme.label, dt)
-    step = runtime.workspace.factorization(key, lambda: system.fused_matrices(scheme, dt))
+    step = runtime.workspace.factorization(key, lambda: system.step_matrices(scheme, dt))
     w = step.rhs
-    n_free = len(system.free)
-    n_fixed = n_free + len(system.interface_dofs)
-    exterior = system.exterior_dofs
-    exterior_t1 = len(runtime.dofmap.dirichlet_dofs) + system.exterior_columns
+    free, interface, exterior = system.free, system.interface, system.exterior
+    n_free = len(free)
+    n_fixed = n_free + len(interface)
     theta = scheme.theta_value
-    callable_source = runtime.elements.source is not None
-    f_prev = system.load(first * dt) if callable_source and theta != 1.0 else None
+    load = system.load
+    f_prev = load(first * dt) if load is not None and theta != 1.0 else None
     forced = 0.0
     z = np.empty(w.shape[1])
-    z[n_free:n_fixed] = u[system.interface_dofs]
-    x = u[system.free]
+    z[n_free:n_fixed] = u[interface]
+    x = u[free]
     for s in range(first + 1, last + 1):
         z[:n_free] = x
         z[n_fixed:] = drive[s - 1]
         b = w @ z
-        if callable_source:
-            f_next = system.load(s * dt)
+        if load is not None:
+            f_next = load(s * dt)
             if f_prev is None:
-                load = dt * f_next
+                applied = dt * f_next
             else:
-                load = dt * (theta * f_next + (1.0 - theta) * f_prev)
+                applied = dt * (theta * f_next + (1.0 - theta) * f_prev)
                 f_prev = f_next
-            b += load
-            forced += np.abs(load).max(initial=0.0)
+            b += applied
+            forced += np.abs(applied).max(initial=0.0)
         x = step.solve(b)
         snapshot = s % every == 0
         if snapshot or s == last:
-            u[system.free] = x
-            u[exterior] = drive[s - 1, exterior_t1]
+            u[free] = x
+            u[exterior] = drive[s - 1, system.exterior_t1]
             if snapshot:
                 snapshots.append((s * dt, u.copy()))
     return system.n_active, factor_nnz(step), forced
@@ -412,9 +361,9 @@ def _check_growth(runtime, traj, drive, omegas, n_sub, theta, dt, forced) -> Non
     term_peaks = np.zeros(drive.shape[1] - n_boundary)
     log_growth = 0.0
     for system, count in zip(systems, windows):
-        peaks = [np.abs(v).max(initial=0.0) for v in system.load.term_vectors]
+        peaks = [np.abs(v).max(initial=0.0) for v in system.term_vectors]
         term_peaks = np.maximum(term_peaks, peaks)
-        x = dt * system.operators.growth_rate
+        x = dt * system.growth_rate
         if theta * x >= 1.0:
             return
         log_rho = max(x, math.log((1.0 + (1.0 - theta) * x) / (1.0 - theta * x)))

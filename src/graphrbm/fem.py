@@ -25,12 +25,13 @@ when the function has a table form ``on_edges(edges, x)``, else in one
 call ``fn(e, x[i])`` per edge.  Each edge is integrated once per runtime:
 its one ``assemble`` call samples the coefficients and every separable
 source term once per table and keeps, per mesh element, the 2x2 blocks of
-M, K and C + P and the local load of each term.  The operators and loads
-of one batch are then scaled sums of these element data over its active
-edges, each edge counting with 1/pi of its owning part: its operators stay
-element blocks, which a solver combines and then sums into step matrices
-with one COO->CSR each (``ReducedOperators``), and its load is one
-bincount per load term.
+M, K and C + P and the local load of each term.  One batch is one
+system, ``ReducedOperators`` (``reduce_operators``): scaled sums of these
+element data over its active edges, each edge counting with 1/pi of its
+owning part.  Its operators stay element blocks until ``step_matrices``
+combines them and sums them into the step matrices, one COO->CSR each; a
+separable load is one bincount per term, built once, and any other
+source is integrated per call by the system's ``LoadEvaluator``.
 The mass is never scaled.  The whole graph is the batch of the one-part,
 one-batch family, whose factors are all 1.
 """
@@ -47,6 +48,7 @@ import scipy.sparse as sp
 from .decomposition import BatchView
 from .errors import NumericalError, SolverError
 from .graph import MetricGraph
+from .timestep import SchemeKind, imex_theta
 
 EdgeFunction = Callable[[int, np.ndarray], np.ndarray]
 
@@ -287,6 +289,15 @@ class Elements:
         """The (n, 2) local loads of the elements ``ids`` (default all) for values at their Gauss points."""
         return (values * self.wq[ids]) @ self.shape
 
+    def scatter(self, local: np.ndarray, ids, factor: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """The (n, 2) loads of the elements ``ids``, times their edge factors, summed onto the dofs ``free``.
+
+        One bincount over every left-node term, then every right-node term:
+        one fixed summation order per dof.
+        """
+        scaled = local * factor[:, None]
+        return np.bincount(self.pair[ids].T.ravel(), scaled.T.ravel(), minlength=self.n_dofs)[free]
+
     def edge_sums(self, values: np.ndarray) -> np.ndarray:
         """The integral of a function sampled at every Gauss point, per edge."""
         return (values * self.wq).reshape(self.n_edges, -1).sum(axis=1)
@@ -359,42 +370,25 @@ def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix
 
 
 class LoadEvaluator:
-    """The load vector F(t) of the active edges at the dofs ``free``, scaled by their edge factors.
+    """The load vector F(t) of a source that is not separable, on the active edges at the dofs ``free``.
 
-    A SeparableSource's term vectors are built once, one bincount of the
-    cached element loads per term, and each call combines them with the
-    time factors; any other source is integrated per call on the cached
-    Gauss points of the active edges, again with one bincount.  The
-    returned vector holds the entries of the dof ids ``free``, in order;
-    so does each of the ``term_vectors`` (empty for any other source).
+    Each call integrates the source on the cached Gauss points of the
+    active edges, scaled by their edge factors, and sums the element loads
+    with one bincount; the result holds the entries of the dof ids
+    ``free``, in order.
     """
 
     def __init__(self, data: ElementData, edge_factor: np.ndarray, free: np.ndarray):
         elements = data.elements
-        self.n_dofs = elements.n_dofs
         self._free = free
         self._elements = elements
         self._source = data.source
-        self._time_fns = data.time_fns
         self._edges, self._ids, self._factor = elements.active(edge_factor)
-        # every left-node term, then every right-node term: one fixed summation order per dof
-        self._dofs = elements.pair[self._ids].T.ravel()
-        self.term_vectors = [self._sum(local[self._ids]) for local in data.term_loads]
-
-    def _sum(self, local: np.ndarray) -> np.ndarray:
-        """Scatter the active elements' (n, 2) local loads, scaled by their edge factors."""
-        scaled = local * self._factor[:, None]
-        return np.bincount(self._dofs, scaled.T.ravel(), minlength=self.n_dofs)[self._free]
 
     def __call__(self, t: float) -> np.ndarray:
-        if self._source is not None:
-            f = self._source
-            values = self._elements.sample(lambda e, x: f(e, x, t), self._edges)
-            return self._sum(self._elements.loads(values, self._ids))
-        out = np.zeros(len(self._free))
-        for vec, time in zip(self.term_vectors, self._time_fns):
-            out += float(time(t)) * vec
-        return out
+        f, elements, ids = self._source, self._elements, self._ids
+        values = elements.sample(lambda e, x: f(e, x, t), self._edges)
+        return elements.scatter(elements.loads(values, ids), ids, self._factor, self._free)
 
 
 def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction | None) -> np.ndarray:
@@ -421,26 +415,72 @@ def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction
 
 
 @dataclass(frozen=True)
-class ReducedOperators:
-    """One batch's mass, stiffness and lower-order part C + P, kept as element data.
+class BatchDofs:
+    """Dof split for one active subgraph.
 
-    ``ids`` are the active elements and ``factor`` their edge factors.
-    ``fuse`` sums the combined blocks (lhs, rhs) of one step over them into
-    the two matrices of the step, one COO->CSR each: ``lhs_ff``, the free
-    rows over the free columns, and W, the free rows over the columns
+    ``active`` contains all dofs taking part in the window solve (the
+    interior blocks of active edges plus every vertex they touch);
+    ``interface_dofs`` and ``exterior_dofs`` are its interface and exterior
+    boundary vertex dofs, and ``free`` is the rest of ``active``.  Dofs
+    outside ``active`` stay frozen during the window.
+    """
+
+    active: np.ndarray
+    free: np.ndarray
+    interface_dofs: np.ndarray
+    exterior_dofs: np.ndarray
+
+
+def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
+    """The dof split of batch ``view``: sorted active ids, interface and exterior ids and the free rest.
+
+    One boolean mask over all dofs gives bitwise the same arrays without
+    the two sorts, but measured on the 1022-edge tree it left later
+    ``run_full`` solves paying page faults on fresh mappings for more
+    rounds, so their time varied from run to run; the sorts stay.
+    """
+    vertices = np.fromiter(view.vertices, dtype=int)
+    interior = dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int)).ravel()
+    active = np.unique(np.concatenate([vertices, interior]))
+    interface = np.fromiter(sorted(view.interface), dtype=int)
+    exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
+    free = np.setdiff1d(active, np.concatenate([interface, exterior]))
+    return BatchDofs(active=active, free=free, interface_dofs=interface, exterior_dofs=exterior)
+
+
+@dataclass(frozen=True)
+class ReducedOperators:
+    """One batch's system: everything a window step on it reads.
+
+    ``free``, ``interface`` and ``exterior`` are the batch's dof split
+    (``BatchDofs``) and ``n_active`` its active dof count.  Its mass,
+    stiffness and lower-order part C + P stay element blocks of the active
+    elements ``ids`` (``blocks``), K and C + P times their edge factors
+    ``factor``.  ``step_matrices`` sums the combined blocks of one step over
+    them into the two matrices of the step, one COO->CSR each: ``lhs_ff``,
+    the free rows over the free columns, and W, the free rows over the columns
 
         [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms]
 
-    with the entries rhs_ff, rhs_fi - lhs_fi, rhs_fD, -lhs_fD and the load
-    term vectors.  The Dirichlet blocks are numbered by the ``dirichlet``
-    dofs passed to ``reduce_operators``, so a row of Dirichlet data fits
-    every batch.  ``keep`` lists the flat block entries in free rows, the
-    ``n_ff`` in free columns first; ``rows`` and ``cols`` place them in
-    [free | interface | Dirichlet at t0], and ``t1_cols`` are the columns
-    of -lhs for the entries past ``n_ff``.
+    with the entries rhs_ff, rhs_fi - lhs_fi, rhs_fD, -lhs_fD and the
+    ``term_vectors`` of a separable source, one free-dof vector per term.
+    The Dirichlet blocks are numbered by the ``dirichlet`` dofs passed to
+    ``reduce_operators``, so one drive row [g(t0) | g(t1) | load weights]
+    fits every batch; ``exterior_t1`` are the drive-row columns that hold
+    g(t1) at ``exterior``.  ``load`` integrates a source that is not
+    separable (None for any other).  ``keep`` lists the flat block entries in
+    free rows, the ``n_ff`` in free columns first; ``rows`` and ``cols``
+    place them in [free | interface | Dirichlet at t0], and ``t1_cols`` are
+    the columns of -lhs for the entries past ``n_ff``.
     """
 
     free: np.ndarray
+    interface: np.ndarray
+    exterior: np.ndarray
+    exterior_t1: np.ndarray
+    n_active: int
+    term_vectors: tuple[np.ndarray, ...]
+    load: LoadEvaluator | None
     data: ElementData
     ids: np.ndarray
     factor: np.ndarray
@@ -457,11 +497,10 @@ class ReducedOperators:
         data, ids = self.data, self.ids
         return data.elements.mass[ids], data.stiffness[ids] * scale, data.lower[ids] * scale
 
-    def fuse(self, lhs: np.ndarray, rhs: np.ndarray, loads) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(lhs_ff, W) from (n, 2, 2) stacks over the active elements.
-
-        ``loads`` are the free-dof vectors of W's load columns, one per term.
-        """
+    def step_matrices(self, scheme: SchemeKind, dt: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(lhs_ff, W) of the ``imex_theta`` step of ``scheme`` with step ``dt``."""
+        lhs, rhs = imex_theta(scheme, *self.blocks(), dt)
+        loads = self.term_vectors
         n_free, n_ff = len(self.free), self.n_ff
         lhs = lhs.reshape(-1)[self.keep]
         load_rows = np.tile(np.arange(n_free), len(loads))
@@ -490,21 +529,18 @@ class ReducedOperators:
 
 
 def reduce_operators(
-    data: ElementData,
-    free: np.ndarray,
-    interface: np.ndarray,
-    dirichlet: np.ndarray,
-    edge_factor: np.ndarray,
+    data: ElementData, batch: BatchDofs, dirichlet: np.ndarray, edge_factor: np.ndarray
 ) -> ReducedOperators:
-    """Eliminate the interface and Dirichlet dofs: the active elements and their places in W and lhs_ff.
+    """The system of ``batch``: its active elements, their places in W and lhs_ff, and its load.
 
     ``edge_factor`` is the batch's per-edge factor (``zeta_weights``); the
-    edges where it is nonzero are active.  W has one load column per
-    separable source term of ``data``.  Entries in rows that are not free,
+    edges where it is nonzero are active.  Each separable source term of
+    ``data`` gives one load column of W, its vector one bincount of the
+    term's element loads over the active elements; a source that is not
+    separable gets a ``LoadEvaluator``.  Entries in rows that are not free,
     or in columns of no listed dof, are dropped.
     """
-    free = np.asarray(free, dtype=int)
-    interface = np.asarray(interface, dtype=int)
+    free, interface, exterior = batch.free, batch.interface_dofs, batch.exterior_dofs
     dirichlet = np.asarray(dirichlet, dtype=int)
     elements = data.elements
     _, ids, factor = elements.active(edge_factor)
@@ -527,48 +563,14 @@ def reduce_operators(
     constrained = cols[n_ff:]
     t1_cols = np.where(constrained >= first_dirichlet, constrained + n_dirichlet, constrained)
     n_columns = first_dirichlet + 2 * n_dirichlet + len(data.term_loads)
-    return ReducedOperators(free, data, ids, factor, n_columns, keep, rows, cols, n_ff, t1_cols)
-
-
-@dataclass(frozen=True)
-class BatchDofs:
-    """Dof split for one active subgraph.
-
-    ``active`` contains all dofs taking part in the window solve (the
-    interior blocks of active edges plus every vertex they touch);
-    ``constrained`` are the interface vertex dofs followed by the exterior
-    boundary vertex dofs; ``free`` is the rest of ``active``.  Dofs
-    outside ``active`` stay frozen during the window.
-    """
-
-    active: np.ndarray
-    free: np.ndarray
-    constrained: np.ndarray
-    interface_dofs: np.ndarray
-    exterior_dofs: np.ndarray
-
-
-def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
-    """The dof split of batch ``view``: sorted active ids, constrained ids and the free rest.
-
-    One boolean mask over all dofs gives bitwise the same arrays without
-    the two sorts, but measured on the 1022-edge tree it left later
-    ``run_full`` solves paying page faults on fresh mappings for more
-    rounds, so their time varied from run to run; the sorts stay.
-    """
-    vertices = np.fromiter(view.vertices, dtype=int)
-    interior = dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int)).ravel()
-    active = np.unique(np.concatenate([vertices, interior]))
-    interface = np.fromiter(sorted(view.interface), dtype=int)
-    exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
-    constrained = np.concatenate([interface, exterior]).astype(int)
-    free = np.setdiff1d(active, constrained)
-    return BatchDofs(
-        active=active,
-        free=free,
-        constrained=constrained,
-        interface_dofs=interface,
-        exterior_dofs=exterior,
+    term_vectors = tuple(elements.scatter(term[ids], ids, factor, free) for term in data.term_loads)
+    return ReducedOperators(
+        free=free, interface=interface, exterior=exterior,
+        exterior_t1=n_dirichlet + np.searchsorted(dirichlet, exterior),
+        n_active=len(batch.active), term_vectors=term_vectors,
+        load=None if data.source is None else LoadEvaluator(data, edge_factor, free),
+        data=data, ids=ids, factor=factor, n_columns=n_columns,
+        keep=keep, rows=rows, cols=cols, n_ff=n_ff, t1_cols=t1_cols,
     )
 
 

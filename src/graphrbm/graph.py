@@ -186,11 +186,12 @@ def graph_from_dict(data: dict) -> MetricGraph:
     String vertex names map to dense integer ids in declaration order
     (first appearance while scanning tail, head of each edge).
     """
-    try:
-        raw_edges = data["edges"]
-        raw_boundary = data["boundary"]
-    except KeyError as exc:
-        raise GraphError(f"graph file is missing key {exc}") from exc
+    if not isinstance(data, dict):
+        raise GraphError(f"graph file must hold a JSON object, not {type(data).__name__}")
+    for key in ("edges", "boundary"):
+        if not isinstance(data.get(key), list):
+            raise GraphError(f"graph file needs a list under key {key!r}")
+    raw_edges, raw_boundary = data["edges"], data["boundary"]
     ids: dict[str, int] = {}
 
     def vid(name) -> int:
@@ -220,9 +221,11 @@ def graph_from_dict(data: dict) -> MetricGraph:
 
 def load_graph(path) -> MetricGraph:
     """Read a graph from a JSON file; see graph_from_dict for the format."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{path}: not UTF-8 text: {exc}") from exc
     return graph_from_dict(data)

@@ -150,7 +150,7 @@ def reference_batch_system(graph, partition, family, mesh, dofmap, coeffs, j, fr
 # -- the [free | constrained] scatter and the two-matvec step loop graphrbm used
 #    before the fused step matrix W -------------------------------------------
 #
-# Kept as oracles for ``fem.ReducedOperators.fuse`` and ``engine._advance``:
+# Kept as oracles for ``fem.ReducedOperators.step_matrices`` and ``engine._advance``:
 # each step multiplies by rhs and by lhs_fc separately and calls the load
 # and g at its own times.
 
@@ -169,12 +169,22 @@ def scatter_blocks(reduced, constrained, blocks):
     return sp.csr_matrix((blocks.reshape(-1)[keep], (rows[keep], cols[keep])), shape=shape)
 
 
+def batch_load(runtime, system, t):
+    """F(t) on the system's free dofs: its ``load``, else sum_k tau_k(t) times its k-th term vector."""
+    if system.load is not None:
+        return system.load(t)
+    out = np.zeros(len(system.free))
+    for time, vector in zip(runtime.elements.time_fns, system.term_vectors):
+        out += float(time(t)) * vector
+    return out
+
+
 def reference_states(runtime, omegas, n_sub, scheme, dt, every):
     """Stored (times, states) of window k on batch ``omegas[k]``, stepped with two matvecs.
 
     lhs_ff u1 = rhs [u_f; c0] - lhs_fc c1 + dt (theta F1 + (1 - theta) F0),
     with c the frozen interface values and g at the exterior dofs, and the
-    loads from ``LoadEvaluator.__call__``.
+    load from ``batch_load``.
     """
     coeffs, dofmap = runtime.coeffs, runtime.dofmap
     zeros = np.zeros(runtime.graph.n_vertices)
@@ -185,22 +195,22 @@ def reference_states(runtime, omegas, n_sub, scheme, dt, every):
     theta = scheme.theta_value
     for k, j in enumerate(omegas):
         system = runtime.system(int(j))
-        exterior = system.exterior_dofs
-        constrained = np.concatenate([system.interface_dofs, exterior])
-        operators = [scatter_blocks(system.operators, constrained, b) for b in system.operators.blocks()]
+        exterior = system.exterior
+        constrained = np.concatenate([system.interface, exterior])
+        operators = [scatter_blocks(system, constrained, b) for b in system.blocks()]
         lhs, rhs = imex_theta(scheme, *operators, dt)
         n_free = len(system.free)
-        n_fixed = n_free + len(system.interface_dofs)
+        n_fixed = n_free + len(system.interface)
         lhs_fc = lhs[:, n_free:]
         lu = spla.splu(sp.csc_matrix(lhs[:, :n_free]))
         first, last = k * n_sub, (k + 1) * n_sub
-        x = np.concatenate([u[system.free], u[system.interface_dofs], boundary(first * dt)[exterior]])
-        f_prev = system.load(first * dt)
+        x = np.concatenate([u[system.free], u[system.interface], boundary(first * dt)[exterior]])
+        f_prev = batch_load(runtime, system, first * dt)
         for s in range(first + 1, last + 1):
             b = rhs @ x
             x[n_fixed:] = boundary(s * dt)[exterior]
             b -= lhs_fc @ x[n_free:]
-            f_next = system.load(s * dt)
+            f_next = batch_load(runtime, system, s * dt)
             b += dt * (theta * f_next + (1.0 - theta) * f_prev)
             f_prev = f_next
             x[:n_free] = lu.solve(b)

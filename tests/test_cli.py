@@ -286,3 +286,65 @@ def test_infinite_edge_length_is_config_error(tmp_path, capsys, demo, command):
     path = tmp_path / "graph.json"
     path.write_text(f'{{"edges": [{", ".join(edges)}], "boundary": [{boundary}]}}')
     _assert_config_error([command, "--graph", str(path), "--nodes-per-edge", "3"], capsys)
+
+
+PATH_GRAPH = {
+    "edges": [{"tail": "a", "head": "b"}, {"tail": "b", "head": "c"}, {"tail": "c", "head": "d"}],
+    "boundary": ["a", "d"],
+}
+PATH_BATCHES = {"parts": [["e1"], ["e2"], ["e3"]], "batches": [[1, 2], [2, 3]], "probs": [0.5, 0.5]}
+
+
+def test_check_runs_on_any_graph(tmp_path, capsys):
+    graph, batches = tmp_path / "graph.json", tmp_path / "batches.json"
+    graph.write_text(json.dumps(PATH_GRAPH))
+    batches.write_text(json.dumps(PATH_BATCHES))
+    assert main(["check", "--graph", str(graph), "--batches", str(batches)]) == 0
+    assert "check: ok" in capsys.readouterr().out
+    # the manufactured solution still needs the demo graph
+    _assert_config_error(["solve", "--graph", str(graph), "--nodes-per-edge", "3"], capsys)
+
+
+NOT_UTF8 = b'{"edges": [], "boundary": ["\xff"]}'
+
+
+MALFORMED = {
+    "graph-edges-not-a-list": ("graph", {**PATH_GRAPH, "edges": 5}, "a list under key 'edges'"),
+    "graph-boundary-not-a-list": ("graph", {**PATH_GRAPH, "boundary": 5}, "a list under key 'boundary'"),
+    "graph-top-level-list": ("graph", [PATH_GRAPH], "JSON object, not list"),
+    "graph-not-utf8": ("graph", NOT_UTF8, "not UTF-8"),
+    "batches-top-level-list": ("batches", [PATH_BATCHES], "JSON object, not list"),
+    "batches-parts-not-a-list": ("batches", {**PATH_BATCHES, "parts": 5}, "a list under key 'parts'"),
+    "batches-part-not-a-list": (
+        "batches", {**PATH_BATCHES, "parts": [["e1"], "e2", ["e3"]]}, "part 2 must be a list"
+    ),
+    "batches-entry-not-a-list": (
+        "batches", {**PATH_BATCHES, "batches": [[1, 2], "x"]}, "batch 2 must be a list of integer"
+    ),
+    "batches-index-not-an-integer": (
+        "batches", {**PATH_BATCHES, "batches": [[1.9, 2], [2, 3]]}, "batch 1 must be a list of integer"
+    ),
+    "batches-probs-not-a-list": ("batches", {**PATH_BATCHES, "probs": "abc"}, "a list under key 'probs'"),
+    "batches-probs-not-numbers": (
+        "batches", {**PATH_BATCHES, "probs": ["a", "b"]}, "probs must be a list of numbers"
+    ),
+    "batches-probs-nan": (
+        "batches", {**PATH_BATCHES, "probs": [float("nan"), 0.5]}, "strictly positive finite"
+    ),
+    "batches-not-utf8": ("batches", NOT_UTF8, "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_file_is_config_error(tmp_path, capsys, case):
+    file, content, named = MALFORMED[case]
+    files = {"graph": PATH_GRAPH, "batches": PATH_BATCHES, file: content}
+    argv = ["check"]
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err

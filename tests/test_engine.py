@@ -390,7 +390,7 @@ def test_nonfinite_initial_state_is_invalid_spec(demo, partition, option2, probl
 
 
 def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, coarse_mesh, monkeypatch):
-    fused = engine._ActiveSystem.fused_matrices
+    fused = fem.ReducedOperators.step_matrices
     built = []
 
     def recording(system, scheme, dt):
@@ -398,7 +398,7 @@ def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, c
         built.append((weakref.ref(lhs_ff), w))
         return lhs_ff, w
 
-    monkeypatch.setattr(engine._ActiveSystem, "fused_matrices", recording)
+    monkeypatch.setattr(fem.ReducedOperators, "step_matrices", recording)
     runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=4)
     traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, runtime=runtime)
@@ -409,6 +409,34 @@ def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, c
     # a lookup of a cached key is a hit, so it never calls build
     entries = [runtime.workspace.factorization((int(j), "ie", 0.01), None) for j in used]
     assert sorted(id(entry.rhs) for entry in entries) == sorted(id(w) for _, w in built)
+
+
+@pytest.mark.parametrize("callable_source", [False, True])
+def test_only_a_callable_source_is_integrated_per_call(
+    demo, partition, option2, problem, coarse_mesh, monkeypatch, callable_source
+):
+    calls = []
+    call = fem.LoadEvaluator.__call__
+
+    def counting(load, t):
+        calls.append(t)
+        return call(load, t)
+
+    monkeypatch.setattr(fem.LoadEvaluator, "__call__", counting)
+    coeffs = problem
+    if callable_source:
+        coeffs = dataclasses.replace(problem, f=lambda e, x, t: problem.f(e, x, t))
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, coeffs)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.1, scheme=g.CRANK_NICOLSON, seed=2)
+    g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config, runtime=runtime)
+    loads = [runtime.system(j).load for j in range(option2.n_batches)]
+    if callable_source:
+        assert all(isinstance(load, fem.LoadEvaluator) for load in loads)
+        # Crank-Nicolson reads F at each window's start and at every step's end
+        assert len(calls) == 5 + 10
+    else:
+        assert loads == [None] * option2.n_batches
+        assert calls == []
 
 
 def invalid_data(problem, n_vertices):

@@ -10,7 +10,7 @@ from graphrbm import fem
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import RbmRuntime
 from graphrbm.fem import FemError, NonellipticCoefficient
-from graphrbm.timestep import SEMI_IMPLICIT, StepWorkspace, imex_theta
+from graphrbm.timestep import SEMI_IMPLICIT, StepWorkspace
 
 GAUSS3 = (
     (-np.sqrt(0.6), 5.0 / 9.0),
@@ -62,22 +62,32 @@ def scattered(reduced, constrained):
     return SimpleNamespace(mass=mass, stiffness=stiffness, lower=lower)
 
 
+def whole_graph(dm, exterior=()):
+    """The whole graph as one batch: every dof active, ``exterior`` its exterior dofs, the rest free."""
+    exterior = np.asarray(exterior, dtype=int)
+    every = np.arange(dm.n_dofs)
+    free = np.setdiff1d(every, exterior)
+    none = np.array([], dtype=int)
+    return fem.BatchDofs(active=every, free=free, interface_dofs=none, exterior_dofs=exterior)
+
+
 def full_operators(data, dm, weights):
     """M, K and C + P on the full dof numbering: every dof free, none constrained."""
     empty = np.array([], dtype=int)
-    return scattered(fem.reduce_operators(data, np.arange(dm.n_dofs), empty, empty, weights), empty)
+    return scattered(fem.reduce_operators(data, whole_graph(dm), empty, weights), empty)
 
 
 def load_vector(graph, mesh, dm, coeffs, f, t):
-    """The full-numbering load of the source ``f`` at time t."""
+    """The full-numbering load of the callable source ``f`` at time t, from the whole graph's system."""
     data = fem.assemble(graph, mesh, dm, dataclasses.replace(coeffs, f=f))
-    return fem.LoadEvaluator(data, unit_weights(graph), np.arange(dm.n_dofs))(t)
+    empty = np.array([], dtype=int)
+    return fem.reduce_operators(data, whole_graph(dm), empty, unit_weights(graph)).load(t)
 
 
 def steady_solve(data, dm, boundary, load=None):
     """Solve K_ff u_f = F_f - K_fc g on the reduced stiffness rows; returns the full vector."""
-    empty = np.array([], dtype=int)
-    reduced = fem.reduce_operators(data, dm.free_dofs, empty, dm.dirichlet_dofs, unit_weights(dm.graph))
+    batch = whole_graph(dm, dm.dirichlet_dofs)
+    reduced = fem.reduce_operators(data, batch, dm.dirichlet_dofs, unit_weights(dm.graph))
     stiffness = scattered(reduced, dm.dirichlet_dofs).stiffness
     n_free = len(dm.free_dofs)
     rhs = -(stiffness[:, n_free:] @ boundary)
@@ -254,12 +264,11 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     data = fem.assemble(demo, mesh, dm, problem)
     ops = full_operators(data, dm, unit_weights(demo))
     bd = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
-    assert np.array_equal(bd.constrained, np.concatenate([bd.interface_dofs, bd.exterior_dofs]))
-    reduced = fem.reduce_operators(
-        data, bd.free, bd.interface_dofs, dm.dirichlet_dofs, unit_weights(demo)
-    )
-    columns = np.concatenate([bd.free, bd.constrained])
-    blocks = scattered(reduced, bd.constrained)
+    reduced = fem.reduce_operators(data, bd, dm.dirichlet_dofs, unit_weights(demo))
+    assert reduced.n_active == len(bd.active)
+    constrained = np.concatenate([bd.interface_dofs, bd.exterior_dofs])
+    columns = np.concatenate([bd.free, constrained])
+    blocks = scattered(reduced, constrained)
     for got, full in (
         (blocks.mass, ops.mass.toarray()),
         (blocks.stiffness, ops.stiffness.toarray()),
@@ -270,8 +279,9 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     dt = 0.1
     lhs = (ops.mass + dt * ops.stiffness).toarray()
     rhs = (ops.mass - dt * ops.lower).toarray()
-    loads = [np.full(len(bd.free), 1.0 + k) for k in range(len(data.term_loads))]
-    lhs_ff, w = reduced.fuse(*imex_theta(SEMI_IMPLICIT, *reduced.blocks(), dt), loads)
+    loads = reduced.term_vectors
+    assert len(loads) == len(data.term_loads)
+    lhs_ff, w = reduced.step_matrices(SEMI_IMPLICIT, dt)
     free, interface, dirichlet = bd.free, bd.interface_dofs, dm.dirichlet_dofs
     exterior = np.isin(dirichlet, bd.exterior_dofs)
     want = np.hstack(
@@ -285,6 +295,9 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     )
     assert w.shape == want.shape
     assert np.abs(w.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    # each exterior dof's g(t1) sits at its column of the drive row [g(t0) | g(t1) | load weights]
+    drive = np.concatenate([np.zeros(len(dirichlet)), dirichlet, np.zeros(len(loads))])
+    assert np.array_equal(drive[reduced.exterior_t1], bd.exterior_dofs)
     want_ff = lhs[np.ix_(free, free)]
     assert np.abs(lhs_ff.toarray() - want_ff).max() <= 1e-14 * np.abs(want_ff).max()
 
@@ -366,9 +379,11 @@ def test_restrict_to_batch_counts(demo, partition, option1):
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     b1 = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 0))
     assert len(b1.active) == 304
-    assert {demo.vertex_name(v) for v in b1.constrained} == {"v1", "v2", "v4"}
+    assert {demo.vertex_name(v) for v in b1.interface_dofs} == {"v4"}
+    assert {demo.vertex_name(v) for v in b1.exterior_dofs} == {"v1", "v2"}
     b5 = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
-    assert {demo.vertex_name(v) for v in b5.constrained} == {"v1", "v2", "v7"}
+    assert {demo.vertex_name(v) for v in b5.interface_dofs} == {"v7"}
+    assert {demo.vertex_name(v) for v in b5.exterior_dofs} == {"v1", "v2"}
     assert len(b5.active) == 7 * 100 + 7
 
 
@@ -377,7 +392,7 @@ def test_restrict_to_batch_full_is_identity(demo, partition, single_batch):
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     bd = fem.restrict_to_batch(dm, batch_view(partition, single_batch.batches, 0))
     assert np.array_equal(bd.active, np.arange(dm.n_dofs))
-    assert np.array_equal(bd.constrained, dm.dirichlet_dofs)
+    assert np.array_equal(bd.exterior_dofs, dm.dirichlet_dofs)
     assert np.array_equal(bd.free, dm.free_dofs)
     assert len(bd.interface_dofs) == 0
 

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import (
+    batch_load,
     reference_batch_system,
     reference_states,
     scatter_blocks,
@@ -242,22 +243,21 @@ def test_batch_systems_equal_scaled_part_sums(data):
     )
     for j in range(family.n_batches):
         system = runtime.system(j)
-        constrained = np.concatenate([system.interface_dofs, system.exterior_dofs])
+        constrained = np.concatenate([system.interface, system.exterior])
         expected = reference_batch_system(
             graph, partition, family, MESH, dofmap, coeffs, j, system.free, constrained
         )
-        blocks = system.operators.blocks()
-        scattered = (scatter_blocks(system.operators, constrained, b) for b in blocks)
+        scattered = (scatter_blocks(system, constrained, b) for b in system.blocks())
         for name, got, want in zip(("mass", "stiffness", "lower"), scattered, expected):
             assert got.shape == want.shape, (j, name)
             assert sparsity(got) == sparsity(want), (j, name)
             assert_close(got.toarray(), want.toarray(), (j, name))
         factor = g.zeta_weights(partition, family, j)
-        free, interface = system.free, system.interface_dofs
+        free, interface = system.free, system.interface
         n_free, n_fixed = len(free), len(free) + len(interface)
         n_dirichlet = len(dofmap.dirichlet_dofs)
         # each constrained column of the reference goes to its interface or Dirichlet column of W
-        exterior = n_fixed + np.searchsorted(dofmap.dirichlet_dofs, system.exterior_dofs)
+        exterior = n_fixed + np.searchsorted(dofmap.dirichlet_dofs, system.exterior)
         vectors = [
             reference_load(graph, MESH, dofmap, lambda e, x, t, s=space: s(e, x), 0.0, factor)[free]
             for space, _ in coeffs.f.terms
@@ -271,7 +271,7 @@ def test_batch_systems_equal_scaled_part_sums(data):
                 want[:, n_free:n_fixed] -= lhs[:, n_free:n_fixed]
                 want[:, exterior] = rhs[:, n_fixed:]
                 want[:, exterior + n_dirichlet] = -lhs[:, n_fixed:]
-                lhs_ff, w = system.fused_matrices(scheme, dt)
+                lhs_ff, w = system.step_matrices(scheme, dt)
                 what = (j, scheme.label, dt)
                 assert w.shape == (n_free, want.shape[1] + len(vectors)), what
                 w = w.toarray()
@@ -283,10 +283,15 @@ def test_batch_systems_equal_scaled_part_sums(data):
                 # the factor nnz, and so the memory proxy, follows the pattern
                 assert sparsity(lhs_ff) == sparsity(want_ff), what
                 assert_close(lhs_ff.toarray(), want_ff.toarray(), what, rtol=1e-14)
+        # a separable source is its term vectors alone; only the callable one is integrated per call
+        assert system.load is None
+        assert len(system.term_vectors) == len(vectors)
+        for k, vector in enumerate(vectors):
+            assert_close(system.term_vectors[k], vector, (j, "term", k))
         unseparated_load = fem.LoadEvaluator(unseparated, factor, system.free)
         for t in (0.0, 0.37):
             want = reference_load(graph, MESH, dofmap, coeffs.f, t, factor)
-            assert_close(system.load(t), want[system.free], (j, t))
+            assert_close(batch_load(runtime, system, t), want[system.free], (j, t))
             assert_close(unseparated_load(t), want[system.free], (j, t, "callable"))
 
 
@@ -308,7 +313,8 @@ def test_batch_dofs_equal_sorted_set_definitions(data):
         for got, want in ((bdofs.active, active), (bdofs.free, free)):
             assert got.dtype == np.intp, j
             assert got.tolist() == sorted(want), j
-        assert bdofs.constrained.tolist() == sorted(view.interface) + sorted(view.exterior_boundary)
+        assert bdofs.interface_dofs.tolist() == sorted(view.interface), j
+        assert bdofs.exterior_dofs.tolist() == sorted(view.exterior_boundary), j
 
 
 def manufactured_solution(data, graph):
