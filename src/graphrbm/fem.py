@@ -29,7 +29,8 @@ M, K and C + P and the local load of each term.  One batch is one
 system, ``ReducedOperators`` (``reduce_operators``): scaled sums of these
 element data over its active edges, each edge counting with 1/pi of its
 owning part.  Its operators stay element blocks until ``step_matrices``
-combines them and sums them into the step matrices, one COO->CSR each; a
+combines them and sums them into the step matrices, each straight from its
+COO entries: lhs_ff into CSC, the format SuperLU factors, and W into CSR; a
 separable load is one bincount per term, built once, and any other
 source is integrated per call by the system's ``LoadEvaluator``.
 The mass is never scaled.  The whole graph is the batch of the one-part,
@@ -325,22 +326,38 @@ class ElementData:
 def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: CoefficientSet) -> ElementData:
     """Integrate every edge once: the blocks of K and C + P and the loads of a separable source.
 
-    Samples a, b, p and each separable space term once, on the table of every
-    Gauss point (``Elements.sample``): one call per function with a table
-    form, one per edge otherwise.  Raises FemError when a value has the
-    wrong shape and NonellipticCoefficient when the diffusion coefficient is not strictly
+    Samples each edge function once, on the table of every Gauss point
+    (``Elements.sample``): one call per function with a table form, one per
+    edge otherwise.  A space term with ``from_samples(sample)``, such as
+    ``manufactured.SpatialOperator``, is combined from its parts' samples,
+    so a part that is also a, b, p or another term is not sampled again.
+    Raises FemError when a value has the wrong shape and
+    NonellipticCoefficient when the diffusion coefficient is not strictly
     positive at some quadrature point.
     """
     elements = Elements(graph, mesh, dofmap, GAUSS3)
-    aq = elements.sample(coeffs.a)
+    # one table per function, keyed by id with the function held so that no id is
+    # reused; sample does not call itself, so no reference cycle outlives the return
+    samples: dict = {}
+
+    def sample(fn) -> np.ndarray:
+        if id(fn) not in samples:
+            samples[id(fn)] = fn, elements.sample(fn)
+        return samples[id(fn)][1]
+
+    def term(space) -> np.ndarray:
+        combine = getattr(space, "from_samples", None)
+        return sample(space) if combine is None else combine(sample)
+
+    aq = sample(coeffs.a)
     bad = np.flatnonzero(~(aq > 0.0).all(axis=1))
     if bad.size:
         e = int(bad[0]) // elements.per_edge
         raise NonellipticCoefficient(
             f"diffusion coefficient not positive on edge {graph.edge_name(e)}"
         )
-    bq = elements.sample(coeffs.b)
-    pq = elements.sample(coeffs.p)
+    bq = sample(coeffs.b)
+    pq = sample(coeffs.p)
     wq = elements.wq
     inv_dx = np.repeat(1.0 / elements.dx, elements.per_edge)
     stiffness = ((aq * wq).sum(axis=1) * (inv_dx * inv_dx))[:, None, None] * _GRAD_GRAD
@@ -353,7 +370,7 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
         elements=elements,
         stiffness=stiffness,
         lower=convection + reaction,
-        term_loads=tuple(elements.loads(elements.sample(space)) for space, _ in terms),
+        term_loads=tuple(elements.loads(term(space)) for space, _ in terms),
         time_fns=tuple(time for _, time in terms),
         source=None if separable else coeffs.f,
     )
@@ -434,18 +451,20 @@ class BatchDofs:
 def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
     """The dof split of batch ``view``: sorted active ids, interface and exterior ids and the free rest.
 
-    One boolean mask over all dofs gives bitwise the same arrays without
-    the two sorts, but measured on the 1022-edge tree it left later
-    ``run_full`` solves paying page faults on fresh mappings for more
-    rounds, so their time varied from run to run; the sorts stay.
+    One boolean mask over all dofs marks the batch's vertices and the
+    interior dofs of its active edges; its nonzeros are ``active``, and
+    with the interface and exterior dofs cleared, ``free``.  Both come out
+    sorted, as ``intp``, without a sort.
     """
-    vertices = np.fromiter(view.vertices, dtype=int)
-    interior = dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int)).ravel()
-    active = np.unique(np.concatenate([vertices, interior]))
     interface = np.fromiter(sorted(view.interface), dtype=int)
     exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
-    free = np.setdiff1d(active, np.concatenate([interface, exterior]))
-    return BatchDofs(active=active, free=free, interface_dofs=interface, exterior_dofs=exterior)
+    mask = np.zeros(dofmap.n_dofs, dtype=bool)
+    mask[np.fromiter(view.vertices, dtype=int)] = True
+    mask[dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int))] = True
+    active = np.flatnonzero(mask)
+    mask[interface] = False
+    mask[exterior] = False
+    return BatchDofs(active=active, free=np.flatnonzero(mask), interface_dofs=interface, exterior_dofs=exterior)
 
 
 @dataclass(frozen=True)
@@ -457,8 +476,9 @@ class ReducedOperators:
     stiffness and lower-order part C + P stay element blocks of the active
     elements ``ids`` (``blocks``), K and C + P times their edge factors
     ``factor``.  ``step_matrices`` sums the combined blocks of one step over
-    them into the two matrices of the step, one COO->CSR each: ``lhs_ff``,
-    the free rows over the free columns, and W, the free rows over the columns
+    them into the two matrices of the step, each straight from its COO
+    entries: ``lhs_ff``, the free rows over the free columns, into CSC, the
+    format SuperLU factors, and W, the free rows over the columns, into CSR
 
         [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms]
 
@@ -497,8 +517,8 @@ class ReducedOperators:
         data, ids = self.data, self.ids
         return data.elements.mass[ids], data.stiffness[ids] * scale, data.lower[ids] * scale
 
-    def step_matrices(self, scheme: SchemeKind, dt: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(lhs_ff, W) of the ``imex_theta`` step of ``scheme`` with step ``dt``."""
+    def step_matrices(self, scheme: SchemeKind, dt: float) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+        """(lhs_ff, W) of the ``imex_theta`` step of ``scheme`` with step ``dt``; lhs_ff is CSC, as SuperLU factors it."""
         lhs, rhs = imex_theta(scheme, *self.blocks(), dt)
         loads = self.term_vectors
         n_free, n_ff = len(self.free), self.n_ff
@@ -510,7 +530,7 @@ class ReducedOperators:
         cols = np.concatenate([self.cols, self.t1_cols, load_cols])
         w = sp.csr_matrix((data, (rows, cols)), shape=(n_free, self.n_columns))
         at = (self.rows[:n_ff], self.cols[:n_ff])
-        return sp.csr_matrix((lhs[:n_ff], at), shape=(n_free, n_free)), w
+        return sp.csc_matrix((lhs[:n_ff], at), shape=(n_free, n_free)), w
 
     @cached_property
     def growth_rate(self) -> float:

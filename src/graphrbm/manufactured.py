@@ -250,7 +250,8 @@ class SpatialOperator:
 
     Its table form samples each part with ``fem.on_edges``, so a part
     without a table form (a user's plain b, say) is called per edge, and
-    only that part.
+    only that part.  ``fem.assemble`` calls ``from_samples`` with its own
+    sampler instead, which samples a part it already holds no second time.
     """
 
     def __init__(self, solution: ManufacturedSolution, b, p):
@@ -258,22 +259,22 @@ class SpatialOperator:
         self.b = b
         self.p = p
 
-    def _combine(self, value) -> np.ndarray:
-        """The operator from ``value(fn)``, the samples of each part."""
+    def from_samples(self, sample) -> np.ndarray:
+        """The operator from ``sample(fn)``, the samples of each part on one table."""
         solution = self.solution
-        wx = value(solution.w_dx)
+        wx = sample(solution.w_dx)
         return (
-            -(value(solution.a_dx) * wx + value(solution.a) * value(solution.w_dxx))
-            + value(self.b) * wx
-            + value(self.p) * value(solution.w)
+            -(sample(solution.a_dx) * wx + sample(solution.a) * sample(solution.w_dxx))
+            + sample(self.b) * wx
+            + sample(self.p) * sample(solution.w)
         )
 
     def __call__(self, e: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self._combine(lambda fn: fn(e, x))
+        return self.from_samples(lambda fn: fn(e, x))
 
     def on_edges(self, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._combine(lambda fn: on_edges(fn, edges, x))
+        return self.from_samples(lambda fn: on_edges(fn, edges, x))
 
 
 def derive_data(solution: ManufacturedSolution, b=None, p=None) -> CoefficientSet:

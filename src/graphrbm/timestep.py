@@ -120,6 +120,8 @@ def _factor_step(lhs: sp.spmatrix, rhs, *operands) -> FactoredStep:
     Raises SingularSystem if the factorization fails, if x is not finite,
     or if the residual exceeds RESIDUAL_RTOL * (1 + ||A 1||_inf); the last
     two catch near-singular systems that factor without an explicit error.
+    A CSC lhs, as ``fem.ReducedOperators.step_matrices`` builds it, is
+    factored without a copy; another format (``step``'s) is converted.
     """
     A = sp.csc_matrix(lhs)
     try:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,36 @@ def test_parallel_edge_constraints_consistent():
     )
     assert solution.continuity_residual() <= 1e-10
     assert solution.kirchhoff_residual() <= 1e-10
+
+
+def test_assembly_samples_each_edge_function_once(monkeypatch, rng):
+    """derive_data's spatial term reuses assembly's samples of a, b, p and w, bitwise its own table form."""
+    tree = binary_tree(3)
+    alpha, beta = rng.uniform(-5.0, 5.0, size=(2, tree.n_edges))
+    solution = g.build_solution(tree, alpha, beta)
+    coeffs = g.derive_data(solution)
+    dm = fem.DofMap(tree, g.Mesh(3), tree.boundary_vertices)
+    sampled = []
+    table = fem.on_edges
+
+    def recording(fn, edges, x):
+        sampled.append(fn)
+        return table(fn, edges, x)
+
+    monkeypatch.setattr(fem, "on_edges", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        data = fem.assemble(tree, dm.mesh, dm, coeffs)
+        # the tables go at the return, not when the cycle collector next runs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    parts = (coeffs.a, coeffs.b, coeffs.p, solution.w, solution.w_dx, solution.a_dx, solution.w_dxx)
+    assert sorted(map(id, sampled)) == sorted(map(id, parts))
+    monkeypatch.undo()
+    spatial = coeffs.f.terms[1][0]
+    assert np.array_equal(data.term_loads[1], data.elements.loads(data.elements.sample(spatial)))
 
 
 def test_tree_problem_samples_only_table_forms(monkeypatch, rng):

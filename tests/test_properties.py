@@ -273,6 +273,8 @@ def test_batch_systems_equal_scaled_part_sums(data):
                 want[:, exterior + n_dirichlet] = -lhs[:, n_fixed:]
                 lhs_ff, w = system.step_matrices(scheme, dt)
                 what = (j, scheme.label, dt)
+                # lhs_ff goes to SuperLU as it is; W multiplies by rows
+                assert (lhs_ff.format, w.format) == ("csc", "csr"), what
                 assert w.shape == (n_free, want.shape[1] + len(vectors)), what
                 w = w.toarray()
                 assert_close(w[:, : want.shape[1]], want, what, rtol=1e-14)
