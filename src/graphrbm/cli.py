@@ -12,6 +12,7 @@ failure (any ``errors.NumericalError``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -165,6 +166,10 @@ def cmd_rbm(args) -> int:
 
 
 def cmd_study(args) -> int:
+    # fail on a bad --out before the sweep; the check creates and truncates nothing
+    target = args.out if os.path.exists(args.out) else os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out) or not os.access(target, os.W_OK):
+        raise OSError(f"cannot write the study output {args.out!r}")
     graph, partition, family, solution, _ = _load_problem(args)
     try:
         h_list = [float(tok) for tok in args.h.split(",") if tok.strip()]

@@ -12,16 +12,16 @@ that part, so pi = 1, nothing is rescaled, no vertex is frozen, and one
 window covers all of [0, T].  Both entry points share one runtime type
 and one loop.
 
-Each edge is integrated once per runtime (``fem.assemble``).  A batch is
-one system, ``fem.ReducedOperators``: its dof split, its operators as the
-active edges' element blocks (K and C + P times 1/pi of their part, the
-mass unscaled), the term vectors V of a separable source, and the places
-of both in the step matrices lhs_ff and W.  Nothing is integrated inside
-the time loop except a source that is not separable, which the system's
-``load`` integrates per call.  Systems are cached per batch and steps per
-(batch, scheme, dt), all a window's matrices depend on; a cached step is
-the factor of lhs_ff and W, and lhs_ff is not kept.  One step of every
-scheme is
+Each edge is integrated once per runtime (``fem.assemble``), and its K
+and C + P count with 1/pi of its part in every batch that holds it, so the
+runtime sums one step pair L, R of the whole graph per (scheme, dt)
+(``fem.step_pair``) and each source term's vector V once.  A batch is one
+system, ``fem.ReducedOperators``: its dof split, V at its free dofs, and
+its step matrices lhs_ff and W, gathered from the free rows of the pair.
+Nothing is integrated inside the time loop except a source that is not
+separable, which the system's ``load`` integrates per call.  Systems are
+cached per batch and steps per (batch, scheme, dt); a cached step is the
+factor of lhs_ff and W, and lhs_ff is not kept.  One step of every scheme is
 
     lhs_ff u1 = W z (+ dt (theta F1 + (1 - theta) F0) for a callable source),
     z = [u_f | u_if | g_D(t0) | g_D(t1) | dt (theta tau(t1) + (1 - theta) tau(t0))],
@@ -44,8 +44,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import fem
 from .decomposition import (
@@ -183,12 +185,12 @@ class RbmRuntime:
 
     Holds the dof map, the element data of every edge (integrated once,
     in ``__init__``), the convection vertex sums, the per-batch reduced
-    systems, the cached steps (factor and W) and the read-only drive tables
-    per (theta, dt, n_steps).  All of it depends only on
-    (graph, partition, family, mesh, coeffs), so independent realizations
-    and different window lengths can share one runtime; reuse changes
-    nothing but the setup cost.  ``run_full`` builds one over the
-    one-part partition and its one-batch family.
+    systems, the step pairs per (scheme, dt), the cached steps (factor and
+    W) and the read-only drive tables per (theta, dt, n_steps).  All of it
+    depends only on (graph, partition, family, mesh, coeffs), so
+    independent realizations and different window lengths can share one
+    runtime; reuse changes nothing but the setup cost.  ``run_full`` builds
+    one over the one-part partition and its one-batch family.
     """
 
     def __init__(
@@ -208,8 +210,12 @@ class RbmRuntime:
         self.workspace = StepWorkspace()
         self.a1_report = check_assumption_A1(partition, family.batches)
         self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
+        # each element's K and C + P count with 1/pi of its edge's part
+        self.factor = np.repeat(1.0 / family.normalizers[partition.part_of_edge], mesh.nodes_per_edge + 1)
+        self.term_vectors = tuple(self.elements.elements.scatter(v, self.factor) for v in self.elements.term_loads)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, fem.ReducedOperators] = {}
+        self._pairs: dict[tuple[str, float], fem.StepPair] = {}
         self._drives: dict[tuple[float, float, int], np.ndarray] = {}
 
     def drive(self, theta: float, dt: float, n_steps: int) -> np.ndarray:
@@ -222,6 +228,14 @@ class RbmRuntime:
             self._drives[key] = table
         return table
 
+    def step_pair(self, scheme: SchemeKind, dt: float) -> fem.StepPair:
+        """The graph's ``fem.step_pair`` of (scheme, dt), built on first use; every batch system slices it."""
+        key = (scheme.label, dt)
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = fem.step_pair(self.elements, self.factor, scheme, dt)
+        return pair
+
     def system(self, j: int) -> fem.ReducedOperators:
         """Batch j's system (``fem.ReducedOperators``), built on first use."""
         system = self._systems.get(j)
@@ -229,9 +243,18 @@ class RbmRuntime:
             view = batch_view(self.partition, self.family.batches, j)
             batch = restrict_to_batch(self.dofmap, view)
             factor = zeta_weights(self.partition, self.family, j)
-            system = reduce_operators(self.elements, batch, self.dofmap.dirichlet_dofs, factor)
+            system = reduce_operators(self.elements, batch, self.dofmap.dirichlet_dofs, factor, self.term_vectors)
             self._systems[j] = system
         return system
+
+    @cached_property
+    def _edge_rates(self) -> np.ndarray:
+        return fem.growth_rates(self.elements, self.factor).reshape(self.graph.n_edges, -1).max(axis=1)
+
+    def growth_rate(self, j: int) -> float:
+        """Batch j's growth bound: the largest ``fem.growth_rates`` over its active elements, or 0."""
+        active = self._edge_rates[zeta_weights(self.partition, self.family, j) != 0.0]
+        return max(0.0, float(active.max(initial=0.0)))
 
 
 def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
@@ -245,12 +268,14 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
     exactly; an exterior value is g(s dt), read off the drive row.  After
     each step s with ``s % every == 0`` the pair (s dt, copy of u) joins
     ``snapshots``; u itself is written only then and after step ``last``.
-    Returns the system's active dof count, its factor nnz and, for a
-    callable source, the sum over the steps of max |dt F| (0 otherwise).
+    W z goes into a buffer kept for the window and x straight into z, so a
+    step allocates only inside SuperLU.  Returns the system's active dof
+    count, its factor nnz and, for a callable source, the sum over the
+    steps of max |dt F| (0 otherwise).
     """
     system = runtime.system(j)
     key = (j, scheme.label, dt)
-    step = runtime.workspace.factorization(key, lambda: system.step_matrices(scheme, dt))
+    step = runtime.workspace.factorization(key, lambda: system.step_matrices(runtime.step_pair(scheme, dt)))
     w = step.rhs
     free, interface, exterior = system.free, system.interface, system.exterior
     n_free = len(free)
@@ -259,13 +284,12 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
     load = system.load
     f_prev = load(first * dt) if load is not None and theta != 1.0 else None
     forced = 0.0
-    z = np.empty(w.shape[1])
-    z[n_free:n_fixed] = u[interface]
-    x = u[free]
+    z, b = np.empty(w.shape[1]), np.empty(n_free)
+    z[:n_free], z[n_free:n_fixed] = u[free], u[interface]
     for s in range(first + 1, last + 1):
-        z[:n_free] = x
         z[n_fixed:] = drive[s - 1]
-        b = w @ z
+        b.fill(0.0)
+        csr_matvec(n_free, len(z), w.indptr, w.indices, w.data, z, b)  # b = W z, the kernel of W @ z
         if load is not None:
             f_next = load(s * dt)
             if f_prev is None:
@@ -275,10 +299,10 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
                 f_prev = f_next
             b += applied
             forced += np.abs(applied).max(initial=0.0)
-        x = step.solve(b)
+        z[:n_free] = step.solve(b)
         snapshot = s % every == 0
         if snapshot or s == last:
-            u[free] = x
+            u[free] = z[:n_free]
             u[exterior] = drive[s - 1, system.exterior_t1]
             if snapshot:
                 snapshots.append((s * dt, u.copy()))
@@ -357,13 +381,12 @@ def _check_growth(runtime, traj, drive, omegas, n_sub, theta, dt, forced) -> Non
     if peak <= BLOWUP_FACTOR * scale:
         return
     used, windows = np.unique(omegas, return_counts=True)
-    systems = [runtime.system(int(j)) for j in used]
     term_peaks = np.zeros(drive.shape[1] - n_boundary)
     log_growth = 0.0
-    for system, count in zip(systems, windows):
-        peaks = [np.abs(v).max(initial=0.0) for v in system.term_vectors]
+    for j, count in zip(used.tolist(), windows):
+        peaks = [np.abs(v).max(initial=0.0) for v in runtime.system(j).term_vectors]
         term_peaks = np.maximum(term_peaks, peaks)
-        x = dt * system.growth_rate
+        x = dt * runtime.growth_rate(j)
         if theta * x >= 1.0:
             return
         log_rho = max(x, math.log((1.0 + (1.0 - theta) * x) / (1.0 - theta * x)))

@@ -25,14 +25,14 @@ when the function has a table form ``on_edges(edges, x)``, else in one
 call ``fn(e, x[i])`` per edge.  Each edge is integrated once per runtime:
 its one ``assemble`` call samples the coefficients and every separable
 source term once per table and keeps, per mesh element, the 2x2 blocks of
-M, K and C + P and the local load of each term.  One batch is one
-system, ``ReducedOperators`` (``reduce_operators``): scaled sums of these
-element data over its active edges, each edge counting with 1/pi of its
-owning part.  Its operators stay element blocks until ``step_matrices``
-combines them and sums them into the step matrices, each straight from its
-COO entries: lhs_ff into CSC, the format SuperLU factors, and W into CSR; a
-separable load is one bincount per term, built once, and any other
-source is integrated per call by the system's ``LoadEvaluator``.
+M, K and C + P and the local load of each term.  An edge's K and C + P
+count with 1/pi of its owning part in every batch that holds it, so one
+``step_pair`` per (scheme, dt) sums the step's blocks over the whole graph
+and each batch's system, ``ReducedOperators`` (``reduce_operators``),
+gathers its step matrices from the pair's free rows (``step_matrices``):
+lhs_ff into CSC, the format SuperLU factors, and W into CSR.  A separable
+load is one bincount per term over the whole graph, built once, and any
+other source is integrated per call by the system's ``LoadEvaluator``.
 The mass is never scaled.  The whole graph is the batch of the one-part,
 one-batch family, whose factors are all 1.
 """
@@ -290,14 +290,20 @@ class Elements:
         """The (n, 2) local loads of the elements ``ids`` (default all) for values at their Gauss points."""
         return (values * self.wq[ids]) @ self.shape
 
-    def scatter(self, local: np.ndarray, ids, factor: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """The (n, 2) loads of the elements ``ids``, times their edge factors, summed onto the dofs ``free``.
+    def scatter(self, local: np.ndarray, factor: np.ndarray, ids=slice(None), free=slice(None)) -> np.ndarray:
+        """The (n, 2) loads of the elements ``ids`` (default all), times their factors, summed onto the dofs ``free``.
 
         One bincount over every left-node term, then every right-node term:
         one fixed summation order per dof.
         """
         scaled = local * factor[:, None]
         return np.bincount(self.pair[ids].T.ravel(), scaled.T.ravel(), minlength=self.n_dofs)[free]
+
+    def matrix(self, blocks: np.ndarray) -> sp.csr_matrix:
+        """The (n_el, 2, 2) element ``blocks`` summed over all dofs by one COO->CSR, in one sorted pattern."""
+        rows = np.repeat(self.pair, 2, axis=1).ravel()  # block entry (k, r, c) sits in row pair[k, r]
+        cols = np.tile(self.pair, 2).ravel()  # and column pair[k, c]
+        return sp.csr_matrix((blocks.reshape(-1), (rows, cols)), shape=(self.n_dofs, self.n_dofs))
 
     def edge_sums(self, values: np.ndarray) -> np.ndarray:
         """The integral of a function sampled at every Gauss point, per edge."""
@@ -379,11 +385,7 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
 def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     """Plain L2 mass matrix over all edges: one COO->CSR of the element mass blocks."""
     elements = Elements(graph, mesh, dofmap, GAUSS3)
-    pair = elements.pair
-    rows = np.repeat(pair, 2, axis=1).ravel()  # block entry (k, r, c) sits in row pair[k, r]
-    cols = np.tile(pair, 2).ravel()  # and column pair[k, c]
-    shape = (dofmap.n_dofs, dofmap.n_dofs)
-    return sp.csr_matrix((elements.mass.reshape(-1), (rows, cols)), shape=shape)
+    return elements.matrix(elements.mass)
 
 
 class LoadEvaluator:
@@ -405,7 +407,7 @@ class LoadEvaluator:
     def __call__(self, t: float) -> np.ndarray:
         f, elements, ids = self._source, self._elements, self._ids
         values = elements.sample(lambda e, x: f(e, x, t), self._edges)
-        return elements.scatter(elements.loads(values, ids), ids, self._factor, self._free)
+        return elements.scatter(elements.loads(values, ids), self._factor, ids, self._free)
 
 
 def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction | None) -> np.ndarray:
@@ -467,31 +469,54 @@ def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
     return BatchDofs(active=active, free=np.flatnonzero(mask), interface_dofs=interface, exterior_dofs=exterior)
 
 
+def growth_rates(data: ElementData, factor: np.ndarray) -> np.ndarray:
+    """Per element, the largest eigenvalue of sym(-(K_e + L_e)) against M_e, K_e and L_e times its ``factor``.
+
+    The largest over a batch's active elements, or 0, bounds how fast
+    M u' = -(K + C + P) u can grow u's M-norm on its active edges: summing
+    the element forms gives d/dt |u|_M^2 <= 2 rate |u|_M^2, also with
+    constrained dofs held at 0.
+    """
+    scale = factor[:, None, None]
+    s = data.stiffness * scale + data.lower * scale
+    s = -0.5 * (s + s.transpose(0, 2, 1))
+    c = np.linalg.inv(np.linalg.cholesky(data.elements.mass))  # M_e = C^-1 C^-T
+    return np.linalg.eigvalsh(c @ s @ c.transpose(0, 2, 1))[:, -1]
+
+
+@dataclass(frozen=True)
+class StepPair:
+    """One step on the whole graph: L = M + dt theta A and R = M - dt (1 - theta) A - dt E.
+
+    ``lhs`` and ``rhs`` hold L and R in CSR, with one symmetric pattern, and
+    ``lhs_csc`` holds L in CSC.
+    """
+
+    lhs: sp.csr_matrix
+    rhs: sp.csr_matrix
+    lhs_csc: sp.csc_matrix
+
+
+def step_pair(data: ElementData, factor: np.ndarray, scheme: SchemeKind, dt: float) -> StepPair:
+    """The ``imex_theta`` step of (scheme, dt) of every element, K_e and C_e + P_e times its ``factor``, summed."""
+    scale = factor[:, None, None]
+    lhs, rhs = imex_theta(scheme, data.elements.mass, data.stiffness * scale, data.lower * scale, dt)
+    lhs = data.elements.matrix(lhs)
+    return StepPair(lhs=lhs, rhs=data.elements.matrix(rhs), lhs_csc=lhs.tocsc())
+
+
 @dataclass(frozen=True)
 class ReducedOperators:
-    """One batch's system: everything a window step on it reads.
+    """One batch's system: its dof split and its load; its step matrices are free rows of a ``StepPair``.
 
     ``free``, ``interface`` and ``exterior`` are the batch's dof split
-    (``BatchDofs``) and ``n_active`` its active dof count.  Its mass,
-    stiffness and lower-order part C + P stay element blocks of the active
-    elements ``ids`` (``blocks``), K and C + P times their edge factors
-    ``factor``.  ``step_matrices`` sums the combined blocks of one step over
-    them into the two matrices of the step, each straight from its COO
-    entries: ``lhs_ff``, the free rows over the free columns, into CSC, the
-    format SuperLU factors, and W, the free rows over the columns, into CSR
-
-        [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms]
-
-    with the entries rhs_ff, rhs_fi - lhs_fi, rhs_fD, -lhs_fD and the
-    ``term_vectors`` of a separable source, one free-dof vector per term.
-    The Dirichlet blocks are numbered by the ``dirichlet`` dofs passed to
-    ``reduce_operators``, so one drive row [g(t0) | g(t1) | load weights]
-    fits every batch; ``exterior_t1`` are the drive-row columns that hold
-    g(t1) at ``exterior``.  ``load`` integrates a source that is not
-    separable (None for any other).  ``keep`` lists the flat block entries in
-    free rows, the ``n_ff`` in free columns first; ``rows`` and ``cols``
-    place them in [free | interface | Dirichlet at t0], and ``t1_cols`` are
-    the columns of -lhs for the entries past ``n_ff``.
+    (``BatchDofs``) and ``n_active`` its active dof count.  The graph's
+    Dirichlet dofs ``dirichlet`` number W's Dirichlet columns, so one drive
+    row [g(t0) | g(t1) | load weights] fits every batch; ``exterior_t1``
+    are the drive-row columns that hold g(t1) at ``exterior``.
+    ``term_vectors`` are a separable source's term vectors at the free
+    dofs, and ``load`` integrates a source that is not separable (None for
+    any other).
     """
 
     free: np.ndarray
@@ -499,98 +524,61 @@ class ReducedOperators:
     exterior: np.ndarray
     exterior_t1: np.ndarray
     n_active: int
+    dirichlet: np.ndarray
     term_vectors: tuple[np.ndarray, ...]
     load: LoadEvaluator | None
-    data: ElementData
-    ids: np.ndarray
-    factor: np.ndarray
-    n_columns: int
-    keep: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    n_ff: int
-    t1_cols: np.ndarray
 
-    def blocks(self):
-        """The element blocks (M, K, C + P), formed per call: M unscaled, K and C + P times the factor."""
-        scale = self.factor[:, None, None]
-        data, ids = self.data, self.ids
-        return data.elements.mass[ids], data.stiffness[ids] * scale, data.lower[ids] * scale
+    def step_matrices(self, pair: StepPair) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+        """(lhs_ff, W) of ``pair``'s step, gathered from the free rows of L and R.
 
-    def step_matrices(self, scheme: SchemeKind, dt: float) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-        """(lhs_ff, W) of the ``imex_theta`` step of ``scheme`` with step ``dt``; lhs_ff is CSC, as SuperLU factors it."""
-        lhs, rhs = imex_theta(scheme, *self.blocks(), dt)
-        loads = self.term_vectors
-        n_free, n_ff = len(self.free), self.n_ff
-        lhs = lhs.reshape(-1)[self.keep]
-        load_rows = np.tile(np.arange(n_free), len(loads))
-        load_cols = np.repeat(np.arange(self.n_columns - len(loads), self.n_columns), n_free)
-        data = np.concatenate([rhs.reshape(-1)[self.keep], -lhs[n_ff:], *loads])
-        rows = np.concatenate([self.rows, self.rows[n_ff:], load_rows])
-        cols = np.concatenate([self.cols, self.t1_cols, load_cols])
-        w = sp.csr_matrix((data, (rows, cols)), shape=(n_free, self.n_columns))
-        at = (self.rows[:n_ff], self.cols[:n_ff])
-        return sp.csc_matrix((lhs[:n_ff], at), shape=(n_free, n_free)), w
+        lhs_ff, L over the free columns, comes out in CSC, the format SuperLU
+        factors, with no sort: the pattern is symmetric, so a free row's
+        entries are its column's, and they stay in order.  W is one COO->CSR
+        of the entries R_ff, R_fi - L_fi, R_fD, -L_fD and ``term_vectors``,
+        over the columns
 
-    @cached_property
-    def growth_rate(self) -> float:
-        """A bound on how fast M u' = -(K + C + P) u can grow u's M-norm on the active edges.
+            [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms].
 
-        max(0, the largest eigenvalue of sym(-(K_e + L_e)) against M_e over
-        the active elements): summing the element forms gives
-        d/dt |u|_M^2 <= 2 rate |u|_M^2, also with constrained dofs held at 0.
+        A free row has no entry outside these, as a free vertex has only
+        active edges.
         """
-        mass, stiffness, lower = self.blocks()
-        s = stiffness + lower
-        s = -0.5 * (s + s.transpose(0, 2, 1))
-        c = np.linalg.inv(np.linalg.cholesky(mass))  # M_e = C^-1 C^-T
-        rates = np.linalg.eigvalsh(c @ s @ c.transpose(0, 2, 1))[:, -1]
-        return max(0.0, float(rates.max(initial=0.0)))
+        free, interface, dirichlet = self.free, self.interface, self.dirichlet
+        n_free, n_fixed, n_terms = len(free), len(free) + len(interface), len(self.term_vectors)
+        n_columns = n_fixed + 2 * len(dirichlet) + n_terms
+        # index arrays in the pair's own dtype, which scipy takes without a check or a copy
+        index = pair.rhs.indices.dtype
+        position = np.full(pair.rhs.shape[0], -1, dtype=index)
+        position[np.concatenate([free, interface, dirichlet])] = np.arange(n_fixed + len(dirichlet))
+        counts = np.diff(pair.rhs.indptr)[free]
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        at = np.arange(bounds[-1]) + np.repeat(pair.rhs.indptr[free] - bounds[:-1], counts)
+        cols = position[pair.rhs.indices[at]]
+        inner, fixed = cols < n_free, cols >= n_fixed
+        indptr = np.concatenate(([0], np.cumsum(inner)))[bounds].astype(index)
+        lhs_ff = sp.csc_matrix((pair.lhs_csc.data[at[inner]], cols[inner], indptr), shape=(n_free, n_free))
+        lhs, rhs, rows = pair.lhs.data[at], pair.rhs.data[at], np.arange(n_free, dtype=index)
+        row = np.repeat(rows, counts)
+        data = np.concatenate([np.where(inner | fixed, rhs, rhs - lhs), -lhs[fixed], *self.term_vectors])
+        rows = np.concatenate([row, row[fixed], np.tile(rows, n_terms)])
+        loads = np.repeat(np.arange(n_columns - n_terms, n_columns, dtype=index), n_free)
+        cols = np.concatenate([cols, cols[fixed] + len(dirichlet), loads])
+        return lhs_ff, sp.csr_matrix((data, (rows, cols)), shape=(n_free, n_columns))
 
 
 def reduce_operators(
-    data: ElementData, batch: BatchDofs, dirichlet: np.ndarray, edge_factor: np.ndarray
+    data: ElementData, batch: BatchDofs, dirichlet: np.ndarray, edge_factor: np.ndarray, vectors: tuple
 ) -> ReducedOperators:
-    """The system of ``batch``: its active elements, their places in W and lhs_ff, and its load.
+    """The system of ``batch``: its dof split, the term ``vectors`` (over all dofs) at its free dofs, and its load.
 
-    ``edge_factor`` is the batch's per-edge factor (``zeta_weights``); the
-    edges where it is nonzero are active.  Each separable source term of
-    ``data`` gives one load column of W, its vector one bincount of the
-    term's element loads over the active elements; a source that is not
-    separable gets a ``LoadEvaluator``.  Entries in rows that are not free,
-    or in columns of no listed dof, are dropped.
+    ``edge_factor`` is the batch's per-edge factor (``zeta_weights``); a
+    source that is not separable gets a ``LoadEvaluator`` over its nonzero edges.
     """
-    free, interface, exterior = batch.free, batch.interface_dofs, batch.exterior_dofs
-    dirichlet = np.asarray(dirichlet, dtype=int)
-    elements = data.elements
-    _, ids, factor = elements.active(edge_factor)
-    n_free, n_dirichlet = len(free), len(dirichlet)
-    first_dirichlet = n_free + len(interface)
-    position = np.full(elements.n_dofs, -1)
-    position[free] = np.arange(n_free)
-    position[interface] = n_free + np.arange(len(interface))
-    position[dirichlet] = first_dirichlet + np.arange(n_dirichlet)
-    local = position[elements.pair[ids]]
-    blocks = (len(ids), 2, 2)
-    rows = np.broadcast_to(local[:, :, None], blocks).ravel()
-    cols = np.broadcast_to(local[:, None, :], blocks).ravel()
-    kept = (rows >= 0) & (rows < n_free)
-    keep = np.concatenate(
-        [np.flatnonzero(kept & (cols >= 0) & (cols < n_free)), np.flatnonzero(kept & (cols >= n_free))]
-    )
-    rows, cols = rows[keep], cols[keep]
-    n_ff = int(np.count_nonzero(cols < n_free))
-    constrained = cols[n_ff:]
-    t1_cols = np.where(constrained >= first_dirichlet, constrained + n_dirichlet, constrained)
-    n_columns = first_dirichlet + 2 * n_dirichlet + len(data.term_loads)
-    term_vectors = tuple(elements.scatter(term[ids], ids, factor, free) for term in data.term_loads)
+    free, dirichlet = batch.free, np.asarray(dirichlet, dtype=int)
     return ReducedOperators(
-        free=free, interface=interface, exterior=exterior,
-        exterior_t1=n_dirichlet + np.searchsorted(dirichlet, exterior),
-        n_active=len(batch.active), term_vectors=term_vectors,
+        free=free, interface=batch.interface_dofs, exterior=batch.exterior_dofs,
+        exterior_t1=len(dirichlet) + np.searchsorted(dirichlet, batch.exterior_dofs),
+        n_active=len(batch.active), dirichlet=dirichlet, term_vectors=tuple(v[free] for v in vectors),
         load=None if data.source is None else LoadEvaluator(data, edge_factor, free),
-        data=data, ids=ids, factor=factor, n_columns=n_columns,
-        keep=keep, rows=rows, cols=cols, n_ff=n_ff, t1_cols=t1_cols,
     )
 
 

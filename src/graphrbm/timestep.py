@@ -13,14 +13,15 @@ an explicit operator E and a weight theta:
 
 ``imex_theta`` forms lhs = M + dt*theta*A and rhs = M - dt*(1-theta)*A -
 dt*E, of sparse matrices for ``step`` and of element blocks for the
-windowed solver.  The step matrices only depend on the system, the scheme
-and dt, so a StepWorkspace keeps one ``FactoredStep`` per key: the factor
-of lhs, checked once to solve lhs x = lhs 1 to a small residual, and rhs
-(W of ``fem.ReducedOperators`` for the windowed solver); lhs is not kept.
+windowed solver (``fem.step_pair``).  The step matrices only depend on the
+system, the scheme and dt, so a StepWorkspace keeps one ``FactoredStep``
+per key: the factor of lhs, checked once to solve lhs x = lhs 1 to a small
+residual, and rhs (W of ``fem.ReducedOperators`` for the windowed solver).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -88,25 +89,27 @@ def theta_method(theta: float) -> SchemeKind:
 
 @dataclass(frozen=True, eq=False)
 class FactoredStep:
-    """A cached step: ``solve`` by lhs's factor, its ``nnz``, ``rhs`` and the ``operands`` its key names by id."""
+    """A cached step: ``solve`` by lhs's factor, its ``nnz`` and ``rhs``."""
 
     solve: Callable[[np.ndarray], np.ndarray]
     nnz: int
     rhs: object
-    operands: tuple
 
 
 class StepWorkspace:
-    """One FactoredStep per (active system, scheme, dt) key; entries are never evicted."""
+    """One FactoredStep per (active system, scheme, dt) key; none holds an operand its key names by id."""
 
     def __init__(self):
         self._cache: dict = {}
 
     def factorization(self, key, build) -> FactoredStep:
-        """The entry for ``key``; a miss builds it as ``_factor_step(*build())``."""
+        """The entry for ``key``; a miss factors build() = (lhs, rhs, *operands), kept until an operand is collected."""
         entry = self._cache.get(key)
         if entry is None:
-            entry = self._cache[key] = _factor_step(*build())
+            lhs, rhs, *operands = build()
+            entry = self._cache[key] = _factor_step(lhs, rhs)
+            for operand in [op for op in operands if op is not None]:
+                weakref.finalize(operand, self._cache.pop, key, None)
         return entry
 
     def __len__(self) -> int:
@@ -114,13 +117,13 @@ class StepWorkspace:
         return len(self._cache)
 
 
-def _factor_step(lhs: sp.spmatrix, rhs, *operands) -> FactoredStep:
-    """Factor A = lhs, check the factor once by solving A x = A 1, and keep it with rhs and operands.
+def _factor_step(lhs: sp.spmatrix, rhs) -> FactoredStep:
+    """Factor A = lhs, check the factor once by solving A x = A 1, and keep the factor with rhs.
 
     Raises SingularSystem if the factorization fails, if x is not finite,
     or if the residual exceeds RESIDUAL_RTOL * (1 + ||A 1||_inf); the last
     two catch near-singular systems that factor without an explicit error.
-    A CSC lhs, as ``fem.ReducedOperators.step_matrices`` builds it, is
+    A CSC lhs, as ``fem.ReducedOperators.step_matrices`` gathers it, is
     factored without a copy; another format (``step``'s) is converted.
     """
     A = sp.csc_matrix(lhs)
@@ -135,7 +138,7 @@ def _factor_step(lhs: sp.spmatrix, rhs, *operands) -> FactoredStep:
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
         raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
-    return FactoredStep(lu.solve, lu.nnz, rhs, operands)
+    return FactoredStep(lu.solve, lu.nnz, rhs)
 
 
 def factor_nnz(entry) -> int:
@@ -182,9 +185,8 @@ def step(
     (stiffness, convection + reaction) for the semi-implicit scheme.
     ``f0``/``f1`` are the loads at the step's start and end times.  A
     workspace caches the factor of lhs and rhs under the scheme label, dt
-    and the identities of ``mass`` and the spatial matrices; the entry keeps
-    those matrices alive, so an identity is never reused while cached and
-    one workspace serves any number of systems.
+    and the identities of ``mass`` and the spatial matrices until one of
+    them is collected, so one workspace serves any number of systems.
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")

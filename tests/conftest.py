@@ -147,26 +147,25 @@ def reference_batch_system(graph, partition, family, mesh, dofmap, coeffs, j, fr
     )
 
 
-# -- the [free | constrained] scatter and the two-matvec step loop graphrbm used
-#    before the fused step matrix W -------------------------------------------
+# -- the per-batch growth bound and the two-matvec step loop graphrbm used
+#    before the runtime-wide step pair and the fused step matrix W ------------
 #
-# Kept as oracles for ``fem.ReducedOperators.step_matrices`` and ``engine._advance``:
-# each step multiplies by rhs and by lhs_fc separately and calls the load
-# and g at its own times.
+# Kept as oracles for ``engine.RbmRuntime.growth_rate`` and ``engine._advance``:
+# the growth bound is worked out from the batch's own element blocks, and each
+# step builds its operators from the per-part assembly, multiplies by rhs and
+# by lhs_fc separately and calls the load and g at its own times.
 
 
-def scatter_blocks(reduced, constrained, blocks):
-    """An (n, 2, 2) stack over ``reduced``'s active elements as CSR: free rows over [free | constrained]."""
-    free = reduced.free
-    position = np.full(reduced.data.elements.n_dofs, -1)
-    position[free] = np.arange(len(free))
-    position[constrained] = len(free) + np.arange(len(constrained))
-    local = position[reduced.data.elements.pair[reduced.ids]]
-    rows = np.repeat(local, 2, axis=1).ravel()
-    cols = np.tile(local, 2).ravel()
-    keep = (rows >= 0) & (rows < len(free)) & (cols >= 0)
-    shape = (len(free), len(free) + len(constrained))
-    return sp.csr_matrix((blocks.reshape(-1)[keep], (rows[keep], cols[keep])), shape=shape)
+def reference_growth_rate(runtime, j):
+    """max(0, the largest eigenvalue of sym(-(K_e + L_e)) against M_e) over batch j's active elements."""
+    data = runtime.elements
+    _, ids, factor = data.elements.active(g.zeta_weights(runtime.partition, runtime.family, j))
+    scale = factor[:, None, None]
+    s = data.stiffness[ids] * scale + data.lower[ids] * scale
+    s = -0.5 * (s + s.transpose(0, 2, 1))
+    c = np.linalg.inv(np.linalg.cholesky(data.elements.mass[ids]))  # M_e = C^-1 C^-T
+    rates = np.linalg.eigvalsh(c @ s @ c.transpose(0, 2, 1))[:, -1]
+    return max(0.0, float(rates.max(initial=0.0)))
 
 
 def batch_load(runtime, system, t):
@@ -193,11 +192,12 @@ def reference_states(runtime, omegas, n_sub, scheme, dt, every):
     u[dofmap.dirichlet_dofs] = boundary(0.0)[dofmap.dirichlet_dofs]
     snapshots = [(0.0, u.copy())]
     theta = scheme.theta_value
+    problem = (runtime.graph, runtime.partition, runtime.family, runtime.mesh, dofmap, coeffs)
     for k, j in enumerate(omegas):
         system = runtime.system(int(j))
         exterior = system.exterior
         constrained = np.concatenate([system.interface, exterior])
-        operators = [scatter_blocks(system, constrained, b) for b in system.blocks()]
+        operators = reference_batch_system(*problem, int(j), system.free, constrained)
         lhs, rhs = imex_theta(scheme, *operators, dt)
         n_free = len(system.free)
         n_fixed = n_free + len(system.interface)

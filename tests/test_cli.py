@@ -71,6 +71,26 @@ def test_study_rejects_misaligned_h(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_study_checks_out_before_any_realization(tmp_path, capsys, monkeypatch, where):
+    calls = []
+    run_rbm = harness.run_rbm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_rbm(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_rbm", counting)
+    out = tmp_path / "missing" / "study.csv" if where == "missing-directory" else tmp_path
+    code = main(
+        ["study", "--nodes-per-edge", "5", "--dt", "0.05", "--h", "0.05",
+         "--t-final", "0.2", "--realizations", "1", "--out", str(out)]
+    )
+    assert code == 2 and calls == []
+    assert capsys.readouterr().err == f"error: cannot write the study output {str(out)!r}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_missing_graph_file_is_config_error(capsys):
     assert main(["solve", "--graph", "/nonexistent/graph.json"]) == 2
 

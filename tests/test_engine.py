@@ -393,8 +393,8 @@ def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, c
     fused = fem.ReducedOperators.step_matrices
     built = []
 
-    def recording(system, scheme, dt):
-        lhs_ff, w = fused(system, scheme, dt)
+    def recording(system, pair):
+        lhs_ff, w = fused(system, pair)
         built.append((weakref.ref(lhs_ff), w))
         return lhs_ff, w
 

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import constant_coefficients, scatter_blocks
+import scipy.sparse as sp
+from conftest import constant_coefficients
 
 import graphrbm as g
 from graphrbm import fem
@@ -56,47 +57,37 @@ def unit_weights(graph):
     return np.ones(graph.n_edges)
 
 
-def scattered(reduced, constrained):
-    """The reduced M, K and C + P as CSR matrices over [free | constrained]: each block stack scattered once."""
-    mass, stiffness, lower = (scatter_blocks(reduced, constrained, b) for b in reduced.blocks())
+def full_operators(data, dm, weights):
+    """M, K and C + P on the full dof numbering over the edges of nonzero weight, K and C + P times it."""
+    elements = data.elements
+    _, ids, factor = elements.active(weights)
+    pair = elements.pair[ids]
+    rows, cols = np.repeat(pair, 2, axis=1).ravel(), np.tile(pair, 2).ravel()
+    shape = (dm.n_dofs, dm.n_dofs)
+    mass, stiffness, lower = (
+        sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=shape)
+        for blocks in (elements.mass[ids], data.stiffness[ids] * factor[:, None, None], data.lower[ids] * factor[:, None, None])
+    )
     return SimpleNamespace(mass=mass, stiffness=stiffness, lower=lower)
 
 
-def whole_graph(dm, exterior=()):
-    """The whole graph as one batch: every dof active, ``exterior`` its exterior dofs, the rest free."""
-    exterior = np.asarray(exterior, dtype=int)
-    every = np.arange(dm.n_dofs)
-    free = np.setdiff1d(every, exterior)
-    none = np.array([], dtype=int)
-    return fem.BatchDofs(active=every, free=free, interface_dofs=none, exterior_dofs=exterior)
-
-
-def full_operators(data, dm, weights):
-    """M, K and C + P on the full dof numbering: every dof free, none constrained."""
-    empty = np.array([], dtype=int)
-    return scattered(fem.reduce_operators(data, whole_graph(dm), empty, weights), empty)
-
-
 def load_vector(graph, mesh, dm, coeffs, f, t):
-    """The full-numbering load of the callable source ``f`` at time t, from the whole graph's system."""
+    """The full-numbering load of the callable source ``f`` at time t, integrated over the whole graph."""
     data = fem.assemble(graph, mesh, dm, dataclasses.replace(coeffs, f=f))
-    empty = np.array([], dtype=int)
-    return fem.reduce_operators(data, whole_graph(dm), empty, unit_weights(graph)).load(t)
+    return fem.LoadEvaluator(data, unit_weights(graph), np.arange(dm.n_dofs))(t)
 
 
 def steady_solve(data, dm, boundary, load=None):
-    """Solve K_ff u_f = F_f - K_fc g on the reduced stiffness rows; returns the full vector."""
-    batch = whole_graph(dm, dm.dirichlet_dofs)
-    reduced = fem.reduce_operators(data, batch, dm.dirichlet_dofs, unit_weights(dm.graph))
-    stiffness = scattered(reduced, dm.dirichlet_dofs).stiffness
-    n_free = len(dm.free_dofs)
-    rhs = -(stiffness[:, n_free:] @ boundary)
+    """Solve K_ff u_f = F_f - K_fD g on the free rows of the stiffness; returns the full vector."""
+    free, dirichlet = dm.free_dofs, dm.dirichlet_dofs
+    stiffness = full_operators(data, dm, unit_weights(dm.graph)).stiffness[free]
+    rhs = -(stiffness[:, dirichlet] @ boundary)
     if load is not None:
-        rhs += load[dm.free_dofs]
+        rhs += load[free]
     u = np.zeros(dm.n_dofs)
-    lu = StepWorkspace().factorization("K", lambda: (stiffness[:, :n_free], None))
-    u[dm.free_dofs] = lu.solve(rhs)
-    u[dm.dirichlet_dofs] = boundary
+    lu = StepWorkspace().factorization("K", lambda: (stiffness[:, free], None))
+    u[free] = lu.solve(rhs)
+    u[dirichlet] = boundary
     return u
 
 
@@ -264,24 +255,19 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     data = fem.assemble(demo, mesh, dm, problem)
     ops = full_operators(data, dm, unit_weights(demo))
     bd = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
-    reduced = fem.reduce_operators(data, bd, dm.dirichlet_dofs, unit_weights(demo))
+    weights = unit_weights(demo)
+    factor = np.repeat(weights, data.elements.per_edge)
+    vectors = tuple(data.elements.scatter(term, factor) for term in data.term_loads)
+    reduced = fem.reduce_operators(data, bd, dm.dirichlet_dofs, weights, vectors)
     assert reduced.n_active == len(bd.active)
-    constrained = np.concatenate([bd.interface_dofs, bd.exterior_dofs])
-    columns = np.concatenate([bd.free, constrained])
-    blocks = scattered(reduced, constrained)
-    for got, full in (
-        (blocks.mass, ops.mass.toarray()),
-        (blocks.stiffness, ops.stiffness.toarray()),
-        (blocks.lower, ops.lower.toarray()),
-    ):
-        assert np.array_equal(got.toarray(), full[np.ix_(bd.free, columns)])
     # the fused layout: [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms]
     dt = 0.1
     lhs = (ops.mass + dt * ops.stiffness).toarray()
     rhs = (ops.mass - dt * ops.lower).toarray()
     loads = reduced.term_vectors
     assert len(loads) == len(data.term_loads)
-    lhs_ff, w = reduced.step_matrices(SEMI_IMPLICIT, dt)
+    assert all(np.array_equal(load, vector[bd.free]) for load, vector in zip(loads, vectors))
+    lhs_ff, w = reduced.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt))
     free, interface, dirichlet = bd.free, bd.interface_dofs, dm.dirichlet_dofs
     exterior = np.isin(dirichlet, bd.exterior_dofs)
     want = np.hstack(

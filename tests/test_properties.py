@@ -6,14 +6,16 @@ Meshes and horizons are coarse so the whole module runs in seconds.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import (
     batch_load,
     reference_batch_system,
+    reference_growth_rate,
     reference_states,
-    scatter_blocks,
     reference_continuity_residual,
     reference_convection_vertex_sums,
     reference_flux_imbalance,
@@ -63,9 +65,9 @@ leading = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_subnor
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, kinds=("tree", "cycle", "parallel")):
     """A tree (leaves are boundary), a cycle with any boundary, or a path with doubled edges."""
-    kind = draw(st.sampled_from(["tree", "cycle", "parallel"]))
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(min_value=3, max_value=6))
     if kind == "tree":
         pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
@@ -226,10 +228,12 @@ def assert_close(got, expected, what, rtol=1e-13):
 def test_batch_systems_equal_scaled_part_sums(data):
     """Every batch system against the per-edge assembly of its parts, scaled by 1/pi.
 
-    The fused step matrices lhs_ff and W must match ``imex_theta`` on those
-    sparse reference operators to 1e-14 relative, W's load columns the
-    reference load of each source term, and lhs_ff must keep the stored
-    positions of the reference.
+    The step matrices lhs_ff and W that a batch slices out of the runtime's
+    step pair must match ``imex_theta`` on those sparse reference operators
+    to 1e-14 relative, with their stored positions, W's load columns the
+    reference load of each source term to 1e-13.  The runtime builds one
+    pair per (scheme, dt), which every batch, realization and window length
+    shares, and each batch's growth bound is that of its own element blocks.
     """
     graph = data.draw(graphs())
     partition = data.draw(partitions(graph))
@@ -237,64 +241,94 @@ def test_batch_systems_equal_scaled_part_sums(data):
     coeffs = problem_data(graph)
     runtime = RbmRuntime(graph, partition, family, MESH, coeffs)
     dofmap = runtime.dofmap
+    n_dirichlet = len(dofmap.dirichlet_dofs)
     # the same source, hidden behind a plain callable: integrated per call
     unseparated = fem.assemble(
         graph, MESH, dofmap, dataclasses.replace(coeffs, f=lambda e, x, t: coeffs.f(e, x, t))
     )
-    for j in range(family.n_batches):
-        system = runtime.system(j)
-        constrained = np.concatenate([system.interface, system.exterior])
-        expected = reference_batch_system(
-            graph, partition, family, MESH, dofmap, coeffs, j, system.free, constrained
-        )
-        scattered = (scatter_blocks(system, constrained, b) for b in system.blocks())
-        for name, got, want in zip(("mass", "stiffness", "lower"), scattered, expected):
-            assert got.shape == want.shape, (j, name)
-            assert sparsity(got) == sparsity(want), (j, name)
-            assert_close(got.toarray(), want.toarray(), (j, name))
-        factor = g.zeta_weights(partition, family, j)
-        free, interface = system.free, system.interface
-        n_free, n_fixed = len(free), len(free) + len(interface)
-        n_dirichlet = len(dofmap.dirichlet_dofs)
-        # each constrained column of the reference goes to its interface or Dirichlet column of W
-        exterior = n_fixed + np.searchsorted(dofmap.dirichlet_dofs, system.exterior)
-        vectors = [
-            reference_load(graph, MESH, dofmap, lambda e, x, t, s=space: s(e, x), 0.0, factor)[free]
-            for space, _ in coeffs.f.terms
-        ]
-        for scheme in ALL_SCHEMES:
-            for dt in (DT, 0.3):
-                sparse_lhs, rhs = imex_theta(scheme, *expected, dt)
-                lhs, rhs = sparse_lhs.toarray(), rhs.toarray()
-                want = np.zeros((n_free, n_fixed + 2 * n_dirichlet))
-                want[:, :n_fixed] = rhs[:, :n_fixed]
-                want[:, n_free:n_fixed] -= lhs[:, n_free:n_fixed]
-                want[:, exterior] = rhs[:, n_fixed:]
-                want[:, exterior + n_dirichlet] = -lhs[:, n_fixed:]
-                lhs_ff, w = system.step_matrices(scheme, dt)
-                what = (j, scheme.label, dt)
-                # lhs_ff goes to SuperLU as it is; W multiplies by rows
-                assert (lhs_ff.format, w.format) == ("csc", "csr"), what
-                assert w.shape == (n_free, want.shape[1] + len(vectors)), what
-                w = w.toarray()
-                assert_close(w[:, : want.shape[1]], want, what, rtol=1e-14)
-                for k, vector in enumerate(vectors):
-                    assert_close(w[:, want.shape[1] + k], vector, (what, "load", k))
-                want_ff = sparse_lhs[:, :n_free]
-                assert lhs_ff.shape == want_ff.shape, what
-                # the factor nnz, and so the memory proxy, follows the pattern
-                assert sparsity(lhs_ff) == sparsity(want_ff), what
-                assert_close(lhs_ff.toarray(), want_ff.toarray(), what, rtol=1e-14)
-        # a separable source is its term vectors alone; only the callable one is integrated per call
-        assert system.load is None
-        assert len(system.term_vectors) == len(vectors)
-        for k, vector in enumerate(vectors):
-            assert_close(system.term_vectors[k], vector, (j, "term", k))
-        unseparated_load = fem.LoadEvaluator(unseparated, factor, system.free)
-        for t in (0.0, 0.37):
-            want = reference_load(graph, MESH, dofmap, coeffs.f, t, factor)
-            assert_close(batch_load(runtime, system, t), want[system.free], (j, t))
-            assert_close(unseparated_load(t), want[system.free], (j, t, "callable"))
+    with mock.patch.object(fem, "step_pair", wraps=fem.step_pair) as built:
+        for j in range(family.n_batches):
+            system = runtime.system(j)
+            free, interface, exterior = system.free, system.interface, system.exterior
+            n_free, n_fixed = len(free), len(free) + len(interface)
+            constrained = np.concatenate([interface, exterior])
+            expected = reference_batch_system(
+                graph, partition, family, MESH, dofmap, coeffs, j, free, constrained
+            )
+            factor = g.zeta_weights(partition, family, j)
+            vectors = [
+                reference_load(graph, MESH, dofmap, lambda e, x, t, s=space: s(e, x), 0.0, factor)[free]
+                for space, _ in coeffs.f.terms
+            ]
+            # each exterior column of the reference goes to its Dirichlet column of W, at t0 and at t1
+            to_dirichlet = sp.csr_matrix(
+                (np.ones(len(exterior)), (np.arange(len(exterior)), np.searchsorted(dofmap.dirichlet_dofs, exterior))),
+                shape=(len(exterior), n_dirichlet),
+            )
+            for scheme in ALL_SCHEMES:
+                for dt in (DT, 0.3):
+                    lhs, rhs = imex_theta(scheme, *expected, dt)
+                    want = sp.hstack(
+                        [
+                            rhs[:, :n_free],
+                            rhs[:, n_free:n_fixed] - lhs[:, n_free:n_fixed],
+                            rhs[:, n_fixed:] @ to_dirichlet,
+                            -lhs[:, n_fixed:] @ to_dirichlet,
+                            sp.csr_matrix(np.column_stack(vectors)),
+                        ],
+                        format="csr",
+                    )
+                    lhs_ff, w = system.step_matrices(runtime.step_pair(scheme, dt))
+                    what = (j, scheme.label, dt)
+                    # lhs_ff goes to SuperLU as it is; W multiplies by rows
+                    assert (lhs_ff.format, w.format) == ("csc", "csr"), what
+                    # the factor nnz, and so the memory proxy, follows the pattern
+                    for got, reference in ((lhs_ff, lhs[:, :n_free]), (w, want)):
+                        assert got.shape == reference.shape, what
+                        assert sparsity(got) == sparsity(reference), what
+                    assert_close(lhs_ff.toarray(), lhs[:, :n_free].toarray(), what, rtol=1e-14)
+                    w, want = w.toarray(), want.toarray()
+                    n_loads = len(vectors)
+                    assert_close(w[:, :-n_loads], want[:, :-n_loads], what, rtol=1e-14)
+                    assert_close(w[:, -n_loads:], want[:, -n_loads:], (what, "load"))
+            assert runtime.growth_rate(j) == reference_growth_rate(runtime, j), j
+            # a separable source is its term vectors alone; only the callable one is integrated per call
+            assert system.load is None
+            assert len(system.term_vectors) == len(vectors)
+            for k, vector in enumerate(vectors):
+                assert_close(system.term_vectors[k], vector, (j, "term", k))
+            unseparated_load = fem.LoadEvaluator(unseparated, factor, system.free)
+            for t in (0.0, 0.37):
+                want = reference_load(graph, MESH, dofmap, coeffs.f, t, factor)
+                assert_close(batch_load(runtime, system, t), want[system.free], (j, t))
+                assert_close(unseparated_load(t), want[system.free], (j, t, "callable"))
+        assert built.call_count == 2 * len(ALL_SCHEMES)
+        for h, seed in ((DT, 1), (2 * DT, 2), (2 * DT, 3)):
+            config = RbmConfig(h=h, dt=DT, t_final=4 * DT, scheme=g.CRANK_NICOLSON, seed=seed)
+            g.run_rbm(graph, partition, family, MESH, coeffs, config, runtime=runtime)
+        assert built.call_count == 2 * len(ALL_SCHEMES)
+
+
+@pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_cold_and_warm_runtimes_store_bitwise_equal_states(data):
+    """A covering schedule on a fresh runtime and on one that ran another window length first: equal bits."""
+    graph = data.draw(graphs(kinds=["tree"]))
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    coeffs = problem_data(graph)
+    n_windows = 2 * family.n_batches
+    covering = g.SampledSchedule(omegas=np.arange(n_windows) % family.n_batches, seed=0)
+    warm = RbmRuntime(graph, partition, family, MESH, coeffs)
+    for scheme in ALL_SCHEMES:
+        other = RbmConfig(h=2 * DT, dt=DT, t_final=8 * DT, scheme=scheme, seed=1)
+        g.run_rbm(graph, partition, family, MESH, coeffs, other, runtime=warm)
+        config = RbmConfig(h=DT, dt=DT, t_final=n_windows * DT, scheme=scheme, seed=0)
+        cold = g.run_rbm(graph, partition, family, MESH, coeffs, config, schedule=covering)
+        warmed = g.run_rbm(graph, partition, family, MESH, coeffs, config, schedule=covering, runtime=warm)
+        assert np.array_equal(cold.times, warmed.times), scheme.label
+        assert np.array_equal(cold.states, warmed.states), scheme.label
 
 
 @PROPERTY_SETTINGS

@@ -126,8 +126,9 @@ def test_factor_check_rejects_wilkinson_growth():
 def test_step_workspace_keys_on_the_system():
     # IE, dt = 0.1, M = 1: S = 3 gives 1 / 1.3 also after a step on S = 1 in the same workspace
     ws = StepWorkspace()
-    step(IMPLICIT_EULER, scalar(1.0), scalar(1.0), ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
-    u1 = step(IMPLICIT_EULER, scalar(1.0), scalar(3.0), ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    first, second = (scalar(1.0), scalar(1.0)), (scalar(1.0), scalar(3.0))
+    step(IMPLICIT_EULER, *first, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    u1 = step(IMPLICIT_EULER, *second, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
     assert np.isclose(u1[0], 1.0 / 1.3, rtol=1e-15) and len(ws) == 2
 
 
@@ -163,7 +164,7 @@ def test_cached_entry_does_not_keep_lhs():
 
 
 def test_step_after_first_system_is_deleted():
-    # the entry of S = 1 keeps its operands, so the new S = 3 cannot take over a freed id
+    # the entry of S = 1 goes with its operands, so the new S = 3, which may take over a freed id, is factored anew
     # CN, dt = 0.1, M = 1: u1 = (1 - 0.05 S) / (1 + 0.05 S); its rhs is a new matrix, not M
     ws = StepWorkspace()
     mass, spatial = scalar(1.0), scalar(1.0)
@@ -171,9 +172,22 @@ def test_step_after_first_system_is_deleted():
     refs = [weakref.ref(mass), weakref.ref(spatial)]
     del mass, spatial
     gc.collect()
-    assert all(ref() is not None for ref in refs)
+    assert all(ref() is None for ref in refs) and len(ws) == 0
     u1 = step(CRANK_NICOLSON, scalar(1.0), scalar(3.0), ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
-    assert np.isclose(u1[0], 0.85 / 1.15, rtol=1e-15) and len(ws) == 2
+    assert np.isclose(u1[0], 0.85 / 1.15, rtol=1e-15)
+
+
+def test_fresh_matrices_every_step_keep_one_entry():
+    # u' = -u with ie: each step builds its own M and S, and the entry of the last step's goes with them
+    ws = StepWorkspace()
+    u = np.ones(1)
+    for _ in range(50):
+        mass, spatial = scalar(1.0), scalar(1.0)
+        u = step(IMPLICIT_EULER, mass, spatial, ZERO1, ZERO1, u, 0.1, workspace=ws)
+        assert len(ws) == 1
+    assert np.isclose(u[0], 1.1**-50, rtol=1e-13)
+    del mass, spatial
+    assert len(ws) == 0
 
 
 def test_factor_nnz_positive():
