@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
 
 from . import fem
 from .decomposition import (
@@ -185,12 +184,13 @@ class RbmRuntime:
 
     Holds the dof map, the element data of every edge (integrated once,
     in ``__init__``), the convection vertex sums, the per-batch reduced
-    systems, the step pairs per (scheme, dt), the cached steps (factor and
-    W) and the read-only drive tables per (theta, dt, n_steps).  All of it
-    depends only on (graph, partition, family, mesh, coeffs), so
-    independent realizations and different window lengths can share one
-    runtime; reuse changes nothing but the setup cost.  ``run_full`` builds
-    one over the one-part partition and its one-batch family.
+    systems, the step pairs per (scheme, dt) until every batch has its
+    step, the cached steps (factor and W) and the read-only drive tables
+    per (theta, dt, n_steps).  All of it depends only on
+    (graph, partition, family, mesh, coeffs), so independent realizations
+    and different window lengths can share one runtime; reuse changes
+    nothing but the setup cost.  ``run_full`` builds one over the one-part
+    partition and its one-batch family.
     """
 
     def __init__(
@@ -211,11 +211,12 @@ class RbmRuntime:
         self.a1_report = check_assumption_A1(partition, family.batches)
         self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
         # each element's K and C + P count with 1/pi of its edge's part
-        self.factor = np.repeat(1.0 / family.normalizers[partition.part_of_edge], mesh.nodes_per_edge + 1)
+        self.factor = np.repeat(1.0 / family.normalizers[partition.part_of_edge], self.elements.elements.per_edge)
         self.term_vectors = tuple(self.elements.elements.scatter(v, self.factor) for v in self.elements.term_loads)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, fem.ReducedOperators] = {}
         self._pairs: dict[tuple[str, float], fem.StepPair] = {}
+        self._sliced: dict[tuple[str, float], int] = {}
         self._drives: dict[tuple[float, float, int], np.ndarray] = {}
 
     def drive(self, theta: float, dt: float, n_steps: int) -> np.ndarray:
@@ -235,6 +236,15 @@ class RbmRuntime:
         if pair is None:
             pair = self._pairs[key] = fem.step_pair(self.elements, self.factor, scheme, dt)
         return pair
+
+    def step_matrices(self, j: int, scheme: SchemeKind, dt: float):
+        """Batch j's (lhs_ff, W) of (scheme, dt), for its cached step; the pair goes once every batch has sliced it."""
+        key = (scheme.label, dt)
+        matrices = self.system(j).step_matrices(self.step_pair(scheme, dt))
+        self._sliced[key] = self._sliced.get(key, 0) + 1
+        if self._sliced[key] == self.family.n_batches:
+            del self._pairs[key]  # no step reads it again
+        return matrices
 
     def system(self, j: int) -> fem.ReducedOperators:
         """Batch j's system (``fem.ReducedOperators``), built on first use."""
@@ -268,14 +278,12 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
     exactly; an exterior value is g(s dt), read off the drive row.  After
     each step s with ``s % every == 0`` the pair (s dt, copy of u) joins
     ``snapshots``; u itself is written only then and after step ``last``.
-    W z goes into a buffer kept for the window and x straight into z, so a
-    step allocates only inside SuperLU.  Returns the system's active dof
-    count, its factor nnz and, for a callable source, the sum over the
-    steps of max |dt F| (0 otherwise).
+    Returns the system's active dof count, its factor nnz and, for a
+    callable source, the sum over the steps of max |dt F| (0 otherwise).
     """
     system = runtime.system(j)
     key = (j, scheme.label, dt)
-    step = runtime.workspace.factorization(key, lambda: system.step_matrices(runtime.step_pair(scheme, dt)))
+    step = runtime.workspace.factorization(key, lambda: runtime.step_matrices(j, scheme, dt))
     w = step.rhs
     free, interface, exterior = system.free, system.interface, system.exterior
     n_free = len(free)
@@ -284,12 +292,13 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
     load = system.load
     f_prev = load(first * dt) if load is not None and theta != 1.0 else None
     forced = 0.0
-    z, b = np.empty(w.shape[1]), np.empty(n_free)
-    z[:n_free], z[n_free:n_fixed] = u[free], u[interface]
+    z = np.empty(w.shape[1])
+    z[n_free:n_fixed] = u[interface]
+    x = u[free]
     for s in range(first + 1, last + 1):
+        z[:n_free] = x
         z[n_fixed:] = drive[s - 1]
-        b.fill(0.0)
-        csr_matvec(n_free, len(z), w.indptr, w.indices, w.data, z, b)  # b = W z, the kernel of W @ z
+        b = w @ z
         if load is not None:
             f_next = load(s * dt)
             if f_prev is None:
@@ -299,10 +308,10 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
                 f_prev = f_next
             b += applied
             forced += np.abs(applied).max(initial=0.0)
-        z[:n_free] = step.solve(b)
+        x = step.solve(b)
         snapshot = s % every == 0
         if snapshot or s == last:
-            u[free] = z[:n_free]
+            u[free] = x
             u[exterior] = drive[s - 1, system.exterior_t1]
             if snapshot:
                 snapshots.append((s * dt, u.copy()))

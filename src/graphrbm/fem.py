@@ -472,10 +472,8 @@ def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
 def growth_rates(data: ElementData, factor: np.ndarray) -> np.ndarray:
     """Per element, the largest eigenvalue of sym(-(K_e + L_e)) against M_e, K_e and L_e times its ``factor``.
 
-    The largest over a batch's active elements, or 0, bounds how fast
-    M u' = -(K + C + P) u can grow u's M-norm on its active edges: summing
-    the element forms gives d/dt |u|_M^2 <= 2 rate |u|_M^2, also with
-    constrained dofs held at 0.
+    Their max over a batch's active elements, or 0, is a rate with d/dt |u|_M^2 <= 2 rate |u|_M^2
+    for M u' = -(K + C + P) u there (sum the element forms), also with constrained dofs held at 0.
     """
     scale = factor[:, None, None]
     s = data.stiffness * scale + data.lower * scale
@@ -486,11 +484,7 @@ def growth_rates(data: ElementData, factor: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepPair:
-    """One step on the whole graph: L = M + dt theta A and R = M - dt (1 - theta) A - dt E.
-
-    ``lhs`` and ``rhs`` hold L and R in CSR, with one symmetric pattern, and
-    ``lhs_csc`` holds L in CSC.
-    """
+    """One step on the whole graph, L = M + dt theta A and R = M - dt (1 - theta) A - dt E, in CSR, and L in CSC."""
 
     lhs: sp.csr_matrix
     rhs: sp.csr_matrix
@@ -540,7 +534,7 @@ class ReducedOperators:
             [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms].
 
         A free row has no entry outside these, as a free vertex has only
-        active edges.
+        active edges; FemError if one has.
         """
         free, interface, dirichlet = self.free, self.interface, self.dirichlet
         n_free, n_fixed, n_terms = len(free), len(free) + len(interface), len(self.term_vectors)
@@ -553,6 +547,8 @@ class ReducedOperators:
         bounds = np.concatenate(([0], np.cumsum(counts)))
         at = np.arange(bounds[-1]) + np.repeat(pair.rhs.indptr[free] - bounds[:-1], counts)
         cols = position[pair.rhs.indices[at]]
+        if cols.min(initial=0) < 0:
+            raise FemError("a free row has an entry outside the batch's free, interface and Dirichlet dofs")
         inner, fixed = cols < n_free, cols >= n_fixed
         indptr = np.concatenate(([0], np.cumsum(inner)))[bounds].astype(index)
         lhs_ff = sp.csc_matrix((pair.lhs_csc.data[at[inner]], cols[inner], indptr), shape=(n_free, n_free))

@@ -100,21 +100,27 @@ class StepWorkspace:
     """One FactoredStep per (active system, scheme, dt) key; none holds an operand its key names by id."""
 
     def __init__(self):
-        self._cache: dict = {}
+        self._cache: dict = {}  # key -> (entry, the finalizers of its operands)
 
     def factorization(self, key, build) -> FactoredStep:
         """The entry for ``key``; a miss factors build() = (lhs, rhs, *operands), kept until an operand is collected."""
-        entry = self._cache.get(key)
-        if entry is None:
+        if key not in self._cache:
             lhs, rhs, *operands = build()
-            entry = self._cache[key] = _factor_step(lhs, rhs)
-            for operand in [op for op in operands if op is not None]:
-                weakref.finalize(operand, self._cache.pop, key, None)
-        return entry
+            entry, workspace = _factor_step(lhs, rhs), weakref.ref(self)
+            finalizers = [weakref.finalize(op, _evict, workspace, key) for op in operands if op is not None]
+            self._cache[key] = entry, finalizers
+        return self._cache[key][0]
 
     def __len__(self) -> int:
         """Number of cached entries."""
         return len(self._cache)
+
+
+def _evict(workspace: weakref.ref, key) -> None:
+    """Drop ``key``'s entry, and the finalizers of its other operands, from a workspace still alive."""
+    _, finalizers = getattr(workspace(), "_cache", {}).pop(key, (None, ()))
+    for finalizer in finalizers:
+        finalizer.detach()
 
 
 def _factor_step(lhs: sp.spmatrix, rhs) -> FactoredStep:
@@ -186,7 +192,8 @@ def step(
     ``f0``/``f1`` are the loads at the step's start and end times.  A
     workspace caches the factor of lhs and rhs under the scheme label, dt
     and the identities of ``mass`` and the spatial matrices until one of
-    them is collected, so one workspace serves any number of systems.
+    them is collected, so one workspace serves any number of systems;
+    without one, lhs is factored anew and nothing is kept.
     """
     if dt <= 0.0:
         raise SolverError("dt must be positive")
@@ -198,9 +205,11 @@ def step(
         stiffness, lower = spatial
     else:
         stiffness, lower = spatial, None
-    ws = workspace if workspace is not None else StepWorkspace()
-    system = (mass, stiffness, lower)
-    key = ("step", scheme.label, dt, *map(id, system))
-    entry = ws.factorization(key, lambda: (*imex_theta(scheme, mass, stiffness, lower, dt), *system))
+    if workspace is None:
+        entry = _factor_step(*imex_theta(scheme, mass, stiffness, lower, dt))
+    else:
+        system = (mass, stiffness, lower)
+        key = ("step", scheme.label, dt, *map(id, system))
+        entry = workspace.factorization(key, lambda: (*imex_theta(scheme, mass, stiffness, lower, dt), *system))
     theta = scheme.theta_value
     return entry.solve(entry.rhs @ u + dt * (theta * f1 + (1.0 - theta) * f0))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -409,6 +410,25 @@ def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, c
     # a lookup of a cached key is a hit, so it never calls build
     entries = [runtime.workspace.factorization((int(j), "ie", 0.01), None) for j in used]
     assert sorted(id(entry.rhs) for entry in entries) == sorted(id(w) for _, w in built)
+
+
+def test_step_pair_goes_once_every_batch_has_its_step(demo, partition, option2, problem, coarse_mesh):
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
+    n = option2.n_batches
+    config = RbmConfig(h=0.01, dt=0.01, t_final=0.01 * n, scheme=g.IMPLICIT_EULER, seed=0)
+
+    def run(omegas, runtime=runtime):
+        schedule = g.SampledSchedule(omegas=omegas, seed=0)
+        return g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, schedule, runtime=runtime)
+
+    with mock.patch.object(fem, "step_pair", wraps=fem.step_pair) as built:
+        run(np.zeros(n, dtype=int))
+        assert built.call_count == 1 and len(runtime._pairs) == 1  # batches 1.. still slice it
+        first = run(np.arange(n))
+        assert built.call_count == 1 and not runtime._pairs  # every batch has its step; nothing reads the pair
+        again = run(np.arange(n))
+        assert built.call_count == 1 and np.array_equal(first.states, again.states)
+    assert np.array_equal(first.states, run(np.arange(n), runtime=None).states)
 
 
 @pytest.mark.parametrize("callable_source", [False, True])

@@ -286,6 +286,10 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     assert np.array_equal(drive[reduced.exterior_t1], bd.exterior_dofs)
     want_ff = lhs[np.ix_(free, free)]
     assert np.abs(lhs_ff.toarray() - want_ff).max() <= 1e-14 * np.abs(want_ff).max()
+    # a free row with an entry in no column of W is refused, not handed to SuperLU as a negative index
+    unlisted = dataclasses.replace(reduced, interface=interface[1:])
+    with pytest.raises(fem.FemError, match="outside the batch's free, interface and Dirichlet dofs"):
+        unlisted.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt))
 
 
 def test_steady_single_edge_linear_exact():

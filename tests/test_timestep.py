@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphrbm as g
+from graphrbm import timestep
 from graphrbm.errors import SolverError
 from graphrbm.timestep import (
     CRANK_NICOLSON,
@@ -188,6 +189,54 @@ def test_fresh_matrices_every_step_keep_one_entry():
     assert np.isclose(u[0], 1.1**-50, rtol=1e-13)
     del mass, spatial
     assert len(ws) == 0
+
+
+def test_repeated_steps_keep_no_earlier_factor(monkeypatch):
+    # 50 CN steps on one M and S (rhs = M - 0.05 S is a new matrix): without a workspace every
+    # step's factor and rhs are freed after it; with one, the one entry is built once and kept
+    factor_step, built = timestep._factor_step, []
+
+    def recording(lhs, rhs):
+        entry = factor_step(lhs, rhs)
+        built.append((weakref.ref(entry), weakref.ref(rhs)))
+        return entry
+
+    monkeypatch.setattr(timestep, "_factor_step", recording)
+    mass, spatial = scalar(1.0), scalar(1.0)
+    for ws in (None, StepWorkspace()):
+        built.clear()
+        u = np.ones(1)
+        for _ in range(50):
+            u = step(CRANK_NICOLSON, mass, spatial, ZERO1, ZERO1, u, 0.1, workspace=ws)
+        gc.collect()
+        assert np.isclose(u[0], (0.95 / 1.05) ** 50, rtol=1e-13)
+        alive = [entry() is not None or rhs() is not None for entry, rhs in built]
+        assert alive == ([False] * 50 if ws is None else [True])
+
+
+def test_long_lived_mass_keeps_one_entry_and_its_finalizers():
+    # a fresh S per step beside one M: each S's entry goes with it, and so does its finalizer on M
+    ws = StepWorkspace()
+    mass, u, finalizers = scalar(1.0), np.ones(1), []
+    for _ in range(50):
+        spatial = scalar(1.0)
+        u = step(CRANK_NICOLSON, mass, spatial, ZERO1, ZERO1, u, 0.1, workspace=ws)
+        assert len(ws) == 1
+        finalizers.extend(f for _, fs in ws._cache.values() for f in fs)
+    assert len(finalizers) == 100 and sum(f.alive for f in finalizers) == 2
+    del spatial
+    assert len(ws) == 0 and not any(f.alive for f in finalizers)
+
+
+def test_workspace_collected_before_its_operands():
+    ws = StepWorkspace()
+    mass, spatial = scalar(1.0), scalar(1.0)
+    step(CRANK_NICOLSON, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    ref = weakref.ref(ws)
+    del ws
+    gc.collect()
+    assert ref() is None
+    del mass, spatial  # their finalizers find no workspace
 
 
 def test_factor_nnz_positive():
