@@ -369,13 +369,13 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
     stiffness = ((aq * wq).sum(axis=1) * (inv_dx * inv_dx))[:, None, None] * _GRAD_GRAD
     grad = inv_dx[:, None] * _GRAD_SIGN  # (n_el, 2) shape-function gradients
     convection = elements.loads(bq)[:, :, None] * grad[:, None, :]
-    reaction = ((pq * wq) @ elements.shape_shape).reshape(-1, 2, 2)
+    convection += ((pq * wq) @ elements.shape_shape).reshape(-1, 2, 2)  # C + P
     separable = isinstance(coeffs.f, SeparableSource)
     terms = coeffs.f.terms if separable else ()
     return ElementData(
         elements=elements,
         stiffness=stiffness,
-        lower=convection + reaction,
+        lower=convection,
         term_loads=tuple(elements.loads(term(space)) for space, _ in terms),
         time_fns=tuple(time for _, time in terms),
         source=None if separable else coeffs.f,

@@ -78,24 +78,35 @@ class SameOnEveryEdge:
         return self.profile(np.asarray(x, dtype=float))
 
 
+# the stock profiles work in the one array each allocates and never write to x
 @SameOnEveryEdge
 def diffusion_coefficient(x: np.ndarray) -> np.ndarray:
-    return x * (x - 1.0) + 0.5
+    y = x - 1.0
+    y *= x
+    y += 0.5
+    return y
 
 
 @SameOnEveryEdge
 def diffusion_coefficient_dx(x: np.ndarray) -> np.ndarray:
-    return 2.0 * x - 1.0
+    y = 2.0 * x
+    y -= 1.0
+    return y
 
 
 @SameOnEveryEdge
 def convection_coefficient(x: np.ndarray) -> np.ndarray:
-    return np.sin(np.pi * x) / 2.0
+    y = np.pi * x
+    np.sin(y, out=y)
+    y /= 2.0
+    return y
 
 
 @SameOnEveryEdge
 def reaction_coefficient(x: np.ndarray) -> np.ndarray:
-    return np.sin(np.pi * x)
+    y = np.pi * x
+    np.sin(y, out=y)
+    return y
 
 
 class EdgePolynomial:
@@ -108,11 +119,12 @@ class EdgePolynomial:
         return np.polyval(self.coeffs[e], np.asarray(x, dtype=float))
 
     def on_edges(self, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Horner over every row at once, started from zeros as ``np.polyval`` is: bitwise its per-edge values."""
+        """Horner over every row at once, in place and started from zeros as ``np.polyval`` is: bitwise its per-edge values."""
         coeffs = self.coeffs[edges]
         y = np.zeros_like(x, dtype=float)
         for k in range(coeffs.shape[1]):
-            y = y * x + coeffs[:, k, None]
+            y *= x
+            y += coeffs[:, k, None]
         return y
 
 
@@ -260,14 +272,20 @@ class SpatialOperator:
         self.p = p
 
     def from_samples(self, sample) -> np.ndarray:
-        """The operator from ``sample(fn)``, the samples of each part on one table."""
+        """The operator from ``sample(fn)``, the samples of each part on one table.
+
+        -(a' w' + a w'') + b w' + p w, summed in that order in two arrays of
+        its own, so no sample is written to.
+        """
         solution = self.solution
         wx = sample(solution.w_dx)
-        return (
-            -(sample(solution.a_dx) * wx + sample(solution.a) * sample(solution.w_dxx))
-            + sample(self.b) * wx
-            + sample(self.p) * sample(solution.w)
-        )
+        out = sample(solution.a_dx) * wx
+        term = sample(solution.a) * sample(solution.w_dxx)
+        out += term
+        np.negative(out, out=out)
+        out += np.multiply(sample(self.b), wx, out=term)
+        out += np.multiply(sample(self.p), sample(solution.w), out=term)
+        return out
 
     def __call__(self, e: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -359,9 +377,10 @@ class L2ErrorEvaluator:
         elements = Elements(graph, mesh, dofmap, GAUSS5)
         self._interpolant = interpolate(graph, mesh, dofmap, solution.w)
         pair = elements.pair
-        remainder = elements.sample(solution.w) - self._interpolant[pair] @ elements.shape.T
-        self._c = float(np.cumsum(elements.edge_sums(remainder * remainder))[-1])
+        remainder = self._interpolant[pair] @ elements.shape.T
+        np.subtract(elements.sample(solution.w), remainder, out=remainder)
         self._b = np.bincount(pair.ravel(), elements.loads(remainder).ravel(), minlength=dofmap.n_dofs)
+        self._c = float(np.cumsum(elements.edge_sums(np.square(remainder, out=remainder)))[-1])
         self._mass = mass_matrix(graph, mesh, dofmap)
 
     def squared_error(self, state: np.ndarray, t):

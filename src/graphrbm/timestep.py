@@ -17,6 +17,18 @@ windowed solver (``fem.step_pair``).  The step matrices only depend on the
 system, the scheme and dt, so a StepWorkspace keeps one ``FactoredStep``
 per key: the factor of lhs, checked once to solve lhs x = lhs 1 to a small
 residual, and rhs (W of ``fem.ReducedOperators`` for the windowed solver).
+
+SuperLU factors lhs with its default COLAMD column order and a panel one
+column wide (PANEL_SIZE).  Almost every supernode of a P1 system on a
+metric graph is one column wide, so a wider panel groups columns that share
+no supernode and only costs time: on binary trees of 50 and 20 nodes per
+edge, width 1 factors every batch in 0.68 and 0.82 of the default's time.  The
+factor is the default one: the panel width changes neither the column
+order, nor the row pivots, nor the nonzero pattern, so ``nnz`` and the
+memory proxy are unchanged.  It changes only the order in which the
+updates of earlier supernodes are summed into a column, so a value of
+the factor, and of a solve, may differ from the default factor's in its
+last bits.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError, SolverError
 
 RESIDUAL_RTOL = 1e-10
+PANEL_SIZE = 1  # columns per SuperLU panel; see the module docstring
 
 
 class SingularSystem(NumericalError):
@@ -131,10 +144,11 @@ def _factor_step(lhs: sp.spmatrix, rhs) -> FactoredStep:
     two catch near-singular systems that factor without an explicit error.
     A CSC lhs, as ``fem.ReducedOperators.step_matrices`` gathers it, is
     factored without a copy; another format (``step``'s) is converted.
+    The factor uses COLAMD and panels of PANEL_SIZE columns.
     """
     A = sp.csc_matrix(lhs)
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, panel_size=PANEL_SIZE)
     except RuntimeError as exc:
         raise SingularSystem(str(exc)) from exc
     b = A @ np.ones(A.shape[1])

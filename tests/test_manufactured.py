@@ -8,6 +8,7 @@ from graphrbm import fem
 from graphrbm.manufactured import (
     DEMO_CUBIC,
     DEMO_QUARTIC,
+    EdgePolynomial,
     L2ErrorEvaluator,
     lambda_profile,
 )
@@ -146,6 +147,22 @@ def test_lower_coefficients_match_dense_lstsq(name, rng):
     got = g.solve_lower_coefficients(graph, a, alpha, beta)
     expected = dense_lower_coefficients(graph, a, alpha, beta)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_edge_polynomial_table_is_polyval_per_row(rng):
+    """``EdgePolynomial.on_edges`` gives each row bitwise ``np.polyval`` of its edge's coefficients."""
+    coeffs = rng.uniform(-5.0, 5.0, size=(7, 5))
+    coeffs[2, 0] = 0.0  # a vanishing leading coefficient
+    edges = rng.integers(0, 7, size=12)  # repeats, in any order
+    x = rng.uniform(-3.0, 3.0, size=(12, 9))
+    x[:, 0] = 0.0
+    x[:, 1] = -0.0
+    given = x.copy()
+    table = EdgePolynomial(coeffs).on_edges(edges, x)
+    assert table.shape == x.shape
+    for i, e in enumerate(edges):
+        assert table[i].tobytes() == np.polyval(coeffs[e], x[i]).tobytes(), i
+    assert x.tobytes() == given.tobytes()  # the table is not written to
 
 
 def test_time_factor_values(solution):

@@ -4,6 +4,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from test_manufactured import binary_tree
 
 import graphrbm as g
 from graphrbm import timestep
@@ -243,6 +245,42 @@ def test_factor_nnz_positive():
     ws = StepWorkspace()
     entry = ws.factorization("x", lambda: (sp.identity(7, format="csc"), None))
     assert factor_nnz(entry) >= 7
+
+
+def tree_runtime(rng):
+    """A 30-edge binary tree cut into three parts, with their singleton batches and the full batch."""
+    tree = binary_tree(4)
+    alpha, beta = rng.uniform(-5.0, 5.0, size=(2, tree.n_edges))
+    partition = g.SubgraphPartition(tree, [set(range(k, tree.n_edges, 3)) for k in range(3)])
+    family = g.batch_family([{0}, {1}, {2}, {0, 1, 2}], [0.25] * 4, 3)
+    return g.engine.RbmRuntime(tree, partition, family, g.Mesh(20), g.derive_data(g.build_solution(tree, alpha, beta)))
+
+
+@pytest.mark.parametrize("name", ["demo", "tree"])
+def test_step_factor_is_the_default_splu_factor(name, demo, partition, option2, problem, rng):
+    """Every batch step's factor has the nnz of a default ``splu`` and solves as it does.
+
+    The panel width changes no pattern, so ``nnz`` (and the memory proxy)
+    match exactly.  It may reorder the sums of supernode updates into a
+    column, so on the tree the solves agree to rounding; on the README
+    demo's systems they are bitwise equal, so its study CSV keeps its error
+    columns.
+    """
+    if name == "demo":
+        runtime, dt = g.engine.RbmRuntime(demo, partition, option2, g.Mesh(100), problem), 0.002
+    else:
+        runtime, dt = tree_runtime(rng), 1e-3
+    for scheme in (IMPLICIT_EULER, CRANK_NICOLSON, SEMI_IMPLICIT):
+        for j in range(runtime.family.n_batches):
+            lhs, rhs = runtime.step_matrices(j, scheme, dt)
+            entry, default = timestep._factor_step(lhs, rhs), spla.splu(lhs)
+            assert entry.nnz == default.nnz and entry.rhs is rhs, (scheme.label, j)
+            b = rhs @ rng.standard_normal(rhs.shape[1])
+            got, want = entry.solve(b), default.solve(b)
+            if name == "demo":
+                assert got.tobytes() == want.tobytes(), (scheme.label, j)
+            else:
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (scheme.label, j)
 
 
 def test_scheme_labels_and_parse():
