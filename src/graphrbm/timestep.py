@@ -14,9 +14,12 @@ an explicit operator E and a weight theta:
 ``imex_theta`` forms lhs = M + dt*theta*A and rhs = M - dt*(1-theta)*A -
 dt*E, of sparse matrices for ``step`` and of element blocks for the
 windowed solver (``fem.step_pair``).  The step matrices only depend on the
-system, the scheme and dt, so a StepWorkspace keeps one ``FactoredStep``
-per key: the factor of lhs, checked once to solve lhs x = lhs 1 to a small
-residual, and rhs (W of ``fem.ReducedOperators`` for the windowed solver).
+system, the scheme and dt, so a StepWorkspace maps a key to one
+``FactoredStep``: the factor of lhs, checked once to solve lhs x = lhs 1 to
+a small residual, and rhs (W of ``fem.ReducedOperators`` for the windowed
+solver).  An entry lives until its owner drops it: a runtime's entries, one
+per (batch, scheme, dt), live as long as the runtime; ``step`` keeps only
+its last system's entry, with that system's matrices pinned.
 
 SuperLU factors lhs with its default COLAMD column order and a panel one
 column wide (PANEL_SIZE).  Almost every supernode of a P1 system on a
@@ -33,7 +36,7 @@ last bits.
 
 from __future__ import annotations
 
-import weakref
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -102,42 +105,29 @@ def theta_method(theta: float) -> SchemeKind:
 
 @dataclass(frozen=True, eq=False)
 class FactoredStep:
-    """A cached step: ``solve`` by lhs's factor, its ``nnz`` and ``rhs``."""
+    """A cached step: ``solve`` by lhs's factor, its ``nnz``, ``rhs`` and the ``operands`` it pins."""
 
     solve: Callable[[np.ndarray], np.ndarray]
     nnz: int
     rhs: object
+    operands: tuple = ()
 
 
-class StepWorkspace:
-    """One FactoredStep per (active system, scheme, dt) key; none holds an operand its key names by id."""
+class StepWorkspace(dict):
+    """A map of key -> FactoredStep that only its owner empties.
 
-    def __init__(self):
-        self._cache: dict = {}  # key -> (entry, the finalizers of its operands)
+    A runtime's entries live as long as the runtime; ``step`` keeps its last system's only.
+    """
 
     def factorization(self, key, build) -> FactoredStep:
-        """The entry for ``key``; a miss factors build() = (lhs, rhs, *operands), kept until an operand is collected."""
-        if key not in self._cache:
-            lhs, rhs, *operands = build()
-            entry, workspace = _factor_step(lhs, rhs), weakref.ref(self)
-            finalizers = [weakref.finalize(op, _evict, workspace, key) for op in operands if op is not None]
-            self._cache[key] = entry, finalizers
-        return self._cache[key][0]
-
-    def __len__(self) -> int:
-        """Number of cached entries."""
-        return len(self._cache)
+        """The entry for ``key``; a miss factors build() = (lhs, rhs, *operands) and keeps it, operands pinned."""
+        if key not in self:
+            self[key] = _factor_step(*build())
+        return self[key]
 
 
-def _evict(workspace: weakref.ref, key) -> None:
-    """Drop ``key``'s entry, and the finalizers of its other operands, from a workspace still alive."""
-    _, finalizers = getattr(workspace(), "_cache", {}).pop(key, (None, ()))
-    for finalizer in finalizers:
-        finalizer.detach()
-
-
-def _factor_step(lhs: sp.spmatrix, rhs) -> FactoredStep:
-    """Factor A = lhs, check the factor once by solving A x = A 1, and keep the factor with rhs.
+def _factor_step(lhs: sp.spmatrix, rhs, *operands) -> FactoredStep:
+    """Factor A = lhs, check the factor once by solving A x = A 1, and keep the factor with rhs and operands.
 
     Raises SingularSystem if the factorization fails, if x is not finite,
     or if the residual exceeds RESIDUAL_RTOL * (1 + ||A 1||_inf); the last
@@ -158,7 +148,7 @@ def _factor_step(lhs: sp.spmatrix, rhs) -> FactoredStep:
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
         raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
-    return FactoredStep(lu.solve, lu.nnz, rhs)
+    return FactoredStep(lu.solve, lu.nnz, rhs, operands)
 
 
 def factor_nnz(entry) -> int:
@@ -204,13 +194,14 @@ def step(
     ``spatial`` is the matrix S for the theta family, or the pair
     (stiffness, convection + reaction) for the semi-implicit scheme.
     ``f0``/``f1`` are the loads at the step's start and end times.  A
-    workspace caches the factor of lhs and rhs under the scheme label, dt
-    and the identities of ``mass`` and the spatial matrices until one of
-    them is collected, so one workspace serves any number of systems;
-    without one, lhs is factored anew and nothing is kept.
+    workspace keeps the factor of lhs and rhs of the last system only,
+    under the scheme label, dt and the identities of ``mass`` and the
+    spatial matrices, which its entry pins so no id is reused while it
+    lives; a step on another system empties the workspace first.  Without
+    one, lhs is factored anew and nothing is kept.
     """
-    if dt <= 0.0:
-        raise SolverError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise SolverError(f"dt must be a positive finite number, got {dt}")
     if scheme.name == "siem":
         if not isinstance(spatial, tuple) or len(spatial) != 2:
             raise SolverError(
@@ -224,6 +215,8 @@ def step(
     else:
         system = (mass, stiffness, lower)
         key = ("step", scheme.label, dt, *map(id, system))
+        if key not in workspace:
+            workspace.clear()
         entry = workspace.factorization(key, lambda: (*imex_theta(scheme, mass, stiffness, lower, dt), *system))
     theta = scheme.theta_value
     return entry.solve(entry.rhs @ u + dt * (theta * f1 + (1.0 - theta) * f0))

@@ -278,13 +278,18 @@ def test_runtime_of_another_problem_rejected(demo, partition, option1, option2, 
 
 
 def test_stats_track_active_sizes(demo, partition, option2, problem, coarse_mesh):
-    config = RbmConfig(h=0.01, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=13)
-    traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
-    assert traj.stats["n_dofs"] == 10 * 20 + 10
-    assert traj.stats["max_active_dofs"] <= traj.stats["n_dofs"]
-    assert traj.stats["max_factor_nnz"] > 0
-    seen = set(int(j) for j in traj.schedule.omegas)
-    assert traj.stats["n_factorizations"] == len(seen)
+    # one runtime keeps one factored step per (j, scheme, dt) it has run, and evicts none
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
+    keys = set()
+    for scheme in (g.IMPLICIT_EULER, g.CRANK_NICOLSON):
+        config = RbmConfig(h=0.01, dt=0.01, t_final=0.2, scheme=scheme, seed=13)
+        traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, runtime=runtime)
+        assert traj.stats["n_dofs"] == 10 * 20 + 10
+        assert traj.stats["max_active_dofs"] <= traj.stats["n_dofs"]
+        assert traj.stats["max_factor_nnz"] > 0
+        keys |= {(int(j), scheme.label, 0.01) for j in traj.schedule.omegas}
+        assert traj.stats["n_factorizations"] == len(keys)
+    assert set(runtime.workspace) == keys
 
 
 def test_single_batch_equals_full_with_callable_source(demo, partition, single_batch, problem, solution, coarse_mesh):
