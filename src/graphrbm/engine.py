@@ -21,7 +21,8 @@ its step matrices lhs_ff and W, gathered from the free rows of the pair.
 Nothing is integrated inside the time loop except a source that is not
 separable, which the system's ``load`` integrates per call.  Systems are
 cached per batch and steps per (batch, scheme, dt); a cached step is the
-factor of lhs_ff and W, and lhs_ff is not kept.  One step of every scheme is
+factor of lhs_ff and W, and lhs_ff is not kept; a scheme keys them by itself,
+never by its printed label.  One step of every scheme is
 
     lhs_ff u1 = W z (+ dt (theta F1 + (1 - theta) F0) for a callable source),
     z = [u_f | u_if | g_D(t0) | g_D(t1) | dt (theta tau(t1) + (1 - theta) tau(t0))],
@@ -33,15 +34,22 @@ time, and shares, read-only, with every run of that key.  The
 Dirichlet columns are numbered over all of the graph's Dirichlet dofs, so
 one drive row serves every batch; an exterior dof takes g(t1) from it
 after the step, never the stored u, since an exterior vertex outside the
-batches of the last windows still holds a stale value.  A run whose
-stored states are not finite, or exceed BLOWUP_FACTOR times the scale of
-its data and the growth its operators allow, raises NumericalBlowup
-(``_check_growth``).
+batches of the last windows still holds a stale value.
+
+Each stored (t, u) goes to one store (``_Snapshots``) as it is reached:
+by default it is written once into a preallocated (stored times x dofs)
+array, the trajectory's ``states``; a caller's sink, such as a study's
+``ErrorAccumulator.store``, takes it instead, and the trajectory then holds
+no states.  The store takes each state's max |u| as it comes, so a
+non-finite state raises NumericalBlowup at once, and a run whose stored
+states exceed BLOWUP_FACTOR times the scale of its data and the growth its
+operators allow raises it at the end (``_check_growth``).
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,12 +66,12 @@ from .decomposition import (
     zeta_weights,
 )
 from .errors import NumericalError, SolverError
-from .fem import CoefficientSet, DofMap, Mesh, reduce_operators, restrict_to_batch
+from .fem import GAUSS3, CoefficientSet, DofMap, Elements, Mesh, reduce_operators, restrict_to_batch
 from .graph import MetricGraph
 from .manufactured import (
+    ElementMassNorms,
     L2ErrorEvaluator,
     ManufacturedSolution,
-    mass_norms_sq,
     stacked_squared_error,
 )
 from .timestep import SchemeKind, StepWorkspace, factor_nnz
@@ -186,11 +194,11 @@ class RbmRuntime:
     in ``__init__``), the convection vertex sums, the per-batch reduced
     systems, the step pairs per (scheme, dt) until every batch has its
     step, the cached steps (factor and W) and the read-only drive tables
-    per (theta, dt, n_steps).  All of it depends only on
-    (graph, partition, family, mesh, coeffs), so independent realizations
-    and different window lengths can share one runtime; reuse changes
-    nothing but the setup cost.  ``run_full`` builds one over the one-part
-    partition and its one-batch family.
+    per (theta, dt, n_steps), each with the largest |g| it holds.  All of
+    it depends only on (graph, partition, family, mesh, coeffs), so
+    independent realizations and different window lengths can share one
+    runtime; reuse changes nothing but the setup cost.  ``run_full`` builds
+    one over the one-part partition and its one-batch family.
     """
 
     def __init__(
@@ -215,23 +223,31 @@ class RbmRuntime:
         self.term_vectors = tuple(self.elements.elements.scatter(v, self.factor) for v in self.elements.term_loads)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, fem.ReducedOperators] = {}
-        self._pairs: dict[tuple[str, float], fem.StepPair] = {}
-        self._sliced: dict[tuple[str, float], int] = {}
-        self._drives: dict[tuple[float, float, int], np.ndarray] = {}
+        self._pairs: dict[tuple[SchemeKind, float], fem.StepPair] = {}
+        self._sliced: dict[tuple[SchemeKind, float], int] = {}
+        self._drives: dict[tuple[float, float, int], tuple[np.ndarray, float]] = {}
 
     def drive(self, theta: float, dt: float, n_steps: int) -> np.ndarray:
         """The read-only ``_drive_table`` of (theta, dt, n_steps), built on first use; a failed one is not kept."""
+        return self._drive(theta, dt, n_steps)[0]
+
+    def boundary_scale(self, theta: float, dt: float, n_steps: int) -> float:
+        """The largest |g| at the step times of ``drive(theta, dt, n_steps)``, read once when the table is built."""
+        return self._drive(theta, dt, n_steps)[1]
+
+    def _drive(self, theta: float, dt: float, n_steps: int) -> tuple[np.ndarray, float]:
         key = (theta, dt, n_steps)
-        table = self._drives.get(key)
-        if table is None:
+        entry = self._drives.get(key)
+        if entry is None:
             table = _drive_table(self, theta, dt, n_steps)
             table.flags.writeable = False
-            self._drives[key] = table
-        return table
+            n_boundary = 2 * len(self.dofmap.dirichlet_dofs)
+            entry = self._drives[key] = table, float(np.abs(table[:, :n_boundary]).max(initial=0.0))
+        return entry
 
     def step_pair(self, scheme: SchemeKind, dt: float) -> fem.StepPair:
         """The graph's ``fem.step_pair`` of (scheme, dt), built on first use; every batch system slices it."""
-        key = (scheme.label, dt)
+        key = (scheme, dt)
         pair = self._pairs.get(key)
         if pair is None:
             pair = self._pairs[key] = fem.step_pair(self.elements, self.factor, scheme, dt)
@@ -239,7 +255,7 @@ class RbmRuntime:
 
     def step_matrices(self, j: int, scheme: SchemeKind, dt: float):
         """Batch j's (lhs_ff, W) of (scheme, dt), for its cached step; the pair goes once every batch has sliced it."""
-        key = (scheme.label, dt)
+        key = (scheme, dt)
         matrices = self.system(j).step_matrices(self.step_pair(scheme, dt))
         self._sliced[key] = self._sliced.get(key, 0) + 1
         if self._sliced[key] == self.family.n_batches:
@@ -267,7 +283,7 @@ class RbmRuntime:
         return max(0.0, float(active.max(initial=0.0)))
 
 
-def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
+def _advance(runtime, j, scheme, dt, u, first, last, every, store, drive):
     """Advance u in place from global step ``first`` to ``last`` on batch j's active subgraph.
 
     Each step s solves lhs_ff x = W z (+ dt F for a callable source) with
@@ -276,13 +292,13 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
     and the load weights.  Only the free and exterior dofs of the system
     are ever written, which freezes everything outside the active subgraph
     exactly; an exterior value is g(s dt), read off the drive row.  After
-    each step s with ``s % every == 0`` the pair (s dt, copy of u) joins
-    ``snapshots``; u itself is written only then and after step ``last``.
+    each step s with ``s % every == 0`` u goes to ``store``; u itself is
+    written only then and after step ``last``.
     Returns the system's active dof count, its factor nnz and, for a
     callable source, the sum over the steps of max |dt F| (0 otherwise).
     """
     system = runtime.system(j)
-    key = (j, scheme.label, dt)
+    key = (j, scheme, dt)
     step = runtime.workspace.factorization(key, lambda: runtime.step_matrices(j, scheme, dt))
     w = step.rhs
     free, interface, exterior = system.free, system.interface, system.exterior
@@ -314,7 +330,7 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, snapshots, drive):
             u[free] = x
             u[exterior] = drive[s - 1, system.exterior_t1]
             if snapshot:
-                snapshots.append((s * dt, u.copy()))
+                store(u)
     return system.n_active, factor_nnz(step), forced
 
 
@@ -363,13 +379,53 @@ def _drive_table(runtime, theta: float, dt: float, n_steps: int) -> np.ndarray:
     return np.hstack([boundary[:-1], boundary[1:], loads])
 
 
-def _check_growth(runtime, traj, drive, omegas, n_sub, theta, dt, forced) -> None:
-    """Raise NumericalBlowup if a stored state is not finite or max |u| exceeds the run's limit.
+def _stored_steps(n_steps: int, every: int) -> np.ndarray:
+    """The global steps after which a run of ``n_steps`` stores its state: 0, every multiple of ``every``, and the last."""
+    steps = np.arange(0, n_steps + 1, every)
+    return steps if n_steps % every == 0 else np.append(steps, n_steps)
+
+
+class _Snapshots:
+    """The store of one run's stored states, called with u at each stored time in turn.
+
+    Each state goes to ``sink(t, u)``, which must copy what it keeps, or,
+    without a sink, is written once into ``states``, preallocated with one
+    row per stored time (no rows with a sink).  ``peaks`` holds each state's
+    max |u|, taken as it is stored; a state with a non-finite entry raises
+    NumericalBlowup there, so the run steps no further.
+    """
+
+    def __init__(self, times: np.ndarray, n_dofs: int, sink):
+        self.times = times
+        self.peaks = np.empty(len(times))
+        self.states = np.empty((len(times) if sink is None else 0, n_dofs))
+        self._sink = sink
+        self._times = times.tolist()
+        self._next = 0
+
+    def __call__(self, u: np.ndarray) -> None:
+        k = self._next
+        # the ufuncs' own reductions (ndarray.max and min add a Python layer), both NaN if u has one
+        peak = max(float(np.maximum.reduce(u)), -float(np.minimum.reduce(u)))
+        if not math.isfinite(peak):
+            raise NumericalBlowup(f"the stored state at t={self._times[k]:g} has non-finite entries")
+        self.peaks[k] = peak
+        if self._sink is None:
+            self.states[k] = u
+        else:
+            self._sink(self._times[k], u)
+        self._next = k + 1
+
+
+def _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, forced) -> None:
+    """Raise NumericalBlowup if max |u| over the stored states exceeds the run's limit.
 
     limit = BLOWUP_FACTOR * G * (max |u(0)| + max |g(t_s)| + L / (min_e dx_e / 2)),
     with L the load the run applied, summed over the steps as max |dt F|,
     over a lower bound of every lumped mass entry (the integral of a hat
-    function).  A separable load is bounded term by term by the tabulated
+    function).  max |u| of each state comes from ``stored.peaks`` and
+    max |g(t_s)| as ``boundary``, the runtime's ``boundary_scale`` of the
+    drive table.  A separable load is bounded term by term by the tabulated
     weights times max |V_k| over the batches run; a callable one comes as
     ``forced``, measured in the step loop.  G is the growth the steps allow
     a fastest mode: the product over the windows of rho^n_sub, where
@@ -378,17 +434,12 @@ def _check_growth(runtime, traj, drive, omegas, n_sub, theta, dt, forced) -> Non
     G = 1 when every batch's operators are dissipative.  The limit is only
     formed when max |u| exceeds BLOWUP_FACTOR * (max |u(0)| + max |g(t_s)|).
     """
-    states = traj.states
-    hi, lo = float(states.max()), float(states.min())
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        finite = np.isfinite(states).all(axis=1)
-        t = traj.times[int(np.argmin(finite))]
-        raise NumericalBlowup(f"the stored state at t={t:g} has non-finite entries")
-    peak = max(hi, -lo)
-    n_boundary = 2 * len(runtime.dofmap.dirichlet_dofs)
-    scale = np.abs(states[0]).max(initial=0.0) + np.abs(drive[:, :n_boundary]).max(initial=0.0)
+    state_peaks = stored.peaks
+    peak = state_peaks.max()
+    scale = state_peaks[0] + boundary
     if peak <= BLOWUP_FACTOR * scale:
         return
+    n_boundary = 2 * len(runtime.dofmap.dirichlet_dofs)
     used, windows = np.unique(omegas, return_counts=True)
     term_peaks = np.zeros(drive.shape[1] - n_boundary)
     log_growth = 0.0
@@ -406,19 +457,20 @@ def _check_growth(runtime, traj, drive, omegas, n_sub, theta, dt, forced) -> Non
     limit = BLOWUP_FACTOR * scale * growth
     if peak <= limit:
         return
-    t = traj.times[int(np.argmax(np.abs(states).max(axis=1) > limit))]
+    t = stored.times[int(np.argmax(state_peaks > limit))]
     raise NumericalBlowup(
         f"max |u| = {peak:.3e} exceeds {BLOWUP_FACTOR:g} times the data scale {scale:.3e} "
         f"times the growth allowance {growth:.3e}, first at t={t:g}"
     )
 
 
-def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTrajectory:
+def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=None) -> RbmTrajectory:
     """Run window k on batch ``omegas[k]`` for n_sub steps from the initial state.
 
     Reads the data of every step off the runtime's drive table, rejects a
     non-finite y0, stores the state after global step s when ``s % every
-    == 0`` or s is the last, and checks the stored states (``_check_growth``).
+    == 0`` or s is the last (``_Snapshots``, into ``sink`` when one is
+    given), and checks the stored states (``_check_growth``).
     """
     graph = runtime.graph
     worst = float(np.abs(runtime.convection_sums).max(initial=0.0))
@@ -439,35 +491,36 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config) -> RbmTr
         )
     dofmap = runtime.dofmap
     n_steps = len(omegas) * n_sub
-    drive = runtime.drive(scheme.theta_value, dt, n_steps)
+    theta = scheme.theta_value
+    drive = runtime.drive(theta, dt, n_steps)
     u = fem.interpolate(graph, runtime.mesh, dofmap, runtime.coeffs.y0)
     if not np.isfinite(u).all():
         bad = next(e for e in range(graph.n_edges) if not np.isfinite(u[dofmap.edge_dofs(e)]).all())
         raise InvalidSpec(f"the initial state y0 is not finite on edge {bad}")
     u[dofmap.dirichlet_dofs] = drive[0, : len(dofmap.dirichlet_dofs)]
-    snapshots = [(0.0, u.copy())]
+    stored = _Snapshots(dt * _stored_steps(n_steps, every), dofmap.n_dofs, sink)
+    stored(u)
     max_active = max_nnz = 0
     forced = 0.0
     for k, j in enumerate(omegas):
         first, last = k * n_sub, (k + 1) * n_sub
         n_active, nnz, window_forced = _advance(
-            runtime, int(j), scheme, dt, u, first, last, every, snapshots, drive
+            runtime, int(j), scheme, dt, u, first, last, every, stored, drive
         )
         max_active = max(max_active, n_active)
         max_nnz = max(max_nnz, nnz)
         forced += window_forced
     if n_steps % every:
-        snapshots.append((n_steps * dt, u.copy()))
-    times, states = zip(*snapshots)
+        stored(u)
     stats = {
         "n_dofs": dofmap.n_dofs,
         "max_active_dofs": max_active,
         "max_factor_nnz": max_nnz,
         "n_factorizations": len(runtime.workspace),
     }
-    traj = RbmTrajectory(graph, runtime.mesh, dofmap, times, states, schedule, config, stats)
-    _check_growth(runtime, traj, drive, omegas, n_sub, scheme.theta_value, dt, forced)
-    return traj
+    boundary = runtime.boundary_scale(theta, dt, n_steps)
+    _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, forced)
+    return RbmTrajectory(graph, runtime.mesh, dofmap, stored.times, stored.states, schedule, config, stats)
 
 
 def run_full(
@@ -500,6 +553,18 @@ def run_full(
     return _solve(runtime, [0], n_steps, scheme, dt, snapshot_stride, None, config)
 
 
+def _windows(config: RbmConfig) -> tuple[int, int]:
+    """(inner steps per window, windows in [0, T]) of ``config``."""
+    n_sub = _count_steps(config.h, config.dt, "window length h", "dt")
+    return n_sub, _count_steps(config.t_final, config.h, "t_final", "window length h")
+
+
+def stored_times(config: RbmConfig) -> np.ndarray:
+    """The times at which ``run_rbm`` stores a state of a run of ``config``, in order."""
+    n_sub, n_windows = _windows(config)
+    return config.dt * _stored_steps(n_windows * n_sub, config.snapshot_stride * n_sub)
+
+
 def run_rbm(
     graph: MetricGraph,
     partition: SubgraphPartition,
@@ -509,6 +574,7 @@ def run_rbm(
     config: RbmConfig,
     schedule: SampledSchedule | None = None,
     runtime: RbmRuntime | None = None,
+    sink=None,
 ) -> RbmTrajectory:
     """One realization of the randomized freeze-and-evolve solve.
 
@@ -516,9 +582,12 @@ def run_rbm(
     convection vertex sums, batch systems and factorizations across
     realizations.  The runtime must hold the very graph, partition, family
     and coeffs objects passed here and an equal mesh; InvalidSpec otherwise.
+    A ``sink(t, u)`` takes each stored state as it is reached, at the times
+    of ``stored_times(config)``, and must copy what it keeps; the trajectory
+    then holds its times, schedule, config and stats, and a (0, n_dofs)
+    ``states``.
     """
-    n_sub = _count_steps(config.h, config.dt, "window length h", "dt")
-    n_windows = _count_steps(config.t_final, config.h, "t_final", "window length h")
+    n_sub, n_windows = _windows(config)
     if runtime is None:
         runtime = RbmRuntime(graph, partition, family, mesh, coeffs)
     elif runtime.mesh != mesh or any(
@@ -549,7 +618,7 @@ def run_rbm(
     }
     every = config.snapshot_stride * n_sub
     return _solve(
-        runtime, schedule.omegas, n_sub, config.scheme, config.dt, every, schedule, run_config
+        runtime, schedule.omegas, n_sub, config.scheme, config.dt, every, schedule, run_config, sink
     )
 
 
@@ -569,68 +638,120 @@ class ErrorSummary:
 
 
 class _BaselineReference:
+    """|u - baseline(t)|^2 in the mass norm, from the element mass blocks (``ElementMassNorms``)."""
+
     def __init__(self, trajectory: RbmTrajectory, baseline: RbmTrajectory, times: np.ndarray):
-        self._mass = fem.mass_matrix(trajectory.graph, trajectory.mesh, trajectory.dofmap)
+        self._mass = ElementMassNorms(Elements(trajectory.graph, trajectory.mesh, trajectory.dofmap, GAUSS3))
         try:
             idx = [baseline.time_index(t) for t in times]
         except GridMismatch as exc:
             raise GridMismatch(f"baseline grid does not cover the stored times: {exc}") from exc
         self._reference_states = baseline.states[idx]
         self._times = times
+        self.n_dofs = trajectory.dofmap.n_dofs
+        self.block_rows = self._mass.rows
+        self._diff = np.empty((self.block_rows, self.n_dofs))
 
     def squared_error(self, state: np.ndarray, t):
         """|u - baseline(t)|^2 in the mass norm, for one state or a (k, n) stack."""
-        return stacked_squared_error(self._squared_errors, state, t)
+        return stacked_squared_error(self._squared_errors, state, t, self.block_rows)
 
     def _squared_errors(self, states: np.ndarray, times: np.ndarray) -> np.ndarray:
         k = np.abs(self._times[None, :] - times[:, None]).argmin(axis=1)
-        return mass_norms_sq(self._mass, states - self._reference_states[k])
+        diff = self._diff[: len(states)]
+        np.take(self._reference_states, k, axis=0, out=diff, mode="clip")
+        np.subtract(states, diff, out=diff)
+        return self._mass(diff)
 
 
 class ErrorAccumulator:
-    """Streaming accumulation of the Monte-Carlo error metrics.
+    """Streaming accumulation of the Monte-Carlo error metrics on the stored times ``times``.
 
-    Keeps one running state sum (for the mean trajectory) and per-time
-    scalar sums, so studies can discard each realization right after
-    adding it.
+    A realization comes in one stored state at a time: ``store(t, u)`` is
+    the sink a study hands ``run_rbm``, so no realization is ever held
+    whole, and ``add(traj)`` stores each state of a whole trajectory in
+    turn.  A state is copied into a block of ``reference.block_rows``
+    states; each full block, and the last of a realization, is added to one
+    running state sum (stored times x dofs) and goes to
+    ``reference.squared_error``, and the squared errors and their roots are
+    summed per stored time.  ``summary`` forms the mean state block by block
+    in the same block array.  ``restart`` empties the sums for a new grid
+    and keeps the arrays, so one state sum serves a whole study.
+    ``seconds`` is the time spent in ``store``.
     """
 
     def __init__(self, times: np.ndarray, reference):
-        self.times = np.asarray(times, dtype=float)
         self.reference = reference
-        self._sum_sq = np.zeros(len(self.times))
-        self._sum_norm = np.zeros(len(self.times))
-        self._state_sum = None
+        n, rows = reference.n_dofs, reference.block_rows
+        self._state_sums = np.empty((len(times), n))
+        self._block = np.empty((rows, n))
+        self.seconds = 0.0
+        self.restart(times)
+
+    def restart(self, times: np.ndarray) -> None:
+        """Drop every realization and take the grid ``times``; the state sum is reallocated only for a longer one."""
+        self.times = np.asarray(times, dtype=float)
+        self._grid = self.times.tolist()
+        n_times = len(self.times)
+        if n_times > len(self._state_sums):
+            self._state_sums = np.empty((n_times, self.reference.n_dofs))
+        self._state_sum = self._state_sums[:n_times]
+        self._state_sum.fill(0.0)
+        self._sum_sq = np.zeros(n_times)
+        self._sum_norm = np.zeros(n_times)
+        self._next = 0
         self._count = 0
 
+    def store(self, t: float, u: np.ndarray) -> None:
+        """Add the next stored state u at time t of the current realization; u is read, not kept."""
+        start = time.perf_counter()
+        k = self._next
+        if k >= len(self._grid) or abs(t - self._grid[k]) > TIME_MATCH_TOL:
+            raise GridMismatch(f"stored time {t} is not time {k} of the accumulator grid")
+        rows = len(self._block)
+        r = k % rows
+        self._block[r] = u
+        last = k + 1 == len(self._grid)
+        if last or r + 1 == rows:
+            block, stored = self._block[: r + 1], slice(k - r, k + 1)
+            self._state_sum[stored] += block
+            err2 = self.reference.squared_error(block, self.times[stored])
+            self._sum_sq[stored] += err2
+            self._sum_norm[stored] += np.sqrt(err2)
+        self._next = 0 if last else k + 1
+        self._count += last
+        self.seconds += time.perf_counter() - start
+
     def add(self, traj: RbmTrajectory) -> None:
+        """``store`` every state of a whole trajectory on the accumulator's grid."""
         if len(traj.times) != len(self.times) or np.any(
             np.abs(traj.times - self.times) > TIME_MATCH_TOL
         ):
             raise GridMismatch("realization stored times differ from the accumulator grid")
-        if self._state_sum is None:
-            self._state_sum = np.zeros_like(traj.states)
-        self._state_sum += traj.states
-        err2 = self.reference.squared_error(traj.states, self.times)
-        self._sum_sq += err2
-        self._sum_norm += np.sqrt(err2)
-        self._count += 1
+        for t, u in zip(traj.times, traj.states):
+            self.store(t, u)
 
     def summary(self) -> ErrorSummary:
         if self._count == 0:
             raise EngineError("no realizations accumulated")
+        if self._next:
+            raise EngineError("a realization stopped before its last stored time")
         n = self._count
         mean_sq = self._sum_sq / n
         error1 = float(mean_sq.max())
-        mean_states = self._state_sum / n
-        error2 = self.reference.squared_error(mean_states, self.times).max()
+        error2 = 0.0
+        for start in range(0, len(self.times), len(self._block)):
+            rows = slice(start, start + len(self._block))
+            mean = self._block[: len(self.times[rows])]
+            np.divide(self._state_sum[rows], n, out=mean)
+            error2 = max(error2, float(self.reference.squared_error(mean, self.times[rows]).max()))
         if n > 1:
             var = (self._sum_sq - self._sum_norm**2 / n) / (n - 1)
             variance = float(var.max())
         else:
             variance = 0.0
         return ErrorSummary(
-            error1=error1, error2=float(error2), variance=variance, n_realizations=n
+            error1=error1, error2=error2, variance=variance, n_realizations=n
         )
 
 

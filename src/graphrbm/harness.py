@@ -6,9 +6,14 @@ emits one CSV row per (scheme, h).  Error columns are bitwise
 reproducible from the experiment description and master seed;
 realization r draws its schedule from the 128-bit Philox key
 (master_seed << 64) | r, so distinct (master_seed, r) pairs never share a
-schedule.  Each trajectory's errors come from one call to a single
-``L2ErrorEvaluator`` built per study.  Timing columns are wall-clock and
-hardware dependent.
+schedule.  No realization is held whole: ``run_rbm`` hands each stored
+state to the study's one ``ErrorAccumulator`` (its sink), which adds it to
+one state sum of (stored times x dofs), reused and zeroed per (scheme, h)
+cell, and evaluates the errors in blocks with one ``L2ErrorEvaluator`` on
+the runtime's own element table, in scratch of at most
+``manufactured.ERROR_BLOCK`` bytes per array.  Timing columns are
+wall-clock and hardware dependent; ``avg_time_s`` is the mean time of a
+realization's solve, the accumulator's own time taken out.
 
 Memory is reported two ways: a deterministic proxy (max over windows of
 active dof count plus factor nonzeros, the objects that dominate the
@@ -34,6 +39,7 @@ from .engine import (  # run_full is unused here, but perfbench/spans.py patches
     _count_steps,
     run_full,  # noqa: F401
     run_rbm,
+    stored_times,
 )
 from .errors import SolverError
 from .fem import Mesh
@@ -164,43 +170,41 @@ def realization_seed(master: int, r: int) -> int:
 
 
 def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
-    """R randomized realizations per (scheme, h), one CSV record each."""
+    """R randomized realizations per (scheme, h), one CSV record each, streamed into one ErrorAccumulator."""
     spec.validate()
     coeffs = derive_data(spec.solution)
     mesh = Mesh(spec.nodes_per_edge)
     runtime = RbmRuntime(spec.graph, spec.partition, spec.family, mesh, coeffs)
-    evaluator = L2ErrorEvaluator(spec.graph, mesh, runtime.dofmap, spec.solution)
+    evaluator = L2ErrorEvaluator(spec.graph, mesh, runtime.dofmap, spec.solution, runtime.elements.elements)
+
+    def config(scheme: SchemeKind, h: float, seed: int) -> RbmConfig:
+        return RbmConfig(
+            h=h, dt=spec.dt, t_final=spec.t_final, scheme=scheme, seed=seed,
+            snapshot_stride=spec.snapshot_stride,
+        )
+
+    grids = {h: stored_times(config(spec.schemes[0], h, 0)) for h in spec.h_list}
+    acc = ErrorAccumulator(max(grids.values(), key=len), evaluator)
     records = []
     for scheme in spec.schemes:
         for h in spec.h_list:
             seeds = [realization_seed(spec.seed, r) for r in range(spec.realizations)]
-            acc = None
+            acc.restart(grids[h])
             walls = []
             rss = []
             proxy = 0
             for run_seed in seeds:
-                config = RbmConfig(
-                    h=h,
-                    dt=spec.dt,
-                    t_final=spec.t_final,
-                    scheme=scheme,
-                    seed=run_seed,
-                    snapshot_stride=spec.snapshot_stride,
-                )
+                stored_s = acc.seconds
                 bench = benchmark(
-                    lambda config=config: run_rbm(
-                        spec.graph, spec.partition, spec.family, mesh, coeffs, config,
-                        runtime=runtime,
+                    lambda c=config(scheme, h, run_seed): run_rbm(
+                        spec.graph, spec.partition, spec.family, mesh, coeffs, c,
+                        runtime=runtime, sink=acc.store,
                     )
                 )
-                traj = bench.result
-                if acc is None:
-                    acc = ErrorAccumulator(traj.times, evaluator)
-                acc.add(traj)
-                walls.append(bench.wall_seconds)
+                walls.append(bench.wall_seconds - (acc.seconds - stored_s))
                 if bench.peak_rss_mb is not None:
                     rss.append(bench.peak_rss_mb)
-                proxy = max(proxy, memory_proxy(traj.stats))
+                proxy = max(proxy, memory_proxy(bench.result.stats))
             summary = acc.summary()
             records.append(
                 ExperimentRecord(

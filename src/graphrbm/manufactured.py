@@ -33,6 +33,7 @@ import scipy.sparse.linalg as spla
 from .decomposition import BatchFamily, SubgraphPartition, zeta_weights
 from .errors import NumericalError, SolverError
 from .fem import (
+    GAUSS3,
     GAUSS5,
     CoefficientSet,
     DofMap,
@@ -41,7 +42,6 @@ from .fem import (
     Mesh,
     SeparableSource,
     interpolate,
-    mass_matrix,
     on_edges,
 )
 from .graph import MetricGraph
@@ -327,14 +327,16 @@ def manufactured_problem(graph: MetricGraph) -> tuple[ManufacturedSolution, Coef
 # elements per edge of the quadrature behind ``lambda_profile``
 LAMBDA_ELEMENTS_PER_EDGE = 200
 
-ERROR_BLOCK = 64  # states per block of a stacked error evaluation; bounds its scratch memory
+# bytes of each scratch array of one block error evaluation: 64 states of the
+# demo at Mesh(100), 1 of the depth-9 tree at Mesh(50)
+ERROR_BLOCK = 512 * 1024
 
 
-def stacked_squared_error(block_fn, state, t):
+def stacked_squared_error(block_fn, state, t, rows: int):
     """Apply ``block_fn(states, times)`` to one state or a (k, n) stack of states.
 
     One state with a scalar time gives a float; a stack with k times gives
-    a length-k array, evaluated in blocks of at most ERROR_BLOCK states.
+    a length-k array, evaluated in blocks of at most ``rows`` states.
     Results are clamped at 0, since a squared norm that rounds below zero
     is zero.
     """
@@ -345,15 +347,54 @@ def stacked_squared_error(block_fn, state, t):
     if states.ndim != 2 or times.shape != (len(states),):
         raise SolverError("need one state with one time, or a (k, n) stack with k times")
     out = np.empty(len(states))
-    for start in range(0, len(states), ERROR_BLOCK):
-        rows = slice(start, start + ERROR_BLOCK)
-        out[rows] = block_fn(states[rows], times[rows])
+    for start in range(0, len(states), rows):
+        block = slice(start, start + rows)
+        out[block] = block_fn(states[block], times[block])
     return np.maximum(out, 0.0)
 
 
-def mass_norms_sq(mass, diffs: np.ndarray) -> np.ndarray:
-    """Row-wise d^T M d of a (k, n) stack of dof vectors."""
-    return np.einsum("ij,ji->i", diffs, mass @ diffs.T)
+class ElementMassNorms:
+    """Row-wise e^T M e of blocks of dof vectors, summed from the 2x2 mass blocks of an element table.
+
+    The elements of an edge form a chain, each sharing its right node with
+    the next one's left node, so the table's nodes are laid out once as
+    chains: an element's two nodes sit at positions p and p + 1.  Then
+
+        e^T M e = sum_p d_p s_p^2 + sum_p c_p s_p s_(p+1),  s = e at the chain nodes,
+
+    with d_p the m00 and m11 of the elements at node p and c_p = 2 m01 of
+    the element from p to p + 1 (0 where a chain ends): per row one gather,
+    two products and two matrix-vector sums.  A block holds at most
+    ``rows`` vectors, as many as keep each (rows, chain length) or
+    (rows, n_dofs) array within ERROR_BLOCK bytes, and at least one; the
+    gather and the products run in two such arrays that the object owns
+    for its life, and only the k row sums are allocated.
+    """
+
+    def __init__(self, elements: Elements):
+        pair, mass = elements.pair, elements.mass
+        starts = np.concatenate(([True], pair[1:, 0] != pair[:-1, 1]))
+        left = np.arange(len(pair)) + np.cumsum(starts) - 1  # each element's left node's position
+        length = len(pair) + int(starts.sum())
+        self._nodes = np.empty(length, dtype=np.intp)
+        self._nodes[left], self._nodes[left + 1] = pair[:, 0], pair[:, 1]
+        both = np.concatenate([left, left + 1])
+        self._squares = np.bincount(both, np.concatenate([mass[:, 0, 0], mass[:, 1, 1]]), minlength=length)
+        self._products = np.zeros(length - 1)
+        self._products[left] = 2.0 * mass[:, 0, 1]
+        self.rows = max(1, ERROR_BLOCK // (8 * max(length, elements.n_dofs)))
+        self._chain = np.empty((self.rows, length))
+        self._pairs = np.empty((self.rows, length - 1))
+
+    def __call__(self, e: np.ndarray) -> np.ndarray:
+        """e^T M e for each row of a (k, n_dofs) block, k at most ``rows``."""
+        k = len(e)
+        chain, pairs = self._chain[:k], self._pairs[:k]
+        # mode="clip" writes straight into out; the default mode gathers into a temporary first
+        np.take(e, self._nodes, axis=1, out=chain, mode="clip")
+        np.multiply(chain[:, :-1], chain[:, 1:], out=pairs)
+        np.multiply(chain, chain, out=chain)
+        return chain @ self._squares + pairs @ self._products
 
 
 class L2ErrorEvaluator:
@@ -365,32 +406,48 @@ class L2ErrorEvaluator:
         |v w - u|^2 = v^2 c + 2 v b^T e + e^T M e,
 
     where c = |w - I w|^2, b_i = (w - I w, phi_i) and M is the P1 mass
-    matrix (``fem.mass_matrix``).  c and b are built once on the
-    ``fem.GAUSS5`` element table of the mesh, which integrates them exactly
-    for a quartic w; c is summed per edge, then over the edges in order.
+    matrix.  c and b are built once on the ``fem.GAUSS5`` element table of
+    the mesh, which integrates them exactly for a quartic w; c is summed
+    per edge, then over the edges in order.  e^T M e is summed from the
+    ``fem.GAUSS3`` element mass blocks (``ElementMassNorms``) of
+    ``elements``, a runtime's own table (``runtime.elements.elements``), or
+    a table built here when none is given; no mass matrix is assembled.
     Every term is of the size of the error itself, so nothing cancels when
     the error is small; the unshifted v^2 |w|^2 - 2 v (w, phi)^T u + u^T M u loses
     digits to cancellation once the error is far below |w|^2.
+
+    States are evaluated in blocks of ``block_rows``, and e is formed in a
+    (block_rows, n_dofs) array the evaluator keeps for its life.
     """
 
-    def __init__(self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap, solution: ManufacturedSolution):
-        elements = Elements(graph, mesh, dofmap, GAUSS5)
+    def __init__(
+        self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap, solution: ManufacturedSolution,
+        elements: Elements | None = None,
+    ):
+        table = Elements(graph, mesh, dofmap, GAUSS5)
         self._interpolant = interpolate(graph, mesh, dofmap, solution.w)
-        pair = elements.pair
-        remainder = self._interpolant[pair] @ elements.shape.T
-        np.subtract(elements.sample(solution.w), remainder, out=remainder)
-        self._b = np.bincount(pair.ravel(), elements.loads(remainder).ravel(), minlength=dofmap.n_dofs)
-        self._c = float(np.cumsum(elements.edge_sums(np.square(remainder, out=remainder)))[-1])
-        self._mass = mass_matrix(graph, mesh, dofmap)
+        pair = table.pair
+        remainder = self._interpolant[pair] @ table.shape.T
+        np.subtract(table.sample(solution.w), remainder, out=remainder)
+        self._b = np.bincount(pair.ravel(), table.loads(remainder).ravel(), minlength=dofmap.n_dofs)
+        self._c = float(np.cumsum(table.edge_sums(np.square(remainder, out=remainder)))[-1])
+        if elements is None:
+            elements = Elements(graph, mesh, dofmap, GAUSS3)
+        self._mass = ElementMassNorms(elements)
+        self.n_dofs = dofmap.n_dofs
+        self.block_rows = self._mass.rows
+        self._e = np.empty((self.block_rows, self.n_dofs))
 
     def squared_error(self, state: np.ndarray, t):
         """|y(., t) - u|^2 for one state (float) or a (k, n) stack with k times (array)."""
-        return stacked_squared_error(self._squared_errors, state, t)
+        return stacked_squared_error(self._squared_errors, state, t, self.block_rows)
 
     def _squared_errors(self, states: np.ndarray, times: np.ndarray) -> np.ndarray:
         v = np.sin(TWO_PI * times)
-        e = v[:, None] * self._interpolant - states
-        return v * v * self._c + 2.0 * v * (e @ self._b) + mass_norms_sq(self._mass, e)
+        e = self._e[: len(states)]
+        np.multiply(v[:, None], self._interpolant, out=e)
+        e -= states
+        return v * v * self._c + 2.0 * v * (e @ self._b) + self._mass(e)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,7 @@ class SchemeKind:
 
     @property
     def label(self) -> str:
+        """The scheme's name for output; it prints theta with ``:g``, so no cache keys on it."""
         if self.name == "theta":
             return f"theta:{self.theta:g}"
         return self.name
@@ -195,7 +196,7 @@ def step(
     (stiffness, convection + reaction) for the semi-implicit scheme.
     ``f0``/``f1`` are the loads at the step's start and end times.  A
     workspace keeps the factor of lhs and rhs of the last system only,
-    under the scheme label, dt and the identities of ``mass`` and the
+    under the scheme, dt and the identities of ``mass`` and the
     spatial matrices, which its entry pins so no id is reused while it
     lives; a step on another system empties the workspace first.  Without
     one, lhs is factored anew and nothing is kept.
@@ -214,7 +215,7 @@ def step(
         entry = _factor_step(*imex_theta(scheme, mass, stiffness, lower, dt))
     else:
         system = (mass, stiffness, lower)
-        key = ("step", scheme.label, dt, *map(id, system))
+        key = ("step", scheme, dt, *map(id, system))
         if key not in workspace:
             workspace.clear()
         entry = workspace.factorization(key, lambda: (*imex_theta(scheme, mass, stiffness, lower, dt), *system))

@@ -49,6 +49,11 @@ def rng():
     return np.random.Generator(np.random.Philox(key=20240809))
 
 
+def mass_norms_sq(mass, diffs):
+    """Row-wise d^T M d of a (k, n) stack of dof vectors, M a sparse mass matrix."""
+    return np.einsum("ij,ji->i", diffs, mass @ diffs.T)
+
+
 def constant_coefficients(a: float = 1.0, b: float = 0.0, p: float = 0.0) -> g.CoefficientSet:
     return g.CoefficientSet(
         a=lambda e, x: np.full_like(np.asarray(x, dtype=float), a),

@@ -6,12 +6,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import constant_coefficients
+from test_manufactured import binary_tree
 
 import graphrbm as g
-from graphrbm import engine, fem
+from graphrbm import engine, fem, manufactured
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import (
     BLOWUP_FACTOR,
+    ErrorAccumulator,
     GridMismatch,
     NumericalBlowup,
     RbmConfig,
@@ -287,7 +289,7 @@ def test_stats_track_active_sizes(demo, partition, option2, problem, coarse_mesh
         assert traj.stats["n_dofs"] == 10 * 20 + 10
         assert traj.stats["max_active_dofs"] <= traj.stats["n_dofs"]
         assert traj.stats["max_factor_nnz"] > 0
-        keys |= {(int(j), scheme.label, 0.01) for j in traj.schedule.omegas}
+        keys |= {(int(j), scheme, 0.01) for j in traj.schedule.omegas}
         assert traj.stats["n_factorizations"] == len(keys)
     assert set(runtime.workspace) == keys
 
@@ -383,6 +385,24 @@ def test_nonfinite_state_raises(demo, partition, option2, solution, coarse_mesh)
         g.run_rbm(demo, partition, option2, coarse_mesh, reactive, config)
 
 
+def test_nonfinite_state_stops_the_run_where_it_is_stored(demo, partition, option2, solution, coarse_mesh, monkeypatch):
+    reactive = g.derive_data(solution, p=lambda e, x: np.full_like(np.asarray(x, dtype=float), 400.0))
+    with pytest.raises(NumericalBlowup, match="t=6.52 has non-finite entries"):
+        g.run_full(demo, coarse_mesh, reactive, g.SEMI_IMPLICIT, dt=0.01, t_final=80.0)
+    windows = []
+    advance = engine._advance
+    monkeypatch.setattr(engine, "_advance", lambda *args: windows.append(args[1]) or advance(*args))
+    counts = []
+    for t_final in (8.0, 80.0):
+        config = RbmConfig(h=0.02, dt=0.01, t_final=t_final, scheme=g.SEMI_IMPLICIT, seed=1)
+        with pytest.raises(NumericalBlowup, match="non-finite entries"):
+            g.run_rbm(demo, partition, option2, coarse_mesh, reactive, config)
+        counts.append(len(windows))
+        windows.clear()
+    # the longer horizon's schedule begins with the shorter one's, and neither run steps on
+    assert counts[0] == counts[1] < 400
+
+
 def test_nonfinite_initial_state_is_invalid_spec(demo, partition, option2, problem, coarse_mesh):
     def nan_on_edge_3(e, x):
         return np.full_like(np.asarray(x, dtype=float), np.nan if e == 3 else 0.0)
@@ -393,6 +413,20 @@ def test_nonfinite_initial_state_is_invalid_spec(demo, partition, option2, probl
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.04, scheme=g.IMPLICIT_EULER, seed=1)
     with pytest.raises(InvalidSpec, match="initial state y0 is not finite on edge 3"):
         g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config)
+
+
+def test_schemes_that_print_alike_share_no_step(demo, partition, option2, problem):
+    mesh = g.Mesh(10)
+    first, second = g.theta_method(0.6), g.theta_method(0.6000001)
+    assert first.label == second.label
+
+    def run(scheme, runtime):
+        config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=scheme, seed=3)
+        return g.run_rbm(demo, partition, option2, mesh, problem, config, runtime=runtime)
+
+    runtime = RbmRuntime(demo, partition, option2, mesh, problem)
+    run(first, runtime)
+    assert run(second, runtime).states.tobytes() == run(second, None).states.tobytes()
 
 
 def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, coarse_mesh, monkeypatch):
@@ -413,7 +447,7 @@ def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, c
     assert len(built) == len(used) == len(runtime.workspace)
     assert all(ref() is None for ref, _ in built)
     # a lookup of a cached key is a hit, so it never calls build
-    entries = [runtime.workspace.factorization((int(j), "ie", 0.01), None) for j in used]
+    entries = [runtime.workspace.factorization((int(j), g.IMPLICIT_EULER, 0.01), None) for j in used]
     assert sorted(id(entry.rhs) for entry in entries) == sorted(id(w) for _, w in built)
 
 
@@ -542,3 +576,75 @@ def test_failed_drive_table_is_not_kept(demo, partition, option2, problem, coars
         g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config, runtime=runtime)
     traj = g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config, runtime=runtime)
     assert np.isfinite(traj.states).all()
+
+
+def tree_problem(rng):
+    """A depth-5 binary tree with a random manufactured solution, two parts and three batches."""
+    tree = binary_tree(5)
+    alpha, beta = rng.uniform(-5.0, 5.0, size=(2, tree.n_edges))
+    solution = g.build_solution(tree, alpha, beta)
+    partition = g.SubgraphPartition(tree, [set(range(0, tree.n_edges, 2)), set(range(1, tree.n_edges, 2))])
+    family = g.batch_family([{0}, {1}, {0, 1}], [0.25, 0.25, 0.5], 2)
+    return tree, partition, family, solution
+
+
+def test_sink_takes_the_stored_states(demo, partition, option2, problem, coarse_mesh):
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.CRANK_NICOLSON, seed=6, snapshot_stride=3)
+    args = (demo, partition, option2, coarse_mesh, problem, config)
+    stacked = g.run_rbm(*args)
+    taken = []
+    streamed = g.run_rbm(*args, sink=lambda t, u: taken.append((t, u.copy())))
+    assert streamed.states.shape == (0, stacked.stats["n_dofs"])
+    assert np.array_equal(streamed.times, stacked.times) and streamed.stats == stacked.stats
+    assert np.array_equal(streamed.schedule.omegas, stacked.schedule.omegas)
+    assert np.array_equal([t for t, _ in taken], stacked.times)
+    assert np.array_equal(np.array([u for _, u in taken]), stacked.states)
+    assert np.array_equal(engine.stored_times(config), stacked.times)
+
+
+def summary_of(evaluator, trajs):
+    """(error1, error2, variance) of whole trajectories, each evaluated as one stack."""
+    err2 = np.array([evaluator.squared_error(traj.states, traj.times) for traj in trajs])
+    n = len(trajs)
+    mean = sum(traj.states for traj in trajs) / n
+    variance = (err2.sum(axis=0) - np.sqrt(err2).sum(axis=0) ** 2 / n) / (n - 1)
+    return err2.mean(axis=0).max(), evaluator.squared_error(mean, trajs[0].times).max(), variance.max()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 11])
+@pytest.mark.parametrize("name", ["demo", "tree"])
+def test_streamed_realizations_give_the_errors_of_whole_trajectories(
+    name, rows, demo, partition, option2, solution, monkeypatch, rng
+):
+    """11 stored states, streamed in blocks of 1, 4 (the last block holds 3) and 11."""
+    if name == "demo":
+        graph, part, family, sol = demo, partition, option2, solution
+    else:
+        graph, part, family, sol = tree_problem(rng)
+    mesh = g.Mesh(3)
+    coeffs = g.derive_data(sol)
+    runtime = RbmRuntime(graph, part, family, mesh, coeffs)
+    stacked = L2ErrorEvaluator(graph, mesh, runtime.dofmap, sol)
+    table = runtime.elements.elements
+    # the widest scratch row: the dofs, or the element chains (a node more per chain than elements)
+    chains = 1 + np.count_nonzero(table.pair[1:, 0] != table.pair[:-1, 1])
+    monkeypatch.setattr(manufactured, "ERROR_BLOCK", rows * 8 * max(len(table.pair) + chains, table.n_dofs))
+    evaluator = L2ErrorEvaluator(graph, mesh, runtime.dofmap, sol, table)
+    assert evaluator.block_rows == rows
+    configs = [RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.CRANK_NICOLSON, seed=s) for s in range(3)]
+    times = engine.stored_times(configs[0])
+    assert len(times) == 11
+    streamed, added = ErrorAccumulator(times, evaluator), ErrorAccumulator(times, evaluator)
+    trajs = []
+    for config in configs:
+        args = (graph, part, family, mesh, coeffs, config)
+        g.run_rbm(*args, runtime=runtime, sink=streamed.store)
+        trajs.append(g.run_rbm(*args, runtime=runtime))
+        added.add(trajs[-1])
+    got = streamed.summary()
+    assert got.n_realizations == 3
+    whole = added.summary()
+    for want in ((whole.error1, whole.error2, whole.variance), summary_of(stacked, trajs)):
+        for value, expected in zip((got.error1, got.error2, got.variance), want):
+            assert abs(value - expected) <= 1e-13 * abs(expected), (value, expected)
+    assert streamed.summary() == got  # summary leaves the sums as they were

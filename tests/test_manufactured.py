@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+from conftest import mass_norms_sq
 
 import graphrbm as g
 from graphrbm import fem
@@ -9,6 +10,7 @@ from graphrbm.manufactured import (
     DEMO_CUBIC,
     DEMO_QUARTIC,
     EdgePolynomial,
+    ElementMassNorms,
     L2ErrorEvaluator,
     lambda_profile,
 )
@@ -163,6 +165,22 @@ def test_edge_polynomial_table_is_polyval_per_row(rng):
     for i, e in enumerate(edges):
         assert table[i].tobytes() == np.polyval(coeffs[e], x[i]).tobytes(), i
     assert x.tobytes() == given.tobytes()  # the table is not written to
+
+
+@pytest.mark.parametrize("name", ["demo", "tree"])
+def test_element_mass_norms_equal_the_mass_matrix_form(name, rng):
+    graph = g.demo_graph() if name == "demo" else binary_tree(5)
+    mesh = g.Mesh(7)
+    dofmap = fem.DofMap(graph, mesh, graph.boundary_vertices)
+    norms = ElementMassNorms(fem.Elements(graph, mesh, dofmap, fem.GAUSS3))
+    states = rng.standard_normal((5, dofmap.n_dofs))
+    kept = states.copy()
+    want = mass_norms_sq(fem.mass_matrix(graph, mesh, dofmap), states)
+    got = norms(states)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the gathers leave the states as they were, and the scratch holds nothing over
+    norms(rng.standard_normal((2, dofmap.n_dofs)))
+    assert np.array_equal(states, kept) and np.array_equal(norms(states), got)
 
 
 def test_time_factor_values(solution):

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from conftest import (
     batch_load,
+    mass_norms_sq,
     reference_batch_system,
     reference_growth_rate,
     reference_states,
@@ -45,7 +46,6 @@ from graphrbm.manufactured import (
     L2ErrorEvaluator,
     ManufacturedSolution,
     lambda_profile,
-    mass_norms_sq,
 )
 from graphrbm.timestep import imex_theta
 

@@ -135,6 +135,18 @@ def test_step_workspace_keys_on_the_system():
     assert np.isclose(u1[0], 1.0 / 1.3, rtol=1e-15) and len(ws) == 1
 
 
+def test_step_workspace_keys_on_the_scheme_not_its_label():
+    # both schemes print as theta:0.6; a step under the second must not reuse the first's factor
+    first, second = theta_method(0.6), theta_method(0.6000001)
+    assert first.label == second.label
+    mass, spatial = scalar(1.0), scalar(3.0)
+    ws = StepWorkspace()
+    step(first, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    shared = step(second, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
+    fresh = step(second, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=StepWorkspace())
+    assert shared.tobytes() == fresh.tobytes() and len(ws) == 1
+
+
 def test_workspace_caches_by_key():
     ws = StepWorkspace()
     builds = []
