@@ -61,8 +61,6 @@ from .timestep import (
     IMPLICIT_EULER,
     SEMI_IMPLICIT,
     SchemeKind,
-    StepWorkspace,
-    step,
     theta_method,
 )
 

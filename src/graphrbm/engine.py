@@ -227,15 +227,11 @@ class RbmRuntime:
         self._sliced: dict[tuple[SchemeKind, float], int] = {}
         self._drives: dict[tuple[float, float, int], tuple[np.ndarray, float]] = {}
 
-    def drive(self, theta: float, dt: float, n_steps: int) -> np.ndarray:
-        """The read-only ``_drive_table`` of (theta, dt, n_steps), built on first use; a failed one is not kept."""
-        return self._drive(theta, dt, n_steps)[0]
+    def drive(self, theta: float, dt: float, n_steps: int) -> tuple[np.ndarray, float]:
+        """The read-only ``_drive_table`` of (theta, dt, n_steps) and the largest |g| it holds.
 
-    def boundary_scale(self, theta: float, dt: float, n_steps: int) -> float:
-        """The largest |g| at the step times of ``drive(theta, dt, n_steps)``, read once when the table is built."""
-        return self._drive(theta, dt, n_steps)[1]
-
-    def _drive(self, theta: float, dt: float, n_steps: int) -> tuple[np.ndarray, float]:
+        Both are built on first use and kept for the runtime's life; a failed table is not kept.
+        """
         key = (theta, dt, n_steps)
         entry = self._drives.get(key)
         if entry is None:
@@ -424,8 +420,8 @@ def _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, fo
     with L the load the run applied, summed over the steps as max |dt F|,
     over a lower bound of every lumped mass entry (the integral of a hat
     function).  max |u| of each state comes from ``stored.peaks`` and
-    max |g(t_s)| as ``boundary``, the runtime's ``boundary_scale`` of the
-    drive table.  A separable load is bounded term by term by the tabulated
+    max |g(t_s)| as ``boundary``, which the runtime's ``drive`` gives with
+    the drive table.  A separable load is bounded term by term by the tabulated
     weights times max |V_k| over the batches run; a callable one comes as
     ``forced``, measured in the step loop.  G is the growth the steps allow
     a fastest mode: the product over the windows of rho^n_sub, where
@@ -492,7 +488,7 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=Non
     dofmap = runtime.dofmap
     n_steps = len(omegas) * n_sub
     theta = scheme.theta_value
-    drive = runtime.drive(theta, dt, n_steps)
+    drive, boundary = runtime.drive(theta, dt, n_steps)
     u = fem.interpolate(graph, runtime.mesh, dofmap, runtime.coeffs.y0)
     if not np.isfinite(u).all():
         bad = next(e for e in range(graph.n_edges) if not np.isfinite(u[dofmap.edge_dofs(e)]).all())
@@ -518,7 +514,6 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=Non
         "max_factor_nnz": max_nnz,
         "n_factorizations": len(runtime.workspace),
     }
-    boundary = runtime.boundary_scale(theta, dt, n_steps)
     _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, forced)
     return RbmTrajectory(graph, runtime.mesh, dofmap, stored.times, stored.states, schedule, config, stats)
 

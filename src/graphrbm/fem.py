@@ -152,11 +152,6 @@ class DofMap:
         return np.linspace(0.0, self.graph.edges[e].length, self.mesh.nodes_per_edge + 2)
 
 
-def build_dofmap(graph: MetricGraph, mesh: Mesh, dirichlet_vertices: Iterable[int]) -> DofMap:
-    """The dof map of ``DofMap``; kept because the acceptance suite calls it."""
-    return DofMap(graph, mesh, dirichlet_vertices)
-
-
 @dataclass(frozen=True)
 class SeparableSource:
     """Source of the form sum_k space_k(e, x) * time_k(t).

@@ -1,4 +1,4 @@
-"""One-step integrators for M u' + (K + C + P) u = F(t) and the sparse direct solve.
+"""The step operators of M u' + (K + C + P) u = F(t) and their checked sparse factor.
 
 All four schemes are one IMEX-theta recurrence with an implicit operator A,
 an explicit operator E and a weight theta:
@@ -12,14 +12,14 @@ an explicit operator E and a weight theta:
     siem     1       K          C + P
 
 ``imex_theta`` forms lhs = M + dt*theta*A and rhs = M - dt*(1-theta)*A -
-dt*E, of sparse matrices for ``step`` and of element blocks for the
-windowed solver (``fem.step_pair``).  The step matrices only depend on the
-system, the scheme and dt, so a StepWorkspace maps a key to one
-``FactoredStep``: the factor of lhs, checked once to solve lhs x = lhs 1 to
-a small residual, and rhs (W of ``fem.ReducedOperators`` for the windowed
-solver).  An entry lives until its owner drops it: a runtime's entries, one
-per (batch, scheme, dt), live as long as the runtime; ``step`` keeps only
-its last system's entry, with that system's matrices pinned.
+dt*E, of sparse matrices or of element blocks (``fem.step_pair``).  The one
+stepping kernel is the engine's windowed loop (``engine._advance``).  The
+step matrices only depend on the system, the scheme and dt, so a
+StepWorkspace maps a key to one ``FactoredStep``: the factor of lhs,
+checked once to solve lhs x = lhs 1 to a small residual, and rhs (W of
+``fem.ReducedOperators``).  A step is ``entry.solve(entry.rhs @ z)``.  The
+workspace's owner, the runtime, keeps one entry per (batch, scheme, dt)
+for its life.
 
 SuperLU factors lhs with its default COLAMD column order and a panel one
 column wide (PANEL_SIZE).  Almost every supernode of a P1 system on a
@@ -36,7 +36,6 @@ last bits.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -106,35 +105,31 @@ def theta_method(theta: float) -> SchemeKind:
 
 @dataclass(frozen=True, eq=False)
 class FactoredStep:
-    """A cached step: ``solve`` by lhs's factor, its ``nnz``, ``rhs`` and the ``operands`` it pins."""
+    """A cached step: ``solve`` by lhs's factor, its ``nnz`` and ``rhs``."""
 
     solve: Callable[[np.ndarray], np.ndarray]
     nnz: int
     rhs: object
-    operands: tuple = ()
 
 
 class StepWorkspace(dict):
-    """A map of key -> FactoredStep that only its owner empties.
-
-    A runtime's entries live as long as the runtime; ``step`` keeps its last system's only.
-    """
+    """A map of key -> FactoredStep that only its owner empties; a runtime's entries live as long as it does."""
 
     def factorization(self, key, build) -> FactoredStep:
-        """The entry for ``key``; a miss factors build() = (lhs, rhs, *operands) and keeps it, operands pinned."""
+        """The entry for ``key``; a miss factors build() = (lhs, rhs) and keeps it."""
         if key not in self:
             self[key] = _factor_step(*build())
         return self[key]
 
 
-def _factor_step(lhs: sp.spmatrix, rhs, *operands) -> FactoredStep:
-    """Factor A = lhs, check the factor once by solving A x = A 1, and keep the factor with rhs and operands.
+def _factor_step(lhs: sp.spmatrix, rhs) -> FactoredStep:
+    """Factor A = lhs, check the factor once by solving A x = A 1, and keep the factor with rhs.
 
     Raises SingularSystem if the factorization fails, if x is not finite,
     or if the residual exceeds RESIDUAL_RTOL * (1 + ||A 1||_inf); the last
     two catch near-singular systems that factor without an explicit error.
     A CSC lhs, as ``fem.ReducedOperators.step_matrices`` gathers it, is
-    factored without a copy; another format (``step``'s) is converted.
+    factored without a copy; another format is converted.
     The factor uses COLAMD and panels of PANEL_SIZE columns.
     """
     A = sp.csc_matrix(lhs)
@@ -149,7 +144,7 @@ def _factor_step(lhs: sp.spmatrix, rhs, *operands) -> FactoredStep:
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
         raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
-    return FactoredStep(lu.solve, lu.nnz, rhs, operands)
+    return FactoredStep(lu.solve, lu.nnz, rhs)
 
 
 def factor_nnz(entry) -> int:
@@ -179,45 +174,3 @@ def imex_theta(scheme: SchemeKind, mass, stiffness, lower, dt: float):
         rhs = rhs - dt * explicit
     return lhs, rhs
 
-
-def step(
-    scheme: SchemeKind,
-    mass: sp.spmatrix,
-    spatial,
-    f0: np.ndarray,
-    f1: np.ndarray,
-    u: np.ndarray,
-    dt: float,
-    workspace: StepWorkspace | None = None,
-) -> np.ndarray:
-    """Advance one step of M u' + S u = F with ``imex_theta``.
-
-    ``spatial`` is the matrix S for the theta family, or the pair
-    (stiffness, convection + reaction) for the semi-implicit scheme.
-    ``f0``/``f1`` are the loads at the step's start and end times.  A
-    workspace keeps the factor of lhs and rhs of the last system only,
-    under the scheme, dt and the identities of ``mass`` and the
-    spatial matrices, which its entry pins so no id is reused while it
-    lives; a step on another system empties the workspace first.  Without
-    one, lhs is factored anew and nothing is kept.
-    """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise SolverError(f"dt must be a positive finite number, got {dt}")
-    if scheme.name == "siem":
-        if not isinstance(spatial, tuple) or len(spatial) != 2:
-            raise SolverError(
-                "semi-implicit stepping needs spatial=(stiffness, convection+reaction)"
-            )
-        stiffness, lower = spatial
-    else:
-        stiffness, lower = spatial, None
-    if workspace is None:
-        entry = _factor_step(*imex_theta(scheme, mass, stiffness, lower, dt))
-    else:
-        system = (mass, stiffness, lower)
-        key = ("step", scheme, dt, *map(id, system))
-        if key not in workspace:
-            workspace.clear()
-        entry = workspace.factorization(key, lambda: (*imex_theta(scheme, mass, stiffness, lower, dt), *system))
-    theta = scheme.theta_value
-    return entry.solve(entry.rhs @ u + dt * (theta * f1 + (1.0 - theta) * f0))

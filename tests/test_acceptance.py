@@ -15,7 +15,7 @@ from graphrbm import fem
 from graphrbm.decomposition import batch_view, sample_interior_points
 from graphrbm.engine import RbmConfig, RbmRuntime
 from graphrbm.manufactured import lambda_profile
-from graphrbm.timestep import StepWorkspace, step
+from graphrbm.timestep import StepWorkspace, imex_theta
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -118,25 +118,27 @@ def test_criterion_05_reference_sweep_slope():
 def test_criterion_06_scheme_orders():
     import scipy.sparse as sp
 
+    # u' = -u with no load: each step is the runtime's entry.solve(entry.rhs @ u)
     one = sp.csr_matrix(np.array([[1.0]]))
-    zero = np.zeros(1)
     cases = (
-        ("ie", g.IMPLICIT_EULER, sp.csr_matrix(np.array([[1.0]])), 1.0),
-        ("theta(3/4)", g.theta_method(0.75), sp.csr_matrix(np.array([[1.0]])), 1.0),
+        ("ie", g.IMPLICIT_EULER, sp.csr_matrix(np.array([[1.0]])), None, 1.0),
+        ("theta(3/4)", g.theta_method(0.75), sp.csr_matrix(np.array([[1.0]])), None, 1.0),
         ("siem", g.SEMI_IMPLICIT,
-         (sp.csr_matrix(np.array([[0.7]])), sp.csr_matrix(np.array([[0.3]]))), 1.0),
-        ("cn", g.CRANK_NICOLSON, sp.csr_matrix(np.array([[1.0]])), 2.0),
+         sp.csr_matrix(np.array([[0.7]])), sp.csr_matrix(np.array([[0.3]])), 1.0),
+        ("cn", g.CRANK_NICOLSON, sp.csr_matrix(np.array([[1.0]])), None, 2.0),
     )
     results = []
     ok = True
-    for name, scheme, spatial, target in cases:
+    for name, scheme, stiffness, lower, target in cases:
         errors = []
         dts = [1e-2, 1e-3, 1e-4]
         for dt in dts:
             u = np.ones(1)
-            ws = StepWorkspace()
+            entry = StepWorkspace().factorization(
+                (scheme, dt), lambda: imex_theta(scheme, one, stiffness, lower, dt)
+            )
             for _ in range(round(1.0 / dt)):
-                u = step(scheme, one, spatial, zero, zero, u, dt, workspace=ws)
+                u = entry.solve(entry.rhs @ u)
             errors.append(abs(u[0] - np.exp(-1.0)))
         slope, _ = g.fit_slope(dts, errors)
         results.append(f"{name}={slope:.3f}")
@@ -190,7 +192,7 @@ def test_criterion_08_dissipativity(demo, rng):
 
 def test_criterion_09_cost_direction(demo, partition, option2, problem):
     mesh = g.Mesh(100)
-    dofmap = fem.build_dofmap(demo, mesh, demo.boundary_vertices)
+    dofmap = fem.DofMap(demo, mesh, demo.boundary_vertices)
     singleton_sizes = [
         len(fem.restrict_to_batch(dofmap, batch_view(partition, option2.batches, j)).active)
         for j in range(4)

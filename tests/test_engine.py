@@ -119,6 +119,26 @@ def test_parabolic_decay(demo, coarse_mesh, rng):
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
+@pytest.mark.parametrize(
+    "scheme",
+    [g.IMPLICIT_EULER, g.CRANK_NICOLSON, g.theta_method(0.75), g.SEMI_IMPLICIT],
+    ids=lambda scheme: scheme.label,
+)
+def test_every_scheme_steps_its_recurrence(demo, scheme):
+    # no boundary vertex, a = p = 1, b = 0, y0 = 1: K 1 = 0 and P = M, so u_n = rho^n 1 with
+    # rho = (1 - (1 - theta) dt) / (1 + theta dt), or 1 - dt for siem, whose C + P is explicit
+    graph = g.MetricGraph(demo.edges, ())
+    coeffs = constant_coefficients(a=1.0, p=1.0)
+    coeffs.y0 = lambda e, x: np.ones_like(np.asarray(x, dtype=float))
+    dt = 1e-3
+    traj = g.run_full(graph, g.Mesh(5), coeffs, scheme, dt=dt, t_final=1.0)
+    theta = scheme.theta_value
+    rho = 1.0 - dt if scheme.name == "siem" else (1.0 - (1.0 - theta) * dt) / (1.0 + theta * dt)
+    expected = rho ** np.rint(traj.times / dt)
+    assert len(traj.times) == 1001
+    assert np.abs(traj.states - expected[:, None]).max() <= 1e-12
+
+
 def test_seed_determinism(demo, partition, option2, problem, coarse_mesh):
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=77)
     a = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
@@ -540,8 +560,10 @@ def test_drive_table_built_once_per_key_and_read_only(demo, partition, option2, 
     ]
     runs = [g.run_rbm(demo, partition, option2, coarse_mesh, problem, c, runtime=runtime) for c in configs]
     assert built == [(0.5, 0.01, 20), (0.5, 0.005, 40)]
-    table = runtime.drive(0.5, 0.01, 20)
-    assert table is runtime.drive(0.5, 0.01, 20) and len(built) == 2
+    table, boundary = runtime.drive(0.5, 0.01, 20)
+    assert table is runtime.drive(0.5, 0.01, 20)[0] and len(built) == 2
+    n_boundary = 2 * len(runtime.dofmap.dirichlet_dofs)
+    assert boundary == np.abs(table[:, :n_boundary]).max()
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1.0
     # a shared table gives bitwise the states of a fresh runtime

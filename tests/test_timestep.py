@@ -18,7 +18,7 @@ from graphrbm.timestep import (
     SingularSystem,
     StepWorkspace,
     factor_nnz,
-    step,
+    imex_theta,
     theta_method,
 )
 
@@ -27,36 +27,41 @@ def scalar(value):
     return sp.csr_matrix(np.array([[value]]))
 
 
-ZERO1 = np.zeros(1)
+def advance(scheme, mass, stiffness, u, dt, n_steps=1, lower=None, f0=0.0, f1=0.0):
+    """``n_steps`` steps of M u' + (stiffness + lower) u = F as a runtime takes them.
+
+    ``imex_theta``'s (lhs, rhs) is factored once by a workspace, and each
+    step is entry.solve(entry.rhs @ u + dt (theta F1 + (1 - theta) F0)),
+    with the loads F0, F1 the same on every step.
+    """
+    theta = scheme.theta_value
+    entry = StepWorkspace().factorization((scheme, dt), lambda: imex_theta(scheme, mass, stiffness, lower, dt))
+    load = dt * (theta * f1 + (1.0 - theta) * f0)
+    for _ in range(n_steps):
+        u = entry.solve(entry.rhs @ u + load)
+    return u
 
 
 def test_scalar_implicit_euler():
     # u' = -u, dt = 0.1: u1 = 1 / 1.1
-    u1 = step(IMPLICIT_EULER, scalar(1.0), scalar(1.0), ZERO1, ZERO1, np.ones(1), 0.1)
+    u1 = advance(IMPLICIT_EULER, scalar(1.0), scalar(1.0), np.ones(1), 0.1)
     assert np.isclose(u1[0], 1.0 / 1.1, rtol=1e-15)
 
 
 def test_scalar_crank_nicolson():
-    u1 = step(CRANK_NICOLSON, scalar(1.0), scalar(1.0), ZERO1, ZERO1, np.ones(1), 0.1)
+    u1 = advance(CRANK_NICOLSON, scalar(1.0), scalar(1.0), np.ones(1), 0.1)
     assert np.isclose(u1[0], 0.95 / 1.05, rtol=1e-15)
 
 
 def test_scalar_theta_three_quarters():
-    u1 = step(theta_method(0.75), scalar(1.0), scalar(1.0), ZERO1, ZERO1, np.ones(1), 0.1)
+    u1 = advance(theta_method(0.75), scalar(1.0), scalar(1.0), np.ones(1), 0.1)
     assert np.isclose(u1[0], 0.975 / 1.075, rtol=1e-15)
 
 
 def test_scalar_semi_implicit_split():
     # implicit part 0.7, explicit part 0.3: u1 = (1 - 0.03) / (1 + 0.07)
-    u1 = step(
-        SEMI_IMPLICIT, scalar(1.0), (scalar(0.7), scalar(0.3)), ZERO1, ZERO1, np.ones(1), 0.1
-    )
+    u1 = advance(SEMI_IMPLICIT, scalar(1.0), scalar(0.7), np.ones(1), 0.1, lower=scalar(0.3))
     assert np.isclose(u1[0], 0.97 / 1.07, rtol=1e-15)
-
-
-def test_semi_implicit_needs_split():
-    with pytest.raises(SolverError):
-        step(SEMI_IMPLICIT, scalar(1.0), scalar(1.0), ZERO1, ZERO1, np.ones(1), 0.1)
 
 
 def _random_system(rng, n=20):
@@ -71,15 +76,15 @@ def _random_system(rng, n=20):
 
 def test_theta_one_is_implicit_euler(rng):
     mass, spatial, u, f0, f1 = _random_system(rng)
-    a = step(theta_method(1.0), mass, spatial, f0, f1, u, 0.05)
-    b = step(IMPLICIT_EULER, mass, spatial, f0, f1, u, 0.05)
+    a = advance(theta_method(1.0), mass, spatial, u, 0.05, f0=f0, f1=f1)
+    b = advance(IMPLICIT_EULER, mass, spatial, u, 0.05, f0=f0, f1=f1)
     assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
 
 
 def test_theta_half_is_crank_nicolson(rng):
     mass, spatial, u, f0, f1 = _random_system(rng)
-    a = step(theta_method(0.5), mass, spatial, f0, f1, u, 0.05)
-    b = step(CRANK_NICOLSON, mass, spatial, f0, f1, u, 0.05)
+    a = advance(theta_method(0.5), mass, spatial, u, 0.05, f0=f0, f1=f1)
+    b = advance(CRANK_NICOLSON, mass, spatial, u, 0.05, f0=f0, f1=f1)
     assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
 
 
@@ -126,27 +131,6 @@ def test_factor_check_rejects_wilkinson_growth():
         factor(sp.csc_matrix(dense))
 
 
-def test_step_workspace_keys_on_the_system():
-    # IE, dt = 0.1, M = 1: S = 3 gives 1 / 1.3 also after a step on S = 1 in the same workspace
-    ws = StepWorkspace()
-    first, second = (scalar(1.0), scalar(1.0)), (scalar(1.0), scalar(3.0))
-    step(IMPLICIT_EULER, *first, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
-    u1 = step(IMPLICIT_EULER, *second, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
-    assert np.isclose(u1[0], 1.0 / 1.3, rtol=1e-15) and len(ws) == 1
-
-
-def test_step_workspace_keys_on_the_scheme_not_its_label():
-    # both schemes print as theta:0.6; a step under the second must not reuse the first's factor
-    first, second = theta_method(0.6), theta_method(0.6000001)
-    assert first.label == second.label
-    mass, spatial = scalar(1.0), scalar(3.0)
-    ws = StepWorkspace()
-    step(first, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
-    shared = step(second, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
-    fresh = step(second, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=StepWorkspace())
-    assert shared.tobytes() == fresh.tobytes() and len(ws) == 1
-
-
 def test_workspace_caches_by_key():
     ws = StepWorkspace()
     builds = []
@@ -176,68 +160,6 @@ def test_cached_entry_does_not_keep_lhs():
     gc.collect()
     assert lhs_refs[0]() is None
     assert np.array_equal(entry.solve(np.full(4, 2.0)), np.ones(4))
-
-
-def test_step_after_first_system_is_deleted():
-    # the entry of S = 1 pins its operands, so no new matrix takes over their ids while it lives;
-    # the next system's miss drops it, and with it the operands, and S = 3 is factored anew
-    # CN, dt = 0.1, M = 1: u1 = (1 - 0.05 S) / (1 + 0.05 S); its rhs is a new matrix, not M
-    ws = StepWorkspace()
-    mass, spatial = scalar(1.0), scalar(1.0)
-    step(CRANK_NICOLSON, mass, spatial, ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
-    refs = [weakref.ref(mass), weakref.ref(spatial)]
-    del mass, spatial
-    gc.collect()
-    assert all(ref() is not None for ref in refs) and len(ws) == 1
-    u1 = step(CRANK_NICOLSON, scalar(1.0), scalar(3.0), ZERO1, ZERO1, np.ones(1), 0.1, workspace=ws)
-    gc.collect()
-    assert all(ref() is None for ref in refs) and len(ws) == 1
-    assert np.isclose(u1[0], 0.85 / 1.15, rtol=1e-15)
-
-
-def test_fresh_matrices_every_step_keep_one_entry():
-    # u' = -u with ie: each step builds its own M and S, and only the last step's entry is kept
-    ws = StepWorkspace()
-    u = np.ones(1)
-    for _ in range(50):
-        mass, spatial = scalar(1.0), scalar(1.0)
-        u = step(IMPLICIT_EULER, mass, spatial, ZERO1, ZERO1, u, 0.1, workspace=ws)
-        assert len(ws) == 1
-    assert np.isclose(u[0], 1.1**-50, rtol=1e-13)
-
-
-def test_repeated_steps_keep_no_earlier_factor(monkeypatch):
-    # 50 CN steps on one M and S (rhs = M - 0.05 S is a new matrix): without a workspace every
-    # step's factor and rhs are freed after it; with one, the one entry is built once and kept
-    factor_step, built = timestep._factor_step, []
-
-    def recording(lhs, rhs, *operands):
-        entry = factor_step(lhs, rhs, *operands)
-        built.append((weakref.ref(entry), weakref.ref(rhs)))
-        return entry
-
-    monkeypatch.setattr(timestep, "_factor_step", recording)
-    mass, spatial = scalar(1.0), scalar(1.0)
-    for ws in (None, StepWorkspace()):
-        built.clear()
-        u = np.ones(1)
-        for _ in range(50):
-            u = step(CRANK_NICOLSON, mass, spatial, ZERO1, ZERO1, u, 0.1, workspace=ws)
-        gc.collect()
-        assert np.isclose(u[0], (0.95 / 1.05) ** 50, rtol=1e-13)
-        alive = [entry() is not None or rhs() is not None for entry, rhs in built]
-        assert alive == ([False] * 50 if ws is None else [True])
-
-
-def test_long_lived_mass_keeps_one_entry():
-    # a fresh S per step beside one M: each step replaces the entry of the step before
-    ws = StepWorkspace()
-    mass, u = scalar(1.0), np.ones(1)
-    for _ in range(50):
-        spatial = scalar(1.0)
-        u = step(CRANK_NICOLSON, mass, spatial, ZERO1, ZERO1, u, 0.1, workspace=ws)
-        assert len(ws) == 1
-    assert np.isclose(u[0], (0.95 / 1.05) ** 50, rtol=1e-13)
 
 
 def test_factor_nnz_positive():
@@ -298,13 +220,6 @@ def test_scheme_labels_and_parse():
         SchemeKind("ie", 0.3)
 
 
-def test_step_rejects_bad_dt():
-    # a NaN or infinite dt is an input error, not a singular factor
-    for dt in (0.0, -0.1, float("nan"), float("inf")):
-        with pytest.raises(SolverError, match="dt must be a positive finite number"):
-            step(IMPLICIT_EULER, scalar(1.0), scalar(1.0), ZERO1, ZERO1, np.ones(1), dt)
-
-
 @pytest.mark.parametrize(
     "scheme,expected_order",
     [
@@ -315,16 +230,10 @@ def test_step_rejects_bad_dt():
 )
 def test_global_order_scalar_decay(scheme, expected_order):
     # integrate u' = -u to T = 1 and compare with exp(-1)
-    # the same matrix objects on every step, so each dt factors once
-    mass, spatial = scalar(1.0), scalar(1.0)
     errors = []
     dts = [1e-2, 1e-3, 1e-4]
     for dt in dts:
-        u = np.ones(1)
-        ws = StepWorkspace()
-        for _ in range(round(1.0 / dt)):
-            u = step(scheme, mass, spatial, ZERO1, ZERO1, u, dt, workspace=ws)
-        assert len(ws) == 1
+        u = advance(scheme, scalar(1.0), scalar(1.0), np.ones(1), dt, n_steps=round(1.0 / dt))
         errors.append(abs(u[0] - np.exp(-1.0)))
     slope, _ = g.fit_slope(dts, errors)
     assert abs(slope - expected_order) <= 0.1
