@@ -35,13 +35,11 @@ from .fem import (
     assemble,
     interpolate,
     mass_matrix,
-    restrict_to_batch,
 )
 from .graph import Edge, MetricGraph, build_graph, demo_graph, load_graph
 from .harness import (
     ExperimentRecord,
     ExperimentSpec,
-    benchmark,
     emit_csv,
     fit_slope,
     read_csv,

@@ -243,6 +243,18 @@ def batch_family(
     return BatchFamily(batches=batch_sets, probs=probs / probs.sum(), normalizers=pi)
 
 
+def edge_factors(partition: SubgraphPartition, family: BatchFamily) -> np.ndarray:
+    """1/pi of each edge's owning part, per edge: the factor of an edge in every batch that holds it.
+
+    Raises DecompositionError when the family's part count is not the partition's.
+    """
+    if family.n_parts != partition.n_parts:
+        raise DecompositionError(
+            f"the batch family has {family.n_parts} parts, the partition {partition.n_parts}"
+        )
+    return 1.0 / family.normalizers[partition.part_of_edge]
+
+
 def zeta_weights(partition: SubgraphPartition, family: BatchFamily, j: int) -> np.ndarray:
     """Per-edge scale factors of batch j: 1/pi of the owning part on active edges, 0 elsewhere.
 
@@ -254,10 +266,10 @@ def zeta_weights(partition: SubgraphPartition, family: BatchFamily, j: int) -> n
     """
     if j < 0 or j >= family.n_batches:
         raise BadBatchIndex(f"batch index {j} out of range [0, {family.n_batches})")
-    parts = list(family.batches[j])
-    part_factor = np.zeros(family.n_parts)
-    part_factor[parts] = 1.0 / family.normalizers[parts]
-    return part_factor[partition.part_of_edge]
+    factors = edge_factors(partition, family)
+    active = np.zeros(family.n_parts, dtype=bool)
+    active[list(family.batches[j])] = True
+    return np.where(active[partition.part_of_edge], factors, 0.0)
 
 
 def verify_unbiased(

@@ -63,10 +63,11 @@ from .decomposition import (
     batch_family,
     batch_view,
     check_assumption_A1,
+    edge_factors,
     zeta_weights,
 )
 from .errors import NumericalError, SolverError
-from .fem import GAUSS3, CoefficientSet, DofMap, Elements, Mesh, reduce_operators, restrict_to_batch
+from .fem import GAUSS3, CoefficientSet, DofMap, Elements, Mesh, reduce_operators
 from .graph import MetricGraph
 from .manufactured import (
     ElementMassNorms,
@@ -214,12 +215,13 @@ class RbmRuntime:
         self.family = family
         self.mesh = mesh
         self.coeffs = coeffs
+        edge_factor = edge_factors(partition, family)
         self.dofmap = DofMap(graph, mesh, graph.boundary_vertices)
         self.workspace = StepWorkspace()
         self.a1_report = check_assumption_A1(partition, family.batches)
         self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
         # each element's K and C + P count with 1/pi of its edge's part
-        self.factor = np.repeat(1.0 / family.normalizers[partition.part_of_edge], self.elements.elements.per_edge)
+        self.factor = np.repeat(edge_factor, self.elements.elements.per_edge)
         self.term_vectors = tuple(self.elements.elements.scatter(v, self.factor) for v in self.elements.term_loads)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, fem.ReducedOperators] = {}
@@ -263,9 +265,8 @@ class RbmRuntime:
         system = self._systems.get(j)
         if system is None:
             view = batch_view(self.partition, self.family.batches, j)
-            batch = restrict_to_batch(self.dofmap, view)
             factor = zeta_weights(self.partition, self.family, j)
-            system = reduce_operators(self.elements, batch, self.dofmap.dirichlet_dofs, factor, self.term_vectors)
+            system = reduce_operators(self.elements, self.dofmap, view, factor, self.term_vectors)
             self._systems[j] = system
         return system
 

@@ -428,42 +428,6 @@ def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction
     return u
 
 
-@dataclass(frozen=True)
-class BatchDofs:
-    """Dof split for one active subgraph.
-
-    ``active`` contains all dofs taking part in the window solve (the
-    interior blocks of active edges plus every vertex they touch);
-    ``interface_dofs`` and ``exterior_dofs`` are its interface and exterior
-    boundary vertex dofs, and ``free`` is the rest of ``active``.  Dofs
-    outside ``active`` stay frozen during the window.
-    """
-
-    active: np.ndarray
-    free: np.ndarray
-    interface_dofs: np.ndarray
-    exterior_dofs: np.ndarray
-
-
-def restrict_to_batch(dofmap: DofMap, view: BatchView) -> BatchDofs:
-    """The dof split of batch ``view``: sorted active ids, interface and exterior ids and the free rest.
-
-    One boolean mask over all dofs marks the batch's vertices and the
-    interior dofs of its active edges; its nonzeros are ``active``, and
-    with the interface and exterior dofs cleared, ``free``.  Both come out
-    sorted, as ``intp``, without a sort.
-    """
-    interface = np.fromiter(sorted(view.interface), dtype=int)
-    exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
-    mask = np.zeros(dofmap.n_dofs, dtype=bool)
-    mask[np.fromiter(view.vertices, dtype=int)] = True
-    mask[dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int))] = True
-    active = np.flatnonzero(mask)
-    mask[interface] = False
-    mask[exterior] = False
-    return BatchDofs(active=active, free=np.flatnonzero(mask), interface_dofs=interface, exterior_dofs=exterior)
-
-
 def growth_rates(data: ElementData, factor: np.ndarray) -> np.ndarray:
     """Per element, the largest eigenvalue of sym(-(K_e + L_e)) against M_e, K_e and L_e times its ``factor``.
 
@@ -498,8 +462,10 @@ def step_pair(data: ElementData, factor: np.ndarray, scheme: SchemeKind, dt: flo
 class ReducedOperators:
     """One batch's system: its dof split and its load; its step matrices are free rows of a ``StepPair``.
 
-    ``free``, ``interface`` and ``exterior`` are the batch's dof split
-    (``BatchDofs``) and ``n_active`` its active dof count.  The graph's
+    ``interface`` and ``exterior`` are the interface and exterior vertex
+    dofs of the batch's active subgraph, ``free`` the rest of its active
+    dofs and ``n_active`` the count of all of them; every dof outside the
+    active subgraph stays frozen during a window.  The graph's
     Dirichlet dofs ``dirichlet`` number W's Dirichlet columns, so one drive
     row [g(t0) | g(t1) | load weights] fits every batch; ``exterior_t1``
     are the drive-row columns that hold g(t1) at ``exterior``.
@@ -557,18 +523,31 @@ class ReducedOperators:
 
 
 def reduce_operators(
-    data: ElementData, batch: BatchDofs, dirichlet: np.ndarray, edge_factor: np.ndarray, vectors: tuple
+    data: ElementData, dofmap: DofMap, view: BatchView, edge_factor: np.ndarray, vectors: tuple
 ) -> ReducedOperators:
-    """The system of ``batch``: its dof split, the term ``vectors`` (over all dofs) at its free dofs, and its load.
+    """The system of batch ``view``: its dof split, the term ``vectors`` (over all dofs) at its free dofs, and its load.
 
-    ``edge_factor`` is the batch's per-edge factor (``zeta_weights``); a
-    source that is not separable gets a ``LoadEvaluator`` over its nonzero edges.
+    One boolean mask over all dofs marks the batch's vertices and the
+    interior dofs of its active edges, the active dofs; with the interface
+    and exterior dofs cleared, its nonzeros are the free dofs, sorted, as
+    ``intp``, without a sort.  W's Dirichlet columns are ``dofmap``'s
+    Dirichlet dofs.  ``edge_factor`` is the batch's per-edge factor
+    (``zeta_weights``); a source that is not separable gets a
+    ``LoadEvaluator`` over its nonzero edges.
     """
-    free, dirichlet = batch.free, np.asarray(dirichlet, dtype=int)
+    interface = np.fromiter(sorted(view.interface), dtype=int)
+    exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
+    mask = np.zeros(dofmap.n_dofs, dtype=bool)
+    mask[np.fromiter(view.vertices, dtype=int)] = True
+    mask[dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int))] = True
+    n_active = int(np.count_nonzero(mask))
+    mask[interface] = False
+    mask[exterior] = False
+    free, dirichlet = np.flatnonzero(mask), dofmap.dirichlet_dofs
     return ReducedOperators(
-        free=free, interface=batch.interface_dofs, exterior=batch.exterior_dofs,
-        exterior_t1=len(dirichlet) + np.searchsorted(dirichlet, batch.exterior_dofs),
-        n_active=len(batch.active), dirichlet=dirichlet, term_vectors=tuple(v[free] for v in vectors),
+        free=free, interface=interface, exterior=exterior,
+        exterior_t1=len(dirichlet) + np.searchsorted(dirichlet, exterior),
+        n_active=n_active, dirichlet=dirichlet, term_vectors=tuple(v[free] for v in vectors),
         load=None if data.source is None else LoadEvaluator(data, edge_factor, free),
     )
 

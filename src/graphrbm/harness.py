@@ -17,8 +17,9 @@ realization's solve, the accumulator's own time taken out.
 
 Memory is reported two ways: a deterministic proxy (max over windows of
 active dof count plus factor nonzeros, the objects that dominate the
-solver's footprint) and the OS peak resident set when available.  The
-proxy is the authoritative number for assertions.
+solver's footprint) and the OS peak resident set when available, read
+once per (scheme, h) cell after its last realization.  The proxy is the
+authoritative number for assertions.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .engine import (  # run_full is unused here, but perfbench/spans.py patches
     InvalidSpec,
     RbmConfig,
     RbmRuntime,
-    _check_snapshot_stride,
-    _count_steps,
     run_full,  # noqa: F401
     run_rbm,
     stored_times,
@@ -47,19 +46,27 @@ from .graph import MetricGraph
 from .manufactured import L2ErrorEvaluator, ManufacturedSolution, derive_data
 from .timestep import SchemeKind
 
-CSV_HEADER = (
-    "scheme",
-    "h",
-    "dt",
-    "realizations",
-    "error1",
-    "error2",
-    "variance",
-    "avg_time_s",
-    "mem_proxy",
-    "peak_rss_mb",
-    "seed",
-)
+
+def _float_or_none(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
+# the study CSV's columns in order, each with how its cell reads back; a float
+# is written as its repr and None as an empty cell
+_CSV_COLUMNS = {
+    "scheme": str,
+    "h": float,
+    "dt": float,
+    "realizations": int,
+    "error1": float,
+    "error2": float,
+    "variance": float,
+    "avg_time_s": float,
+    "mem_proxy": int,
+    "peak_rss_mb": _float_or_none,
+    "seed": int,
+}
+CSV_HEADER = tuple(_CSV_COLUMNS)
 
 # the master seed fills the high half of each realization's 128-bit key
 MASTER_SEED_BITS = 64
@@ -100,11 +107,14 @@ class ExperimentSpec:
             raise InvalidSpec("need at least one scheme")
         if not 0 <= self.seed < 2**MASTER_SEED_BITS:
             raise InvalidSpec(f"master seed must lie in [0, 2**{MASTER_SEED_BITS}), got {self.seed}")
-        _check_snapshot_stride(self.snapshot_stride)
-        # the step counts run_rbm takes, so a study fails before it builds anything
+        # the stride and step counts run_rbm takes, so a study fails before it builds anything
         for h in self.h_list:
-            _count_steps(h, self.dt, "window length h", "dt")
-            _count_steps(self.t_final, h, "t_final", "window length h")
+            stored_times(
+                RbmConfig(
+                    h=h, dt=self.dt, t_final=self.t_final, scheme=self.schemes[0], seed=0,
+                    snapshot_stride=self.snapshot_stride,
+                )
+            )
 
 
 @dataclass
@@ -130,13 +140,6 @@ class ExperimentRecord:
     detail: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class BenchmarkResult:
-    wall_seconds: float
-    peak_rss_mb: float | None
-    result: object
-
-
 def _peak_rss_mb() -> float | None:
     try:
         import resource
@@ -149,14 +152,6 @@ def _peak_rss_mb() -> float | None:
     if sys.platform == "darwin":
         return usage / (1024.0 * 1024.0)
     return usage / 1024.0
-
-
-def benchmark(fn) -> BenchmarkResult:
-    """Wall-clock a closure and read the peak resident set after it."""
-    t0 = time.perf_counter()
-    result = fn()
-    wall = time.perf_counter() - t0
-    return BenchmarkResult(wall_seconds=wall, peak_rss_mb=_peak_rss_mb(), result=result)
 
 
 def memory_proxy(stats: dict) -> int:
@@ -191,20 +186,17 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
             seeds = [realization_seed(spec.seed, r) for r in range(spec.realizations)]
             acc.restart(grids[h])
             walls = []
-            rss = []
             proxy = 0
             for run_seed in seeds:
+                run_config = config(scheme, h, run_seed)
                 stored_s = acc.seconds
-                bench = benchmark(
-                    lambda c=config(scheme, h, run_seed): run_rbm(
-                        spec.graph, spec.partition, spec.family, mesh, coeffs, c,
-                        runtime=runtime, sink=acc.store,
-                    )
+                start = time.perf_counter()
+                traj = run_rbm(
+                    spec.graph, spec.partition, spec.family, mesh, coeffs, run_config,
+                    runtime=runtime, sink=acc.store,
                 )
-                walls.append(bench.wall_seconds - (acc.seconds - stored_s))
-                if bench.peak_rss_mb is not None:
-                    rss.append(bench.peak_rss_mb)
-                proxy = max(proxy, memory_proxy(bench.result.stats))
+                walls.append(time.perf_counter() - start - (acc.seconds - stored_s))
+                proxy = max(proxy, memory_proxy(traj.stats))
             summary = acc.summary()
             records.append(
                 ExperimentRecord(
@@ -217,7 +209,7 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
                     variance=summary.variance,
                     avg_time_s=float(np.mean(walls)),
                     mem_proxy=proxy,
-                    peak_rss_mb=max(rss) if rss else None,
+                    peak_rss_mb=_peak_rss_mb(),  # ru_maxrss never falls, so once per cell
                     seed=spec.seed,
                     detail={"seeds": seeds, "n_dofs": runtime.dofmap.n_dofs},
                 )
@@ -249,6 +241,13 @@ def fit_slope(h_list, error_list) -> tuple[float, float]:
     return slope, intercept
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    # float() so that a numpy float prints as a plain number
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
 def emit_csv(records, path) -> None:
     """Write records as CSV with a fixed header, sorted by (scheme, h)."""
     records = sorted(records, key=lambda r: (r.scheme, r.h))
@@ -258,45 +257,26 @@ def emit_csv(records, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    r.scheme,
-                    repr(r.h),
-                    repr(r.dt),
-                    r.realizations,
-                    repr(r.error1),
-                    repr(r.error2),
-                    repr(r.variance),
-                    repr(r.avg_time_s),
-                    r.mem_proxy,
-                    "" if r.peak_rss_mb is None else repr(r.peak_rss_mb),
-                    r.seed,
-                ]
-            )
+            writer.writerow([_cell(getattr(r, name)) for name in CSV_HEADER])
 
 
 def read_csv(path) -> list[ExperimentRecord]:
-    """Parse a study CSV back into records (inverse of emit_csv)."""
+    """Parse a study CSV back into records (inverse of emit_csv); SolverError naming the line of a bad row."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
             raise SolverError(f"unexpected CSV header {header}")
         for row in reader:
-            out.append(
-                ExperimentRecord(
-                    scheme=row[0],
-                    h=float(row[1]),
-                    dt=float(row[2]),
-                    realizations=int(row[3]),
-                    error1=float(row[4]),
-                    error2=float(row[5]),
-                    variance=float(row[6]),
-                    avg_time_s=float(row[7]),
-                    mem_proxy=int(row[8]),
-                    peak_rss_mb=None if row[9] == "" else float(row[9]),
-                    seed=int(row[10]),
-                )
-            )
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(CSV_HEADER):
+                raise SolverError(f"{where}: {len(row)} cells, expected {len(CSV_HEADER)}")
+            fields = {}
+            for (name, read), cell in zip(_CSV_COLUMNS.items(), row):
+                try:
+                    fields[name] = read(cell)
+                except ValueError:
+                    raise SolverError(f"{where}: {name} cell {cell!r} is not valid") from None
+            out.append(ExperimentRecord(**fields))
     return out

@@ -82,16 +82,17 @@ class SchemeKind:
         return self.name
 
     @staticmethod
-    def parse(text: str) -> "SchemeKind":
-        text = text.strip().lower()
-        if text.startswith("theta"):
-            _, _, value = text.partition(":")
+    def parse(text: str, theta: float = 0.5) -> "SchemeKind":
+        """The scheme ``ie``, ``cn``, ``siem``, ``theta`` (weight ``theta``) or ``theta:W``; SolverError otherwise."""
+        name, colon, value = text.strip().lower().partition(":")
+        if name == "theta" and colon:
             try:
-                theta = float(value) if value else 0.5
+                theta = float(value)
             except ValueError:
                 raise SolverError(f"theta must be a number, got {value!r}") from None
-            return SchemeKind("theta", theta)
-        return SchemeKind(text)
+        elif colon:
+            raise SolverError(f"unknown scheme {text.strip()!r}")
+        return SchemeKind(name, float(theta)) if name == "theta" else SchemeKind(name)
 
 
 IMPLICIT_EULER = SchemeKind("ie")

@@ -12,7 +12,7 @@ import numpy as np
 
 import graphrbm as g
 from graphrbm import fem
-from graphrbm.decomposition import batch_view, sample_interior_points
+from graphrbm.decomposition import sample_interior_points
 from graphrbm.engine import RbmConfig, RbmRuntime
 from graphrbm.manufactured import lambda_profile
 from graphrbm.timestep import StepWorkspace, imex_theta
@@ -192,12 +192,9 @@ def test_criterion_08_dissipativity(demo, rng):
 
 def test_criterion_09_cost_direction(demo, partition, option2, problem):
     mesh = g.Mesh(100)
-    dofmap = fem.DofMap(demo, mesh, demo.boundary_vertices)
-    singleton_sizes = [
-        len(fem.restrict_to_batch(dofmap, batch_view(partition, option2.batches, j)).active)
-        for j in range(4)
-    ]
-    max_part_dofs = max(singleton_sizes)
+    runtime = RbmRuntime(demo, partition, option2, mesh, problem)
+    dofmap = runtime.dofmap
+    max_part_dofs = max(runtime.system(j).n_active for j in range(4))
     counts_ok = max_part_dofs == 304 and dofmap.n_dofs == 1010
 
     def timed(fn):
@@ -209,7 +206,6 @@ def test_criterion_09_cost_direction(demo, partition, option2, problem):
         timed(lambda: g.run_full(demo, mesh, problem, g.IMPLICIT_EULER, dt=2e-3, t_final=1.0))
         for _ in range(3)
     )
-    runtime = RbmRuntime(demo, partition, option2, mesh, problem)
     warm = RbmConfig(h=2e-3, dt=2e-3, t_final=1.0, scheme=g.IMPLICIT_EULER, seed=900)
     g.run_rbm(demo, partition, option2, mesh, problem, warm, runtime=runtime)
     walls = []

@@ -96,7 +96,9 @@ def test_missing_graph_file_is_config_error(capsys):
 
 
 def test_unknown_scheme_is_config_error():
-    assert main(["solve", "--scheme", "rk4", "--nodes-per-edge", "5"]) == 2
+    # a token that only starts with theta, or theta: without a weight, is no scheme
+    for scheme in ("rk4", "thetafoo", "theta:"):
+        assert main(["solve", "--scheme", scheme, "--theta", "0.9", "--nodes-per-edge", "5"]) == 2, scheme
 
 
 def test_theta_not_a_number_is_config_error(capsys):

@@ -168,6 +168,19 @@ def test_zeta_edge_support(partition, option1):
     assert np.all(w[3:] == 0.0)
 
 
+def test_family_of_another_part_count_is_a_decomposition_error(demo, solution, problem):
+    five = g.SubgraphPartition(demo, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8}, {9}])
+    family = g.batch_option_two()
+    message = "the batch family has 4 parts, the partition 5"
+    config = g.RbmConfig(h=0.05, dt=0.05, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=0)
+    with pytest.raises(DecompositionError, match=message):
+        g.run_rbm(demo, five, family, g.Mesh(3), problem, config)
+    with pytest.raises(DecompositionError, match=message):
+        g.lambda_profile(solution, problem, five, family, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(DecompositionError, match=message):
+        g.verify_unbiased(five, family, lambda e, x: np.ones_like(x), [(0, 0.5)])
+
+
 @pytest.mark.parametrize("family_name", ["option1", "option2"])
 def test_unbiasedness(demo, partition, family_name, request, problem):
     family = request.getfixturevalue(family_name)

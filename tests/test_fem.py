@@ -254,22 +254,27 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
     data = fem.assemble(demo, mesh, dm, problem)
     ops = full_operators(data, dm, unit_weights(demo))
-    bd = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
+    view = batch_view(partition, option1.batches, 4)
     weights = unit_weights(demo)
     factor = np.repeat(weights, data.elements.per_edge)
     vectors = tuple(data.elements.scatter(term, factor) for term in data.term_loads)
-    reduced = fem.reduce_operators(data, bd, dm.dirichlet_dofs, weights, vectors)
-    assert reduced.n_active == len(bd.active)
+    reduced = fem.reduce_operators(data, dm, view, weights, vectors)
+    # the dof split: the batch's interface and exterior vertices, and the rest of its active dofs free
+    active = set(view.vertices).union(*(dm.edge_dofs(e).tolist() for e in view.active_edges))
+    assert reduced.interface.tolist() == sorted(view.interface)
+    assert reduced.exterior.tolist() == sorted(view.exterior_boundary)
+    assert reduced.free.tolist() == sorted(active - view.interface - view.exterior_boundary)
+    assert reduced.n_active == len(active)
     # the fused layout: [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms]
     dt = 0.1
     lhs = (ops.mass + dt * ops.stiffness).toarray()
     rhs = (ops.mass - dt * ops.lower).toarray()
     loads = reduced.term_vectors
     assert len(loads) == len(data.term_loads)
-    assert all(np.array_equal(load, vector[bd.free]) for load, vector in zip(loads, vectors))
+    assert all(np.array_equal(load, vector[reduced.free]) for load, vector in zip(loads, vectors))
     lhs_ff, w = reduced.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt))
-    free, interface, dirichlet = bd.free, bd.interface_dofs, dm.dirichlet_dofs
-    exterior = np.isin(dirichlet, bd.exterior_dofs)
+    free, interface, dirichlet = reduced.free, reduced.interface, dm.dirichlet_dofs
+    exterior = np.isin(dirichlet, reduced.exterior)
     want = np.hstack(
         [
             rhs[np.ix_(free, free)],
@@ -283,7 +288,7 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     assert np.abs(w.toarray() - want).max() <= 1e-14 * np.abs(want).max()
     # each exterior dof's g(t1) sits at its column of the drive row [g(t0) | g(t1) | load weights]
     drive = np.concatenate([np.zeros(len(dirichlet)), dirichlet, np.zeros(len(loads))])
-    assert np.array_equal(drive[reduced.exterior_t1], bd.exterior_dofs)
+    assert np.array_equal(drive[reduced.exterior_t1], reduced.exterior)
     want_ff = lhs[np.ix_(free, free)]
     assert np.abs(lhs_ff.toarray() - want_ff).max() <= 1e-14 * np.abs(want_ff).max()
     # a free row with an entry in no column of W is refused, not handed to SuperLU as a negative index
@@ -364,27 +369,26 @@ def test_kirchhoff_flux_imbalance_first_order(demo, solution):
     assert worst[0] > worst[-1]
 
 
-def test_restrict_to_batch_counts(demo, partition, option1):
-    mesh = g.Mesh(100)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
-    b1 = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 0))
-    assert len(b1.active) == 304
-    assert {demo.vertex_name(v) for v in b1.interface_dofs} == {"v4"}
-    assert {demo.vertex_name(v) for v in b1.exterior_dofs} == {"v1", "v2"}
-    b5 = fem.restrict_to_batch(dm, batch_view(partition, option1.batches, 4))
-    assert {demo.vertex_name(v) for v in b5.interface_dofs} == {"v7"}
-    assert {demo.vertex_name(v) for v in b5.exterior_dofs} == {"v1", "v2"}
-    assert len(b5.active) == 7 * 100 + 7
+def test_batch_system_dof_counts(demo, partition, option1, problem):
+    runtime = RbmRuntime(demo, partition, option1, g.Mesh(100), problem)
+    names = lambda dofs: {demo.vertex_name(v) for v in dofs}
+    b1 = runtime.system(0)
+    assert b1.n_active == 304
+    assert names(b1.interface) == {"v4"}
+    assert names(b1.exterior) == {"v1", "v2"}
+    b5 = runtime.system(4)
+    assert names(b5.interface) == {"v7"}
+    assert names(b5.exterior) == {"v1", "v2"}
+    assert b5.n_active == 7 * 100 + 7
 
 
-def test_restrict_to_batch_full_is_identity(demo, partition, single_batch):
-    mesh = g.Mesh(10)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
-    bd = fem.restrict_to_batch(dm, batch_view(partition, single_batch.batches, 0))
-    assert np.array_equal(bd.active, np.arange(dm.n_dofs))
-    assert np.array_equal(bd.exterior_dofs, dm.dirichlet_dofs)
-    assert np.array_equal(bd.free, dm.free_dofs)
-    assert len(bd.interface_dofs) == 0
+def test_one_batch_system_is_the_whole_graph(demo, partition, single_batch, problem):
+    runtime = RbmRuntime(demo, partition, single_batch, g.Mesh(10), problem)
+    system, dm = runtime.system(0), runtime.dofmap
+    assert system.n_active == dm.n_dofs
+    assert np.array_equal(system.exterior, dm.dirichlet_dofs)
+    assert np.array_equal(system.free, dm.free_dofs)
+    assert len(system.interface) == 0
 
 
 def test_interpolate_nodal_values(demo):

@@ -8,7 +8,6 @@ from graphrbm.harness import (
     ExperimentRecord,
     ExperimentSpec,
     InvalidSpec,
-    benchmark,
     emit_csv,
     fit_slope,
     memory_proxy,
@@ -82,6 +81,8 @@ def test_csv_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 4
+    # a float is its repr, None an empty cell
+    assert lines[1] == "cn,0.002,0.001,3,0.123456789012345,0.01,0.001,0.25,1234,,42"
     loaded = read_csv(path)
     # sorted by (scheme, h)
     assert [(r.scheme, r.h) for r in loaded] == [("cn", 0.002), ("ie", 0.002), ("ie", 0.004)]
@@ -101,16 +102,24 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(g.SolverError):
         read_csv(path)
+    path.write_text("")
+    with pytest.raises(g.SolverError, match="unexpected CSV header"):
+        read_csv(path)
 
 
-def test_benchmark_returns_result_and_wall_time():
-    class Result:
-        stats = {"max_active_dofs": 10, "max_factor_nnz": 30}
-
-    bench = benchmark(lambda: Result())
-    assert bench.wall_seconds >= 0.0
-    assert isinstance(bench.result, Result)
-    assert memory_proxy(bench.result.stats) == 40
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("ie,0.002,0.001,3,0.1,0.01,0.001,0.25,1234,12.5", r":2: 10 cells, expected 11"),
+        ("ie,0.002,0.001,3,abc,0.01,0.001,0.25,1234,12.5,42", r":2: error1 cell 'abc' is not valid"),
+        ("ie,0.002,0.001,3,0.1,0.01,0.001,0.25,1234,12.5,4.2", r":2: seed cell '4.2' is not valid"),
+    ],
+)
+def test_csv_rejects_bad_row_naming_its_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + row + "\n")
+    with pytest.raises(g.SolverError, match=message):
+        read_csv(path)
 
 
 def tiny_spec(demo, partition, family, solution, **overrides):

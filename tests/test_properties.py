@@ -334,23 +334,25 @@ def test_cold_and_warm_runtimes_store_bitwise_equal_states(data):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_batch_dofs_equal_sorted_set_definitions(data):
-    """Each batch's active and free dofs against their definitions as sorted sets."""
+    """Each batch system's dof split against its definitions as sorted sets."""
     graph = data.draw(graphs())
     partition = data.draw(partitions(graph))
     family = data.draw(families(partition.n_parts))
-    dofmap = fem.DofMap(graph, MESH, graph.boundary_vertices)
+    runtime = RbmRuntime(graph, partition, family, MESH, problem_data(graph))
     for j in range(family.n_batches):
         view = batch_view(partition, family.batches, j)
-        bdofs = fem.restrict_to_batch(dofmap, view)
+        system = runtime.system(j)
         active = set(view.vertices)
         for e in view.active_edges:
-            active |= set(dofmap.edge_dofs(e).tolist())
+            active |= set(runtime.dofmap.edge_dofs(e).tolist())
         free = active - view.interface - view.exterior_boundary
-        for got, want in ((bdofs.active, active), (bdofs.free, free)):
-            assert got.dtype == np.intp, j
-            assert got.tolist() == sorted(want), j
-        assert bdofs.interface_dofs.tolist() == sorted(view.interface), j
-        assert bdofs.exterior_dofs.tolist() == sorted(view.exterior_boundary), j
+        assert system.free.dtype == np.intp, j
+        assert system.free.tolist() == sorted(free), j
+        assert system.interface.tolist() == sorted(view.interface), j
+        assert system.exterior.tolist() == sorted(view.exterior_boundary), j
+        split = np.concatenate([system.free, system.interface, system.exterior])
+        assert sorted(split.tolist()) == sorted(active), j
+        assert system.n_active == len(active), j
 
 
 def manufactured_solution(data, graph):

@@ -214,6 +214,14 @@ def test_scheme_labels_and_parse():
         SchemeKind.parse("rk4")
     with pytest.raises(SolverError, match="theta must be a number"):
         SchemeKind.parse("theta:abc")
+    # a bare theta takes the weight it is given; nothing else starting with theta parses
+    assert SchemeKind.parse("theta", 0.9) == theta_method(0.9)
+    assert SchemeKind.parse(" Theta:0.6 ", 0.9) == theta_method(0.6)
+    with pytest.raises(SolverError, match="theta must be a number"):
+        SchemeKind.parse("theta:", 0.9)
+    for text in ("thetafoo", "theta0.3", "ie:0.5"):
+        with pytest.raises(SolverError, match="unknown scheme"):
+            SchemeKind.parse(text, 0.9)
     with pytest.raises(SolverError):
         SchemeKind("theta", 1.5)
     with pytest.raises(SolverError):
