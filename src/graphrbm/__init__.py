@@ -34,7 +34,6 @@ from .fem import (
     SeparableSource,
     assemble,
     interpolate,
-    mass_matrix,
 )
 from .graph import Edge, MetricGraph, build_graph, demo_graph, load_graph
 from .harness import (

@@ -21,7 +21,7 @@ import numpy as np
 from . import decomposition, engine, fem, harness, manufactured
 from .errors import NumericalError, SolverError
 from .graph import demo_graph, load_graph
-from .timestep import SchemeKind
+from .timestep import DEFAULT_THETA, SchemeKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_scheme(p):
         p.add_argument("--scheme", default="ie", help="ie | cn | theta | theta:W | siem (study: comma list)")
-        p.add_argument("--theta", type=float, default=0.75, help="weight for the theta scheme")
+        p.add_argument("--theta", type=float, default=DEFAULT_THETA, help="weight for the theta scheme")
 
     p_solve = sub.add_parser("solve", help="deterministic solve on the full graph")
     add_common(p_solve)

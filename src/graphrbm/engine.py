@@ -513,7 +513,6 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=Non
         "n_dofs": dofmap.n_dofs,
         "max_active_dofs": max_active,
         "max_factor_nnz": max_nnz,
-        "n_factorizations": len(runtime.workspace),
     }
     _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, forced)
     return RbmTrajectory(graph, runtime.mesh, dofmap, stored.times, stored.states, schedule, config, stats)
@@ -761,14 +760,26 @@ def estimate_errors(
     With a manufactured solution the L2 norms are continuous edgewise
     quadrature against the exact solution; with a baseline trajectory
     they are exact mass-matrix norms of the dof difference.  All runs
-    must share the same stored time grid (GridMismatch otherwise).
+    must share the same stored time grid, and each run and the baseline
+    must hold one state per stored time on the first run's dofs, which a
+    run made with a ``sink`` does not; GridMismatch, naming the run,
+    otherwise.
     """
     runs = list(runs)
     if not runs:
         raise EngineError("need at least one realization")
     if solution is None and baseline is None:
         raise EngineError("need a manufactured solution or a baseline trajectory")
-    times = runs[0].times
+    times, n_dofs = runs[0].times, runs[0].dofmap.n_dofs
+    checked = [(f"run {k}", traj) for k, traj in enumerate(runs)]
+    if solution is None:
+        checked.append(("the baseline", baseline))
+    for name, traj in checked:
+        if traj.states.shape != (len(traj.times), n_dofs):
+            raise GridMismatch(
+                f"{name} holds states of shape {traj.states.shape}, expected "
+                f"{(len(traj.times), n_dofs)}: one per stored time on run 0's dofs"
+            )
     if solution is not None:
         reference = L2ErrorEvaluator(runs[0].graph, runs[0].mesh, runs[0].dofmap, solution)
     else:

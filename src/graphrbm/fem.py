@@ -9,15 +9,16 @@ into the shared vertex row and the discrete flux balance follows.
 
 Every mesh integral runs on an element table, ``Elements``, which holds
 the points, weights, dof pairs and P1 shape values of one Gauss rule.
-Assembly and the mass matrix use ``GAUSS3``, exact through degree five,
-which covers the polynomial coefficients used in the verification
+Assembly and the element mass blocks use ``GAUSS3``, exact through degree
+five, which covers the polynomial coefficients used in the verification
 problems exactly and is amply accurate for the sinusoidal ones; the L2
 error form and the variance functional use ``GAUSS5``, exact through
-degree nine.  Every vertex condition (flux sums, continuity spreads,
-vertex values, the manufactured constraint rows) runs on the edge-end
-table ``Ends``.  Dirichlet data is handled by algebraic elimination:
-constrained rows are removed and constrained columns move behind the free
-ones, where a solver multiplies them by the prescribed values.
+degree nine.  Every vertex condition (the convection vertex sums, the
+manufactured solution's vertex values, continuity spreads, flux residuals
+and constraint rows) runs on the edge-end table ``Ends``.  Dirichlet data
+is handled by algebraic elimination: constrained rows are removed and
+constrained columns move behind the free ones, where a solver multiplies
+them by the prescribed values.
 
 Every evaluation of an edge function goes through ``on_edges``, which
 samples it on a whole table of coordinates, one row per edge: in one call
@@ -260,7 +261,12 @@ class Elements:
 
     @cached_property
     def mass(self) -> np.ndarray:
-        """The (n_el, 2, 2) element mass blocks; built on first read, as only assembly reads them."""
+        """The (n_el, 2, 2) element mass blocks, built on first read.
+
+        ``step_pair``, ``growth_rates`` and ``manufactured.ElementMassNorms``
+        read them; a ``GAUSS5`` table for the L2 error form or the variance
+        functional never does.
+        """
         return (self.wq @ self.shape_shape).reshape(-1, 2, 2)
 
     def active(self, edge_factor: np.ndarray):
@@ -375,12 +381,6 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
         time_fns=tuple(time for _, time in terms),
         source=None if separable else coeffs.f,
     )
-
-
-def mass_matrix(graph: MetricGraph, mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
-    """Plain L2 mass matrix over all edges: one COO->CSR of the element mass blocks."""
-    elements = Elements(graph, mesh, dofmap, GAUSS3)
-    return elements.matrix(elements.mass)
 
 
 class LoadEvaluator:
@@ -561,23 +561,3 @@ def convection_vertex_sums(graph: MetricGraph, b: EdgeFunction) -> np.ndarray:
     ends = Ends(graph)
     return ends.sums(ends.sample(b))
 
-
-def kirchhoff_flux_imbalance(
-    graph: MetricGraph,
-    mesh: Mesh,
-    dofmap: DofMap,
-    a: EdgeFunction,
-    state: np.ndarray,
-) -> np.ndarray:
-    """Signed flux sums of ``a`` times the one-sided P1 gradients of ``state`` (0 at boundary vertices).
-
-    Each end's gradient is that of its edge's first (tail) or last (head) mesh element.
-    """
-    ends = Ends(graph)
-    inner = dofmap.interior_dofs(np.arange(graph.n_edges))
-    # each end's element as (left dof, right dof) in coordinate order
-    left = np.stack([ends.vertex[0::2], inner[:, -1]], axis=1).ravel()
-    right = np.stack([inner[:, 0], ends.vertex[1::2]], axis=1).ravel()
-    dx = ends.coordinate[1::2].repeat(2) / (mesh.nodes_per_edge + 1)
-    grad = (state[right] - state[left]) / dx
-    return ends.sums(ends.sample(a) * grad)

@@ -184,7 +184,8 @@ def graph_from_dict(data: dict) -> MetricGraph:
          "boundary": ["v1", "v2", "v9", "v10"]}
 
     String vertex names map to dense integer ids in declaration order
-    (first appearance while scanning tail, head of each edge).
+    (first appearance while scanning tail, head of each edge).  A length
+    must be a JSON number; GraphError naming the edge otherwise.
     """
     if not isinstance(data, dict):
         raise GraphError(f"graph file must hold a JSON object, not {type(data).__name__}")
@@ -204,10 +205,20 @@ def graph_from_dict(data: dict) -> MetricGraph:
     edge_names = []
     for k, item in enumerate(raw_edges):
         try:
-            triples.append((vid(item["tail"]), vid(item["head"]), float(item.get("length", 1.0))))
-        except (KeyError, TypeError, ValueError) as exc:
+            tail, head = vid(item["tail"]), vid(item["head"])
+        except (KeyError, TypeError) as exc:
             raise GraphError(f"bad edge entry at index {k}: {exc}") from exc
-        edge_names.append(str(item.get("name", f"e{k + 1}")))
+        name = str(item.get("name", f"e{k + 1}"))
+        length = item.get("length", 1.0)
+        # JSON numbers only: bool is an int subclass, and float() reads the string "2" as 2.0
+        if type(length) not in (int, float):
+            raise GraphError(f"edge {name}: length must be a JSON number, not {length!r}")
+        try:
+            length = float(length)
+        except OverflowError:
+            raise GraphError(f"edge {name}: length is too large for a float") from None
+        triples.append((tail, head, length))
+        edge_names.append(name)
     try:
         boundary = {ids[str(name)] for name in raw_boundary}
     except KeyError as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,12 +119,7 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentRecord:
-    """One CSV row: the Monte-Carlo metrics of a (scheme, h) cell.
-
-    ``detail`` carries non-serialized extras (per-realization seeds and
-    the dof count) and is excluded from equality so records round-trip
-    losslessly through CSV.
-    """
+    """One CSV row: the Monte-Carlo metrics of a (scheme, h) cell, its fields the columns of CSV_HEADER."""
 
     scheme: str
     h: float
@@ -137,7 +132,6 @@ class ExperimentRecord:
     mem_proxy: int
     peak_rss_mb: float | None
     seed: int
-    detail: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _peak_rss_mb() -> float | None:
@@ -183,12 +177,11 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
     records = []
     for scheme in spec.schemes:
         for h in spec.h_list:
-            seeds = [realization_seed(spec.seed, r) for r in range(spec.realizations)]
             acc.restart(grids[h])
             walls = []
             proxy = 0
-            for run_seed in seeds:
-                run_config = config(scheme, h, run_seed)
+            for r in range(spec.realizations):
+                run_config = config(scheme, h, realization_seed(spec.seed, r))
                 stored_s = acc.seconds
                 start = time.perf_counter()
                 traj = run_rbm(
@@ -211,7 +204,6 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
                     mem_proxy=proxy,
                     peak_rss_mb=_peak_rss_mb(),  # ru_maxrss never falls, so once per cell
                     seed=spec.seed,
-                    detail={"seeds": seeds, "n_dofs": runtime.dofmap.n_dofs},
                 )
             )
     records.sort(key=lambda r: (r.scheme, r.h))

@@ -47,6 +47,7 @@ from .errors import NumericalError, SolverError
 
 RESIDUAL_RTOL = 1e-10
 PANEL_SIZE = 1  # columns per SuperLU panel; see the module docstring
+DEFAULT_THETA = 0.75  # the weight of a bare ``theta`` scheme, as parsed and as the CLI's --theta
 
 
 class SingularSystem(NumericalError):
@@ -82,7 +83,7 @@ class SchemeKind:
         return self.name
 
     @staticmethod
-    def parse(text: str, theta: float = 0.5) -> "SchemeKind":
+    def parse(text: str, theta: float = DEFAULT_THETA) -> "SchemeKind":
         """The scheme ``ie``, ``cn``, ``siem``, ``theta`` (weight ``theta``) or ``theta:W``; SolverError otherwise."""
         name, colon, value = text.strip().lower().partition(":")
         if name == "theta" and colon:
@@ -156,16 +157,15 @@ def factor_nnz(entry) -> int:
 def imex_theta(scheme: SchemeKind, mass, stiffness, lower, dt: float):
     """The operators (lhs, rhs) of one step: lhs = M + dt*theta*A, rhs = M - dt*(1-theta)*A - dt*E.
 
-    ``lower`` is the lower-order part C + P (None for zero); the scheme
-    decides whether it joins the stiffness in A or forms E.  The operators
-    are sparse matrices or element-block stacks, of one shape, which may
-    be rectangular; lhs and rhs are of the same kind.
+    ``lower`` is the lower-order part C + P; the scheme decides whether it
+    joins the stiffness in A or forms E.  The operators are sparse matrices
+    or element-block stacks, of one shape, which may be rectangular; lhs
+    and rhs are of the same kind.
     """
     if scheme.name == "siem":
         implicit, explicit = stiffness, lower
     else:
-        implicit = stiffness if lower is None else stiffness + lower
-        explicit = None
+        implicit, explicit = stiffness + lower, None
     theta = scheme.theta_value
     lhs = mass + (dt * theta) * implicit
     rhs = mass

@@ -49,6 +49,12 @@ def rng():
     return np.random.Generator(np.random.Philox(key=20240809))
 
 
+def mass_matrix(graph, mesh, dofmap):
+    """The P1 mass matrix over all edges: the ``fem.GAUSS3`` element mass blocks summed into CSR."""
+    elements = fem.Elements(graph, mesh, dofmap, fem.GAUSS3)
+    return elements.matrix(elements.mass)
+
+
 def mass_norms_sq(mass, diffs):
     """Row-wise d^T M d of a (k, n) stack of dof vectors, M a sparse mass matrix."""
     return np.einsum("ij,ji->i", diffs, mass @ diffs.T)
@@ -256,7 +262,10 @@ def reference_convection_vertex_sums(graph, b):
 
 
 def reference_flux_imbalance(graph, mesh, dofmap, a, state, v):
-    """Signed flux sum at vertex v from one-sided P1 gradients of ``state``."""
+    """Signed flux sum at vertex v from one-sided P1 gradients of ``state``.
+
+    graphrbm keeps no discrete Kirchhoff imbalance of its own, so the tests use this loop.
+    """
     total = 0.0
     for e in graph.adjacency(v):
         edofs = dofmap.edge_dofs(e)

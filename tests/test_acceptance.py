@@ -9,9 +9,9 @@ columns are bitwise reproducible.
 import time
 
 import numpy as np
+from conftest import mass_matrix
 
 import graphrbm as g
-from graphrbm import fem
 from graphrbm.decomposition import sample_interior_points
 from graphrbm.engine import RbmConfig, RbmRuntime
 from graphrbm.manufactured import lambda_profile
@@ -119,13 +119,13 @@ def test_criterion_06_scheme_orders():
     import scipy.sparse as sp
 
     # u' = -u with no load: each step is the runtime's entry.solve(entry.rhs @ u)
-    one = sp.csr_matrix(np.array([[1.0]]))
+    one, zero = sp.csr_matrix(np.array([[1.0]])), sp.csr_matrix((1, 1))
     cases = (
-        ("ie", g.IMPLICIT_EULER, sp.csr_matrix(np.array([[1.0]])), None, 1.0),
-        ("theta(3/4)", g.theta_method(0.75), sp.csr_matrix(np.array([[1.0]])), None, 1.0),
+        ("ie", g.IMPLICIT_EULER, sp.csr_matrix(np.array([[1.0]])), zero, 1.0),
+        ("theta(3/4)", g.theta_method(0.75), sp.csr_matrix(np.array([[1.0]])), zero, 1.0),
         ("siem", g.SEMI_IMPLICIT,
          sp.csr_matrix(np.array([[0.7]])), sp.csr_matrix(np.array([[0.3]])), 1.0),
-        ("cn", g.CRANK_NICOLSON, sp.csr_matrix(np.array([[1.0]])), None, 2.0),
+        ("cn", g.CRANK_NICOLSON, sp.csr_matrix(np.array([[1.0]])), zero, 2.0),
     )
     results = []
     ok = True
@@ -182,7 +182,7 @@ def test_criterion_08_dissipativity(demo, rng):
     for scheme in (g.IMPLICIT_EULER, g.CRANK_NICOLSON):
         for dt in (1e-2, 1e-1):
             traj = g.run_full(demo, mesh, coeffs, scheme, dt=dt, t_final=1.0)
-            mass = fem.mass_matrix(demo, mesh, traj.dofmap)
+            mass = mass_matrix(demo, mesh, traj.dofmap)
             energy = np.array([s @ (mass @ s) for s in traj.states])
             nonincreasing = bool(np.all(np.diff(energy) <= 1e-12 * energy[0]))
             ok = ok and nonincreasing

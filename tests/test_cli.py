@@ -175,9 +175,16 @@ def test_bad_subcommand_exit_code():
 
 def test_theta_scheme_flag(capsys):
     code = main(
-        ["solve", "--scheme", "theta", "--theta", "0.75", "--nodes-per-edge", "5",
+        ["solve", "--scheme", "theta", "--theta", "0.6", "--nodes-per-edge", "5",
          "--dt", "0.05", "--t-final", "0.2"]
     )
+    assert code == 0
+    assert "theta:0.6" in capsys.readouterr().out
+
+
+def test_theta_scheme_default_weight(capsys):
+    # without --theta a bare theta takes 0.75, the weight SchemeKind.parse gives it too
+    code = main(["solve", "--scheme", "theta", "--nodes-per-edge", "5", "--dt", "0.05", "--t-final", "0.2"])
     assert code == 0
     assert "theta:0.75" in capsys.readouterr().out
 
@@ -335,6 +342,14 @@ MALFORMED = {
     "graph-boundary-not-a-list": ("graph", {**PATH_GRAPH, "boundary": 5}, "a list under key 'boundary'"),
     "graph-top-level-list": ("graph", [PATH_GRAPH], "JSON object, not list"),
     "graph-not-utf8": ("graph", NOT_UTF8, "not UTF-8"),
+    "graph-length-a-string": (
+        "graph", {**PATH_GRAPH, "edges": [{"tail": "a", "head": "b", "length": "2"}, *PATH_GRAPH["edges"][1:]]},
+        "edge e1: length must be a JSON number, not '2'",
+    ),
+    "graph-length-a-bool": (
+        "graph", {**PATH_GRAPH, "edges": [*PATH_GRAPH["edges"][:2], {"tail": "c", "head": "d", "length": True}]},
+        "edge e3: length must be a JSON number, not True",
+    ),
     "batches-top-level-list": ("batches", [PATH_BATCHES], "JSON object, not list"),
     "batches-parts-not-a-list": ("batches", {**PATH_BATCHES, "parts": 5}, "a list under key 'parts'"),
     "batches-part-not-a-list": (

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import constant_coefficients
+from conftest import constant_coefficients, mass_matrix
 from test_manufactured import binary_tree
 
 import graphrbm as g
@@ -114,7 +114,7 @@ def test_parabolic_decay(demo, coarse_mesh, rng):
     coeffs = constant_coefficients(a=1.0)
     coeffs.y0 = y0
     traj = g.run_full(demo, coarse_mesh, coeffs, g.IMPLICIT_EULER, dt=0.01, t_final=0.3)
-    mass = fem.mass_matrix(demo, coarse_mesh, traj.dofmap)
+    mass = mass_matrix(demo, coarse_mesh, traj.dofmap)
     norms = [s @ (mass @ s) for s in traj.states]
     assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -209,6 +209,35 @@ def test_estimate_errors_grid_mismatch(demo, partition, option2, problem, coarse
         g.estimate_errors([t1])
 
 
+def test_estimate_errors_rejects_a_run_made_with_a_sink(demo, partition, option2, problem, solution, coarse_mesh):
+    # a run that hands its states to a sink keeps none, as a reference or as a realization
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=3)
+    kept = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
+    streamed = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, sink=lambda t, u: None)
+    full = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.01, t_final=0.1)
+    with pytest.raises(GridMismatch, match=r"run 1 holds states of shape \(0, 210\), expected \(6, 210\)"):
+        g.estimate_errors([kept, streamed], solution=solution)
+    with pytest.raises(GridMismatch, match="run 0 holds states of shape"):
+        g.estimate_errors([streamed], baseline=full)
+    with pytest.raises(GridMismatch, match=r"the baseline holds states of shape \(0, 210\)"):
+        g.estimate_errors([kept], baseline=streamed)
+
+
+def test_estimate_errors_rejects_a_run_on_another_mesh(demo, partition, option2, problem, solution, coarse_mesh):
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=3)
+    runs = [g.run_rbm(demo, partition, option2, mesh, problem, config) for mesh in (coarse_mesh, g.Mesh(12))]
+    with pytest.raises(GridMismatch, match=r"run 1 holds states of shape \(6, 130\), expected \(6, 210\)"):
+        g.estimate_errors(runs, solution=solution)
+
+
+def test_estimate_errors_rejects_a_baseline_on_another_mesh(demo, partition, option2, problem, coarse_mesh):
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=3)
+    run = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
+    full = g.run_full(demo, g.Mesh(12), problem, g.IMPLICIT_EULER, dt=0.01, t_final=0.1)
+    with pytest.raises(GridMismatch, match=r"the baseline holds states of shape \(11, 130\), expected \(11, 210\)"):
+        g.estimate_errors([run], baseline=full)
+
+
 def test_estimate_errors_mean_of_constant_shift(demo, problem, coarse_mesh, solution):
     # two states shifted symmetrically around the baseline: error2 vanishes,
     # error1 is the common squared distance
@@ -222,7 +251,7 @@ def test_estimate_errors_mean_of_constant_shift(demo, problem, coarse_mesh, solu
         None, full.config, full.stats,
     )
     summary = g.estimate_errors([up, down], baseline=full)
-    mass = fem.mass_matrix(demo, coarse_mesh, full.dofmap)
+    mass = mass_matrix(demo, coarse_mesh, full.dofmap)
     ones = np.ones(full.states.shape[1])
     expected = 1e-6 * (ones @ (mass @ ones))
     assert np.isclose(summary.error1, expected, rtol=1e-10)
@@ -310,7 +339,7 @@ def test_stats_track_active_sizes(demo, partition, option2, problem, coarse_mesh
         assert traj.stats["max_active_dofs"] <= traj.stats["n_dofs"]
         assert traj.stats["max_factor_nnz"] > 0
         keys |= {(int(j), scheme, 0.01) for j in traj.schedule.omegas}
-        assert traj.stats["n_factorizations"] == len(keys)
+        assert len(runtime.workspace) == len(keys)
     assert set(runtime.workspace) == keys
 
 

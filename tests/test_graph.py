@@ -143,6 +143,14 @@ def test_graph_from_dict_name_order():
     assert graph.boundary_vertices == {0, 2}
 
 
+@pytest.mark.parametrize("length", [True, "2", None, [1.0], 10**400], ids=["bool", "string", "null", "list", "huge"])
+def test_graph_from_dict_length_must_be_a_json_number(length):
+    # bool is an int subclass, and float() would read "2" as 2.0
+    data = {"edges": [{"tail": "a", "head": "b"}, {"tail": "b", "head": "c", "length": length}], "boundary": ["a"]}
+    with pytest.raises(GraphError, match="edge e2: length"):
+        graph_from_dict(data)
+
+
 def test_graph_from_dict_unknown_boundary():
     data = {"edges": [{"tail": "a", "head": "b"}], "boundary": ["zzz"]}
     with pytest.raises(BoundaryVertexUnknown):

@@ -32,8 +32,11 @@ def advance(scheme, mass, stiffness, u, dt, n_steps=1, lower=None, f0=0.0, f1=0.
 
     ``imex_theta``'s (lhs, rhs) is factored once by a workspace, and each
     step is entry.solve(entry.rhs @ u + dt (theta F1 + (1 - theta) F0)),
-    with the loads F0, F1 the same on every step.
+    with the loads F0, F1 the same on every step.  ``lower`` defaults to
+    the zero matrix.
     """
+    if lower is None:
+        lower = sp.csr_matrix(stiffness.shape)
     theta = scheme.theta_value
     entry = StepWorkspace().factorization((scheme, dt), lambda: imex_theta(scheme, mass, stiffness, lower, dt))
     load = dt * (theta * f1 + (1.0 - theta) * f0)
@@ -214,8 +217,10 @@ def test_scheme_labels_and_parse():
         SchemeKind.parse("rk4")
     with pytest.raises(SolverError, match="theta must be a number"):
         SchemeKind.parse("theta:abc")
-    # a bare theta takes the weight it is given; nothing else starting with theta parses
+    # a bare theta takes the weight it is given, else the CLI's default 0.75;
+    # nothing else starting with theta parses
     assert SchemeKind.parse("theta", 0.9) == theta_method(0.9)
+    assert SchemeKind.parse("theta") == theta_method(0.75)
     assert SchemeKind.parse(" Theta:0.6 ", 0.9) == theta_method(0.6)
     with pytest.raises(SolverError, match="theta must be a number"):
         SchemeKind.parse("theta:", 0.9)
