@@ -16,8 +16,8 @@ Each edge is integrated once per runtime (``fem.assemble``), and its K
 and C + P count with 1/pi of its part in every batch that holds it, so the
 runtime sums one step pair L, R of the whole graph per (scheme, dt)
 (``fem.step_pair``) and each source term's vector V once.  A batch is one
-system, ``fem.ReducedOperators``: its dof split, V at its free dofs, and
-its step matrices lhs_ff and W, gathered from the free rows of the pair.
+system, ``fem.ReducedOperators``: its dof split, and its step matrices
+lhs_ff and W, gathered from the free rows of the pair and of each V.
 Nothing is integrated inside the time loop except a source that is not
 separable, which the system's ``load`` integrates per call.  Systems are
 cached per batch and steps per (batch, scheme, dt); a cached step is the
@@ -69,12 +69,7 @@ from .decomposition import (
 from .errors import NumericalError, SolverError
 from .fem import GAUSS3, CoefficientSet, DofMap, Elements, Mesh, reduce_operators
 from .graph import MetricGraph
-from .manufactured import (
-    ElementMassNorms,
-    L2ErrorEvaluator,
-    ManufacturedSolution,
-    stacked_squared_error,
-)
+from .manufactured import ElementMassNorms, L2ErrorEvaluator, ManufacturedSolution, checked_block
 from .timestep import SchemeKind, StepWorkspace, factor_nnz
 
 TIME_MATCH_TOL = 1e-9
@@ -167,7 +162,10 @@ class RbmTrajectory:
         self.stats = dict(stats)
 
     def state_at(self, t: float) -> np.ndarray:
+        """The stored state at time t; GridMismatch if t is off the grid or the run kept no states (a ``sink``)."""
         idx = self.time_index(t)
+        if len(self.states) != len(self.times):
+            raise GridMismatch(f"the run kept no states, so it has none at time {t}: it was made with a sink")
         return self.states[idx]
 
     def time_index(self, t: float) -> int:
@@ -192,10 +190,11 @@ class RbmRuntime:
     """Shared immutable machinery for repeated runs of one problem.
 
     Holds the dof map, the element data of every edge (integrated once,
-    in ``__init__``), the convection vertex sums, the per-batch reduced
-    systems, the step pairs per (scheme, dt) until every batch has its
-    step, the cached steps (factor and W) and the read-only drive tables
-    per (theta, dt, n_steps), each with the largest |g| it holds.  All of
+    in ``__init__``), each separable source term's vector over all dofs,
+    the convection vertex sums, the per-batch reduced systems, the step
+    pairs per (scheme, dt) until every batch has sliced its step, the
+    cached steps (factor and W) and the read-only drive tables per
+    (theta, dt, n_steps), each with the largest |g| it holds.  All of
     it depends only on (graph, partition, family, mesh, coeffs), so
     independent realizations and different window lengths can share one
     runtime; reuse changes nothing but the setup cost.  ``run_full`` builds
@@ -216,7 +215,7 @@ class RbmRuntime:
         self.mesh = mesh
         self.coeffs = coeffs
         edge_factor = edge_factors(partition, family)
-        self.dofmap = DofMap(graph, mesh, graph.boundary_vertices)
+        self.dofmap = DofMap(graph, mesh)
         self.workspace = StepWorkspace()
         self.a1_report = check_assumption_A1(partition, family.batches)
         self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
@@ -225,8 +224,8 @@ class RbmRuntime:
         self.term_vectors = tuple(self.elements.elements.scatter(v, self.factor) for v in self.elements.term_loads)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, fem.ReducedOperators] = {}
-        self._pairs: dict[tuple[SchemeKind, float], fem.StepPair] = {}
-        self._sliced: dict[tuple[SchemeKind, float], int] = {}
+        # per (scheme, dt): [the graph's step pair, the batches yet to slice it]
+        self._pairs: dict[tuple[SchemeKind, float], list] = {}
         self._drives: dict[tuple[float, float, int], tuple[np.ndarray, float]] = {}
 
     def drive(self, theta: float, dt: float, n_steps: int) -> tuple[np.ndarray, float]:
@@ -243,20 +242,19 @@ class RbmRuntime:
             entry = self._drives[key] = table, float(np.abs(table[:, :n_boundary]).max(initial=0.0))
         return entry
 
-    def step_pair(self, scheme: SchemeKind, dt: float) -> fem.StepPair:
-        """The graph's ``fem.step_pair`` of (scheme, dt), built on first use; every batch system slices it."""
-        key = (scheme, dt)
-        pair = self._pairs.get(key)
-        if pair is None:
-            pair = self._pairs[key] = fem.step_pair(self.elements, self.factor, scheme, dt)
-        return pair
-
     def step_matrices(self, j: int, scheme: SchemeKind, dt: float):
-        """Batch j's (lhs_ff, W) of (scheme, dt), for its cached step; the pair goes once every batch has sliced it."""
+        """Batch j's (lhs_ff, W) of (scheme, dt), for its cached step, sliced from the graph's ``fem.step_pair``.
+
+        The pair is built on first use and goes once every batch has sliced it.
+        """
         key = (scheme, dt)
-        matrices = self.system(j).step_matrices(self.step_pair(scheme, dt))
-        self._sliced[key] = self._sliced.get(key, 0) + 1
-        if self._sliced[key] == self.family.n_batches:
+        system = self.system(j)
+        entry = self._pairs.get(key)
+        if entry is None:
+            entry = self._pairs[key] = [fem.step_pair(self.elements, self.factor, scheme, dt), self.family.n_batches]
+        matrices = system.step_matrices(entry[0], self.term_vectors)
+        entry[1] -= 1
+        if not entry[1]:
             del self._pairs[key]  # no step reads it again
         return matrices
 
@@ -266,7 +264,7 @@ class RbmRuntime:
         if system is None:
             view = batch_view(self.partition, self.family.batches, j)
             factor = zeta_weights(self.partition, self.family, j)
-            system = reduce_operators(self.elements, self.dofmap, view, factor, self.term_vectors)
+            system = reduce_operators(self.elements, self.dofmap, view, factor)
             self._systems[j] = system
         return system
 
@@ -422,9 +420,9 @@ def _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, fo
     over a lower bound of every lumped mass entry (the integral of a hat
     function).  max |u| of each state comes from ``stored.peaks`` and
     max |g(t_s)| as ``boundary``, which the runtime's ``drive`` gives with
-    the drive table.  A separable load is bounded term by term by the tabulated
-    weights times max |V_k| over the batches run; a callable one comes as
-    ``forced``, measured in the step loop.  G is the growth the steps allow
+    the drive table.  A separable load is bounded term by term by the
+    tabulated weights times max |V_k| at the free dofs of the batches run;
+    a callable one comes as ``forced``, measured in the step loop.  G is the growth the steps allow
     a fastest mode: the product over the windows of rho^n_sub, where
     rho = max(e^x, (1 + (1 - theta) x) / (1 - theta x)) and x = dt times
     the batch's ``growth_rate``; a window with theta x >= 1 lifts the limit.
@@ -441,7 +439,8 @@ def _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, fo
     term_peaks = np.zeros(drive.shape[1] - n_boundary)
     log_growth = 0.0
     for j, count in zip(used.tolist(), windows):
-        peaks = [np.abs(v).max(initial=0.0) for v in runtime.system(j).term_vectors]
+        free = runtime.system(j).free
+        peaks = [np.abs(v[free]).max(initial=0.0) for v in runtime.term_vectors]
         term_peaks = np.maximum(term_peaks, peaks)
         x = dt * runtime.growth_rate(j)
         if theta * x >= 1.0:
@@ -647,16 +646,14 @@ class _BaselineReference:
         self.block_rows = self._mass.rows
         self._diff = np.empty((self.block_rows, self.n_dofs))
 
-    def squared_error(self, state: np.ndarray, t):
-        """|u - baseline(t)|^2 in the mass norm, for one state or a (k, n) stack."""
-        return stacked_squared_error(self._squared_errors, state, t, self.block_rows)
-
-    def _squared_errors(self, states: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def squared_error(self, states: np.ndarray, times) -> np.ndarray:
+        """|u_i - baseline(t_i)|^2 in the mass norm for each row of a (k, n) block, as ``L2ErrorEvaluator``'s."""
+        states, times = checked_block(states, times, self.block_rows)
         k = np.abs(self._times[None, :] - times[:, None]).argmin(axis=1)
         diff = self._diff[: len(states)]
         np.take(self._reference_states, k, axis=0, out=diff, mode="clip")
         np.subtract(states, diff, out=diff)
-        return self._mass(diff)
+        return np.maximum(self._mass(diff), 0.0)
 
 
 class ErrorAccumulator:
@@ -668,10 +665,12 @@ class ErrorAccumulator:
     turn.  A state is copied into a block of ``reference.block_rows``
     states; each full block, and the last of a realization, is added to one
     running state sum (stored times x dofs) and goes to
-    ``reference.squared_error``, and the squared errors and their roots are
-    summed per stored time.  ``summary`` forms the mean state block by block
-    in the same block array.  ``restart`` empties the sums for a new grid
-    and keeps the arrays, so one state sum serves a whole study.
+    ``reference.squared_error``, which takes exactly one such block, and
+    the squared errors and their roots are summed per stored time.
+    ``summary`` forms the mean state block by block in the same block
+    array; these two are the only places that cut states into blocks.
+    ``restart`` empties the sums for a new grid and keeps the arrays, so
+    one state sum serves a whole study.
     ``seconds`` is the time spent in ``store``.
     """
 
@@ -755,21 +754,23 @@ def estimate_errors(
     solution: ManufacturedSolution | None = None,
     baseline: RbmTrajectory | None = None,
 ) -> ErrorSummary:
-    """Error metrics of one or more realizations against a reference.
+    """Error metrics of one or more realizations against one reference.
 
     With a manufactured solution the L2 norms are continuous edgewise
     quadrature against the exact solution; with a baseline trajectory
-    they are exact mass-matrix norms of the dof difference.  All runs
-    must share the same stored time grid, and each run and the baseline
-    must hold one state per stored time on the first run's dofs, which a
-    run made with a ``sink`` does not; GridMismatch, naming the run,
-    otherwise.
+    they are exact mass-matrix norms of the dof difference.  EngineError
+    unless exactly one of the two is given.  All runs must share the same
+    stored time grid, and each run and the baseline must hold one state
+    per stored time on the first run's dofs, which a run made with a
+    ``sink`` does not; GridMismatch, naming the run, otherwise.
     """
     runs = list(runs)
     if not runs:
         raise EngineError("need at least one realization")
     if solution is None and baseline is None:
         raise EngineError("need a manufactured solution or a baseline trajectory")
+    if solution is not None and baseline is not None:
+        raise EngineError("a manufactured solution or a baseline trajectory, not both")
     times, n_dofs = runs[0].times, runs[0].dofmap.n_dofs
     checked = [(f"run {k}", traj) for k, traj in enumerate(runs)]
     if solution is None:

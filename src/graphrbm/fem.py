@@ -15,10 +15,10 @@ problems exactly and is amply accurate for the sinusoidal ones; the L2
 error form and the variance functional use ``GAUSS5``, exact through
 degree nine.  Every vertex condition (the convection vertex sums, the
 manufactured solution's vertex values, continuity spreads, flux residuals
-and constraint rows) runs on the edge-end table ``Ends``.  Dirichlet data
-is handled by algebraic elimination: constrained rows are removed and
-constrained columns move behind the free ones, where a solver multiplies
-them by the prescribed values.
+and constraint rows) runs on the edge-end table ``Ends``.  Dirichlet data,
+at the graph's boundary vertices, is handled by algebraic elimination:
+constrained rows are removed and constrained columns move behind the free
+ones, where a solver multiplies them by the prescribed values.
 
 Every evaluation of an edge function goes through ``on_edges``, which
 samples it on a whole table of coordinates, one row per edge: in one call
@@ -32,8 +32,9 @@ count with 1/pi of its owning part in every batch that holds it, so one
 and each batch's system, ``ReducedOperators`` (``reduce_operators``),
 gathers its step matrices from the pair's free rows (``step_matrices``):
 lhs_ff into CSC, the format SuperLU factors, and W into CSR.  A separable
-load is one bincount per term over the whole graph, built once, and any
-other source is integrated per call by the system's ``LoadEvaluator``.
+load is one bincount per term over the whole graph, built once, whose free
+entries W gathers with the pair's; any other source is integrated per call
+by the system's ``LoadEvaluator``.
 The mass is never scaled.  The whole graph is the batch of the one-part,
 one-batch family, whose factors are all 1.
 """
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,23 +120,16 @@ class DofMap:
     """Global dof numbering: vertex dofs first, then per-edge interior blocks.
 
     Vertex v owns dof v; edge e owns the contiguous interior block
-    starting at ``n_vertices + e * nodes_per_edge``.  Dirichlet dofs are
-    always vertex dofs.
+    starting at ``n_vertices + e * nodes_per_edge``.  The Dirichlet dofs
+    ``dirichlet_dofs`` are the graph's boundary vertices, sorted.
     """
 
-    def __init__(self, graph: MetricGraph, mesh: Mesh, dirichlet_vertices: Iterable[int]):
+    def __init__(self, graph: MetricGraph, mesh: Mesh):
         self.graph = graph
         self.mesh = mesh
         n = mesh.nodes_per_edge
         self.n_dofs = graph.n_vertices + graph.n_edges * n
-        self.dirichlet_vertices = frozenset(int(v) for v in dirichlet_vertices)
-        unknown = [v for v in self.dirichlet_vertices if v >= graph.n_vertices or v < 0]
-        if unknown:
-            raise FemError(f"dirichlet vertices not in the graph: {sorted(unknown)}")
-        self.dirichlet_dofs = np.array(sorted(self.dirichlet_vertices), dtype=int)
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.dirichlet_dofs] = False
-        self.free_dofs = np.flatnonzero(mask)
+        self.dirichlet_dofs = np.array(sorted(graph.boundary_vertices), dtype=int)
         self._interior_start = graph.n_vertices + n * np.arange(graph.n_edges)
 
     def edge_dofs(self, e: int) -> np.ndarray:
@@ -468,10 +462,8 @@ class ReducedOperators:
     active subgraph stays frozen during a window.  The graph's
     Dirichlet dofs ``dirichlet`` number W's Dirichlet columns, so one drive
     row [g(t0) | g(t1) | load weights] fits every batch; ``exterior_t1``
-    are the drive-row columns that hold g(t1) at ``exterior``.
-    ``term_vectors`` are a separable source's term vectors at the free
-    dofs, and ``load`` integrates a source that is not separable (None for
-    any other).
+    are the drive-row columns that hold g(t1) at ``exterior``.  ``load``
+    integrates a source that is not separable (None for any other).
     """
 
     free: np.ndarray
@@ -480,17 +472,17 @@ class ReducedOperators:
     exterior_t1: np.ndarray
     n_active: int
     dirichlet: np.ndarray
-    term_vectors: tuple[np.ndarray, ...]
     load: LoadEvaluator | None
 
-    def step_matrices(self, pair: StepPair) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+    def step_matrices(self, pair: StepPair, term_vectors: tuple) -> tuple[sp.csc_matrix, sp.csr_matrix]:
         """(lhs_ff, W) of ``pair``'s step, gathered from the free rows of L and R.
 
         lhs_ff, L over the free columns, comes out in CSC, the format SuperLU
         factors, with no sort: the pattern is symmetric, so a free row's
         entries are its column's, and they stay in order.  W is one COO->CSR
-        of the entries R_ff, R_fi - L_fi, R_fD, -L_fD and ``term_vectors``,
-        over the columns
+        of the entries R_ff, R_fi - L_fi, R_fD, -L_fD and the separable
+        source's ``term_vectors`` (over all dofs) at the free dofs, over the
+        columns
 
             [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms].
 
@@ -498,7 +490,7 @@ class ReducedOperators:
         active edges; FemError if one has.
         """
         free, interface, dirichlet = self.free, self.interface, self.dirichlet
-        n_free, n_fixed, n_terms = len(free), len(free) + len(interface), len(self.term_vectors)
+        n_free, n_fixed, n_terms = len(free), len(free) + len(interface), len(term_vectors)
         n_columns = n_fixed + 2 * len(dirichlet) + n_terms
         # index arrays in the pair's own dtype, which scipy takes without a check or a copy
         index = pair.rhs.indices.dtype
@@ -515,17 +507,15 @@ class ReducedOperators:
         lhs_ff = sp.csc_matrix((pair.lhs_csc.data[at[inner]], cols[inner], indptr), shape=(n_free, n_free))
         lhs, rhs, rows = pair.lhs.data[at], pair.rhs.data[at], np.arange(n_free, dtype=index)
         row = np.repeat(rows, counts)
-        data = np.concatenate([np.where(inner | fixed, rhs, rhs - lhs), -lhs[fixed], *self.term_vectors])
+        data = np.concatenate([np.where(inner | fixed, rhs, rhs - lhs), -lhs[fixed], *(v[free] for v in term_vectors)])
         rows = np.concatenate([row, row[fixed], np.tile(rows, n_terms)])
         loads = np.repeat(np.arange(n_columns - n_terms, n_columns, dtype=index), n_free)
         cols = np.concatenate([cols, cols[fixed] + len(dirichlet), loads])
         return lhs_ff, sp.csr_matrix((data, (rows, cols)), shape=(n_free, n_columns))
 
 
-def reduce_operators(
-    data: ElementData, dofmap: DofMap, view: BatchView, edge_factor: np.ndarray, vectors: tuple
-) -> ReducedOperators:
-    """The system of batch ``view``: its dof split, the term ``vectors`` (over all dofs) at its free dofs, and its load.
+def reduce_operators(data: ElementData, dofmap: DofMap, view: BatchView, edge_factor: np.ndarray) -> ReducedOperators:
+    """The system of batch ``view``: its dof split and its load.
 
     One boolean mask over all dofs marks the batch's vertices and the
     interior dofs of its active edges, the active dofs; with the interface
@@ -547,7 +537,7 @@ def reduce_operators(
     return ReducedOperators(
         free=free, interface=interface, exterior=exterior,
         exterior_t1=len(dirichlet) + np.searchsorted(dirichlet, exterior),
-        n_active=n_active, dirichlet=dirichlet, term_vectors=tuple(v[free] for v in vectors),
+        n_active=n_active, dirichlet=dirichlet,
         load=None if data.source is None else LoadEvaluator(data, edge_factor, free),
     )
 

@@ -332,25 +332,13 @@ LAMBDA_ELEMENTS_PER_EDGE = 200
 ERROR_BLOCK = 512 * 1024
 
 
-def stacked_squared_error(block_fn, state, t, rows: int):
-    """Apply ``block_fn(states, times)`` to one state or a (k, n) stack of states.
-
-    One state with a scalar time gives a float; a stack with k times gives
-    a length-k array, evaluated in blocks of at most ``rows`` states.
-    Results are clamped at 0, since a squared norm that rounds below zero
-    is zero.
-    """
-    states = np.asarray(state, dtype=float)
-    times = np.asarray(t, dtype=float)
-    if states.ndim == 1:
-        return max(float(block_fn(states[None, :], times.reshape(1))[0]), 0.0)
-    if states.ndim != 2 or times.shape != (len(states),):
-        raise SolverError("need one state with one time, or a (k, n) stack with k times")
-    out = np.empty(len(states))
-    for start in range(0, len(states), rows):
-        block = slice(start, start + rows)
-        out[block] = block_fn(states[block], times[block])
-    return np.maximum(out, 0.0)
+def checked_block(states, times, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``states`` as a (k, n) float block of at most ``rows`` states, with its k ``times``; SolverError otherwise."""
+    states = np.asarray(states, dtype=float)
+    times = np.asarray(times, dtype=float)
+    if states.ndim != 2 or times.shape != (len(states),) or len(states) > rows:
+        raise SolverError(f"need a (k, n) block of at most {rows} states with k times")
+    return states, times
 
 
 class ElementMassNorms:
@@ -416,8 +404,9 @@ class L2ErrorEvaluator:
     the error is small; the unshifted v^2 |w|^2 - 2 v (w, phi)^T u + u^T M u loses
     digits to cancellation once the error is far below |w|^2.
 
-    States are evaluated in blocks of ``block_rows``, and e is formed in a
-    (block_rows, n_dofs) array the evaluator keeps for its life.
+    ``squared_error`` takes one block of at most ``block_rows`` states, and
+    e is formed in a (block_rows, n_dofs) array the evaluator keeps for its
+    life; ``engine.ErrorAccumulator`` cuts a run's states into such blocks.
     """
 
     def __init__(
@@ -438,16 +427,18 @@ class L2ErrorEvaluator:
         self.block_rows = self._mass.rows
         self._e = np.empty((self.block_rows, self.n_dofs))
 
-    def squared_error(self, state: np.ndarray, t):
-        """|y(., t) - u|^2 for one state (float) or a (k, n) stack with k times (array)."""
-        return stacked_squared_error(self._squared_errors, state, t, self.block_rows)
+    def squared_error(self, states: np.ndarray, times) -> np.ndarray:
+        """|y(., t_i) - u_i|^2 for each row u_i of a (k, n) block with its k times, k at most ``block_rows``.
 
-    def _squared_errors(self, states: np.ndarray, times: np.ndarray) -> np.ndarray:
+        Clamped at 0, since a squared norm that rounds below zero is zero;
+        SolverError for a 1-d state, a larger block or a times array not of length k.
+        """
+        states, times = checked_block(states, times, self.block_rows)
         v = np.sin(TWO_PI * times)
         e = self._e[: len(states)]
         np.multiply(v[:, None], self._interpolant, out=e)
         e -= states
-        return v * v * self._c + 2.0 * v * (e @ self._b) + self._mass(e)
+        return np.maximum(v * v * self._c + 2.0 * v * (e @ self._b) + self._mass(e), 0.0)
 
 
 @dataclass(frozen=True)
@@ -480,7 +471,7 @@ def lambda_profile(
     graph = solution.graph
     t_grid = np.asarray(t_grid, dtype=float)
     mesh = Mesh(LAMBDA_ELEMENTS_PER_EDGE - 1)
-    elements = Elements(graph, mesh, DofMap(graph, mesh, ()), GAUSS5)
+    elements = Elements(graph, mesh, DofMap(graph, mesh), GAUSS5)
 
     # per-edge spatial integrals of the exact solution's building blocks
     w = elements.sample(solution.w)

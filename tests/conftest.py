@@ -55,6 +55,13 @@ def mass_matrix(graph, mesh, dofmap):
     return elements.matrix(elements.mass)
 
 
+def squared_errors(reference, states, times):
+    """``reference.squared_error`` over a whole (k, n) stack, one block of at most ``block_rows`` states at a time."""
+    rows = reference.block_rows
+    blocks = [reference.squared_error(states[i : i + rows], times[i : i + rows]) for i in range(0, len(states), rows)]
+    return np.concatenate(blocks)
+
+
 def mass_norms_sq(mass, diffs):
     """Row-wise d^T M d of a (k, n) stack of dof vectors, M a sparse mass matrix."""
     return np.einsum("ij,ji->i", diffs, mass @ diffs.T)
@@ -180,12 +187,12 @@ def reference_growth_rate(runtime, j):
 
 
 def batch_load(runtime, system, t):
-    """F(t) on the system's free dofs: its ``load``, else sum_k tau_k(t) times its k-th term vector."""
+    """F(t) on the system's free dofs: its ``load``, else sum_k tau_k(t) times the runtime's k-th term vector there."""
     if system.load is not None:
         return system.load(t)
     out = np.zeros(len(system.free))
-    for time, vector in zip(runtime.elements.time_fns, system.term_vectors):
-        out += float(time(t)) * vector
+    for time, vector in zip(runtime.elements.time_fns, runtime.term_vectors):
+        out += float(time(t)) * vector[system.free]
     return out
 
 

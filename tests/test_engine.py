@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import constant_coefficients, mass_matrix
+from conftest import constant_coefficients, mass_matrix, squared_errors
 from test_manufactured import binary_tree
 
 import graphrbm as g
@@ -13,6 +13,7 @@ from graphrbm import engine, fem, manufactured
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import (
     BLOWUP_FACTOR,
+    EngineError,
     ErrorAccumulator,
     GridMismatch,
     NumericalBlowup,
@@ -191,7 +192,7 @@ def test_estimate_errors_single_realization(demo, partition, option2, problem, s
     traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
     summary = g.estimate_errors([traj], solution=solution)
     ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
-    sup = max(ev.squared_error(traj.states[k], t) for k, t in enumerate(traj.times))
+    sup = max(ev.squared_error(traj.states[k : k + 1], [t])[0] for k, t in enumerate(traj.times))
     assert np.isclose(summary.error1, sup, rtol=1e-12)
     assert summary.variance == 0.0
 
@@ -221,6 +222,23 @@ def test_estimate_errors_rejects_a_run_made_with_a_sink(demo, partition, option2
         g.estimate_errors([streamed], baseline=full)
     with pytest.raises(GridMismatch, match=r"the baseline holds states of shape \(0, 210\)"):
         g.estimate_errors([kept], baseline=streamed)
+
+
+def test_state_at_of_a_run_made_with_a_sink_says_it_kept_no_states(demo, partition, option2, problem):
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=3)
+    streamed = g.run_rbm(demo, partition, option2, g.Mesh(10), problem, config, sink=lambda t, u: None)
+    with pytest.raises(GridMismatch, match="the run kept no states, so it has none at time 0.04"):
+        streamed.state_at(0.04)
+    with pytest.raises(GridMismatch, match="not on the stored grid"):
+        streamed.state_at(0.05)
+
+
+def test_estimate_errors_takes_one_reference_not_both(demo, partition, option2, problem, solution, coarse_mesh):
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=3)
+    run = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
+    full = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.01, t_final=0.1)
+    with pytest.raises(EngineError, match="a manufactured solution or a baseline trajectory, not both"):
+        g.estimate_errors([run], solution=solution, baseline=full)
 
 
 def test_estimate_errors_rejects_a_run_on_another_mesh(demo, partition, option2, problem, solution, coarse_mesh):
@@ -482,8 +500,8 @@ def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, c
     fused = fem.ReducedOperators.step_matrices
     built = []
 
-    def recording(system, pair):
-        lhs_ff, w = fused(system, pair)
+    def recording(system, pair, term_vectors):
+        lhs_ff, w = fused(system, pair, term_vectors)
         built.append((weakref.ref(lhs_ff), w))
         return lhs_ff, w
 
@@ -654,12 +672,12 @@ def test_sink_takes_the_stored_states(demo, partition, option2, problem, coarse_
 
 
 def summary_of(evaluator, trajs):
-    """(error1, error2, variance) of whole trajectories, each evaluated as one stack."""
-    err2 = np.array([evaluator.squared_error(traj.states, traj.times) for traj in trajs])
+    """(error1, error2, variance) of whole trajectories, each evaluated block by block."""
+    err2 = np.array([squared_errors(evaluator, traj.states, traj.times) for traj in trajs])
     n = len(trajs)
     mean = sum(traj.states for traj in trajs) / n
     variance = (err2.sum(axis=0) - np.sqrt(err2).sum(axis=0) ** 2 / n) / (n - 1)
-    return err2.mean(axis=0).max(), evaluator.squared_error(mean, trajs[0].times).max(), variance.max()
+    return err2.mean(axis=0).max(), squared_errors(evaluator, mean, trajs[0].times).max(), variance.max()
 
 
 @pytest.mark.parametrize("rows", [1, 4, 11])

@@ -77,9 +77,14 @@ def load_vector(graph, mesh, dm, coeffs, f, t):
     return fem.LoadEvaluator(data, unit_weights(graph), np.arange(dm.n_dofs))(t)
 
 
+def free_dofs(dm):
+    """Every dof but the Dirichlet ones, sorted."""
+    return np.setdiff1d(np.arange(dm.n_dofs), dm.dirichlet_dofs)
+
+
 def steady_solve(data, dm, boundary, load=None):
     """Solve K_ff u_f = F_f - K_fD g on the free rows of the stiffness; returns the full vector."""
-    free, dirichlet = dm.free_dofs, dm.dirichlet_dofs
+    free, dirichlet = free_dofs(dm), dm.dirichlet_dofs
     stiffness = full_operators(data, dm, unit_weights(dm.graph)).stiffness[free]
     rhs = -(stiffness[:, dirichlet] @ boundary)
     if load is not None:
@@ -92,32 +97,30 @@ def steady_solve(data, dm, boundary, load=None):
 
 
 def test_dofmap_counts_demo(demo):
-    dm = fem.DofMap(demo, g.Mesh(100), demo.boundary_vertices)
+    dm = fem.DofMap(demo, g.Mesh(100))
     assert dm.n_dofs == 1010
-    assert len(dm.dirichlet_dofs) == 4
-    assert len(dm.free_dofs) == 1006
+    assert dm.dirichlet_dofs.tolist() == sorted(demo.boundary_vertices)
+    assert len(free_dofs(dm)) == 1006
 
 
 def test_dofmap_single_edge():
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.DofMap(graph, g.Mesh(1), {0, 1})
+    dm = fem.DofMap(graph, g.Mesh(1))
     assert dm.n_dofs == 3
-    assert len(dm.free_dofs) == 1
+    assert dm.dirichlet_dofs.tolist() == [0, 1]
+    assert len(free_dofs(dm)) == 1
 
 
 def test_dofmap_no_dirichlet(demo):
-    dm = fem.DofMap(demo, g.Mesh(100), set())
-    assert len(dm.free_dofs) == 1010
-
-
-def test_dofmap_unknown_vertex(demo):
-    with pytest.raises(FemError):
-        fem.DofMap(demo, g.Mesh(2), {42})
+    graph = g.build_graph([(edge.tail, edge.head, edge.length) for edge in demo.edges], set())
+    dm = fem.DofMap(graph, g.Mesh(100))
+    assert len(dm.dirichlet_dofs) == 0
+    assert len(free_dofs(dm)) == 1010
 
 
 def test_edge_dofs_order():
     graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2})
-    dm = fem.DofMap(graph, g.Mesh(3), {0, 2})
+    dm = fem.DofMap(graph, g.Mesh(3))
     assert list(dm.edge_dofs(0)) == [0, 3, 4, 5, 1]
     assert list(dm.edge_dofs(1)) == [1, 6, 7, 8, 2]
     assert np.allclose(dm.edge_nodes(0), [0, 0.25, 0.5, 0.75, 1.0])
@@ -126,7 +129,7 @@ def test_edge_dofs_order():
 def test_single_edge_stiffness_hand_values():
     # one unit edge, one interior node: dx = 1/2, element stiffness 2*[[1,-1],[-1,1]]
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.DofMap(graph, g.Mesh(1), set())
+    dm = fem.DofMap(graph, g.Mesh(1))
     ops = full_operators(
         fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0)), dm, unit_weights(graph)
     )
@@ -138,7 +141,7 @@ def test_single_edge_stiffness_hand_values():
 def test_single_edge_mass_hand_values():
     # element mass dx/6 * [[2,1],[1,2]] with dx = 1/2
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.DofMap(graph, g.Mesh(1), set())
+    dm = fem.DofMap(graph, g.Mesh(1))
     ops = full_operators(
         fem.assemble(graph, dm.mesh, dm, constant_coefficients()), dm, unit_weights(graph)
     )
@@ -150,7 +153,7 @@ def test_single_edge_mass_hand_values():
 
 def test_assembly_matches_dense_oracle(demo, problem):
     mesh = g.Mesh(10)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     ops = full_operators(fem.assemble(demo, mesh, dm, problem), dm, unit_weights(demo))
     Md, Kd, Cd, Pd = dense_assembly(demo, mesh, dm, problem.a, problem.b, problem.p)
     for sparse_mat, dense_mat in ((ops.mass, Md), (ops.stiffness, Kd), (ops.lower, Cd + Pd)):
@@ -162,7 +165,7 @@ def test_assembly_matches_dense_oracle(demo, problem):
 
 def test_load_matches_dense_oracle(demo, solution, problem):
     mesh = g.Mesh(7)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     f = lambda e, x, t: solution.w(e, x) * (1.0 + t)
     F = load_vector(demo, mesh, dm, problem, f, 0.3)
     expected = np.zeros(dm.n_dofs)
@@ -183,7 +186,7 @@ def test_load_matches_dense_oracle(demo, solution, problem):
 
 def test_mass_spd(demo, rng):
     mesh = g.Mesh(6)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     M = mass_matrix(demo, mesh, dm)
     assert np.abs((M - M.T).toarray()).max() <= 1e-15
     assert np.all(M.diagonal() > 0)
@@ -194,7 +197,7 @@ def test_mass_spd(demo, rng):
 
 def test_stiffness_psd_and_kernel(demo, problem, rng):
     mesh = g.Mesh(6)
-    dm = fem.DofMap(demo, mesh, set())
+    dm = fem.DofMap(demo, mesh)
     K = full_operators(fem.assemble(demo, mesh, dm, problem), dm, unit_weights(demo)).stiffness
     for _ in range(10):
         x = rng.standard_normal(dm.n_dofs)
@@ -205,7 +208,7 @@ def test_stiffness_psd_and_kernel(demo, problem, rng):
 
 def test_weighted_assembly_equals_scaled_parts(demo, partition, option1, problem):
     mesh = g.Mesh(4)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     data = fem.assemble(demo, mesh, dm, problem)
     j = 4  # three active parts with factors 3, 2, 2
     ops = full_operators(data, dm, g.zeta_weights(partition, option1, j))
@@ -223,7 +226,7 @@ def test_weighted_assembly_equals_scaled_parts(demo, partition, option1, problem
 
 def test_weighted_assembly_inactive_rows_empty(demo, partition, option1, problem):
     mesh = g.Mesh(4)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     weights = g.zeta_weights(partition, option1, 0)  # only the left star active
     ops = full_operators(fem.assemble(demo, mesh, dm, problem), dm, weights)
     for matrix in (ops.mass, ops.stiffness, ops.lower):
@@ -234,7 +237,7 @@ def test_weighted_assembly_inactive_rows_empty(demo, partition, option1, problem
 
 def test_nonelliptic_rejected():
     graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2}, edge_names=["left", "right"])
-    dm = fem.DofMap(graph, g.Mesh(4), {0, 2})
+    dm = fem.DofMap(graph, g.Mesh(4))
     coeffs = g.CoefficientSet(
         a=lambda e, x: x - 0.5 if e == 1 else np.ones_like(x),  # changes sign on the second edge
         b=lambda e, x: np.zeros_like(x),
@@ -251,14 +254,14 @@ def test_nonelliptic_rejected():
 
 def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, option1, problem):
     mesh = g.Mesh(5)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     data = fem.assemble(demo, mesh, dm, problem)
     ops = full_operators(data, dm, unit_weights(demo))
     view = batch_view(partition, option1.batches, 4)
     weights = unit_weights(demo)
     factor = np.repeat(weights, data.elements.per_edge)
     vectors = tuple(data.elements.scatter(term, factor) for term in data.term_loads)
-    reduced = fem.reduce_operators(data, dm, view, weights, vectors)
+    reduced = fem.reduce_operators(data, dm, view, weights)
     # the dof split: the batch's interface and exterior vertices, and the rest of its active dofs free
     active = set(view.vertices).union(*(dm.edge_dofs(e).tolist() for e in view.active_edges))
     assert reduced.interface.tolist() == sorted(view.interface)
@@ -269,10 +272,8 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     dt = 0.1
     lhs = (ops.mass + dt * ops.stiffness).toarray()
     rhs = (ops.mass - dt * ops.lower).toarray()
-    loads = reduced.term_vectors
-    assert len(loads) == len(data.term_loads)
-    assert all(np.array_equal(load, vector[reduced.free]) for load, vector in zip(loads, vectors))
-    lhs_ff, w = reduced.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt))
+    loads = [vector[reduced.free] for vector in vectors]
+    lhs_ff, w = reduced.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt), vectors)
     free, interface, dirichlet = reduced.free, reduced.interface, dm.dirichlet_dofs
     exterior = np.isin(dirichlet, reduced.exterior)
     want = np.hstack(
@@ -294,13 +295,13 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     # a free row with an entry in no column of W is refused, not handed to SuperLU as a negative index
     unlisted = dataclasses.replace(reduced, interface=interface[1:])
     with pytest.raises(fem.FemError, match="outside the batch's free, interface and Dirichlet dofs"):
-        unlisted.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt))
+        unlisted.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt), vectors)
 
 
 def test_steady_single_edge_linear_exact():
     # -u'' = 0, u(0)=0, u(1)=1: P1 reproduces the linear solution at the nodes
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
-    dm = fem.DofMap(graph, g.Mesh(9), {0, 1})
+    dm = fem.DofMap(graph, g.Mesh(9))
     data = fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0))
     full = steady_solve(data, dm, np.array([0.0, 1.0]))
     assert np.abs(full[dm.edge_dofs(0)] - dm.edge_nodes(0)).max() <= 1e-12
@@ -311,7 +312,7 @@ def test_steady_graph_linear_exact(demo, rng):
     g_values = rng.standard_normal(4)
 
     def solve(ne):
-        dm = fem.DofMap(demo, g.Mesh(ne), demo.boundary_vertices)
+        dm = fem.DofMap(demo, g.Mesh(ne))
         data = fem.assemble(demo, dm.mesh, dm, constant_coefficients(a=2.0))
         return dm, steady_solve(data, dm, g_values)
 
@@ -331,7 +332,7 @@ def test_steady_residual_second_order(demo, solution):
     meshes = [25, 50, 100]
     for ne in meshes:
         mesh = g.Mesh(ne)
-        dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+        dm = fem.DofMap(demo, mesh)
         coeffs = g.derive_data(solution)
         ops = full_operators(fem.assemble(demo, mesh, dm, coeffs), dm, unit_weights(demo))
         w_interp = fem.interpolate(demo, mesh, dm, solution.w)
@@ -341,7 +342,7 @@ def test_steady_residual_second_order(demo, solution):
         )
         load = load_vector(demo, mesh, dm, coeffs, rhs, 0.0)
         res = ops.stiffness @ w_interp - load
-        residuals.append(np.abs(res[dm.free_dofs]).max())
+        residuals.append(np.abs(res[free_dofs(dm)]).max())
     slope, _ = g.fit_slope([1.0 / (ne + 1) for ne in meshes], residuals)
     assert 1.6 <= slope <= 2.4
 
@@ -352,7 +353,7 @@ def test_kirchhoff_flux_imbalance_first_order(demo, solution):
     meshes = [25, 50, 100]
     for ne in meshes:
         mesh = g.Mesh(ne)
-        dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+        dm = fem.DofMap(demo, mesh)
         coeffs = g.derive_data(solution)
         data = fem.assemble(demo, mesh, dm, coeffs)
         rhs = lambda e, x, t: -(
@@ -387,13 +388,13 @@ def test_one_batch_system_is_the_whole_graph(demo, partition, single_batch, prob
     system, dm = runtime.system(0), runtime.dofmap
     assert system.n_active == dm.n_dofs
     assert np.array_equal(system.exterior, dm.dirichlet_dofs)
-    assert np.array_equal(system.free, dm.free_dofs)
+    assert np.array_equal(system.free, free_dofs(dm))
     assert len(system.interface) == 0
 
 
 def test_interpolate_nodal_values(demo):
     mesh = g.Mesh(4)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     u = fem.interpolate(demo, mesh, dm, lambda e, x: np.full_like(x, float(e)))
     for e in range(demo.n_edges):
         assert np.all(u[dm.edge_dofs(e)[1:-1]] == float(e))
@@ -408,7 +409,7 @@ def test_convection_vertex_sums_vanish(demo, problem):
 def test_interpolate_reads_edge_nodes_and_keeps_the_last_edge_at_a_vertex(demo):
     """The node table rows are bitwise ``edge_nodes``; a shared vertex keeps the value an edge-by-edge pass wrote last."""
     mesh = g.Mesh(5)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     seen = {}
 
     def jump(e, x):  # discontinuous at every vertex
@@ -437,7 +438,7 @@ def two_edge_path():
 )
 def test_malformed_edge_values_are_fem_errors(value, message):
     graph = two_edge_path()
-    dm = fem.DofMap(graph, g.Mesh(3), {0, 2})
+    dm = fem.DofMap(graph, g.Mesh(3))
     ones = lambda e, x: np.ones_like(x)  # noqa: E731
     for coeffs in (g.CoefficientSet(a=value, b=ones, p=ones), g.CoefficientSet(a=ones, b=value, p=ones)):
         with pytest.raises(FemError, match=message):
@@ -458,7 +459,7 @@ class WrongTable:
 
 def test_malformed_table_form_is_fem_error():
     graph = two_edge_path()
-    dm = fem.DofMap(graph, g.Mesh(3), {0, 2})
+    dm = fem.DofMap(graph, g.Mesh(3))
     ones = lambda e, x: np.ones_like(x)  # noqa: E731
     coeffs = g.CoefficientSet(a=ones, b=ones, p=WrongTable())
     with pytest.raises(FemError, match=r"table form of .* has shape \(2, 11\), expected \(2, 12\)"):

@@ -2,7 +2,7 @@ import gc
 
 import numpy as np
 import pytest
-from conftest import constant_coefficients, mass_norms_sq, reference_assemble
+from conftest import constant_coefficients, mass_norms_sq, reference_assemble, squared_errors
 
 import graphrbm as g
 from graphrbm import fem
@@ -53,7 +53,7 @@ def reference_squared_error(graph, mesh, dofmap, solution, state, t, order=5):
 
 def assert_matches_reference(traj, solution, rtol=1e-12):
     ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
-    got = ev.squared_error(traj.states, traj.times)
+    got = squared_errors(ev, traj.states, traj.times)
     expected = np.array(
         [
             reference_squared_error(traj.graph, traj.mesh, traj.dofmap, solution, u, t)
@@ -171,7 +171,7 @@ def test_edge_polynomial_table_is_polyval_per_row(rng):
 def test_element_mass_norms_equal_the_mass_matrix_form(name, rng):
     graph = g.demo_graph() if name == "demo" else binary_tree(5)
     mesh = g.Mesh(7)
-    dofmap = fem.DofMap(graph, mesh, graph.boundary_vertices)
+    dofmap = fem.DofMap(graph, mesh)
     norms = ElementMassNorms(fem.Elements(graph, mesh, dofmap, fem.GAUSS3))
     states = rng.standard_normal((5, dofmap.n_dofs))
     kept = states.copy()
@@ -225,17 +225,17 @@ def test_l2_error_zero_state_closed_form(demo, solution):
     # against the zero state at the time of peak amplitude, the squared error
     # is the closed-form integral of w^2
     mesh = g.Mesh(40)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     ev = L2ErrorEvaluator(demo, mesh, dm, solution)
-    got = ev.squared_error(np.zeros(dm.n_dofs), 0.25)
+    got = ev.squared_error(np.zeros((1, dm.n_dofs)), [0.25])[0]
     assert np.isclose(got, exact_profile_sq_integral(solution), rtol=1e-12)
 
 
 def test_l2_error_zero_at_time_zero(demo, solution):
     mesh = g.Mesh(10)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+    dm = fem.DofMap(demo, mesh)
     ev = L2ErrorEvaluator(demo, mesh, dm, solution)
-    assert ev.squared_error(np.zeros(dm.n_dofs), 0.0) == 0.0
+    assert ev.squared_error(np.zeros((1, dm.n_dofs)), [0.0])[0] == 0.0
 
 
 def test_l2_error_interpolant_fourth_order(demo, solution):
@@ -244,12 +244,12 @@ def test_l2_error_interpolant_fourth_order(demo, solution):
     meshes = [10, 20, 40, 80]
     for ne in meshes:
         mesh = g.Mesh(ne)
-        dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+        dm = fem.DofMap(demo, mesh)
         interp = fem.interpolate(
             demo, mesh, dm, lambda e, x: solution.w(e, x) * solution.time_factor(0.25)
         )
         ev = L2ErrorEvaluator(demo, mesh, dm, solution)
-        errors.append(ev.squared_error(interp, 0.25))
+        errors.append(ev.squared_error(interp[None, :], [0.25])[0])
     slope, _ = g.fit_slope([1.0 / (ne + 1) for ne in meshes], errors)
     assert abs(slope - 4.0) <= 0.3
 
@@ -275,42 +275,47 @@ def test_l2_error_matches_reference_on_non_unit_lengths(rng):
     graph = g.build_graph([(0, 1, 0.5), (1, 2, 1.7), (1, 3, 2.3), (3, 4, 0.8)], {0, 2, 4})
     solution = g.build_solution(graph, [3.0, -1.0, 0.5, 2.0], [-2.0, 1.0, 0.0, -1.0])
     mesh = g.Mesh(7)
-    dm = fem.DofMap(graph, mesh, graph.boundary_vertices)
+    dm = fem.DofMap(graph, mesh)
     times = np.array([0.0, 0.1, 0.25, 0.6, 0.9])
     states = rng.standard_normal((len(times), dm.n_dofs))
     ev = L2ErrorEvaluator(graph, mesh, dm, solution)
-    got = ev.squared_error(states, times)
+    got = squared_errors(ev, states, times)
     for k, t in enumerate(times):
         expected = reference_squared_error(graph, mesh, dm, solution, states[k], t)
         assert abs(got[k] - expected) <= 1e-12 * expected
 
 
-def test_l2_error_single_state_returns_float(demo, solution, rng):
-    mesh = g.Mesh(10)
-    dm = fem.DofMap(demo, mesh, demo.boundary_vertices)
+def test_error_references_take_one_block(demo, solution, problem, rng):
+    """Both references take one (k, n) block of at most ``block_rows`` states with its k times, and nothing else."""
+    traj = g.run_full(demo, g.Mesh(10), problem, g.IMPLICIT_EULER, dt=0.1, t_final=0.2)
+    mesh, dm = traj.mesh, traj.dofmap
     ev = L2ErrorEvaluator(demo, mesh, dm, solution)
-    state = rng.standard_normal(dm.n_dofs)
-    got = ev.squared_error(state, 0.37)
-    assert type(got) is float
-    expected = reference_squared_error(demo, mesh, dm, solution, state, 0.37)
-    assert abs(got - expected) <= 1e-12 * expected
-    # the stacked form agrees with single calls, including across block edges;
-    # a stack sums in another order, so only to rounding
-    times = np.linspace(0.0, 1.0, 150)
-    states = rng.standard_normal((len(times), dm.n_dofs))
-    stacked = ev.squared_error(states, times)
-    singles = np.array([ev.squared_error(u, t) for u, t in zip(states, times)])
-    assert np.allclose(stacked, singles, rtol=1e-13, atol=0.0)
-    with pytest.raises(g.SolverError):
-        ev.squared_error(states, times[:-1])
+    state = rng.standard_normal((1, dm.n_dofs))
+    got = ev.squared_error(state, [0.37])
+    expected = reference_squared_error(demo, mesh, dm, solution, state[0], 0.37)
+    assert got.shape == (1,) and abs(got[0] - expected) <= 1e-12 * expected
+    for reference in (ev, g.engine._BaselineReference(traj, traj, traj.times)):
+        rows = reference.block_rows
+        times = np.linspace(0.0, 1.0, rows + 1)
+        states = rng.standard_normal((rows + 1, dm.n_dofs))
+        # a full block agrees with one-row blocks; a block sums in another order, so only to rounding
+        block = reference.squared_error(states[:rows], times[:rows])
+        assert block.shape == (rows,)
+        rows_one = np.array([reference.squared_error(states[k : k + 1], times[k : k + 1])[0] for k in range(rows)])
+        assert np.allclose(block, rows_one, rtol=1e-13, atol=0.0)
+        for bad_states, bad_times in ((states, times), (states[:2], times[:1]), (states[0], times[:1])):
+            with pytest.raises(g.SolverError, match=f"block of at most {rows} states"):
+                reference.squared_error(bad_states, bad_times)
+        # a squared norm that rounds below zero is zero
+        assert reference.squared_error(traj.state_at(0.0)[None, :], [0.0])[0] == 0.0
 
 
 def test_l2_error_of_stored_trajectory_state(demo, solution, problem):
     traj = g.run_full(demo, g.Mesh(10), problem, g.IMPLICIT_EULER, dt=0.1, t_final=0.2)
     ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
-    assert ev.squared_error(traj.state_at(0.0), 0.0) == 0.0
+    assert ev.squared_error(traj.state_at(0.0)[None, :], [0.0])[0] == 0.0
     with pytest.raises(g.SolverError):
-        ev.squared_error(traj.state_at(0.123), 0.123)
+        ev.squared_error(traj.state_at(0.123)[None, :], [0.123])
 
 
 def test_lambda_single_batch_vanishes(demo, partition, single_batch, solution, problem):
@@ -376,7 +381,7 @@ def test_assembly_samples_each_edge_function_once(monkeypatch, rng):
     alpha, beta = rng.uniform(-5.0, 5.0, size=(2, tree.n_edges))
     solution = g.build_solution(tree, alpha, beta)
     coeffs = g.derive_data(solution)
-    dm = fem.DofMap(tree, g.Mesh(3), tree.boundary_vertices)
+    dm = fem.DofMap(tree, g.Mesh(3))
     sampled = []
     table = fem.on_edges
 
@@ -417,7 +422,7 @@ def test_tree_problem_samples_only_table_forms(monkeypatch, rng):
     runtime = g.engine.RbmRuntime(tree, partition, family, mesh, coeffs)
     assert np.abs(runtime.convection_sums).max() <= 1e-14
     evaluator = L2ErrorEvaluator(tree, mesh, runtime.dofmap, solution)
-    assert evaluator.squared_error(fem.interpolate(tree, mesh, runtime.dofmap, solution.w), 0.25) > 0.0
+    assert evaluator.squared_error(fem.interpolate(tree, mesh, runtime.dofmap, solution.w)[None, :], [0.25])[0] > 0.0
     assert lambda_profile(solution, coeffs, partition, family, np.linspace(0.0, 1.0, 5)).l1 > 0.0
     with pytest.raises(AssertionError, match="per-edge call"):
         solution.w(0, np.zeros(2))

@@ -24,6 +24,7 @@ from conftest import (
     reference_load,
     reference_lower_coefficients,
     reference_vertex_values,
+    squared_errors,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -228,12 +229,13 @@ def assert_close(got, expected, what, rtol=1e-13):
 def test_batch_systems_equal_scaled_part_sums(data):
     """Every batch system against the per-edge assembly of its parts, scaled by 1/pi.
 
-    The step matrices lhs_ff and W that a batch slices out of the runtime's
-    step pair must match ``imex_theta`` on those sparse reference operators
+    The step matrices lhs_ff and W that ``runtime.step_matrices`` slices
+    out of the runtime's step pair must match ``imex_theta`` on those sparse reference operators
     to 1e-14 relative, with their stored positions, W's load columns the
     reference load of each source term to 1e-13.  The runtime builds one
-    pair per (scheme, dt), which every batch, realization and window length
-    shares, and each batch's growth bound is that of its own element blocks.
+    pair per (scheme, dt), which every batch slices once, and again for
+    runs, which every realization and window length share; each batch's
+    growth bound is that of its own element blocks.
     """
     graph = data.draw(graphs())
     partition = data.draw(partitions(graph))
@@ -278,7 +280,7 @@ def test_batch_systems_equal_scaled_part_sums(data):
                         ],
                         format="csr",
                     )
-                    lhs_ff, w = system.step_matrices(runtime.step_pair(scheme, dt))
+                    lhs_ff, w = runtime.step_matrices(j, scheme, dt)
                     what = (j, scheme.label, dt)
                     # lhs_ff goes to SuperLU as it is; W multiplies by rows
                     assert (lhs_ff.format, w.format) == ("csc", "csr"), what
@@ -294,19 +296,20 @@ def test_batch_systems_equal_scaled_part_sums(data):
             assert runtime.growth_rate(j) == reference_growth_rate(runtime, j), j
             # a separable source is its term vectors alone; only the callable one is integrated per call
             assert system.load is None
-            assert len(system.term_vectors) == len(vectors)
+            assert len(runtime.term_vectors) == len(vectors)
             for k, vector in enumerate(vectors):
-                assert_close(system.term_vectors[k], vector, (j, "term", k))
+                assert_close(runtime.term_vectors[k][free], vector, (j, "term", k))
             unseparated_load = fem.LoadEvaluator(unseparated, factor, system.free)
             for t in (0.0, 0.37):
                 want = reference_load(graph, MESH, dofmap, coeffs.f, t, factor)
                 assert_close(batch_load(runtime, system, t), want[system.free], (j, t))
                 assert_close(unseparated_load(t), want[system.free], (j, t, "callable"))
-        assert built.call_count == 2 * len(ALL_SCHEMES)
+        # every batch has sliced every pair, so none is kept
+        assert built.call_count == 2 * len(ALL_SCHEMES) and not runtime._pairs
         for h, seed in ((DT, 1), (2 * DT, 2), (2 * DT, 3)):
             config = RbmConfig(h=h, dt=DT, t_final=4 * DT, scheme=g.CRANK_NICOLSON, seed=seed)
             g.run_rbm(graph, partition, family, MESH, coeffs, config, runtime=runtime)
-        assert built.call_count == 2 * len(ALL_SCHEMES)
+        assert built.call_count == 2 * len(ALL_SCHEMES) + 1
 
 
 @pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")
@@ -393,7 +396,7 @@ def test_l2_error_matches_elementwise_quadrature(data):
     solution = manufactured_solution(data, graph)
     if solution is None:
         return
-    dofmap = fem.DofMap(graph, MESH, graph.boundary_vertices)
+    dofmap = fem.DofMap(graph, MESH)
     evaluator = L2ErrorEvaluator(graph, MESH, dofmap, solution)
     interpolant = fem.interpolate(graph, MESH, dofmap, solution.w)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
@@ -402,10 +405,10 @@ def test_l2_error_matches_elementwise_quadrature(data):
     states = np.sin(TWO_PI * times)[:, None] * interpolant + 1e-3 * rng.standard_normal(
         (len(times), dofmap.n_dofs)
     )
-    stacked = evaluator.squared_error(states, times)
+    stacked = squared_errors(evaluator, states, times)
     for k, (u, t) in enumerate(zip(states, times)):
         want = reference_squared_error(graph, MESH, dofmap, solution, u, t)
-        for got in (stacked[k], evaluator.squared_error(u, t)):
+        for got in (stacked[k], evaluator.squared_error(u[None, :], [t])[0]):
             assert abs(got - want) <= 1e-12 * want, (k, got, want)
 
 
@@ -631,7 +634,7 @@ def test_per_edge_path_gives_bitwise_the_table_results(data):
     plain_solution = ManufacturedSolution(graph, solution.poly, plain(solution.a), plain(solution.a_dx))
     for name in ("w", "w_dx", "w_dxx"):
         setattr(plain_solution, name, plain(getattr(solution, name)))
-    dofmap = fem.DofMap(graph, MESH, graph.boundary_vertices)
+    dofmap = fem.DofMap(graph, MESH)
     table, loop = (fem.assemble(graph, MESH, dofmap, c) for c in (coeffs, per_edge))
     for got, want in zip((table.stiffness, table.lower, *table.term_loads),
                          (loop.stiffness, loop.lower, *loop.term_loads)):
@@ -643,7 +646,7 @@ def test_per_edge_path_gives_bitwise_the_table_results(data):
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     states, times = rng.standard_normal((3, dofmap.n_dofs)), np.array([0.1, 0.37, 0.8])
-    errors = [L2ErrorEvaluator(graph, MESH, dofmap, s).squared_error(states, times)
+    errors = [squared_errors(L2ErrorEvaluator(graph, MESH, dofmap, s), states, times)
               for s in (solution, plain_solution)]
     assert_bitwise(*errors, "L2 error")
     t_grid = np.linspace(0.0, 1.0, 11)
