@@ -111,9 +111,16 @@ def _parse_schemes(text: str, theta: float) -> list[SchemeKind]:
     return [SchemeKind.parse(token, theta) for token in text.split(",")]
 
 
+def _parse_scheme(text: str, theta: float) -> SchemeKind:
+    """The one scheme a ``solve`` or ``rbm`` run takes; a comma list is a configuration error."""
+    if "," in text:
+        raise harness.InvalidSpec(f"--scheme takes one scheme for a single run, got {text!r}")
+    return SchemeKind.parse(text, theta)
+
+
 def cmd_solve(args) -> int:
     graph, _, _, solution, coeffs = _load_problem(args)
-    scheme = _parse_schemes(args.scheme, args.theta)[0]
+    scheme = _parse_scheme(args.scheme, args.theta)
     mesh = fem.Mesh(args.nodes_per_edge)
     start = time.perf_counter()
     traj = engine.run_full(
@@ -130,7 +137,7 @@ def cmd_solve(args) -> int:
 
 def cmd_rbm(args) -> int:
     graph, partition, family, solution, coeffs = _load_problem(args)
-    scheme = _parse_schemes(args.scheme, args.theta)[0]
+    scheme = _parse_scheme(args.scheme, args.theta)
     mesh = fem.Mesh(args.nodes_per_edge)
     config = engine.RbmConfig(
         h=args.h,

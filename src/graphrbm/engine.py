@@ -39,8 +39,8 @@ batches of the last windows still holds a stale value.
 Each stored (t, u) goes to one store (``_Snapshots``) as it is reached:
 by default it is written once into a preallocated (stored times x dofs)
 array, the trajectory's ``states``; a caller's sink, such as a study's
-``ErrorAccumulator.store``, takes it instead, and the trajectory then holds
-no states.  The store takes each state's max |u| as it comes, so a
+``ErrorAccumulator.store``, which keeps each realization's squared errors
+as one row, takes it instead, and the trajectory then holds no states.  The store takes each state's max |u| as it comes, so a
 non-finite state raises NumericalBlowup at once, and a run whose stored
 states exceed BLOWUP_FACTOR times the scale of its data and the growth its
 operators allow raises it at the end (``_check_growth``).
@@ -76,6 +76,11 @@ TIME_MATCH_TOL = 1e-9
 CONVECTION_SUM_TOL = 1e-10
 # stored states may reach this multiple of the data scale times G (``_check_growth``)
 BLOWUP_FACTOR = 1e6
+
+
+def _same_time(stored: float, t: float):
+    """Whether the stored time (each of an array of them) is t: within TIME_MATCH_TOL * max(1, |t|)."""
+    return abs(stored - t) <= TIME_MATCH_TOL * max(1.0, abs(t))
 
 
 class EngineError(SolverError):
@@ -169,7 +174,7 @@ class RbmTrajectory:
         return self.states[idx]
 
     def time_index(self, t: float) -> int:
-        hits = np.flatnonzero(np.abs(self.times - t) <= TIME_MATCH_TOL * max(1.0, abs(t)))
+        hits = np.flatnonzero(_same_time(self.times, t))
         if hits.size == 0:
             raise GridMismatch(f"time {t} not on the stored grid")
         return int(hits[0])
@@ -181,7 +186,7 @@ def _count_steps(total: float, step: float, total_name: str, step_name: str) -> 
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidSpec(f"{name} must be a positive finite number, got {value}")
     n = round(total / step)
-    if n < 1 or abs(n * step - total) > TIME_MATCH_TOL * max(1.0, abs(total)):
+    if n < 1 or not _same_time(n * step, total):
         raise ScheduleMismatch(f"{total_name}: {total} is not a positive integer multiple of {step}")
     return int(n)
 
@@ -637,21 +642,21 @@ class _BaselineReference:
     def __init__(self, trajectory: RbmTrajectory, baseline: RbmTrajectory, times: np.ndarray):
         self._mass = ElementMassNorms(Elements(trajectory.graph, trajectory.mesh, trajectory.dofmap, GAUSS3))
         try:
-            idx = [baseline.time_index(t) for t in times]
+            for t in times:
+                baseline.time_index(t)
         except GridMismatch as exc:
             raise GridMismatch(f"baseline grid does not cover the stored times: {exc}") from exc
-        self._reference_states = baseline.states[idx]
-        self._times = times
+        self._baseline = baseline
         self.n_dofs = trajectory.dofmap.n_dofs
         self.block_rows = self._mass.rows
         self._diff = np.empty((self.block_rows, self.n_dofs))
 
     def squared_error(self, states: np.ndarray, times) -> np.ndarray:
-        """|u_i - baseline(t_i)|^2 in the mass norm for each row of a (k, n) block, as ``L2ErrorEvaluator``'s."""
+        """|u_i - baseline(t_i)|^2 in the mass norm per row of a (k, n) block; GridMismatch if t_i is off its grid."""
         states, times = checked_block(states, times, self.block_rows)
-        k = np.abs(self._times[None, :] - times[:, None]).argmin(axis=1)
+        k = [self._baseline.time_index(t) for t in times.tolist()]
         diff = self._diff[: len(states)]
-        np.take(self._reference_states, k, axis=0, out=diff, mode="clip")
+        np.take(self._baseline.states, k, axis=0, out=diff, mode="clip")
         np.subtract(states, diff, out=diff)
         return np.maximum(self._mass(diff), 0.0)
 
@@ -665,12 +670,12 @@ class ErrorAccumulator:
     turn.  A state is copied into a block of ``reference.block_rows``
     states; each full block, and the last of a realization, is added to one
     running state sum (stored times x dofs) and goes to
-    ``reference.squared_error``, which takes exactly one such block, and
-    the squared errors and their roots are summed per stored time.
-    ``summary`` forms the mean state block by block in the same block
-    array; these two are the only places that cut states into blocks.
-    ``restart`` empties the sums for a new grid and keeps the arrays, so
-    one state sum serves a whole study.
+    ``reference.squared_error``, which takes exactly one such block; its
+    squared errors fill their slice of the realization's row of the record,
+    one row per realization.  ``summary`` reduces the record and forms the
+    mean state block by block in the same block array; these two are the
+    only places that cut states into blocks.  ``restart`` empties both for
+    a new grid and keeps the state sum's array, so one serves a whole study.
     ``seconds`` is the time spent in ``store``.
     """
 
@@ -691,17 +696,17 @@ class ErrorAccumulator:
             self._state_sums = np.empty((n_times, self.reference.n_dofs))
         self._state_sum = self._state_sums[:n_times]
         self._state_sum.fill(0.0)
-        self._sum_sq = np.zeros(n_times)
-        self._sum_norm = np.zeros(n_times)
+        self._record = []
         self._next = 0
-        self._count = 0
 
     def store(self, t: float, u: np.ndarray) -> None:
         """Add the next stored state u at time t of the current realization; u is read, not kept."""
         start = time.perf_counter()
         k = self._next
-        if k >= len(self._grid) or abs(t - self._grid[k]) > TIME_MATCH_TOL:
+        if k >= len(self._grid) or not _same_time(self._grid[k], t):
             raise GridMismatch(f"stored time {t} is not time {k} of the accumulator grid")
+        if k == 0:
+            self._record.append(np.empty(len(self._grid)))
         rows = len(self._block)
         r = k % rows
         self._block[r] = u
@@ -709,30 +714,25 @@ class ErrorAccumulator:
         if last or r + 1 == rows:
             block, stored = self._block[: r + 1], slice(k - r, k + 1)
             self._state_sum[stored] += block
-            err2 = self.reference.squared_error(block, self.times[stored])
-            self._sum_sq[stored] += err2
-            self._sum_norm[stored] += np.sqrt(err2)
+            self._record[-1][stored] = self.reference.squared_error(block, self.times[stored])
         self._next = 0 if last else k + 1
-        self._count += last
         self.seconds += time.perf_counter() - start
 
     def add(self, traj: RbmTrajectory) -> None:
         """``store`` every state of a whole trajectory on the accumulator's grid."""
-        if len(traj.times) != len(self.times) or np.any(
-            np.abs(traj.times - self.times) > TIME_MATCH_TOL
-        ):
+        if len(traj.times) != len(self._grid) or not all(map(_same_time, self._grid, traj.times.tolist())):
             raise GridMismatch("realization stored times differ from the accumulator grid")
         for t, u in zip(traj.times, traj.states):
             self.store(t, u)
 
     def summary(self) -> ErrorSummary:
-        if self._count == 0:
+        if not self._record:
             raise EngineError("no realizations accumulated")
         if self._next:
             raise EngineError("a realization stopped before its last stored time")
-        n = self._count
-        mean_sq = self._sum_sq / n
-        error1 = float(mean_sq.max())
+        n = len(self._record)
+        sum_sq = sum(self._record)  # row after row, in the order a running sum would add them
+        error1 = float((sum_sq / n).max())
         error2 = 0.0
         for start in range(0, len(self.times), len(self._block)):
             rows = slice(start, start + len(self._block))
@@ -740,13 +740,11 @@ class ErrorAccumulator:
             np.divide(self._state_sum[rows], n, out=mean)
             error2 = max(error2, float(self.reference.squared_error(mean, self.times[rows]).max()))
         if n > 1:
-            var = (self._sum_sq - self._sum_norm**2 / n) / (n - 1)
+            var = (sum_sq - sum(map(np.sqrt, self._record)) ** 2 / n) / (n - 1)
             variance = float(var.max())
         else:
             variance = 0.0
-        return ErrorSummary(
-            error1=error1, error2=error2, variance=variance, n_realizations=n
-        )
+        return ErrorSummary(error1=error1, error2=error2, variance=variance, n_realizations=n)
 
 
 def estimate_errors(

@@ -9,11 +9,11 @@ realization r draws its schedule from the 128-bit Philox key
 schedule.  No realization is held whole: ``run_rbm`` hands each stored
 state to the study's one ``ErrorAccumulator`` (its sink), which adds it to
 one state sum of (stored times x dofs), reused and zeroed per (scheme, h)
-cell, and evaluates the errors in blocks with one ``L2ErrorEvaluator`` on
-the runtime's own element table, in scratch of at most
-``manufactured.ERROR_BLOCK`` bytes per array.  Timing columns are
-wall-clock and hardware dependent; ``avg_time_s`` is the mean time of a
-realization's solve, the accumulator's own time taken out.
+cell, and keeps one row of squared errors per realization, evaluated in
+blocks by one ``L2ErrorEvaluator`` on the runtime's own element table in
+scratch of at most ``manufactured.ERROR_BLOCK`` bytes per array.  Timing
+columns are wall-clock and hardware dependent; ``avg_time_s`` is the mean
+time of a realization's solve, the accumulator's own time taken out.
 
 Memory is reported two ways: a deterministic proxy (max over windows of
 active dof count plus factor nonzeros, the objects that dominate the
@@ -105,6 +105,11 @@ class ExperimentSpec:
             raise InvalidSpec("need at least one window length h")
         if not self.schemes:
             raise InvalidSpec("need at least one scheme")
+        # each (scheme label, h) is one CSV row, so neither may repeat
+        for name, values in (("scheme", [s.label for s in self.schemes]), ("window length h", self.h_list)):
+            repeated = [v for k, v in enumerate(values) if v in values[:k]]
+            if repeated:
+                raise InvalidSpec(f"{name} {repeated[0]} is given more than once; each names its own CSV rows")
         if not 0 <= self.seed < 2**MASTER_SEED_BITS:
             raise InvalidSpec(f"master seed must lie in [0, 2**{MASTER_SEED_BITS}), got {self.seed}")
         # the stride and step counts run_rbm takes, so a study fails before it builds anything

@@ -297,6 +297,32 @@ def test_time_length_not_positive_finite_is_config_error(tmp_path, capsys, comma
     assert not (tmp_path / "study.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "rbm"])
+def test_single_run_rejects_a_scheme_list(capsys, command):
+    # a run takes one scheme; only a study sweeps a list
+    _assert_config_error([*BAD_RUNS[command], "--scheme", "ie,cn"], capsys)
+
+
+@pytest.mark.parametrize(
+    "flag, value, repeated",
+    [
+        ("--h", "0.05,0.1,0.05", "window length h 0.05"),
+        ("--scheme", "ie,cn,ie", "scheme ie"),
+        # two weights that print alike would share a CSV key
+        ("--scheme", "theta:0.6,theta:0.6000001", "scheme theta:0.6"),
+    ],
+)
+def test_study_rejects_a_repeated_cell_before_building(tmp_path, capsys, monkeypatch, flag, value, repeated):
+    def no_runtime(*args, **kwargs):
+        raise AssertionError("the study built a runtime before validating its spec")
+
+    monkeypatch.setattr(harness, "RbmRuntime", no_runtime)
+    out = tmp_path / "study.csv"
+    assert main([*BAD_RUNS["study"], flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {repeated} is given more than once; each names its own CSV rows\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--points", "0"), ("--points", "-3"), ("--seed", "-1"), ("--seed", str(2**128))]
 )

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import weakref
 from unittest import mock
 
@@ -192,9 +193,9 @@ def test_estimate_errors_single_realization(demo, partition, option2, problem, s
     traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
     summary = g.estimate_errors([traj], solution=solution)
     ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
-    sup = max(ev.squared_error(traj.states[k : k + 1], [t])[0] for k, t in enumerate(traj.times))
-    assert np.isclose(summary.error1, sup, rtol=1e-12)
-    assert summary.variance == 0.0
+    # the max of the one row, in the accumulator's blocks; the mean of one realization is that realization
+    assert summary.error1 == summary.error2 == squared_errors(ev, traj.states, traj.times).max()
+    assert summary.n_realizations == 1 and summary.variance == 0.0
 
 
 def test_estimate_errors_grid_mismatch(demo, partition, option2, problem, coarse_mesh):
@@ -712,8 +713,44 @@ def test_streamed_realizations_give_the_errors_of_whole_trajectories(
         added.add(trajs[-1])
     got = streamed.summary()
     assert got.n_realizations == 3
-    whole = added.summary()
-    for want in ((whole.error1, whole.error2, whole.variance), summary_of(stacked, trajs)):
-        for value, expected in zip((got.error1, got.error2, got.variance), want):
-            assert abs(value - expected) <= 1e-13 * abs(expected), (value, expected)
-    assert streamed.summary() == got  # summary leaves the sums as they were
+    # the same blocks give the same numbers bitwise, streamed, added or reduced from the stacked errors
+    assert added.summary() == got
+    assert (got.error1, got.error2, got.variance) == summary_of(evaluator, trajs)
+    # blocks of another size sum in another order, so only to rounding
+    for value, expected in zip((got.error1, got.error2, got.variance), summary_of(stacked, trajs)):
+        assert abs(value - expected) <= 1e-13 * abs(expected), (value, expected)
+    assert streamed.summary() == got  # summary leaves the record and the state sum as they were
+
+
+def test_accumulator_matches_times_within_the_relative_tolerance(demo, problem, solution, coarse_mesh):
+    # past t = 1 a stored time may be off by TIME_MATCH_TOL * t, which is more than TIME_MATCH_TOL
+    traj = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.5, t_final=2.0)
+    shifted = traj.times * (1.0 + 0.7 * engine.TIME_MATCH_TOL)
+    assert np.all((shifted - traj.times)[traj.times > 1.0] > engine.TIME_MATCH_TOL)
+    evaluator = L2ErrorEvaluator(demo, coarse_mesh, traj.dofmap, solution)
+    exact, added, stored = (ErrorAccumulator(traj.times, evaluator) for _ in range(3))
+    exact.add(traj)
+    added.add(g.RbmTrajectory(demo, coarse_mesh, traj.dofmap, shifted, traj.states, None, traj.config, traj.stats))
+    for t, u in zip(shifted.tolist(), traj.states):
+        stored.store(t, u)
+    assert added.summary() == stored.summary() == exact.summary()
+    # beyond the tolerance a time is off the grid, and the realization is left unfinished
+    for t, u in zip(traj.times[:-1].tolist(), traj.states):
+        stored.store(t, u)
+    with pytest.raises(GridMismatch, match="is not time 4 of the accumulator grid"):
+        stored.store(2.0 + 3.0 * engine.TIME_MATCH_TOL, traj.states[-1])
+    with pytest.raises(EngineError, match="a realization stopped before its last stored time"):
+        stored.summary()
+    with pytest.raises(EngineError, match="no realizations accumulated"):
+        ErrorAccumulator(traj.times, evaluator).summary()
+
+
+def test_baseline_reference_takes_exact_grid_rows(demo, problem, coarse_mesh):
+    full = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.1, t_final=0.2)
+    reference = engine._BaselineReference(full, full, full.times)
+    assert np.array_equal(reference.squared_error(full.states, full.times), np.zeros(3))
+    # each row is compared with the baseline state of its own time
+    assert reference.squared_error(full.states[2:], [0.1])[0] > 0.0
+    for t in (0.05, 0.1 + 1e-6, 0.3):
+        with pytest.raises(GridMismatch, match=re.escape(f"time {t} not on the stored grid")):
+            reference.squared_error(full.states[:1], [t])
