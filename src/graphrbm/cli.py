@@ -42,38 +42,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batches", help="partition/batches JSON file (default: built-in)")
         p.add_argument("--nodes-per-edge", type=int, default=100)
 
-    def add_scheme(p):
-        p.add_argument("--scheme", default="ie", help="ie | cn | theta | theta:W | siem (study: comma list)")
-        p.add_argument("--theta", type=float, default=DEFAULT_THETA, help="weight for the theta scheme")
+    def add_run(p):
+        add_common(p)
+        p.add_argument("--scheme", default="ie", help=f"ie | cn | theta (theta:{DEFAULT_THETA:g}) | theta:W | siem (study: comma list)")
+        p.add_argument("--dt", type=float, default=0.002)
+        p.add_argument("--t-final", type=float, default=1.0)
+        p.add_argument("--snapshot-stride", type=int, default=1)
 
     p_solve = sub.add_parser("solve", help="deterministic solve on the full graph")
-    add_common(p_solve)
-    add_scheme(p_solve)
-    p_solve.add_argument("--dt", type=float, default=0.002)
-    p_solve.add_argument("--t-final", type=float, default=1.0)
-    p_solve.add_argument("--snapshot-stride", type=int, default=1)
+    add_run(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_rbm = sub.add_parser("rbm", help="single randomized realization")
-    add_common(p_rbm)
-    add_scheme(p_rbm)
-    p_rbm.add_argument("--dt", type=float, default=0.002)
+    add_run(p_rbm)
     p_rbm.add_argument("--h", type=float, default=0.002)
-    p_rbm.add_argument("--t-final", type=float, default=1.0)
     p_rbm.add_argument("--seed", type=int, default=0)
-    p_rbm.add_argument("--snapshot-stride", type=int, default=1)
     p_rbm.set_defaults(func=cmd_rbm)
 
     p_study = sub.add_parser("study", help="Monte-Carlo sweep over h, writes CSV")
-    add_common(p_study)
-    add_scheme(p_study)
-    p_study.add_argument("--dt", type=float, default=0.002)
+    add_run(p_study)
     p_study.add_argument("--h", required=True, help="comma-separated window lengths")
-    p_study.add_argument("--t-final", type=float, default=1.0)
     p_study.add_argument("--realizations", type=int, default=20)
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument("--out", required=True, help="output CSV path")
-    p_study.add_argument("--snapshot-stride", type=int, default=1)
     p_study.set_defaults(func=cmd_study)
 
     p_check = sub.add_parser("check", help="validate partition, batches and weights")
@@ -107,20 +98,20 @@ def _load_problem(args):
     return graph, partition, family, solution, coeffs
 
 
-def _parse_schemes(text: str, theta: float) -> list[SchemeKind]:
-    return [SchemeKind.parse(token, theta) for token in text.split(",")]
+def _parse_schemes(text: str) -> list[SchemeKind]:
+    return [SchemeKind.parse(token) for token in text.split(",")]
 
 
-def _parse_scheme(text: str, theta: float) -> SchemeKind:
+def _parse_scheme(text: str) -> SchemeKind:
     """The one scheme a ``solve`` or ``rbm`` run takes; a comma list is a configuration error."""
     if "," in text:
         raise harness.InvalidSpec(f"--scheme takes one scheme for a single run, got {text!r}")
-    return SchemeKind.parse(text, theta)
+    return SchemeKind.parse(text)
 
 
 def cmd_solve(args) -> int:
     graph, _, _, solution, coeffs = _load_problem(args)
-    scheme = _parse_scheme(args.scheme, args.theta)
+    scheme = _parse_scheme(args.scheme)
     mesh = fem.Mesh(args.nodes_per_edge)
     start = time.perf_counter()
     traj = engine.run_full(
@@ -137,7 +128,7 @@ def cmd_solve(args) -> int:
 
 def cmd_rbm(args) -> int:
     graph, partition, family, solution, coeffs = _load_problem(args)
-    scheme = _parse_scheme(args.scheme, args.theta)
+    scheme = _parse_scheme(args.scheme)
     mesh = fem.Mesh(args.nodes_per_edge)
     config = engine.RbmConfig(
         h=args.h,
@@ -177,7 +168,7 @@ def cmd_study(args) -> int:
         graph=graph,
         partition=partition,
         family=family,
-        schemes=_parse_schemes(args.scheme, args.theta),
+        schemes=_parse_schemes(args.scheme),
         dt=args.dt,
         t_final=args.t_final,
         h_list=h_list,

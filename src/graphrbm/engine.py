@@ -12,12 +12,14 @@ that part, so pi = 1, nothing is rescaled, no vertex is frozen, and one
 window covers all of [0, T].  Both entry points share one runtime type
 and one loop.
 
-Each edge is integrated once per runtime (``fem.assemble``), and its K
-and C + P count with 1/pi of its part in every batch that holds it, so the
-runtime sums one step pair L, R of the whole graph per (scheme, dt)
-(``fem.step_pair``) and each source term's vector V once.  A batch is one
-system, ``fem.ReducedOperators``: its dof split, and its step matrices
-lhs_ff and W, gathered from the free rows of the pair and of each V.
+Each edge is integrated once per runtime (``fem.assemble``, whose element
+table carries the runtime's one ``DofMap``), and its K and C + P count
+with 1/pi of its part in every batch that holds it, so the runtime keeps
+that factor per element, sums one step pair L, R of the whole graph per
+(scheme, dt) (``fem.step_pair``) and each source term's vector V once.  A
+batch is one system, ``fem.ReducedOperators``: the active edges its
+``BatchView`` lists, its dof split, and its step matrices lhs_ff and W,
+gathered from the free rows of the pair and of each V.
 Nothing is integrated inside the time loop except a source that is not
 separable, which the system's ``load`` integrates per call.  Systems are
 cached per batch and steps per (batch, scheme, dt); a cached step is the
@@ -40,10 +42,11 @@ Each stored (t, u) goes to one store (``_Snapshots``) as it is reached:
 by default it is written once into a preallocated (stored times x dofs)
 array, the trajectory's ``states``; a caller's sink, such as a study's
 ``ErrorAccumulator.store``, which keeps each realization's squared errors
-as one row, takes it instead, and the trajectory then holds no states.  The store takes each state's max |u| as it comes, so a
-non-finite state raises NumericalBlowup at once, and a run whose stored
-states exceed BLOWUP_FACTOR times the scale of its data and the growth its
-operators allow raises it at the end (``_check_growth``).
+as one row, takes it instead, and the trajectory then holds no states.
+The store takes each state's max |u| as it comes, so a non-finite state
+raises NumericalBlowup at once, and a run whose stored states exceed
+BLOWUP_FACTOR times the scale of its data and the growth its operators
+allow raises it at the end (``_check_growth``).
 """
 
 from __future__ import annotations
@@ -64,10 +67,9 @@ from .decomposition import (
     batch_view,
     check_assumption_A1,
     edge_factors,
-    zeta_weights,
 )
 from .errors import NumericalError, SolverError
-from .fem import GAUSS3, CoefficientSet, DofMap, Elements, Mesh, reduce_operators
+from .fem import GAUSS3, CoefficientSet, Elements, Mesh, reduce_operators
 from .graph import MetricGraph
 from .manufactured import ElementMassNorms, L2ErrorEvaluator, ManufacturedSolution, checked_block
 from .timestep import SchemeKind, StepWorkspace, factor_nnz
@@ -150,15 +152,16 @@ def sample_schedule(n_windows: int, probs, seed: int) -> SampledSchedule:
 
 
 class RbmTrajectory:
-    """Stored states on the full dof vector at selected times.
+    """Stored states on the full dof vector of ``dofmap`` at selected times.
 
     Vertex continuity is built into the dof map, so every stored state
-    is a conforming P1 function on the whole graph.
+    is a conforming P1 function on the whole graph; ``graph`` and ``mesh``
+    are the dof map's.
     """
 
-    def __init__(self, graph, mesh, dofmap, times, states, schedule, config, stats):
-        self.graph = graph
-        self.mesh = mesh
+    def __init__(self, dofmap, times, states, schedule, config, stats):
+        self.graph = dofmap.graph
+        self.mesh = dofmap.mesh
         self.dofmap = dofmap
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
@@ -220,10 +223,10 @@ class RbmRuntime:
         self.mesh = mesh
         self.coeffs = coeffs
         edge_factor = edge_factors(partition, family)
-        self.dofmap = DofMap(graph, mesh)
         self.workspace = StepWorkspace()
         self.a1_report = check_assumption_A1(partition, family.batches)
-        self.elements = fem.assemble(graph, mesh, self.dofmap, coeffs)
+        self.elements = fem.assemble(graph, mesh, coeffs)
+        self.dofmap = self.elements.elements.dofmap
         # each element's K and C + P count with 1/pi of its edge's part
         self.factor = np.repeat(edge_factor, self.elements.elements.per_edge)
         self.term_vectors = tuple(self.elements.elements.scatter(v, self.factor) for v in self.elements.term_loads)
@@ -268,9 +271,7 @@ class RbmRuntime:
         system = self._systems.get(j)
         if system is None:
             view = batch_view(self.partition, self.family.batches, j)
-            factor = zeta_weights(self.partition, self.family, j)
-            system = reduce_operators(self.elements, self.dofmap, view, factor)
-            self._systems[j] = system
+            system = self._systems[j] = reduce_operators(self.elements, view, self.factor)
         return system
 
     @cached_property
@@ -279,7 +280,7 @@ class RbmRuntime:
 
     def growth_rate(self, j: int) -> float:
         """Batch j's growth bound: the largest ``fem.growth_rates`` over its active elements, or 0."""
-        active = self._edge_rates[zeta_weights(self.partition, self.family, j) != 0.0]
+        active = self._edge_rates[self.system(j).edges]
         return max(0.0, float(active.max(initial=0.0)))
 
 
@@ -494,7 +495,7 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=Non
     n_steps = len(omegas) * n_sub
     theta = scheme.theta_value
     drive, boundary = runtime.drive(theta, dt, n_steps)
-    u = fem.interpolate(graph, runtime.mesh, dofmap, runtime.coeffs.y0)
+    u = fem.interpolate(dofmap, runtime.coeffs.y0)
     if not np.isfinite(u).all():
         bad = next(e for e in range(graph.n_edges) if not np.isfinite(u[dofmap.edge_dofs(e)]).all())
         raise InvalidSpec(f"the initial state y0 is not finite on edge {bad}")
@@ -519,7 +520,7 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=Non
         "max_factor_nnz": max_nnz,
     }
     _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, forced)
-    return RbmTrajectory(graph, runtime.mesh, dofmap, stored.times, stored.states, schedule, config, stats)
+    return RbmTrajectory(dofmap, stored.times, stored.states, schedule, config, stats)
 
 
 def run_full(
@@ -637,17 +638,17 @@ class ErrorSummary:
 
 
 class _BaselineReference:
-    """|u - baseline(t)|^2 in the mass norm, from the element mass blocks (``ElementMassNorms``)."""
+    """|u - baseline(t)|^2 in the mass norm, from the mass blocks of the ``GAUSS3`` table ``elements`` (``ElementMassNorms``)."""
 
-    def __init__(self, trajectory: RbmTrajectory, baseline: RbmTrajectory, times: np.ndarray):
-        self._mass = ElementMassNorms(Elements(trajectory.graph, trajectory.mesh, trajectory.dofmap, GAUSS3))
+    def __init__(self, elements: Elements, baseline: RbmTrajectory, times: np.ndarray):
+        self._mass = ElementMassNorms(elements)
         try:
             for t in times:
                 baseline.time_index(t)
         except GridMismatch as exc:
             raise GridMismatch(f"baseline grid does not cover the stored times: {exc}") from exc
         self._baseline = baseline
-        self.n_dofs = trajectory.dofmap.n_dofs
+        self.n_dofs = elements.n_dofs
         self.block_rows = self._mass.rows
         self._diff = np.empty((self.block_rows, self.n_dofs))
 
@@ -779,10 +780,11 @@ def estimate_errors(
                 f"{name} holds states of shape {traj.states.shape}, expected "
                 f"{(len(traj.times), n_dofs)}: one per stored time on run 0's dofs"
             )
+    elements = Elements(runs[0].dofmap, GAUSS3)
     if solution is not None:
-        reference = L2ErrorEvaluator(runs[0].graph, runs[0].mesh, runs[0].dofmap, solution)
+        reference = L2ErrorEvaluator(elements, solution)
     else:
-        reference = _BaselineReference(runs[0], baseline, times)
+        reference = _BaselineReference(elements, baseline, times)
     acc = ErrorAccumulator(times, reference)
     for traj in runs:
         acc.add(traj)

@@ -7,8 +7,10 @@ at interior vertices is enforced weakly: the vertex test function spans
 all adjacent edges, so assembly accumulates every edge's contribution
 into the shared vertex row and the discrete flux balance follows.
 
-Every mesh integral runs on an element table, ``Elements``, which holds
-the points, weights, dof pairs and P1 shape values of one Gauss rule.
+A ``DofMap`` carries the graph and the mesh it numbers, so it is the one
+handle of a discretization.  Every mesh integral runs on an element table,
+``Elements``, which holds a dof map's points, weights, dof pairs and P1
+shape values for one Gauss rule.
 Assembly and the element mass blocks use ``GAUSS3``, exact through degree
 five, which covers the polynomial coefficients used in the verification
 problems exactly and is amply accurate for the sinusoidal ones; the L2
@@ -28,13 +30,13 @@ its one ``assemble`` call samples the coefficients and every separable
 source term once per table and keeps, per mesh element, the 2x2 blocks of
 M, K and C + P and the local load of each term.  An edge's K and C + P
 count with 1/pi of its owning part in every batch that holds it, so one
-``step_pair`` per (scheme, dt) sums the step's blocks over the whole graph
-and each batch's system, ``ReducedOperators`` (``reduce_operators``),
-gathers its step matrices from the pair's free rows (``step_matrices``):
-lhs_ff into CSC, the format SuperLU factors, and W into CSR.  A separable
-load is one bincount per term over the whole graph, built once, whose free
-entries W gathers with the pair's; any other source is integrated per call
-by the system's ``LoadEvaluator``.
+``step_pair`` per (scheme, dt) sums the step's blocks over the whole graph.
+Each batch's system, ``ReducedOperators`` (``reduce_operators``), keeps the
+active edges its ``BatchView`` lists and gathers its step matrices from the
+pair's free rows (``step_matrices``): lhs_ff into CSC, the format SuperLU
+factors, and W into CSR.  A separable load is one bincount per term over
+the whole graph, built once, whose free entries W gathers with the pair's;
+any other source is integrated per call by the system's ``LoadEvaluator``.
 The mass is never scaled.  The whole graph is the batch of the one-part,
 one-batch family, whose factors are all 1.
 """
@@ -230,13 +232,14 @@ class Elements:
     ``wq[k]`` their weights and ``mass[k]`` its 2x2 mass block; ``dx[e]`` is
     edge e's mesh width.  ``shape`` holds the two P1 shape values at each
     point (q, 2) and ``shape_shape`` their four products (q, 4).  All of it
-    comes from the mesh alone, vectorised across edges; ``sample`` is the
-    one place that evaluates an edge function on the points.
+    comes from ``dofmap``, which it keeps, vectorised across edges;
+    ``sample`` is the one place that evaluates an edge function on the points.
     """
 
-    def __init__(self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap, rule):
-        n = mesh.nodes_per_edge
+    def __init__(self, dofmap: DofMap, rule):
+        graph, n = dofmap.graph, dofmap.mesh.nodes_per_edge
         tau, weights = rule
+        self.dofmap = dofmap
         self.n_edges = graph.n_edges
         self.n_dofs = dofmap.n_dofs
         self.per_edge = n + 1
@@ -262,12 +265,6 @@ class Elements:
         functional never does.
         """
         return (self.wq @ self.shape_shape).reshape(-1, 2, 2)
-
-    def active(self, edge_factor: np.ndarray):
-        """The active edges (nonzero ``edge_factor``), their element ids and each element's edge factor."""
-        edges = np.flatnonzero(edge_factor)
-        ids = (edges[:, None] * self.per_edge + np.arange(self.per_edge)).ravel()
-        return edges, ids, np.repeat(edge_factor[edges], self.per_edge)
 
     def sample(self, fn: EdgeFunction, edges=None) -> np.ndarray:
         """``fn`` at the Gauss points of the given edges' elements (default all), one row per element.
@@ -324,10 +321,11 @@ class ElementData:
     source: object | None
 
 
-def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: CoefficientSet) -> ElementData:
+def assemble(graph: MetricGraph, mesh: Mesh, coeffs: CoefficientSet) -> ElementData:
     """Integrate every edge once: the blocks of K and C + P and the loads of a separable source.
 
-    Samples each edge function once, on the table of every Gauss point
+    Builds the dof map of (graph, mesh) and its ``GAUSS3`` element table,
+    and samples each edge function once, on the table of every Gauss point
     (``Elements.sample``): one call per function with a table form, one per
     edge otherwise.  A space term with ``from_samples(sample)``, such as
     ``manufactured.SpatialOperator``, is combined from its parts' samples,
@@ -336,7 +334,7 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
     NonellipticCoefficient when the diffusion coefficient is not strictly
     positive at some quadrature point.
     """
-    elements = Elements(graph, mesh, dofmap, GAUSS3)
+    elements = Elements(DofMap(graph, mesh), GAUSS3)
     # one table per function, keyed by id with the function held so that no id is
     # reused; sample does not call itself, so no reference cycle outlives the return
     samples: dict = {}
@@ -378,20 +376,22 @@ def assemble(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, coeffs: Coefficient
 
 
 class LoadEvaluator:
-    """The load vector F(t) of a source that is not separable, on the active edges at the dofs ``free``.
+    """The load vector F(t) of a source that is not separable, on the sorted ``edges`` at the dofs ``free``.
 
     Each call integrates the source on the cached Gauss points of the
-    active edges, scaled by their edge factors, and sums the element loads
-    with one bincount; the result holds the entries of the dof ids
-    ``free``, in order.
+    elements of ``edges``, each scaled by its entry of the per-element
+    ``factor``, and sums the element loads with one bincount; the result
+    holds the entries of the dof ids ``free``, in order.
     """
 
-    def __init__(self, data: ElementData, edge_factor: np.ndarray, free: np.ndarray):
+    def __init__(self, data: ElementData, factor: np.ndarray, edges: np.ndarray, free: np.ndarray):
         elements = data.elements
         self._free = free
         self._elements = elements
         self._source = data.source
-        self._edges, self._ids, self._factor = elements.active(edge_factor)
+        self._edges = edges
+        self._ids = (edges[:, None] * elements.per_edge + np.arange(elements.per_edge)).ravel()
+        self._factor = factor[self._ids]
 
     def __call__(self, t: float) -> np.ndarray:
         f, elements, ids = self._source, self._elements, self._ids
@@ -399,8 +399,8 @@ class LoadEvaluator:
         return elements.scatter(elements.loads(values, ids), self._factor, ids, self._free)
 
 
-def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction | None) -> np.ndarray:
-    """Nodal interpolant of a per-edge function (None interpolates zero).
+def interpolate(dofmap: DofMap, fn: EdgeFunction | None) -> np.ndarray:
+    """Nodal interpolant of a per-edge function on ``dofmap``'s graph and mesh (None interpolates zero).
 
     Samples ``fn`` once with ``on_edges`` on the table whose row e holds edge
     e's nodes (``DofMap.edge_nodes``).  A vertex takes the value of its
@@ -411,7 +411,7 @@ def interpolate(graph: MetricGraph, mesh: Mesh, dofmap: DofMap, fn: EdgeFunction
     u = np.zeros(dofmap.n_dofs)
     if fn is None:
         return u
-    n = mesh.nodes_per_edge
+    graph, n = dofmap.graph, dofmap.mesh.nodes_per_edge
     ends = Ends(graph)
     # bitwise the rows of DofMap.edge_nodes; contiguous, so fn sees the arrays it always saw
     nodes = np.ascontiguousarray(np.linspace(0.0, ends.coordinate[1::2], n + 2, axis=1))
@@ -454,18 +454,20 @@ def step_pair(data: ElementData, factor: np.ndarray, scheme: SchemeKind, dt: flo
 
 @dataclass(frozen=True)
 class ReducedOperators:
-    """One batch's system: its dof split and its load; its step matrices are free rows of a ``StepPair``.
+    """One batch's system: its edges, its dof split and its load; its step matrices are free rows of a ``StepPair``.
 
-    ``interface`` and ``exterior`` are the interface and exterior vertex
-    dofs of the batch's active subgraph, ``free`` the rest of its active
-    dofs and ``n_active`` the count of all of them; every dof outside the
-    active subgraph stays frozen during a window.  The graph's
+    ``edges`` are the batch's active edges, sorted; ``interface`` and
+    ``exterior`` are the interface and exterior vertex dofs of the active
+    subgraph they span, ``free`` the rest of its active dofs and
+    ``n_active`` the count of all of them; every dof outside the active
+    subgraph stays frozen during a window.  The graph's
     Dirichlet dofs ``dirichlet`` number W's Dirichlet columns, so one drive
     row [g(t0) | g(t1) | load weights] fits every batch; ``exterior_t1``
     are the drive-row columns that hold g(t1) at ``exterior``.  ``load``
     integrates a source that is not separable (None for any other).
     """
 
+    edges: np.ndarray
     free: np.ndarray
     interface: np.ndarray
     exterior: np.ndarray
@@ -514,31 +516,33 @@ class ReducedOperators:
         return lhs_ff, sp.csr_matrix((data, (rows, cols)), shape=(n_free, n_columns))
 
 
-def reduce_operators(data: ElementData, dofmap: DofMap, view: BatchView, edge_factor: np.ndarray) -> ReducedOperators:
-    """The system of batch ``view``: its dof split and its load.
+def reduce_operators(data: ElementData, view: BatchView, factor: np.ndarray) -> ReducedOperators:
+    """The system of batch ``view`` on the dof map of ``data``'s elements: its edges, its dof split and its load.
 
     One boolean mask over all dofs marks the batch's vertices and the
     interior dofs of its active edges, the active dofs; with the interface
     and exterior dofs cleared, its nonzeros are the free dofs, sorted, as
-    ``intp``, without a sort.  W's Dirichlet columns are ``dofmap``'s
-    Dirichlet dofs.  ``edge_factor`` is the batch's per-edge factor
-    (``zeta_weights``); a source that is not separable gets a
-    ``LoadEvaluator`` over its nonzero edges.
+    ``intp``, without a sort.  W's Dirichlet columns are the dof map's
+    Dirichlet dofs.  A source that is not separable gets a
+    ``LoadEvaluator`` over the active edges, each element scaled by its
+    entry of the per-element ``factor`` (1/pi of its edge's part).
     """
+    dofmap = data.elements.dofmap
+    edges = np.fromiter(sorted(view.active_edges), dtype=int)
     interface = np.fromiter(sorted(view.interface), dtype=int)
     exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
     mask = np.zeros(dofmap.n_dofs, dtype=bool)
     mask[np.fromiter(view.vertices, dtype=int)] = True
-    mask[dofmap.interior_dofs(np.fromiter(view.active_edges, dtype=int))] = True
+    mask[dofmap.interior_dofs(edges)] = True
     n_active = int(np.count_nonzero(mask))
     mask[interface] = False
     mask[exterior] = False
     free, dirichlet = np.flatnonzero(mask), dofmap.dirichlet_dofs
     return ReducedOperators(
-        free=free, interface=interface, exterior=exterior,
+        edges=edges, free=free, interface=interface, exterior=exterior,
         exterior_t1=len(dirichlet) + np.searchsorted(dirichlet, exterior),
         n_active=n_active, dirichlet=dirichlet,
-        load=None if data.source is None else LoadEvaluator(data, edge_factor, free),
+        load=None if data.source is None else LoadEvaluator(data, factor, edges, free),
     )
 
 

@@ -169,7 +169,7 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
     coeffs = derive_data(spec.solution)
     mesh = Mesh(spec.nodes_per_edge)
     runtime = RbmRuntime(spec.graph, spec.partition, spec.family, mesh, coeffs)
-    evaluator = L2ErrorEvaluator(spec.graph, mesh, runtime.dofmap, spec.solution, runtime.elements.elements)
+    evaluator = L2ErrorEvaluator(runtime.elements.elements, spec.solution)
 
     def config(scheme: SchemeKind, h: float, seed: int) -> RbmConfig:
         return RbmConfig(

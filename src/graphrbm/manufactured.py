@@ -20,6 +20,9 @@ The profile and its derivatives (``EdgePolynomial``), the stock
 coefficients (``SameOnEveryEdge``) and the source's spatial term
 (``SpatialOperator``) are edge functions with a table form, so
 ``fem.on_edges`` samples each of them on a whole table in one call.
+The error of a P1 state against the solution (``L2ErrorEvaluator``) is
+measured on a ``fem.GAUSS3`` element table, whose dof map carries the
+graph and the mesh of the states.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import scipy.sparse.linalg as spla
 from .decomposition import BatchFamily, SubgraphPartition, zeta_weights
 from .errors import NumericalError, SolverError
 from .fem import (
-    GAUSS3,
     GAUSS5,
     CoefficientSet,
     DofMap,
@@ -394,12 +396,13 @@ class L2ErrorEvaluator:
         |v w - u|^2 = v^2 c + 2 v b^T e + e^T M e,
 
     where c = |w - I w|^2, b_i = (w - I w, phi_i) and M is the P1 mass
-    matrix.  c and b are built once on the ``fem.GAUSS5`` element table of
-    the mesh, which integrates them exactly for a quartic w; c is summed
-    per edge, then over the edges in order.  e^T M e is summed from the
-    ``fem.GAUSS3`` element mass blocks (``ElementMassNorms``) of
-    ``elements``, a runtime's own table (``runtime.elements.elements``), or
-    a table built here when none is given; no mass matrix is assembled.
+    matrix.  ``elements`` is a ``fem.GAUSS3`` element table, such as a
+    runtime's own (``runtime.elements.elements``); its dof map carries the
+    graph and mesh.  c and b are built once on the ``fem.GAUSS5`` table of
+    that dof map, which integrates them exactly for a quartic w; c is
+    summed per edge, then over the edges in order.  e^T M e is summed from
+    the mass blocks of ``elements`` (``ElementMassNorms``); no mass matrix
+    is assembled.
     Every term is of the size of the error itself, so nothing cancels when
     the error is small; the unshifted v^2 |w|^2 - 2 v (w, phi)^T u + u^T M u loses
     digits to cancellation once the error is far below |w|^2.
@@ -409,19 +412,15 @@ class L2ErrorEvaluator:
     life; ``engine.ErrorAccumulator`` cuts a run's states into such blocks.
     """
 
-    def __init__(
-        self, graph: MetricGraph, mesh: Mesh, dofmap: DofMap, solution: ManufacturedSolution,
-        elements: Elements | None = None,
-    ):
-        table = Elements(graph, mesh, dofmap, GAUSS5)
-        self._interpolant = interpolate(graph, mesh, dofmap, solution.w)
+    def __init__(self, elements: Elements, solution: ManufacturedSolution):
+        dofmap = elements.dofmap
+        table = Elements(dofmap, GAUSS5)
+        self._interpolant = interpolate(dofmap, solution.w)
         pair = table.pair
         remainder = self._interpolant[pair] @ table.shape.T
         np.subtract(table.sample(solution.w), remainder, out=remainder)
         self._b = np.bincount(pair.ravel(), table.loads(remainder).ravel(), minlength=dofmap.n_dofs)
         self._c = float(np.cumsum(table.edge_sums(np.square(remainder, out=remainder)))[-1])
-        if elements is None:
-            elements = Elements(graph, mesh, dofmap, GAUSS3)
         self._mass = ElementMassNorms(elements)
         self.n_dofs = dofmap.n_dofs
         self.block_rows = self._mass.rows
@@ -470,8 +469,7 @@ def lambda_profile(
     """
     graph = solution.graph
     t_grid = np.asarray(t_grid, dtype=float)
-    mesh = Mesh(LAMBDA_ELEMENTS_PER_EDGE - 1)
-    elements = Elements(graph, mesh, DofMap(graph, mesh), GAUSS5)
+    elements = Elements(DofMap(graph, Mesh(LAMBDA_ELEMENTS_PER_EDGE - 1)), GAUSS5)
 
     # per-edge spatial integrals of the exact solution's building blocks
     w = elements.sample(solution.w)

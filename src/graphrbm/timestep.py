@@ -47,7 +47,7 @@ from .errors import NumericalError, SolverError
 
 RESIDUAL_RTOL = 1e-10
 PANEL_SIZE = 1  # columns per SuperLU panel; see the module docstring
-DEFAULT_THETA = 0.75  # the weight of a bare ``theta`` scheme, as parsed and as the CLI's --theta
+DEFAULT_THETA = 0.75  # the weight of a bare ``theta`` scheme
 
 
 class SingularSystem(NumericalError):
@@ -83,9 +83,10 @@ class SchemeKind:
         return self.name
 
     @staticmethod
-    def parse(text: str, theta: float = DEFAULT_THETA) -> "SchemeKind":
-        """The scheme ``ie``, ``cn``, ``siem``, ``theta`` (weight ``theta``) or ``theta:W``; SolverError otherwise."""
+    def parse(text: str) -> "SchemeKind":
+        """The scheme ``ie``, ``cn``, ``siem``, ``theta`` (weight ``DEFAULT_THETA``) or ``theta:W``; SolverError otherwise."""
         name, colon, value = text.strip().lower().partition(":")
+        theta = DEFAULT_THETA
         if name == "theta" and colon:
             try:
                 theta = float(value)
@@ -93,7 +94,7 @@ class SchemeKind:
                 raise SolverError(f"theta must be a number, got {value!r}") from None
         elif colon:
             raise SolverError(f"unknown scheme {text.strip()!r}")
-        return SchemeKind(name, float(theta)) if name == "theta" else SchemeKind(name)
+        return SchemeKind(name, theta) if name == "theta" else SchemeKind(name)
 
 
 IMPLICIT_EULER = SchemeKind("ie")

@@ -51,7 +51,7 @@ def rng():
 
 def mass_matrix(graph, mesh, dofmap):
     """The P1 mass matrix over all edges: the ``fem.GAUSS3`` element mass blocks summed into CSR."""
-    elements = fem.Elements(graph, mesh, dofmap, fem.GAUSS3)
+    elements = fem.Elements(dofmap, fem.GAUSS3)
     return elements.matrix(elements.mass)
 
 
@@ -177,7 +177,10 @@ def reference_batch_system(graph, partition, family, mesh, dofmap, coeffs, j, fr
 def reference_growth_rate(runtime, j):
     """max(0, the largest eigenvalue of sym(-(K_e + L_e)) against M_e) over batch j's active elements."""
     data = runtime.elements
-    _, ids, factor = data.elements.active(g.zeta_weights(runtime.partition, runtime.family, j))
+    weights, per_edge = g.zeta_weights(runtime.partition, runtime.family, j), data.elements.per_edge
+    edges = np.flatnonzero(weights)
+    ids = (edges[:, None] * per_edge + np.arange(per_edge)).ravel()
+    factor = np.repeat(weights[edges], per_edge)
     scale = factor[:, None, None]
     s = data.stiffness[ids] * scale + data.lower[ids] * scale
     s = -0.5 * (s + s.transpose(0, 2, 1))
@@ -206,7 +209,7 @@ def reference_states(runtime, omegas, n_sub, scheme, dt, every):
     coeffs, dofmap = runtime.coeffs, runtime.dofmap
     zeros = np.zeros(runtime.graph.n_vertices)
     boundary = coeffs.g if coeffs.g is not None else (lambda t: zeros)
-    u = fem.interpolate(runtime.graph, runtime.mesh, dofmap, coeffs.y0)
+    u = fem.interpolate(dofmap, coeffs.y0)
     u[dofmap.dirichlet_dofs] = boundary(0.0)[dofmap.dirichlet_dofs]
     snapshots = [(0.0, u.copy())]
     theta = scheme.theta_value

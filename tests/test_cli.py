@@ -98,7 +98,7 @@ def test_missing_graph_file_is_config_error(capsys):
 def test_unknown_scheme_is_config_error():
     # a token that only starts with theta, or theta: without a weight, is no scheme
     for scheme in ("rk4", "thetafoo", "theta:"):
-        assert main(["solve", "--scheme", scheme, "--theta", "0.9", "--nodes-per-edge", "5"]) == 2, scheme
+        assert main(["solve", "--scheme", scheme, "--nodes-per-edge", "5"]) == 2, scheme
 
 
 def test_theta_not_a_number_is_config_error(capsys):
@@ -173,20 +173,18 @@ def test_bad_subcommand_exit_code():
     assert main(["frobnicate"]) == 2
 
 
-def test_theta_scheme_flag(capsys):
-    code = main(
-        ["solve", "--scheme", "theta", "--theta", "0.6", "--nodes-per-edge", "5",
-         "--dt", "0.05", "--t-final", "0.2"]
-    )
-    assert code == 0
-    assert "theta:0.6" in capsys.readouterr().out
-
-
 def test_theta_scheme_default_weight(capsys):
-    # without --theta a bare theta takes 0.75, the weight SchemeKind.parse gives it too
+    # a bare theta takes 0.75, the weight SchemeKind.parse gives it
     code = main(["solve", "--scheme", "theta", "--nodes-per-edge", "5", "--dt", "0.05", "--t-final", "0.2"])
     assert code == 0
     assert "theta:0.75" in capsys.readouterr().out
+
+
+def test_theta_weight_has_no_flag_of_its_own(capsys):
+    # theta:W sets the weight; there is no second way to set it
+    code = main(["solve", "--scheme", "theta", "--theta", "0.6", "--nodes-per-edge", "5", "--t-final", "0.2"])
+    assert code == 2
+    assert "--theta" in capsys.readouterr().err
 
 
 SMALL_STUDY = ["study", "--nodes-per-edge", "10", "--scheme", "ie,cn", "--dt", "0.01",

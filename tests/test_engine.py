@@ -192,7 +192,7 @@ def test_estimate_errors_single_realization(demo, partition, option2, problem, s
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=3)
     traj = g.run_rbm(demo, partition, option2, coarse_mesh, problem, config)
     summary = g.estimate_errors([traj], solution=solution)
-    ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
+    ev = L2ErrorEvaluator(fem.Elements(traj.dofmap, fem.GAUSS3), solution)
     # the max of the one row, in the accumulator's blocks; the mean of one realization is that realization
     assert summary.error1 == summary.error2 == squared_errors(ev, traj.states, traj.times).max()
     assert summary.n_realizations == 1 and summary.variance == 0.0
@@ -262,11 +262,11 @@ def test_estimate_errors_mean_of_constant_shift(demo, problem, coarse_mesh, solu
     # error1 is the common squared distance
     full = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.01, t_final=0.1)
     up = g.RbmTrajectory(
-        full.graph, full.mesh, full.dofmap, full.times, full.states + 1e-3,
+        full.dofmap, full.times, full.states + 1e-3,
         None, full.config, full.stats,
     )
     down = g.RbmTrajectory(
-        full.graph, full.mesh, full.dofmap, full.times, full.states - 1e-3,
+        full.dofmap, full.times, full.states - 1e-3,
         None, full.config, full.stats,
     )
     summary = g.estimate_errors([up, down], baseline=full)
@@ -694,12 +694,12 @@ def test_streamed_realizations_give_the_errors_of_whole_trajectories(
     mesh = g.Mesh(3)
     coeffs = g.derive_data(sol)
     runtime = RbmRuntime(graph, part, family, mesh, coeffs)
-    stacked = L2ErrorEvaluator(graph, mesh, runtime.dofmap, sol)
+    stacked = L2ErrorEvaluator(fem.Elements(runtime.dofmap, fem.GAUSS3), sol)
     table = runtime.elements.elements
     # the widest scratch row: the dofs, or the element chains (a node more per chain than elements)
     chains = 1 + np.count_nonzero(table.pair[1:, 0] != table.pair[:-1, 1])
     monkeypatch.setattr(manufactured, "ERROR_BLOCK", rows * 8 * max(len(table.pair) + chains, table.n_dofs))
-    evaluator = L2ErrorEvaluator(graph, mesh, runtime.dofmap, sol, table)
+    evaluator = L2ErrorEvaluator(table, sol)
     assert evaluator.block_rows == rows
     configs = [RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.CRANK_NICOLSON, seed=s) for s in range(3)]
     times = engine.stored_times(configs[0])
@@ -727,10 +727,10 @@ def test_accumulator_matches_times_within_the_relative_tolerance(demo, problem, 
     traj = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.5, t_final=2.0)
     shifted = traj.times * (1.0 + 0.7 * engine.TIME_MATCH_TOL)
     assert np.all((shifted - traj.times)[traj.times > 1.0] > engine.TIME_MATCH_TOL)
-    evaluator = L2ErrorEvaluator(demo, coarse_mesh, traj.dofmap, solution)
+    evaluator = L2ErrorEvaluator(fem.Elements(traj.dofmap, fem.GAUSS3), solution)
     exact, added, stored = (ErrorAccumulator(traj.times, evaluator) for _ in range(3))
     exact.add(traj)
-    added.add(g.RbmTrajectory(demo, coarse_mesh, traj.dofmap, shifted, traj.states, None, traj.config, traj.stats))
+    added.add(g.RbmTrajectory(traj.dofmap, shifted, traj.states, None, traj.config, traj.stats))
     for t, u in zip(shifted.tolist(), traj.states):
         stored.store(t, u)
     assert added.summary() == stored.summary() == exact.summary()
@@ -747,7 +747,7 @@ def test_accumulator_matches_times_within_the_relative_tolerance(demo, problem, 
 
 def test_baseline_reference_takes_exact_grid_rows(demo, problem, coarse_mesh):
     full = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.1, t_final=0.2)
-    reference = engine._BaselineReference(full, full, full.times)
+    reference = engine._BaselineReference(fem.Elements(full.dofmap, fem.GAUSS3), full, full.times)
     assert np.array_equal(reference.squared_error(full.states, full.times), np.zeros(3))
     # each row is compared with the baseline state of its own time
     assert reference.squared_error(full.states[2:], [0.1])[0] > 0.0

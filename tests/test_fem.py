@@ -60,7 +60,9 @@ def unit_weights(graph):
 def full_operators(data, dm, weights):
     """M, K and C + P on the full dof numbering over the edges of nonzero weight, K and C + P times it."""
     elements = data.elements
-    _, ids, factor = elements.active(weights)
+    edges = np.flatnonzero(weights)
+    ids = (edges[:, None] * elements.per_edge + np.arange(elements.per_edge)).ravel()
+    factor = np.repeat(weights[edges], elements.per_edge)
     pair = elements.pair[ids]
     rows, cols = np.repeat(pair, 2, axis=1).ravel(), np.tile(pair, 2).ravel()
     shape = (dm.n_dofs, dm.n_dofs)
@@ -73,8 +75,9 @@ def full_operators(data, dm, weights):
 
 def load_vector(graph, mesh, dm, coeffs, f, t):
     """The full-numbering load of the callable source ``f`` at time t, integrated over the whole graph."""
-    data = fem.assemble(graph, mesh, dm, dataclasses.replace(coeffs, f=f))
-    return fem.LoadEvaluator(data, unit_weights(graph), np.arange(dm.n_dofs))(t)
+    data = fem.assemble(graph, mesh, dataclasses.replace(coeffs, f=f))
+    factor = np.repeat(unit_weights(graph), data.elements.per_edge)
+    return fem.LoadEvaluator(data, factor, np.arange(graph.n_edges), np.arange(dm.n_dofs))(t)
 
 
 def free_dofs(dm):
@@ -131,7 +134,7 @@ def test_single_edge_stiffness_hand_values():
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
     dm = fem.DofMap(graph, g.Mesh(1))
     ops = full_operators(
-        fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0)), dm, unit_weights(graph)
+        fem.assemble(graph, dm.mesh, constant_coefficients(a=1.0)), dm, unit_weights(graph)
     )
     path = dm.edge_dofs(0)  # tail, interior, head
     K = ops.stiffness.toarray()[np.ix_(path, path)]
@@ -143,7 +146,7 @@ def test_single_edge_mass_hand_values():
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
     dm = fem.DofMap(graph, g.Mesh(1))
     ops = full_operators(
-        fem.assemble(graph, dm.mesh, dm, constant_coefficients()), dm, unit_weights(graph)
+        fem.assemble(graph, dm.mesh, constant_coefficients()), dm, unit_weights(graph)
     )
     path = dm.edge_dofs(0)
     M = ops.mass.toarray()[np.ix_(path, path)]
@@ -154,7 +157,7 @@ def test_single_edge_mass_hand_values():
 def test_assembly_matches_dense_oracle(demo, problem):
     mesh = g.Mesh(10)
     dm = fem.DofMap(demo, mesh)
-    ops = full_operators(fem.assemble(demo, mesh, dm, problem), dm, unit_weights(demo))
+    ops = full_operators(fem.assemble(demo, mesh, problem), dm, unit_weights(demo))
     Md, Kd, Cd, Pd = dense_assembly(demo, mesh, dm, problem.a, problem.b, problem.p)
     for sparse_mat, dense_mat in ((ops.mass, Md), (ops.stiffness, Kd), (ops.lower, Cd + Pd)):
         scale = np.abs(dense_mat).max()
@@ -198,7 +201,7 @@ def test_mass_spd(demo, rng):
 def test_stiffness_psd_and_kernel(demo, problem, rng):
     mesh = g.Mesh(6)
     dm = fem.DofMap(demo, mesh)
-    K = full_operators(fem.assemble(demo, mesh, dm, problem), dm, unit_weights(demo)).stiffness
+    K = full_operators(fem.assemble(demo, mesh, problem), dm, unit_weights(demo)).stiffness
     for _ in range(10):
         x = rng.standard_normal(dm.n_dofs)
         assert x @ (K @ x) >= -1e-12
@@ -209,7 +212,7 @@ def test_stiffness_psd_and_kernel(demo, problem, rng):
 def test_weighted_assembly_equals_scaled_parts(demo, partition, option1, problem):
     mesh = g.Mesh(4)
     dm = fem.DofMap(demo, mesh)
-    data = fem.assemble(demo, mesh, dm, problem)
+    data = fem.assemble(demo, mesh, problem)
     j = 4  # three active parts with factors 3, 2, 2
     ops = full_operators(data, dm, g.zeta_weights(partition, option1, j))
     totals = {"mass": 0, "stiffness": 0, "lower": 0}
@@ -228,7 +231,7 @@ def test_weighted_assembly_inactive_rows_empty(demo, partition, option1, problem
     mesh = g.Mesh(4)
     dm = fem.DofMap(demo, mesh)
     weights = g.zeta_weights(partition, option1, 0)  # only the left star active
-    ops = full_operators(fem.assemble(demo, mesh, dm, problem), dm, weights)
+    ops = full_operators(fem.assemble(demo, mesh, problem), dm, weights)
     for matrix in (ops.mass, ops.stiffness, ops.lower):
         for e in range(3, demo.n_edges):
             for dof in dm.edge_dofs(e)[1:-1]:
@@ -244,7 +247,7 @@ def test_nonelliptic_rejected():
         p=lambda e, x: np.zeros_like(x),
     )
     with pytest.raises(NonellipticCoefficient, match="on edge right$"):
-        fem.assemble(graph, dm.mesh, dm, coeffs)
+        fem.assemble(graph, dm.mesh, coeffs)
     # a runtime integrates every edge when it is built
     partition = g.SubgraphPartition(graph, [{0}, {1}])
     family = g.batch_family([{0}, {1}], [0.5, 0.5], 2)
@@ -255,13 +258,13 @@ def test_nonelliptic_rejected():
 def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, option1, problem):
     mesh = g.Mesh(5)
     dm = fem.DofMap(demo, mesh)
-    data = fem.assemble(demo, mesh, dm, problem)
+    data = fem.assemble(demo, mesh, problem)
     ops = full_operators(data, dm, unit_weights(demo))
     view = batch_view(partition, option1.batches, 4)
     weights = unit_weights(demo)
     factor = np.repeat(weights, data.elements.per_edge)
     vectors = tuple(data.elements.scatter(term, factor) for term in data.term_loads)
-    reduced = fem.reduce_operators(data, dm, view, weights)
+    reduced = fem.reduce_operators(data, view, factor)
     # the dof split: the batch's interface and exterior vertices, and the rest of its active dofs free
     active = set(view.vertices).union(*(dm.edge_dofs(e).tolist() for e in view.active_edges))
     assert reduced.interface.tolist() == sorted(view.interface)
@@ -302,7 +305,7 @@ def test_steady_single_edge_linear_exact():
     # -u'' = 0, u(0)=0, u(1)=1: P1 reproduces the linear solution at the nodes
     graph = g.build_graph([(0, 1, 1.0)], {0, 1})
     dm = fem.DofMap(graph, g.Mesh(9))
-    data = fem.assemble(graph, dm.mesh, dm, constant_coefficients(a=1.0))
+    data = fem.assemble(graph, dm.mesh, constant_coefficients(a=1.0))
     full = steady_solve(data, dm, np.array([0.0, 1.0]))
     assert np.abs(full[dm.edge_dofs(0)] - dm.edge_nodes(0)).max() <= 1e-12
 
@@ -313,7 +316,7 @@ def test_steady_graph_linear_exact(demo, rng):
 
     def solve(ne):
         dm = fem.DofMap(demo, g.Mesh(ne))
-        data = fem.assemble(demo, dm.mesh, dm, constant_coefficients(a=2.0))
+        data = fem.assemble(demo, dm.mesh, constant_coefficients(a=2.0))
         return dm, steady_solve(data, dm, g_values)
 
     dm, u = solve(20)
@@ -334,8 +337,8 @@ def test_steady_residual_second_order(demo, solution):
         mesh = g.Mesh(ne)
         dm = fem.DofMap(demo, mesh)
         coeffs = g.derive_data(solution)
-        ops = full_operators(fem.assemble(demo, mesh, dm, coeffs), dm, unit_weights(demo))
-        w_interp = fem.interpolate(demo, mesh, dm, solution.w)
+        ops = full_operators(fem.assemble(demo, mesh, coeffs), dm, unit_weights(demo))
+        w_interp = fem.interpolate(dm, solution.w)
         rhs = lambda e, x, t: -(
             solution.a_dx(e, x) * solution.w_dx(e, x)
             + solution.a(e, x) * solution.w_dxx(e, x)
@@ -355,7 +358,7 @@ def test_kirchhoff_flux_imbalance_first_order(demo, solution):
         mesh = g.Mesh(ne)
         dm = fem.DofMap(demo, mesh)
         coeffs = g.derive_data(solution)
-        data = fem.assemble(demo, mesh, dm, coeffs)
+        data = fem.assemble(demo, mesh, coeffs)
         rhs = lambda e, x, t: -(
             solution.a_dx(e, x) * solution.w_dx(e, x)
             + solution.a(e, x) * solution.w_dxx(e, x)
@@ -395,10 +398,10 @@ def test_one_batch_system_is_the_whole_graph(demo, partition, single_batch, prob
 def test_interpolate_nodal_values(demo):
     mesh = g.Mesh(4)
     dm = fem.DofMap(demo, mesh)
-    u = fem.interpolate(demo, mesh, dm, lambda e, x: np.full_like(x, float(e)))
+    u = fem.interpolate(dm, lambda e, x: np.full_like(x, float(e)))
     for e in range(demo.n_edges):
         assert np.all(u[dm.edge_dofs(e)[1:-1]] == float(e))
-    assert np.all(fem.interpolate(demo, mesh, dm, None) == 0.0)
+    assert np.all(fem.interpolate(dm, None) == 0.0)
 
 
 def test_convection_vertex_sums_vanish(demo, problem):
@@ -416,7 +419,7 @@ def test_interpolate_reads_edge_nodes_and_keeps_the_last_edge_at_a_vertex(demo):
         seen[e] = x.copy()
         return np.sin(3.0 * x) + 10.0 * e
 
-    u = fem.interpolate(demo, mesh, dm, jump)
+    u = fem.interpolate(dm, jump)
     want = np.zeros(dm.n_dofs)
     for e in range(demo.n_edges):
         assert seen[e].tobytes() == dm.edge_nodes(e).tobytes(), e
@@ -442,7 +445,7 @@ def test_malformed_edge_values_are_fem_errors(value, message):
     ones = lambda e, x: np.ones_like(x)  # noqa: E731
     for coeffs in (g.CoefficientSet(a=value, b=ones, p=ones), g.CoefficientSet(a=ones, b=value, p=ones)):
         with pytest.raises(FemError, match=message):
-            fem.assemble(graph, dm.mesh, dm, coeffs)
+            fem.assemble(graph, dm.mesh, coeffs)
     with pytest.raises(FemError, match=message):
         fem.convection_vertex_sums(graph, value)
 
@@ -463,6 +466,6 @@ def test_malformed_table_form_is_fem_error():
     ones = lambda e, x: np.ones_like(x)  # noqa: E731
     coeffs = g.CoefficientSet(a=ones, b=ones, p=WrongTable())
     with pytest.raises(FemError, match=r"table form of .* has shape \(2, 11\), expected \(2, 12\)"):
-        fem.assemble(graph, dm.mesh, dm, coeffs)
+        fem.assemble(graph, dm.mesh, coeffs)
     with pytest.raises(FemError, match=r"table form of .* has shape \(2, 1\), expected \(2, 2\)"):
         fem.convection_vertex_sums(graph, WrongTable())

@@ -52,7 +52,7 @@ def reference_squared_error(graph, mesh, dofmap, solution, state, t, order=5):
 
 
 def assert_matches_reference(traj, solution, rtol=1e-12):
-    ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
+    ev = L2ErrorEvaluator(fem.Elements(traj.dofmap, fem.GAUSS3), solution)
     got = squared_errors(ev, traj.states, traj.times)
     expected = np.array(
         [
@@ -172,7 +172,7 @@ def test_element_mass_norms_equal_the_mass_matrix_form(name, rng):
     graph = g.demo_graph() if name == "demo" else binary_tree(5)
     mesh = g.Mesh(7)
     dofmap = fem.DofMap(graph, mesh)
-    norms = ElementMassNorms(fem.Elements(graph, mesh, dofmap, fem.GAUSS3))
+    norms = ElementMassNorms(fem.Elements(dofmap, fem.GAUSS3))
     states = rng.standard_normal((5, dofmap.n_dofs))
     kept = states.copy()
     mass = reference_assemble(graph, mesh, dofmap, constant_coefficients())[0]
@@ -226,7 +226,7 @@ def test_l2_error_zero_state_closed_form(demo, solution):
     # is the closed-form integral of w^2
     mesh = g.Mesh(40)
     dm = fem.DofMap(demo, mesh)
-    ev = L2ErrorEvaluator(demo, mesh, dm, solution)
+    ev = L2ErrorEvaluator(fem.Elements(dm, fem.GAUSS3), solution)
     got = ev.squared_error(np.zeros((1, dm.n_dofs)), [0.25])[0]
     assert np.isclose(got, exact_profile_sq_integral(solution), rtol=1e-12)
 
@@ -234,7 +234,7 @@ def test_l2_error_zero_state_closed_form(demo, solution):
 def test_l2_error_zero_at_time_zero(demo, solution):
     mesh = g.Mesh(10)
     dm = fem.DofMap(demo, mesh)
-    ev = L2ErrorEvaluator(demo, mesh, dm, solution)
+    ev = L2ErrorEvaluator(fem.Elements(dm, fem.GAUSS3), solution)
     assert ev.squared_error(np.zeros((1, dm.n_dofs)), [0.0])[0] == 0.0
 
 
@@ -246,9 +246,9 @@ def test_l2_error_interpolant_fourth_order(demo, solution):
         mesh = g.Mesh(ne)
         dm = fem.DofMap(demo, mesh)
         interp = fem.interpolate(
-            demo, mesh, dm, lambda e, x: solution.w(e, x) * solution.time_factor(0.25)
+            dm, lambda e, x: solution.w(e, x) * solution.time_factor(0.25)
         )
-        ev = L2ErrorEvaluator(demo, mesh, dm, solution)
+        ev = L2ErrorEvaluator(fem.Elements(dm, fem.GAUSS3), solution)
         errors.append(ev.squared_error(interp[None, :], [0.25])[0])
     slope, _ = g.fit_slope([1.0 / (ne + 1) for ne in meshes], errors)
     assert abs(slope - 4.0) <= 0.3
@@ -278,7 +278,7 @@ def test_l2_error_matches_reference_on_non_unit_lengths(rng):
     dm = fem.DofMap(graph, mesh)
     times = np.array([0.0, 0.1, 0.25, 0.6, 0.9])
     states = rng.standard_normal((len(times), dm.n_dofs))
-    ev = L2ErrorEvaluator(graph, mesh, dm, solution)
+    ev = L2ErrorEvaluator(fem.Elements(dm, fem.GAUSS3), solution)
     got = squared_errors(ev, states, times)
     for k, t in enumerate(times):
         expected = reference_squared_error(graph, mesh, dm, solution, states[k], t)
@@ -289,12 +289,12 @@ def test_error_references_take_one_block(demo, solution, problem, rng):
     """Both references take one (k, n) block of at most ``block_rows`` states with its k times, and nothing else."""
     traj = g.run_full(demo, g.Mesh(10), problem, g.IMPLICIT_EULER, dt=0.1, t_final=0.2)
     mesh, dm = traj.mesh, traj.dofmap
-    ev = L2ErrorEvaluator(demo, mesh, dm, solution)
+    ev = L2ErrorEvaluator(fem.Elements(dm, fem.GAUSS3), solution)
     state = rng.standard_normal((1, dm.n_dofs))
     got = ev.squared_error(state, [0.37])
     expected = reference_squared_error(demo, mesh, dm, solution, state[0], 0.37)
     assert got.shape == (1,) and abs(got[0] - expected) <= 1e-12 * expected
-    for reference in (ev, g.engine._BaselineReference(traj, traj, traj.times)):
+    for reference in (ev, g.engine._BaselineReference(fem.Elements(dm, fem.GAUSS3), traj, traj.times)):
         rows = reference.block_rows
         # the baseline takes its own stored times only, here each of them again and again
         times = np.linspace(0.0, 1.0, rows + 1) if reference is ev else np.resize(traj.times, rows + 1)
@@ -313,7 +313,7 @@ def test_error_references_take_one_block(demo, solution, problem, rng):
 
 def test_l2_error_of_stored_trajectory_state(demo, solution, problem):
     traj = g.run_full(demo, g.Mesh(10), problem, g.IMPLICIT_EULER, dt=0.1, t_final=0.2)
-    ev = L2ErrorEvaluator(traj.graph, traj.mesh, traj.dofmap, solution)
+    ev = L2ErrorEvaluator(fem.Elements(traj.dofmap, fem.GAUSS3), solution)
     assert ev.squared_error(traj.state_at(0.0)[None, :], [0.0])[0] == 0.0
     with pytest.raises(g.SolverError):
         ev.squared_error(traj.state_at(0.123)[None, :], [0.123])
@@ -394,7 +394,7 @@ def test_assembly_samples_each_edge_function_once(monkeypatch, rng):
     gc.collect()
     gc.disable()
     try:
-        data = fem.assemble(tree, dm.mesh, dm, coeffs)
+        data = fem.assemble(tree, dm.mesh, coeffs)
         # the tables go at the return, not when the cycle collector next runs
         assert gc.collect() == 0
     finally:
@@ -422,8 +422,8 @@ def test_tree_problem_samples_only_table_forms(monkeypatch, rng):
     family = g.batch_family([{0}, {1}, {0, 1}], [0.25, 0.25, 0.5], 2)
     runtime = g.engine.RbmRuntime(tree, partition, family, mesh, coeffs)
     assert np.abs(runtime.convection_sums).max() <= 1e-14
-    evaluator = L2ErrorEvaluator(tree, mesh, runtime.dofmap, solution)
-    assert evaluator.squared_error(fem.interpolate(tree, mesh, runtime.dofmap, solution.w)[None, :], [0.25])[0] > 0.0
+    evaluator = L2ErrorEvaluator(fem.Elements(runtime.dofmap, fem.GAUSS3), solution)
+    assert evaluator.squared_error(fem.interpolate(runtime.dofmap, solution.w)[None, :], [0.25])[0] > 0.0
     assert lambda_profile(solution, coeffs, partition, family, np.linspace(0.0, 1.0, 5)).l1 > 0.0
     with pytest.raises(AssertionError, match="per-edge call"):
         solution.w(0, np.zeros(2))

@@ -235,7 +235,8 @@ def test_batch_systems_equal_scaled_part_sums(data):
     reference load of each source term to 1e-13.  The runtime builds one
     pair per (scheme, dt), which every batch slices once, and again for
     runs, which every realization and window length share; each batch's
-    growth bound is that of its own element blocks.
+    growth bound is that of its own element blocks, and its edges are its
+    view's active edges.
     """
     graph = data.draw(graphs())
     partition = data.draw(partitions(graph))
@@ -246,11 +247,13 @@ def test_batch_systems_equal_scaled_part_sums(data):
     n_dirichlet = len(dofmap.dirichlet_dofs)
     # the same source, hidden behind a plain callable: integrated per call
     unseparated = fem.assemble(
-        graph, MESH, dofmap, dataclasses.replace(coeffs, f=lambda e, x, t: coeffs.f(e, x, t))
+        graph, MESH, dataclasses.replace(coeffs, f=lambda e, x, t: coeffs.f(e, x, t))
     )
     with mock.patch.object(fem, "step_pair", wraps=fem.step_pair) as built:
         for j in range(family.n_batches):
             system = runtime.system(j)
+            # the system's edges are its view's active edges, sorted
+            assert system.edges.tolist() == sorted(batch_view(partition, family.batches, j).active_edges)
             free, interface, exterior = system.free, system.interface, system.exterior
             n_free, n_fixed = len(free), len(free) + len(interface)
             constrained = np.concatenate([interface, exterior])
@@ -299,7 +302,7 @@ def test_batch_systems_equal_scaled_part_sums(data):
             assert len(runtime.term_vectors) == len(vectors)
             for k, vector in enumerate(vectors):
                 assert_close(runtime.term_vectors[k][free], vector, (j, "term", k))
-            unseparated_load = fem.LoadEvaluator(unseparated, factor, system.free)
+            unseparated_load = fem.LoadEvaluator(unseparated, runtime.factor, system.edges, system.free)
             for t in (0.0, 0.37):
                 want = reference_load(graph, MESH, dofmap, coeffs.f, t, factor)
                 assert_close(batch_load(runtime, system, t), want[system.free], (j, t))
@@ -397,8 +400,8 @@ def test_l2_error_matches_elementwise_quadrature(data):
     if solution is None:
         return
     dofmap = fem.DofMap(graph, MESH)
-    evaluator = L2ErrorEvaluator(graph, MESH, dofmap, solution)
-    interpolant = fem.interpolate(graph, MESH, dofmap, solution.w)
+    evaluator = L2ErrorEvaluator(fem.Elements(dofmap, fem.GAUSS3), solution)
+    interpolant = fem.interpolate(dofmap, solution.w)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     times = np.array([0.1, 0.37, 0.8])
     # states near the exact solution, where the error form must not lose digits
@@ -635,18 +638,18 @@ def test_per_edge_path_gives_bitwise_the_table_results(data):
     for name in ("w", "w_dx", "w_dxx"):
         setattr(plain_solution, name, plain(getattr(solution, name)))
     dofmap = fem.DofMap(graph, MESH)
-    table, loop = (fem.assemble(graph, MESH, dofmap, c) for c in (coeffs, per_edge))
+    table, loop = (fem.assemble(graph, MESH, c) for c in (coeffs, per_edge))
     for got, want in zip((table.stiffness, table.lower, *table.term_loads),
                          (loop.stiffness, loop.lower, *loop.term_loads)):
         assert_bitwise(got, want, "assemble")
     assert_bitwise(
-        fem.interpolate(graph, MESH, dofmap, solution.w),
-        fem.interpolate(graph, MESH, dofmap, plain(solution.w)),
+        fem.interpolate(dofmap, solution.w),
+        fem.interpolate(dofmap, plain(solution.w)),
         "interpolate",
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     states, times = rng.standard_normal((3, dofmap.n_dofs)), np.array([0.1, 0.37, 0.8])
-    errors = [squared_errors(L2ErrorEvaluator(graph, MESH, dofmap, s), states, times)
+    errors = [squared_errors(L2ErrorEvaluator(fem.Elements(dofmap, fem.GAUSS3), s), states, times)
               for s in (solution, plain_solution)]
     assert_bitwise(*errors, "L2 error")
     t_grid = np.linspace(0.0, 1.0, 11)

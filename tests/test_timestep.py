@@ -217,16 +217,14 @@ def test_scheme_labels_and_parse():
         SchemeKind.parse("rk4")
     with pytest.raises(SolverError, match="theta must be a number"):
         SchemeKind.parse("theta:abc")
-    # a bare theta takes the weight it is given, else the CLI's default 0.75;
-    # nothing else starting with theta parses
-    assert SchemeKind.parse("theta", 0.9) == theta_method(0.9)
+    # a bare theta takes the default weight 0.75; nothing else starting with theta parses
     assert SchemeKind.parse("theta") == theta_method(0.75)
-    assert SchemeKind.parse(" Theta:0.6 ", 0.9) == theta_method(0.6)
+    assert SchemeKind.parse(" Theta:0.6 ") == theta_method(0.6)
     with pytest.raises(SolverError, match="theta must be a number"):
-        SchemeKind.parse("theta:", 0.9)
+        SchemeKind.parse("theta:")
     for text in ("thetafoo", "theta0.3", "ie:0.5"):
         with pytest.raises(SolverError, match="unknown scheme"):
-            SchemeKind.parse(text, 0.9)
+            SchemeKind.parse(text)
     with pytest.raises(SolverError):
         SchemeKind("theta", 1.5)
     with pytest.raises(SolverError):
