@@ -170,10 +170,14 @@ def check_assumption_A1(
     enforced by any window and the randomized dynamics are inconsistent
     with the deterministic problem.
     """
-    views = [batch_view(partition, batches, j) for j in range(len(batches))]
+    return _a1_report(partition.graph, [batch_view(partition, batches, j) for j in range(len(batches))])
+
+
+def _a1_report(graph: MetricGraph, views: Sequence[BatchView]) -> A1Report:
+    """The A1 report of the batches whose views are ``views``, in batch order."""
     witnesses: dict[int, int] = {}
     violations = []
-    for v in sorted(partition.graph.interior_vertices):
+    for v in sorted(graph.interior_vertices):
         for view in views:
             if v in view.interior:
                 witnesses[v] = view.j

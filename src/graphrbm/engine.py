@@ -38,6 +38,15 @@ one drive row serves every batch; an exterior dof takes g(t1) from it
 after the step, never the stored u, since an exterior vertex outside the
 batches of the last windows still holds a stale value.
 
+The first window of a run on a batch looks up its system and cached step
+once and keeps them in a step record (``_StepRecord``) that the run owns,
+with two scratch vectors z and b; its later windows read the record only.
+W z is SciPy's CSR product routine written into b, bit for bit ``W @ z``
+(which runs the same routine into a fresh zeroed array), so a step
+allocates no product.  The scratch belongs to the run, never to the
+runtime, so runs that share a runtime, one inside another's sink
+included, never share a buffer.
+
 Each stored (t, u) goes to one store (``_Snapshots``) as it is reached:
 by default it is written once into a preallocated (stored times x dofs)
 array, the trajectory's ``states``; a caller's sink, such as a study's
@@ -55,17 +64,18 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import fem
 from .decomposition import (
     BatchFamily,
     SubgraphPartition,
+    _a1_report,
     batch_family,
     batch_view,
-    check_assumption_A1,
     edge_factors,
 )
 from .errors import NumericalError, SolverError
@@ -199,10 +209,12 @@ class RbmRuntime:
 
     Holds the dof map, the element data of every edge (integrated once,
     in ``__init__``), each separable source term's vector over all dofs,
-    the convection vertex sums, the per-batch reduced systems, the step
-    pairs per (scheme, dt) until every batch has sliced its step, the
-    cached steps (factor and W) and the read-only drive tables per
-    (theta, dt, n_steps), each with the largest |g| it holds.  All of
+    the convection vertex sums, each batch's ``BatchView`` (built once, in
+    ``__init__``, where the A1 report is read off them), the per-batch
+    reduced systems, the step pairs per (scheme, dt) until every batch has
+    sliced its step, the cached steps (factor and W) and the read-only
+    drive tables per (theta, dt, n_steps), each with the largest |g| it
+    holds.  All of
     it depends only on (graph, partition, family, mesh, coeffs), so
     independent realizations and different window lengths can share one
     runtime; reuse changes nothing but the setup cost.  ``run_full`` builds
@@ -224,7 +236,8 @@ class RbmRuntime:
         self.coeffs = coeffs
         edge_factor = edge_factors(partition, family)
         self.workspace = StepWorkspace()
-        self.a1_report = check_assumption_A1(partition, family.batches)
+        self._views = [batch_view(partition, family.batches, j) for j in range(family.n_batches)]
+        self.a1_report = _a1_report(graph, self._views)
         self.elements = fem.assemble(graph, mesh, coeffs)
         self.dofmap = self.elements.elements.dofmap
         # each element's K and C + P count with 1/pi of its edge's part
@@ -270,8 +283,7 @@ class RbmRuntime:
         """Batch j's system (``fem.ReducedOperators``), built on first use."""
         system = self._systems.get(j)
         if system is None:
-            view = batch_view(self.partition, self.family.batches, j)
-            system = self._systems[j] = reduce_operators(self.elements, view, self.factor)
+            system = self._systems[j] = reduce_operators(self.elements, self._views[j], self.factor)
         return system
 
     @cached_property
@@ -284,38 +296,66 @@ class RbmRuntime:
         return max(0.0, float(active.max(initial=0.0)))
 
 
-def _advance(runtime, j, scheme, dt, u, first, last, every, store, drive):
-    """Advance u in place from global step ``first`` to ``last`` on batch j's active subgraph.
+class _StepRecord:
+    """Batch j's step in one run: everything its windows read, looked up once.
+
+    The batch's dof split and load (``fem.ReducedOperators``), its cached
+    step's ``solve`` and factor ``nnz``, and ``matvec``: SciPy's
+    ``csr_matvec`` bound to W's CSR arrays and shape and to the run's own
+    scratch ``z`` (W's width) and ``b`` (n_free).  ``matvec()`` adds W z
+    into b, so after ``b.fill(0.0)`` b holds W z, bit for bit ``W @ z``,
+    which runs the same routine into a fresh zeroed array.  The system and
+    the step come through ``runtime.system`` and
+    ``runtime.workspace.factorization``, once per run and batch.
+    """
+
+    __slots__ = (
+        "free", "interface", "exterior", "exterior_t1", "n_free", "n_fixed",
+        "n_active", "load", "solve", "nnz", "z", "b", "matvec",
+    )
+
+    def __init__(self, runtime, j: int, scheme: SchemeKind, dt: float):
+        system = runtime.system(j)
+        step = runtime.workspace.factorization((j, scheme, dt), lambda: runtime.step_matrices(j, scheme, dt))
+        w = step.rhs
+        self.free, self.interface = system.free, system.interface
+        self.exterior, self.exterior_t1 = system.exterior, system.exterior_t1
+        self.n_free = len(self.free)
+        self.n_fixed = self.n_free + len(self.interface)
+        self.n_active, self.load = system.n_active, system.load
+        self.solve, self.nnz = step.solve, factor_nnz(step)
+        self.z, self.b = np.empty(w.shape[1]), np.empty(w.shape[0])
+        self.matvec = partial(csr_matvec, *w.shape, w.indptr, w.indices, w.data, self.z, self.b)
+
+
+def _advance(step, u, first, last, every, store, drive, dt, theta):
+    """Advance u in place from global step ``first`` to ``last`` on the active subgraph of ``step``'s batch.
 
     Each step s solves lhs_ff x = W z (+ dt F for a callable source) with
     z = [u_f | u_if | drive[s - 1]]: the interface values stay at what ``u``
     holds on entry, and the drive row brings g at both ends of the step
-    and the load weights.  Only the free and exterior dofs of the system
-    are ever written, which freezes everything outside the active subgraph
-    exactly; an exterior value is g(s dt), read off the drive row.  After
+    and the load weights.  z and W z are formed in the scratch of the
+    run's ``_StepRecord``, W z by SciPy's CSR routine into the zeroed b,
+    bitwise ``W @ z``, so a step allocates no product.  Only the free and
+    exterior dofs of the system are ever written, which freezes everything
+    outside the active subgraph exactly; an exterior value is g(s dt), read
+    off the drive row.  After
     each step s with ``s % every == 0`` u goes to ``store``; u itself is
     written only then and after step ``last``.
-    Returns the system's active dof count, its factor nnz and, for a
-    callable source, the sum over the steps of max |dt F| (0 otherwise).
+    Returns, for a callable source, the sum over the steps of max |dt F|
+    (0 otherwise).
     """
-    system = runtime.system(j)
-    key = (j, scheme, dt)
-    step = runtime.workspace.factorization(key, lambda: runtime.step_matrices(j, scheme, dt))
-    w = step.rhs
-    free, interface, exterior = system.free, system.interface, system.exterior
-    n_free = len(free)
-    n_fixed = n_free + len(interface)
-    theta = scheme.theta_value
-    load = system.load
+    z, b, matvec, solve, load = step.z, step.b, step.matvec, step.solve, step.load
+    n_free, n_fixed = step.n_free, step.n_fixed
     f_prev = load(first * dt) if load is not None and theta != 1.0 else None
     forced = 0.0
-    z = np.empty(w.shape[1])
-    z[n_free:n_fixed] = u[interface]
-    x = u[free]
+    z[n_free:n_fixed] = u[step.interface]
+    x = u[step.free]
     for s in range(first + 1, last + 1):
         z[:n_free] = x
         z[n_fixed:] = drive[s - 1]
-        b = w @ z
+        b.fill(0.0)
+        matvec()
         if load is not None:
             f_next = load(s * dt)
             if f_prev is None:
@@ -325,14 +365,14 @@ def _advance(runtime, j, scheme, dt, u, first, last, every, store, drive):
                 f_prev = f_next
             b += applied
             forced += np.abs(applied).max(initial=0.0)
-        x = step.solve(b)
+        x = solve(b)
         snapshot = s % every == 0
         if snapshot or s == last:
-            u[free] = x
-            u[exterior] = drive[s - 1, system.exterior_t1]
+            u[step.free] = x
+            u[step.exterior] = drive[s - 1, step.exterior_t1]
             if snapshot:
                 store(u)
-    return system.n_active, factor_nnz(step), forced
+    return forced
 
 
 def _tabulate(fn, times, name: str, shape: tuple) -> np.ndarray:
@@ -472,7 +512,9 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=Non
     Reads the data of every step off the runtime's drive table, rejects a
     non-finite y0, stores the state after global step s when ``s % every
     == 0`` or s is the last (``_Snapshots``, into ``sink`` when one is
-    given), and checks the stored states (``_check_growth``).
+    given), and checks the stored states (``_check_growth``).  The first
+    window on each batch makes its ``_StepRecord``, which this run alone
+    keeps and every later window on that batch reuses.
     """
     graph = runtime.graph
     worst = float(np.abs(runtime.convection_sums).max(initial=0.0))
@@ -502,22 +544,19 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=Non
     u[dofmap.dirichlet_dofs] = drive[0, : len(dofmap.dirichlet_dofs)]
     stored = _Snapshots(dt * _stored_steps(n_steps, every), dofmap.n_dofs, sink)
     stored(u)
-    max_active = max_nnz = 0
+    steps: dict[int, _StepRecord] = {}  # this run's, with its scratch
     forced = 0.0
-    for k, j in enumerate(omegas):
-        first, last = k * n_sub, (k + 1) * n_sub
-        n_active, nnz, window_forced = _advance(
-            runtime, int(j), scheme, dt, u, first, last, every, stored, drive
-        )
-        max_active = max(max_active, n_active)
-        max_nnz = max(max_nnz, nnz)
-        forced += window_forced
+    for k, j in enumerate(np.asarray(omegas).tolist()):
+        step = steps.get(j)
+        if step is None:
+            step = steps[j] = _StepRecord(runtime, j, scheme, dt)
+        forced += _advance(step, u, k * n_sub, (k + 1) * n_sub, every, stored, drive, dt, theta)
     if n_steps % every:
         stored(u)
     stats = {
         "n_dofs": dofmap.n_dofs,
-        "max_active_dofs": max_active,
-        "max_factor_nnz": max_nnz,
+        "max_active_dofs": max(step.n_active for step in steps.values()),
+        "max_factor_nnz": max(step.nnz for step in steps.values()),
     }
     _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, forced)
     return RbmTrajectory(dofmap, stored.times, stored.states, schedule, config, stats)

@@ -228,8 +228,10 @@ class Elements:
     ``GAUSS3`` or ``GAUSS5``.  Edge e owns the ``per_edge`` consecutive
     elements starting at ``e * per_edge``, so element k lies on edge
     ``k // per_edge``.  ``pair[k]`` holds element k's two dof ids in
-    coordinate order, ``xq[k]`` the edge coordinates of its Gauss points,
-    ``wq[k]`` their weights and ``mass[k]`` its 2x2 mass block; ``dx[e]`` is
+    coordinate order, as int32, the index type scipy gives a matrix of
+    ``n_dofs`` rows, so ``matrix`` hands scipy indices it takes without a
+    check or a copy (FemError if ``n_dofs`` does not fit); ``xq[k]`` the
+    edge coordinates of its Gauss points, ``wq[k]`` their weights and ``mass[k]`` its 2x2 mass block; ``dx[e]`` is
     edge e's mesh width.  ``shape`` holds the two P1 shape values at each
     point (q, 2) and ``shape_shape`` their four products (q, 4).  All of it
     comes from ``dofmap``, which it keeps, vectorised across edges;
@@ -238,6 +240,8 @@ class Elements:
 
     def __init__(self, dofmap: DofMap, rule):
         graph, n = dofmap.graph, dofmap.mesh.nodes_per_edge
+        if dofmap.n_dofs > np.iinfo(np.int32).max:
+            raise FemError(f"{dofmap.n_dofs} dofs do not fit the int32 indices of an element table")
         tau, weights = rule
         self.dofmap = dofmap
         self.n_edges = graph.n_edges
@@ -247,7 +251,7 @@ class Elements:
         self.shape_shape = (self.shape[:, :, None] * self.shape[:, None, :]).reshape(len(tau), 4)
         ends = Ends(graph)
         self.dx = ends.coordinate[1::2] / (n + 1)
-        dofs = np.empty((graph.n_edges, n + 2), dtype=int)
+        dofs = np.empty((graph.n_edges, n + 2), dtype=np.int32)
         dofs[:, [0, -1]] = ends.vertex.reshape(-1, 2)
         dofs[:, 1:-1] = dofmap.interior_dofs(np.arange(graph.n_edges))
         self.pair = np.stack([dofs[:, :-1], dofs[:, 1:]], axis=-1).reshape(-1, 2)

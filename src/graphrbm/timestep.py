@@ -17,7 +17,8 @@ stepping kernel is the engine's windowed loop (``engine._advance``).  The
 step matrices only depend on the system, the scheme and dt, so a
 StepWorkspace maps a key to one ``FactoredStep``: the factor of lhs,
 checked once to solve lhs x = lhs 1 to a small residual, and rhs (W of
-``fem.ReducedOperators``).  A step is ``entry.solve(entry.rhs @ z)``.  The
+``fem.ReducedOperators``).  A step is ``entry.solve(entry.rhs @ z)``, with
+the product formed into a run's own buffer (``engine._StepRecord``).  The
 workspace's owner, the runtime, keeps one entry per (batch, scheme, dt)
 for its life.
 

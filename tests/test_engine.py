@@ -672,6 +672,86 @@ def test_sink_takes_the_stored_states(demo, partition, option2, problem, coarse_
     assert np.array_equal(engine.stored_times(config), stacked.times)
 
 
+@pytest.mark.parametrize("scheme", [g.IMPLICIT_EULER, g.CRANK_NICOLSON, g.SEMI_IMPLICIT, g.theta_method(0.7)])
+@pytest.mark.parametrize("name", ["demo", "tree"])
+def test_step_record_product_is_bitwise_w_z(name, scheme, demo, partition, option2, solution, rng):
+    """A step record's ``matvec`` into its zeroed ``b`` is ``W @ z`` bit for bit, for every cached step.
+
+    The record calls SciPy's private ``csr_matvec``; this pins it to the
+    public product on the installed SciPy.
+    """
+    if name == "demo":
+        graph, part, family, sol = demo, partition, option2, solution
+    else:
+        graph, part, family, sol = tree_problem(rng)
+    runtime = RbmRuntime(graph, part, family, g.Mesh(7), g.derive_data(sol))
+    dt = 0.01
+    records = [engine._StepRecord(runtime, j, scheme, dt) for j in range(family.n_batches)]
+    assert len(runtime.workspace) == family.n_batches
+    for j, record in enumerate(records):
+        w = runtime.workspace[(j, scheme, dt)].rhs
+        z = rng.standard_normal(w.shape[1]) * 10.0 ** rng.uniform(-3.0, 3.0, w.shape[1])
+        record.z[:] = z
+        record.b.fill(0.0)
+        record.matvec()
+        assert record.b.tobytes() == (w @ z).tobytes()
+
+
+@pytest.mark.parametrize("source", ["separable", "callable"])
+def test_each_run_owns_its_scratch(source, demo, partition, option2, problem, coarse_mesh):
+    """A run started on the same runtime inside another run leaves the outer run's states bitwise as they are alone.
+
+    The inner run starts from the outer run's sink at every stored time
+    and, for a callable source, from inside the outer run's load, between
+    its W z and its solve.
+    """
+    armed = []  # holds an entry while the outer run may start an inner one
+
+    def nest():
+        if armed:
+            armed.pop()
+            try:
+                g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, dataclasses.replace(config, seed=8), runtime=runtime)
+            finally:
+                armed.append(True)
+
+    def source_nesting(e, x, t):
+        if e == 0:
+            nest()
+        return problem.f(e, x, t)
+
+    coeffs = problem if source == "separable" else dataclasses.replace(problem, f=source_nesting)
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, coeffs)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.CRANK_NICOLSON, seed=7)
+    alone = g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config, runtime=runtime)
+    taken = []
+
+    def sink(t, u):
+        taken.append(u.copy())
+        nest()
+
+    armed.append(True)
+    g.run_rbm(demo, partition, option2, coarse_mesh, coeffs, config, runtime=runtime, sink=sink)
+    assert np.array(taken).tobytes() == alone.states.tobytes()
+
+
+def test_runtime_builds_each_batch_view_once(demo, partition, option1, problem, coarse_mesh, monkeypatch):
+    views = []
+
+    def counted(partition, batches, j):
+        views.append(j)
+        return batch_view(partition, batches, j)
+
+    monkeypatch.setattr(engine, "batch_view", counted)
+    runtime = RbmRuntime(demo, partition, option1, coarse_mesh, problem)
+    n = option1.n_batches
+    config = RbmConfig(h=0.01, dt=0.01, t_final=0.01 * n, scheme=g.IMPLICIT_EULER, seed=0)
+    schedule = g.SampledSchedule(omegas=np.arange(n), seed=0)
+    g.run_rbm(demo, partition, option1, coarse_mesh, problem, config, schedule, runtime=runtime)
+    assert views == list(range(n))
+    assert runtime.a1_report == g.check_assumption_A1(partition, option1.batches)
+
+
 def summary_of(evaluator, trajs):
     """(error1, error2, variance) of whole trajectories, each evaluated block by block."""
     err2 = np.array([squared_errors(evaluator, traj.states, traj.times) for traj in trajs])

@@ -121,6 +121,14 @@ def test_dofmap_no_dirichlet(demo):
     assert len(free_dofs(dm)) == 1010
 
 
+def test_element_pairs_are_int32(demo):
+    elements = fem.Elements(fem.DofMap(demo, g.Mesh(3)), fem.GAUSS3)
+    assert elements.pair.dtype == np.int32
+    assert elements.matrix(elements.mass).indices.dtype == np.int32
+    with pytest.raises(FemError, match="do not fit the int32 indices"):
+        fem.Elements(fem.DofMap(demo, g.Mesh(2**28)), fem.GAUSS3)
+
+
 def test_edge_dofs_order():
     graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2})
     dm = fem.DofMap(graph, g.Mesh(3))
