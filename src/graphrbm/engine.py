@@ -23,8 +23,9 @@ gathered from the free rows of the pair and of each V.
 Nothing is integrated inside the time loop except a source that is not
 separable, which the system's ``load`` integrates per call.  Systems are
 cached per batch and steps per (batch, scheme, dt); a cached step is the
-factor of lhs_ff and W, and lhs_ff is not kept; a scheme keys them by itself,
-never by its printed label.  One step of every scheme is
+factor of lhs_ff and W, and lhs_ff is kept only until the factor's first
+solve has checked it; a scheme keys them by itself, never by its printed
+label.  One step of every scheme is
 
     lhs_ff u1 = W z (+ dt (theta F1 + (1 - theta) F0) for a callable source),
     z = [u_f | u_if | g_D(t0) | g_D(t1) | dt (theta tau(t1) + (1 - theta) tau(t0))],
@@ -45,7 +46,11 @@ W z is SciPy's CSR product routine written into b, bit for bit ``W @ z``
 (which runs the same routine into a fresh zeroed array), so a step
 allocates no product.  The scratch belongs to the run, never to the
 runtime, so runs that share a runtime, one inside another's sink
-included, never share a buffer.
+included, never share a buffer.  A new factor is checked on its first
+solve (``timestep.FactoredStep``), which raises SingularSystem before
+that step's state is stored; the record's first window takes that one
+step alone and then binds the factor's plain solve, so no step of the
+loop calls a wrapper.
 
 Each stored (t, u) goes to one store (``_Snapshots``) as it is reached:
 by default it is written once into a preallocated (stored times x dofs)
@@ -300,18 +305,21 @@ class _StepRecord:
     """Batch j's step in one run: everything its windows read, looked up once.
 
     The batch's dof split and load (``fem.ReducedOperators``), its cached
-    step's ``solve`` and factor ``nnz``, and ``matvec``: SciPy's
-    ``csr_matvec`` bound to W's CSR arrays and shape and to the run's own
-    scratch ``z`` (W's width) and ``b`` (n_free).  ``matvec()`` adds W z
-    into b, so after ``b.fill(0.0)`` b holds W z, bit for bit ``W @ z``,
-    which runs the same routine into a fresh zeroed array.  The system and
-    the step come through ``runtime.system`` and
+    step (``entry``) with its ``solve`` and factor ``nnz``, and ``matvec``:
+    SciPy's ``csr_matvec`` bound to W's CSR arrays and shape and to the
+    run's own scratch ``z`` (W's width) and ``b`` (n_free).  ``matvec()``
+    adds W z into b, so after ``b.fill(0.0)`` b holds W z, bit for bit
+    ``W @ z``, which runs the same routine into a fresh zeroed array.  The
+    system and the step come through ``runtime.system`` and
     ``runtime.workspace.factorization``, once per run and batch.
+    ``checked`` is False while the step's factor awaits the check of its
+    first solve (``timestep.FactoredStep``): ``solve`` is then the
+    checking one, and ``bind`` takes the plain solve once it has passed.
     """
 
     __slots__ = (
         "free", "interface", "exterior", "exterior_t1", "n_free", "n_fixed",
-        "n_active", "load", "solve", "nnz", "z", "b", "matvec",
+        "n_active", "load", "entry", "solve", "checked", "nnz", "z", "b", "matvec",
     )
 
     def __init__(self, runtime, j: int, scheme: SchemeKind, dt: float):
@@ -323,9 +331,14 @@ class _StepRecord:
         self.n_free = len(self.free)
         self.n_fixed = self.n_free + len(self.interface)
         self.n_active, self.load = system.n_active, system.load
-        self.solve, self.nnz = step.solve, factor_nnz(step)
+        self.entry, self.nnz = step, factor_nnz(step)
+        self.bind()
         self.z, self.b = np.empty(w.shape[1]), np.empty(w.shape[0])
         self.matvec = partial(csr_matvec, *w.shape, w.indptr, w.indices, w.data, self.z, self.b)
+
+    def bind(self) -> None:
+        """Read the step's ``solve`` afresh: the factor's own once its check has passed."""
+        self.solve, self.checked = self.entry.solve, self.entry.lhs is None
 
 
 def _advance(step, u, first, last, every, store, drive, dt, theta):
@@ -336,7 +349,9 @@ def _advance(step, u, first, last, every, store, drive, dt, theta):
     holds on entry, and the drive row brings g at both ends of the step
     and the load weights.  z and W z are formed in the scratch of the
     run's ``_StepRecord``, W z by SciPy's CSR routine into the zeroed b,
-    bitwise ``W @ z``, so a step allocates no product.  Only the free and
+    bitwise ``W @ z``, so a step allocates no product.  A record whose
+    factor awaits its check takes the first step on the checking solve
+    alone, then ``bind``s the plain one for the rest.  Only the free and
     exterior dofs of the system are ever written, which freezes everything
     outside the active subgraph exactly; an exterior value is g(s dt), read
     off the drive row.  After
@@ -345,33 +360,38 @@ def _advance(step, u, first, last, every, store, drive, dt, theta):
     Returns, for a callable source, the sum over the steps of max |dt F|
     (0 otherwise).
     """
-    z, b, matvec, solve, load = step.z, step.b, step.matvec, step.solve, step.load
+    z, b, matvec, load = step.z, step.b, step.matvec, step.load
     n_free, n_fixed = step.n_free, step.n_fixed
     f_prev = load(first * dt) if load is not None and theta != 1.0 else None
     forced = 0.0
     z[n_free:n_fixed] = u[step.interface]
     x = u[step.free]
-    for s in range(first + 1, last + 1):
-        z[:n_free] = x
-        z[n_fixed:] = drive[s - 1]
-        b.fill(0.0)
-        matvec()
-        if load is not None:
-            f_next = load(s * dt)
-            if f_prev is None:
-                applied = dt * f_next
-            else:
-                applied = dt * (theta * f_next + (1.0 - theta) * f_prev)
-                f_prev = f_next
-            b += applied
-            forced += np.abs(applied).max(initial=0.0)
-        x = solve(b)
-        snapshot = s % every == 0
-        if snapshot or s == last:
-            u[step.free] = x
-            u[step.exterior] = drive[s - 1, step.exterior_t1]
-            if snapshot:
-                store(u)
+    spans = ((first, last),) if step.checked else ((first, first + 1), (first + 1, last))
+    for start, stop in spans:
+        solve = step.solve
+        for s in range(start + 1, stop + 1):
+            z[:n_free] = x
+            z[n_fixed:] = drive[s - 1]
+            b.fill(0.0)
+            matvec()
+            if load is not None:
+                f_next = load(s * dt)
+                if f_prev is None:
+                    applied = dt * f_next
+                else:
+                    applied = dt * (theta * f_next + (1.0 - theta) * f_prev)
+                    f_prev = f_next
+                b += applied
+                forced += np.abs(applied).max(initial=0.0)
+            x = solve(b)
+            snapshot = s % every == 0
+            if snapshot or s == last:
+                u[step.free] = x
+                u[step.exterior] = drive[s - 1, step.exterior_t1]
+                if snapshot:
+                    store(u)
+        if not step.checked:
+            step.bind()
     return forced
 
 

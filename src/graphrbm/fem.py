@@ -34,7 +34,8 @@ count with 1/pi of its owning part in every batch that holds it, so one
 Each batch's system, ``ReducedOperators`` (``reduce_operators``), keeps the
 active edges its ``BatchView`` lists and gathers its step matrices from the
 pair's free rows (``step_matrices``): lhs_ff into CSC, the format SuperLU
-factors, and W into CSR.  A separable load is one bincount per term over
+factors, and W into CSR, laid out by SciPy's compiled COO->CSR kernels
+without its container round trip.  A separable load is one bincount per term over
 the whole graph, built once, whose free entries W gathers with the pair's;
 any other source is integrated per call by the system's ``LoadEvaluator``.
 The mass is never scaled.  The whole graph is the batch of the one-part,
@@ -49,6 +50,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr, csr_sort_indices
 
 from .decomposition import BatchView
 from .errors import NumericalError, SolverError
@@ -485,15 +487,20 @@ class ReducedOperators:
 
         lhs_ff, L over the free columns, comes out in CSC, the format SuperLU
         factors, with no sort: the pattern is symmetric, so a free row's
-        entries are its column's, and they stay in order.  W is one COO->CSR
-        of the entries R_ff, R_fi - L_fi, R_fD, -L_fD and the separable
-        source's ``term_vectors`` (over all dofs) at the free dofs, over the
-        columns
+        entries are its column's, and they stay in order.  W holds the
+        entries R_ff, R_fi - L_fi, R_fD, -L_fD and the separable source's
+        ``term_vectors`` (over all dofs) at the free dofs, over the columns
 
             [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms].
 
-        A free row has no entry outside these, as a free vertex has only
-        active edges; FemError if one has.
+        SciPy's compiled ``coo_tocsr`` and ``csr_sort_indices``, the kernels
+        that ``csr_matrix((data, (rows, cols)))`` runs, write them straight
+        into W's final arrays, which one ``csr_matrix`` then wraps.  No
+        (row, column) comes twice, so the duplicate sum that the constructor
+        runs after them would change nothing: the arrays are bit for bit the
+        constructor's.  A free row has no entry outside these columns, as a
+        free vertex has only active edges; FemError if one has, before any
+        index reaches the kernels.
         """
         free, interface, dirichlet = self.free, self.interface, self.dirichlet
         n_free, n_fixed, n_terms = len(free), len(free) + len(interface), len(term_vectors)
@@ -517,7 +524,12 @@ class ReducedOperators:
         rows = np.concatenate([row, row[fixed], np.tile(rows, n_terms)])
         loads = np.repeat(np.arange(n_columns - n_terms, n_columns, dtype=index), n_free)
         cols = np.concatenate([cols, cols[fixed] + len(dirichlet), loads])
-        return lhs_ff, sp.csr_matrix((data, (rows, cols)), shape=(n_free, n_columns))
+        if max(len(data), n_columns) > np.iinfo(index).max:  # the index type scipy would pick
+            rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+        indptr, indices, values = np.empty(n_free + 1, dtype=rows.dtype), np.empty_like(cols), np.empty_like(data)
+        coo_tocsr(n_free, n_columns, len(data), rows, cols, data, indptr, indices, values)
+        csr_sort_indices(n_free, indptr, indices, values)
+        return lhs_ff, sp.csr_matrix((values, indices, indptr), shape=(n_free, n_columns))
 
 
 def reduce_operators(data: ElementData, view: BatchView, factor: np.ndarray) -> ReducedOperators:

@@ -184,8 +184,11 @@ def graph_from_dict(data: dict) -> MetricGraph:
          "boundary": ["v1", "v2", "v9", "v10"]}
 
     String vertex names map to dense integer ids in declaration order
-    (first appearance while scanning tail, head of each edge).  A length
-    must be a JSON number; GraphError naming the edge otherwise.
+    (first appearance while scanning tail, head of each edge).  An edge
+    without a ``name`` is ``e<k>``, k its 1-based position.  A length
+    must be a JSON number; GraphError naming the edge otherwise.  Edge
+    names must be distinct, since a batch file lists parts by edge name;
+    GraphError naming the name and both edges' indices otherwise.
     """
     if not isinstance(data, dict):
         raise GraphError(f"graph file must hold a JSON object, not {type(data).__name__}")
@@ -203,12 +206,16 @@ def graph_from_dict(data: dict) -> MetricGraph:
 
     triples = []
     edge_names = []
+    index_of: dict[str, int] = {}
     for k, item in enumerate(raw_edges):
         try:
             tail, head = vid(item["tail"]), vid(item["head"])
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad edge entry at index {k}: {exc}") from exc
         name = str(item.get("name", f"e{k + 1}"))
+        if name in index_of:
+            raise GraphError(f"edge name {name!r} is given to the edges at index {index_of[name]} and {k}")
+        index_of[name] = k
         length = item.get("length", 1.0)
         # JSON numbers only: bool is an int subclass, and float() reads the string "2" as 2.0
         if type(length) not in (int, float):

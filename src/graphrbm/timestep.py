@@ -15,10 +15,12 @@ an explicit operator E and a weight theta:
 dt*E, of sparse matrices or of element blocks (``fem.step_pair``).  The one
 stepping kernel is the engine's windowed loop (``engine._advance``).  The
 step matrices only depend on the system, the scheme and dt, so a
-StepWorkspace maps a key to one ``FactoredStep``: the factor of lhs,
-checked once to solve lhs x = lhs 1 to a small residual, and rhs (W of
-``fem.ReducedOperators``).  A step is ``entry.solve(entry.rhs @ z)``, with
-the product formed into a run's own buffer (``engine._StepRecord``).  The
+StepWorkspace maps a key to one ``FactoredStep``: the factor of lhs and
+rhs (W of ``fem.ReducedOperators``).  The factor is checked on its first
+solve, the first real step, which must solve lhs x = b to a small
+residual; lhs is kept for that check only, and an entry that fails it
+leaves the workspace.  A step is ``entry.solve(entry.rhs @ z)``, with the
+product formed into a run's own buffer (``engine._StepRecord``).  The
 workspace's owner, the runtime, keeps one entry per (batch, scheme, dt)
 for its life.
 
@@ -37,8 +39,8 @@ last bits.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,48 +109,88 @@ def theta_method(theta: float) -> SchemeKind:
     return SchemeKind("theta", float(theta))
 
 
-@dataclass(frozen=True, eq=False)
 class FactoredStep:
-    """A cached step: ``solve`` by lhs's factor, its ``nnz`` and ``rhs``."""
+    """A cached step: ``solve`` by lhs's factor, its ``nnz`` and ``rhs``; ``lhs`` until the factor is checked.
 
-    solve: Callable[[np.ndarray], np.ndarray]
-    nnz: int
-    rhs: object
-
-
-class StepWorkspace(dict):
-    """A map of key -> FactoredStep that only its owner empties; a runtime's entries live as long as it does."""
-
-    def factorization(self, key, build) -> FactoredStep:
-        """The entry for ``key``; a miss factors build() = (lhs, rhs) and keeps it."""
-        if key not in self:
-            self[key] = _factor_step(*build())
-        return self[key]
-
-
-def _factor_step(lhs: sp.spmatrix, rhs) -> FactoredStep:
-    """Factor A = lhs, check the factor once by solving A x = A 1, and keep the factor with rhs.
-
-    Raises SingularSystem if the factorization fails, if x is not finite,
-    or if the residual exceeds RESIDUAL_RTOL * (1 + ||A 1||_inf); the last
-    two catch near-singular systems that factor without an explicit error.
-    A CSC lhs, as ``fem.ReducedOperators.step_matrices`` gathers it, is
-    factored without a copy; another format is converted.
-    The factor uses COLAMD and panels of PANEL_SIZE columns.
+    The first call of ``solve`` checks the factor on the system it solves,
+    lhs x = b, before x is returned, so no caller reads an unchecked
+    solution.  It raises SingularSystem if x is not finite or if the
+    residual exceeds RESIDUAL_RTOL * (1 + ||b||_inf); these catch
+    near-singular systems that factor without an explicit error.  A b that
+    is all zero shows nothing (x = 0 solves it whatever the factor), so
+    then the check solves lhs x = lhs 1 instead.  A factor that passes
+    drops lhs, and ``solve`` becomes the factor's own, an instance
+    attribute that shadows the method, so later solves call SuperLU
+    directly; one that fails keeps lhs, is evicted (``evict``, once) and
+    fails again on every later call.
     """
-    A = sp.csc_matrix(lhs)
-    try:
-        lu = spla.splu(A, panel_size=PANEL_SIZE)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
-    b = A @ np.ones(A.shape[1])
-    x = lu.solve(b)
+
+    def __init__(self, lu, lhs, rhs, evict=None):
+        self.nnz = lu.nnz
+        self.rhs = rhs
+        self.lhs = lhs
+        self._lu = lu
+        self._evict = evict
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = self._lu.solve(b)
+        if self.lhs is not None:  # else a solve bound before the check passed
+            self._check(b, x)
+        return x
+
+    def _check(self, b: np.ndarray, x: np.ndarray) -> None:
+        lhs = self.lhs
+        try:
+            if not b.any():
+                b = lhs @ np.ones(lhs.shape[1])
+                x = self._lu.solve(b)
+            _check_residual(lhs, x, b)
+        except SingularSystem:
+            evict, self._evict = self._evict, None
+            if evict is not None:
+                evict()
+            raise
+        self.lhs = self._evict = None
+        self.solve = self._lu.solve
+
+
+def _check_residual(A, x: np.ndarray, b: np.ndarray) -> None:
+    """SingularSystem unless x is finite and ||A x - b||_inf <= RESIDUAL_RTOL * (1 + ||b||_inf)."""
     if not np.all(np.isfinite(x)):
         raise SingularSystem("factor check: solution contains non-finite entries")
     residual = np.abs(A @ x - b).max(initial=0.0)
     if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
         raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
-    return FactoredStep(lu.solve, lu.nnz, rhs)
+
+
+class StepWorkspace(dict):
+    """A map of key -> FactoredStep that only its owner empties; a runtime's entries live as long as it does.
+
+    An entry whose factor fails its check (``FactoredStep.solve``) removes
+    itself, so the next lookup of its key factors afresh.
+    """
+
+    def factorization(self, key, build) -> FactoredStep:
+        """The entry for ``key``; a miss factors build() = (lhs, rhs) and keeps it."""
+        if key not in self:
+            self[key] = _factor_step(*build(), evict=partial(self.pop, key, None))
+        return self[key]
+
+
+def _factor_step(lhs: sp.spmatrix, rhs, evict=None) -> FactoredStep:
+    """Factor A = lhs and keep the factor with rhs, and lhs for the check on the first solve.
+
+    Raises SingularSystem if the factorization fails.  A CSC lhs, as
+    ``fem.ReducedOperators.step_matrices`` gathers it, goes to SuperLU as it
+    is; another format is converted.  The factor uses COLAMD and panels of
+    PANEL_SIZE columns.
+    """
+    A = lhs if lhs.format == "csc" else sp.csc_matrix(lhs)
+    try:
+        lu = spla.splu(A, panel_size=PANEL_SIZE)
+    except RuntimeError as exc:
+        raise SingularSystem(str(exc)) from exc
+    return FactoredStep(lu, A, rhs, evict)
 
 
 def factor_nnz(entry) -> int:

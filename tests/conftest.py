@@ -67,6 +67,18 @@ def mass_norms_sq(mass, diffs):
     return np.einsum("ij,ji->i", diffs, mass @ diffs.T)
 
 
+def wilkinson_growth(n: int) -> sp.csc_matrix:
+    """Ones on the diagonal and in the last column, -1 below the diagonal.
+
+    ``splu`` factors it without an error, but partial pivoting grows its
+    last column to 2^(n-1), so a solve leaves a large residual: the case
+    the factor check exists for.
+    """
+    dense = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    dense[:, -1] = 1.0
+    return sp.csc_matrix(dense)
+
+
 def constant_coefficients(a: float = 1.0, b: float = 0.0, p: float = 0.0) -> g.CoefficientSet:
     return g.CoefficientSet(
         a=lambda e, x: np.full_like(np.asarray(x, dtype=float), a),

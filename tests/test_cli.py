@@ -374,6 +374,10 @@ MALFORMED = {
         "graph", {**PATH_GRAPH, "edges": [*PATH_GRAPH["edges"][:2], {"tail": "c", "head": "d", "length": True}]},
         "edge e3: length must be a JSON number, not True",
     ),
+    "graph-edge-name-twice": (
+        "graph", {**PATH_GRAPH, "edges": [{**edge, "name": "x"} if k != 1 else edge for k, edge in enumerate(PATH_GRAPH["edges"])]},
+        "edge name 'x' is given to the edges at index 0 and 2",
+    ),
     "batches-top-level-list": ("batches", [PATH_BATCHES], "JSON object, not list"),
     "batches-parts-not-a-list": ("batches", {**PATH_BATCHES, "parts": 5}, "a list under key 'parts'"),
     "batches-part-not-a-list": (

@@ -6,11 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import constant_coefficients, mass_matrix, squared_errors
+from conftest import constant_coefficients, mass_matrix, squared_errors, wilkinson_growth
 from test_manufactured import binary_tree
 
 import graphrbm as g
-from graphrbm import engine, fem, manufactured
+from graphrbm import engine, fem, manufactured, timestep
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import (
     BLOWUP_FACTOR,
@@ -25,6 +25,7 @@ from graphrbm.engine import (
 )
 from graphrbm.harness import InvalidSpec
 from graphrbm.manufactured import L2ErrorEvaluator
+from graphrbm.timestep import SingularSystem
 
 
 @pytest.fixture(scope="module")
@@ -517,6 +518,70 @@ def test_cached_steps_keep_w_but_not_lhs_ff(demo, partition, option2, problem, c
     # a lookup of a cached key is a hit, so it never calls build
     entries = [runtime.workspace.factorization((int(j), g.IMPLICIT_EULER, 0.01), None) for j in used]
     assert sorted(id(entry.rhs) for entry in entries) == sorted(id(w) for _, w in built)
+
+
+def growing_steps(monkeypatch):
+    """Give every batch step a Wilkinson-growth lhs_ff of its size; returns the list of the systems built."""
+    step_matrices = fem.ReducedOperators.step_matrices
+    built = []
+
+    def growth(system, pair, term_vectors):
+        lhs_ff, w = step_matrices(system, pair, term_vectors)
+        built.append(system)
+        return wilkinson_growth(lhs_ff.shape[0]), w
+
+    monkeypatch.setattr(fem.ReducedOperators, "step_matrices", growth)
+    return built
+
+
+def test_factor_check_raises_before_a_stepped_state_is_stored(demo, partition, option2, problem, coarse_mesh, monkeypatch):
+    built = growing_steps(monkeypatch)
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=4)
+    # the full batch first: its 206 free dofs grow the factor's last column to 2^205, while
+    # the column order SuperLU picks solves the singletons' smaller matrices accurately
+    full = option2.n_batches - 1
+    schedule = g.SampledSchedule(omegas=np.full(10, full), seed=0)
+    for run in range(2):
+        stored = []
+        with pytest.raises(SingularSystem, match="residual"):
+            g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, schedule, runtime=runtime,
+                      sink=lambda t, u: stored.append(t))
+        # the initial state only: the first step's solve raised before its state was stored
+        assert stored == [0.0]
+        # the failed factor left the workspace, so the next run factors afresh and fails again
+        assert not runtime.workspace and len(built) == run + 1
+    call = engine._Snapshots.__call__
+    stored = []
+    monkeypatch.setattr(engine._Snapshots, "__call__", lambda store, u: stored.append(store._next) or call(store, u))
+    with pytest.raises(SingularSystem, match="residual"):
+        g.run_full(demo, coarse_mesh, problem, g.CRANK_NICOLSON, dt=0.01, t_final=0.2)
+    assert stored == [0]
+
+
+def test_factor_check_of_zero_data_solves_a_times_one(demo, partition, option2, coarse_mesh, monkeypatch):
+    # zero data give every step an all-zero right side, which a broken factor solves exactly
+    zero = constant_coefficients()
+    assert not g.run_full(demo, coarse_mesh, zero, g.IMPLICIT_EULER, dt=0.01, t_final=0.02).states.any()
+    growing_steps(monkeypatch)
+    with pytest.raises(SingularSystem, match="residual"):
+        g.run_full(demo, coarse_mesh, zero, g.IMPLICIT_EULER, dt=0.01, t_final=0.02)
+
+
+def test_a_new_factor_takes_one_checked_solve_then_the_plain_one(demo, partition, option2, problem, coarse_mesh, monkeypatch):
+    calls = []
+    checked = timestep.FactoredStep.solve
+    monkeypatch.setattr(timestep.FactoredStep, "solve", lambda entry, b: calls.append(entry) or checked(entry, b))
+    g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.01, t_final=0.2)
+    assert len(calls) == 1
+    calls.clear()
+    # four steps per window: after each new factor's first step the window runs on SuperLU's own solve
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
+    for seed in (4, 5):
+        config = RbmConfig(h=0.04, dt=0.01, t_final=0.4, scheme=g.CRANK_NICOLSON, seed=seed)
+        g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, runtime=runtime)
+    assert sorted(map(id, calls)) == sorted(map(id, runtime.workspace.values()))
+    assert all(entry.lhs is None for entry in calls)
 
 
 def test_step_pair_goes_once_every_batch_has_its_step(demo, partition, option2, problem, coarse_mesh):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import constant_coefficients, mass_matrix, reference_flux_imbalance
+from test_timestep import tree_runtime
 
 import graphrbm as g
 from graphrbm import fem
@@ -307,6 +308,35 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     unlisted = dataclasses.replace(reduced, interface=interface[1:])
     with pytest.raises(fem.FemError, match="outside the batch's free, interface and Dirichlet dofs"):
         unlisted.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt), vectors)
+
+
+@pytest.mark.parametrize("name", ["demo", "tree"])
+def test_w_is_laid_out_as_scipy_lays_out_its_entries(name, demo, partition, option2, problem, rng, monkeypatch):
+    """W's arrays are bit for bit those of ``csr_matrix((data, (rows, cols)))`` of the entries it is built from.
+
+    ``step_matrices`` runs SciPy's COO->CSR kernel and its row sort itself,
+    into W's final arrays; the entries handed to the kernel are caught on
+    their way in, for every batch and scheme.
+    """
+    entries = []
+    coo_tocsr = fem.coo_tocsr
+
+    def catching(n_row, n_col, nnz, rows, cols, data, *out):
+        entries.append((rows.copy(), cols.copy(), data.copy()))
+        coo_tocsr(n_row, n_col, nnz, rows, cols, data, *out)
+
+    monkeypatch.setattr(fem, "coo_tocsr", catching)
+    if name == "demo":
+        runtime, dt = RbmRuntime(demo, partition, option2, g.Mesh(100), problem), 0.002
+    else:
+        runtime, dt = tree_runtime(rng), 1e-3
+    for scheme in (g.IMPLICIT_EULER, g.CRANK_NICOLSON, SEMI_IMPLICIT, g.theta_method(0.7)):
+        for j in range(runtime.family.n_batches):
+            _, w = runtime.step_matrices(j, scheme, dt)
+            rows, cols, data = entries.pop()
+            want = sp.csr_matrix((data, (rows, cols)), shape=w.shape)
+            for got, reference in ((w.indptr, want.indptr), (w.indices, want.indices), (w.data, want.data)):
+                assert got.dtype == reference.dtype and got.tobytes() == reference.tobytes(), (scheme.label, j)
 
 
 def test_steady_single_edge_linear_exact():

@@ -151,6 +151,17 @@ def test_graph_from_dict_length_must_be_a_json_number(length):
         graph_from_dict(data)
 
 
+def test_graph_from_dict_edge_names_must_be_distinct():
+    # a batch file lists parts by edge name, so a name given twice would stand for one edge only
+    edges = [{"tail": "a", "head": "b", "name": "x"}, {"tail": "b", "head": "c"}, {"tail": "c", "head": "d", "name": "x"}]
+    with pytest.raises(GraphError, match="edge name 'x' is given to the edges at index 0 and 2"):
+        graph_from_dict({"edges": edges, "boundary": ["a", "d"]})
+    # an explicit name may also take the default name of a later edge without one
+    edges = [{"tail": "a", "head": "b", "name": "e2"}, {"tail": "b", "head": "c"}]
+    with pytest.raises(GraphError, match="edge name 'e2' is given to the edges at index 0 and 1"):
+        graph_from_dict({"edges": edges, "boundary": ["a", "c"]})
+
+
 def test_graph_from_dict_unknown_boundary():
     data = {"edges": [{"tail": "a", "head": "b"}], "boundary": ["zzz"]}
     with pytest.raises(BoundaryVertexUnknown):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import wilkinson_growth
 from test_manufactured import binary_tree
 
 import graphrbm as g
@@ -125,13 +126,42 @@ def test_solve_singular_raises():
 
 
 def test_factor_check_rejects_wilkinson_growth():
-    # ones on the diagonal and in the last column, -1 below the diagonal: splu factors
-    # it, but the element growth 2^(n-1) leaves A x = A 1 with a residual near 92
-    n = 200
-    dense = np.eye(n) - np.tril(np.ones((n, n)), -1)
-    dense[:, -1] = 1.0
+    # splu factors it, but the element growth 2^(n-1) leaves A x = A 1 with a residual
+    # near 92; the check runs on the first solve, so that solve raises, not the factorization
+    A = wilkinson_growth(200)
+    entry = factor(A)
     with pytest.raises(SingularSystem, match="residual"):
-        factor(sp.csc_matrix(dense))
+        entry.solve(A @ np.ones(200))
+
+
+def test_factor_check_of_a_zero_right_side_solves_a_times_one():
+    # x = 0 solves A x = 0 whatever the factor, so the check falls back to A x = A 1
+    entry = factor(wilkinson_growth(200))
+    with pytest.raises(SingularSystem, match="residual"):
+        entry.solve(np.zeros(200))
+    # a sound factor passes the fallback and returns the zero solution
+    sound = factor(2.0 * sp.identity(4, format="csc"))
+    assert np.array_equal(sound.solve(np.zeros(4)), np.zeros(4)) and sound.lhs is None
+
+
+def test_failed_factor_leaves_the_workspace_and_fails_again():
+    ws = StepWorkspace()
+    builds = []
+
+    def build():
+        builds.append(1)
+        return wilkinson_growth(200), None
+
+    entry = ws.factorization("k", build)
+    assert ws["k"] is entry
+    b = entry.lhs @ np.ones(200)
+    with pytest.raises(SingularSystem, match="residual"):
+        entry.solve(b)
+    assert "k" not in ws
+    # the failed entry is never used unchecked, and the next lookup factors afresh
+    with pytest.raises(SingularSystem, match="residual"):
+        entry.solve(b)
+    assert ws.factorization("k", build) is not entry and len(builds) == 2
 
 
 def test_workspace_caches_by_key():
@@ -160,9 +190,12 @@ def test_cached_entry_does_not_keep_lhs():
         return lhs, None
 
     entry = ws.factorization("k", build)
-    gc.collect()
-    assert lhs_refs[0]() is None
+    # lhs stays for the check on the first solve, and goes once that check has passed
+    assert lhs_refs[0]() is not None
     assert np.array_equal(entry.solve(np.full(4, 2.0)), np.ones(4))
+    gc.collect()
+    assert lhs_refs[0]() is None and entry.lhs is None
+    assert np.array_equal(entry.solve(np.full(4, 4.0)), np.full(4, 2.0))
 
 
 def test_factor_nnz_positive():
