@@ -46,11 +46,10 @@ W z is SciPy's CSR product routine written into b, bit for bit ``W @ z``
 (which runs the same routine into a fresh zeroed array), so a step
 allocates no product.  The scratch belongs to the run, never to the
 runtime, so runs that share a runtime, one inside another's sink
-included, never share a buffer.  A new factor is checked on its first
-solve (``timestep.FactoredStep``), which raises SingularSystem before
-that step's state is stored; the record's first window takes that one
-step alone and then binds the factor's plain solve, so no step of the
-loop calls a wrapper.
+included, never share a buffer.  Every step calls its cached step's
+current ``solve``: a new factor's first one checks the factor
+(``timestep.FactoredStep``), raising SingularSystem before that step's
+state is stored, and then puts SuperLU's own in its place.
 
 Each stored (t, u) goes to one store (``_Snapshots``) as it is reached:
 by default it is written once into a preallocated (stored times x dofs)
@@ -148,7 +147,7 @@ class RbmConfig:
 
 @dataclass(frozen=True)
 class SampledSchedule:
-    """The drawn batch index per window, reproducible from the seed."""
+    """The drawn batch index per window, reproducible from the seed; ``run_rbm`` takes a 1-d integer array only."""
 
     omegas: np.ndarray
     seed: int
@@ -268,13 +267,12 @@ class RbmRuntime:
             entry = self._drives[key] = table, float(np.abs(table[:, :n_boundary]).max(initial=0.0))
         return entry
 
-    def step_matrices(self, j: int, scheme: SchemeKind, dt: float):
-        """Batch j's (lhs_ff, W) of (scheme, dt), for its cached step, sliced from the graph's ``fem.step_pair``.
+    def step_matrices(self, system: fem.ReducedOperators, scheme: SchemeKind, dt: float):
+        """The (lhs_ff, W) of (scheme, dt) of a batch ``system``, for its cached step, sliced from ``fem.step_pair``.
 
         The pair is built on first use and goes once every batch has sliced it.
         """
         key = (scheme, dt)
-        system = self.system(j)
         entry = self._pairs.get(key)
         if entry is None:
             entry = self._pairs[key] = [fem.step_pair(self.elements, self.factor, scheme, dt), self.family.n_batches]
@@ -305,26 +303,24 @@ class _StepRecord:
     """Batch j's step in one run: everything its windows read, looked up once.
 
     The batch's dof split and load (``fem.ReducedOperators``), its cached
-    step (``entry``) with its ``solve`` and factor ``nnz``, and ``matvec``:
-    SciPy's ``csr_matvec`` bound to W's CSR arrays and shape and to the
-    run's own scratch ``z`` (W's width) and ``b`` (n_free).  ``matvec()``
-    adds W z into b, so after ``b.fill(0.0)`` b holds W z, bit for bit
-    ``W @ z``, which runs the same routine into a fresh zeroed array.  The
-    system and the step come through ``runtime.system`` and
-    ``runtime.workspace.factorization``, once per run and batch.
-    ``checked`` is False while the step's factor awaits the check of its
-    first solve (``timestep.FactoredStep``): ``solve`` is then the
-    checking one, and ``bind`` takes the plain solve once it has passed.
+    step (``entry``) and factor ``nnz``, and ``matvec``: SciPy's
+    ``csr_matvec`` bound to W's CSR arrays and shape and to the run's own
+    scratch ``z`` (W's width) and ``b`` (n_free).  ``matvec()`` adds W z
+    into b, so after ``b.fill(0.0)`` b holds W z, bit for bit ``W @ z``,
+    which runs the same routine into a fresh zeroed array.  The system
+    and the step come through ``runtime.system`` and
+    ``runtime.workspace.factorization``, once per run and batch; a factor
+    miss slices its step from that same system.
     """
 
     __slots__ = (
         "free", "interface", "exterior", "exterior_t1", "n_free", "n_fixed",
-        "n_active", "load", "entry", "solve", "checked", "nnz", "z", "b", "matvec",
+        "n_active", "load", "entry", "nnz", "z", "b", "matvec",
     )
 
     def __init__(self, runtime, j: int, scheme: SchemeKind, dt: float):
         system = runtime.system(j)
-        step = runtime.workspace.factorization((j, scheme, dt), lambda: runtime.step_matrices(j, scheme, dt))
+        step = runtime.workspace.factorization((j, scheme, dt), lambda: runtime.step_matrices(system, scheme, dt))
         w = step.rhs
         self.free, self.interface = system.free, system.interface
         self.exterior, self.exterior_t1 = system.exterior, system.exterior_t1
@@ -332,13 +328,8 @@ class _StepRecord:
         self.n_fixed = self.n_free + len(self.interface)
         self.n_active, self.load = system.n_active, system.load
         self.entry, self.nnz = step, factor_nnz(step)
-        self.bind()
         self.z, self.b = np.empty(w.shape[1]), np.empty(w.shape[0])
         self.matvec = partial(csr_matvec, *w.shape, w.indptr, w.indices, w.data, self.z, self.b)
-
-    def bind(self) -> None:
-        """Read the step's ``solve`` afresh: the factor's own once its check has passed."""
-        self.solve, self.checked = self.entry.solve, self.entry.lhs is None
 
 
 def _advance(step, u, first, last, every, store, drive, dt, theta):
@@ -349,49 +340,45 @@ def _advance(step, u, first, last, every, store, drive, dt, theta):
     holds on entry, and the drive row brings g at both ends of the step
     and the load weights.  z and W z are formed in the scratch of the
     run's ``_StepRecord``, W z by SciPy's CSR routine into the zeroed b,
-    bitwise ``W @ z``, so a step allocates no product.  A record whose
-    factor awaits its check takes the first step on the checking solve
-    alone, then ``bind``s the plain one for the rest.  Only the free and
-    exterior dofs of the system are ever written, which freezes everything
-    outside the active subgraph exactly; an exterior value is g(s dt), read
-    off the drive row.  After
+    bitwise ``W @ z``, so a step allocates no product.  The solve is the
+    cached step's ``solve``, read every step: a new factor's first one
+    checks it and puts SuperLU's own in its place (``timestep.FactoredStep``),
+    so the later steps of the same window call SuperLU directly.  Only the
+    free and exterior dofs of the system are ever written, which freezes
+    everything outside the active subgraph exactly; an exterior value is
+    g(s dt), read off the drive row.  After
     each step s with ``s % every == 0`` u goes to ``store``; u itself is
     written only then and after step ``last``.
     Returns, for a callable source, the sum over the steps of max |dt F|
     (0 otherwise).
     """
-    z, b, matvec, load = step.z, step.b, step.matvec, step.load
+    z, b, matvec, load, entry = step.z, step.b, step.matvec, step.load, step.entry
     n_free, n_fixed = step.n_free, step.n_fixed
     f_prev = load(first * dt) if load is not None and theta != 1.0 else None
     forced = 0.0
     z[n_free:n_fixed] = u[step.interface]
     x = u[step.free]
-    spans = ((first, last),) if step.checked else ((first, first + 1), (first + 1, last))
-    for start, stop in spans:
-        solve = step.solve
-        for s in range(start + 1, stop + 1):
-            z[:n_free] = x
-            z[n_fixed:] = drive[s - 1]
-            b.fill(0.0)
-            matvec()
-            if load is not None:
-                f_next = load(s * dt)
-                if f_prev is None:
-                    applied = dt * f_next
-                else:
-                    applied = dt * (theta * f_next + (1.0 - theta) * f_prev)
-                    f_prev = f_next
-                b += applied
-                forced += np.abs(applied).max(initial=0.0)
-            x = solve(b)
-            snapshot = s % every == 0
-            if snapshot or s == last:
-                u[step.free] = x
-                u[step.exterior] = drive[s - 1, step.exterior_t1]
-                if snapshot:
-                    store(u)
-        if not step.checked:
-            step.bind()
+    for s in range(first + 1, last + 1):
+        z[:n_free] = x
+        z[n_fixed:] = drive[s - 1]
+        b.fill(0.0)
+        matvec()
+        if load is not None:
+            f_next = load(s * dt)
+            if f_prev is None:
+                applied = dt * f_next
+            else:
+                applied = dt * (theta * f_next + (1.0 - theta) * f_prev)
+                f_prev = f_next
+            b += applied
+            forced += np.abs(applied).max(initial=0.0)
+        x = entry.solve(b)
+        snapshot = s % every == 0
+        if snapshot or s == last:
+            u[step.free] = x
+            u[step.exterior] = drive[s - 1, step.exterior_t1]
+            if snapshot:
+                store(u)
     return forced
 
 
@@ -659,11 +646,15 @@ def run_rbm(
         raise InvalidSpec("runtime was built for another graph, partition, family, mesh or coeffs")
     if schedule is None:
         schedule = sample_schedule(n_windows, family.probs, config.seed)
-    if schedule.n_windows != n_windows:
+    omegas = np.asarray(schedule.omegas)
+    if omegas.dtype.kind not in "iu" or omegas.ndim != 1:
         raise ScheduleMismatch(
-            f"schedule has {schedule.n_windows} windows, expected {n_windows}"
+            "schedule batch indices must be a 1-d integer array, "
+            f"got dtype {omegas.dtype} and shape {omegas.shape}"
         )
-    if np.any(schedule.omegas < 0) or np.any(schedule.omegas >= family.n_batches):
+    if len(omegas) != n_windows:
+        raise ScheduleMismatch(f"schedule has {len(omegas)} windows, expected {n_windows}")
+    if np.any(omegas < 0) or np.any(omegas >= family.n_batches):
         raise ScheduleMismatch("schedule contains batch indices out of range")
     run_config = {
         "kind": "rbm",
@@ -676,9 +667,7 @@ def run_rbm(
         "snapshot_stride": config.snapshot_stride,
     }
     every = config.snapshot_stride * n_sub
-    return _solve(
-        runtime, schedule.omegas, n_sub, config.scheme, config.dt, every, schedule, run_config, sink
-    )
+    return _solve(runtime, omegas, n_sub, config.scheme, config.dt, every, schedule, run_config, sink)
 
 
 @dataclass(frozen=True)

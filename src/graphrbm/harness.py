@@ -155,7 +155,7 @@ def _peak_rss_mb() -> float | None:
 
 def memory_proxy(stats: dict) -> int:
     """Deterministic footprint proxy: max active dofs plus factor nonzeros."""
-    return int(stats.get("max_active_dofs", 0)) + int(stats.get("max_factor_nnz", 0))
+    return int(stats["max_active_dofs"]) + int(stats["max_factor_nnz"])
 
 
 def realization_seed(master: int, r: int) -> int:

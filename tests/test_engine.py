@@ -173,6 +173,20 @@ def test_schedule_validation(demo, partition, option2, problem, coarse_mesh):
         )
 
 
+def test_schedule_takes_only_a_1d_integer_array(demo, partition, option2, problem, coarse_mesh):
+    config = RbmConfig(h=0.02, dt=0.01, t_final=0.06, scheme=g.IMPLICIT_EULER, seed=1)
+
+    def run(omegas):
+        schedule = g.SampledSchedule(omegas=omegas, seed=1)
+        return g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, schedule)
+
+    # a bool array would run as batches 1 and 0, since True == 1 as a key
+    for omegas in (np.array([0.0, 1.0, 4.0]), np.array([True, False, True]), np.array([[0, 1, 4]])):
+        with pytest.raises(ScheduleMismatch, match=re.escape(f"dtype {omegas.dtype} and shape {omegas.shape}")):
+            run(omegas)
+    assert run([0, 1, 4]).states.tobytes() == run(np.array([0, 1, 4])).states.tobytes()
+
+
 def test_a1_warning_for_uncovered_family(demo, partition, problem, coarse_mesh):
     family = g.batch_family([{0}, {1}, {2}, {3}], [0.25] * 4, partition.n_parts)
     config = RbmConfig(h=0.01, dt=0.01, t_final=0.05, scheme=g.IMPLICIT_EULER, seed=2)

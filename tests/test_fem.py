@@ -332,7 +332,7 @@ def test_w_is_laid_out_as_scipy_lays_out_its_entries(name, demo, partition, opti
         runtime, dt = tree_runtime(rng), 1e-3
     for scheme in (g.IMPLICIT_EULER, g.CRANK_NICOLSON, SEMI_IMPLICIT, g.theta_method(0.7)):
         for j in range(runtime.family.n_batches):
-            _, w = runtime.step_matrices(j, scheme, dt)
+            _, w = runtime.step_matrices(runtime.system(j), scheme, dt)
             rows, cols, data = entries.pop()
             want = sp.csr_matrix((data, (rows, cols)), shape=w.shape)
             for got, reference in ((w.indptr, want.indptr), (w.indices, want.indices), (w.data, want.data)):

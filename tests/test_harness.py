@@ -206,3 +206,12 @@ def test_single_batch_proxies_match_full(demo, partition, single_batch, problem)
     rbm = g.run_rbm(demo, partition, single_batch, mesh, problem, config)
     assert memory_proxy(rbm.stats) == memory_proxy(full.stats)
     assert rbm.stats["max_active_dofs"] == full.stats["max_active_dofs"]
+
+
+def test_memory_proxy_needs_both_stats():
+    stats = {"max_active_dofs": 3, "max_factor_nnz": 4}
+    assert memory_proxy(stats) == 7
+    # a stat left out would under-report the study's mem_proxy column, so it is an error
+    for missing in stats:
+        with pytest.raises(KeyError, match=missing):
+            memory_proxy({key: value for key, value in stats.items() if key != missing})

@@ -283,7 +283,7 @@ def test_batch_systems_equal_scaled_part_sums(data):
                         ],
                         format="csr",
                     )
-                    lhs_ff, w = runtime.step_matrices(j, scheme, dt)
+                    lhs_ff, w = runtime.step_matrices(runtime.system(j), scheme, dt)
                     what = (j, scheme.label, dt)
                     # lhs_ff goes to SuperLU as it is; W multiplies by rows
                     assert (lhs_ff.format, w.format) == ("csc", "csr"), what

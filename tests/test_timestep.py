@@ -229,7 +229,7 @@ def test_step_factor_is_the_default_splu_factor(name, demo, partition, option2, 
         runtime, dt = tree_runtime(rng), 1e-3
     for scheme in (IMPLICIT_EULER, CRANK_NICOLSON, SEMI_IMPLICIT):
         for j in range(runtime.family.n_batches):
-            lhs, rhs = runtime.step_matrices(j, scheme, dt)
+            lhs, rhs = runtime.step_matrices(runtime.system(j), scheme, dt)
             entry, default = timestep._factor_step(lhs, rhs), spla.splu(lhs)
             assert entry.nnz == default.nnz and entry.rhs is rhs, (scheme.label, j)
             b = rhs @ rng.standard_normal(rhs.shape[1])
