@@ -270,7 +270,9 @@ class RbmRuntime:
     def step_matrices(self, system: fem.ReducedOperators, scheme: SchemeKind, dt: float):
         """The (lhs_ff, W) of (scheme, dt) of a batch ``system``, for its cached step, sliced from ``fem.step_pair``.
 
-        The pair is built on first use and goes once every batch has sliced it.
+        The pair is built on first use and goes once every batch has sliced it, as each
+        does once: the workspace keeps each (batch, scheme, dt) step, one that fails its
+        factor check included.
         """
         key = (scheme, dt)
         entry = self._pairs.get(key)
@@ -771,6 +773,8 @@ class ErrorAccumulator:
         """``store`` every state of a whole trajectory on the accumulator's grid."""
         if len(traj.times) != len(self._grid) or not all(map(_same_time, self._grid, traj.times.tolist())):
             raise GridMismatch("realization stored times differ from the accumulator grid")
+        if len(traj.states) != len(traj.times):
+            raise GridMismatch("the run kept no states, so it has none to add: it was made with a sink")
         for t, u in zip(traj.times, traj.states):
             self.store(t, u)
 

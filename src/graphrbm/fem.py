@@ -169,7 +169,7 @@ class SeparableSource:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientSet:
     """Problem data on the graph.
 

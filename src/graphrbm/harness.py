@@ -219,14 +219,14 @@ def fit_slope(h_list, error_list) -> tuple[float, float]:
     """Ordinary least squares of log(error) against log(h).
 
     Returns (slope, intercept); raises DegenerateFit for fewer than three
-    points, nonpositive data, or a degenerate abscissa.
+    points, nonpositive or non-finite data, or a degenerate abscissa.
     """
     h = np.asarray(h_list, dtype=float)
     err = np.asarray(error_list, dtype=float)
     if h.size < 3 or h.size != err.size:
         raise DegenerateFit("need at least three (h, error) pairs")
-    if np.any(h <= 0.0) or np.any(err <= 0.0):
-        raise DegenerateFit("log-log fit needs strictly positive data")
+    if not all(np.all(np.isfinite(v) & (v > 0.0)) for v in (h, err)):
+        raise DegenerateFit("log-log fit needs finite, strictly positive data")
     x = np.log(h)
     y = np.log(err)
     x_centered = x - x.mean()

@@ -15,14 +15,14 @@ an explicit operator E and a weight theta:
 dt*E, of sparse matrices or of element blocks (``fem.step_pair``).  The one
 stepping kernel is the engine's windowed loop (``engine._advance``).  The
 step matrices only depend on the system, the scheme and dt, so a
-StepWorkspace maps a key to one ``FactoredStep``: the factor of lhs and
-rhs (W of ``fem.ReducedOperators``).  The factor is checked on its first
-solve, the first real step, which must solve lhs x = b to a small
-residual; lhs is kept for that check only, and an entry that fails it
-leaves the workspace.  A step is ``entry.solve(entry.rhs @ z)``, with the
-product formed into a run's own buffer (``engine._StepRecord``).  The
-workspace's owner, the runtime, keeps one entry per (batch, scheme, dt)
-for its life.
+StepWorkspace maps a key to one ``FactoredStep``, built once: it factors
+lhs on construction and keeps rhs (W of ``fem.ReducedOperators``).  The
+factor is checked on its first solve, the first real step, which must
+solve lhs x = b to a small residual; lhs is kept for that check only, and
+an entry that fails it stays under its key and fails on every solve.  A
+step is ``entry.solve(entry.rhs @ z)``, with the product formed into a
+run's own buffer (``engine._StepRecord``).  The workspace's owner, the
+runtime, keeps one entry per (batch, scheme, dt) for its life.
 
 SuperLU factors lhs with its default COLAMD column order and a panel one
 column wide (PANEL_SIZE).  Almost every supernode of a P1 system on a
@@ -40,7 +40,6 @@ last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,6 +111,11 @@ def theta_method(theta: float) -> SchemeKind:
 class FactoredStep:
     """A cached step: ``solve`` by lhs's factor, its ``nnz`` and ``rhs``; ``lhs`` until the factor is checked.
 
+    ``FactoredStep(lhs, rhs)`` factors lhs with SuperLU (COLAMD, panels
+    of PANEL_SIZE columns) and raises SingularSystem if that fails.  A CSC
+    lhs, as ``fem.ReducedOperators.step_matrices`` gathers it, goes to
+    SuperLU as it is; another format is converted.
+
     The first call of ``solve`` checks the factor on the system it solves,
     lhs x = b, before x is returned, so no caller reads an unchecked
     solution.  It raises SingularSystem if x is not finite or if the
@@ -121,16 +125,18 @@ class FactoredStep:
     then the check solves lhs x = lhs 1 instead.  A factor that passes
     drops lhs, and ``solve`` becomes the factor's own, an instance
     attribute that shadows the method, so later solves call SuperLU
-    directly; one that fails keeps lhs, is evicted (``evict``, once) and
-    fails again on every later call.
+    directly; one that fails keeps lhs and fails again on every later call.
     """
 
-    def __init__(self, lu, lhs, rhs, evict=None):
-        self.nnz = lu.nnz
+    def __init__(self, lhs: sp.spmatrix, rhs):
+        A = lhs if lhs.format == "csc" else sp.csc_matrix(lhs)
+        try:
+            self._lu = spla.splu(A, panel_size=PANEL_SIZE)
+        except RuntimeError as exc:
+            raise SingularSystem(str(exc)) from exc
+        self.nnz = self._lu.nnz
         self.rhs = rhs
-        self.lhs = lhs
-        self._lu = lu
-        self._evict = evict
+        self.lhs = A
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = self._lu.solve(b)
@@ -140,57 +146,31 @@ class FactoredStep:
 
     def _check(self, b: np.ndarray, x: np.ndarray) -> None:
         lhs = self.lhs
-        try:
-            if not b.any():
-                b = lhs @ np.ones(lhs.shape[1])
-                x = self._lu.solve(b)
-            _check_residual(lhs, x, b)
-        except SingularSystem:
-            evict, self._evict = self._evict, None
-            if evict is not None:
-                evict()
-            raise
-        self.lhs = self._evict = None
+        if not b.any():
+            b = lhs @ np.ones(lhs.shape[1])
+            x = self._lu.solve(b)
+        if not np.all(np.isfinite(x)):
+            raise SingularSystem("factor check: solution contains non-finite entries")
+        residual = np.abs(lhs @ x - b).max(initial=0.0)
+        if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
+            raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
+        self.lhs = None
         self.solve = self._lu.solve
-
-
-def _check_residual(A, x: np.ndarray, b: np.ndarray) -> None:
-    """SingularSystem unless x is finite and ||A x - b||_inf <= RESIDUAL_RTOL * (1 + ||b||_inf)."""
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("factor check: solution contains non-finite entries")
-    residual = np.abs(A @ x - b).max(initial=0.0)
-    if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
-        raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
 
 
 class StepWorkspace(dict):
     """A map of key -> FactoredStep that only its owner empties; a runtime's entries live as long as it does.
 
-    An entry whose factor fails its check (``FactoredStep.solve``) removes
-    itself, so the next lookup of its key factors afresh.
+    Each key is built once: an entry whose factor fails its check
+    (``FactoredStep.solve``) stays under its key and fails again on every
+    later solve, since the same matrix would factor to the same factor.
     """
 
     def factorization(self, key, build) -> FactoredStep:
         """The entry for ``key``; a miss factors build() = (lhs, rhs) and keeps it."""
         if key not in self:
-            self[key] = _factor_step(*build(), evict=partial(self.pop, key, None))
+            self[key] = FactoredStep(*build())
         return self[key]
-
-
-def _factor_step(lhs: sp.spmatrix, rhs, evict=None) -> FactoredStep:
-    """Factor A = lhs and keep the factor with rhs, and lhs for the check on the first solve.
-
-    Raises SingularSystem if the factorization fails.  A CSC lhs, as
-    ``fem.ReducedOperators.step_matrices`` gathers it, goes to SuperLU as it
-    is; another format is converted.  The factor uses COLAMD and panels of
-    PANEL_SIZE columns.
-    """
-    A = lhs if lhs.format == "csc" else sp.csc_matrix(lhs)
-    try:
-        lu = spla.splu(A, panel_size=PANEL_SIZE)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return FactoredStep(lu, A, rhs, evict)
 
 
 def factor_nnz(entry) -> int:

@@ -114,8 +114,7 @@ def test_parabolic_decay(demo, coarse_mesh, rng):
         interior = np.interp(x, np.linspace(0, 1, 5), values[5 * e : 5 * e + 5])
         return interior * x * (1.0 - x)  # vanish at the vertices
 
-    coeffs = constant_coefficients(a=1.0)
-    coeffs.y0 = y0
+    coeffs = dataclasses.replace(constant_coefficients(a=1.0), y0=y0)
     traj = g.run_full(demo, coarse_mesh, coeffs, g.IMPLICIT_EULER, dt=0.01, t_final=0.3)
     mass = mass_matrix(demo, coarse_mesh, traj.dofmap)
     norms = [s @ (mass @ s) for s in traj.states]
@@ -131,8 +130,9 @@ def test_every_scheme_steps_its_recurrence(demo, scheme):
     # no boundary vertex, a = p = 1, b = 0, y0 = 1: K 1 = 0 and P = M, so u_n = rho^n 1 with
     # rho = (1 - (1 - theta) dt) / (1 + theta dt), or 1 - dt for siem, whose C + P is explicit
     graph = g.MetricGraph(demo.edges, ())
-    coeffs = constant_coefficients(a=1.0, p=1.0)
-    coeffs.y0 = lambda e, x: np.ones_like(np.asarray(x, dtype=float))
+    coeffs = dataclasses.replace(
+        constant_coefficients(a=1.0, p=1.0), y0=lambda e, x: np.ones_like(np.asarray(x, dtype=float))
+    )
     dt = 1e-3
     traj = g.run_full(graph, g.Mesh(5), coeffs, scheme, dt=dt, t_final=1.0)
     theta = scheme.theta_value
@@ -238,6 +238,11 @@ def test_estimate_errors_rejects_a_run_made_with_a_sink(demo, partition, option2
         g.estimate_errors([streamed], baseline=full)
     with pytest.raises(GridMismatch, match=r"the baseline holds states of shape \(0, 210\)"):
         g.estimate_errors([kept], baseline=streamed)
+    acc = ErrorAccumulator(kept.times, L2ErrorEvaluator(fem.Elements(kept.dofmap, fem.GAUSS3), solution))
+    acc.add(kept)
+    with pytest.raises(GridMismatch, match="the run kept no states, so it has none to add"):
+        acc.add(streamed)
+    assert acc.summary().n_realizations == 1
 
 
 def test_state_at_of_a_run_made_with_a_sink_says_it_kept_no_states(demo, partition, option2, problem):
@@ -360,6 +365,14 @@ def test_runtime_of_another_problem_rejected(demo, partition, option1, option2, 
     ):
         with pytest.raises(InvalidSpec, match="runtime was built for another"):
             g.run_rbm(*args, config, runtime=runtime)
+
+
+def test_coefficients_are_frozen():
+    # a runtime keeps what it computed from its coefficient set, which it knows only as the same
+    # object, so that object cannot change; a variant is a new set (dataclasses.replace)
+    coeffs = constant_coefficients(a=1.0, p=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        coeffs.p = coeffs.a
 
 
 def test_stats_track_active_sizes(demo, partition, option2, problem, coarse_mesh):
@@ -563,14 +576,34 @@ def test_factor_check_raises_before_a_stepped_state_is_stored(demo, partition, o
                       sink=lambda t, u: stored.append(t))
         # the initial state only: the first step's solve raised before its state was stored
         assert stored == [0.0]
-        # the failed factor left the workspace, so the next run factors afresh and fails again
-        assert not runtime.workspace and len(built) == run + 1
+        # the failed factor stays under its key, so the next run builds nothing and fails again
+        assert list(runtime.workspace) == [(full, g.IMPLICIT_EULER, 0.01)] and len(built) == 1
     call = engine._Snapshots.__call__
     stored = []
     monkeypatch.setattr(engine._Snapshots, "__call__", lambda store, u: stored.append(store._next) or call(store, u))
     with pytest.raises(SingularSystem, match="residual"):
         g.run_full(demo, coarse_mesh, problem, g.CRANK_NICOLSON, dt=0.01, t_final=0.2)
     assert stored == [0]
+
+
+def test_a_failed_factor_slices_its_step_pair_once(demo, partition, option2, problem, coarse_mesh, monkeypatch):
+    # a failed full-batch factor is kept, so a later run on it slices no step and the pair,
+    # sliced once by each of the five batches in the first run, is not rebuilt and left resident
+    growing_steps(monkeypatch)
+    pairs = []
+    step_pair = fem.step_pair
+    monkeypatch.setattr(fem, "step_pair", lambda *args: pairs.append(args) or step_pair(*args))
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
+    config = RbmConfig(h=0.01, dt=0.01, t_final=0.05, scheme=g.IMPLICIT_EULER, seed=0)
+    for omegas, kept in (([0, 1, 2, 3, 4], 5), ([4, 0, 0, 0, 0], 1)):
+        stored = []
+        schedule = g.SampledSchedule(omegas=np.array(omegas), seed=0)
+        with pytest.raises(SingularSystem, match="residual"):
+            g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, schedule, runtime=runtime,
+                      sink=lambda t, u: stored.append(t))
+        # the singletons step; the full batch's first step raises
+        assert len(stored) == kept
+    assert len(pairs) == 1 and not runtime._pairs
 
 
 def test_factor_check_of_zero_data_solves_a_times_one(demo, partition, option2, coarse_mesh, monkeypatch):

@@ -70,6 +70,15 @@ def test_fit_slope_degenerate():
         fit_slope([1e-3, 2e-3, 3e-3], [1.0, -2.0, 3.0])
     with pytest.raises(DegenerateFit):
         fit_slope([1e-3, 1e-3, 1e-3], [1.0, 2.0, 3.0])
+    # non-finite data, which would otherwise fit to nan or -inf
+    for h, err in (
+        ([1e-3, 2e-3, 4e-3], [np.nan, 0.2, 0.4]),
+        ([1e-3, 2e-3, 4e-3], [np.inf, 0.2, 0.4]),
+        ([np.nan, 2e-3, 4e-3], [0.1, 0.2, 0.4]),
+        ([1e-3, 2e-3, np.inf], [0.1, 0.2, 0.4]),
+    ):
+        with pytest.raises(DegenerateFit, match="finite, strictly positive"):
+            fit_slope(h, err)
 
 
 def test_csv_round_trip(tmp_path):

@@ -9,12 +9,12 @@ from conftest import wilkinson_growth
 from test_manufactured import binary_tree
 
 import graphrbm as g
-from graphrbm import timestep
 from graphrbm.errors import SolverError
 from graphrbm.timestep import (
     CRANK_NICOLSON,
     IMPLICIT_EULER,
     SEMI_IMPLICIT,
+    FactoredStep,
     SchemeKind,
     SingularSystem,
     StepWorkspace,
@@ -144,7 +144,7 @@ def test_factor_check_of_a_zero_right_side_solves_a_times_one():
     assert np.array_equal(sound.solve(np.zeros(4)), np.zeros(4)) and sound.lhs is None
 
 
-def test_failed_factor_leaves_the_workspace_and_fails_again():
+def test_failed_factor_stays_and_fails_again():
     ws = StepWorkspace()
     builds = []
 
@@ -157,11 +157,12 @@ def test_failed_factor_leaves_the_workspace_and_fails_again():
     b = entry.lhs @ np.ones(200)
     with pytest.raises(SingularSystem, match="residual"):
         entry.solve(b)
-    assert "k" not in ws
-    # the failed entry is never used unchecked, and the next lookup factors afresh
-    with pytest.raises(SingularSystem, match="residual"):
-        entry.solve(b)
-    assert ws.factorization("k", build) is not entry and len(builds) == 2
+    # the failed entry stays under its key, is never used unchecked, and is what the next lookup returns
+    for _ in range(2):
+        assert ws["k"] is entry and entry.lhs is not None
+        with pytest.raises(SingularSystem, match="residual"):
+            entry.solve(b)
+    assert ws.factorization("k", build) is entry and len(builds) == 1
 
 
 def test_workspace_caches_by_key():
@@ -230,7 +231,7 @@ def test_step_factor_is_the_default_splu_factor(name, demo, partition, option2, 
     for scheme in (IMPLICIT_EULER, CRANK_NICOLSON, SEMI_IMPLICIT):
         for j in range(runtime.family.n_batches):
             lhs, rhs = runtime.step_matrices(runtime.system(j), scheme, dt)
-            entry, default = timestep._factor_step(lhs, rhs), spla.splu(lhs)
+            entry, default = FactoredStep(lhs, rhs), spla.splu(lhs)
             assert entry.nnz == default.nnz and entry.rhs is rhs, (scheme.label, j)
             b = rhs @ rng.standard_normal(rhs.shape[1])
             got, want = entry.solve(b), default.solve(b)
