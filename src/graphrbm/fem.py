@@ -32,10 +32,13 @@ M, K and C + P and the local load of each term.  An edge's K and C + P
 count with 1/pi of its owning part in every batch that holds it, so one
 ``step_pair`` per (scheme, dt) sums the step's blocks over the whole graph.
 Each batch's system, ``ReducedOperators`` (``reduce_operators``), keeps the
-active edges its ``BatchView`` lists and gathers its step matrices from the
-pair's free rows (``step_matrices``): lhs_ff into CSC, the format SuperLU
-factors, and W into CSR, laid out by SciPy's compiled COO->CSR kernels
-without its container round trip.  A separable load is one bincount per term over
+active edges its ``BatchView`` lists and the dof split read off them, and
+gathers its step matrices from the pair's free rows (``step_matrices``)
+with SciPy's compiled row gather ``csr_row_index``: lhs_ff into CSC, the
+format SuperLU factors, and W into CSR, laid out by SciPy's compiled
+COO->CSR kernels without its container round trip.  Apart from one map
+over the graph's dofs, a batch's set-up works on arrays the size of its
+own rows.  A separable load is one bincount per term over
 the whole graph, built once, whose free entries W gathers with the pair's;
 any other source is integrated per call by the system's ``LoadEvaluator``.
 The mass is never scaled.  The whole graph is the batch of the one-part,
@@ -45,12 +48,12 @@ one-batch family, whose factors are all 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import coo_tocsr, csr_sort_indices
+from scipy.sparse._sparsetools import coo_tocsr, csr_row_index, csr_sort_indices
 
 from .decomposition import BatchView
 from .errors import NumericalError, SolverError
@@ -355,9 +358,8 @@ def assemble(graph: MetricGraph, mesh: Mesh, coeffs: CoefficientSet) -> ElementD
         return sample(space) if combine is None else combine(sample)
 
     aq = sample(coeffs.a)
-    bad = np.flatnonzero(~(aq > 0.0).all(axis=1))
-    if bad.size:
-        e = int(bad[0]) // elements.per_edge
+    if not (aq > 0.0).all():  # the per-element scan only finds the edge to name
+        e = int(np.flatnonzero(~(aq > 0.0).all(axis=1))[0]) // elements.per_edge
         raise NonellipticCoefficient(
             f"diffusion coefficient not positive on edge {graph.edge_name(e)}"
         )
@@ -365,7 +367,11 @@ def assemble(graph: MetricGraph, mesh: Mesh, coeffs: CoefficientSet) -> ElementD
     pq = sample(coeffs.p)
     wq = elements.wq
     inv_dx = np.repeat(1.0 / elements.dx, elements.per_edge)
-    stiffness = ((aq * wq).sum(axis=1) * (inv_dx * inv_dx))[:, None, None] * _GRAD_GRAD
+    # the three Gauss points of each element added as .sum(axis=1) adds them: (q0 + q1) + q2
+    aw = aq * wq
+    integral = aw[:, 0] + aw[:, 1]
+    integral += aw[:, 2]
+    stiffness = (integral * (inv_dx * inv_dx))[:, None, None] * _GRAD_GRAD
     grad = inv_dx[:, None] * _GRAD_SIGN  # (n_el, 2) shape-function gradients
     convection = elements.loads(bq)[:, :, None] * grad[:, None, :]
     convection += ((pq * wq) @ elements.shape_shape).reshape(-1, 2, 2)  # C + P
@@ -443,19 +449,23 @@ def growth_rates(data: ElementData, factor: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepPair:
-    """One step on the whole graph, L = M + dt theta A and R = M - dt (1 - theta) A - dt E, in CSR, and L in CSC."""
+    """One step on the whole graph, L = M + dt theta A and R = M - dt (1 - theta) A - dt E, in CSR, and L in CSC.
+
+    The three share one symmetric pattern; ``row_counts`` holds its entries per row.
+    """
 
     lhs: sp.csr_matrix
     rhs: sp.csr_matrix
     lhs_csc: sp.csc_matrix
+    row_counts: np.ndarray
 
 
 def step_pair(data: ElementData, factor: np.ndarray, scheme: SchemeKind, dt: float) -> StepPair:
     """The ``imex_theta`` step of (scheme, dt) of every element, K_e and C_e + P_e times its ``factor``, summed."""
     scale = factor[:, None, None]
     lhs, rhs = imex_theta(scheme, data.elements.mass, data.stiffness * scale, data.lower * scale, dt)
-    lhs = data.elements.matrix(lhs)
-    return StepPair(lhs=lhs, rhs=data.elements.matrix(rhs), lhs_csc=lhs.tocsc())
+    lhs, rhs = data.elements.matrix(lhs), data.elements.matrix(rhs)
+    return StepPair(lhs=lhs, rhs=rhs, lhs_csc=lhs.tocsc(), row_counts=np.diff(rhs.indptr))
 
 
 @dataclass(frozen=True)
@@ -485,11 +495,17 @@ class ReducedOperators:
     def step_matrices(self, pair: StepPair, term_vectors: tuple) -> tuple[sp.csc_matrix, sp.csr_matrix]:
         """(lhs_ff, W) of ``pair``'s step, gathered from the free rows of L and R.
 
+        SciPy's compiled ``csr_row_index``, the kernel behind
+        ``csr_matrix[rows]``, copies the free rows' column dofs and values
+        out of the pair, once for each of R, L and L's CSC, whose arrays
+        share the pattern and its positions: the pattern is symmetric, so a
+        free row's entries are its column's, in the same order.  A map from
+        the graph's dofs to the batch's columns then numbers them.
         lhs_ff, L over the free columns, comes out in CSC, the format SuperLU
-        factors, with no sort: the pattern is symmetric, so a free row's
-        entries are its column's, and they stay in order.  W holds the
-        entries R_ff, R_fi - L_fi, R_fD, -L_fD and the separable source's
-        ``term_vectors`` (over all dofs) at the free dofs, over the columns
+        factors, with no sort: the free dofs are numbered in their order, so
+        each column's rows stay sorted.  W holds the entries R_ff, R_fi - L_fi, R_fD,
+        -L_fD and the separable source's ``term_vectors`` (over all dofs) at
+        the free dofs, over the columns
 
             [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms].
 
@@ -498,36 +514,58 @@ class ReducedOperators:
         into W's final arrays, which one ``csr_matrix`` then wraps.  No
         (row, column) comes twice, so the duplicate sum that the constructor
         runs after them would change nothing: the arrays are bit for bit the
-        constructor's.  A free row has no entry outside these columns, as a
-        free vertex has only active edges; FemError if one has, before any
-        index reaches the kernels.
+        constructor's.  Every array but the dof map is the size of the
+        batch's rows and their entries.  A free row has no entry outside
+        these columns, as a free vertex has only active edges; FemError if
+        one has, before any index reaches the COO->CSR kernels.
         """
         free, interface, dirichlet = self.free, self.interface, self.dirichlet
         n_free, n_fixed, n_terms = len(free), len(free) + len(interface), len(term_vectors)
-        n_columns = n_fixed + 2 * len(dirichlet) + n_terms
-        # index arrays in the pair's own dtype, which scipy takes without a check or a copy
+        n_dirichlet = len(dirichlet)
+        n_columns = n_fixed + 2 * n_dirichlet + n_terms
+        # index arrays in the pair's own dtype, which scipy's kernels take without a check or a copy
         index = pair.rhs.indices.dtype
         position = np.full(pair.rhs.shape[0], -1, dtype=index)
-        position[np.concatenate([free, interface, dirichlet])] = np.arange(n_fixed + len(dirichlet))
-        counts = np.diff(pair.rhs.indptr)[free]
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        at = np.arange(bounds[-1]) + np.repeat(pair.rhs.indptr[free] - bounds[:-1], counts)
-        cols = position[pair.rhs.indices[at]]
+        position[free] = np.arange(n_free, dtype=index)
+        position[interface] = np.arange(n_free, n_fixed, dtype=index)
+        position[dirichlet] = np.arange(n_fixed, n_fixed + n_dirichlet, dtype=index)
+        counts = pair.row_counts[free]
+        bounds = np.empty(n_free + 1, dtype=index)
+        bounds[0] = 0
+        np.cumsum(counts, out=bounds[1:])
+        nnz = int(bounds[-1])
+        # scratch[1:] takes the gathered column dofs, and later the running count of lhs_ff's entries
+        scratch, lhs = np.empty(nnz + 1, dtype=index), np.empty(nnz)
+        gather = partial(csr_row_index, n_free, free.astype(index), pair.rhs.indptr, pair.rhs.indices)
+        gather(pair.lhs.data, scratch[1:], lhs)
+        cols = position[scratch[1:]]
         if cols.min(initial=0) < 0:
             raise FemError("a free row has an entry outside the batch's free, interface and Dirichlet dofs")
         inner, fixed = cols < n_free, cols >= n_fixed
-        indptr = np.concatenate(([0], np.cumsum(inner)))[bounds].astype(index)
-        lhs_ff = sp.csc_matrix((pair.lhs_csc.data[at[inner]], cols[inner], indptr), shape=(n_free, n_free))
-        lhs, rhs, rows = pair.lhs.data[at], pair.rhs.data[at], np.arange(n_free, dtype=index)
-        row = np.repeat(rows, counts)
-        data = np.concatenate([np.where(inner | fixed, rhs, rhs - lhs), -lhs[fixed], *(v[free] for v in term_vectors)])
-        rows = np.concatenate([row, row[fixed], np.tile(rows, n_terms)])
-        loads = np.repeat(np.arange(n_columns - n_terms, n_columns, dtype=index), n_free)
-        cols = np.concatenate([cols, cols[fixed] + len(dirichlet), loads])
+        n_extra = int(np.count_nonzero(fixed))
+        end = nnz + n_extra
+        data = np.empty(end + n_terms * n_free)
+        head = data[:nnz]
+        gather(pair.rhs.data, scratch[1:], head)
+        np.subtract(head, lhs, out=head, where=~(inner | fixed))  # R - L at the interface
+        np.negative(lhs[fixed], out=data[nnz:end])
+        for k, vector in enumerate(term_vectors):
+            data[end + k * n_free : end + (k + 1) * n_free] = vector[free]
+        gather(pair.lhs_csc.data, scratch[1:], lhs)
+        scratch[0] = 0
+        np.cumsum(inner, dtype=index, out=scratch[1:])
+        lhs_ff = sp.csc_matrix((lhs[inner], cols[inner], scratch[bounds]), shape=(n_free, n_free))
+        rows, columns = np.empty(len(data), dtype=index), np.empty(len(data), dtype=index)
+        rows[:nnz] = np.repeat(np.arange(n_free, dtype=index), counts)
+        rows[nnz:end] = rows[:nnz][fixed]
+        rows[end:].reshape(n_terms, n_free)[:] = np.arange(n_free, dtype=index)
+        columns[:nnz] = cols
+        np.add(cols[fixed], n_dirichlet, out=columns[nnz:end])
+        columns[end:].reshape(n_terms, n_free)[:] = np.arange(n_columns - n_terms, n_columns, dtype=index)[:, None]
         if max(len(data), n_columns) > np.iinfo(index).max:  # the index type scipy would pick
-            rows, cols = rows.astype(np.int64), cols.astype(np.int64)
-        indptr, indices, values = np.empty(n_free + 1, dtype=rows.dtype), np.empty_like(cols), np.empty_like(data)
-        coo_tocsr(n_free, n_columns, len(data), rows, cols, data, indptr, indices, values)
+            rows, columns = rows.astype(np.int64), columns.astype(np.int64)
+        indptr, indices, values = np.empty(n_free + 1, dtype=rows.dtype), np.empty_like(columns), np.empty_like(data)
+        coo_tocsr(n_free, n_columns, len(data), rows, columns, data, indptr, indices, values)
         csr_sort_indices(n_free, indptr, indices, values)
         return lhs_ff, sp.csr_matrix((values, indices, indptr), shape=(n_free, n_columns))
 
@@ -535,11 +573,13 @@ class ReducedOperators:
 def reduce_operators(data: ElementData, view: BatchView, factor: np.ndarray) -> ReducedOperators:
     """The system of batch ``view`` on the dof map of ``data``'s elements: its edges, its dof split and its load.
 
-    One boolean mask over all dofs marks the batch's vertices and the
-    interior dofs of its active edges, the active dofs; with the interface
-    and exterior dofs cleared, its nonzeros are the free dofs, sorted, as
-    ``intp``, without a sort.  W's Dirichlet columns are the dof map's
-    Dirichlet dofs.  A source that is not separable gets a
+    The dof split is read off the view and its active edges, with no pass
+    over the graph's dofs: the free dofs are the view's interior vertices,
+    sorted, then the interior dofs of the active edges, sorted by edge, so
+    the whole is sorted (vertex dofs come first and an edge's interior
+    block follows the edge id), as ``intp``.  The active dofs are the
+    view's vertices and those interior dofs.  W's Dirichlet columns are
+    the dof map's Dirichlet dofs.  A source that is not separable gets a
     ``LoadEvaluator`` over the active edges, each element scaled by its
     entry of the per-element ``factor`` (1/pi of its edge's part).
     """
@@ -547,17 +587,12 @@ def reduce_operators(data: ElementData, view: BatchView, factor: np.ndarray) -> 
     edges = np.fromiter(sorted(view.active_edges), dtype=int)
     interface = np.fromiter(sorted(view.interface), dtype=int)
     exterior = np.fromiter(sorted(view.exterior_boundary), dtype=int)
-    mask = np.zeros(dofmap.n_dofs, dtype=bool)
-    mask[np.fromiter(view.vertices, dtype=int)] = True
-    mask[dofmap.interior_dofs(edges)] = True
-    n_active = int(np.count_nonzero(mask))
-    mask[interface] = False
-    mask[exterior] = False
-    free, dirichlet = np.flatnonzero(mask), dofmap.dirichlet_dofs
+    free = np.concatenate((np.fromiter(sorted(view.interior), dtype=int), dofmap.interior_dofs(edges).ravel()))
+    dirichlet = dofmap.dirichlet_dofs
     return ReducedOperators(
         edges=edges, free=free, interface=interface, exterior=exterior,
         exterior_t1=len(dirichlet) + np.searchsorted(dirichlet, exterior),
-        n_active=n_active, dirichlet=dirichlet,
+        n_active=len(view.vertices) + len(edges) * dofmap.mesh.nodes_per_edge, dirichlet=dirichlet,
         load=None if data.source is None else LoadEvaluator(data, factor, edges, free),
     )
 

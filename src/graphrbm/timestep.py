@@ -18,8 +18,10 @@ step matrices only depend on the system, the scheme and dt, so a
 StepWorkspace maps a key to one ``FactoredStep``, built once: it factors
 lhs on construction and keeps rhs (W of ``fem.ReducedOperators``).  The
 factor is checked on its first solve, the first real step, which must
-solve lhs x = b to a small residual; lhs is kept for that check only, and
-an entry that fails it stays under its key and fails on every solve.  A
+solve lhs x = b to a small residual, lhs x formed by SciPy's compiled
+``csc_matvec``; lhs is kept for that check only, and an entry that fails it
+stays under its key and fails on every solve.  A key whose lhs SuperLU
+rejects outright keeps that failure, so no later lookup builds it again.  A
 step is ``entry.solve(entry.rhs @ z)``, with the product formed into a
 run's own buffer (``engine._StepRecord``).  The workspace's owner, the
 runtime, keeps one entry per (batch, scheme, dt) for its life.
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csc_matvec
 
 from .errors import NumericalError, SolverError
 
@@ -120,7 +123,10 @@ class FactoredStep:
     lhs x = b, before x is returned, so no caller reads an unchecked
     solution.  It raises SingularSystem if x is not finite or if the
     residual exceeds RESIDUAL_RTOL * (1 + ||b||_inf); these catch
-    near-singular systems that factor without an explicit error.  A b that
+    near-singular systems that factor without an explicit error.  The
+    residual is lhs x - b bit for bit: SciPy's ``csc_matvec``, the routine
+    behind ``lhs @ x``, adds lhs x into a zeroed array, from which b is
+    subtracted in place.  A b that
     is all zero shows nothing (x = 0 solves it whatever the factor), so
     then the check solves lhs x = lhs 1 instead.  A factor that passes
     drops lhs, and ``solve`` becomes the factor's own, an instance
@@ -149,10 +155,14 @@ class FactoredStep:
         if not b.any():
             b = lhs @ np.ones(lhs.shape[1])
             x = self._lu.solve(b)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SingularSystem("factor check: solution contains non-finite entries")
-        residual = np.abs(lhs @ x - b).max(initial=0.0)
-        if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
+        # bit for bit lhs @ x - b, as lhs @ x is csc_matvec into a fresh zeroed array
+        r = np.zeros(lhs.shape[0], dtype=np.result_type(lhs.dtype, x.dtype))
+        csc_matvec(*lhs.shape, lhs.indptr, lhs.indices, lhs.data, x, r)
+        np.subtract(r, b, out=r)
+        residual = np.maximum.reduce(np.abs(r, out=r), initial=0.0)
+        if residual > RESIDUAL_RTOL * (1.0 + np.maximum.reduce(np.abs(b), initial=0.0)):
             raise SingularSystem(f"factor check: residual {residual:.3e} too large, system near singular")
         self.lhs = None
         self.solve = self._lu.solve
@@ -161,16 +171,27 @@ class FactoredStep:
 class StepWorkspace(dict):
     """A map of key -> FactoredStep that only its owner empties; a runtime's entries live as long as it does.
 
-    Each key is built once: an entry whose factor fails its check
-    (``FactoredStep.solve``) stays under its key and fails again on every
-    later solve, since the same matrix would factor to the same factor.
+    Each key is built once, since the same matrix would factor to the same
+    factor: an entry whose factor fails its check (``FactoredStep.solve``)
+    stays under its key and fails again on every later solve, and a key
+    whose lhs SuperLU itself rejects keeps that SingularSystem, which every
+    later lookup raises again.
     """
 
     def factorization(self, key, build) -> FactoredStep:
-        """The entry for ``key``; a miss factors build() = (lhs, rhs) and keeps it."""
-        if key not in self:
-            self[key] = FactoredStep(*build())
-        return self[key]
+        """The entry for ``key``; a miss factors build() = (lhs, rhs) and keeps it, or keeps SuperLU's refusal."""
+        entry = self.get(key)
+        if entry is None:
+            lhs, rhs = build()
+            try:
+                entry = self[key] = FactoredStep(lhs, rhs)
+            except SingularSystem as exc:
+                # kept without its traceback, whose frames would keep the rejected matrices alive
+                self[key] = SingularSystem(*exc.args)
+                raise
+        elif isinstance(entry, SingularSystem):
+            raise SingularSystem(*entry.args)
+        return entry
 
 
 def factor_nnz(entry) -> int:

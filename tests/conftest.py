@@ -364,3 +364,60 @@ def reference_lower_coefficients(graph, a, alpha, beta):
     A = sp.csr_matrix((values, (rows, cols)), shape=(len(rhs), 3 * graph.n_edges))
     solution = spla.lsmr(A, np.asarray(rhs), atol=0.0, btol=0.0, maxiter=4 * min(A.shape))[0]
     return solution.reshape(graph.n_edges, 3)
+
+
+# -- a batch's dof split and step matrices before the compiled row gather -----
+#
+# Kept as oracles for ``fem.reduce_operators`` and
+# ``fem.ReducedOperators.step_matrices``: the dof split from one boolean mask
+# over all dofs, and the step matrices from SciPy's public API alone.
+
+SLICE_SCHEMES = (g.IMPLICIT_EULER, g.CRANK_NICOLSON, g.SEMI_IMPLICIT, g.theta_method(0.7))
+
+
+def reference_dof_split(dofmap, view):
+    """(free, n_active) of batch ``view``: the active dofs marked in one mask over all dofs, less interface and exterior."""
+    mask = np.zeros(dofmap.n_dofs, dtype=bool)
+    mask[list(view.vertices)] = True
+    mask[dofmap.interior_dofs(sorted(view.active_edges))] = True
+    n_active = int(np.count_nonzero(mask))
+    mask[list(view.interface)] = False
+    mask[list(view.exterior_boundary)] = False
+    return np.flatnonzero(mask), n_active
+
+
+def reference_step_matrices(system, pair, term_vectors):
+    """(lhs_ff, W) of batch ``system`` by SciPy's fancy indexing and its COO constructor.
+
+    lhs_ff is L on the free rows and columns, converted to CSC.  W's entries
+    R_ff, R_fi - L_fi, R_fD, -L_fD and the term vectors at the free dofs go
+    to ``csr_matrix((data, (rows, cols)))`` over the columns
+    [free | interface | Dirichlet at t0 | Dirichlet at t1 | load terms].
+    """
+    free, interface, dirichlet = system.free, system.interface, system.dirichlet
+    n_free, n_fixed, n_dirichlet, n_terms = len(free), len(free) + len(interface), len(dirichlet), len(term_vectors)
+    n_columns = n_fixed + 2 * n_dirichlet + n_terms
+    lhs_ff = sp.csc_matrix(pair.lhs[free][:, free])
+    column = np.full(pair.rhs.shape[1], -1)
+    column[np.concatenate([free, interface, dirichlet])] = np.arange(n_fixed + n_dirichlet)
+    rhs, lhs = pair.rhs[free].tocoo(), pair.lhs[free].tocoo()
+    assert np.array_equal(rhs.row, lhs.row) and np.array_equal(rhs.col, lhs.col)
+    cols = column[rhs.col]
+    assert cols.min(initial=0) >= 0
+    at_interface, at_dirichlet = (cols >= n_free) & (cols < n_fixed), cols >= n_fixed
+    rows = np.concatenate([rhs.row, rhs.row[at_dirichlet], np.tile(np.arange(n_free), n_terms)])
+    cols = np.concatenate(
+        [cols, cols[at_dirichlet] + n_dirichlet, np.repeat(np.arange(n_columns - n_terms, n_columns), n_free)]
+    )
+    data = np.concatenate(
+        [np.where(at_interface, rhs.data - lhs.data, rhs.data), -lhs.data[at_dirichlet], *(v[free] for v in term_vectors)]
+    )
+    return lhs_ff, sp.csr_matrix((data, (rows, cols)), shape=(n_free, n_columns))
+
+
+def assert_same_arrays(got, want, what):
+    """Two sparse matrices of one format whose data, indices and indptr agree in dtype and bits."""
+    assert got.format == want.format and got.shape == want.shape, what
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (what, name)

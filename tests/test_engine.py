@@ -606,6 +606,30 @@ def test_a_failed_factor_slices_its_step_pair_once(demo, partition, option2, pro
     assert len(pairs) == 1 and not runtime._pairs
 
 
+def test_a_factor_superlu_rejects_slices_its_step_pair_once(demo, partition, option2, problem, coarse_mesh, monkeypatch):
+    # SuperLU refuses the full batch's all-zero lhs_ff; the refusal stays under its key, so later
+    # runs on that batch slice nothing and the pair, sliced once by each batch, is not rebuilt
+    step_matrices = fem.ReducedOperators.step_matrices
+
+    def zeroed(system, pair, term_vectors):
+        lhs_ff, w = step_matrices(system, pair, term_vectors)
+        if len(system.edges) == demo.n_edges:
+            lhs_ff.data[:] = 0.0
+        return lhs_ff, w
+
+    monkeypatch.setattr(fem.ReducedOperators, "step_matrices", zeroed)
+    pairs = []
+    step_pair = fem.step_pair
+    monkeypatch.setattr(fem, "step_pair", lambda *args: pairs.append(args) or step_pair(*args))
+    runtime = RbmRuntime(demo, partition, option2, coarse_mesh, problem)
+    config = RbmConfig(h=0.01, dt=0.01, t_final=0.05, scheme=g.IMPLICIT_EULER, seed=0)
+    for omegas in ([0, 1, 2, 3, 4], [4, 0, 0, 0, 0], [4, 0, 0, 0, 0]):
+        schedule = g.SampledSchedule(omegas=np.array(omegas), seed=0)
+        with pytest.raises(SingularSystem, match="Factor is exactly singular"):
+            g.run_rbm(demo, partition, option2, coarse_mesh, problem, config, schedule, runtime=runtime)
+    assert len(pairs) == 1 and not runtime._pairs
+
+
 def test_factor_check_of_zero_data_solves_a_times_one(demo, partition, option2, coarse_mesh, monkeypatch):
     # zero data give every step an all-zero right side, which a broken factor solves exactly
     zero = constant_coefficients()

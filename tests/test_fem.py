@@ -4,7 +4,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import constant_coefficients, mass_matrix, reference_flux_imbalance
+from conftest import (
+    SLICE_SCHEMES,
+    assert_same_arrays,
+    constant_coefficients,
+    mass_matrix,
+    reference_dof_split,
+    reference_flux_imbalance,
+    reference_step_matrices,
+)
+from test_manufactured import binary_tree
 from test_timestep import tree_runtime
 
 import graphrbm as g
@@ -264,6 +273,17 @@ def test_nonelliptic_rejected():
         RbmRuntime(graph, partition, family, dm.mesh, coeffs)
 
 
+@pytest.mark.parametrize("n", [1, 20, 1000])
+def test_stiffness_sums_its_gauss_points_as_numpy_sum_does(n, demo, problem):
+    """Each element's a-integral is bit for bit ``(a w).sum(axis=1)`` over its three Gauss points."""
+    data = fem.assemble(demo, g.Mesh(n), problem)
+    elements = data.elements
+    inv_dx = np.repeat(1.0 / elements.dx, elements.per_edge)
+    integral = (elements.sample(problem.a) * elements.wq).sum(axis=1)
+    want = (integral * (inv_dx * inv_dx))[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert data.stiffness.tobytes() == want.tobytes()
+
+
 def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, option1, problem):
     mesh = g.Mesh(5)
     dm = fem.DofMap(demo, mesh)
@@ -337,6 +357,60 @@ def test_w_is_laid_out_as_scipy_lays_out_its_entries(name, demo, partition, opti
             want = sp.csr_matrix((data, (rows, cols)), shape=w.shape)
             for got, reference in ((w.indptr, want.indptr), (w.indices, want.indices), (w.data, want.data)):
                 assert got.dtype == reference.dtype and got.tobytes() == reference.tobytes(), (scheme.label, j)
+
+
+def level_cut_runtime(depth, cut, mesh, rng):
+    """A binary tree of ``depth``: the edges down to level ``cut`` form one part and each subtree below it another.
+
+    The family is option two, each part alone and all of them, at uniform
+    probabilities; the data are a random manufactured solution's.
+    """
+    tree = binary_tree(depth)
+
+    def level(v):
+        return (v + 1).bit_length() - 1
+
+    parts: dict[int, set] = {}
+    for k, edge in enumerate(tree.edges):
+        root = edge.head
+        while level(root) > cut:
+            root = (root - 1) // 2
+        parts.setdefault(-1 if level(edge.head) <= cut else root, set()).add(k)
+    parts = [parts[key] for key in sorted(parts)]
+    n = len(parts)
+    family = g.batch_family([{i} for i in range(n)] + [set(range(n))], [1.0 / (n + 1)] * (n + 1), n)
+    alpha, beta = rng.uniform(-5.0, 5.0, size=(2, tree.n_edges))
+    coeffs = g.derive_data(g.build_solution(tree, alpha, beta))
+    return RbmRuntime(tree, g.SubgraphPartition(tree, parts), family, mesh, coeffs)
+
+
+@pytest.mark.parametrize("name", ["demo", "demo-callable", "tree"])
+def test_step_matrices_and_dof_split_equal_their_public_definitions(name, demo, partition, option2, problem, rng):
+    """Every batch's dof split is the all-dof mask's, and its (lhs_ff, W) SciPy's public slice of the pair, bit for bit.
+
+    The demo runs option two at ``Mesh(20)``, with its separable source and
+    with the same source behind a plain callable (no load columns); the tree
+    is of depth 5, cut at level 2.
+    """
+    if name == "tree":
+        runtime = level_cut_runtime(5, 2, g.Mesh(7), rng)
+    else:
+        coeffs = problem if name == "demo" else dataclasses.replace(problem, f=lambda e, x, t: problem.f(e, x, t))
+        runtime = RbmRuntime(demo, partition, option2, g.Mesh(20), coeffs)
+    assert len(runtime.term_vectors) == (0 if name == "demo-callable" else 2)
+    for j in range(runtime.family.n_batches):
+        system = runtime.system(j)
+        free, n_active = reference_dof_split(runtime.dofmap, batch_view(runtime.partition, runtime.family.batches, j))
+        assert system.free.dtype == free.dtype and np.array_equal(system.free, free), j
+        assert system.n_active == n_active, j
+    for scheme in SLICE_SCHEMES:
+        pair = fem.step_pair(runtime.elements, runtime.factor, scheme, 0.01)
+        for j in range(runtime.family.n_batches):
+            system = runtime.system(j)
+            got = system.step_matrices(pair, runtime.term_vectors)
+            want = reference_step_matrices(system, pair, runtime.term_vectors)
+            for matrix, got_one, want_one in zip(("lhs_ff", "W"), got, want):
+                assert_same_arrays(got_one, want_one, (name, scheme.label, j, matrix))
 
 
 def test_steady_single_edge_linear_exact():

@@ -12,14 +12,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import (
+    SLICE_SCHEMES,
+    assert_same_arrays,
     batch_load,
     mass_matrix,
     mass_norms_sq,
     reference_batch_system,
     reference_growth_rate,
     reference_states,
+    reference_step_matrices,
     reference_continuity_residual,
     reference_convection_vertex_sums,
+    reference_dof_split,
     reference_kirchhoff_residual,
     reference_load,
     reference_lower_coefficients,
@@ -335,6 +339,30 @@ def test_cold_and_warm_runtimes_store_bitwise_equal_states(data):
         warmed = g.run_rbm(graph, partition, family, MESH, coeffs, config, schedule=covering, runtime=warm)
         assert np.array_equal(cold.times, warmed.times), scheme.label
         assert np.array_equal(cold.states, warmed.states), scheme.label
+
+
+@pytest.mark.filterwarnings("ignore:batch family leaves interior vertices uncovered")
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_step_matrices_and_dof_split_equal_their_public_definitions(data):
+    """Every batch's dof split is the all-dof mask's, and its (lhs_ff, W) SciPy's public slice of the pair, bit for bit."""
+    graph = data.draw(graphs())
+    partition = data.draw(partitions(graph))
+    family = data.draw(families(partition.n_parts))
+    runtime = RbmRuntime(graph, partition, family, MESH, problem_data(graph))
+    for j in range(family.n_batches):
+        free, n_active = reference_dof_split(runtime.dofmap, batch_view(partition, family.batches, j))
+        system = runtime.system(j)
+        assert system.free.dtype == free.dtype and np.array_equal(system.free, free), j
+        assert system.n_active == n_active, j
+    for scheme in SLICE_SCHEMES:
+        pair = fem.step_pair(runtime.elements, runtime.factor, scheme, DT)
+        for j in range(family.n_batches):
+            system = runtime.system(j)
+            got = system.step_matrices(pair, runtime.term_vectors)
+            want = reference_step_matrices(system, pair, runtime.term_vectors)
+            for matrix, got_one, want_one in zip(("lhs_ff", "W"), got, want):
+                assert_same_arrays(got_one, want_one, (scheme.label, j, matrix))
 
 
 @PROPERTY_SETTINGS

@@ -13,6 +13,7 @@ from graphrbm.errors import SolverError
 from graphrbm.timestep import (
     CRANK_NICOLSON,
     IMPLICIT_EULER,
+    RESIDUAL_RTOL,
     SEMI_IMPLICIT,
     FactoredStep,
     SchemeKind,
@@ -142,6 +143,69 @@ def test_factor_check_of_a_zero_right_side_solves_a_times_one():
     # a sound factor passes the fallback and returns the zero solution
     sound = factor(2.0 * sp.identity(4, format="csc"))
     assert np.array_equal(sound.solve(np.zeros(4)), np.zeros(4)) and sound.lhs is None
+
+
+def growth_matrix(n: int, c: float) -> sp.csc_matrix:
+    """``wilkinson_growth(n)`` with -c below the diagonal: partial pivoting grows its last column to (1 + c)^(n - 1)."""
+    dense = np.eye(n) - c * np.tril(np.ones((n, n)), -1)
+    dense[:, -1] = 1.0
+    return sp.csc_matrix(dense)
+
+
+def reference_verdict(lhs, lu, b):
+    """The factor check with its residual formed as ``lhs @ x - b``: None if it passes, else its message."""
+    if not b.any():
+        b = lhs @ np.ones(lhs.shape[1])
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        return "factor check: solution contains non-finite entries"
+    residual = np.abs(lhs @ x - b).max(initial=0.0)
+    if residual > RESIDUAL_RTOL * (1.0 + np.abs(b).max(initial=0.0)):
+        return f"factor check: residual {residual:.3e} too large, system near singular"
+    return None
+
+
+def test_factor_check_gives_the_verdicts_and_messages_of_lhs_times_x(rng):
+    """On systems on both sides of the residual bound, the check passes, or fails with the message, that ``lhs @ x`` gives."""
+    systems = [growth_matrix(100, c) for c in np.linspace(0.5, 1.0, 21)]
+    systems += [wilkinson_growth(n) for n in range(96, 105)]
+    systems.append(sp.diags([1.0, 1e-320, 1.0], format="csc"))  # a subnormal pivot: x = b / 1e-320 overflows
+    # nearly parallel rows: the residual of a solve grows like 1 / d times ||b||
+    systems += [sp.csc_matrix([[1.0, 1.0], [1.0, 1.0 + d]]) for d in np.logspace(-12.0, -4.0, 17)]
+    verdicts = set()
+    for lhs in systems:
+        n = lhs.shape[0]
+        sides = [lhs @ np.ones(n), rng.standard_normal(n), -1e3 * (1.0 + rng.random(n)), np.zeros(n)]
+        # a power of two scales x and the residual exactly, so these cross the bound RESIDUAL_RTOL (1 + ||b||)
+        sides += [2.0**-k * sides[0] for k in range(34, 44)]
+        for b in sides:
+            entry = FactoredStep(lhs, None)
+            want = reference_verdict(lhs, entry._lu, b)
+            if want is None:
+                lu = entry._lu
+                assert entry.solve(b).tobytes() == lu.solve(b).tobytes() and entry.lhs is None
+            else:
+                with pytest.raises(SingularSystem) as raised:
+                    entry.solve(b)
+                assert str(raised.value) == want and entry.lhs is lhs
+            verdicts.add(want if want is None else want.split(" ")[2])
+    # both verdicts, and both messages, occur
+    assert verdicts == {None, "residual", "solution"}
+
+
+def test_a_factor_superlu_rejects_stays_under_its_key():
+    ws = StepWorkspace()
+    builds = []
+
+    def build():
+        builds.append(1)
+        return sp.csc_matrix((3, 3)), None
+
+    # the failure is kept, so later lookups raise it again and build nothing
+    for _ in range(3):
+        with pytest.raises(SingularSystem, match="singular"):
+            ws.factorization("k", build)
+    assert len(builds) == 1 and list(ws) == ["k"]
 
 
 def test_failed_factor_stays_and_fails_again():
