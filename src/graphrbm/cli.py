@@ -88,11 +88,6 @@ def _load_decomposition(args):
 
 def _load_problem(args):
     graph, partition, family = _load_decomposition(args)
-    if graph.n_edges != len(manufactured.DEMO_QUARTIC):
-        raise harness.InvalidSpec(
-            "the built-in manufactured problem needs the 10-edge demo graph; "
-            "use the library API to supply leading coefficients for other graphs"
-        )
     solution = manufactured.demo_solution(graph)
     coeffs = manufactured.derive_data(solution)
     return graph, partition, family, solution, coeffs

@@ -17,18 +17,21 @@ Vertex bookkeeping per batch j:
 
 The localization weights are zero at interface vertices; on the open
 part of each active edge they equal 1/pi of the edge's owning part.
+
+Bad input raises ``DecompositionError`` naming the part, batch or entry;
+edge and part ids must be Python or NumPy integers.
 """
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import SolverError
-from .graph import MetricGraph
+from .graph import MetricGraph, json_lists, json_number, read_json
 
 PROB_SUM_TOL = 1e-12
 
@@ -37,24 +40,15 @@ class DecompositionError(SolverError):
     pass
 
 
-class OverlappingParts(DecompositionError):
-    pass
-
-
-class UncoveredEdge(DecompositionError):
-    pass
-
-
-class BadBatchIndex(DecompositionError):
-    pass
-
-
-class ZeroNormalizer(DecompositionError):
-    pass
-
-
-class BadProbabilityVector(DecompositionError):
-    pass
+def _ids(values: Iterable[int], what: str) -> list[int]:
+    """``values`` as ints; DecompositionError naming ``what`` for a float, which int() would truncate."""
+    out = []
+    for v in values:
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise DecompositionError(f"{what} holds {v!r}, not an integer id") from None
+    return out
 
 
 class SubgraphPartition:
@@ -70,7 +64,7 @@ class SubgraphPartition:
             raise DecompositionError("partition needs at least one part")
         part_sets = []
         for i, p in enumerate(parts):
-            edges = frozenset(int(e) for e in p)
+            edges = frozenset(_ids(p, f"part {i + 1}"))
             if not edges:
                 raise DecompositionError(f"part {i + 1} is empty")
             bad = [e for e in edges if e < 0 or e >= graph.n_edges]
@@ -82,7 +76,7 @@ class SubgraphPartition:
         for i, edges in enumerate(part_sets):
             for e in edges:
                 if part_of_edge[e] != -1:
-                    raise OverlappingParts(
+                    raise DecompositionError(
                         f"edge {graph.edge_name(e)} appears in parts "
                         f"{part_of_edge[e] + 1} and {i + 1}"
                     )
@@ -90,7 +84,7 @@ class SubgraphPartition:
         uncovered = np.flatnonzero(part_of_edge < 0)
         if uncovered.size:
             names = [graph.edge_name(int(e)) for e in uncovered]
-            raise UncoveredEdge(f"edges not covered by any part: {names}")
+            raise DecompositionError(f"edges not covered by any part: {names}")
 
         self.graph = graph
         self.parts = tuple(part_sets)
@@ -127,12 +121,12 @@ def batch_view(
     carry Dirichlet data.
     """
     if j < 0 or j >= len(batches):
-        raise BadBatchIndex(f"batch index {j} out of range [0, {len(batches)})")
+        raise DecompositionError(f"batch index {j} out of range [0, {len(batches)})")
     graph = partition.graph
-    parts = sorted(int(i) for i in batches[j])
+    parts = sorted(_ids(batches[j], f"batch {j + 1}"))
     bad = [i for i in parts if i < 0 or i >= partition.n_parts]
     if bad:
-        raise BadBatchIndex(f"batch {j + 1} references unknown parts {bad}")
+        raise DecompositionError(f"batch {j + 1} references unknown parts {bad}")
     active = frozenset(e for i in parts for e in partition.parts[i])
     vertices = frozenset(v for i in parts for v in partition.part_vertices[i])
     interior = frozenset(
@@ -197,24 +191,22 @@ def normalizers(
     """
     probs = np.asarray(probs, dtype=float)
     if len(probs) != len(batches):
-        raise BadProbabilityVector(
-            f"{len(probs)} probabilities for {len(batches)} batches"
-        )
+        raise DecompositionError(f"{len(probs)} probabilities for {len(batches)} batches")
     if not np.all((probs > 0.0) & np.isfinite(probs)):
-        raise BadProbabilityVector("probabilities must be strictly positive finite numbers")
+        raise DecompositionError("probabilities must be strictly positive finite numbers")
     total = probs.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise BadProbabilityVector(f"probabilities sum to {total!r}, not 1")
+        raise DecompositionError(f"probabilities sum to {total!r}, not 1")
     probs = probs / total
     pi = np.zeros(n_parts)
     for j, batch in enumerate(batches):
         for i in batch:
             if i < 0 or i >= n_parts:
-                raise BadBatchIndex(f"batch {j + 1} references unknown part {i + 1}")
+                raise DecompositionError(f"batch {j + 1} references unknown part {i + 1}")
             pi[i] += probs[j]
     dead = np.flatnonzero(pi == 0.0)
     if dead.size:
-        raise ZeroNormalizer(f"parts never selected by any batch: {(dead + 1).tolist()}")
+        raise DecompositionError(f"parts never selected by any batch: {(dead + 1).tolist()}")
     return pi
 
 
@@ -238,7 +230,7 @@ class BatchFamily:
 def batch_family(
     batches: Sequence[Iterable[int]], probs: Sequence[float], n_parts: int
 ) -> BatchFamily:
-    batch_sets = tuple(frozenset(int(i) for i in b) for b in batches)
+    batch_sets = tuple(frozenset(_ids(b, f"batch {j + 1}")) for j, b in enumerate(batches))
     for j, b in enumerate(batch_sets):
         if not b:
             raise DecompositionError(f"batch {j + 1} is empty")
@@ -269,7 +261,7 @@ def zeta_weights(partition: SubgraphPartition, family: BatchFamily, j: int) -> n
     and it is what per-edge factors encode naturally.
     """
     if j < 0 or j >= family.n_batches:
-        raise BadBatchIndex(f"batch index {j} out of range [0, {family.n_batches})")
+        raise DecompositionError(f"batch index {j} out of range [0, {family.n_batches})")
     factors = edge_factors(partition, family)
     active = np.zeros(family.n_parts, dtype=bool)
     active[list(family.batches[j])] = True
@@ -347,12 +339,9 @@ def batches_from_dict(data: dict, graph: MetricGraph) -> tuple[SubgraphPartition
          "batches": [[1], [2], [3], [4], [1, 2, 3]],
          "probs": [0.2, 0.2, 0.2, 0.2, 0.2]}
     """
-    if not isinstance(data, dict):
-        raise DecompositionError(f"batch file must hold a JSON object, not {type(data).__name__}")
-    for key in ("parts", "batches", "probs"):
-        if not isinstance(data.get(key), list):
-            raise DecompositionError(f"batch file needs a list under key {key!r}")
-    raw_parts, raw_batches, raw_probs = data["parts"], data["batches"], data["probs"]
+    raw_parts, raw_batches, raw_probs = json_lists(
+        data, ("parts", "batches", "probs"), "batch file", DecompositionError
+    )
 
     if graph.edge_names is not None:
         edge_id = {name: k for k, name in enumerate(graph.edge_names)}
@@ -373,19 +362,12 @@ def batches_from_dict(data: dict, graph: MetricGraph) -> tuple[SubgraphPartition
             raise DecompositionError(
                 f"batch {j + 1} must be a list of integer part indices, not {batch!r}"
             )
-    if any(type(p) not in (int, float) for p in raw_probs):
-        raise DecompositionError(f"probs must be a list of numbers, not {raw_probs!r}")
+    probs = [json_number(p, f"probability {j + 1}", DecompositionError) for j, p in enumerate(raw_probs)]
     batches = [{i - 1 for i in b} for b in raw_batches]
-    family = batch_family(batches, raw_probs, partition.n_parts)
+    family = batch_family(batches, probs, partition.n_parts)
     return partition, family
 
 
 def load_batches(path, graph: MetricGraph) -> tuple[SubgraphPartition, BatchFamily]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DecompositionError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise DecompositionError(f"{path}: not UTF-8 text: {exc}") from exc
-    return batches_from_dict(data, graph)
+    """Read a partition and batch family from a JSON file; see batches_from_dict for the format."""
+    return batches_from_dict(read_json(path, DecompositionError), graph)

@@ -107,10 +107,6 @@ class InvalidSpec(EngineError):
     pass
 
 
-class ScheduleMismatch(InvalidSpec):
-    pass
-
-
 class GridMismatch(EngineError):
     pass
 
@@ -204,7 +200,7 @@ def _count_steps(total: float, step: float, total_name: str, step_name: str) -> 
             raise InvalidSpec(f"{name} must be a positive finite number, got {value}")
     n = round(total / step)
     if n < 1 or not _same_time(n * step, total):
-        raise ScheduleMismatch(f"{total_name}: {total} is not a positive integer multiple of {step}")
+        raise InvalidSpec(f"{total_name}: {total} is not a positive integer multiple of {step}")
     return int(n)
 
 
@@ -650,14 +646,14 @@ def run_rbm(
         schedule = sample_schedule(n_windows, family.probs, config.seed)
     omegas = np.asarray(schedule.omegas)
     if omegas.dtype.kind not in "iu" or omegas.ndim != 1:
-        raise ScheduleMismatch(
+        raise InvalidSpec(
             "schedule batch indices must be a 1-d integer array, "
             f"got dtype {omegas.dtype} and shape {omegas.shape}"
         )
     if len(omegas) != n_windows:
-        raise ScheduleMismatch(f"schedule has {len(omegas)} windows, expected {n_windows}")
+        raise InvalidSpec(f"schedule has {len(omegas)} windows, expected {n_windows}")
     if np.any(omegas < 0) or np.any(omegas >= family.n_batches):
-        raise ScheduleMismatch("schedule contains batch indices out of range")
+        raise InvalidSpec("schedule contains batch indices out of range")
     run_config = {
         "kind": "rbm",
         "scheme": config.scheme.label,

@@ -47,6 +47,7 @@ one-batch family, whose factors are all 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -114,13 +115,18 @@ def on_edges(fn: EdgeFunction, edges, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform per-edge mesh with a fixed number of interior nodes."""
+    """Uniform per-edge mesh with a fixed number of interior nodes, held as a Python int."""
 
     nodes_per_edge: int
 
     def __post_init__(self):
-        if self.nodes_per_edge < 1:
+        try:
+            n = operator.index(self.nodes_per_edge)
+        except TypeError:
+            raise FemError(f"nodes_per_edge must be an integer, not {self.nodes_per_edge!r}") from None
+        if n < 1:
             raise FemError("nodes_per_edge must be at least 1")
+        object.__setattr__(self, "nodes_per_edge", n)
 
 
 class DofMap:
@@ -128,14 +134,18 @@ class DofMap:
 
     Vertex v owns dof v; edge e owns the contiguous interior block
     starting at ``n_vertices + e * nodes_per_edge``.  The Dirichlet dofs
-    ``dirichlet_dofs`` are the graph's boundary vertices, sorted.
+    ``dirichlet_dofs`` are the graph's boundary vertices, sorted.  The dof
+    ids must fit the element table's int32 (FemError).
     """
 
     def __init__(self, graph: MetricGraph, mesh: Mesh):
         self.graph = graph
         self.mesh = mesh
         n = mesh.nodes_per_edge
+        # in Python ints (Mesh holds one), so a count past int64 reaches the check instead of overflowing
         self.n_dofs = graph.n_vertices + graph.n_edges * n
+        if self.n_dofs > np.iinfo(np.int32).max:
+            raise FemError(f"{self.n_dofs} dofs do not fit the int32 indices of an element table")
         self.dirichlet_dofs = np.array(sorted(graph.boundary_vertices), dtype=int)
         self._interior_start = graph.n_vertices + n * np.arange(graph.n_edges)
 
@@ -235,7 +245,7 @@ class Elements:
     ``k // per_edge``.  ``pair[k]`` holds element k's two dof ids in
     coordinate order, as int32, the index type scipy gives a matrix of
     ``n_dofs`` rows, so ``matrix`` hands scipy indices it takes without a
-    check or a copy (FemError if ``n_dofs`` does not fit); ``xq[k]`` the
+    check or a copy (``DofMap`` checks that they fit); ``xq[k]`` the
     edge coordinates of its Gauss points, ``wq[k]`` their weights and ``mass[k]`` its 2x2 mass block; ``dx[e]`` is
     edge e's mesh width.  ``shape`` holds the two P1 shape values at each
     point (q, 2) and ``shape_shape`` their four products (q, 4).  All of it
@@ -245,8 +255,6 @@ class Elements:
 
     def __init__(self, dofmap: DofMap, rule):
         graph, n = dofmap.graph, dofmap.mesh.nodes_per_edge
-        if dofmap.n_dofs > np.iinfo(np.int32).max:
-            raise FemError(f"{dofmap.n_dofs} dofs do not fit the int32 indices of an element table")
         tau, weights = rule
         self.dofmap = dofmap
         self.n_edges = graph.n_edges

@@ -9,6 +9,10 @@ Edge orientation fixes the local coordinate (tail at x=0, head at
 x=length) and the sign of each end (``fem.Ends``).  Flux sums over all
 adjacent edges are orientation invariant, so any consistent orientation
 choice yields the same solver behaviour.
+
+Bad input raises ``GraphError`` naming the fault.  ``read_json``,
+``json_lists`` and ``json_number`` are the input rules of both file
+formats; each raises the error type its caller passes.
 """
 
 from __future__ import annotations
@@ -23,22 +27,6 @@ from .errors import SolverError
 
 
 class GraphError(SolverError):
-    pass
-
-
-class EmptyGraph(GraphError):
-    pass
-
-
-class SelfLoop(GraphError):
-    pass
-
-
-class DisconnectedGraph(GraphError):
-    pass
-
-
-class BoundaryVertexUnknown(GraphError):
     pass
 
 
@@ -66,10 +54,10 @@ class MetricGraph:
     ):
         edges = tuple(edges)
         if not edges:
-            raise EmptyGraph("graph needs at least one edge")
+            raise GraphError("graph needs at least one edge")
         for k, e in enumerate(edges):
             if e.tail == e.head:
-                raise SelfLoop(f"edge {k} is a self-loop at vertex {e.tail}")
+                raise GraphError(f"edge {k} is a self-loop at vertex {e.tail}")
             if not (e.length > 0.0 and math.isfinite(e.length)):
                 raise GraphError(
                     f"edge {k} has length {e.length}; lengths must be positive and finite"
@@ -84,12 +72,12 @@ class MetricGraph:
             adjacency[e.head].append(k)
         isolated = [v for v in range(n_vertices) if not adjacency[v]]
         if isolated:
-            raise DisconnectedGraph(f"vertices without any edge: {isolated}")
+            raise GraphError(f"vertices without any edge: {isolated}")
 
         boundary = frozenset(int(v) for v in boundary_vertices)
         unknown = sorted(v for v in boundary if v < 0 or v >= n_vertices)
         if unknown:
-            raise BoundaryVertexUnknown(f"boundary ids not declared by any edge: {unknown}")
+            raise GraphError(f"boundary ids not declared by any edge: {unknown}")
 
         self.edges = edges
         self.n_vertices = n_vertices
@@ -119,7 +107,7 @@ class MetricGraph:
                     queue.append(w)
         if len(seen) != self.n_vertices:
             missing = sorted(set(range(self.n_vertices)) - seen)
-            raise DisconnectedGraph(f"vertices unreachable from vertex 0: {missing}")
+            raise GraphError(f"vertices unreachable from vertex 0: {missing}")
 
     def adjacency(self, v: int) -> tuple[int, ...]:
         """Edge ids adjacent to vertex v."""
@@ -175,6 +163,40 @@ def demo_graph() -> MetricGraph:
     )
 
 
+def read_json(path, error: type[SolverError]):
+    """The JSON value in the file at ``path``; ``error`` naming the file if it is not UTF-8 JSON or too deep to read."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from exc
+        except RecursionError:
+            raise error(f"{path}: nesting too deep to read") from None
+
+
+def json_lists(data, keys: Sequence[str], what: str, error: type[SolverError]) -> tuple[list, ...]:
+    """The lists under ``keys`` of ``data``, a JSON object; ``error`` naming ``what`` otherwise."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must hold a JSON object, not {type(data).__name__}")
+    for key in keys:
+        if not isinstance(data.get(key), list):
+            raise error(f"{what} needs a list under key {key!r}")
+    return tuple(data[key] for key in keys)
+
+
+def json_number(value, what: str, error: type[SolverError]) -> float:
+    """``value``, a JSON int or float, as a float; ``error`` naming ``what`` otherwise or if it overflows a float."""
+    # bool is an int subclass, and float() would read the string "2" as 2.0
+    if type(value) not in (int, float):
+        raise error(f"{what} must be a JSON number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None
+
+
 def graph_from_dict(data: dict) -> MetricGraph:
     """Build a graph from the JSON dict format.
 
@@ -190,12 +212,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
     names must be distinct, since a batch file lists parts by edge name;
     GraphError naming the name and both edges' indices otherwise.
     """
-    if not isinstance(data, dict):
-        raise GraphError(f"graph file must hold a JSON object, not {type(data).__name__}")
-    for key in ("edges", "boundary"):
-        if not isinstance(data.get(key), list):
-            raise GraphError(f"graph file needs a list under key {key!r}")
-    raw_edges, raw_boundary = data["edges"], data["boundary"]
+    raw_edges, raw_boundary = json_lists(data, ("edges", "boundary"), "graph file", GraphError)
     ids: dict[str, int] = {}
 
     def vid(name) -> int:
@@ -216,20 +233,13 @@ def graph_from_dict(data: dict) -> MetricGraph:
         if name in index_of:
             raise GraphError(f"edge name {name!r} is given to the edges at index {index_of[name]} and {k}")
         index_of[name] = k
-        length = item.get("length", 1.0)
-        # JSON numbers only: bool is an int subclass, and float() reads the string "2" as 2.0
-        if type(length) not in (int, float):
-            raise GraphError(f"edge {name}: length must be a JSON number, not {length!r}")
-        try:
-            length = float(length)
-        except OverflowError:
-            raise GraphError(f"edge {name}: length is too large for a float") from None
+        length = json_number(item.get("length", 1.0), f"edge {name}: length", GraphError)
         triples.append((tail, head, length))
         edge_names.append(name)
     try:
         boundary = {ids[str(name)] for name in raw_boundary}
     except KeyError as exc:
-        raise BoundaryVertexUnknown(f"boundary vertex {exc} not used by any edge") from exc
+        raise GraphError(f"boundary vertex {exc} not used by any edge") from exc
 
     vertex_names = [None] * len(ids)
     for name, i in ids.items():
@@ -239,11 +249,4 @@ def graph_from_dict(data: dict) -> MetricGraph:
 
 def load_graph(path) -> MetricGraph:
     """Read a graph from a JSON file; see graph_from_dict for the format."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise GraphError(f"{path}: not UTF-8 text: {exc}") from exc
-    return graph_from_dict(data)
+    return graph_from_dict(read_json(path, GraphError))

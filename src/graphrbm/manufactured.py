@@ -255,7 +255,10 @@ def build_solution(
 def demo_solution(graph: MetricGraph) -> ManufacturedSolution:
     """Solution with the stock leading coefficients of the 10-edge demo graph."""
     if graph.n_edges != len(DEMO_QUARTIC):
-        raise SolverError("demo coefficients need the 10-edge demonstration graph")
+        raise SolverError(
+            "the built-in manufactured problem needs the 10-edge demo graph; "
+            "use the library API to supply leading coefficients for other graphs"
+        )
     return build_solution(graph, DEMO_QUARTIC, DEMO_CUBIC)
 
 

@@ -95,6 +95,14 @@ def test_missing_graph_file_is_config_error(capsys):
     assert main(["solve", "--graph", "/nonexistent/graph.json"]) == 2
 
 
+def test_nodes_per_edge_past_int64_is_config_error(capsys):
+    # the dof count is checked in Python ints before NumPy could overflow on it
+    assert main(["solve", "--nodes-per-edge", "100000000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "do not fit the int32 indices" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_scheme_is_config_error():
     # a token that only starts with theta, or theta: without a weight, is no scheme
     for scheme in ("rk4", "thetafoo", "theta:"):
@@ -391,8 +399,19 @@ MALFORMED = {
     ),
     "batches-probs-not-a-list": ("batches", {**PATH_BATCHES, "probs": "abc"}, "a list under key 'probs'"),
     "batches-probs-not-numbers": (
-        "batches", {**PATH_BATCHES, "probs": ["a", "b"]}, "probs must be a list of numbers"
+        "batches", {**PATH_BATCHES, "probs": ["a", "b"]}, "probability 1 must be a JSON number, not 'a'"
     ),
+    # a JSON integer past the float range: float() raises OverflowError, which 1e400 (read as inf) never reaches
+    "batches-probability-too-large": (
+        "batches", {**PATH_BATCHES, "probs": [10**400, 0.5]}, "probability 1 is too large for a float"
+    ),
+    "graph-length-too-large": (
+        "graph", {**PATH_GRAPH, "edges": [{"tail": "a", "head": "b", "length": 10**400}, *PATH_GRAPH["edges"][1:]]},
+        "edge e1: length is too large for a float",
+    ),
+    # deeper than the parser's recursion limit
+    "graph-nested-too-deep": ("graph", b"[" * 100000, "nesting too deep to read"),
+    "batches-nested-too-deep": ("batches", b"[" * 100000, "nesting too deep to read"),
     "batches-probs-nan": (
         "batches", {**PATH_BATCHES, "probs": [float("nan"), 0.5]}, "strictly positive finite"
     ),

@@ -3,12 +3,7 @@ import pytest
 
 import graphrbm as g
 from graphrbm.decomposition import (
-    BadBatchIndex,
-    BadProbabilityVector,
     DecompositionError,
-    OverlappingParts,
-    UncoveredEdge,
-    ZeroNormalizer,
     batch_view,
     batches_from_dict,
     sample_interior_points,
@@ -48,13 +43,33 @@ def test_partition_valid(demo, partition):
 
 
 def test_partition_overlap_rejected(demo):
-    with pytest.raises(OverlappingParts):
+    with pytest.raises(DecompositionError, match="edge e2 appears in parts 1 and 2"):
         g.SubgraphPartition(demo, [{0, 1}, {1, 2}, {3, 4, 5, 6, 7, 8, 9}])
 
 
 def test_partition_uncovered_rejected(demo):
-    with pytest.raises(UncoveredEdge):
+    with pytest.raises(DecompositionError, match=r"edges not covered by any part: \['e10'\]"):
         g.SubgraphPartition(demo, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8}])
+
+
+def test_partition_takes_integer_edge_ids_only(demo):
+    # int() would truncate 9.7 to edge 9
+    with pytest.raises(DecompositionError, match="part 4 holds 9.7, not an integer id"):
+        g.SubgraphPartition(demo, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8, 9.7}])
+    parts = [np.arange(3), np.array([3, 4]), [np.int32(5), 6], range(7, 10)]
+    assert g.SubgraphPartition(demo, parts).parts == g.demo_partition(demo).parts
+
+
+def test_batch_family_takes_integer_part_ids_only():
+    with pytest.raises(DecompositionError, match="batch 2 holds 1.9, not an integer id"):
+        g.batch_family([{0}, {1.9}], [0.5, 0.5], 2)
+    assert g.batch_family([{np.int64(0)}, {1}], [0.5, 0.5], 2).batches == (frozenset({0}), frozenset({1}))
+
+
+def test_batch_view_takes_integer_part_ids_only(partition):
+    with pytest.raises(DecompositionError, match="batch 2 holds 1.5, not an integer id"):
+        batch_view(partition, [{0}, {1.5}], 1)
+    assert batch_view(partition, [{0}, {np.int64(1)}], 1).active_edges == partition.parts[1]
 
 
 def test_partition_empty_part_rejected(demo):
@@ -83,9 +98,9 @@ def test_batch_view_full_batch_recovers_graph(demo, partition, option2):
 
 
 def test_batch_view_bad_index(partition, option1):
-    with pytest.raises(BadBatchIndex):
+    with pytest.raises(DecompositionError, match=r"batch index 6 out of range \[0, 6\)"):
         batch_view(partition, option1.batches, 6)
-    with pytest.raises(BadBatchIndex):
+    with pytest.raises(DecompositionError, match=r"batch 1 references unknown parts \[9\]"):
         batch_view(partition, [(0, 9)], 0)
 
 
@@ -124,11 +139,11 @@ def test_normalizers_single_batch(single_batch):
 
 
 def test_probability_vector_rejected():
-    with pytest.raises(BadProbabilityVector):
+    with pytest.raises(DecompositionError, match="6 probabilities for 1 batches"):
         g.normalizers([{0}], [0.1666] * 6, 1)  # wrong length
-    with pytest.raises(BadProbabilityVector):
+    with pytest.raises(DecompositionError, match=r"probabilities sum to .*0\.9995999.*, not 1"):
         g.normalizers([{0}] * 6, [0.1666] * 6, 1)  # sums to 0.9996
-    with pytest.raises(BadProbabilityVector):
+    with pytest.raises(DecompositionError, match="probabilities must be strictly positive finite numbers"):
         g.normalizers([{0}, {0}], [1.5, -0.5], 1)
 
 
@@ -139,7 +154,7 @@ def test_probability_vector_renormalized():
 
 
 def test_zero_normalizer_rejected():
-    with pytest.raises(ZeroNormalizer):
+    with pytest.raises(DecompositionError, match=r"parts never selected by any batch: \[3\]"):
         g.normalizers([{0}, {1}], [0.5, 0.5], 3)  # part 3 never selected
 
 

@@ -20,7 +20,6 @@ from graphrbm.engine import (
     NumericalBlowup,
     RbmConfig,
     RbmRuntime,
-    ScheduleMismatch,
     sample_schedule,
 )
 from graphrbm.harness import InvalidSpec
@@ -154,18 +153,18 @@ def test_seed_determinism(demo, partition, option2, problem, coarse_mesh):
 
 
 def test_schedule_validation(demo, partition, option2, problem, coarse_mesh):
-    with pytest.raises(ScheduleMismatch):
+    with pytest.raises(InvalidSpec, match="window length h: 0.015 is not a positive integer multiple of 0.01"):
         g.run_rbm(
             demo, partition, option2, coarse_mesh, problem,
             RbmConfig(h=0.015, dt=0.01, t_final=0.3, scheme=g.IMPLICIT_EULER, seed=1),
         )
-    with pytest.raises(ScheduleMismatch):
+    with pytest.raises(InvalidSpec, match="t_final: 0.25 is not a positive integer multiple of 0.02"):
         g.run_rbm(
             demo, partition, option2, coarse_mesh, problem,
             RbmConfig(h=0.02, dt=0.01, t_final=0.25, scheme=g.IMPLICIT_EULER, seed=1),
         )
     short = sample_schedule(3, option2.probs, seed=1)
-    with pytest.raises(ScheduleMismatch):
+    with pytest.raises(InvalidSpec, match="schedule has 3 windows, expected 10"):
         g.run_rbm(
             demo, partition, option2, coarse_mesh, problem,
             RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=1),
@@ -182,7 +181,7 @@ def test_schedule_takes_only_a_1d_integer_array(demo, partition, option2, proble
 
     # a bool array would run as batches 1 and 0, since True == 1 as a key
     for omegas in (np.array([0.0, 1.0, 4.0]), np.array([True, False, True]), np.array([[0, 1, 4]])):
-        with pytest.raises(ScheduleMismatch, match=re.escape(f"dtype {omegas.dtype} and shape {omegas.shape}")):
+        with pytest.raises(InvalidSpec, match=re.escape(f"dtype {omegas.dtype} and shape {omegas.shape}")):
             run(omegas)
     assert run([0, 1, 4]).states.tobytes() == run(np.array([0, 1, 4])).states.tobytes()
 

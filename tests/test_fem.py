@@ -139,6 +139,15 @@ def test_element_pairs_are_int32(demo):
         fem.Elements(fem.DofMap(demo, g.Mesh(2**28)), fem.GAUSS3)
 
 
+def test_dof_count_is_checked_before_numpy_could_overflow(demo):
+    # a NumPy int64 count would wrap to a negative dof count and pass the int32 check
+    with pytest.raises(FemError, match="do not fit the int32 indices"):
+        fem.DofMap(demo, g.Mesh(np.int64(2**62)))
+    with pytest.raises(FemError, match="nodes_per_edge must be an integer, not 2.5"):
+        g.Mesh(2.5)
+    assert type(g.Mesh(np.int32(3)).nodes_per_edge) is int
+
+
 def test_edge_dofs_order():
     graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2})
     dm = fem.DofMap(graph, g.Mesh(3))
