@@ -12,7 +12,6 @@ from .decomposition import (
     check_assumption_A1,
     demo_partition,
     load_batches,
-    normalizers,
     verify_unbiased,
     zeta_weights,
 )

@@ -18,8 +18,13 @@ Vertex bookkeeping per batch j:
 The localization weights are zero at interface vertices; on the open
 part of each active edge they equal 1/pi of the edge's owning part.
 
+``batch_family`` checks a family and works out its normalizers in one
+pass: part ids, non-empty batches, the probabilities and their sum, and
+pi, with no part left at pi = 0.
+
 Bad input raises ``DecompositionError`` naming the part, batch or entry;
-edge and part ids must be Python or NumPy integers.
+edge and part ids, and the count and seed of ``sample_interior_points``,
+must be Python or NumPy integers.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, integer
 from .graph import MetricGraph, json_lists, json_number, read_json
 
 PROB_SUM_TOL = 1e-12
@@ -104,7 +109,6 @@ class BatchView:
     active_edges: frozenset[int]
     vertices: frozenset[int]
     interior: frozenset[int]
-    boundary: frozenset[int]
     interface: frozenset[int]
     exterior_boundary: frozenset[int]
 
@@ -140,7 +144,6 @@ def batch_view(
         active_edges=active,
         vertices=vertices,
         interior=interior,
-        boundary=boundary,
         interface=boundary & graph.interior_vertices,
         exterior_boundary=boundary & graph.boundary_vertices,
     )
@@ -181,35 +184,6 @@ def _a1_report(graph: MetricGraph, views: Sequence[BatchView]) -> A1Report:
     return A1Report(holds=not violations, witnesses=witnesses, violations=tuple(violations))
 
 
-def normalizers(
-    batches: Sequence[Iterable[int]], probs: Sequence[float], n_parts: int
-) -> np.ndarray:
-    """Per-part activation probabilities pi_i = sum of p_j over batches containing i.
-
-    The probability vector is renormalized when its sum is within
-    PROB_SUM_TOL of one and rejected otherwise.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if len(probs) != len(batches):
-        raise DecompositionError(f"{len(probs)} probabilities for {len(batches)} batches")
-    if not np.all((probs > 0.0) & np.isfinite(probs)):
-        raise DecompositionError("probabilities must be strictly positive finite numbers")
-    total = probs.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise DecompositionError(f"probabilities sum to {total!r}, not 1")
-    probs = probs / total
-    pi = np.zeros(n_parts)
-    for j, batch in enumerate(batches):
-        for i in batch:
-            if i < 0 or i >= n_parts:
-                raise DecompositionError(f"batch {j + 1} references unknown part {i + 1}")
-            pi[i] += probs[j]
-    dead = np.flatnonzero(pi == 0.0)
-    if dead.size:
-        raise DecompositionError(f"parts never selected by any batch: {(dead + 1).tolist()}")
-    return pi
-
-
 @dataclass(frozen=True)
 class BatchFamily:
     """Batches, their probabilities, and the derived per-part normalizers."""
@@ -230,13 +204,37 @@ class BatchFamily:
 def batch_family(
     batches: Sequence[Iterable[int]], probs: Sequence[float], n_parts: int
 ) -> BatchFamily:
-    batch_sets = tuple(frozenset(_ids(b, f"batch {j + 1}")) for j, b in enumerate(batches))
-    for j, b in enumerate(batch_sets):
-        if not b:
-            raise DecompositionError(f"batch {j + 1} is empty")
-    pi = normalizers(batch_sets, probs, n_parts)
+    """The family of ``batches`` drawn with ``probs``, checked and its normalizers worked out in one pass.
+
+    Each batch names at least one part in [0, n_parts); ``probs`` holds one
+    positive finite number per batch, summing to one within PROB_SUM_TOL,
+    and is renormalized; pi_i, the total probability of the batches that
+    hold part i, must be positive.
+    """
     probs = np.asarray(probs, dtype=float)
-    return BatchFamily(batches=batch_sets, probs=probs / probs.sum(), normalizers=pi)
+    if len(probs) != len(batches):
+        raise DecompositionError(f"{len(probs)} probabilities for {len(batches)} batches")
+    if not np.all((probs > 0.0) & np.isfinite(probs)):
+        raise DecompositionError("probabilities must be strictly positive finite numbers")
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise DecompositionError(f"probabilities sum to {total!r}, not 1")
+    probs = probs / total
+    batch_sets = []
+    pi = np.zeros(n_parts)
+    for j, batch in enumerate(batches):
+        parts = frozenset(_ids(batch, f"batch {j + 1}"))
+        if not parts:
+            raise DecompositionError(f"batch {j + 1} is empty")
+        bad = sorted(i for i in parts if i < 0 or i >= n_parts)
+        if bad:
+            raise DecompositionError(f"batch {j + 1} references unknown part {bad[0] + 1}")
+        pi[list(parts)] += probs[j]
+        batch_sets.append(parts)
+    dead = np.flatnonzero(pi == 0.0)
+    if dead.size:
+        raise DecompositionError(f"parts never selected by any batch: {(dead + 1).tolist()}")
+    return BatchFamily(batches=tuple(batch_sets), probs=probs, normalizers=pi)
 
 
 def edge_factors(partition: SubgraphPartition, family: BatchFamily) -> np.ndarray:
@@ -294,7 +292,9 @@ def verify_unbiased(
 def sample_interior_points(
     graph: MetricGraph, n: int, seed: int = 0
 ) -> list[tuple[int, float]]:
-    """Draw n >= 1 uniform points strictly inside random edges, reproducible from a seed in [0, 2**128)."""
+    """Draw n >= 1 uniform points strictly inside random edges, reproducible from an integer seed in [0, 2**128)."""
+    n = integer(n, "the sample point count", DecompositionError)
+    seed = integer(seed, "seed", DecompositionError)
     if n < 1:
         raise DecompositionError(f"need at least one sample point, got {n}")
     if not 0 <= seed < 2**128:

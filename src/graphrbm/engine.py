@@ -82,7 +82,7 @@ from .decomposition import (
     batch_view,
     edge_factors,
 )
-from .errors import NumericalError, SolverError
+from .errors import NumericalError, SolverError, integer
 from .fem import GAUSS3, CoefficientSet, Elements, Mesh, reduce_operators
 from .graph import MetricGraph
 from .manufactured import ElementMassNorms, L2ErrorEvaluator, ManufacturedSolution, checked_block
@@ -119,14 +119,16 @@ class NumericalBlowup(EngineError, NumericalError):
 SEED_BITS = 128
 
 
-def _check_snapshot_stride(stride: int) -> None:
+def _snapshot_stride(stride: int) -> int:
+    stride = integer(stride, "snapshot stride", InvalidSpec)
     if stride < 1:
         raise InvalidSpec(f"snapshot stride must be at least 1, got {stride}")
+    return stride
 
 
 @dataclass(frozen=True)
 class RbmConfig:
-    """Window length h, inner step dt, horizon, scheme and seed for one run."""
+    """Window length h, inner step dt, horizon, scheme and seed for one run; seed and stride are held as Python ints."""
 
     h: float
     dt: float
@@ -136,9 +138,11 @@ class RbmConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        _check_snapshot_stride(self.snapshot_stride)
-        if not 0 <= self.seed < 2**SEED_BITS:
-            raise InvalidSpec(f"seed must lie in [0, 2**{SEED_BITS}), got {self.seed}")
+        object.__setattr__(self, "snapshot_stride", _snapshot_stride(self.snapshot_stride))
+        seed = integer(self.seed, "seed", InvalidSpec)
+        if not 0 <= seed < 2**SEED_BITS:
+            raise InvalidSpec(f"seed must lie in [0, 2**{SEED_BITS}), got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -154,11 +158,12 @@ class SampledSchedule:
 
 
 def sample_schedule(n_windows: int, probs, seed: int) -> SampledSchedule:
-    """Draw the i.i.d. batch schedule with a counter-based generator."""
+    """Draw the i.i.d. batch schedule with a counter-based generator keyed by the integer ``seed``."""
+    seed = integer(seed, "seed", InvalidSpec)
     probs = np.asarray(probs, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=seed))
     omegas = rng.choice(len(probs), size=int(n_windows), p=probs / probs.sum())
-    return SampledSchedule(omegas=omegas.astype(int), seed=int(seed))
+    return SampledSchedule(omegas=omegas.astype(int), seed=seed)
 
 
 class RbmTrajectory:
@@ -300,8 +305,8 @@ class RbmRuntime:
 class _StepRecord:
     """Batch j's step in one run: everything its windows read, looked up once.
 
-    The batch's dof split and load (``fem.ReducedOperators``), its cached
-    step (``entry``) and factor ``nnz``, and ``matvec``: SciPy's
+    The batch's ``system`` (``fem.ReducedOperators``: its dof split and
+    load), its cached step (``entry``) and ``matvec``: SciPy's
     ``csr_matvec`` bound to W's CSR arrays and shape and to the run's own
     scratch ``z`` (W's width) and ``b`` (n_free).  ``matvec()`` adds W z
     into b, so after ``b.fill(0.0)`` b holds W z, bit for bit ``W @ z``,
@@ -311,21 +316,13 @@ class _StepRecord:
     miss slices its step from that same system.
     """
 
-    __slots__ = (
-        "free", "interface", "exterior", "exterior_t1", "n_free", "n_fixed",
-        "n_active", "load", "entry", "nnz", "z", "b", "matvec",
-    )
+    __slots__ = ("system", "entry", "z", "b", "matvec")
 
     def __init__(self, runtime, j: int, scheme: SchemeKind, dt: float):
         system = runtime.system(j)
         step = runtime.workspace.factorization((j, scheme, dt), lambda: runtime.step_matrices(system, scheme, dt))
         w = step.rhs
-        self.free, self.interface = system.free, system.interface
-        self.exterior, self.exterior_t1 = system.exterior, system.exterior_t1
-        self.n_free = len(self.free)
-        self.n_fixed = self.n_free + len(self.interface)
-        self.n_active, self.load = system.n_active, system.load
-        self.entry, self.nnz = step, factor_nnz(step)
+        self.system, self.entry = system, step
         self.z, self.b = np.empty(w.shape[1]), np.empty(w.shape[0])
         self.matvec = partial(csr_matvec, *w.shape, w.indptr, w.indices, w.data, self.z, self.b)
 
@@ -350,12 +347,14 @@ def _advance(step, u, first, last, every, store, drive, dt, theta):
     Returns, for a callable source, the sum over the steps of max |dt F|
     (0 otherwise).
     """
-    z, b, matvec, load, entry = step.z, step.b, step.matvec, step.load, step.entry
-    n_free, n_fixed = step.n_free, step.n_fixed
+    system, z, b, matvec, entry = step.system, step.z, step.b, step.matvec, step.entry
+    free, exterior, exterior_t1, load = system.free, system.exterior, system.exterior_t1, system.load
+    n_free = len(free)
+    n_fixed = n_free + len(system.interface)
     f_prev = load(first * dt) if load is not None and theta != 1.0 else None
     forced = 0.0
-    z[n_free:n_fixed] = u[step.interface]
-    x = u[step.free]
+    z[n_free:n_fixed] = u[system.interface]
+    x = u[free]
     for s in range(first + 1, last + 1):
         z[:n_free] = x
         z[n_fixed:] = drive[s - 1]
@@ -373,8 +372,8 @@ def _advance(step, u, first, last, every, store, drive, dt, theta):
         x = entry.solve(b)
         snapshot = s % every == 0
         if snapshot or s == last:
-            u[step.free] = x
-            u[step.exterior] = drive[s - 1, step.exterior_t1]
+            u[free] = x
+            u[exterior] = drive[s - 1, exterior_t1]
             if snapshot:
                 store(u)
     return forced
@@ -560,8 +559,8 @@ def _solve(runtime, omegas, n_sub, scheme, dt, every, schedule, config, sink=Non
         stored(u)
     stats = {
         "n_dofs": dofmap.n_dofs,
-        "max_active_dofs": max(step.n_active for step in steps.values()),
-        "max_factor_nnz": max(step.nnz for step in steps.values()),
+        "max_active_dofs": max(step.system.n_active for step in steps.values()),
+        "max_factor_nnz": max(factor_nnz(step.entry) for step in steps.values()),
     }
     _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, forced)
     return RbmTrajectory(dofmap, stored.times, stored.states, schedule, config, stats)
@@ -583,7 +582,7 @@ def run_full(
     rescaled, and no vertex is frozen.
     """
     n_steps = _count_steps(t_final, dt, "t_final", "dt")
-    _check_snapshot_stride(snapshot_stride)
+    snapshot_stride = _snapshot_stride(snapshot_stride)
     whole = SubgraphPartition(graph, [range(graph.n_edges)])
     runtime = RbmRuntime(graph, whole, batch_family([{0}], [1.0], 1), mesh, coeffs)
     config = {

@@ -47,7 +47,6 @@ one-batch family, whose factors are all 1.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -57,7 +56,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import coo_tocsr, csr_row_index, csr_sort_indices
 
 from .decomposition import BatchView
-from .errors import NumericalError, SolverError
+from .errors import NumericalError, SolverError, integer
 from .graph import MetricGraph
 from .timestep import SchemeKind, imex_theta
 
@@ -120,10 +119,7 @@ class Mesh:
     nodes_per_edge: int
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.nodes_per_edge)
-        except TypeError:
-            raise FemError(f"nodes_per_edge must be an integer, not {self.nodes_per_edge!r}") from None
+        n = integer(self.nodes_per_edge, "nodes_per_edge", FemError)
         if n < 1:
             raise FemError("nodes_per_edge must be at least 1")
         object.__setattr__(self, "nodes_per_edge", n)

@@ -40,7 +40,7 @@ from .engine import (  # run_full is unused here, but perfbench/spans.py patches
     run_rbm,
     stored_times,
 )
-from .errors import SolverError
+from .errors import SolverError, integer
 from .fem import Mesh
 from .graph import MetricGraph
 from .manufactured import L2ErrorEvaluator, ManufacturedSolution, derive_data
@@ -96,9 +96,14 @@ class ExperimentSpec:
     nodes_per_edge: int = 100
     snapshot_stride: int = 1
 
-    def validate(self) -> None:
+    def validate(self) -> dict[float, np.ndarray]:
+        """Check the spec before a study builds anything and return ``{h: stored times}``; InvalidSpec otherwise.
+
+        The seed and the realization count must be integers; they are kept as Python ints.
+        """
         if self.solution is None:
             raise InvalidSpec("spec needs a manufactured solution as the error reference")
+        self.realizations = integer(self.realizations, "realizations", InvalidSpec)
         if self.realizations < 1:
             raise InvalidSpec("need at least one realization")
         if not self.h_list:
@@ -110,16 +115,18 @@ class ExperimentSpec:
             repeated = [v for k, v in enumerate(values) if v in values[:k]]
             if repeated:
                 raise InvalidSpec(f"{name} {repeated[0]} is given more than once; each names its own CSV rows")
+        self.seed = integer(self.seed, "master seed", InvalidSpec)
         if not 0 <= self.seed < 2**MASTER_SEED_BITS:
             raise InvalidSpec(f"master seed must lie in [0, 2**{MASTER_SEED_BITS}), got {self.seed}")
-        # the stride and step counts run_rbm takes, so a study fails before it builds anything
-        for h in self.h_list:
-            stored_times(
-                RbmConfig(
-                    h=h, dt=self.dt, t_final=self.t_final, scheme=self.schemes[0], seed=0,
-                    snapshot_stride=self.snapshot_stride,
-                )
-            )
+        # stored_times checks the stride and step counts as run_rbm does
+        return {h: stored_times(self._config(self.schemes[0], h, 0)) for h in self.h_list}
+
+    def _config(self, scheme: SchemeKind, h: float, seed: int) -> RbmConfig:
+        """The config of one realization of (scheme, h) drawn with ``seed``."""
+        return RbmConfig(
+            h=h, dt=self.dt, t_final=self.t_final, scheme=scheme, seed=seed,
+            snapshot_stride=self.snapshot_stride,
+        )
 
 
 @dataclass
@@ -165,19 +172,11 @@ def realization_seed(master: int, r: int) -> int:
 
 def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """R randomized realizations per (scheme, h), one CSV record each, streamed into one ErrorAccumulator."""
-    spec.validate()
+    grids = spec.validate()
     coeffs = derive_data(spec.solution)
     mesh = Mesh(spec.nodes_per_edge)
     runtime = RbmRuntime(spec.graph, spec.partition, spec.family, mesh, coeffs)
     evaluator = L2ErrorEvaluator(runtime.elements.elements, spec.solution)
-
-    def config(scheme: SchemeKind, h: float, seed: int) -> RbmConfig:
-        return RbmConfig(
-            h=h, dt=spec.dt, t_final=spec.t_final, scheme=scheme, seed=seed,
-            snapshot_stride=spec.snapshot_stride,
-        )
-
-    grids = {h: stored_times(config(spec.schemes[0], h, 0)) for h in spec.h_list}
     acc = ErrorAccumulator(max(grids.values(), key=len), evaluator)
     records = []
     for scheme in spec.schemes:
@@ -186,7 +185,7 @@ def run_study(spec: ExperimentSpec) -> list[ExperimentRecord]:
             walls = []
             proxy = 0
             for r in range(spec.realizations):
-                run_config = config(scheme, h, realization_seed(spec.seed, r))
+                run_config = spec._config(scheme, h, realization_seed(spec.seed, r))
                 stored_s = acc.seconds
                 start = time.perf_counter()
                 traj = run_rbm(

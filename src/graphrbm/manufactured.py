@@ -238,18 +238,11 @@ class ManufacturedSolution:
         return float(np.abs(flux).max(initial=0.0))
 
 
-def build_solution(
-    graph: MetricGraph,
-    alpha,
-    beta,
-    a=None,
-    a_dx=None,
-) -> ManufacturedSolution:
-    a = a if a is not None else diffusion_coefficient
-    a_dx = a_dx if a_dx is not None else diffusion_coefficient_dx
-    lower = solve_lower_coefficients(graph, a, alpha, beta)
+def build_solution(graph: MetricGraph, alpha, beta) -> ManufacturedSolution:
+    """The solution of leading coefficients ``alpha``, ``beta`` per edge, with the stock diffusion coefficient."""
+    lower = solve_lower_coefficients(graph, diffusion_coefficient, alpha, beta)
     poly = np.column_stack([np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float), lower])
-    return ManufacturedSolution(graph, poly, a, a_dx)
+    return ManufacturedSolution(graph, poly, diffusion_coefficient, diffusion_coefficient_dx)
 
 
 def demo_solution(graph: MetricGraph) -> ManufacturedSolution:

@@ -71,6 +71,16 @@ def test_study_rejects_misaligned_h(tmp_path):
     assert not out.exists()
 
 
+def test_study_rejects_a_bad_h_list(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    code = main(
+        ["study", "--nodes-per-edge", "5", "--dt", "0.002", "--h", "0.004,x",
+         "--t-final", "0.2", "--realizations", "1", "--out", str(out)]
+    )
+    assert code == 2 and "bad --h list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_study_checks_out_before_any_realization(tmp_path, capsys, monkeypatch, where):
     calls = []
@@ -381,6 +391,9 @@ MALFORMED = {
     "graph-length-a-bool": (
         "graph", {**PATH_GRAPH, "edges": [*PATH_GRAPH["edges"][:2], {"tail": "c", "head": "d", "length": True}]},
         "edge e3: length must be a JSON number, not True",
+    ),
+    "graph-edge-without-tail": (
+        "graph", {**PATH_GRAPH, "edges": [{"head": "b"}, *PATH_GRAPH["edges"][1:]]}, "bad edge entry at index 0"
     ),
     "graph-edge-name-twice": (
         "graph", {**PATH_GRAPH, "edges": [{**edge, "name": "x"} if k != 1 else edge for k, edge in enumerate(PATH_GRAPH["edges"])]},

@@ -66,6 +66,14 @@ def test_batch_family_takes_integer_part_ids_only():
     assert g.batch_family([{np.int64(0)}, {1}], [0.5, 0.5], 2).batches == (frozenset({0}), frozenset({1}))
 
 
+def test_batch_family_rejects_an_empty_batch_and_an_unknown_part():
+    with pytest.raises(DecompositionError, match="batch 2 is empty"):
+        g.batch_family([{0}, set()], [0.5, 0.5], 1)
+    # part ids are 0-based in the library and printed 1-based, as in the batch file
+    with pytest.raises(DecompositionError, match="batch 1 references unknown part 3"):
+        g.batch_family([{0, 2}, {1}], [0.5, 0.5], 2)
+
+
 def test_batch_view_takes_integer_part_ids_only(partition):
     with pytest.raises(DecompositionError, match="batch 2 holds 1.5, not an integer id"):
         batch_view(partition, [{0}, {1.5}], 1)
@@ -75,6 +83,8 @@ def test_batch_view_takes_integer_part_ids_only(partition):
 def test_partition_empty_part_rejected(demo):
     with pytest.raises(DecompositionError):
         g.SubgraphPartition(demo, [set(), set(range(10))])
+    with pytest.raises(DecompositionError, match="partition needs at least one part"):
+        g.SubgraphPartition(demo, [])
 
 
 def test_batch_views_option1_table(demo, partition, option1):
@@ -82,18 +92,18 @@ def test_batch_views_option1_table(demo, partition, option1):
         view = batch_view(partition, option1.batches, j)
         assert view.vertices == V(demo, *verts), f"batch {j + 1} vertices"
         assert view.interior == V(demo, *interior), f"batch {j + 1} interior"
-        assert view.boundary == V(demo, *boundary), f"batch {j + 1} boundary"
+        assert view.interface | view.exterior_boundary == V(demo, *boundary), f"batch {j + 1} boundary"
         assert view.interface == V(demo, *interface), f"batch {j + 1} interface"
-        assert view.exterior_boundary == view.boundary & demo.boundary_vertices
+        assert view.exterior_boundary == V(demo, *boundary) & demo.boundary_vertices
         # the three classes partition the batch's vertex set
         assert view.interior | view.interface | view.exterior_boundary == view.vertices
-        assert not (view.interior & view.boundary)
+        assert not (view.interior & (view.interface | view.exterior_boundary))
 
 
 def test_batch_view_full_batch_recovers_graph(demo, partition, option2):
     view = batch_view(partition, option2.batches, 4)  # all four parts
     assert view.interior == demo.interior_vertices
-    assert view.boundary == demo.boundary_vertices
+    assert view.interface | view.exterior_boundary == demo.boundary_vertices
     assert view.interface == frozenset()
 
 
@@ -140,11 +150,11 @@ def test_normalizers_single_batch(single_batch):
 
 def test_probability_vector_rejected():
     with pytest.raises(DecompositionError, match="6 probabilities for 1 batches"):
-        g.normalizers([{0}], [0.1666] * 6, 1)  # wrong length
-    with pytest.raises(DecompositionError, match=r"probabilities sum to .*0\.9995999.*, not 1"):
-        g.normalizers([{0}] * 6, [0.1666] * 6, 1)  # sums to 0.9996
+        g.batch_family([{0}], [0.1666] * 6, 1)  # wrong length
+    with pytest.raises(DecompositionError, match=r"probabilities sum to 0\.9995999999999999, not 1"):
+        g.batch_family([{0}] * 6, [0.1666] * 6, 1)  # sums to 0.9996
     with pytest.raises(DecompositionError, match="probabilities must be strictly positive finite numbers"):
-        g.normalizers([{0}, {0}], [1.5, -0.5], 1)
+        g.batch_family([{0}, {0}], [1.5, -0.5], 1)
 
 
 def test_probability_vector_renormalized():
@@ -155,7 +165,7 @@ def test_probability_vector_renormalized():
 
 def test_zero_normalizer_rejected():
     with pytest.raises(DecompositionError, match=r"parts never selected by any batch: \[3\]"):
-        g.normalizers([{0}, {1}], [0.5, 0.5], 3)  # part 3 never selected
+        g.batch_family([{0}, {1}], [0.5, 0.5], 3)  # part 3 never selected
 
 
 def test_zeta_option1_batch5(demo, partition, option1):
@@ -181,6 +191,8 @@ def test_zeta_edge_support(partition, option1):
     w = g.zeta_weights(partition, option1, 0)
     assert set(np.flatnonzero(w)) == {0, 1, 2}
     assert np.all(w[3:] == 0.0)
+    with pytest.raises(DecompositionError, match=r"batch index 9 out of range \[0, 6\)"):
+        g.zeta_weights(partition, option1, 9)
 
 
 def test_family_of_another_part_count_is_a_decomposition_error(demo, solution, problem):
@@ -231,3 +243,23 @@ def test_batches_from_dict_unknown_edge(demo):
     data = {"parts": [["nope"]], "batches": [[1]], "probs": [1.0]}
     with pytest.raises(DecompositionError):
         batches_from_dict(data, demo)
+
+
+def test_batches_from_dict_names_edges_by_index_on_an_unnamed_graph():
+    path = g.build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], {0, 3})
+    assert path.edge_names is None
+    data = {"parts": [["0", "1"], ["2"]], "batches": [[1], [2], [1, 2]], "probs": [0.25, 0.25, 0.5]}
+    partition, family = batches_from_dict(data, path)
+    assert partition.parts == (frozenset({0, 1}), frozenset({2}))
+    assert family.normalizers.tolist() == [0.75, 0.75]
+    with pytest.raises(DecompositionError, match="part 1 references unknown edge 'e1'"):
+        batches_from_dict({**data, "parts": [["e1", "1"], ["2"]]}, path)
+
+
+def test_sample_point_count_and_seed_must_be_integers(demo):
+    # int() would truncate: a seed of 1.7 drew seed 1's points, a count of 2.5 two points
+    with pytest.raises(DecompositionError, match="seed must be an integer, not 1.7"):
+        sample_interior_points(demo, 2, seed=1.7)
+    with pytest.raises(DecompositionError, match="the sample point count must be an integer, not 2.5"):
+        sample_interior_points(demo, 2.5)
+    assert sample_interior_points(demo, np.int64(2), seed=np.uint8(1)) == sample_interior_points(demo, 2, seed=1)

@@ -170,6 +170,21 @@ def test_schedule_validation(demo, partition, option2, problem, coarse_mesh):
             RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=1),
             schedule=short,
         )
+    for first in (-1, option2.n_batches):
+        schedule = g.SampledSchedule(omegas=np.array([first] + [0] * 9), seed=1)
+        with pytest.raises(InvalidSpec, match="schedule contains batch indices out of range"):
+            g.run_rbm(
+                demo, partition, option2, coarse_mesh, problem,
+                RbmConfig(h=0.02, dt=0.01, t_final=0.2, scheme=g.IMPLICIT_EULER, seed=1),
+                schedule=schedule,
+            )
+
+
+def test_schedule_seed_must_be_an_integer(option2):
+    # int() would truncate 1.9, so the schedule was seed 1's
+    with pytest.raises(InvalidSpec, match="seed must be an integer, not 1.9"):
+        sample_schedule(10, option2.probs, 1.9)
+    assert np.array_equal(sample_schedule(10, option2.probs, np.int64(1)).omegas, sample_schedule(10, option2.probs, 1).omegas)
 
 
 def test_schedule_takes_only_a_1d_integer_array(demo, partition, option2, problem, coarse_mesh):
@@ -219,6 +234,9 @@ def test_estimate_errors_grid_mismatch(demo, partition, option2, problem, coarse
     t2 = g.run_rbm(demo, partition, option2, coarse_mesh, problem, c2)
     with pytest.raises(GridMismatch):
         g.estimate_errors([t1, t2], baseline=t1)
+    coarse = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.04, t_final=0.2)
+    with pytest.raises(GridMismatch, match="baseline grid does not cover the stored times"):
+        g.estimate_errors([t1], baseline=coarse)
     with pytest.raises(g.SolverError):
         g.estimate_errors([], baseline=t1)
     with pytest.raises(g.SolverError):
@@ -322,7 +340,8 @@ def test_snapshot_stride(demo, partition, option2, problem, coarse_mesh):
     assert np.allclose(full.times, [0.0, 0.04, 0.08, 0.1])
 
 
-@pytest.mark.parametrize("stride", [0, -1])
+# a float stride would list stored times that no step reaches, with no state stored at them
+@pytest.mark.parametrize("stride", [0, -1, 2.5])
 def test_snapshot_stride_below_one_rejected(demo, problem, coarse_mesh, stride):
     with pytest.raises(InvalidSpec, match="snapshot stride"):
         RbmConfig(h=0.01, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=6, snapshot_stride=stride)
@@ -334,6 +353,15 @@ def test_snapshot_stride_below_one_rejected(demo, problem, coarse_mesh, stride):
 def test_seed_outside_philox_key_rejected(seed):
     with pytest.raises(InvalidSpec, match="seed"):
         RbmConfig(h=0.01, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.9, 1.0, "3", None])
+def test_config_seed_must_be_an_integer(seed):
+    # int() would truncate 1.9, so the run drew seed 1's schedule while its config read 1.9
+    with pytest.raises(InvalidSpec, match=re.escape(f"seed must be an integer, not {seed!r}")):
+        RbmConfig(h=0.01, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=seed)
+    config = RbmConfig(h=0.01, dt=0.01, t_final=0.1, scheme=g.IMPLICIT_EULER, seed=np.uint64(3))
+    assert type(config.seed) is int and config.seed == 3
 
 
 def test_largest_seed_draws_a_schedule(option2):
@@ -713,7 +741,15 @@ def invalid_data(problem, n_vertices):
     def nan_factor(t):
         return np.nan if abs(t - nan_at) < 1e-12 else time(t)
 
+    def raising_g(error):
+        def raising(t):
+            raise error("no boundary data")
+
+        return raising
+
     return [
+        (dataclasses.replace(problem, g=raising_g(TypeError)), "g at t=0 is not numeric: no boundary data"),
+        (dataclasses.replace(problem, g=raising_g(ValueError)), "g at t=0 is not numeric: no boundary data"),
         (dataclasses.replace(problem, g=lambda t: good_g(t)[:-1]),
          f"g at t=0 has shape \\({n_vertices - 1},\\), expected \\({n_vertices},\\)"),
         (dataclasses.replace(problem, g=nan_g), "g at t=0.03 is not finite"),
@@ -722,7 +758,7 @@ def invalid_data(problem, n_vertices):
     ]
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(5))
 def test_invalid_tabulated_data_rejected(demo, partition, option2, problem, coarse_mesh, case):
     coeffs, message = invalid_data(problem, demo.n_vertices)[case]
     with pytest.raises(InvalidSpec, match=message):
@@ -958,6 +994,18 @@ def test_accumulator_matches_times_within_the_relative_tolerance(demo, problem, 
         stored.summary()
     with pytest.raises(EngineError, match="no realizations accumulated"):
         ErrorAccumulator(traj.times, evaluator).summary()
+
+
+def test_accumulator_restarted_on_a_longer_grid_sums_as_a_fresh_one(demo, problem, solution, coarse_mesh):
+    short = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.05, t_final=0.1)
+    long = g.run_full(demo, coarse_mesh, problem, g.IMPLICIT_EULER, dt=0.05, t_final=0.2)
+    evaluator = L2ErrorEvaluator(fem.Elements(long.dofmap, fem.GAUSS3), solution)
+    restarted, fresh = ErrorAccumulator(short.times, evaluator), ErrorAccumulator(long.times, evaluator)
+    restarted.add(short)
+    restarted.restart(long.times)  # a grid longer than the state sum it holds
+    restarted.add(long)
+    fresh.add(long)
+    assert restarted.summary() == fresh.summary()
 
 
 def test_baseline_reference_takes_exact_grid_rows(demo, problem, coarse_mesh):

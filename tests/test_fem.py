@@ -148,6 +148,11 @@ def test_dof_count_is_checked_before_numpy_could_overflow(demo):
     assert type(g.Mesh(np.int32(3)).nodes_per_edge) is int
 
 
+def test_mesh_needs_a_node_per_edge():
+    with pytest.raises(FemError, match="nodes_per_edge must be at least 1"):
+        g.Mesh(0)
+
+
 def test_edge_dofs_order():
     graph = g.build_graph([(0, 1, 1.0), (1, 2, 1.0)], {0, 2})
     dm = fem.DofMap(graph, g.Mesh(3))

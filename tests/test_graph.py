@@ -100,6 +100,20 @@ def test_unknown_boundary_rejected():
         g.build_graph([(0, 1, 1.0)], {5})
 
 
+def test_negative_vertex_id_rejected():
+    with pytest.raises(GraphError, match="edge 1 references a negative vertex id"):
+        g.MetricGraph([g.Edge(0, 1), g.Edge(-1, 1)], {0})
+
+
+@pytest.mark.parametrize("names, message", [
+    (dict(vertex_names=["a", "b"]), "vertex_names length does not match vertex count"),
+    (dict(edge_names=["x"]), "edge_names length does not match edge count"),
+])
+def test_names_of_the_wrong_length_rejected(names, message):
+    with pytest.raises(GraphError, match=message):
+        g.MetricGraph([g.Edge(0, 1), g.Edge(1, 2)], {0, 2}, **names)
+
+
 def test_nonpositive_length_rejected():
     with pytest.raises(GraphError):
         g.build_graph([(0, 1, 0.0)], {0, 1})

@@ -197,6 +197,21 @@ def test_run_study_rejects_bad_h(demo, partition, option2, solution):
         run_study(tiny_spec(demo, partition, option2, solution, realizations=0))
     with pytest.raises(InvalidSpec):
         run_study(tiny_spec(demo, partition, option2, solution, schemes=[]))
+    with pytest.raises(InvalidSpec, match="need at least one window length h"):
+        run_study(tiny_spec(demo, partition, option2, solution, h_list=[]))
+
+
+@pytest.mark.parametrize("field", ["seed", "realizations"])
+def test_study_seed_and_realization_count_must_be_integers(demo, partition, option2, solution, field):
+    name = "master seed" if field == "seed" else field
+    with pytest.raises(InvalidSpec, match=f"{name} must be an integer, not 1.5"):
+        run_study(tiny_spec(demo, partition, option2, solution, **{field: 1.5}))
+    # a NumPy seed shifted into the high half of a key wrapped to 0, so every master seed drew seed 0's schedules
+    numpy_ints, python_ints = (
+        [(r.realizations, r.error1, r.error2, r.variance, r.seed) for r in run_study(spec)]
+        for spec in (tiny_spec(demo, partition, option2, solution, **{field: value}) for value in (np.int64(2), 2))
+    )
+    assert numpy_ints == python_ints
 
 
 def test_spec_without_solution_rejected_by_validate(demo, partition, option2):
