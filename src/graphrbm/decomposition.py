@@ -130,7 +130,7 @@ def batch_view(
     parts = sorted(_ids(batches[j], f"batch {j + 1}"))
     bad = [i for i in parts if i < 0 or i >= partition.n_parts]
     if bad:
-        raise DecompositionError(f"batch {j + 1} references unknown parts {bad}")
+        raise DecompositionError(f"batch {j + 1} references unknown part {bad[0] + 1}")
     active = frozenset(e for i in parts for e in partition.parts[i])
     vertices = frozenset(v for i in parts for v in partition.part_vertices[i])
     interior = frozenset(

@@ -13,13 +13,16 @@ window covers all of [0, T].  Both entry points share one runtime type
 and one loop.
 
 Each edge is integrated once per runtime (``fem.assemble``, whose element
-table carries the runtime's one ``DofMap``), and its K and C + P count
-with 1/pi of its part in every batch that holds it, so the runtime keeps
-that factor per element, sums one step pair L, R of the whole graph per
-(scheme, dt) (``fem.step_pair``) and each source term's vector V once.  A
-batch is one system, ``fem.ReducedOperators``: the active edges its
-``BatchView`` lists, its dof split, and its step matrices lhs_ff and W,
-gathered from the free rows of the pair and of each V.
+table carries the runtime's one ``DofMap``), and its K, C + P and source
+count with 1/pi of its part in every batch that holds it, so the runtime
+hands ``assemble`` that factor per edge, which applies it once: the
+element data hold the rescaled problem, with each separable source term's
+vector V over all dofs, and no step, slice, load or growth bound takes a
+factor.  The runtime sums one step pair L, R of the whole graph per
+(scheme, dt) (``fem.step_pair``).  A batch is one system,
+``fem.ReducedOperators``: the active edges its ``BatchView`` lists, its
+dof split, and its step matrices lhs_ff and W, gathered from the free
+rows of the pair and of each V.
 Nothing is integrated inside the time loop except a source that is not
 separable, which the system's ``load`` integrates per call.  Systems are
 cached per batch and steps per (batch, scheme, dt); a cached step is the
@@ -158,11 +161,14 @@ class SampledSchedule:
 
 
 def sample_schedule(n_windows: int, probs, seed: int) -> SampledSchedule:
-    """Draw the i.i.d. batch schedule with a counter-based generator keyed by the integer ``seed``."""
+    """Draw ``n_windows`` i.i.d. batches with a counter-based generator keyed by the integer ``seed``."""
+    n_windows = integer(n_windows, "the window count", InvalidSpec)
+    if n_windows < 0:
+        raise InvalidSpec(f"the window count must not be negative, got {n_windows}")
     seed = integer(seed, "seed", InvalidSpec)
     probs = np.asarray(probs, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    omegas = rng.choice(len(probs), size=int(n_windows), p=probs / probs.sum())
+    omegas = rng.choice(len(probs), size=n_windows, p=probs / probs.sum())
     return SampledSchedule(omegas=omegas.astype(int), seed=seed)
 
 
@@ -213,17 +219,17 @@ class RbmRuntime:
     """Shared immutable machinery for repeated runs of one problem.
 
     Holds the dof map, the element data of every edge (integrated once,
-    in ``__init__``), each separable source term's vector over all dofs,
-    the convection vertex sums, each batch's ``BatchView`` (built once, in
-    ``__init__``, where the A1 report is read off them), the per-batch
-    reduced systems, the step pairs per (scheme, dt) until every batch has
-    sliced its step, the cached steps (factor and W) and the read-only
-    drive tables per (theta, dt, n_steps), each with the largest |g| it
-    holds.  All of
-    it depends only on (graph, partition, family, mesh, coeffs), so
-    independent realizations and different window lengths can share one
-    runtime; reuse changes nothing but the setup cost.  ``run_full`` builds
-    one over the one-part partition and its one-batch family.
+    in ``__init__``, with each edge's 1/pi applied there), which hold each
+    separable source term's vector over all dofs, the convection vertex
+    sums, each batch's ``BatchView`` (built once, in ``__init__``, where
+    the A1 report is read off them), the per-batch reduced systems, the
+    step pairs per (scheme, dt) until every batch has sliced its step, the
+    cached steps (factor and W) and the read-only drive tables per (theta,
+    dt, n_steps), each with the largest |g| it holds.  All of it depends
+    only on (graph, partition, family, mesh, coeffs), so independent
+    realizations and different window lengths can share one runtime; reuse
+    changes nothing but the setup cost.  ``run_full`` builds one over the
+    one-part partition and its one-batch family.
     """
 
     def __init__(
@@ -243,11 +249,8 @@ class RbmRuntime:
         self.workspace = StepWorkspace()
         self._views = [batch_view(partition, family.batches, j) for j in range(family.n_batches)]
         self.a1_report = _a1_report(graph, self._views)
-        self.elements = fem.assemble(graph, mesh, coeffs)
+        self.elements = fem.assemble(graph, mesh, coeffs, edge_factor)
         self.dofmap = self.elements.elements.dofmap
-        # each element's K and C + P count with 1/pi of its edge's part
-        self.factor = np.repeat(edge_factor, self.elements.elements.per_edge)
-        self.term_vectors = tuple(self.elements.elements.scatter(v, self.factor) for v in self.elements.term_loads)
         self.convection_sums = fem.convection_vertex_sums(graph, coeffs.b)
         self._systems: dict[int, fem.ReducedOperators] = {}
         # per (scheme, dt): [the graph's step pair, the batches yet to slice it]
@@ -278,8 +281,8 @@ class RbmRuntime:
         key = (scheme, dt)
         entry = self._pairs.get(key)
         if entry is None:
-            entry = self._pairs[key] = [fem.step_pair(self.elements, self.factor, scheme, dt), self.family.n_batches]
-        matrices = system.step_matrices(entry[0], self.term_vectors)
+            entry = self._pairs[key] = [fem.step_pair(self.elements, scheme, dt), self.family.n_batches]
+        matrices = system.step_matrices(entry[0], self.elements.term_vectors)
         entry[1] -= 1
         if not entry[1]:
             del self._pairs[key]  # no step reads it again
@@ -289,12 +292,12 @@ class RbmRuntime:
         """Batch j's system (``fem.ReducedOperators``), built on first use."""
         system = self._systems.get(j)
         if system is None:
-            system = self._systems[j] = reduce_operators(self.elements, self._views[j], self.factor)
+            system = self._systems[j] = reduce_operators(self.elements, self._views[j])
         return system
 
     @cached_property
     def _edge_rates(self) -> np.ndarray:
-        return fem.growth_rates(self.elements, self.factor).reshape(self.graph.n_edges, -1).max(axis=1)
+        return fem.growth_rates(self.elements).reshape(self.graph.n_edges, -1).max(axis=1)
 
     def growth_rate(self, j: int) -> float:
         """Batch j's growth bound: the largest ``fem.growth_rates`` over its active elements, or 0."""
@@ -490,7 +493,7 @@ def _check_growth(runtime, stored, boundary, drive, omegas, n_sub, theta, dt, fo
     log_growth = 0.0
     for j, count in zip(used.tolist(), windows):
         free = runtime.system(j).free
-        peaks = [np.abs(v[free]).max(initial=0.0) for v in runtime.term_vectors]
+        peaks = [np.abs(v[free]).max(initial=0.0) for v in runtime.elements.term_vectors]
         term_peaks = np.maximum(term_peaks, peaks)
         x = dt * runtime.growth_rate(j)
         if theta * x >= 1.0:

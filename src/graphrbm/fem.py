@@ -27,22 +27,26 @@ samples it on a whole table of coordinates, one row per edge: in one call
 when the function has a table form ``on_edges(edges, x)``, else in one
 call ``fn(e, x[i])`` per edge.  Each edge is integrated once per runtime:
 its one ``assemble`` call samples the coefficients and every separable
-source term once per table and keeps, per mesh element, the 2x2 blocks of
-M, K and C + P and the local load of each term.  An edge's K and C + P
-count with 1/pi of its owning part in every batch that holds it, so one
-``step_pair`` per (scheme, dt) sums the step's blocks over the whole graph.
-Each batch's system, ``ReducedOperators`` (``reduce_operators``), keeps the
-active edges its ``BatchView`` lists and the dof split read off them, and
-gathers its step matrices from the pair's free rows (``step_matrices``)
-with SciPy's compiled row gather ``csr_row_index``: lhs_ff into CSC, the
-format SuperLU factors, and W into CSR, laid out by SciPy's compiled
-COO->CSR kernels without its container round trip.  Apart from one map
-over the graph's dofs, a batch's set-up works on arrays the size of its
-own rows.  A separable load is one bincount per term over
-the whole graph, built once, whose free entries W gathers with the pair's;
-any other source is integrated per call by the system's ``LoadEvaluator``.
-The mass is never scaled.  The whole graph is the batch of the one-part,
-one-batch family, whose factors are all 1.
+source term once per table, checks each table for finiteness, and keeps,
+per mesh element, the 2x2 blocks of M, K and C + P, and each term's load
+vector over all dofs.  An edge's K, C + P and source count with 1/pi of
+its owning part in every batch that holds it, so ``assemble`` takes that
+factor per edge and applies it once, to K, C + P and each term's element
+loads as it builds them, and keeps it for a callable source; nothing
+downstream takes a factor.  The mass is never scaled, and without a
+factor every edge counts at 1, as in the whole graph, the batch of the
+one-part, one-batch family.  One ``step_pair`` per (scheme, dt) sums the
+step's blocks over the whole graph.  Each batch's system,
+``ReducedOperators`` (``reduce_operators``), keeps the active edges its
+``BatchView`` lists and the dof split read off them, and gathers its step
+matrices from the pair's free rows (``step_matrices``) with SciPy's
+compiled row gather ``csr_row_index``: lhs_ff into CSC, the format SuperLU
+factors, and W into CSR, laid out by SciPy's compiled COO->CSR kernels
+without its container round trip.  Apart from one map over the graph's
+dofs, a batch's set-up works on arrays the size of its own rows.  A
+separable load is one bincount per term over the whole graph, built once,
+whose free entries W gathers with the pair's; any other source is
+integrated per call by the system's ``LoadEvaluator``.
 """
 
 from __future__ import annotations
@@ -295,20 +299,23 @@ class Elements:
         """The (n, 2) local loads of the elements ``ids`` (default all) for values at their Gauss points."""
         return (values * self.wq[ids]) @ self.shape
 
-    def scatter(self, local: np.ndarray, factor: np.ndarray, ids=slice(None), free=slice(None)) -> np.ndarray:
-        """The (n, 2) loads of the elements ``ids`` (default all), times their factors, summed onto the dofs ``free``.
+    def scatter(self, local: np.ndarray, ids=slice(None), free=slice(None)) -> np.ndarray:
+        """The (n, 2) loads of the elements ``ids`` (default all) summed onto the dofs ``free``.
 
         One bincount over every left-node term, then every right-node term:
         one fixed summation order per dof.
         """
-        scaled = local * factor[:, None]
-        return np.bincount(self.pair[ids].T.ravel(), scaled.T.ravel(), minlength=self.n_dofs)[free]
+        return np.bincount(self.pair[ids].T.ravel(), local.T.ravel(), minlength=self.n_dofs)[free]
 
-    def matrix(self, blocks: np.ndarray) -> sp.csr_matrix:
-        """The (n_el, 2, 2) element ``blocks`` summed over all dofs by one COO->CSR, in one sorted pattern."""
+    def matrices(self, *blocks: np.ndarray) -> tuple[sp.csr_matrix, ...]:
+        """Each stack of (n_el, 2, 2) element ``blocks`` summed over all dofs by one COO->CSR, in one sorted pattern.
+
+        The COO rows and columns are built once and serve every stack.
+        """
         rows = np.repeat(self.pair, 2, axis=1).ravel()  # block entry (k, r, c) sits in row pair[k, r]
         cols = np.tile(self.pair, 2).ravel()  # and column pair[k, c]
-        return sp.csr_matrix((blocks.reshape(-1), (rows, cols)), shape=(self.n_dofs, self.n_dofs))
+        shape = (self.n_dofs, self.n_dofs)
+        return tuple(sp.csr_matrix((stack.reshape(-1), (rows, cols)), shape=shape) for stack in blocks)
 
     def edge_sums(self, values: np.ndarray) -> np.ndarray:
         """The integral of a function sampled at every Gauss point, per edge."""
@@ -317,25 +324,28 @@ class Elements:
 
 @dataclass(frozen=True)
 class ElementData:
-    """Every element's operator blocks and source loads, from one pass over the edges.
+    """Every element's operator blocks and every edge's source loads, from one pass over the edges.
 
     ``stiffness`` and ``lower`` (C + P) are (n_el, 2, 2) blocks over the
-    elements of ``elements`` (whose ``mass`` holds M's).  A SeparableSource
-    leaves one (n_el, 2) local load per term in ``term_loads``, with its
-    time factor in ``time_fns``; any other source stays in ``source`` and
-    is integrated per call on the cached Gauss points.
+    elements of ``elements`` (whose ``mass`` holds M's), each already times
+    its edge's ``edge_factor``.  A SeparableSource leaves one load vector
+    over all dofs per term in ``term_vectors``, its element loads times
+    their edge's factor, with its time factor in ``time_fns``; any other
+    source stays in ``source`` and is integrated per call on the cached
+    Gauss points, times ``edge_factor`` (``LoadEvaluator``).
     """
 
     elements: Elements
     stiffness: np.ndarray
     lower: np.ndarray
-    term_loads: tuple[np.ndarray, ...]
+    edge_factor: np.ndarray
+    term_vectors: tuple[np.ndarray, ...]
     time_fns: tuple[Callable[[float], float], ...]
     source: object | None
 
 
-def assemble(graph: MetricGraph, mesh: Mesh, coeffs: CoefficientSet) -> ElementData:
-    """Integrate every edge once: the blocks of K and C + P and the loads of a separable source.
+def assemble(graph: MetricGraph, mesh: Mesh, coeffs: CoefficientSet, edge_factor=None) -> ElementData:
+    """Integrate every edge once: the blocks of K and C + P and the load vectors of a separable source.
 
     Builds the dof map of (graph, mesh) and its ``GAUSS3`` element table,
     and samples each edge function once, on the table of every Gauss point
@@ -343,32 +353,43 @@ def assemble(graph: MetricGraph, mesh: Mesh, coeffs: CoefficientSet) -> ElementD
     edge otherwise.  A space term with ``from_samples(sample)``, such as
     ``manufactured.SpatialOperator``, is combined from its parts' samples,
     so a part that is also a, b, p or another term is not sampled again.
-    Raises FemError when a value has the wrong shape and
-    NonellipticCoefficient when the diffusion coefficient is not strictly
-    positive at some quadrature point.
+    Each edge's K, C + P and element loads are multiplied by its entry of
+    ``edge_factor`` (1/pi of its part in a randomized run; 1 on every edge
+    when it is omitted).  Raises FemError when a value has the wrong shape
+    or a sampled table is not finite, naming the function and the edge,
+    and NonellipticCoefficient when the diffusion coefficient is not
+    strictly positive at some quadrature point.
     """
     elements = Elements(DofMap(graph, mesh), GAUSS3)
+    if edge_factor is None:
+        edge_factor = np.ones(graph.n_edges)
+    edge_factor = _values(edge_factor, (graph.n_edges,), "the edge factor")
+    factor = np.repeat(edge_factor, elements.per_edge)
     # one table per function, keyed by id with the function held so that no id is
     # reused; sample does not call itself, so no reference cycle outlives the return
     samples: dict = {}
 
-    def sample(fn) -> np.ndarray:
+    def sample(fn, what: str) -> np.ndarray:
         if id(fn) not in samples:
-            samples[id(fn)] = fn, elements.sample(fn)
+            values = elements.sample(fn)
+            if not np.isfinite(values).all():  # the per-element scan only finds the edge to name
+                e = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0]) // elements.per_edge
+                raise FemError(f"{what} is not finite on edge {graph.edge_name(e)}")
+            samples[id(fn)] = fn, values
         return samples[id(fn)][1]
 
-    def term(space) -> np.ndarray:
+    def term(space, what: str) -> np.ndarray:
         combine = getattr(space, "from_samples", None)
-        return sample(space) if combine is None else combine(sample)
+        return sample(space, what) if combine is None else combine(lambda fn: sample(fn, f"a part of {what}"))
 
-    aq = sample(coeffs.a)
+    aq = sample(coeffs.a, "the diffusion coefficient a")
     if not (aq > 0.0).all():  # the per-element scan only finds the edge to name
         e = int(np.flatnonzero(~(aq > 0.0).all(axis=1))[0]) // elements.per_edge
         raise NonellipticCoefficient(
             f"diffusion coefficient not positive on edge {graph.edge_name(e)}"
         )
-    bq = sample(coeffs.b)
-    pq = sample(coeffs.p)
+    bq = sample(coeffs.b, "the convection coefficient b")
+    pq = sample(coeffs.p, "the reaction coefficient p")
     wq = elements.wq
     inv_dx = np.repeat(1.0 / elements.dx, elements.per_edge)
     # the three Gauss points of each element added as .sum(axis=1) adds them: (q0 + q1) + q2
@@ -379,13 +400,19 @@ def assemble(graph: MetricGraph, mesh: Mesh, coeffs: CoefficientSet) -> ElementD
     grad = inv_dx[:, None] * _GRAD_SIGN  # (n_el, 2) shape-function gradients
     convection = elements.loads(bq)[:, :, None] * grad[:, None, :]
     convection += ((pq * wq) @ elements.shape_shape).reshape(-1, 2, 2)  # C + P
+    stiffness *= factor[:, None, None]
+    convection *= factor[:, None, None]
     separable = isinstance(coeffs.f, SeparableSource)
     terms = coeffs.f.terms if separable else ()
     return ElementData(
         elements=elements,
         stiffness=stiffness,
         lower=convection,
-        term_loads=tuple(elements.loads(term(space)) for space, _ in terms),
+        edge_factor=edge_factor,
+        term_vectors=tuple(
+            elements.scatter(elements.loads(term(space, f"space term {k} of the source")) * factor[:, None])
+            for k, (space, _) in enumerate(terms)
+        ),
         time_fns=tuple(time for _, time in terms),
         source=None if separable else coeffs.f,
     )
@@ -395,24 +422,24 @@ class LoadEvaluator:
     """The load vector F(t) of a source that is not separable, on the sorted ``edges`` at the dofs ``free``.
 
     Each call integrates the source on the cached Gauss points of the
-    elements of ``edges``, each scaled by its entry of the per-element
-    ``factor``, and sums the element loads with one bincount; the result
+    elements of ``edges``, each element load times its edge's entry of
+    ``data.edge_factor``, and sums them with one bincount; the result
     holds the entries of the dof ids ``free``, in order.
     """
 
-    def __init__(self, data: ElementData, factor: np.ndarray, edges: np.ndarray, free: np.ndarray):
+    def __init__(self, data: ElementData, edges: np.ndarray, free: np.ndarray):
         elements = data.elements
         self._free = free
         self._elements = elements
         self._source = data.source
         self._edges = edges
         self._ids = (edges[:, None] * elements.per_edge + np.arange(elements.per_edge)).ravel()
-        self._factor = factor[self._ids]
+        self._factor = np.repeat(data.edge_factor[edges], elements.per_edge)[:, None]
 
     def __call__(self, t: float) -> np.ndarray:
         f, elements, ids = self._source, self._elements, self._ids
         values = elements.sample(lambda e, x: f(e, x, t), self._edges)
-        return elements.scatter(elements.loads(values, ids), self._factor, ids, self._free)
+        return elements.scatter(elements.loads(values, ids) * self._factor, ids, self._free)
 
 
 def interpolate(dofmap: DofMap, fn: EdgeFunction | None) -> np.ndarray:
@@ -438,14 +465,13 @@ def interpolate(dofmap: DofMap, fn: EdgeFunction | None) -> np.ndarray:
     return u
 
 
-def growth_rates(data: ElementData, factor: np.ndarray) -> np.ndarray:
-    """Per element, the largest eigenvalue of sym(-(K_e + L_e)) against M_e, K_e and L_e times its ``factor``.
+def growth_rates(data: ElementData) -> np.ndarray:
+    """Per element, the largest eigenvalue of sym(-(K_e + L_e)) against M_e, K_e and L_e as ``data`` holds them.
 
     Their max over a batch's active elements, or 0, is a rate with d/dt |u|_M^2 <= 2 rate |u|_M^2
     for M u' = -(K + C + P) u there (sum the element forms), also with constrained dofs held at 0.
     """
-    scale = factor[:, None, None]
-    s = data.stiffness * scale + data.lower * scale
+    s = data.stiffness + data.lower
     s = -0.5 * (s + s.transpose(0, 2, 1))
     c = np.linalg.inv(np.linalg.cholesky(data.elements.mass))  # M_e = C^-1 C^-T
     return np.linalg.eigvalsh(c @ s @ c.transpose(0, 2, 1))[:, -1]
@@ -464,11 +490,10 @@ class StepPair:
     row_counts: np.ndarray
 
 
-def step_pair(data: ElementData, factor: np.ndarray, scheme: SchemeKind, dt: float) -> StepPair:
-    """The ``imex_theta`` step of (scheme, dt) of every element, K_e and C_e + P_e times its ``factor``, summed."""
-    scale = factor[:, None, None]
-    lhs, rhs = imex_theta(scheme, data.elements.mass, data.stiffness * scale, data.lower * scale, dt)
-    lhs, rhs = data.elements.matrix(lhs), data.elements.matrix(rhs)
+def step_pair(data: ElementData, scheme: SchemeKind, dt: float) -> StepPair:
+    """The ``imex_theta`` step of (scheme, dt) of every element, summed over the graph."""
+    lhs, rhs = imex_theta(scheme, data.elements.mass, data.stiffness, data.lower, dt)
+    lhs, rhs = data.elements.matrices(lhs, rhs)
     return StepPair(lhs=lhs, rhs=rhs, lhs_csc=lhs.tocsc(), row_counts=np.diff(rhs.indptr))
 
 
@@ -574,7 +599,7 @@ class ReducedOperators:
         return lhs_ff, sp.csr_matrix((values, indices, indptr), shape=(n_free, n_columns))
 
 
-def reduce_operators(data: ElementData, view: BatchView, factor: np.ndarray) -> ReducedOperators:
+def reduce_operators(data: ElementData, view: BatchView) -> ReducedOperators:
     """The system of batch ``view`` on the dof map of ``data``'s elements: its edges, its dof split and its load.
 
     The dof split is read off the view and its active edges, with no pass
@@ -584,8 +609,7 @@ def reduce_operators(data: ElementData, view: BatchView, factor: np.ndarray) -> 
     block follows the edge id), as ``intp``.  The active dofs are the
     view's vertices and those interior dofs.  W's Dirichlet columns are
     the dof map's Dirichlet dofs.  A source that is not separable gets a
-    ``LoadEvaluator`` over the active edges, each element scaled by its
-    entry of the per-element ``factor`` (1/pi of its edge's part).
+    ``LoadEvaluator`` over the active edges.
     """
     dofmap = data.elements.dofmap
     edges = np.fromiter(sorted(view.active_edges), dtype=int)
@@ -597,7 +621,7 @@ def reduce_operators(data: ElementData, view: BatchView, factor: np.ndarray) -> 
         edges=edges, free=free, interface=interface, exterior=exterior,
         exterior_t1=len(dirichlet) + np.searchsorted(dirichlet, exterior),
         n_active=len(view.vertices) + len(edges) * dofmap.mesh.nodes_per_edge, dirichlet=dirichlet,
-        load=None if data.source is None else LoadEvaluator(data, factor, edges, free),
+        load=None if data.source is None else LoadEvaluator(data, edges, free),
     )
 
 

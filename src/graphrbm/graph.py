@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import SolverError
+from .errors import SolverError, integer
 
 
 class GraphError(SolverError):
@@ -74,7 +74,7 @@ class MetricGraph:
         if isolated:
             raise GraphError(f"vertices without any edge: {isolated}")
 
-        boundary = frozenset(int(v) for v in boundary_vertices)
+        boundary = frozenset(integer(v, "a boundary vertex id", GraphError) for v in boundary_vertices)
         unknown = sorted(v for v in boundary if v < 0 or v >= n_vertices)
         if unknown:
             raise GraphError(f"boundary ids not declared by any edge: {unknown}")
@@ -132,9 +132,12 @@ def build_graph(
     vertex_names: Sequence[str] | None = None,
     edge_names: Sequence[str] | None = None,
 ) -> MetricGraph:
-    """Build and validate a metric graph from (tail, head, length) triples."""
+    """Build and validate a metric graph from (tail, head, length) triples; vertex ids must be integers."""
     return MetricGraph(
-        [Edge(int(t), int(h), float(l)) for t, h, l in edges],
+        [
+            Edge(integer(t, f"edge {k}: tail", GraphError), integer(h, f"edge {k}: head", GraphError), float(l))
+            for k, (t, h, l) in enumerate(edges)
+        ],
         boundary,
         vertex_names=vertex_names,
         edge_names=edge_names,

@@ -52,7 +52,7 @@ def rng():
 def mass_matrix(graph, mesh, dofmap):
     """The P1 mass matrix over all edges: the ``fem.GAUSS3`` element mass blocks summed into CSR."""
     elements = fem.Elements(dofmap, fem.GAUSS3)
-    return elements.matrix(elements.mass)
+    return elements.matrices(elements.mass)[0]
 
 
 def squared_errors(reference, states, times):
@@ -187,8 +187,11 @@ def reference_batch_system(graph, partition, family, mesh, dofmap, coeffs, j, fr
 
 
 def reference_growth_rate(runtime, j):
-    """max(0, the largest eigenvalue of sym(-(K_e + L_e)) against M_e) over batch j's active elements."""
-    data = runtime.elements
+    """max(0, the largest eigenvalue of sym(-(K_e + L_e)) against M_e) over batch j's active elements.
+
+    K_e and L_e come from an assembly without factors, times the batch's zeta weights here.
+    """
+    data = fem.assemble(runtime.graph, runtime.mesh, runtime.coeffs)
     weights, per_edge = g.zeta_weights(runtime.partition, runtime.family, j), data.elements.per_edge
     edges = np.flatnonzero(weights)
     ids = (edges[:, None] * per_edge + np.arange(per_edge)).ravel()
@@ -206,7 +209,7 @@ def batch_load(runtime, system, t):
     if system.load is not None:
         return system.load(t)
     out = np.zeros(len(system.free))
-    for time, vector in zip(runtime.elements.time_fns, runtime.term_vectors):
+    for time, vector in zip(runtime.elements.time_fns, runtime.elements.term_vectors):
         out += float(time(t)) * vector[system.free]
     return out
 

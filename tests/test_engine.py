@@ -187,6 +187,15 @@ def test_schedule_seed_must_be_an_integer(option2):
     assert np.array_equal(sample_schedule(10, option2.probs, np.int64(1)).omegas, sample_schedule(10, option2.probs, 1).omegas)
 
 
+def test_schedule_window_count_must_be_a_nonnegative_integer(option2):
+    # int() would truncate 2.9, so the schedule had 2 windows
+    with pytest.raises(InvalidSpec, match="the window count must be an integer, not 2.9"):
+        sample_schedule(2.9, option2.probs, 0)
+    with pytest.raises(InvalidSpec, match="the window count must not be negative, got -1"):
+        sample_schedule(-1, option2.probs, 0)
+    assert np.array_equal(sample_schedule(np.int64(3), option2.probs, 0).omegas, sample_schedule(3, option2.probs, 0).omegas)
+
+
 def test_schedule_takes_only_a_1d_integer_array(demo, partition, option2, problem, coarse_mesh):
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.06, scheme=g.IMPLICIT_EULER, seed=1)
 

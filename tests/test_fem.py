@@ -20,6 +20,7 @@ import graphrbm as g
 from graphrbm import fem
 from graphrbm.decomposition import batch_view
 from graphrbm.engine import RbmRuntime
+from graphrbm.errors import NumericalError
 from graphrbm.fem import FemError, NonellipticCoefficient
 from graphrbm.timestep import SEMI_IMPLICIT, StepWorkspace
 
@@ -86,8 +87,7 @@ def full_operators(data, dm, weights):
 def load_vector(graph, mesh, dm, coeffs, f, t):
     """The full-numbering load of the callable source ``f`` at time t, integrated over the whole graph."""
     data = fem.assemble(graph, mesh, dataclasses.replace(coeffs, f=f))
-    factor = np.repeat(unit_weights(graph), data.elements.per_edge)
-    return fem.LoadEvaluator(data, factor, np.arange(graph.n_edges), np.arange(dm.n_dofs))(t)
+    return fem.LoadEvaluator(data, np.arange(graph.n_edges), np.arange(dm.n_dofs))(t)
 
 
 def free_dofs(dm):
@@ -134,7 +134,7 @@ def test_dofmap_no_dirichlet(demo):
 def test_element_pairs_are_int32(demo):
     elements = fem.Elements(fem.DofMap(demo, g.Mesh(3)), fem.GAUSS3)
     assert elements.pair.dtype == np.int32
-    assert elements.matrix(elements.mass).indices.dtype == np.int32
+    assert elements.matrices(elements.mass)[0].indices.dtype == np.int32
     with pytest.raises(FemError, match="do not fit the int32 indices"):
         fem.Elements(fem.DofMap(demo, g.Mesh(2**28)), fem.GAUSS3)
 
@@ -287,6 +287,32 @@ def test_nonelliptic_rejected():
         RbmRuntime(graph, partition, family, dm.mesh, coeffs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        ("a", "the diffusion coefficient a"),
+        ("b", "the convection coefficient b"),
+        ("p", "the reaction coefficient p"),
+        ("f", "space term 0 of the source"),
+    ],
+)
+def test_nonfinite_coefficient_data_is_bad_input(field, name, bad, demo, problem):
+    """A NaN or inf of a, b, p or a source term's space part on one edge is a FemError naming both, not a numerical failure."""
+
+    def spoil(fn):
+        return lambda e, x: np.full_like(x, bad) if e == 3 else fn(e, x)
+
+    if field == "f":
+        (space, time), *rest = problem.f.terms
+        coeffs = dataclasses.replace(problem, f=g.SeparableSource(terms=((spoil(space), time), *rest)))
+    else:
+        coeffs = dataclasses.replace(problem, **{field: spoil(getattr(problem, field))})
+    with pytest.raises(FemError, match=f"^{name} is not finite on edge e4$") as caught:
+        g.run_full(demo, g.Mesh(4), coeffs, g.IMPLICIT_EULER, 0.01, 0.02)
+    assert not isinstance(caught.value, NumericalError)
+
+
 @pytest.mark.parametrize("n", [1, 20, 1000])
 def test_stiffness_sums_its_gauss_points_as_numpy_sum_does(n, demo, problem):
     """Each element's a-integral is bit for bit ``(a w).sum(axis=1)`` over its three Gauss points."""
@@ -304,10 +330,8 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     data = fem.assemble(demo, mesh, problem)
     ops = full_operators(data, dm, unit_weights(demo))
     view = batch_view(partition, option1.batches, 4)
-    weights = unit_weights(demo)
-    factor = np.repeat(weights, data.elements.per_edge)
-    vectors = tuple(data.elements.scatter(term, factor) for term in data.term_loads)
-    reduced = fem.reduce_operators(data, view, factor)
+    vectors = data.term_vectors
+    reduced = fem.reduce_operators(data, view)
     # the dof split: the batch's interface and exterior vertices, and the rest of its active dofs free
     active = set(view.vertices).union(*(dm.edge_dofs(e).tolist() for e in view.active_edges))
     assert reduced.interface.tolist() == sorted(view.interface)
@@ -319,7 +343,7 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     lhs = (ops.mass + dt * ops.stiffness).toarray()
     rhs = (ops.mass - dt * ops.lower).toarray()
     loads = [vector[reduced.free] for vector in vectors]
-    lhs_ff, w = reduced.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt), vectors)
+    lhs_ff, w = reduced.step_matrices(fem.step_pair(data, SEMI_IMPLICIT, dt), vectors)
     free, interface, dirichlet = reduced.free, reduced.interface, dm.dirichlet_dofs
     exterior = np.isin(dirichlet, reduced.exterior)
     want = np.hstack(
@@ -341,7 +365,7 @@ def test_reduce_operators_free_rows_over_free_then_constrained(demo, partition, 
     # a free row with an entry in no column of W is refused, not handed to SuperLU as a negative index
     unlisted = dataclasses.replace(reduced, interface=interface[1:])
     with pytest.raises(fem.FemError, match="outside the batch's free, interface and Dirichlet dofs"):
-        unlisted.step_matrices(fem.step_pair(data, factor, SEMI_IMPLICIT, dt), vectors)
+        unlisted.step_matrices(fem.step_pair(data, SEMI_IMPLICIT, dt), vectors)
 
 
 @pytest.mark.parametrize("name", ["demo", "tree"])
@@ -398,6 +422,36 @@ def level_cut_runtime(depth, cut, mesh, rng):
     return RbmRuntime(tree, g.SubgraphPartition(tree, parts), family, mesh, coeffs)
 
 
+def test_runtime_elements_are_the_plain_assembly_times_one_over_pi(demo, partition, option1, problem):
+    """On option one, where pi differs between parts, a runtime's element data are rescaled once, in assembly.
+
+    Each edge's K, C + P and term loads are the plain assembly's times 1/pi
+    of its part, bit for bit, the mass is the plain one, and a callable
+    source's ``LoadEvaluator`` agrees with the rescaled separable terms.
+    """
+    mesh = g.Mesh(6)
+    runtime = RbmRuntime(demo, partition, option1, mesh, problem)
+    plain = fem.assemble(demo, mesh, problem)
+    elements, scaled = plain.elements, runtime.elements
+    pi = option1.normalizers[partition.part_of_edge]
+    assert len(set(pi.tolist())) > 1
+    factor = np.repeat(1.0 / pi, elements.per_edge)
+    assert scaled.elements.mass.tobytes() == elements.mass.tobytes()
+    assert scaled.stiffness.tobytes() == (plain.stiffness * factor[:, None, None]).tobytes()
+    assert scaled.lower.tobytes() == (plain.lower * factor[:, None, None]).tobytes()
+    assert len(scaled.term_vectors) == len(problem.f.terms) == 2
+    for (space, _), vector in zip(problem.f.terms, scaled.term_vectors):
+        local = elements.loads(elements.sample(space)) * factor[:, None]
+        assert vector.tobytes() == elements.scatter(local).tobytes()
+    unseparated = RbmRuntime(demo, partition, option1, mesh, dataclasses.replace(problem, f=lambda e, x, t: problem.f(e, x, t)))
+    for j in range(option1.n_batches):
+        free = runtime.system(j).free
+        for t in (0.1, 0.37):
+            want = sum(time(t) * vector[free] for time, vector in zip(scaled.time_fns, scaled.term_vectors))
+            got = unseparated.system(j).load(t)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (j, t)
+
+
 @pytest.mark.parametrize("name", ["demo", "demo-callable", "tree"])
 def test_step_matrices_and_dof_split_equal_their_public_definitions(name, demo, partition, option2, problem, rng):
     """Every batch's dof split is the all-dof mask's, and its (lhs_ff, W) SciPy's public slice of the pair, bit for bit.
@@ -411,18 +465,18 @@ def test_step_matrices_and_dof_split_equal_their_public_definitions(name, demo, 
     else:
         coeffs = problem if name == "demo" else dataclasses.replace(problem, f=lambda e, x, t: problem.f(e, x, t))
         runtime = RbmRuntime(demo, partition, option2, g.Mesh(20), coeffs)
-    assert len(runtime.term_vectors) == (0 if name == "demo-callable" else 2)
+    assert len(runtime.elements.term_vectors) == (0 if name == "demo-callable" else 2)
     for j in range(runtime.family.n_batches):
         system = runtime.system(j)
         free, n_active = reference_dof_split(runtime.dofmap, batch_view(runtime.partition, runtime.family.batches, j))
         assert system.free.dtype == free.dtype and np.array_equal(system.free, free), j
         assert system.n_active == n_active, j
     for scheme in SLICE_SCHEMES:
-        pair = fem.step_pair(runtime.elements, runtime.factor, scheme, 0.01)
+        pair = fem.step_pair(runtime.elements, scheme, 0.01)
         for j in range(runtime.family.n_batches):
             system = runtime.system(j)
-            got = system.step_matrices(pair, runtime.term_vectors)
-            want = reference_step_matrices(system, pair, runtime.term_vectors)
+            got = system.step_matrices(pair, runtime.elements.term_vectors)
+            want = reference_step_matrices(system, pair, runtime.elements.term_vectors)
             for matrix, got_one, want_one in zip(("lhs_ff", "W"), got, want):
                 assert_same_arrays(got_one, want_one, (name, scheme.label, j, matrix))
 

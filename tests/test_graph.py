@@ -105,6 +105,23 @@ def test_negative_vertex_id_rejected():
         g.MetricGraph([g.Edge(0, 1), g.Edge(-1, 1)], {0})
 
 
+@pytest.mark.parametrize("edges, boundary, message", [
+    # int() would truncate 1.9 and 2.7, building edges (0, 1), (1, 2) with boundary {0, 2}
+    ([(0, 1.9, 1.0), (1, 2, 1.0)], {0, 2}, "edge 0: head must be an integer, not 1.9"),
+    ([(0, 1, 1.0), (1.5, 2, 1.0)], {0, 2}, "edge 1: tail must be an integer, not 1.5"),
+    ([(0, 1, 1.0), (1, 2, 1.0)], {0, 2.7}, "a boundary vertex id must be an integer, not 2.7"),
+])
+def test_vertex_ids_must_be_integers(edges, boundary, message):
+    with pytest.raises(GraphError, match=message):
+        g.build_graph(edges, boundary)
+
+
+def test_numpy_integer_vertex_ids_accepted():
+    graph = g.build_graph([(np.int64(0), np.int32(1), 1.0), (1, 2, 1.0)], {np.int64(0), 2})
+    assert [(e.tail, e.head) for e in graph.edges] == [(0, 1), (1, 2)]
+    assert graph.boundary_vertices == {0, 2}
+
+
 @pytest.mark.parametrize("names, message", [
     (dict(vertex_names=["a", "b"]), "vertex_names length does not match vertex count"),
     (dict(edge_names=["x"]), "edge_names length does not match edge count"),

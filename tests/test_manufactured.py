@@ -401,7 +401,7 @@ def test_assembly_samples_each_edge_function_once(monkeypatch, rng):
     assert sorted(map(id, sampled)) == sorted(map(id, parts))
     monkeypatch.undo()
     spatial = coeffs.f.terms[1][0]
-    assert np.array_equal(data.term_loads[1], data.elements.loads(data.elements.sample(spatial)))
+    assert np.array_equal(data.term_vectors[1], data.elements.scatter(data.elements.loads(data.elements.sample(spatial))))
 
 
 def test_tree_problem_samples_only_table_forms(monkeypatch, rng):

@@ -39,6 +39,7 @@ from graphrbm import fem, manufactured
 from graphrbm.decomposition import (
     batch_view,
     check_assumption_A1,
+    edge_factors,
     sample_interior_points,
     verify_unbiased,
     zeta_weights,
@@ -251,7 +252,7 @@ def test_batch_systems_equal_scaled_part_sums(data):
     n_dirichlet = len(dofmap.dirichlet_dofs)
     # the same source, hidden behind a plain callable: integrated per call
     unseparated = fem.assemble(
-        graph, MESH, dataclasses.replace(coeffs, f=lambda e, x, t: coeffs.f(e, x, t))
+        graph, MESH, dataclasses.replace(coeffs, f=lambda e, x, t: coeffs.f(e, x, t)), edge_factors(partition, family)
     )
     with mock.patch.object(fem, "step_pair", wraps=fem.step_pair) as built:
         for j in range(family.n_batches):
@@ -303,10 +304,10 @@ def test_batch_systems_equal_scaled_part_sums(data):
             assert runtime.growth_rate(j) == reference_growth_rate(runtime, j), j
             # a separable source is its term vectors alone; only the callable one is integrated per call
             assert system.load is None
-            assert len(runtime.term_vectors) == len(vectors)
+            assert len(runtime.elements.term_vectors) == len(vectors)
             for k, vector in enumerate(vectors):
-                assert_close(runtime.term_vectors[k][free], vector, (j, "term", k))
-            unseparated_load = fem.LoadEvaluator(unseparated, runtime.factor, system.edges, system.free)
+                assert_close(runtime.elements.term_vectors[k][free], vector, (j, "term", k))
+            unseparated_load = fem.LoadEvaluator(unseparated, system.edges, system.free)
             for t in (0.0, 0.37):
                 want = reference_load(graph, MESH, dofmap, coeffs.f, t, factor)
                 assert_close(batch_load(runtime, system, t), want[system.free], (j, t))
@@ -356,11 +357,11 @@ def test_step_matrices_and_dof_split_equal_their_public_definitions(data):
         assert system.free.dtype == free.dtype and np.array_equal(system.free, free), j
         assert system.n_active == n_active, j
     for scheme in SLICE_SCHEMES:
-        pair = fem.step_pair(runtime.elements, runtime.factor, scheme, DT)
+        pair = fem.step_pair(runtime.elements, scheme, DT)
         for j in range(family.n_batches):
             system = runtime.system(j)
-            got = system.step_matrices(pair, runtime.term_vectors)
-            want = reference_step_matrices(system, pair, runtime.term_vectors)
+            got = system.step_matrices(pair, runtime.elements.term_vectors)
+            want = reference_step_matrices(system, pair, runtime.elements.term_vectors)
             for matrix, got_one, want_one in zip(("lhs_ff", "W"), got, want):
                 assert_same_arrays(got_one, want_one, (scheme.label, j, matrix))
 
@@ -667,8 +668,8 @@ def test_per_edge_path_gives_bitwise_the_table_results(data):
         setattr(plain_solution, name, plain(getattr(solution, name)))
     dofmap = fem.DofMap(graph, MESH)
     table, loop = (fem.assemble(graph, MESH, c) for c in (coeffs, per_edge))
-    for got, want in zip((table.stiffness, table.lower, *table.term_loads),
-                         (loop.stiffness, loop.lower, *loop.term_loads)):
+    for got, want in zip((table.stiffness, table.lower, *table.term_vectors),
+                         (loop.stiffness, loop.lower, *loop.term_vectors)):
         assert_bitwise(got, want, "assemble")
     assert_bitwise(
         fem.interpolate(dofmap, solution.w),
