@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The console script's end-to-end cases: the demo runs, the demo problem read
-# from files in README's formats, and the inputs that must exit 2.
+# from files in README's formats, the inputs that must exit 2 and a run that
+# must exit 3.
 #
 # Run from anywhere with the `graphrbm` console script on PATH:
 #
@@ -70,4 +71,7 @@ test "$code" -eq 2
 python -c "import json, pathlib, sys; d = json.loads(pathlib.Path('demo-batches.json').read_text()); d['probs'][0] = 10**400; json.dump(d, sys.stdout)" > huge-batches.json
 code=0; graphrbm check --batches huge-batches.json || code=$?
 test "$code" -eq 2
+# explicit Euler (theta 0) past its stability bound blows up: a numerical failure
+code=0; graphrbm solve --scheme theta:0 --dt 0.01 --t-final 0.2 || code=$?
+test "$code" -eq 3
 echo "console script: every case passed"

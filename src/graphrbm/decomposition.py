@@ -22,38 +22,26 @@ part of each active edge they equal 1/pi of the edge's owning part.
 pass: part ids, non-empty batches, the probabilities and their sum, and
 pi, with no part left at pi = 0.
 
-Bad input raises ``DecompositionError`` naming the part, batch or entry;
-edge and part ids, and the count and seed of ``sample_interior_points``,
-must be Python or NumPy integers.
+Bad input raises ``DecompositionError`` naming the part, batch or entry.
+Edge, part and batch ids, counts and seeds are read by ``errors.integer``
+and probabilities and point coordinates by ``errors.number``.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import SolverError, integer
-from .graph import MetricGraph, json_lists, json_number, read_json
+from .errors import SolverError, integer, number
+from .graph import MetricGraph, json_lists, read_json
 
 PROB_SUM_TOL = 1e-12
 
 
 class DecompositionError(SolverError):
     pass
-
-
-def _ids(values: Iterable[int], what: str) -> list[int]:
-    """``values`` as ints; DecompositionError naming ``what`` for a float, which int() would truncate."""
-    out = []
-    for v in values:
-        try:
-            out.append(operator.index(v))
-        except TypeError:
-            raise DecompositionError(f"{what} holds {v!r}, not an integer id") from None
-    return out
 
 
 class SubgraphPartition:
@@ -69,7 +57,7 @@ class SubgraphPartition:
             raise DecompositionError("partition needs at least one part")
         part_sets = []
         for i, p in enumerate(parts):
-            edges = frozenset(_ids(p, f"part {i + 1}"))
+            edges = frozenset(integer(e, f"part {i + 1}: edge id", DecompositionError) for e in p)
             if not edges:
                 raise DecompositionError(f"part {i + 1} is empty")
             bad = [e for e in edges if e < 0 or e >= graph.n_edges]
@@ -124,10 +112,11 @@ def batch_view(
     ``exterior_boundary`` regardless of edge coverage, since they always
     carry Dirichlet data.
     """
+    j = integer(j, "batch index", DecompositionError)
     if j < 0 or j >= len(batches):
         raise DecompositionError(f"batch index {j} out of range [0, {len(batches)})")
     graph = partition.graph
-    parts = sorted(_ids(batches[j], f"batch {j + 1}"))
+    parts = sorted(integer(i, f"batch {j + 1}: part id", DecompositionError) for i in batches[j])
     bad = [i for i in parts if i < 0 or i >= partition.n_parts]
     if bad:
         raise DecompositionError(f"batch {j + 1} references unknown part {bad[0] + 1}")
@@ -211,7 +200,10 @@ def batch_family(
     and is renormalized; pi_i, the total probability of the batches that
     hold part i, must be positive.
     """
-    probs = np.asarray(probs, dtype=float)
+    probs = np.array([number(p, f"probability {j + 1}", DecompositionError) for j, p in enumerate(probs)])
+    n_parts = integer(n_parts, "the part count", DecompositionError)
+    if n_parts < 1:
+        raise DecompositionError(f"need at least one part, got {n_parts}")
     if len(probs) != len(batches):
         raise DecompositionError(f"{len(probs)} probabilities for {len(batches)} batches")
     if not np.all((probs > 0.0) & np.isfinite(probs)):
@@ -223,7 +215,7 @@ def batch_family(
     batch_sets = []
     pi = np.zeros(n_parts)
     for j, batch in enumerate(batches):
-        parts = frozenset(_ids(batch, f"batch {j + 1}"))
+        parts = frozenset(integer(i, f"batch {j + 1}: part id", DecompositionError) for i in batch)
         if not parts:
             raise DecompositionError(f"batch {j + 1} is empty")
         bad = sorted(i for i in parts if i < 0 or i >= n_parts)
@@ -258,6 +250,7 @@ def zeta_weights(partition: SubgraphPartition, family: BatchFamily, j: int) -> n
     this is the convention the flux bookkeeping of the windowed solver uses
     and it is what per-edge factors encode naturally.
     """
+    j = integer(j, "batch index", DecompositionError)
     if j < 0 or j >= family.n_batches:
         raise DecompositionError(f"batch index {j} out of range [0, {family.n_batches})")
     factors = edge_factors(partition, family)
@@ -279,9 +272,10 @@ def verify_unbiased(
     """
     factors = [zeta_weights(partition, family, j) for j in range(family.n_batches)]
     worst = 0.0
-    for e, x in points:
-        xa = np.asarray([float(x)])
-        value = float(psi(int(e), xa)[0])
+    for k, (e, x) in enumerate(points):
+        e = integer(e, f"point {k + 1}: edge id", DecompositionError)
+        xa = np.asarray([number(x, f"point {k + 1}: coordinate", DecompositionError)])
+        value = float(psi(e, xa)[0])
         estimate = 0.0
         for j, factor in enumerate(factors):
             estimate += family.probs[j] * factor[e] * value
@@ -343,10 +337,7 @@ def batches_from_dict(data: dict, graph: MetricGraph) -> tuple[SubgraphPartition
         data, ("parts", "batches", "probs"), "batch file", DecompositionError
     )
 
-    if graph.edge_names is not None:
-        edge_id = {name: k for k, name in enumerate(graph.edge_names)}
-    else:
-        edge_id = {str(k): k for k in range(graph.n_edges)}
+    edge_id = {graph.edge_name(k): k for k in range(graph.n_edges)}
     parts = []
     for i, part in enumerate(raw_parts):
         if not isinstance(part, list):
@@ -357,14 +348,11 @@ def batches_from_dict(data: dict, graph: MetricGraph) -> tuple[SubgraphPartition
             raise DecompositionError(f"part {i + 1} references unknown edge {exc}") from exc
     partition = SubgraphPartition(graph, parts)
     for j, batch in enumerate(raw_batches):
-        # JSON integers only: bool is an int subclass, and int() would truncate 1.9 to part 1
+        # JSON integers only, checked before the 1-based ids are shifted: neither true nor 1.9 names a part
         if not isinstance(batch, list) or any(type(i) is not int for i in batch):
-            raise DecompositionError(
-                f"batch {j + 1} must be a list of integer part indices, not {batch!r}"
-            )
-    probs = [json_number(p, f"probability {j + 1}", DecompositionError) for j, p in enumerate(raw_probs)]
+            raise DecompositionError(f"batch {j + 1} must be a list of integer part indices, not {batch!r}")
     batches = [{i - 1 for i in b} for b in raw_batches]
-    family = batch_family(batches, probs, partition.n_parts)
+    family = batch_family(batches, raw_probs, partition.n_parts)
     return partition, family
 
 

@@ -85,9 +85,9 @@ from .decomposition import (
     batch_view,
     edge_factors,
 )
-from .errors import NumericalError, SolverError, integer
+from .errors import NumericalError, SolverError, integer, number
 from .fem import GAUSS3, CoefficientSet, Elements, Mesh, reduce_operators
-from .graph import MetricGraph
+from .graph import MetricGraph, check_same_graph
 from .manufactured import ElementMassNorms, L2ErrorEvaluator, ManufacturedSolution, checked_block
 from .timestep import SchemeKind, StepWorkspace, factor_nnz
 
@@ -161,12 +161,14 @@ class SampledSchedule:
 
 
 def sample_schedule(n_windows: int, probs, seed: int) -> SampledSchedule:
-    """Draw ``n_windows`` i.i.d. batches with a counter-based generator keyed by the integer ``seed``."""
+    """Draw ``n_windows`` batches i.i.d. with ``probs / probs.sum()`` (finite, >= 0, sum > 0) from the Philox key ``seed``."""
     n_windows = integer(n_windows, "the window count", InvalidSpec)
     if n_windows < 0:
         raise InvalidSpec(f"the window count must not be negative, got {n_windows}")
     seed = integer(seed, "seed", InvalidSpec)
-    probs = np.asarray(probs, dtype=float)
+    probs = np.array([number(p, f"probability {j + 1}", InvalidSpec) for j, p in enumerate(probs)])
+    if not (np.isfinite(probs).all() and (probs >= 0.0).all() and probs.sum() > 0.0):
+        raise InvalidSpec(f"probabilities must be finite and non-negative with a positive sum, got {probs.tolist()}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     omegas = rng.choice(len(probs), size=n_windows, p=probs / probs.sum())
     return SampledSchedule(omegas=omegas.astype(int), seed=seed)
@@ -205,9 +207,9 @@ class RbmTrajectory:
 
 
 def _count_steps(total: float, step: float, total_name: str, step_name: str) -> int:
-    """How many steps of length ``step`` make ``total``; both must be positive finite numbers."""
+    """How many steps of length ``step`` make ``total``, both positive finite numbers (``errors.number``), in their own type."""
     for name, value in ((total_name, total), (step_name, step)):
-        if not (math.isfinite(value) and value > 0.0):
+        if not (math.isfinite(number(value, name, InvalidSpec)) and value > 0.0):
             raise InvalidSpec(f"{name} must be a positive finite number, got {value}")
     n = round(total / step)
     if n < 1 or not _same_time(n * step, total):
@@ -229,7 +231,7 @@ class RbmRuntime:
     only on (graph, partition, family, mesh, coeffs), so independent
     realizations and different window lengths can share one runtime; reuse
     changes nothing but the setup cost.  ``run_full`` builds one over the
-    one-part partition and its one-batch family.
+    one-part partition and its one-batch family; a partition of another graph is InvalidSpec.
     """
 
     def __init__(
@@ -240,6 +242,7 @@ class RbmRuntime:
         mesh: Mesh,
         coeffs: CoefficientSet,
     ):
+        check_same_graph(graph, "the runtime", partition.graph, "the partition", InvalidSpec)
         self.graph = graph
         self.partition = partition
         self.family = family

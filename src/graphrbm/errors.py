@@ -1,6 +1,6 @@
-"""Base exceptions for everything raised by this package, and its integer input rule."""
+"""Base exceptions for everything raised by this package, and its two input rules: ``integer`` and ``number``."""
 
-import operator
+import numbers
 
 
 class SolverError(Exception):
@@ -12,8 +12,17 @@ class NumericalError(SolverError):
 
 
 def integer(value, what: str, error: type[SolverError]) -> int:
-    """``value``, a Python or NumPy integer, as a Python int; ``error`` naming ``what`` for a float, never truncated."""
+    """``value``, a Python or NumPy integer, as a Python int; ``error`` naming ``what`` otherwise, so 1.9 is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # bool is an int: True would read as 1
+        raise error(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+def number(value, what: str, error: type[SolverError]) -> float:
+    """``value``, a Python or NumPy real number, as a Python float; ``error`` naming ``what`` otherwise or if it overflows a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # float() would read the string "2" as 2.0
+        raise error(f"{what} must be a number, not {value!r}")
     try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, not {value!r}") from None
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None

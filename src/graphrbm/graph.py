@@ -10,9 +10,10 @@ x=length) and the sign of each end (``fem.Ends``).  Flux sums over all
 adjacent edges are orientation invariant, so any consistent orientation
 choice yields the same solver behaviour.
 
-Bad input raises ``GraphError`` naming the fault.  ``read_json``,
-``json_lists`` and ``json_number`` are the input rules of both file
-formats; each raises the error type its caller passes.
+Bad input raises ``GraphError`` naming the fault.  ``MetricGraph`` checks
+every edge's ids and length, so ``build_graph`` and the file reader convert
+nothing; ``read_json`` and ``json_lists`` read the JSON of both file
+formats, each raising the error type its caller passes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import SolverError, integer
+from .errors import SolverError, integer, number
 
 
 class GraphError(SolverError):
@@ -42,7 +43,9 @@ class Edge:
 class MetricGraph:
     """Validated, immutable metric graph.
 
-    Safe to share read-only across threads once constructed.
+    Each edge's tail and head are read by ``errors.integer`` and its length
+    by ``errors.number``, and held as a Python int and float.  Safe to share
+    read-only across threads once constructed.
     """
 
     def __init__(
@@ -55,19 +58,26 @@ class MetricGraph:
         edges = tuple(edges)
         if not edges:
             raise GraphError("graph needs at least one edge")
+        edge_names = tuple(edge_names) if edge_names is not None else None
+        if edge_names is not None and len(edge_names) != len(edges):
+            raise GraphError("edge_names length does not match edge count")
+        checked = []
         for k, e in enumerate(edges):
-            if e.tail == e.head:
-                raise GraphError(f"edge {k} is a self-loop at vertex {e.tail}")
-            if not (e.length > 0.0 and math.isfinite(e.length)):
-                raise GraphError(
-                    f"edge {k} has length {e.length}; lengths must be positive and finite"
-                )
+            name = f"edge {k if edge_names is None else edge_names[k]}"
+            tail, head = integer(e.tail, f"{name}: tail", GraphError), integer(e.head, f"{name}: head", GraphError)
+            length = number(e.length, f"{name}: length", GraphError)
+            if tail == head:
+                raise GraphError(f"{name} is a self-loop at vertex {tail}")
+            if tail < 0 or head < 0:
+                raise GraphError(f"{name} references a negative vertex id")
+            if not (length > 0.0 and math.isfinite(length)):
+                raise GraphError(f"{name} has length {length}; lengths must be positive and finite")
+            checked.append(Edge(tail, head, length))
+        edges = tuple(checked)
 
         n_vertices = 1 + max(max(e.tail, e.head) for e in edges)
         adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
         for k, e in enumerate(edges):
-            if e.tail < 0 or e.head < 0:
-                raise GraphError(f"edge {k} references a negative vertex id")
             adjacency[e.tail].append(k)
             adjacency[e.head].append(k)
         isolated = [v for v in range(n_vertices) if not adjacency[v]]
@@ -86,11 +96,9 @@ class MetricGraph:
         self.interior_vertices = frozenset(range(n_vertices)) - boundary
         self._adjacency = tuple(tuple(a) for a in adjacency)
         self.vertex_names = tuple(vertex_names) if vertex_names is not None else None
-        self.edge_names = tuple(edge_names) if edge_names is not None else None
+        self.edge_names = edge_names
         if self.vertex_names is not None and len(self.vertex_names) != n_vertices:
             raise GraphError("vertex_names length does not match vertex count")
-        if self.edge_names is not None and len(self.edge_names) != self.n_edges:
-            raise GraphError("edge_names length does not match edge count")
 
         self._check_connected()
 
@@ -126,22 +134,20 @@ class MetricGraph:
         )
 
 
+def check_same_graph(graph: MetricGraph, name: str, other: MetricGraph, other_name: str, error: type[SolverError]) -> None:
+    """``error`` naming both graphs unless ``other`` has ``graph``'s edges and boundary; a graph loaded twice passes."""
+    if other is not graph and (other.edges != graph.edges or other.boundary_vertices != graph.boundary_vertices):
+        raise error(f"the graph of {other_name}, {other!r}, is not the graph of {name}, {graph!r}")
+
+
 def build_graph(
     edges: Sequence[tuple[int, int, float]],
     boundary: Iterable[int],
     vertex_names: Sequence[str] | None = None,
     edge_names: Sequence[str] | None = None,
 ) -> MetricGraph:
-    """Build and validate a metric graph from (tail, head, length) triples; vertex ids must be integers."""
-    return MetricGraph(
-        [
-            Edge(integer(t, f"edge {k}: tail", GraphError), integer(h, f"edge {k}: head", GraphError), float(l))
-            for k, (t, h, l) in enumerate(edges)
-        ],
-        boundary,
-        vertex_names=vertex_names,
-        edge_names=edge_names,
-    )
+    """The metric graph of (tail, head, length) triples, which ``MetricGraph`` checks."""
+    return MetricGraph([Edge(t, h, l) for t, h, l in edges], boundary, vertex_names=vertex_names, edge_names=edge_names)
 
 
 def demo_graph() -> MetricGraph:
@@ -189,17 +195,6 @@ def json_lists(data, keys: Sequence[str], what: str, error: type[SolverError]) -
     return tuple(data[key] for key in keys)
 
 
-def json_number(value, what: str, error: type[SolverError]) -> float:
-    """``value``, a JSON int or float, as a float; ``error`` naming ``what`` otherwise or if it overflows a float."""
-    # bool is an int subclass, and float() would read the string "2" as 2.0
-    if type(value) not in (int, float):
-        raise error(f"{what} must be a JSON number, not {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise error(f"{what} is too large for a float") from None
-
-
 def graph_from_dict(data: dict) -> MetricGraph:
     """Build a graph from the JSON dict format.
 
@@ -211,7 +206,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
     String vertex names map to dense integer ids in declaration order
     (first appearance while scanning tail, head of each edge).  An edge
     without a ``name`` is ``e<k>``, k its 1-based position.  A length
-    must be a JSON number; GraphError naming the edge otherwise.  Edge
+    must be a number, not a string or a bool; GraphError naming the edge otherwise.  Edge
     names must be distinct, since a batch file lists parts by edge name;
     GraphError naming the name and both edges' indices otherwise.
     """
@@ -236,8 +231,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
         if name in index_of:
             raise GraphError(f"edge name {name!r} is given to the edges at index {index_of[name]} and {k}")
         index_of[name] = k
-        length = json_number(item.get("length", 1.0), f"edge {name}: length", GraphError)
-        triples.append((tail, head, length))
+        triples.append((tail, head, item.get("length", 1.0)))
         edge_names.append(name)
     try:
         boundary = {ids[str(name)] for name in raw_boundary}

@@ -42,7 +42,7 @@ from .engine import (  # run_full is unused here, but perfbench/spans.py patches
 )
 from .errors import SolverError, integer
 from .fem import Mesh
-from .graph import MetricGraph
+from .graph import MetricGraph, check_same_graph
 from .manufactured import L2ErrorEvaluator, ManufacturedSolution, derive_data
 from .timestep import SchemeKind
 
@@ -99,10 +99,11 @@ class ExperimentSpec:
     def validate(self) -> dict[float, np.ndarray]:
         """Check the spec before a study builds anything and return ``{h: stored times}``; InvalidSpec otherwise.
 
-        The seed and the realization count must be integers; they are kept as Python ints.
+        The seed and the realization count must be integers, kept as Python ints; the solution must be on the graph.
         """
         if self.solution is None:
             raise InvalidSpec("spec needs a manufactured solution as the error reference")
+        check_same_graph(self.graph, "the study", self.solution.graph, "the solution", InvalidSpec)
         self.realizations = integer(self.realizations, "realizations", InvalidSpec)
         if self.realizations < 1:
             raise InvalidSpec("need at least one realization")

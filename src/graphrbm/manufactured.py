@@ -46,7 +46,7 @@ from .fem import (
     interpolate,
     on_edges,
 )
-from .graph import MetricGraph
+from .graph import MetricGraph, check_same_graph
 
 TWO_PI = 2.0 * np.pi
 CONSTRAINT_TOL = 1e-8
@@ -204,8 +204,9 @@ class ManufacturedSolution:
         self.a_dx = a_dx
         # spatial profile and derivatives: edge functions with a table form
         self.w = EdgePolynomial(self.poly)
-        self.w_dx = EdgePolynomial(np.stack([np.polyder(c) for c in self.poly]))
-        self.w_dxx = EdgePolynomial(np.stack([np.polyder(c, 2) for c in self.poly]))
+        # np.polyder of every row at once, row[:-1] * [n, ..., 1] as it forms each: bitwise its tables
+        self.w_dx = EdgePolynomial(self.poly[:, :-1] * np.arange(self.poly.shape[1] - 1, 0, -1))
+        self.w_dxx = EdgePolynomial(self.w_dx.coeffs[:, :-1] * np.arange(self.poly.shape[1] - 2, 0, -1))
         self._ends = Ends(graph)
 
     # temporal factor
@@ -394,11 +395,12 @@ class L2ErrorEvaluator:
     where c = |w - I w|^2, b_i = (w - I w, phi_i) and M is the P1 mass
     matrix.  ``elements`` is a ``fem.GAUSS3`` element table, such as a
     runtime's own (``runtime.elements.elements``); its dof map carries the
-    graph and mesh.  c and b are built once on the ``fem.GAUSS5`` table of
-    that dof map, which integrates them exactly for a quartic w; c is
-    summed per edge, then over the edges in order.  e^T M e is summed from
-    the mass blocks of ``elements`` (``ElementMassNorms``); no mass matrix
-    is assembled.
+    graph and mesh, and the graph must have the solution's edges and
+    boundary (SolverError naming both otherwise).  c and b are built once
+    on the ``fem.GAUSS5`` table of that dof map, which integrates them
+    exactly for a quartic w; c is summed per edge, then over the edges in
+    order.  e^T M e is summed from the mass blocks of ``elements``
+    (``ElementMassNorms``); no mass matrix is assembled.
     Every term is of the size of the error itself, so nothing cancels when
     the error is small; the unshifted v^2 |w|^2 - 2 v (w, phi)^T u + u^T M u loses
     digits to cancellation once the error is far below |w|^2.
@@ -410,6 +412,7 @@ class L2ErrorEvaluator:
 
     def __init__(self, elements: Elements, solution: ManufacturedSolution):
         dofmap = elements.dofmap
+        check_same_graph(dofmap.graph, "the states", solution.graph, "the solution", SolverError)
         table = Elements(dofmap, GAUSS5)
         self._interpolant = interpolate(dofmap, solution.w)
         pair = table.pair

@@ -48,7 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csc_matvec
 
-from .errors import NumericalError, SolverError
+from .errors import NumericalError, SolverError, number
 
 RESIDUAL_RTOL = 1e-10
 PANEL_SIZE = 1  # columns per SuperLU panel; see the module docstring
@@ -61,7 +61,7 @@ class SingularSystem(NumericalError):
 
 @dataclass(frozen=True)
 class SchemeKind:
-    """Time integration scheme tag; theta is set only for the theta method."""
+    """Time integration scheme tag; theta is set only for the theta method, and held as a Python float."""
 
     name: str
     theta: float | None = None
@@ -70,7 +70,8 @@ class SchemeKind:
         if self.name not in ("ie", "cn", "theta", "siem"):
             raise SolverError(f"unknown scheme {self.name!r}")
         if self.name == "theta":
-            if self.theta is None or not 0.0 <= self.theta <= 1.0:
+            object.__setattr__(self, "theta", number(self.theta, "theta", SolverError))
+            if not 0.0 <= self.theta <= 1.0:
                 raise SolverError("theta method needs theta in [0, 1]")
         elif self.theta is not None:
             raise SolverError(f"scheme {self.name!r} takes no theta parameter")
@@ -108,7 +109,7 @@ SEMI_IMPLICIT = SchemeKind("siem")
 
 
 def theta_method(theta: float) -> SchemeKind:
-    return SchemeKind("theta", float(theta))
+    return SchemeKind("theta", theta)
 
 
 class FactoredStep:

@@ -386,11 +386,11 @@ MALFORMED = {
     "graph-not-utf8": ("graph", NOT_UTF8, "not UTF-8"),
     "graph-length-a-string": (
         "graph", {**PATH_GRAPH, "edges": [{"tail": "a", "head": "b", "length": "2"}, *PATH_GRAPH["edges"][1:]]},
-        "edge e1: length must be a JSON number, not '2'",
+        "edge e1: length must be a number, not '2'",
     ),
     "graph-length-a-bool": (
         "graph", {**PATH_GRAPH, "edges": [*PATH_GRAPH["edges"][:2], {"tail": "c", "head": "d", "length": True}]},
-        "edge e3: length must be a JSON number, not True",
+        "edge e3: length must be a number, not True",
     ),
     "graph-edge-without-tail": (
         "graph", {**PATH_GRAPH, "edges": [{"head": "b"}, *PATH_GRAPH["edges"][1:]]}, "bad edge entry at index 0"
@@ -412,7 +412,7 @@ MALFORMED = {
     ),
     "batches-probs-not-a-list": ("batches", {**PATH_BATCHES, "probs": "abc"}, "a list under key 'probs'"),
     "batches-probs-not-numbers": (
-        "batches", {**PATH_BATCHES, "probs": ["a", "b"]}, "probability 1 must be a JSON number, not 'a'"
+        "batches", {**PATH_BATCHES, "probs": ["a", "b"]}, "probability 1 must be a number, not 'a'"
     ),
     # a JSON integer past the float range: float() raises OverflowError, which 1e400 (read as inf) never reaches
     "batches-probability-too-large": (

@@ -54,14 +54,14 @@ def test_partition_uncovered_rejected(demo):
 
 def test_partition_takes_integer_edge_ids_only(demo):
     # int() would truncate 9.7 to edge 9
-    with pytest.raises(DecompositionError, match="part 4 holds 9.7, not an integer id"):
+    with pytest.raises(DecompositionError, match="part 4: edge id must be an integer, not 9.7"):
         g.SubgraphPartition(demo, [{0, 1, 2}, {3, 4}, {5, 6}, {7, 8, 9.7}])
     parts = [np.arange(3), np.array([3, 4]), [np.int32(5), 6], range(7, 10)]
     assert g.SubgraphPartition(demo, parts).parts == g.demo_partition(demo).parts
 
 
 def test_batch_family_takes_integer_part_ids_only():
-    with pytest.raises(DecompositionError, match="batch 2 holds 1.9, not an integer id"):
+    with pytest.raises(DecompositionError, match="batch 2: part id must be an integer, not 1.9"):
         g.batch_family([{0}, {1.9}], [0.5, 0.5], 2)
     assert g.batch_family([{np.int64(0)}, {1}], [0.5, 0.5], 2).batches == (frozenset({0}), frozenset({1}))
 
@@ -75,7 +75,7 @@ def test_batch_family_rejects_an_empty_batch_and_an_unknown_part():
 
 
 def test_batch_view_takes_integer_part_ids_only(partition):
-    with pytest.raises(DecompositionError, match="batch 2 holds 1.5, not an integer id"):
+    with pytest.raises(DecompositionError, match="batch 2: part id must be an integer, not 1.5"):
         batch_view(partition, [{0}, {1.5}], 1)
     assert batch_view(partition, [{0}, {np.int64(1)}], 1).active_edges == partition.parts[1]
 

@@ -196,6 +196,21 @@ def test_schedule_window_count_must_be_a_nonnegative_integer(option2):
     assert np.array_equal(sample_schedule(np.int64(3), option2.probs, 0).omegas, sample_schedule(3, option2.probs, 0).omegas)
 
 
+@pytest.mark.parametrize("probs", [[-0.5, 1.5], [float("nan"), 1.0], [float("inf"), 1.0], [0.0, 0.0], []])
+def test_schedule_probabilities_must_be_finite_nonnegative_with_a_positive_sum(probs):
+    # NumPy's own ValueError ("Probabilities are not non-negative", "... contain NaN") ended these before
+    with pytest.raises(InvalidSpec, match="probabilities must be finite and non-negative with a positive sum"):
+        sample_schedule(4, probs, 0)
+
+
+def test_schedule_of_valid_probabilities_draws_with_probs_over_their_sum(option1):
+    probs = [0.1, 0.2, 0.0, 0.3, 0.15, 0.25]
+    for seed in (0, 5, 2**100):
+        want = np.random.Generator(np.random.Philox(key=seed)).choice(6, size=40, p=np.asarray(probs) / sum(probs))
+        assert np.array_equal(sample_schedule(40, probs, seed).omegas, want)
+        assert np.array_equal(sample_schedule(40, option1.probs, seed).omegas, sample_schedule(40, option1.probs.tolist(), seed).omegas)
+
+
 def test_schedule_takes_only_a_1d_integer_array(demo, partition, option2, problem, coarse_mesh):
     config = RbmConfig(h=0.02, dt=0.01, t_final=0.06, scheme=g.IMPLICIT_EULER, seed=1)
 

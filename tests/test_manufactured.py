@@ -127,6 +127,13 @@ def dense_lower_coefficients(graph, a, alpha, beta):
     return lower.reshape(graph.n_edges, 3)
 
 
+def test_derivative_tables_are_bitwise_polyder(rng, demo):
+    poly = rng.normal(size=(10, 5)) * 10.0 ** rng.integers(-8, 8, size=(10, 5))
+    solution = g.ManufacturedSolution(demo, poly, None, None)
+    assert solution.w_dx.coeffs.tobytes() == np.stack([np.polyder(c) for c in poly]).tobytes()
+    assert solution.w_dxx.coeffs.tobytes() == np.stack([np.polyder(c, 2) for c in poly]).tobytes()
+
+
 def binary_tree(depth):
     inner = 2**depth - 1
     edges = [(v, 2 * v + c, 1.0) for v in range(inner) for c in (1, 2)]
